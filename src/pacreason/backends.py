@@ -3,16 +3,41 @@
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
 makes the per-example aggregation sound.
+
+`decide(query, hyps)` is the plain yes/no search the reduction calls once per
+example.  `certificate(query, hyps)` runs the same search once, replays the
+proof it found with that system's independent checker, and returns the
+proof's text lines (None on reject, () where the system prints no proof); a
+proof that fails its replay raises RuleError.
 """
 
 from __future__ import annotations
 
-from .formulas import Const, TRUE, restrict as restrict_formula
+from .errors import RuleError
+from .formulas import TRUE, restrict as restrict_formula
 from .oracle import ENUMERATION_CAP, entails
 from .polycalc import PC, decide_pc, restrict_polynomial
-from .cutting_planes import decide_cp, restrict_ineq
-from .res_k import BOTTOM, decide_resk_width, restrict_kdnf
-from .resolution import TAUTOLOGY, restrict_clause, restrict_cnf, search_space
+from .cutting_planes import check_trace as check_cp_trace, decide_cp, restrict_ineq
+from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
+from .resolution import (
+    TAUTOLOGY,
+    check_proof,
+    proof_to_text,
+    restrict_clause,
+    restrict_cnf,
+    search_space,
+)
+
+
+def _restrict_each(restrict_one, formulas, rho) -> tuple:
+    """Restricts every formula by rho and drops those that became TRUE."""
+    restricted = (restrict_one(phi, rho) for phi in formulas)
+    return tuple(phi for phi in restricted if phi != TRUE)
+
+
+def _replayed(ok: bool, system: str) -> None:
+    if not ok:
+        raise RuleError(f"{system} certificate failed its replay check")
 
 
 class SpaceResolutionBackend:
@@ -26,6 +51,13 @@ class SpaceResolutionBackend:
         if query is TAUTOLOGY:
             return True  # the tautology clause is an axiom
         return search_space(hyps, self.s, query) is not None
+
+    def certificate(self, query, hyps):
+        proof = search_space(hyps, self.s, query)
+        if proof is None:
+            return None
+        _replayed(check_proof(proof, hyps, query), "res-space")
+        return (proof_to_text(proof),)
 
     def restrict_query(self, query, rho):
         return restrict_clause(query, rho)
@@ -47,13 +79,19 @@ class ResKWidthBackend:
         accepted, _ = decide_resk_width(list(hyps) + list(query), BOTTOM, self.k, self.w)
         return accepted
 
+    def certificate(self, query, hyps):
+        inputs = list(hyps) + list(query)
+        accepted, trace = decide_resk_width(inputs, BOTTOM, self.k, self.w)
+        if not accepted:
+            return None
+        _replayed(check_resk_trace(trace, inputs, BOTTOM, self.k, self.w), "res-k-width")
+        return tuple(f"{step.rule}: {step.formula!r}" for step in trace)
+
     def restrict_query(self, query, rho):
-        restricted = (restrict_kdnf(phi, rho) for phi in query)
-        return tuple(phi for phi in restricted if phi != TRUE)
+        return _restrict_each(restrict_kdnf, query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict_kdnf(phi, rho) for phi in hyps)
-        return tuple(phi for phi in restricted if phi != TRUE)
+        return _restrict_each(restrict_kdnf, hyps, rho)
 
 
 class PolynomialCalculusBackend:
@@ -66,6 +104,9 @@ class PolynomialCalculusBackend:
 
     def decide(self, query, hyps) -> bool:
         return decide_pc(list(hyps), query, self.d, self.mode)
+
+    def certificate(self, query, hyps):
+        return () if self.decide(query, hyps) else None
 
     def restrict_query(self, query, rho):
         return restrict_polynomial(query, rho)
@@ -88,12 +129,22 @@ class CuttingPlanesBackend:
         accepted, _ = decide_cp(list(hyps), query, self.w, self.L)
         return accepted
 
+    def certificate(self, query, hyps):
+        if query == TRUE:
+            return ()
+        accepted, trace = decide_cp(list(hyps), query, self.w, self.L)
+        if not accepted:
+            return None
+        _replayed(check_cp_trace(trace, hyps, query, self.w, self.L), "cp")
+        return tuple(
+            f"{i}: {type(step).__name__} {step.conclusion!r}" for i, step in enumerate(trace)
+        )
+
     def restrict_query(self, query, rho):
         return restrict_ineq(query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict_ineq(phi, rho) for phi in hyps)
-        return tuple(phi for phi in restricted if phi != TRUE)
+        return _restrict_each(restrict_ineq, hyps, rho)
 
 
 class EntailmentOracleBackend:
@@ -110,5 +161,4 @@ class EntailmentOracleBackend:
         return restrict_formula(query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict_formula(phi, rho) for phi in hyps)
-        return tuple(phi for phi in restricted if phi != Const(True))
+        return _restrict_each(restrict_formula, hyps, rho)

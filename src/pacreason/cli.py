@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formats
@@ -34,8 +33,7 @@ from .errors import FormatError, InputError, RuleError
 from .formulas import TRUE
 from .oracle import entails, sat_solve
 from .polycalc import PC, PCR
-from .res_k import check_trace as check_resk_trace, negate_query
-from .resolution import proof_to_text, search_space
+from .res_k import negate_query
 from .sampling import draw_masked_examples, validity
 
 SYSTEMS = ("res-space", "res-k-width", "pc", "pcr", "cp")
@@ -48,24 +46,6 @@ SYSTEM_PARAMS = {
     "pcr": ("d",),
     "cp": ("w", "L"),
 }
-
-
-@dataclass
-class ScenarioConfig:
-    system: str
-    epsilon: Fraction
-    gamma: Fraction
-    delta: Fraction
-    params: dict
-    kb_path: str
-    query_path: str
-    samples_path: str = None
-    dist_path: str = None
-    mask_spec: str = None
-    seed: int = None
-    m: int = None
-    workers: int = 1
-    per_example: bool = False
 
 
 def _fraction_arg(text):
@@ -96,23 +76,25 @@ def _check_params(system, given):
     return {name: given[name] for name in allowed}
 
 
-def _load_instance(config: ScenarioConfig):
-    """Returns (backend, query, hyps, n) for the configured system."""
-    system = config.system
-    p = config.params
+def _load_instance(args):
+    """Returns (backend, query, hyps, n) for the system named in the arguments."""
+    system = args.system
+    p = _check_params(
+        system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
+    )
     if system == "res-space":
-        kb = formats.parse_cnf(_read(config.kb_path))
-        query_cnf = formats.parse_cnf(_read(config.query_path))
+        kb = formats.parse_cnf(_read(args.kb))
+        query_cnf = formats.parse_cnf(_read(args.query))
         if len(query_cnf.clauses) != 1:
             raise InputError("res-space queries are a single clause (one-clause cnf file)")
         if query_cnf.n != kb.n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={kb.n}")
         return SpaceResolutionBackend(p["s"], kb.n), query_cnf.clauses[0], kb, kb.n
     if system == "res-k-width":
-        n, k_file, hyps = formats.parse_kdnf_file(_read(config.kb_path))
+        n, k_file, hyps = formats.parse_kdnf_file(_read(args.kb))
         if k_file > p["k"]:
             raise InputError(f"kb file holds {k_file}-DNFs but --k is {p['k']}")
-        query_cnf = formats.parse_cnf(_read(config.query_path))
+        query_cnf = formats.parse_cnf(_read(args.query))
         if query_cnf.n != n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={n}")
         negated = tuple(
@@ -120,8 +102,8 @@ def _load_instance(config: ScenarioConfig):
         )
         return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
     if system in (PC, PCR):
-        n, hyps = formats.parse_poly_file(_read(config.kb_path))
-        qn, queries = formats.parse_poly_file(_read(config.query_path))
+        n, hyps = formats.parse_poly_file(_read(args.kb))
+        qn, queries = formats.parse_poly_file(_read(args.query))
         if len(queries) != 1:
             raise InputError("pc/pcr queries are a single polynomial")
         if qn != n:
@@ -129,8 +111,8 @@ def _load_instance(config: ScenarioConfig):
         backend = PolynomialCalculusBackend(p["d"], n, mode=system)
         return backend, queries[0], tuple(hyps), n
     if system == "cp":
-        n, hyps = formats.parse_cp_file(_read(config.kb_path))
-        qn, queries = formats.parse_cp_file(_read(config.query_path))
+        n, hyps = formats.parse_cp_file(_read(args.kb))
+        qn, queries = formats.parse_cp_file(_read(args.query))
         if len(queries) != 1:
             raise InputError("cp queries are a single inequality")
         if qn != n:
@@ -139,42 +121,43 @@ def _load_instance(config: ScenarioConfig):
     raise InputError(f"unknown system {system!r}")
 
 
-def _load_examples(config: ScenarioConfig, n: int):
-    if config.samples_path is not None:
-        sample_n, examples = formats.parse_pasgns(_read(config.samples_path))
+def _load_examples(args, n: int):
+    if args.samples is not None:
+        sample_n, examples = formats.parse_pasgns(_read(args.samples))
         if sample_n != n:
             raise InputError(f"samples n={sample_n} does not match instance n={n}")
         return examples
-    if config.dist_path is None or config.mask_spec is None or config.seed is None:
+    if args.dist is None or args.mask is None or args.seed is None:
         raise InputError("need either --samples or all of --dist, --mask and --seed")
-    dist = formats.parse_dist(_read(config.dist_path))
+    dist = formats.parse_dist(_read(args.dist))
     if dist.n != n:
         raise InputError(f"distribution n={dist.n} does not match instance n={n}")
     mask = formats.parse_mask_spec(
-        config.mask_spec, n, base_dir=os.path.dirname(config.dist_path) or "."
+        args.mask, n, base_dir=os.path.dirname(args.dist) or "."
     )
-    m = config.m
+    m = args.m
     if m is None:
-        m = required_sample_size(config.gamma, config.delta)
-    return draw_masked_examples(dist, mask, m, config.seed)
+        m = required_sample_size(args.gamma, args.delta)
+    return draw_masked_examples(dist, mask, m, args.seed)
 
 
-def run_scenario(config: ScenarioConfig):
-    """Execute the reduction for a scenario; returns (outcome, report text)."""
-    backend, query, hyps, n = _load_instance(config)
-    examples = _load_examples(config, n)
-    params = PacParams(config.epsilon, config.gamma, config.delta)
-    outcome = decide_pac(backend, query, hyps, params, examples, workers=config.workers)
+def run_scenario(args):
+    """Execute the reduction for parsed `decide` arguments; returns
+    (outcome, report text)."""
+    backend, query, hyps, n = _load_instance(args)
+    examples = _load_examples(args, n)
+    params = PacParams(args.epsilon, args.gamma, args.delta)
+    outcome = decide_pac(backend, query, hyps, params, examples)
     lines = [
-        f"system={config.system}",
-        f"epsilon={config.epsilon}",
-        f"gamma={config.gamma}",
-        f"delta={config.delta}",
+        f"system={args.system}",
+        f"epsilon={args.epsilon}",
+        f"gamma={args.gamma}",
+        f"delta={args.delta}",
         f"m={outcome.sample_count}",
         f"budget={outcome.budget}",
         f"failed={outcome.failed_count}",
     ]
-    if config.per_example:
+    if args.per_example:
         lines.extend(
             f"example={i} verdict={'accept' if ok else 'reject'}"
             for i, ok in enumerate(outcome.per_example)
@@ -184,26 +167,8 @@ def run_scenario(config: ScenarioConfig):
 
 
 def _cmd_decide(args) -> int:
-    config = ScenarioConfig(
-        system=args.system,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        delta=args.delta,
-        params=_check_params(
-            args.system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
-        ),
-        kb_path=args.kb,
-        query_path=args.query,
-        samples_path=args.samples,
-        dist_path=args.dist,
-        mask_spec=args.mask,
-        seed=args.seed,
-        m=args.m,
-        workers=args.workers,
-        per_example=args.per_example,
-    )
     started = time.perf_counter()
-    outcome, report = run_scenario(config)
+    outcome, report = run_scenario(args)
     elapsed = time.perf_counter() - started
     sys.stdout.write(report)
     sys.stderr.write(f"wall_time_s={elapsed:.3f}\n")
@@ -211,46 +176,11 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    config = ScenarioConfig(
-        system=args.system,
-        epsilon=Fraction(1, 2),
-        gamma=Fraction(1, 4),
-        delta=Fraction(1, 4),
-        params=_check_params(
-            args.system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
-        ),
-        kb_path=args.kb,
-        query_path=args.query,
-    )
-    backend, query, hyps, _ = _load_instance(config)
-    if args.show_proof and args.system == "res-space":
-        proof = search_space(hyps, config.params["s"], query)
-        accepted = proof is not None
-        if accepted:
-            sys.stdout.write(proof_to_text(proof) + "\n")
-    elif args.show_proof and args.system == "res-k-width":
-        from .res_k import BOTTOM, decide_resk_width
-
-        accepted, trace = decide_resk_width(
-            list(hyps) + list(query), BOTTOM, config.params["k"], config.params["w"]
-        )
-        if accepted:
-            assert check_resk_trace(
-                trace, list(hyps) + list(query), BOTTOM, config.params["k"], config.params["w"]
-            )
-            for step in trace:
-                sys.stdout.write(f"{step.rule}: {step.formula!r}\n")
-    elif args.show_proof and args.system == "cp":
-        from .cutting_planes import decide_cp
-
-        accepted, trace = decide_cp(
-            list(hyps), query, config.params["w"], config.params["L"]
-        )
-        if accepted:
-            for i, step in enumerate(trace):
-                sys.stdout.write(f"{i}: {type(step).__name__} {step.conclusion!r}\n")
-    else:
-        accepted = backend.decide(query, hyps)
+    backend, query, hyps, _ = _load_instance(args)
+    lines = backend.certificate(query, hyps)
+    accepted = lines is not None
+    if args.show_proof and accepted:
+        sys.stdout.writelines(line + "\n" for line in lines)
     sys.stdout.write(f"verdict={'Accept' if accepted else 'Reject'}\n")
     return 0 if accepted else 1
 
@@ -352,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--mask", help="mask spec: fixed:BITS, iid:P or table:PATH")
     decide.add_argument("--seed", type=int, help="64-bit stream seed")
     decide.add_argument("--m", type=int, help="example count (default: Hoeffding size)")
-    decide.add_argument("--workers", type=int, default=1)
     decide.add_argument("--per-example", action="store_true", dest="per_example")
     decide.set_defaults(func=_cmd_decide)
 

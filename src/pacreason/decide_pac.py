@@ -13,14 +13,14 @@ A backend is any object with
     restrict_query(query, rho)
     restrict_hyps(hyps, rho)
 
-The verdict depends only on the multiset of per-example answers, so runs are
-reproducible regardless of worker count; every example is always evaluated
-(no early exit) to keep the reported failure count canonical.
+Examples are decided one after another in sample order.  The verdict depends
+only on the multiset of per-example answers, so it does not depend on that
+order; every example is always evaluated (no early exit) to keep the reported
+failure count canonical.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
@@ -83,7 +83,7 @@ def failure_budget(epsilon, m: int) -> int:
     return product.numerator // product.denominator
 
 
-def decide_pac(backend, query, hyps, params: PacParams, examples, workers: int = 1) -> PacOutcome:
+def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     """Run the backend on every restricted instance and tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
@@ -97,16 +97,10 @@ def decide_pac(backend, query, hyps, params: PacParams, examples, workers: int =
         if len(rho) != n:
             raise InputError(f"example {rho} has length {len(rho)}, expected {n}")
 
-    def run(rho):
-        return backend.decide(
-            backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho)
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = tuple(pool.map(run, examples))
-    else:
-        verdicts = tuple(run(rho) for rho in examples)
+    verdicts = tuple(
+        backend.decide(backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho))
+        for rho in examples
+    )
 
     failed = sum(1 for ok in verdicts if not ok)
     budget = failure_budget(params.epsilon, m)
@@ -123,11 +117,10 @@ def decide_pac_from_distribution(
     mask,
     seed: int,
     m: int = None,
-    workers: int = 1,
 ) -> PacOutcome:
     """Draw exactly m examples (the Hoeffding count when m is omitted), then
     aggregate as decide_pac does."""
     if m is None:
         m = required_sample_size(params.gamma, params.delta)
     examples = draw_masked_examples(dist, mask, m, seed)
-    return decide_pac(backend, query, hyps, params, examples, workers=workers)
+    return decide_pac(backend, query, hyps, params, examples)

@@ -55,6 +55,23 @@ def _header(line, number, kind, count):
         raise FormatError(f"line {number}: header fields must be integers") from None
 
 
+def _parse_file(text, kind, fields, noun, read_body, allow_c_comments=False):
+    """Reads the `p <kind>` header of `text`, hands the header fields before
+    the count, then the remaining (number, line) pairs, to read_body, and
+    checks that it found as many records as the header's last field promises.
+    Returns (header fields, records)."""
+    lines = _lines(text, allow_c_comments)
+    try:
+        number, line = next(lines)
+    except StopIteration:
+        raise FormatError(f"line 1: empty {kind} file") from None
+    header = _header(line, number, kind, fields)
+    records = read_body(*header[:-1], lines)
+    if len(records) != header[-1]:
+        raise FormatError(f"header promises {header[-1]} {noun}, found {len(records)}")
+    return header, records
+
+
 def _fraction(token, number):
     try:
         return Fraction(token)
@@ -66,12 +83,11 @@ def _fraction(token, number):
 
 
 def parse_cnf(text) -> Cnf:
-    lines = _lines(text, allow_c_comments=True)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty cnf file") from None
-    n, m = _header(line, number, "cnf", 2)
+    (n, _), clauses = _parse_file(text, "cnf", 2, "clauses", _cnf_body, allow_c_comments=True)
+    return Cnf(clauses, n)
+
+
+def _cnf_body(n, lines):
     clauses = []
     current = []
     for number, line in lines:
@@ -89,9 +105,7 @@ def parse_cnf(text) -> Cnf:
                 current.append(lit)
     if current:
         raise FormatError("last clause is not terminated by 0")
-    if len(clauses) != m:
-        raise FormatError(f"header promises {m} clauses, found {len(clauses)}")
-    return Cnf(clauses, n)
+    return clauses
 
 
 def _clause_tokens(clause):
@@ -114,20 +128,17 @@ def serialize_cnf(cnf: Cnf) -> str:
 
 
 def parse_pasgns(text):
-    lines = _lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty pasgn file") from None
-    n, m = _header(line, number, "pasgn", 2)
+    (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_body)
+    return n, out
+
+
+def _pasgn_body(n, lines):
     out = []
     for number, line in lines:
         if len(line) != n or any(ch not in "01*" for ch in line):
             raise FormatError(f"line {number}: expected {n} characters over 0/1/*")
         out.append(PartialAssignment.from_string(line))
-    if len(out) != m:
-        raise FormatError(f"header promises {m} assignments, found {len(out)}")
-    return n, out
+    return out
 
 
 def serialize_pasgns(n: int, assignments) -> str:
@@ -151,12 +162,11 @@ def _parse_literal(token, number):
 
 
 def parse_kdnf_file(text):
-    lines = _lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty kdnf file") from None
-    n, k, m = _header(line, number, "kdnf", 3)
+    (n, k, _), formulas = _parse_file(text, "kdnf", 3, "formulas", _kdnf_body)
+    return n, k, formulas
+
+
+def _kdnf_body(n, k, lines):
     formulas = []
     for number, line in lines:
         if line == "F":
@@ -171,9 +181,7 @@ def parse_kdnf_file(text):
                 raise FormatError(f"line {number}: variable out of range for n={n}")
             terms.append(lits)
         formulas.append(KDnf(terms))
-    if len(formulas) != m:
-        raise FormatError(f"header promises {m} formulas, found {len(formulas)}")
-    return n, k, formulas
+    return formulas
 
 
 def _literal_text(lit):
@@ -217,12 +225,11 @@ def _parse_indet(token, number):
 
 
 def parse_poly_file(text):
-    lines = _lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty poly file") from None
-    n, m = _header(line, number, "poly", 2)
+    (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_body)
+    return n, polys
+
+
+def _poly_body(n, lines):
     polys = []
     for number, line in lines:
         if line == "0":
@@ -239,13 +246,7 @@ def parse_poly_file(text):
                 raise FormatError(f"line {number}: variable out of range for n={n}")
             terms.append((frozenset(indets), coeff))
         polys.append(Polynomial(terms))
-    if len(polys) != m:
-        raise FormatError(f"header promises {m} polynomials, found {len(polys)}")
-    return n, polys
-
-
-def _fraction_text(value: Fraction) -> str:
-    return str(value)
+    return polys
 
 
 def serialize_poly_file(n: int, polys) -> str:
@@ -257,7 +258,7 @@ def serialize_poly_file(n: int, polys) -> str:
             continue
         parts = []
         for mono in sorted(p.terms, key=monomial_key, reverse=True):
-            tokens = [_fraction_text(p.terms[mono])]
+            tokens = [str(p.terms[mono])]
             tokens.extend(
                 ("~x" if i.dual else "x") + str(i.var)
                 for i in sorted(mono, key=lambda i: (i.var, i.dual))
@@ -272,12 +273,11 @@ def serialize_poly_file(n: int, polys) -> str:
 
 
 def parse_cp_file(text):
-    lines = _lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty cp file") from None
-    n, m = _header(line, number, "cp", 2)
+    (n, _), ineqs = _parse_file(text, "cp", 2, "inequalities", _cp_body)
+    return n, ineqs
+
+
+def _cp_body(n, lines):
     ineqs = []
     for number, line in lines:
         if ">=" not in line:
@@ -304,9 +304,7 @@ def parse_cp_file(text):
             except ValueError:
                 raise FormatError(f"line {number}: bad coefficient {coeff_text!r}") from None
         ineqs.append(LinIneq(coeffs, bound))
-    if len(ineqs) != m:
-        raise FormatError(f"header promises {m} inequalities, found {len(ineqs)}")
-    return n, ineqs
+    return ineqs
 
 
 def serialize_cp_file(n: int, ineqs) -> str:
@@ -324,12 +322,14 @@ def serialize_cp_file(n: int, ineqs) -> str:
 
 
 def parse_dist(text) -> ExplicitDistribution:
-    lines = _lines(text)
+    (n, _), support = _parse_file(text, "dist", 2, "points", _dist_body)
     try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty dist file") from None
-    n, m = _header(line, number, "dist", 2)
+        return ExplicitDistribution(n, support)
+    except Exception as exc:
+        raise FormatError(f"invalid distribution: {exc}") from None
+
+
+def _dist_body(n, lines):
     support = []
     for number, line in lines:
         parts = line.split()
@@ -340,12 +340,7 @@ def parse_dist(text) -> ExplicitDistribution:
         if len(bits) != n or any(ch not in "01" for ch in bits):
             raise FormatError(f"line {number}: expected {n} bits")
         support.append((tuple(int(ch) for ch in bits), weight))
-    if len(support) != m:
-        raise FormatError(f"header promises {m} points, found {len(support)}")
-    try:
-        return ExplicitDistribution(n, support)
-    except Exception as exc:
-        raise FormatError(f"invalid distribution: {exc}") from None
+    return support
 
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
@@ -361,12 +356,11 @@ def serialize_dist(dist: ExplicitDistribution) -> str:
 
 
 def parse_mask_table(text) -> TableMask:
-    lines = _lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError("line 1: empty masktable file") from None
-    n, m = _header(line, number, "masktable", 2)
+    _, rule = _parse_file(text, "masktable", 2, "rules", _mask_table_body)
+    return TableMask(rule)
+
+
+def _mask_table_body(n, lines):
     rule = {}
     for number, line in lines:
         parts = line.split()
@@ -377,9 +371,7 @@ def parse_mask_table(text) -> TableMask:
         x = tuple(int(ch) for ch in parts[0])
         hidden = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
         rule[x] = hidden
-    if len(rule) != m:
-        raise FormatError(f"header promises {m} rules, found {len(rule)}")
-    return TableMask(rule)
+    return rule
 
 
 def parse_mask_spec(spec: str, n: int, base_dir: str = "."):

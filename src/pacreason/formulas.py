@@ -134,9 +134,6 @@ class PartialAssignment:
             raise InputError(f"variable x{var} out of range 1..{len(self.entries)}")
         return self.entries[var - 1]
 
-    def is_set(self, var: int) -> bool:
-        return self.value(var) is not None
-
     def masked_vars(self) -> tuple:
         return tuple(i + 1 for i, e in enumerate(self.entries) if e is None)
 
@@ -278,17 +275,3 @@ def restrict(phi: Formula, rho: PartialAssignment) -> Formula:
         return Threshold(tuple(coeffs), tuple(children), d)
     raise InputError(f"not a formula: {phi!r}")
 
-
-def free_vars(phi: Formula) -> frozenset:
-    if isinstance(phi, Const):
-        return frozenset()
-    if isinstance(phi, Var):
-        return frozenset((phi.index,))
-    if isinstance(phi, Not):
-        return free_vars(phi.child)
-    if isinstance(phi, Threshold):
-        out = set()
-        for child in phi.children:
-            out |= free_vars(child)
-        return frozenset(out)
-    raise InputError(f"not a formula: {phi!r}")

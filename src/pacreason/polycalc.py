@@ -62,10 +62,6 @@ def monomial_key(m: Monomial):
     return (len(ids), tuple((-v, not d) for v, d in ids))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return len(m)
-
-
 class Polynomial:
     """Map from multilinear monomials to nonzero rational coefficients."""
 

@@ -19,8 +19,7 @@ from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
 from .formulas import Formula, PartialAssignment, evaluate
-
-ENUMERATION_CAP = 20
+from .oracle import ENUMERATION_CAP
 
 
 class ExplicitDistribution:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pacreason import backends
 from pacreason.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -27,6 +28,28 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# one `prove` instance per case: system, backend flags, kb text, query text
+PROVE_CASES = {
+    "res-space": ("res-space", ["--s", "2"], "p cnf 2 2\n-1 2 0\n1 0\n", "p cnf 2 1\n2 0\n"),
+    "res-space-reject": ("res-space", ["--s", "2"], "p cnf 2 1\n-1 2 0\n", "p cnf 2 1\n2 0\n"),
+    "res-k-width": (
+        "res-k-width", ["--k", "1", "--w", "2"], "p kdnf 2 1 2\nx1\n-x1|x2\n", "p cnf 2 1\n2 0\n"
+    ),
+    "pc": ("pc", ["--d", "2"], "p poly 2 2\n1 x1; -1\n1 x1 x2; -1 x1\n", "p poly 2 1\n1 x2; -1\n"),
+    "pcr": ("pcr", ["--d", "2"], "p poly 2 2\n1 ~x1\n1 x1 ~x2\n", "p poly 2 1\n1 ~x2\n"),
+    "cp": ("cp", ["--w", "1", "--L", "2"], "p cp 1 2\nx1:1 >= 1\nx1:-1 >= 0\n", "p cp 1 1\n>= 1\n"),
+}
+
+
+def prove(case, tmp_path, capsys, extra=()):
+    system, flags, kb_text, query_text = PROVE_CASES[case]
+    kb = write(tmp_path / "kb.txt", kb_text)
+    query = write(tmp_path / "query.txt", query_text)
+    return run_cli(
+        ["prove", "--system", system, *flags, "--kb", kb, "--query", query, *extra], capsys
+    )
 
 
 def test_decide_accepts_with_hidden_consequent(aviary, capsys):
@@ -160,39 +183,76 @@ def test_prove_res_space_shows_proof(aviary, capsys):
 
 
 def test_prove_cp_accepts_contradiction(tmp_path, capsys):
-    kb = write(tmp_path / "kb.cp", "p cp 1 2\nx1:1 >= 1\nx1:-1 >= 0\n")
-    query = write(tmp_path / "query.cp", "p cp 1 1\n>= 1\n")
-    code, out, _ = run_cli(
-        ["prove", "--system", "cp", "--w", "1", "--L", "2", "--kb", kb,
-         "--query", query, "--show-proof"],
-        capsys,
-    )
+    code, out, _ = prove("cp", tmp_path, capsys, ["--show-proof"])
     assert code == 0
     assert "verdict=Accept" in out
     assert "AddStep" in out
 
 
 def test_prove_res_k_width(tmp_path, capsys):
-    kb = write(tmp_path / "kb.kdnf", "p kdnf 2 1 2\nx1\n-x1|x2\n")
-    query = write(tmp_path / "query.cnf", "p cnf 2 1\n2 0\n")
-    code, out, _ = run_cli(
-        ["prove", "--system", "res-k-width", "--k", "1", "--w", "2",
-         "--kb", kb, "--query", query, "--show-proof"],
-        capsys,
-    )
+    code, out, _ = prove("res-k-width", tmp_path, capsys, ["--show-proof"])
     assert code == 0
     assert "verdict=Accept" in out
 
 
 def test_prove_pcr(tmp_path, capsys):
-    kb = write(tmp_path / "kb.poly", "p poly 2 2\n1 ~x1\n1 x1 ~x2\n")
-    query = write(tmp_path / "query.poly", "p poly 2 1\n1 ~x2\n")
-    code, out, _ = run_cli(
-        ["prove", "--system", "pcr", "--d", "2", "--kb", kb, "--query", query],
-        capsys,
-    )
+    code, out, _ = prove("pcr", tmp_path, capsys)
     assert code == 0
     assert "verdict=Accept" in out
+
+
+@pytest.mark.parametrize(
+    "case, certificate",
+    [
+        ("res-space", ["(cut x1 (weaken x1|x2 (leaf x1)) (leaf -x1|x2) x2)"]),
+        (
+            "res-k-width",
+            [
+                "hypothesis: KDnf([[1]])",
+                "hypothesis: KDnf([[-1], [2]])",
+                "hypothesis: KDnf([[-2]])",
+                "cut: KDnf([[-1]])",
+                "cut: KDnf([])",
+            ],
+        ),
+        (
+            "cp",
+            [
+                "0: HypothesisStep LinIneq(1*x1 >= 1)",
+                "1: HypothesisStep LinIneq(-1*x1 >= 0)",
+                "2: AddStep LinIneq(0 >= 1)",
+            ],
+        ),
+        ("pc", []),  # polynomial calculus prints no proof lines
+        ("pcr", []),
+    ],
+)
+def test_prove_show_proof_prints_the_certificate(case, certificate, tmp_path, capsys):
+    code, out, _ = prove(case, tmp_path, capsys, ["--show-proof"])
+    assert code == 0
+    assert out.splitlines() == certificate + ["verdict=Accept"]
+
+
+@pytest.mark.parametrize("case", sorted(PROVE_CASES))
+def test_prove_verdict_does_not_depend_on_show_proof(case, tmp_path, capsys):
+    code, out, _ = prove(case, tmp_path, capsys)
+    shown_code, shown_out, _ = prove(case, tmp_path, capsys, ["--show-proof"])
+    assert out == ("verdict=Accept\n" if code == 0 else "verdict=Reject\n")
+    assert shown_code == code
+    assert shown_out.endswith(out)
+
+
+@pytest.mark.parametrize(
+    "case, checker",
+    [("res-space", "check_proof"), ("res-k-width", "check_resk_trace"), ("cp", "check_cp_trace")],
+)
+def test_prove_rejected_replay_is_an_error(case, checker, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(backends, checker, lambda *args, **kwargs: False)
+    for extra in ([], ["--show-proof"]):
+        code, out, err = prove(case, tmp_path, capsys, extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_sample_emits_pasgn(aviary, capsys):
@@ -248,7 +308,7 @@ def cli_subprocess(argv, tmp_path):
     )
 
 
-def test_reports_are_byte_identical_across_runs_and_workers(aviary):
+def test_reports_are_byte_identical_across_runs(aviary):
     argv = [
         "decide",
         "--system", "res-space",
@@ -266,7 +326,6 @@ def test_reports_are_byte_identical_across_runs_and_workers(aviary):
     ]
     first = cli_subprocess(argv, aviary["dir"])
     second = cli_subprocess(argv, aviary["dir"])
-    threaded = cli_subprocess(argv + ["--workers", "4"], aviary["dir"])
-    assert first.returncode == second.returncode == threaded.returncode
-    assert first.stdout == second.stdout == threaded.stdout
+    assert first.returncode == second.returncode
+    assert first.stdout == second.stdout
     assert first.stdout  # non-empty report

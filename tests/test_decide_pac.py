@@ -107,15 +107,6 @@ def test_verdict_is_order_independent():
         assert again.failed_count == base.failed_count
 
 
-def test_workers_do_not_change_outcome():
-    script = [True, False] * 10
-    single = decide_pac(ScriptedBackend(script), None, None, params("1/2", "1/4"), masked(1, 20))
-    threaded = decide_pac(
-        ScriptedBackend(script), None, None, params("1/2", "1/4"), masked(1, 20), workers=4
-    )
-    assert single == threaded
-
-
 def test_example_length_is_validated():
     backend = ScriptedBackend([True])
     with pytest.raises(InputError):
