@@ -14,8 +14,7 @@ proof that fails its replay raises RuleError.
 from __future__ import annotations
 
 from .errors import RuleError
-from .formulas import TRUE, restrict as restrict_formula
-from .oracle import ENUMERATION_CAP, entails
+from .formulas import TRUE
 from .polycalc import PC, decide_pc, restrict_polynomial
 from .cutting_planes import check_trace as check_cp_trace, decide_cp, restrict_ineq
 from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
@@ -145,20 +144,3 @@ class CuttingPlanesBackend:
 
     def restrict_hyps(self, hyps, rho):
         return _restrict_each(restrict_ineq, hyps, rho)
-
-
-class EntailmentOracleBackend:
-    """Brute-force classical entailment over threshold-basis formulas."""
-
-    def __init__(self, n: int, cap: int = ENUMERATION_CAP):
-        self.n = n
-        self.cap = cap
-
-    def decide(self, query, hyps) -> bool:
-        return entails(list(hyps), query, self.n, cap=self.cap)
-
-    def restrict_query(self, query, rho):
-        return restrict_formula(query, rho)
-
-    def restrict_hyps(self, hyps, rho):
-        return _restrict_each(restrict_formula, hyps, rho)

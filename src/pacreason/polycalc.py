@@ -22,19 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .formulas import (
-    Const,
-    FALSE,
-    Formula,
-    Not,
-    PartialAssignment,
-    Threshold,
-    TRUE,
-    Var,
-    WitnessStatus,
-    conjunction,
-    witness_status,
-)
+from .formulas import PartialAssignment
 
 PC = "pc"
 PCR = "pcr"
@@ -169,12 +157,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
 
-def multilinearize(raw_terms) -> Polynomial:
-    """Collapse exponent vectors: (coeff, indeterminates-with-repeats) pairs
-    become multilinear monomials, like terms merge, zeros vanish."""
-    return Polynomial((frozenset(indets), c) for c, indets in raw_terms)
-
-
 def gaussian_reduce(p: Polynomial, basis) -> Polynomial:
     """Reduce `p` against basis polynomials sorted by decreasing leading
     monomial with distinct leading monomials; cancels matching leads only."""
@@ -275,34 +257,6 @@ def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
         if not dead:
             out.append((frozenset(kept), c))
     return Polynomial(out)
-
-
-def poly_to_formula(p: Polynomial) -> Formula:
-    """The equation [p = 0] as a conjunction of two thresholds over the
-    monomials' conjunction subformulas."""
-    constant = p.coeff(ONE)
-    monomials = sorted(
-        (m for m in p.terms if m), key=monomial_key, reverse=True
-    )
-    if not monomials:
-        return TRUE if constant == 0 else FALSE
-
-    def monomial_formula(m):
-        return conjunction(
-            Not(Var(i.var)) if i.dual else Var(i.var)
-            for i in sorted(m, key=lambda i: (i.var, i.dual))
-        )
-
-    children = tuple(monomial_formula(m) for m in monomials)
-    coeffs = tuple(p.terms[m] for m in monomials)
-    at_least = Threshold(coeffs, children, -constant)
-    at_most = Threshold(tuple(-c for c in coeffs), children, constant)
-    return conjunction([at_least, at_most])
-
-
-def poly_witness_status(p: Polynomial, rho: PartialAssignment) -> WitnessStatus:
-    """Witnessing of [p = 0] through its two-threshold encoding."""
-    return witness_status(poly_to_formula(p), rho)
 
 
 def encode_clause_pcr(clause) -> Polynomial:

@@ -198,9 +198,11 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
 
     Base case: a target that is a superset of an input clause follows by
     weakening.  Otherwise branch on a literal, proving target-or-literal in
-    space s-1 and target-or-negation in space s.  Literals are tried in
-    ascending variable order, positive first, so results are reproducible.
-    Returns None when no such proof exists.
+    space s-1 and target-or-negation in space s.  Only variables that occur
+    in the inputs are branched on, in ascending order, positive literal
+    first, so results are reproducible.  A cut on any other variable never
+    helps: restricting it away leaves a proof of the same clause in no more
+    space.  Returns None when no such proof exists.
     """
     if s < 1:
         raise InputError(f"space bound must be at least 1, got {s}")
@@ -208,6 +210,7 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
         return Leaf(TAUTOLOGY)
 
     inputs = [c for c in phi.clauses if c is not TAUTOLOGY]
+    variables = sorted({abs(lit) for c in inputs for lit in c})
 
     def search(clause: frozenset, space: int) -> Optional[ProofNode]:
         for base in inputs:
@@ -216,7 +219,7 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
                 return leaf if base == clause else Weaken(clause, leaf)
         if space > 1:
             used = {abs(lit) for lit in clause}
-            for var in range(1, phi.n + 1):
+            for var in variables:
                 if var in used:
                     continue
                 for lit in (var, -var):

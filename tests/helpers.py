@@ -1,14 +1,25 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators for the test suite (seeded, deterministic), and
+test-only helpers built on the package: a brute-force entailment backend and
+polynomial constructions the decision procedures themselves do not need."""
 
 from fractions import Fraction
 
 from pacreason.formulas import (
     Const,
+    FALSE,
+    Formula,
     Not,
     PartialAssignment,
     Threshold,
+    TRUE,
     Var,
+    WitnessStatus,
+    conjunction,
+    restrict,
+    witness_status,
 )
+from pacreason.oracle import ENUMERATION_CAP, entails
+from pacreason.polycalc import ONE, Polynomial, monomial_key
 from pacreason.resolution import Cnf, make_clause
 
 
@@ -45,3 +56,53 @@ def random_clause(rng, n, max_width=3):
 def random_cnf(rng, n, max_clauses=8, max_width=3):
     m = rng.randint(1, max_clauses)
     return Cnf([random_clause(rng, n, max_width) for _ in range(m)], n)
+
+
+class EntailmentOracleBackend:
+    """Brute-force classical entailment over threshold-basis formulas."""
+
+    def __init__(self, n: int, cap: int = ENUMERATION_CAP):
+        self.n = n
+        self.cap = cap
+
+    def decide(self, query, hyps) -> bool:
+        return entails(list(hyps), query, self.n, cap=self.cap)
+
+    def restrict_query(self, query, rho):
+        return restrict(query, rho)
+
+    def restrict_hyps(self, hyps, rho):
+        restricted = (restrict(phi, rho) for phi in hyps)
+        return tuple(phi for phi in restricted if phi != TRUE)
+
+
+def multilinearize(raw_terms) -> Polynomial:
+    """Collapse exponent vectors: (coeff, indeterminates-with-repeats) pairs
+    become multilinear monomials, like terms merge, zeros vanish."""
+    return Polynomial((frozenset(indets), c) for c, indets in raw_terms)
+
+
+def poly_to_formula(p: Polynomial) -> Formula:
+    """The equation [p = 0] as a conjunction of two thresholds over the
+    monomials' conjunction subformulas."""
+    constant = p.coeff(ONE)
+    monomials = sorted((m for m in p.terms if m), key=monomial_key, reverse=True)
+    if not monomials:
+        return TRUE if constant == 0 else FALSE
+
+    def monomial_formula(m):
+        return conjunction(
+            Not(Var(i.var)) if i.dual else Var(i.var)
+            for i in sorted(m, key=lambda i: (i.var, i.dual))
+        )
+
+    children = tuple(monomial_formula(m) for m in monomials)
+    coeffs = tuple(p.terms[m] for m in monomials)
+    at_least = Threshold(coeffs, children, -constant)
+    at_most = Threshold(tuple(-c for c in coeffs), children, constant)
+    return conjunction([at_least, at_most])
+
+
+def poly_witness_status(p: Polynomial, rho: PartialAssignment) -> WitnessStatus:
+    """Witnessing of [p = 0] through its two-threshold encoding."""
+    return witness_status(poly_to_formula(p), rho)

@@ -34,6 +34,10 @@ def run_cli(argv, capsys):
 PROVE_CASES = {
     "res-space": ("res-space", ["--s", "2"], "p cnf 2 2\n-1 2 0\n1 0\n", "p cnf 2 1\n2 0\n"),
     "res-space-reject": ("res-space", ["--s", "2"], "p cnf 2 1\n-1 2 0\n", "p cnf 2 1\n2 0\n"),
+    # x1 is declared but occurs in no clause, so the search never cuts on it
+    "res-space-unused-var": (
+        "res-space", ["--s", "3"], "p cnf 3 2\n2 3 0\n-2 3 0\n", "p cnf 3 1\n3 0\n"
+    ),
     "res-k-width": (
         "res-k-width", ["--k", "1", "--w", "2"], "p kdnf 2 1 2\nx1\n-x1|x2\n", "p cnf 2 1\n2 0\n"
     ),
@@ -225,6 +229,7 @@ def test_prove_pcr(tmp_path, capsys):
         ),
         ("pc", []),  # polynomial calculus prints no proof lines
         ("pcr", []),
+        ("res-space-unused-var", ["(cut x2 (leaf x2|x3) (leaf -x2|x3) x3)"]),
     ],
 )
 def test_prove_show_proof_prints_the_certificate(case, certificate, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from pacreason.backends import (
     CuttingPlanesBackend,
-    EntailmentOracleBackend,
     PolynomialCalculusBackend,
     ResKWidthBackend,
     SpaceResolutionBackend,
@@ -24,6 +23,8 @@ from pacreason.formulas import PartialAssignment, Var
 from pacreason.res_k import negate_query
 from pacreason.resolution import Cnf, make_clause
 from pacreason.sampling import ExplicitDistribution, FixedMask, TableMask
+
+from helpers import EntailmentOracleBackend
 
 
 class ScriptedBackend:

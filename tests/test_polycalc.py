@@ -15,12 +15,11 @@ from pacreason.polycalc import (
     encode_clause_pcr,
     gaussian_reduce,
     monomial_key,
-    multilinearize,
-    poly_witness_status,
     restrict_polynomial,
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
 
+from helpers import multilinearize, poly_witness_status
 from pc_span_oracle import span_closure_decides
 
 

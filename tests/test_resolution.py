@@ -1,7 +1,12 @@
+import itertools
 import random
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+from pacreason.backends import SpaceResolutionBackend
+from pacreason.decide_pac import PacParams, decide_pac_from_distribution
 from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment
 from pacreason.oracle import sat_solve
@@ -10,6 +15,7 @@ from pacreason.resolution import (
     Cnf,
     Cut,
     Leaf,
+    ProofNode,
     Weaken,
     check_proof,
     clause_space,
@@ -22,6 +28,7 @@ from pacreason.resolution import (
     search_space,
     space_bound_for_size,
 )
+from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
 from helpers import random_cnf, random_partial
 
@@ -215,3 +222,113 @@ def test_proof_text_golden():
         proof_to_text(one_cut_refutation())
         == "(cut x1 (leaf x1) (leaf -x1) ())"
     )
+
+
+def reference_search_space(phi: Cnf, s: int, target) -> Optional[ProofNode]:
+    """search_space as it branched before: on every declared variable 1..n."""
+    if target is TAUTOLOGY:
+        return Leaf(TAUTOLOGY)
+    inputs = [c for c in phi.clauses if c is not TAUTOLOGY]
+
+    def search(clause, space):
+        for base in inputs:
+            if base <= clause:
+                leaf = Leaf(base)
+                return leaf if base == clause else Weaken(clause, leaf)
+        if space > 1:
+            used = {abs(lit) for lit in clause}
+            for var in range(1, phi.n + 1):
+                if var in used:
+                    continue
+                for lit in (var, -var):
+                    first = search(clause | {lit}, space - 1)
+                    if first is None:
+                        continue
+                    second = search(clause | {-lit}, space)
+                    if second is None:
+                        return None
+                    if lit > 0:
+                        return Cut(var, first, second, clause)
+                    return Cut(var, second, first, clause)
+        return None
+
+    return search(frozenset(target), s)
+
+
+def cut_pivots(proof) -> set:
+    if isinstance(proof, Leaf):
+        return set()
+    if isinstance(proof, Weaken):
+        return cut_pivots(proof.child)
+    return {proof.pivot} | cut_pivots(proof.left) | cut_pivots(proof.right)
+
+
+def occurring_variables(phi: Cnf) -> set:
+    return {abs(lit) for c in phi.clauses if c is not TAUTOLOGY for lit in c}
+
+
+def random_cnf_with_unused_variables(rng):
+    """A CNF over a proper subset of its declared variables 1..n (n <= 7)."""
+    n = rng.randint(2, 7)
+    occurring = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+    clauses = []
+    for _ in range(rng.randint(1, 6)):
+        vars_ = rng.sample(occurring, rng.randint(1, min(3, len(occurring))))
+        clauses.append(make_clause(v if rng.random() < 0.5 else -v for v in vars_))
+    phi = Cnf(clauses, n)
+    target = make_clause(
+        v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, 2))
+    )
+    return phi, target
+
+
+def test_search_space_agrees_with_all_variables_search():
+    rng = random.Random(717171)
+    accepted = same = 0
+    for _ in range(2000):
+        phi, target = random_cnf_with_unused_variables(rng)
+        s = rng.randint(1, 4)
+        proof = search_space(phi, s, target)
+        reference = reference_search_space(phi, s, target)
+        assert (proof is None) == (reference is None)
+        for found in (proof, reference):
+            if found is not None:
+                assert check_proof(found, phi, target)
+                assert clause_space(found) <= s
+        if reference is not None and cut_pivots(reference) <= occurring_variables(phi):
+            assert proof == reference  # same order of branching where it matters
+            same += 1
+        accepted += proof is not None
+    assert 200 < accepted < 1800  # both verdicts are well represented
+    assert accepted // 2 < same < accepted  # some reference proofs cut on unused variables
+
+
+def test_decide_pac_matches_reference_search_per_example():
+    rng = random.Random(818181)
+    n, s = 8, 3
+    kb = Cnf(
+        [
+            make_clause(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(12)
+        ],
+        n,
+    )
+    models = [
+        x
+        for x in itertools.product((0, 1), repeat=n)
+        if all(any((x[abs(lit) - 1] == 1) == (lit > 0) for lit in c) for c in kb.clauses)
+    ]
+    points = rng.sample(models, 16)
+    dist = ExplicitDistribution(n, [(x, Fraction(1, 16)) for x in points])
+    mask = IndependentMask(Fraction(1, 3))
+    query = cl(1, 2)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))
+    outcome = decide_pac_from_distribution(
+        SpaceResolutionBackend(s=s, n=n), query, kb, params, dist, mask, seed=9, m=300
+    )
+    expected = tuple(
+        reference_search_space(restrict_cnf(kb, rho), s, restrict_clause(query, rho)) is not None
+        for rho in draw_masked_examples(dist, mask, 300, 9)
+    )
+    assert outcome.per_example == expected
+    assert 0 < sum(expected) < len(expected)
