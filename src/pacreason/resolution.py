@@ -252,12 +252,28 @@ def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
 
 
 def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """Restrict every clause, dropping the satisfied ones (original indexing kept)."""
-    restricted = []
-    for c in phi.clauses:
-        r = restrict_clause(c, rho)
-        if r is not TAUTOLOGY:
-            restricted.append(r)
+    """Restrict every clause, dropping the satisfied ones, in clause order.
+
+    One pass over rho collects the literals it makes true and those it makes
+    false; a clause meeting the first set is satisfied and dropped, any other
+    loses the second set.  The result equals restricting clause by clause with
+    `restrict_clause`.  Raises InputError when rho is shorter than phi.n.
+    """
+    if len(rho) < phi.n:
+        raise InputError(
+            f"partial assignment has length {len(rho)}, CNF needs at least {phi.n}"
+        )
+    true_lits = {
+        var if value else -var
+        for var, value in enumerate(rho.entries, 1)
+        if value is not None
+    }
+    false_lits = {-lit for lit in true_lits}
+    restricted = [
+        c - false_lits
+        for c in phi.clauses
+        if c is not TAUTOLOGY and c.isdisjoint(true_lits)
+    ]
     return Cnf(restricted, phi.n)
 
 

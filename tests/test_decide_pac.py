@@ -28,27 +28,32 @@ from helpers import EntailmentOracleBackend
 
 
 class ScriptedBackend:
-    """Accepts or rejects according to a fixed script, for counting tests."""
+    """Answers each example by a fixed script, for counting tests.
+
+    Example i is `distinct_examples(...)[i]`; `restrict_query` hands the
+    example itself to `decide`, which looks its verdict up, so the answer is
+    a pure function of the restricted instance, as decide_pac requires.
+    """
+
+    n = 4
 
     def __init__(self, script):
-        self.script = list(script)
-        self.n = 1
-        self.calls = 0
+        self.verdicts = dict(zip(distinct_examples(len(script)), script))
 
     def decide(self, query, hyps):
-        verdict = self.script[self.calls]
-        self.calls += 1
-        return verdict
+        return self.verdicts[query]
 
     def restrict_query(self, query, rho):
-        return query
+        return rho
 
     def restrict_hyps(self, hyps, rho):
         return hyps
 
 
-def masked(n, count):
-    return [PartialAssignment.all_masked(n) for _ in range(count)]
+def distinct_examples(count):
+    """`count` different full assignments over ScriptedBackend.n variables."""
+    n = ScriptedBackend.n
+    return [PartialAssignment(tuple((i >> b) & 1 for b in range(n))) for i in range(count)]
 
 
 def params(eps="1/10", gamma="1/20", delta="1/20"):
@@ -76,7 +81,7 @@ def test_failure_budget_exact():
 
 def test_reject_when_failures_exceed_budget():
     backend = ScriptedBackend([True] * 8 + [False] * 2)
-    outcome = decide_pac(backend, None, None, params(), masked(1, 10))
+    outcome = decide_pac(backend, None, None, params(), distinct_examples(10))
     assert outcome.verdict == REJECT
     assert outcome.failed_count == 2
     assert outcome.budget == 1
@@ -84,7 +89,7 @@ def test_reject_when_failures_exceed_budget():
 
 def test_accept_with_no_failures():
     backend = ScriptedBackend([True] * 10)
-    outcome = decide_pac(backend, None, None, params(), masked(1, 10))
+    outcome = decide_pac(backend, None, None, params(), distinct_examples(10))
     assert outcome.verdict == ACCEPT
     assert outcome.failed_count == 0
 
@@ -92,18 +97,19 @@ def test_accept_with_no_failures():
 def test_boundary_accepts_at_exact_budget():
     # failed == floor(eps*m) accepts: the test is strictly greater-than
     backend = ScriptedBackend([False] + [True] * 9)
-    outcome = decide_pac(backend, None, None, params(), masked(1, 10))
+    outcome = decide_pac(backend, None, None, params(), distinct_examples(10))
     assert outcome.budget == 1
     assert outcome.verdict == ACCEPT
 
 
 def test_verdict_is_order_independent():
-    script = [True] * 7 + [False] * 3
+    backend = ScriptedBackend([True] * 7 + [False] * 3)
+    examples = distinct_examples(10)
     rng = random.Random(2)
-    base = decide_pac(ScriptedBackend(script), None, None, params("1/5"), masked(1, 10))
+    base = decide_pac(backend, None, None, params("1/5"), examples)
     for _ in range(5):
-        rng.shuffle(script)
-        again = decide_pac(ScriptedBackend(script), None, None, params("1/5"), masked(1, 10))
+        rng.shuffle(examples)
+        again = decide_pac(backend, None, None, params("1/5"), examples)
         assert again.verdict == base.verdict
         assert again.failed_count == base.failed_count
 

@@ -332,3 +332,64 @@ def test_decide_pac_matches_reference_search_per_example():
     )
     assert outcome.per_example == expected
     assert 0 < sum(expected) < len(expected)
+
+
+def reference_restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
+    """The clause-by-clause restriction that restrict_cnf must reproduce."""
+    restricted = []
+    for c in phi.clauses:
+        r = restrict_clause(c, rho)
+        if r is not TAUTOLOGY:
+            restricted.append(r)
+    return Cnf(restricted, phi.n)
+
+
+def random_restriction_case(rng):
+    """A CNF (n <= 8, widths 0-3, maybe TAUTOLOGY) and a rho of one of three
+    kinds, sometimes longer than n."""
+    n = rng.randint(1, 8)
+    pool = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))  # few variables: collisions
+    clauses = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.1:
+            clauses.append(TAUTOLOGY)
+            continue
+        vars_ = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        clauses.append(make_clause(v if rng.random() < 0.5 else -v for v in vars_))
+    kind = rng.choice(("masked", "set", "mixed"))
+    length = n + (rng.randint(1, 2) if rng.random() < 0.2 else 0)
+    mask_prob = {"masked": 1.0, "set": 0.0, "mixed": 0.5}[kind]
+    return Cnf(clauses, n), random_partial(rng, length, mask_prob), kind
+
+
+def test_restrict_cnf_matches_clause_by_clause_restriction():
+    rng = random.Random(929292)
+    seen = {"masked": 0, "set": 0, "mixed": 0, "tautology": 0, "merged": 0, "long": 0}
+    for _ in range(3000):
+        phi, rho, kind = random_restriction_case(rng)
+        result = restrict_cnf(phi, rho)
+        expected = reference_restrict_cnf(phi, rho)
+        assert result == expected  # same n, same clauses in the same order
+        seen[kind] += 1
+        seen["tautology"] += TAUTOLOGY in phi.clauses
+        kept = [restrict_clause(c, rho) for c in phi.clauses]
+        kept = [r for r in kept if r is not TAUTOLOGY]
+        seen["merged"] += len(set(kept)) < len(kept)
+        seen["long"] += len(rho) > phi.n
+    assert min(seen.values()) >= 100, seen
+
+
+def test_restrict_cnf_rejects_a_short_rho():
+    phi = Cnf([cl(1, 3)], 3)
+    # x1 satisfies the clause, so no literal of it needs the missing x3
+    with pytest.raises(InputError):
+        restrict_cnf(phi, PartialAssignment.from_string("1*"))
+    # x1 is masked, so x3 is out of range
+    with pytest.raises(InputError):
+        restrict_cnf(phi, PartialAssignment.from_string("**"))
+
+
+def test_restrict_cnf_accepts_a_longer_rho():
+    phi = Cnf([cl(1, -2), cl(2)], 2)
+    rho = PartialAssignment.from_string("*1*0")
+    assert restrict_cnf(phi, rho) == Cnf([cl(1)], 2)
