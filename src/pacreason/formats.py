@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .formulas import PartialAssignment
 from .cutting_planes import LinIneq
 from .polycalc import Indet, Polynomial, monomial_key
@@ -135,9 +135,13 @@ def parse_pasgns(text):
 def _pasgn_body(n, lines):
     out = []
     for number, line in lines:
-        if len(line) != n or any(ch not in "01*" for ch in line):
+        try:
+            rho = PartialAssignment.from_string(line)  # rejects a bad character
+        except InputError:
+            rho = None
+        if rho is None or len(rho) != n:
             raise FormatError(f"line {number}: expected {n} characters over 0/1/*")
-        out.append(PartialAssignment.from_string(line))
+        out.append(rho)
     return out
 
 

@@ -97,6 +97,9 @@ class WitnessStatus(Enum):
         return self is not WitnessStatus.UNWITNESSED
 
 
+_CHAR_VALUES = {"0": 0, "1": 1, "*": None}
+
+
 class PartialAssignment:
     """A vector over {0, 1, *}; entry i (1-based) is None when masked."""
 
@@ -111,9 +114,8 @@ class PartialAssignment:
 
     @classmethod
     def from_string(cls, text: str) -> "PartialAssignment":
-        table = {"0": 0, "1": 1, "*": None}
         try:
-            return cls(table[ch] for ch in text)
+            return cls(map(_CHAR_VALUES.__getitem__, text))
         except KeyError as exc:
             raise InputError(f"bad partial assignment character {exc.args[0]!r}") from None
 

@@ -7,14 +7,25 @@ any mask randomness coordinate by coordinate in index order.  The generator is
 Python's Mersenne Twister seeded with the 64-bit seed; uniform integers are
 drawn by rejection sampling over getrandbits, whose output is stable across
 Python versions.
+
+`draw_examples` computes its per-run tables once, before the first draw: the
+common denominator of the weights with its bit length and cumulative integer
+weights (an assignment is picked by bisection on them), the hide probability's
+numerator, denominator and bit length, and one shared masked example per
+support point for masks that need no draws (fixed, table, and iid with
+probability 0 or 1; partial assignments are immutable).  The tables change
+only the cost of a draw, not the stream layout above.  Because of them a table
+mask must have a rule for every support point, whatever the seed draws.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
@@ -114,61 +125,64 @@ class TableMask:
         raise AttributeError("TableMask is immutable")
 
 
-def _rand_below(rng: random.Random, bound: int) -> int:
-    """Uniform integer in [0, bound) via rejection sampling on getrandbits."""
-    if bound <= 0:
-        raise InputError("bound must be positive")
-    bits = (bound - 1).bit_length() or 1
-    while True:
-        r = rng.getrandbits(bits)
-        if r < bound:
-            return r
-
-
-def _draw_assignment(dist: ExplicitDistribution, rng: random.Random):
-    denom = math.lcm(*(w.denominator for _, w in dist.support))
-    ticket = _rand_below(rng, denom)
-    acc = 0
-    for x, w in dist.support:
-        acc += w.numerator * (denom // w.denominator)
-        if ticket < acc:
-            return x
-    return dist.support[-1][0]  # unreachable: weights sum to 1
-
-
-def _hidden_coords(mask, x, rng: random.Random) -> frozenset:
-    if isinstance(mask, FixedMask):
-        return mask.hidden
-    if isinstance(mask, IndependentMask):
-        p = mask.hide_prob
-        hidden = set()
-        for i in range(1, len(x) + 1):  # index order, one draw per coordinate
-            if p == 1 or (p != 0 and _rand_below(rng, p.denominator) < p.numerator):
-                hidden.add(i)
-        return frozenset(hidden)
-    if isinstance(mask, TableMask):
-        x = tuple(x)
-        if x not in mask.rule:
-            raise InputError(f"mask table has no rule for support point {x}")
-        return mask.rule[x]
-    raise InputError(f"unknown mask spec: {mask!r}")
+def _masked_point(x, hidden) -> PartialAssignment:
+    return PartialAssignment(None if (i + 1) in hidden else b for i, b in enumerate(x))
 
 
 def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
-    """Draw `m` (assignment, masked example) pairs; deterministic given `seed`."""
+    """Draw `m` (assignment, masked example) pairs; deterministic given `seed`.
+
+    The per-run tables (see the module docstring) are built before the first
+    draw, so a table mask without a rule for some support point raises
+    `InputError` at every seed.
+    """
     if m < 1:
         raise InputError(f"example count must be at least 1, got {m}")
     if not 0 <= seed < 2**64:
         raise InputError("seed must be a 64-bit unsigned integer")
-    rng = random.Random(seed)
+    points = [x for x, _ in dist.support]
+    denom = math.lcm(*(w.denominator for _, w in dist.support))
+    denom_bits = (denom - 1).bit_length() or 1  # a point mass still draws one bit
+    cumulative = list(
+        accumulate(w.numerator * (denom // w.denominator) for _, w in dist.support)
+    )
+    masked = None
+    if isinstance(mask, IndependentMask):
+        p = mask.hide_prob
+        if p.denominator == 1:  # p is 0 or 1: no mask draws
+            hidden = range(1, dist.n + 1) if p else ()
+            masked = [_masked_point(x, hidden) for x in points]
+        else:
+            hide_num, hide_den = p.numerator, p.denominator
+            hide_bits = (hide_den - 1).bit_length()
+    elif isinstance(mask, FixedMask):
+        masked = [_masked_point(x, mask.hidden) for x in points]
+    elif isinstance(mask, TableMask):
+        for x in points:
+            if x not in mask.rule:
+                raise InputError(f"mask table has no rule for support point {x}")
+        masked = [_masked_point(x, mask.rule[x]) for x in points]
+    else:
+        raise InputError(f"unknown mask spec: {mask!r}")
+
+    getrandbits = random.Random(seed).getrandbits
     out = []
     for _ in range(m):
-        x = _draw_assignment(dist, rng)
-        hidden = _hidden_coords(mask, x, rng)
-        rho = PartialAssignment(
-            None if (i + 1) in hidden else x[i] for i in range(dist.n)
-        )
-        out.append((x, rho))
+        ticket = getrandbits(denom_bits)
+        while ticket >= denom:
+            ticket = getrandbits(denom_bits)
+        j = bisect_right(cumulative, ticket)
+        x = points[j]
+        if masked is not None:
+            out.append((x, masked[j]))
+            continue
+        entries = []
+        for b in x:  # index order, one draw per coordinate
+            r = getrandbits(hide_bits)
+            while r >= hide_den:
+                r = getrandbits(hide_bits)
+            entries.append(None if r < hide_num else b)
+        out.append((x, PartialAssignment(entries)))
     return out
 
 

@@ -1,9 +1,13 @@
 """Shared random generators for the test suite (seeded, deterministic), and
-test-only helpers built on the package: a brute-force entailment backend and
-polynomial constructions the decision procedures themselves do not need."""
+test-only helpers built on the package: a brute-force entailment backend,
+polynomial constructions the decision procedures themselves do not need, and
+the per-example sampler that `sampling.draw_examples` must match exactly."""
 
+import math
+import random
 from fractions import Fraction
 
+from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
     FALSE,
@@ -21,6 +25,7 @@ from pacreason.formulas import (
 from pacreason.oracle import ENUMERATION_CAP, entails
 from pacreason.polycalc import ONE, Polynomial, monomial_key
 from pacreason.resolution import Cnf, make_clause
+from pacreason.sampling import FixedMask, IndependentMask, TableMask
 
 
 def random_formula(rng, n, depth=3):
@@ -106,3 +111,54 @@ def poly_to_formula(p: Polynomial) -> Formula:
 def poly_witness_status(p: Polynomial, rho: PartialAssignment) -> WitnessStatus:
     """Witnessing of [p = 0] through its two-threshold encoding."""
     return witness_status(poly_to_formula(p), rho)
+
+
+def _rand_below(rng, bound):
+    bits = (bound - 1).bit_length() or 1
+    while True:
+        r = rng.getrandbits(bits)
+        if r < bound:
+            return r
+
+
+def _draw_assignment(dist, rng):
+    denom = math.lcm(*(w.denominator for _, w in dist.support))
+    ticket = _rand_below(rng, denom)
+    acc = 0
+    for x, w in dist.support:
+        acc += w.numerator * (denom // w.denominator)
+        if ticket < acc:
+            return x
+    return dist.support[-1][0]  # unreachable: weights sum to 1
+
+
+def _hidden_coords(mask, x, rng):
+    if isinstance(mask, FixedMask):
+        return mask.hidden
+    if isinstance(mask, IndependentMask):
+        p = mask.hide_prob
+        hidden = set()
+        for i in range(1, len(x) + 1):
+            if p == 1 or (p != 0 and _rand_below(rng, p.denominator) < p.numerator):
+                hidden.add(i)
+        return frozenset(hidden)
+    if isinstance(mask, TableMask):
+        if x not in mask.rule:
+            raise InputError(f"mask table has no rule for support point {x}")
+        return mask.rule[x]
+    raise InputError(f"unknown mask spec: {mask!r}")
+
+
+def reference_draw_examples(dist, mask, m, seed):
+    """The per-example sampler: recomputes the weight denominator, rescans the
+    weights and rebuilds the masked example on every draw."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(m):
+        x = _draw_assignment(dist, rng)
+        hidden = _hidden_coords(mask, x, rng)
+        rho = PartialAssignment(
+            None if (i + 1) in hidden else x[i] for i in range(dist.n)
+        )
+        out.append((x, rho))
+    return out

@@ -52,6 +52,12 @@ def test_pasgn_roundtrip():
     assert serialize_pasgns(n, got) == text
 
 
+@pytest.mark.parametrize("line", ["x10", "1x0", "10x", "10", "10**"])
+def test_pasgn_rejects_bad_lines(line):
+    with pytest.raises(FormatError, match=r"^line 3: expected 3 characters over 0/1/\*$"):
+        parse_pasgns(f"p pasgn 3 2\n1*0\n{line}\n")
+
+
 def test_cnf_roundtrip():
     text = "p cnf 3 3\n1 -2 0\n3 0\n0\n"
     assert serialize_cnf(parse_cnf(text)) == text

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,12 @@ def test_partial_assignment_parsing_roundtrip():
     assert str(rho) == "1*0"
     with pytest.raises(InputError):
         pa("10x")
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", []])
+def test_partial_assignment_rejects_bad_entries(bad):
+    with pytest.raises(InputError, match=rf"must be 0, 1 or \*, got {re.escape(repr(bad))}$"):
+        PartialAssignment((1, None, bad, 0))
 
 
 def test_fraction_coefficients_are_exact():

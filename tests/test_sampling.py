@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +19,7 @@ from pacreason.sampling import (
     validity,
 )
 
-from helpers import random_formula
+from helpers import random_formula, reference_draw_examples
 
 
 def test_point_mass_fixed_mask():
@@ -43,6 +45,79 @@ def test_table_mask_depends_on_assignment():
     mask = TableMask({(0, 0): {1}, (1, 1): {2}})
     for x, rho in draw_examples(d, mask, 50, seed=3):
         assert str(rho) == ("*0" if x == (0, 0) else "1*")
+
+
+def test_table_mask_must_cover_the_support_at_every_seed():
+    d = ExplicitDistribution(
+        2, [((0, 0), Fraction(999, 1000)), ((1, 1), Fraction(1, 1000))]
+    )
+    mask = TableMask({(0, 0): {1}})
+    for seed in range(20):
+        with pytest.raises(InputError, match=r"no rule for support point \(1, 1\)"):
+            draw_examples(d, mask, 10, seed)
+
+
+def _random_distribution(rng):
+    n = rng.randint(1, 6)
+    size = 1 if rng.random() < 0.1 else rng.randint(2, min(2**n, 8))
+    points = rng.sample(sorted(product((0, 1), repeat=n)), size)
+    weights, left = [], Fraction(1)
+    for _ in points[1:]:  # each weight a random share of what is left
+        w = left * Fraction(rng.randint(1, 9), rng.randint(10, 19))
+        weights.append(w)
+        left -= w
+    return ExplicitDistribution(n, zip(points, weights + [left]))
+
+
+def _random_mask(rng, dist):
+    kind = rng.choice(["iid0", "iid1", "iid", "fixed", "table"])
+    coords = range(1, dist.n + 1)
+    if kind == "iid0":
+        return kind, IndependentMask(0)
+    if kind == "iid1":
+        return kind, IndependentMask(1)
+    if kind == "iid":
+        d = rng.randint(2, 12)
+        return kind, IndependentMask(Fraction(rng.randint(1, d - 1), d))
+    if kind == "fixed":
+        return kind, FixedMask(c for c in coords if rng.random() < 0.5)
+    rule = {x: {c for c in coords if rng.random() < 0.5} for x, _ in dist.support}
+    return kind, TableMask(rule)
+
+
+def test_draw_examples_matches_the_per_example_sampler():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(2000):
+        dist = _random_distribution(rng)
+        kind, mask = _random_mask(rng, dist)
+        m = rng.randint(1, 200)
+        seed = rng.getrandbits(64)
+        got = draw_examples(dist, mask, m, seed)
+        assert got == reference_draw_examples(dist, mask, m, seed), (dist, mask, m, seed)
+        kinds[kind] += 1
+        if len(dist.support) == 1:
+            kinds["single-point"] += 1
+        elif len({w.denominator for _, w in dist.support}) > 1:
+            kinds["mixed-denominators"] += 1
+    assert min(kinds.values()) >= 100 and len(kinds) == 7, kinds
+
+
+def test_golden_stream_iid_one_third():
+    d = ExplicitDistribution(
+        4,
+        [
+            ((0, 1, 1, 0), Fraction(1, 2)),
+            ((1, 1, 0, 1), Fraction(1, 3)),
+            ((0, 0, 0, 1), Fraction(1, 6)),
+        ],
+    )
+    got = draw_masked_examples(d, IndependentMask(Fraction(1, 3)), 30, seed=2024)
+    assert [str(rho) for rho in got] == [
+        "*101", "0110", "*101", "0110", "0110", "*1*1", "000*", "*1*1", "00*1", "*001",
+        "*110", "0*1*", "*1**", "0110", "1*01", "**01", "*110", "*001", "0110", "01*0",
+        "01**", "**10", "0***", "*110", "0110", "**01", "*110", "0*1*", "0*1*", "01*0",
+    ]
 
 
 def test_examples_consistent_with_sources():
