@@ -2,7 +2,11 @@
 
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
-makes the per-example aggregation sound.
+makes the per-example aggregation sound.  The exception is cutting planes with
+an over-budget hypothesis: the search may use it as an addition input, but a
+restriction that makes it witnessed true turns it into TRUE, which
+`restrict_hyps` drops.  Then `decide_cp` can accept an instance whose
+all-masked restriction it rejects.
 
 `decide(query, hyps)` is the plain yes/no search the reduction calls once per
 example.  `certificate(query, hyps)` runs the same search once, replays the

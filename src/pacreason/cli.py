@@ -28,12 +28,14 @@ from .backends import (
     ResKWidthBackend,
     SpaceResolutionBackend,
 )
+from .cutting_planes import check_target
 from .decide_pac import PacParams, decide_pac, required_sample_size
 from .errors import FormatError, InputError, RuleError
 from .formulas import TRUE
 from .oracle import entails, sat_solve
-from .polycalc import PC, PCR
+from .polycalc import PC, PCR, check_inputs
 from .res_k import negate_query
+from .resolution import check_space_bound
 from .sampling import draw_masked_examples, validity
 
 SYSTEMS = ("res-space", "res-k-width", "pc", "pcr", "cp")
@@ -77,7 +79,10 @@ def _check_params(system, given):
 
 
 def _load_instance(args):
-    """Returns (backend, query, hyps, n) for the system named in the arguments."""
+    """Returns (backend, query, hyps, n) for the system named in the arguments.
+
+    The unrestricted instance is checked against the budgets here, once, so
+    whether an input is valid does not depend on the examples."""
     system = args.system
     p = _check_params(
         system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
@@ -89,6 +94,7 @@ def _load_instance(args):
             raise InputError("res-space queries are a single clause (one-clause cnf file)")
         if query_cnf.n != kb.n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={kb.n}")
+        check_space_bound(p["s"])
         return SpaceResolutionBackend(p["s"], kb.n), query_cnf.clauses[0], kb, kb.n
     if system == "res-k-width":
         n, k_file, hyps = formats.parse_kdnf_file(_read(args.kb))
@@ -108,6 +114,7 @@ def _load_instance(args):
             raise InputError("pc/pcr queries are a single polynomial")
         if qn != n:
             raise InputError(f"query n={qn} does not match kb n={n}")
+        check_inputs(hyps + queries, p["d"], system)
         backend = PolynomialCalculusBackend(p["d"], n, mode=system)
         return backend, queries[0], tuple(hyps), n
     if system == "cp":
@@ -117,6 +124,7 @@ def _load_instance(args):
             raise InputError("cp queries are a single inequality")
         if qn != n:
             raise InputError(f"query n={qn} does not match kb n={n}")
+        check_target(queries[0], p["w"], p["L"])
         return CuttingPlanesBackend(p["w"], p["L"], n), queries[0], tuple(hyps), n
     raise InputError(f"unknown system {system!r}")
 

@@ -10,10 +10,11 @@ step (adding an inequality that holds under the fully masked assignment)
 exists for trace checking but is never needed by the search, where repeated
 axiom additions simulate it.
 
-decide_cp runs the w-sparse L-bounded dynamic program: the table of in-budget
-inequalities grows one derivation round at a time; hypotheses beyond the
-budget still feed addition steps.  Multiplication factors range over positive
-integers only (negative factors would flip the inequality unsoundly).
+decide_cp runs the w-sparse L-bounded dynamic program on the `saturation`
+engine (see its contract): the table of in-budget inequalities grows one
+derivation round at a time; hypotheses beyond the budget still feed addition
+steps.  Multiplication factors range over positive integers only (negative
+factors would flip the inequality unsoundly).
 Accepted runs return a replayable trace.
 """
 
@@ -24,6 +25,7 @@ from typing import Optional, Union
 
 from .errors import InputError, RuleError
 from .formulas import Const, Formula, PartialAssignment, TRUE, Threshold, Var
+from .saturation import derivation, pairs, saturate, seed_inputs
 
 
 class LinIneq:
@@ -240,104 +242,56 @@ def check_trace(trace, hyps, target: LinIneq, w: Optional[int] = None,
     return bool(derived) and derived[-1] == target
 
 
-def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
-    """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
-    and the axioms.  Returns (accepted, trace)."""
-    hyps = list(hyps)
+def check_target(target: LinIneq, w: int, L: int) -> None:
+    """A target must itself be w-sparse and L-bounded."""
     if target.sparsity > w:
         raise InputError(f"target sparsity {target.sparsity} exceeds the bound {w}")
     if target.l1_norm > L:
         raise InputError(f"target l1-norm {target.l1_norm} exceeds the bound {L}")
 
-    variables = sorted(
-        set().union(target.variables(), *(h.variables() for h in hyps))
-    )
 
-    table = {}
+def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
+    """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
+    and the axioms.  Returns (accepted, trace).  Each `saturation` round
+    offers sums (over-budget hypotheses included), then the multiples and
+    quotients of the previous round's lines."""
+    hyps = list(hyps)
+    check_target(target, w, L)
 
     def in_budget(ineq: LinIneq) -> bool:
         return ineq.sparsity <= w and ineq.l1_norm <= L
 
+    variables = sorted(
+        set().union(target.variables(), *(h.variables() for h in hyps))
+    )
     axioms = [TRUTH_AXIOM]
     for v in variables:
         axioms.extend((var_nonneg(v), var_at_most_one(v)))
-    for ax in axioms:
-        if in_budget(ax) and ax not in table:
-            table[ax] = ("axiom",)
-    if is_axiom(target):
-        return True, (AxiomStep(target),)
+    table = {ax: (AxiomStep, ()) for ax in axioms if in_budget(ax)}
+    outside = seed_inputs(table, hyps, in_budget, HypothesisStep)
 
-    for i, h in enumerate(hyps):
-        if in_budget(h) and h not in table:
-            table[h] = ("hypothesis", i)
-
-    def build_trace():
-        steps = []
-        index_of = {}
-
-        def visit(ineq: LinIneq) -> int:
-            if ineq in index_of:
-                return index_of[ineq]
-            prov = table.get(ineq)
-            if prov is None:  # out-of-budget hypothesis used as an addition input
-                step = HypothesisStep(hyps.index(ineq), ineq)
-            elif prov[0] == "axiom":
-                step = AxiomStep(ineq)
-            elif prov[0] == "hypothesis":
-                step = HypothesisStep(prov[1], ineq)
-            elif prov[0] == "add":
-                step = AddStep(visit(prov[1]), visit(prov[2]), ineq)
-            elif prov[0] == "mul":
-                step = MultiplyStep(visit(prov[1]), prov[2], ineq)
-            else:
-                step = DivideStep(visit(prov[1]), prov[2], ineq)
-            index_of[ineq] = len(steps)
-            steps.append(step)
-            return index_of[ineq]
-
-        visit(target)
-        return tuple(steps)
-
-    if target in table:
-        return True, build_trace()
-
-    if stats is not None:
-        stats["table_sizes"] = [len(table)]
-
-    delta = set(table)
-    first_round = True
-    while True:
-        new = {}
-
-        def offer(ineq, prov):
-            if in_budget(ineq) and ineq not in table and ineq not in new:
-                new[ineq] = prov
-
-        add_sources = list(table) + [h for h in hyps if h not in table]
-        for a in add_sources:
-            for b in add_sources:
-                if not first_round and a not in delta and b not in delta:
-                    continue
-                offer(add_ineqs(a, b), ("add", a, b))
-
+    def rules(delta, first_round):
+        for a, b in pairs([*table, *outside], delta, first_round):
+            yield add_ineqs(a, b), (AddStep, (a, b))
         for ineq in table:
-            if not first_round and ineq not in delta:
-                continue
-            for factor in range(2, L + 1):
-                offer(multiply_ineq(ineq, factor), ("mul", ineq, factor))
-            for divisor in range(2, L + 1):
-                if all(c % divisor == 0 for _, c in ineq.coeffs):
-                    offer(divide_ineq(ineq, divisor), ("div", ineq, divisor))
+            if first_round or ineq in delta:
+                for factor in range(2, L + 1):
+                    yield multiply_ineq(ineq, factor), (MultiplyStep, (ineq,), factor)
+                for divisor in range(2, L + 1):
+                    if all(c % divisor == 0 for _, c in ineq.coeffs):
+                        yield divide_ineq(ineq, divisor), (DivideStep, (ineq,), divisor)
 
-        if not new:
-            return False, None
-        table.update(new)
-        if stats is not None:
-            stats["table_sizes"].append(len(table))
-        if target in table:
-            return True, build_trace()
-        delta = set(new)
-        first_round = False
+    def derive(delta, first_round):
+        return (offer for offer in rules(delta, first_round) if in_budget(offer[0]))
+
+    if not saturate(table, target, derive, stats):
+        return False, None
+    lines = derivation(target, table, outside)
+    index = {ineq: i for i, ineq in enumerate(lines)}
+    return True, tuple(
+        step(*(index[p] for p in premises), *params, ineq)
+        for ineq, (step, premises, *params) in lines.items()
+    )
 
 
 def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const]:

@@ -92,10 +92,6 @@ class WitnessStatus(Enum):
     WITNESSED_FALSE = "witnessed_false"
     UNWITNESSED = "unwitnessed"
 
-    @property
-    def is_witnessed(self) -> bool:
-        return self is not WitnessStatus.UNWITNESSED
-
 
 _CHAR_VALUES = {"0": 0, "1": 1, "*": None}
 

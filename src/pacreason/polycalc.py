@@ -68,14 +68,6 @@ class Polynomial:
                 del data[m]
         object.__setattr__(self, "terms", data)
 
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([(ONE, Fraction(c))])
-
-    @classmethod
-    def variable(cls, var: int, dual: bool = False) -> "Polynomial":
-        return cls([(frozenset((Indet(var, dual),)), Fraction(1))])
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -194,17 +186,22 @@ def complementarity(var: int) -> Polynomial:
     )
 
 
-def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
-    """Triangular basis of the degree-d derivable space (decreasing leading
-    monomials, all distinct).  Returns (basis, multipliers)."""
+def check_inputs(polys, d: int, mode: str) -> None:
+    """Every input has degree at most d, and only PCR inputs use duals."""
     if mode not in (PC, PCR):
         raise InputError(f"mode must be {PC!r} or {PCR!r}, got {mode!r}")
-    hyps = list(hyps)
-    for p in hyps + [q]:
+    for p in polys:
         if p.degree > d:
             raise InputError(f"degree {p.degree} input exceeds the bound {d}")
         if mode == PC and p.has_duals():
             raise InputError("dual indeterminates require PCR mode")
+
+
+def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
+    """Triangular basis of the degree-d derivable space (decreasing leading
+    monomials, all distinct).  Returns (basis, multipliers)."""
+    hyps = list(hyps)
+    check_inputs(hyps + [q], d, mode)
 
     variables = sorted(set().union(*(p.variables() for p in hyps + [q])))
     if mode == PCR:

@@ -5,11 +5,12 @@ frozensets of signed integers); its width is the number of terms, and the
 empty k-DNF is the unsatisfiable bottom formula.  The proof system derives
 k-DNFs by weakening, cut, and-introduction and and-elimination.
 
-decide_resk_width runs the width-w dynamic program: a table over canonical
-width-at-most-w k-DNFs grows monotonically, one derivation round at a time,
-until the target appears or no rule yields anything new.  Hypotheses wider
-than w never enter the table but may feed cut steps.  Accepted runs return a
-derivation trace that an independent checker can replay rule by rule.
+decide_resk_width runs the width-w dynamic program on the `saturation`
+engine (see its contract): a table over canonical width-at-most-w k-DNFs
+grows monotonically, one derivation round at a time, until the target
+appears or no rule yields anything new.  Hypotheses wider than w never enter
+the table but may feed cut steps.  Accepted runs return a derivation trace
+that an independent checker can replay rule by rule.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .formulas import (
     disjunction,
     literal as literal_formula,
 )
+from .saturation import derivation, pairs, saturate, seed_inputs
 
 
 def make_term(literals) -> frozenset:
@@ -192,11 +194,10 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
     """Accept iff a width-w RES(k) proof of `target` from `hyps` exists.
 
     Returns (accepted, trace).  The table holds every derived k-DNF of width
-    at most w; each round derives all one-step consequences of the current
-    table (plus hypotheses as cut inputs), so the table only gains entries and
-    reaches a fixpoint.  New entries remember their rule and premises, and an
-    accepting run is unwound into a TraceStep list ending at the target.
-    When given, `stats` records the table size after every round.
+    at most w.  Each `saturation` round offers the weakenings and
+    and-eliminations of the previous round's k-DNFs, then cuts (wider
+    hypotheses included) and and-introductions.  An accepting run is unwound
+    into a TraceStep list ending at the target.
     """
     hyps = list(hyps)
     if target.width > w:
@@ -209,60 +210,19 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
     universe_terms = _term_universe(variables, k)
 
     table = {}
-    for i, phi in enumerate(hyps):
-        if phi.width <= w and phi not in table:
-            table[phi] = ("hypothesis", i)
+    wide = seed_inputs(table, hyps, lambda phi: phi.width <= w, "hypothesis")
 
-    def build_trace() -> tuple:
-        steps = []
-        emitted = set()
-
-        def visit(f: KDnf):
-            if f in emitted:
-                return
-            emitted.add(f)
-            prov = table.get(f)
-            if prov is None:  # wide hypothesis used as a cut input
-                steps.append(TraceStep(f, "hypothesis", (hyps.index(f),)))
-                return
-            rule = prov[0]
-            if rule == "hypothesis":
-                steps.append(TraceStep(f, "hypothesis", (prov[1],)))
-                return
-            for premise in prov[1:]:
-                visit(premise)
-            steps.append(TraceStep(f, rule, tuple(prov[1:])))
-
-        visit(target)
-        return tuple(steps)
-
-    if stats is not None:
-        stats["table_sizes"] = [len(table)]
-    if target in table:
-        return True, build_trace()
-
-    delta = set(table)
-    first_round = True
-    while True:
-        new = {}
-
-        def offer(formula, prov):
-            if formula not in table and formula not in new:
-                new[formula] = prov
-
+    def derive(delta, first_round):
         for psi in delta:
+            provenance = ("weakening", (psi,))
             for result in _weaken_results(psi, universe_terms, w):
-                offer(result, ("weakening", psi))
+                yield result, provenance
             for result in _elim_results(psi):
-                offer(result, ("and_elim", psi))
+                yield result, ("and_elim", (psi,))
 
-        cut_sources = list(table) + [h for h in hyps if h not in table]
-        for psi1 in cut_sources:
-            for psi2 in cut_sources:
-                if not first_round and psi1 not in delta and psi2 not in delta:
-                    continue
-                for result in _cut_results(psi1, psi2, w):
-                    offer(result, ("cut", psi1, psi2))
+        for psi1, psi2 in pairs([*table, *wide], delta, first_round):
+            for result in _cut_results(psi1, psi2, w):
+                yield result, ("cut", (psi1, psi2))
 
         # and-introduction: group table entries psi = A or literal by shared A
         groups = {}
@@ -280,19 +240,15 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
                     if any(-lit in combo for lit in combo):
                         continue
                     premises = tuple(KDnf(rest | {frozenset((lit,))}) for lit in combo)
-                    if not first_round and all(p not in delta for p in premises):
-                        continue
-                    offer(KDnf(rest | {frozenset(combo)}), ("and_intro",) + premises)
+                    if first_round or any(p in delta for p in premises):
+                        yield KDnf(rest | {frozenset(combo)}), ("and_intro", premises)
 
-        if not new:
-            return False, None
-        table.update(new)
-        if stats is not None:
-            stats["table_sizes"].append(len(table))
-        if target in table:
-            return True, build_trace()
-        delta = set(new)
-        first_round = False
+    if not saturate(table, target, derive, stats):
+        return False, None
+    return True, tuple(
+        TraceStep(phi, rule, premises + tuple(params))
+        for phi, (rule, premises, *params) in derivation(target, table, wide).items()
+    )
 
 
 def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:

@@ -193,6 +193,11 @@ def space_bound_for_size(length: int) -> int:
     return length.bit_length()  # floor(log2 L) + 1
 
 
+def check_space_bound(s: int) -> None:
+    if s < 1:
+        raise InputError(f"space bound must be at least 1, got {s}")
+
+
 def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
     """Find a clause-space-at-most-s treelike proof of `target` from `phi`.
 
@@ -204,8 +209,7 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
     helps: restricting it away leaves a proof of the same clause in no more
     space.  Returns None when no such proof exists.
     """
-    if s < 1:
-        raise InputError(f"space bound must be at least 1, got {s}")
+    check_space_bound(s)
     if target is TAUTOLOGY:
         return Leaf(TAUTOLOGY)
 

@@ -1,0 +1,76 @@
+"""The derivation-table engine shared by width-bounded RES(k) and by sparse,
+L-bounded cutting planes: a table of in-budget lines grows one derivation
+round at a time until it holds the target or a round adds nothing.  Each
+system supplies its inputs and a rule generator; `saturate` states the
+contract between them, and `derivation` unwinds an accepting run.
+"""
+
+from __future__ import annotations
+
+
+def seed_inputs(table: dict, inputs, in_budget, rule) -> dict:
+    """Enter each in-budget input under `(rule, (), first index)` unless the
+    table holds it, and return the others in the same form: they never enter
+    the table, but rules may use them as premises."""
+    outside = {}
+    for i, line in enumerate(inputs):
+        if line not in table and line not in outside:
+            (table if in_budget(line) else outside)[line] = (rule, (), i)
+    return outside
+
+
+def pairs(sources, delta, first_round: bool):
+    """Ordered pairs of sources for a two-premise rule.  After the first
+    round a pair with no member in `delta` was tried in an earlier round."""
+    for a in sources:
+        for b in sources:
+            if first_round or a in delta or b in delta:
+                yield a, b
+
+
+def saturate(table: dict, target, derive, stats: dict | None) -> bool:
+    """Grow `table` until it holds `target` (True) or a round adds nothing
+    (False).
+
+    `table` maps each line to its provenance `(rule, premises, *params)`,
+    with `premises` a tuple of lines.  Each round calls `derive(delta,
+    first_round)`, which yields `(line, provenance)` pairs, for in-budget
+    lines only, from the table as it stood before the round; `delta` holds
+    the previous round's additions (in the first round, the whole table).
+    The first offer of a line wins, and a round's additions become the next
+    delta.  When given, `stats["table_sizes"]` records the table size before
+    the first round and after every round.
+    """
+    if stats is not None:
+        stats["table_sizes"] = [len(table)]
+    delta = set(table)
+    first_round = True
+    while target not in table:
+        new = {}
+        for line, provenance in derive(delta, first_round):
+            if line not in table and line not in new:
+                new[line] = provenance
+        if not new:
+            return False
+        table.update(new)
+        if stats is not None:
+            stats["table_sizes"].append(len(table))
+        delta = set(new)
+        first_round = False
+    return True
+
+
+def derivation(target, table: dict, outside: dict) -> dict:
+    """The lines of `target`'s derivation, each after its premises, mapped to
+    their provenance (from `outside` for an over-budget input)."""
+    order = {}
+
+    def visit(line):
+        if line not in order:
+            provenance = table.get(line) or outside[line]
+            for premise in provenance[1]:
+                visit(premise)
+            order[line] = provenance
+
+    visit(target)
+    return order

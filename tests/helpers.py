@@ -1,12 +1,29 @@
 """Shared random generators for the test suite (seeded, deterministic), and
 test-only helpers built on the package: a brute-force entailment backend,
-polynomial constructions the decision procedures themselves do not need, and
-the per-example sampler that `sampling.draw_examples` must match exactly."""
+polynomial constructions the decision procedures themselves do not need, the
+per-example sampler that `sampling.draw_examples` must match exactly, and the
+RES(k) and cutting-planes deciders with their own round loops, which the
+deciders built on `saturation` must match exactly."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
+from pacreason.cutting_planes import (
+    AddStep,
+    AxiomStep,
+    DivideStep,
+    HypothesisStep,
+    MultiplyStep,
+    TRUTH_AXIOM,
+    add_ineqs,
+    divide_ineq,
+    is_axiom,
+    multiply_ineq,
+    var_at_most_one,
+    var_nonneg,
+)
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -24,6 +41,14 @@ from pacreason.formulas import (
 )
 from pacreason.oracle import ENUMERATION_CAP, entails
 from pacreason.polycalc import ONE, Polynomial, monomial_key
+from pacreason.res_k import (
+    KDnf,
+    TraceStep,
+    _cut_results,
+    _elim_results,
+    _term_universe,
+    _weaken_results,
+)
 from pacreason.resolution import Cnf, make_clause
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
 
@@ -162,3 +187,202 @@ def reference_draw_examples(dist, mask, m, seed):
         )
         out.append((x, rho))
     return out
+
+
+def reference_decide_resk_width(hyps, target, k, w, stats=None):
+    """RES(k) width-w decision with its own round loop and trace unwinding."""
+    hyps = list(hyps)
+    if target.width > w:
+        raise InputError(f"target width {target.width} exceeds the bound {w}")
+    for phi in hyps + [target]:
+        if phi.max_term_size > k:
+            raise InputError(f"formula {phi!r} is not a {k}-DNF")
+
+    variables = sorted(set().union(*(phi.variables() for phi in hyps + [target])))
+    universe_terms = _term_universe(variables, k)
+
+    table = {}
+    for i, phi in enumerate(hyps):
+        if phi.width <= w and phi not in table:
+            table[phi] = ("hypothesis", i)
+
+    def build_trace() -> tuple:
+        steps = []
+        emitted = set()
+
+        def visit(f):
+            if f in emitted:
+                return
+            emitted.add(f)
+            prov = table.get(f)
+            if prov is None:  # wide hypothesis used as a cut input
+                steps.append(TraceStep(f, "hypothesis", (hyps.index(f),)))
+                return
+            rule = prov[0]
+            if rule == "hypothesis":
+                steps.append(TraceStep(f, "hypothesis", (prov[1],)))
+                return
+            for premise in prov[1:]:
+                visit(premise)
+            steps.append(TraceStep(f, rule, tuple(prov[1:])))
+
+        visit(target)
+        return tuple(steps)
+
+    if stats is not None:
+        stats["table_sizes"] = [len(table)]
+    if target in table:
+        return True, build_trace()
+
+    delta = set(table)
+    first_round = True
+    while True:
+        new = {}
+
+        def offer(formula, prov):
+            if formula not in table and formula not in new:
+                new[formula] = prov
+
+        for psi in delta:
+            for result in _weaken_results(psi, universe_terms, w):
+                offer(result, ("weakening", psi))
+            for result in _elim_results(psi):
+                offer(result, ("and_elim", psi))
+
+        cut_sources = list(table) + [h for h in hyps if h not in table]
+        for psi1 in cut_sources:
+            for psi2 in cut_sources:
+                if not first_round and psi1 not in delta and psi2 not in delta:
+                    continue
+                for result in _cut_results(psi1, psi2, w):
+                    offer(result, ("cut", psi1, psi2))
+
+        groups = {}
+        for psi in table:
+            for term in psi.terms:
+                if len(term) == 1:
+                    rest = psi.terms - {term}
+                    groups.setdefault(rest, set()).add(next(iter(term)))
+        for rest, lits in groups.items():
+            if len(rest) + 1 > w:
+                continue
+            available = sorted(lits, key=lambda l: (abs(l), l < 0))
+            for j in range(2, k + 1):
+                for combo in combinations(available, j):
+                    if any(-lit in combo for lit in combo):
+                        continue
+                    premises = tuple(KDnf(rest | {frozenset((lit,))}) for lit in combo)
+                    if not first_round and all(p not in delta for p in premises):
+                        continue
+                    offer(KDnf(rest | {frozenset(combo)}), ("and_intro",) + premises)
+
+        if not new:
+            return False, None
+        table.update(new)
+        if stats is not None:
+            stats["table_sizes"].append(len(table))
+        if target in table:
+            return True, build_trace()
+        delta = set(new)
+        first_round = False
+
+
+def reference_decide_cp(hyps, target, w, L, stats=None):
+    """Cutting-planes w-sparse L-bounded decision with its own round loop
+    and trace unwinding; records no `stats` when it accepts before the
+    first round."""
+    hyps = list(hyps)
+    if target.sparsity > w:
+        raise InputError(f"target sparsity {target.sparsity} exceeds the bound {w}")
+    if target.l1_norm > L:
+        raise InputError(f"target l1-norm {target.l1_norm} exceeds the bound {L}")
+
+    variables = sorted(
+        set().union(target.variables(), *(h.variables() for h in hyps))
+    )
+
+    table = {}
+
+    def in_budget(ineq):
+        return ineq.sparsity <= w and ineq.l1_norm <= L
+
+    axioms = [TRUTH_AXIOM]
+    for v in variables:
+        axioms.extend((var_nonneg(v), var_at_most_one(v)))
+    for ax in axioms:
+        if in_budget(ax) and ax not in table:
+            table[ax] = ("axiom",)
+    if is_axiom(target):
+        return True, (AxiomStep(target),)
+
+    for i, h in enumerate(hyps):
+        if in_budget(h) and h not in table:
+            table[h] = ("hypothesis", i)
+
+    def build_trace():
+        steps = []
+        index_of = {}
+
+        def visit(ineq):
+            if ineq in index_of:
+                return index_of[ineq]
+            prov = table.get(ineq)
+            if prov is None:  # out-of-budget hypothesis used as an addition input
+                step = HypothesisStep(hyps.index(ineq), ineq)
+            elif prov[0] == "axiom":
+                step = AxiomStep(ineq)
+            elif prov[0] == "hypothesis":
+                step = HypothesisStep(prov[1], ineq)
+            elif prov[0] == "add":
+                step = AddStep(visit(prov[1]), visit(prov[2]), ineq)
+            elif prov[0] == "mul":
+                step = MultiplyStep(visit(prov[1]), prov[2], ineq)
+            else:
+                step = DivideStep(visit(prov[1]), prov[2], ineq)
+            index_of[ineq] = len(steps)
+            steps.append(step)
+            return index_of[ineq]
+
+        visit(target)
+        return tuple(steps)
+
+    if target in table:
+        return True, build_trace()
+
+    if stats is not None:
+        stats["table_sizes"] = [len(table)]
+
+    delta = set(table)
+    first_round = True
+    while True:
+        new = {}
+
+        def offer(ineq, prov):
+            if in_budget(ineq) and ineq not in table and ineq not in new:
+                new[ineq] = prov
+
+        add_sources = list(table) + [h for h in hyps if h not in table]
+        for a in add_sources:
+            for b in add_sources:
+                if not first_round and a not in delta and b not in delta:
+                    continue
+                offer(add_ineqs(a, b), ("add", a, b))
+
+        for ineq in table:
+            if not first_round and ineq not in delta:
+                continue
+            for factor in range(2, L + 1):
+                offer(multiply_ineq(ineq, factor), ("mul", ineq, factor))
+            for divisor in range(2, L + 1):
+                if all(c % divisor == 0 for _, c in ineq.coeffs):
+                    offer(divide_ineq(ineq, divisor), ("div", ineq, divisor))
+
+        if not new:
+            return False, None
+        table.update(new)
+        if stats is not None:
+            stats["table_sizes"].append(len(table))
+        if target in table:
+            return True, build_trace()
+        delta = set(new)
+        first_round = False

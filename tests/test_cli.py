@@ -169,6 +169,42 @@ def test_decide_from_samples_file(aviary, tmp_path, capsys):
     assert out.count("verdict=accept") == 3
 
 
+# an instance over a budget and two sample sets: every example of the first
+# restricts the offending line away, the second leaves it; both must give the
+# same input error
+OVER_BUDGET_CASES = {
+    "res-space-s0": (
+        "res-space", ["--s", "0"], "p cnf 2 1\n1 2 0\n", "p cnf 2 1\n1 0\n", ("1*", "10"), ("1*", "**")
+    ),
+    "cp-query-too-sparse": (
+        "cp", ["--w", "2", "--L", "3"], "p cp 3 1\nx1:1 >= 0\n", "p cp 3 1\nx1:1 x2:1 x3:1 >= 1\n",
+        ("0**", "00*"), ("0**", "***"),
+    ),
+    "pc-kb-degree": (
+        "pc", ["--d", "1"], "p poly 2 1\n1 x1 x2\n", "p poly 2 1\n1 x1\n", ("*0",), ("**",)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET_CASES))
+def test_budget_errors_do_not_depend_on_the_examples(case, tmp_path, capsys):
+    system, flags, kb_text, query_text, *sample_sets = OVER_BUDGET_CASES[case]
+    kb = write(tmp_path / "kb.txt", kb_text)
+    query = write(tmp_path / "query.txt", query_text)
+    errors = []
+    for i, rows in enumerate(sample_sets):
+        n = len(rows[0])
+        samples = write(tmp_path / f"{i}.pasgn", f"p pasgn {n} {len(rows)}\n" + "".join(r + "\n" for r in rows))
+        code, out, err = run_cli(
+            ["decide", "--system", system, *flags, "--epsilon", "1/2", "--gamma", "1/10",
+             "--delta", "1/20", "--kb", kb, "--query", query, "--samples", samples],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith("error:")
+
+
 def test_prove_res_space_shows_proof(aviary, capsys):
     code, out, _ = run_cli(
         [

@@ -1,9 +1,13 @@
 """Rules about the package source itself rather than its behaviour."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pacreason"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pacreason"
 
 
 def test_package_checks_do_not_rely_on_assert():
@@ -15,3 +19,14 @@ def test_package_checks_do_not_rely_on_assert():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         )
     assert offenders == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps package functions and methods by name; a
+    # renamed one is only listed as missing, and its per-layer metrics vanish
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    script = "import tracing\ntracer = tracing.Tracer()\ntracer.install()\nprint(tracer.missing)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
