@@ -57,12 +57,6 @@ class LinIneq:
     def l1_norm(self) -> int:
         return abs(self.bound) + sum(abs(c) for _, c in self.coeffs)
 
-    def coeff(self, var: int) -> int:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return 0
-
     def variables(self) -> frozenset:
         return frozenset(v for v, _ in self.coeffs)
 

@@ -349,7 +349,7 @@ def _dist_body(n, lines):
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
     body = [
-        f"{w.numerator}/{w.denominator} {''.join(str(b) for b in x)}"
+        f"{w.numerator}/{w.denominator} {PartialAssignment(x)}"
         for x, w in dist.support
     ]
     head = f"p dist {dist.n} {len(dist.support)}"

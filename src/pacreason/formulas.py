@@ -94,6 +94,7 @@ class WitnessStatus(Enum):
 
 
 _CHAR_VALUES = {"0": 0, "1": 1, "*": None}
+_VALUE_CHARS = {v: ch for ch, v in _CHAR_VALUES.items()}  # True/False hash as 1/0
 
 
 class PartialAssignment:
@@ -159,7 +160,7 @@ class PartialAssignment:
         return hash(self.entries)
 
     def __str__(self):
-        return "".join("*" if e is None else str(e) for e in self.entries)
+        return "".join(map(_VALUE_CHARS.__getitem__, self.entries))
 
     def __repr__(self):
         return f"PartialAssignment({self})"

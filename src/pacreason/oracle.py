@@ -38,14 +38,9 @@ def sat_solve(cnf, cap: int = ENUMERATION_CAP):
 
     clauses = [c for c in cnf.clauses if c is not TAUTOLOGY]
     for x in product((0, 1), repeat=cnf.n):
-        ok = True
-        for clause in clauses:
-            if not any(
-                (lit > 0 and x[lit - 1]) or (lit < 0 and not x[-lit - 1])
-                for lit in clause
-            ):
-                ok = False
-                break
-        if ok:
+        if all(
+            any(x[lit - 1] if lit > 0 else not x[-lit - 1] for lit in clause)
+            for clause in clauses
+        ):
             return x
     return None

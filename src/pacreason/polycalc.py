@@ -6,8 +6,9 @@ variable x also has a dual indeterminate behaving like its negation, tied by
 the complementarity polynomial x + x_dual - 1.
 
 The degree-d decision procedure builds a triangular basis for the space of
-derivable polynomials: every pending polynomial is Gaussian-reduced against
-the basis, survivors join it, and survivors of degree below d spawn all their
+derivable polynomials, kept as a dict keyed by leading monomial: every pending
+polynomial is Gaussian-reduced against the basis (one lookup per cancelled
+lead), survivors join it, and survivors of degree below d spawn all their
 indeterminate multiples (multilinearized, which is where the Boolean axioms
 act).  The query is derivable exactly when it reduces to zero against the
 finished basis.  Monomials are ordered degree first, ties broken by the
@@ -106,9 +107,6 @@ class Polynomial:
         """Multiply by one indeterminate, multilinearizing on the fly."""
         return Polynomial((m | {indet}, c) for m, c in self.terms.items())
 
-    def indets(self) -> frozenset:
-        return frozenset(i for m in self.terms for i in m)
-
     def variables(self) -> frozenset:
         return frozenset(i.var for m in self.terms for i in m)
 
@@ -150,29 +148,15 @@ class Polynomial:
 
 
 def gaussian_reduce(p: Polynomial, basis) -> Polynomial:
-    """Reduce `p` against basis polynomials sorted by decreasing leading
-    monomial with distinct leading monomials; cancels matching leads only."""
-    for b in basis:
-        if p.is_zero:
-            break
+    """Reduce `p` against a basis keyed by leading monomial: while the lead of
+    `p` is a key, cancel that term with its basis polynomial."""
+    while not p.is_zero:
         lead = p.leading_monomial()
-        b_lead = b.leading_monomial()
-        if b_lead == lead:
-            p = p.add(b.scale(-p.coeff(lead) / b.coeff(b_lead)))
+        b = basis.get(lead)
+        if b is None:
+            break
+        p = p.add(b.scale(-p.terms[lead] / b.terms[lead]))
     return p
-
-
-def _insert_sorted(basis, p: Polynomial) -> None:
-    key = monomial_key(p.leading_monomial())
-    lo = 0
-    hi = len(basis)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if monomial_key(basis[mid].leading_monomial()) > key:
-            lo = mid + 1
-        else:
-            hi = mid
-    basis.insert(lo, p)
 
 
 def complementarity(var: int) -> Polynomial:
@@ -198,8 +182,9 @@ def check_inputs(polys, d: int, mode: str) -> None:
 
 
 def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
-    """Triangular basis of the degree-d derivable space (decreasing leading
-    monomials, all distinct).  Returns (basis, multipliers)."""
+    """Triangular basis of the degree-d derivable space, as a dict from each
+    (distinct) leading monomial to its polynomial.  Returns (basis,
+    multipliers)."""
     hyps = list(hyps)
     check_inputs(hyps + [q], d, mode)
 
@@ -213,12 +198,12 @@ def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
     if mode == PCR:
         pending.extend(complementarity(v) for v in variables)
 
-    basis = []
+    basis = {}
     while pending:
         p = gaussian_reduce(pending.popleft(), basis)
         if p.is_zero:
             continue
-        _insert_sorted(basis, p)
+        basis[p.leading_monomial()] = p
         if p.degree <= d - 1:
             for alpha in multipliers:
                 pending.append(p.mul_indet(alpha))

@@ -1,12 +1,15 @@
 """Shared random generators for the test suite (seeded, deterministic), and
 test-only helpers built on the package: a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
-per-example sampler that `sampling.draw_examples` must match exactly, and the
+per-example sampler that `sampling.draw_examples` must match exactly, the
 RES(k) and cutting-planes deciders with their own round loops, which the
-deciders built on `saturation` must match exactly."""
+deciders built on `saturation` must match exactly, and the list-based PC basis
+(sorted by leading monomial, scanned on every reduction), which the dict-keyed
+`polycalc` basis must match exactly."""
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -40,7 +43,16 @@ from pacreason.formulas import (
     witness_status,
 )
 from pacreason.oracle import ENUMERATION_CAP, entails
-from pacreason.polycalc import ONE, Polynomial, monomial_key
+from pacreason.polycalc import (
+    ONE,
+    PC,
+    PCR,
+    Indet,
+    Polynomial,
+    check_inputs,
+    complementarity,
+    monomial_key,
+)
 from pacreason.res_k import (
     KDnf,
     TraceStep,
@@ -386,3 +398,57 @@ def reference_decide_cp(hyps, target, w, L, stats=None):
             return True, build_trace()
         delta = set(new)
         first_round = False
+
+
+def reference_gaussian_reduce(p: Polynomial, basis) -> Polynomial:
+    """Reduce `p` against basis polynomials sorted by decreasing leading
+    monomial with distinct leading monomials; cancels matching leads only."""
+    for b in basis:
+        if p.is_zero:
+            break
+        lead = p.leading_monomial()
+        b_lead = b.leading_monomial()
+        if b_lead == lead:
+            p = p.add(b.scale(-p.coeff(lead) / b.coeff(b_lead)))
+    return p
+
+
+def _reference_insert_sorted(basis, p: Polynomial) -> None:
+    key = monomial_key(p.leading_monomial())
+    lo = 0
+    hi = len(basis)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if monomial_key(basis[mid].leading_monomial()) > key:
+            lo = mid + 1
+        else:
+            hi = mid
+    basis.insert(lo, p)
+
+
+def reference_build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
+    """Triangular basis of the degree-d derivable space as a list (decreasing
+    leading monomials, all distinct).  Returns (basis, multipliers)."""
+    hyps = list(hyps)
+    check_inputs(hyps + [q], d, mode)
+
+    variables = sorted(set().union(*(p.variables() for p in hyps + [q])))
+    if mode == PCR:
+        multipliers = [Indet(v, dual) for v in variables for dual in (False, True)]
+    else:
+        multipliers = [Indet(v) for v in variables]
+
+    pending = deque(hyps)
+    if mode == PCR:
+        pending.extend(complementarity(v) for v in variables)
+
+    basis = []
+    while pending:
+        p = reference_gaussian_reduce(pending.popleft(), basis)
+        if p.is_zero:
+            continue
+        _reference_insert_sorted(basis, p)
+        if p.degree <= d - 1:
+            for alpha in multipliers:
+                pending.append(p.mul_indet(alpha))
+    return basis, multipliers

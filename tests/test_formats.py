@@ -20,7 +20,7 @@ from pacreason.formats import (
     serialize_poly_file,
 )
 from pacreason.formulas import PartialAssignment
-from pacreason.sampling import FixedMask, IndependentMask
+from pacreason.sampling import ExplicitDistribution, FixedMask, IndependentMask
 from pacreason.resolution import make_clause
 
 
@@ -50,6 +50,13 @@ def test_pasgn_roundtrip():
     assert n == 3
     assert got == [PartialAssignment.from_string("1*0"), PartialAssignment.all_masked(3)]
     assert serialize_pasgns(n, got) == text
+
+
+def test_pasgn_roundtrip_with_bool_entries():
+    rhos = [PartialAssignment([True, None, False]), PartialAssignment([False, True, None])]
+    text = serialize_pasgns(3, rhos)
+    assert text == "p pasgn 3 2\n1*0\n01*\n"
+    assert parse_pasgns(text) == (3, rhos)
 
 
 @pytest.mark.parametrize("line", ["x10", "1x0", "10x", "10", "10**"])
@@ -96,6 +103,14 @@ def test_dist_roundtrip():
     text = "p dist 2 2\n1/2 00\n1/2 11\n"
     dist = parse_dist(text)
     assert serialize_dist(dist) == text
+
+
+def test_dist_roundtrip_with_bool_entries():
+    half = Fraction(1, 2)
+    dist = ExplicitDistribution(2, [((True, False), half), ((False, True), half)])
+    text = serialize_dist(dist)
+    assert text == "p dist 2 2\n1/2 10\n1/2 01\n"
+    assert parse_dist(text).support == dist.support
 
 
 def test_dist_rejects_bad_weights():

@@ -7,10 +7,12 @@ import pytest
 from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, WitnessStatus
 from pacreason.polycalc import (
+    ONE,
     PC,
     PCR,
     Indet,
     Polynomial,
+    build_basis,
     decide_pc,
     encode_clause_pcr,
     gaussian_reduce,
@@ -19,7 +21,13 @@ from pacreason.polycalc import (
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
 
-from helpers import multilinearize, poly_witness_status
+from helpers import (
+    multilinearize,
+    poly_witness_status,
+    random_partial,
+    reference_build_basis,
+    reference_gaussian_reduce,
+)
 from pc_span_oracle import span_closure_decides
 
 
@@ -37,6 +45,10 @@ def poly(*terms):
 
 def pa(text):
     return PartialAssignment.from_string(text)
+
+
+def keyed(*polys):
+    return {p.leading_monomial(): p for p in polys}
 
 
 def test_multilinearize_boolean_axiom_collapses():
@@ -67,15 +79,15 @@ def test_monomial_order_degree_dominates():
 
 def test_gaussian_reduce_examples():
     xy_minus_x = poly((1, [x(1), x(2)]), (-1, [x(1)]))
-    assert gaussian_reduce(poly((1, [x(1), x(2)])), [xy_minus_x]) == poly((1, [x(1)]))
-    assert gaussian_reduce(poly((1, [x(1)])), [poly((1, [x(1), x(2)]))]) == poly(
+    assert gaussian_reduce(poly((1, [x(1), x(2)])), keyed(xy_minus_x)) == poly((1, [x(1)]))
+    assert gaussian_reduce(poly((1, [x(1)])), keyed(poly((1, [x(1), x(2)])))) == poly(
         (1, [x(1)])
     )
-    assert gaussian_reduce(Polynomial(), [xy_minus_x]).is_zero
+    assert gaussian_reduce(Polynomial(), keyed(xy_minus_x)).is_zero
 
 
 def test_gaussian_reduce_is_idempotent():
-    basis = [poly((1, [x(1), x(2)]), (-1, [x(1)])), poly((1, [x(2)]))]
+    basis = keyed(poly((1, [x(1), x(2)]), (-1, [x(1)])), poly((1, [x(2)])))
     p = poly((2, [x(1), x(2)]), (1, [x(2)]), (3, []))
     once = gaussian_reduce(p, basis)
     assert gaussian_reduce(once, basis) == once
@@ -201,8 +213,6 @@ def test_restriction_closure_randomized():
 
 
 def test_basis_property_randomized():
-    from pacreason.polycalc import build_basis
-
     rng = random.Random(629)
     for _ in range(40):
         mode = PC if rng.random() < 0.6 else PCR
@@ -211,13 +221,62 @@ def test_basis_property_randomized():
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
         basis, multipliers = build_basis(hyps, q, d, mode)
-        leads = [b.leading_monomial() for b in basis]
+        leads = [b.leading_monomial() for b in basis.values()]
         assert len(set(leads)) == len(leads)
-        keys = [monomial_key(lead) for lead in leads]
-        assert keys == sorted(keys, reverse=True)
+        assert all(lead == b.leading_monomial() for lead, b in basis.items())
         for h in hyps:
             assert gaussian_reduce(h, basis).is_zero
-        for b in basis:
+        for b in basis.values():
             if b.degree <= d - 1:
                 for alpha in multipliers:
                     assert gaussian_reduce(b.mul_indet(alpha), basis).is_zero
+
+
+def random_basis_instance(rng):
+    """A pc or pcr instance with n <= 5 and d in 1..3, sometimes carrying zero
+    or constant polynomials and duplicate hypotheses, sometimes restricted."""
+    mode = PC if rng.random() < 0.6 else PCR
+    n = rng.randint(1, 5 if mode == PC else 3)
+    d = rng.randint(1, 3)
+    hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.2:
+        hyps.append(Polynomial())
+    if rng.random() < 0.2:
+        hyps.append(Polynomial([(ONE, rng.choice([-2, 1, 3]))]))
+    if hyps and rng.random() < 0.3:
+        hyps.append(rng.choice(hyps))
+    rng.shuffle(hyps)
+    roll = rng.random()
+    if roll < 0.1:
+        q = Polynomial()
+    elif roll < 0.2:
+        q = Polynomial([(ONE, rng.randint(1, 3))])
+    else:
+        q = random_polynomial(rng, n, d, mode)
+    if rng.random() < 0.3:
+        rho = random_partial(rng, n)
+        hyps = [restrict_polynomial(h, rho) for h in hyps]
+        q = restrict_polynomial(q, rho)
+    return hyps, q, d, mode
+
+
+def test_dict_basis_matches_list_reference_randomized():
+    rng = random.Random(630)
+    instances = [random_basis_instance(rng) for _ in range(2000)]
+    references = [reference_build_basis(*instance) for instance in instances]
+    # The reducer alone first, on the reference bases: a reducer that stops
+    # early fails here instead of letting build_basis grow without end.
+    for (hyps, q, _, _), (ref_basis, _) in zip(instances, references):
+        basis = keyed(*ref_basis)
+        for p in hyps + [q]:
+            assert gaussian_reduce(p, basis) == reference_gaussian_reduce(p, ref_basis)
+    for (hyps, q, d, mode), (ref_basis, ref_multipliers) in zip(instances, references):
+        basis, multipliers = build_basis(hyps, q, d, mode)
+        by_lead = sorted(
+            basis.values(), key=lambda b: monomial_key(b.leading_monomial()), reverse=True
+        )
+        assert by_lead == ref_basis, (hyps, q, d, mode)
+        assert multipliers == ref_multipliers
+        ref_remainder = reference_gaussian_reduce(q, ref_basis)
+        assert gaussian_reduce(q, basis) == ref_remainder, (hyps, q, d, mode)
+        assert decide_pc(hyps, q, d, mode) == ref_remainder.is_zero
