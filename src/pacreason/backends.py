@@ -2,11 +2,9 @@
 
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
-makes the per-example aggregation sound.  The exception is cutting planes with
-an over-budget hypothesis: the search may use it as an addition input, but a
-restriction that makes it witnessed true turns it into TRUE, which
-`restrict_hyps` drops.  Then `decide_cp` can accept an instance whose
-all-masked restriction it rejects.
+makes the per-example aggregation sound.  Cutting planes keeps every
+restricted hypothesis as its residual inequality, even one witnessed true,
+because the search may use an over-budget hypothesis as an addition input.
 
 `decide(query, hyps)` is the plain yes/no search the reduction calls once per
 example.  `certificate(query, hyps)` runs the same search once, replays the
@@ -20,7 +18,7 @@ from __future__ import annotations
 from .errors import RuleError
 from .formulas import TRUE
 from .polycalc import PC, decide_pc, restrict_polynomial
-from .cutting_planes import check_trace as check_cp_trace, decide_cp, restrict_ineq
+from .cutting_planes import check_trace as check_cp_trace, decide_cp, residual_ineq, restrict_ineq
 from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
 from .resolution import (
     TAUTOLOGY,
@@ -147,4 +145,4 @@ class CuttingPlanesBackend:
         return restrict_ineq(query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        return _restrict_each(restrict_ineq, hyps, rho)
+        return tuple(residual_ineq(h, rho) for h in hyps)

@@ -13,19 +13,21 @@ axiom additions simulate it.
 decide_cp runs the w-sparse L-bounded dynamic program on the `saturation`
 engine (see its contract): the table of in-budget inequalities grows one
 derivation round at a time; hypotheses beyond the budget still feed addition
-steps.  Multiplication factors range over positive integers only (negative
-factors would flip the inequality unsoundly).
-Accepted runs return a replayable trace.
+steps.  The search runs on raw `(coeffs, bound)` tuples: it adds each
+unordered pair once, drops an over-budget sum before building it, and
+multiplies by positive factors up to L // l1 only (negative factors would
+flip the inequality unsoundly).  Accepted runs return a replayable trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Union
 
 from .errors import InputError, RuleError
 from .formulas import Const, Formula, PartialAssignment, TRUE, Threshold, Var
-from .saturation import derivation, pairs, saturate, seed_inputs
+from .saturation import derivation, saturate, seed_inputs
 
 
 class LinIneq:
@@ -244,16 +246,51 @@ def check_target(target: LinIneq, w: int, L: int) -> None:
         raise InputError(f"target l1-norm {target.l1_norm} exceeds the bound {L}")
 
 
+def _line(ineq: LinIneq) -> tuple:
+    return ineq.coeffs, ineq.bound
+
+
+def _l1(line) -> int:
+    coeffs, bound = line
+    return abs(bound) + sum(abs(c) for _, c in coeffs)
+
+
 def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
     """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
-    and the axioms.  Returns (accepted, trace).  Each `saturation` round
-    offers sums (over-budget hypotheses included), then the multiples and
-    quotients of the previous round's lines."""
+    and the axioms.  Returns (accepted, trace).
+
+    The search runs on raw `(coeffs, bound)` lines, the fields of a
+    `LinIneq`; only the lines of an accepting trace become `LinIneq`s.  Each
+    `saturation` round offers sums (over-budget hypotheses included), then
+    the multiples and quotients of the previous round's lines:
+
+    - sums of unordered pairs only (a before b in source order, a = b
+      included): (b, a) offers the same line after (a, b) in the same round,
+      so under first-offer-wins it never wins; a sum is dropped as soon as
+      it is known to be over budget;
+    - factors up to L // l1, since a factor scales the l1-norm and keeps the
+      sparsity;
+    - divisors of every coefficient up to L, whose quotients never grow
+      either norm.
+    """
     hyps = list(hyps)
     check_target(target, w, L)
 
-    def in_budget(ineq: LinIneq) -> bool:
-        return ineq.sparsity <= w and ineq.l1_norm <= L
+    def in_budget(line) -> bool:
+        return len(line[0]) <= w and _l1(line) <= L
+
+    def add(a, b):
+        coeffs = dict(a[0])
+        for v, c in b[0]:
+            c += coeffs.get(v, 0)
+            if c:
+                coeffs[v] = c
+            else:
+                del coeffs[v]
+        bound = a[1] + b[1]
+        if len(coeffs) > w or abs(bound) + sum(map(abs, coeffs.values())) > L:
+            return None
+        return tuple(sorted(coeffs.items())), bound
 
     variables = sorted(
         set().union(target.variables(), *(h.variables() for h in hyps))
@@ -261,49 +298,60 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
     axioms = [TRUTH_AXIOM]
     for v in variables:
         axioms.extend((var_nonneg(v), var_at_most_one(v)))
-    table = {ax: (AxiomStep, ()) for ax in axioms if in_budget(ax)}
-    outside = seed_inputs(table, hyps, in_budget, HypothesisStep)
+    table = {_line(ax): (AxiomStep, ()) for ax in axioms if in_budget(_line(ax))}
+    outside = seed_inputs(table, map(_line, hyps), in_budget, HypothesisStep)
 
     def rules(delta, first_round):
-        for a, b in pairs([*table, *outside], delta, first_round):
-            yield add_ineqs(a, b), (AddStep, (a, b))
-        for ineq in table:
-            if first_round or ineq in delta:
-                for factor in range(2, L + 1):
-                    yield multiply_ineq(ineq, factor), (MultiplyStep, (ineq,), factor)
+        sources = [*table, *outside]
+        fresh = [first_round or line in delta for line in sources]
+        for i, (a, a_fresh) in enumerate(zip(sources, fresh)):
+            for b, b_fresh in zip(sources[i:], fresh[i:]):
+                if a_fresh or b_fresh:
+                    line = add(a, b)
+                    if line is not None:
+                        yield line, (AddStep, (a, b))
+        for line in table:
+            if first_round or line in delta:
+                coeffs, bound = line
+                for factor in range(2, L // max(_l1(line), 1) + 1):
+                    product = tuple((v, c * factor) for v, c in coeffs), bound * factor
+                    yield product, (MultiplyStep, (line,), factor)
+                common = gcd(*(c for _, c in coeffs))
                 for divisor in range(2, L + 1):
-                    if all(c % divisor == 0 for _, c in ineq.coeffs):
-                        yield divide_ineq(ineq, divisor), (DivideStep, (ineq,), divisor)
+                    if common % divisor == 0:
+                        quotient = tuple((v, c // divisor) for v, c in coeffs), -(-bound // divisor)
+                        yield quotient, (DivideStep, (line,), divisor)
 
-    def derive(delta, first_round):
-        return (offer for offer in rules(delta, first_round) if in_budget(offer[0]))
-
-    if not saturate(table, target, derive, stats):
+    target_line = _line(target)
+    if not saturate(table, target_line, rules, stats):
         return False, None
-    lines = derivation(target, table, outside)
-    index = {ineq: i for i, ineq in enumerate(lines)}
+    lines = derivation(target_line, table, outside)
+    index = {line: i for i, line in enumerate(lines)}
     return True, tuple(
-        step(*(index[p] for p in premises), *params, ineq)
-        for ineq, (step, premises, *params) in lines.items()
+        step(*(index[p] for p in premises), *params, LinIneq(*line))
+        for line, (step, premises, *params) in lines.items()
     )
 
 
-def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const]:
-    """Variables set to 1 move into the bound, variables set to 0 vanish;
-    collapses to Const(True) when witnessed true."""
+def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:
+    """Variables set to 1 move into the bound, variables set to 0 vanish.
+    Neither norm grows, and addition, multiplication and division commute
+    with it, so keeping every residual hypothesis keeps a derivation."""
     fixed = 0
     kept = []
-    slack = 0
     for v, c in ineq.coeffs:
         value = rho.value(v)
         if value is None:
             kept.append((v, c))
-            slack += min(0, c)
         elif value == 1:
             fixed += c
-    if fixed + slack >= ineq.bound:
-        return TRUE
     return LinIneq(kept, ineq.bound - fixed)
+
+
+def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const]:
+    """The residual inequality, collapsed to Const(True) when witnessed true."""
+    residual = residual_ineq(ineq, rho)
+    return TRUE if always_witnessed_true(residual) else residual
 
 
 def encode_clause_cp(clause) -> LinIneq:

@@ -1,0 +1,92 @@
+"""Restriction closure of the cutting-planes backend, checked through its own
+`restrict_query`/`restrict_hyps`: whatever it accepts it also accepts at
+every restriction, at the same budget, which is what makes `decide_pac`
+sound.  Hypotheses beyond the budget may feed addition steps, so a
+restriction that makes one witnessed true must not drop it."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+from pacreason.backends import CuttingPlanesBackend
+from pacreason.cutting_planes import LinIneq, always_witnessed_true
+from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
+from pacreason.formulas import PartialAssignment
+
+COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def random_kb_ineq(rng, n):
+    """Coefficients up to 3 in magnitude on 1..n variables; a third of them
+    witnessed true under full masking, most of those tightly, and many
+    beyond the budget."""
+    vars_ = rng.sample(range(1, n + 1), rng.randint(1, n))
+    coeffs = {v: rng.choice(COEFFS) for v in vars_}
+    if rng.random() < 1 / 3:
+        return LinIneq(coeffs, sum(min(0, c) for c in coeffs.values()) - rng.choice((0, 0, 1)))
+    return LinIneq(coeffs, rng.randint(-3, 3))
+
+
+def random_target(rng, n, w, L):
+    """An in-budget inequality that is not witnessed true unrestricted."""
+    while True:
+        vars_ = rng.sample(range(1, n + 1), rng.randint(0, min(w, n)))
+        target = LinIneq({v: rng.choice(COEFFS) for v in vars_}, rng.randint(-L, L))
+        if target.l1_norm <= L and not always_witnessed_true(target):
+            return target
+
+
+def random_partial(rng, n):
+    return PartialAssignment(rng.choice((None, None, 0, 1)) for _ in range(n))
+
+
+def refine(rng, rho):
+    """Sets some of rho's masked variables; keeps every set one."""
+    return PartialAssignment(
+        rng.randint(0, 1) if v is None and rng.random() < 0.5 else v for v in rho.entries
+    )
+
+
+def accepts_at(backend, query, hyps, rho):
+    return backend.decide(backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho))
+
+
+def test_cp_accepts_every_restriction_of_what_it_accepts():
+    rng = random.Random(8001)
+    kinds = Counter()
+    for _ in range(2000):
+        n = rng.randint(2, 4)
+        w, L = rng.randint(1, 2), rng.randint(2, 3)
+        hyps = tuple(random_kb_ineq(rng, n) for _ in range(rng.randint(1, 3)))
+        query = random_target(rng, n, w, L)
+        backend = CuttingPlanesBackend(w, L, n)
+        if backend.decide(query, hyps):
+            kinds["accepted"] += 1
+            kinds["accepted, witnessed-true hypothesis"] += any(
+                always_witnessed_true(h) for h in hyps
+            )
+            kinds["accepted, over-budget hypothesis"] += any(
+                h.sparsity > w or h.l1_norm > L for h in hyps
+            )
+            assert accepts_at(backend, query, hyps, PartialAssignment.all_masked(n))
+        rho = random_partial(rng, n)
+        if accepts_at(backend, query, hyps, rho):
+            kinds["accepted at rho"] += 1
+            assert accepts_at(backend, query, hyps, refine(rng, rho)), (hyps, query, rho)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_cp_keeps_an_over_budget_hypothesis_that_restriction_makes_true():
+    # the accepting trace adds H3 (sparsity 3, l1-norm 5), which holds at
+    # every point and is witnessed true once every variable is masked
+    hyps = (
+        LinIneq({1: -2, 2: -1, 3: 1}, 3),
+        LinIneq({2: 3}, 3),
+        LinIneq({1: 2, 2: 1, 3: -2}, -2),
+    )
+    query = LinIneq({1: -3}, 0)
+    backend = CuttingPlanesBackend(w=2, L=3, n=3)
+    assert backend.decide(query, hyps)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
+    outcome = decide_pac(backend, query, hyps, params, [PartialAssignment.all_masked(3)] * 10)
+    assert (outcome.verdict, outcome.failed_count) == (ACCEPT, 0)

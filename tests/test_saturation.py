@@ -6,8 +6,10 @@ import random
 from collections import Counter
 
 from pacreason.cutting_planes import (
+    DivideStep,
     HypothesisStep,
     LinIneq,
+    MultiplyStep,
     TRUTH_AXIOM,
     decide_cp,
     is_axiom,
@@ -127,6 +129,10 @@ def test_cp_matches_the_reference_decider():
             and (step.conclusion.sparsity > w or step.conclusion.l1_norm > L)
             for step in trace
         )
+        for rule in (MultiplyStep, DivideStep):
+            kinds[f"accepted trace with a {rule.__name__}"] += accepted and any(
+                isinstance(step, rule) for step in trace
+            )
     assert min(kinds.values()) >= 50, kinds
 
 
