@@ -3,16 +3,21 @@
 Lines are polynomial equations [p = 0] over Boolean variables.  Monomials are
 sets of indeterminates (multilinearity is structural); in PCR mode each
 variable x also has a dual indeterminate behaving like its negation, tied by
-the complementarity polynomial x + x_dual - 1.
+the complementarity polynomial x + x_dual - 1.  Monomials are ordered degree
+first, ties broken by the lexicographically smallest sorted indeterminate list
+being larger (`monomial_key`).
 
-The degree-d decision procedure builds a triangular basis for the space of
-derivable polynomials, kept as a dict keyed by leading monomial: every pending
-polynomial is Gaussian-reduced against the basis (one lookup per cancelled
-lead), survivors join it, and survivors of degree below d spawn all their
-indeterminate multiples (multilinearized, which is where the Boolean axioms
-act).  The query is derivable exactly when it reduces to zero against the
-finished basis.  Monomials are ordered degree first, ties broken by the
-lexicographically smallest sorted indeterminate list being larger.
+The degree-d decision procedure is row echelon form over Q (Clegg, Edmonds &
+Impagliazzo, STOC 1996), run on integers.  A `MonomialCodec` turns each
+monomial of the instance into one int whose natural order is the monomial
+order, and each input polynomial, denominators cleared, into a row: a dict
+from int keys to int coefficients, whose lead is `max(row)`.  The basis is a
+dict keyed by leading monomial: every pending row is reduced against it with
+fraction-free row operations (Bareiss 1968; one lookup per cancelled lead),
+survivors are divided by their content and join it, and survivors of degree
+below d spawn all their indeterminate multiples (multilinearized, which is
+where the Boolean axioms act).  The query is derivable exactly when its row
+reduces to zero against the finished basis.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
 
 from .errors import InputError
 from .formulas import PartialAssignment
@@ -69,6 +74,14 @@ class Polynomial:
                 del data[m]
         object.__setattr__(self, "terms", data)
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Polynomial":
+        """Wraps a dict that already maps frozenset monomials to nonzero
+        Fractions, without copying or checking it."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -77,35 +90,8 @@ class Polynomial:
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def leading_monomial(self) -> Monomial:
-        if self.is_zero:
-            raise InputError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=monomial_key)
-
     def coeff(self, m: Monomial) -> Fraction:
         return self.terms.get(frozenset(m), Fraction(0))
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            data[m] = data.get(m, Fraction(0)) + c
-            if data[m] == 0:
-                del data[m]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", data)
-        return out
-
-    def scale(self, factor) -> "Polynomial":
-        factor = Fraction(factor)
-        if factor == 0:
-            return Polynomial()
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", {m: c * factor for m, c in self.terms.items()})
-        return out
-
-    def mul_indet(self, indet: Indet) -> "Polynomial":
-        """Multiply by one indeterminate, multilinearizing on the fly."""
-        return Polynomial((m | {indet}, c) for m, c in self.terms.items())
 
     def variables(self) -> frozenset:
         return frozenset(i.var for m in self.terms for i in m)
@@ -147,16 +133,80 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
 
-def gaussian_reduce(p: Polynomial, basis) -> Polynomial:
-    """Reduce `p` against a basis keyed by leading monomial: while the lead of
-    `p` is a key, cancel that term with its basis polynomial."""
-    while not p.is_zero:
-        lead = p.leading_monomial()
+class MonomialCodec:
+    """Int keys for the monomials over one instance's variables.
+
+    With the variables ranked in increasing order, indeterminate (var, dual)
+    gets index i = 2*rank + dual and bit N-1-i, where N = 2 * #variables, and a
+    monomial's key is (degree << N) | mask.  Keys compare as their
+    `monomial_key`s do: degree first, then the smallest index at which two
+    masks differ is the higher bit, set in the larger monomial.  Multiplying
+    key k by an indeterminate whose bit is absent gives k + (1 << N) + bit.
+    `multipliers` lists the indeterminates a PC (or PCR) derivation may
+    multiply by, in rank order, duals after their variable."""
+
+    def __init__(self, variables, mode: str = PC):
+        variables = sorted(variables)
+        self.width = width = 2 * len(variables)
+        # the bit of x_var; its dual's bit is the next lower one
+        self.var_bits = {v: 1 << (width - 1 - 2 * rank) for rank, v in enumerate(variables)}
+        duals = (False, True) if mode == PCR else (False,)
+        self.multipliers = [Indet(v, dual) for v in variables for dual in duals]
+
+    def bit(self, i: Indet) -> int:
+        return self.var_bits[i.var] >> i.dual
+
+    def key(self, m: Monomial) -> int:
+        var_bits = self.var_bits
+        return (len(m) << self.width) + sum(var_bits[i.var] >> i.dual for i in m)
+
+    def row(self, p: Polynomial) -> dict:
+        """p times the lcm of its denominators: an integer row."""
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        return {
+            self.key(m): c.numerator * (scale // c.denominator) for m, c in p.terms.items()
+        }
+
+
+def gaussian_reduce(p: dict, basis) -> dict:
+    """Reduce the integer row `p` against a basis keyed by leading monomial:
+    while the lead of `p` is a key, cancel it fraction-free, p <- (cb/g)*p -
+    (cp/g)*b with cp, cb the two lead coefficients and g = gcd(cb, cp).  The
+    result is a nonzero integer multiple of what exact rational reduction
+    leaves; `p` itself is not changed."""
+    while p:
+        lead = max(p)
         b = basis.get(lead)
         if b is None:
             break
-        p = p.add(b.scale(-p.terms[lead] / b.terms[lead]))
+        cp, cb = p[lead], b[lead]
+        g = gcd(cp, cb)
+        sp, sb = cb // g, cp // g
+        p = dict(p) if sp == 1 else {k: sp * c for k, c in p.items()}
+        for k, c in b.items():
+            c = p.get(k, 0) - sb * c
+            if c:
+                p[k] = c
+            else:
+                del p[k]
     return p
+
+
+def _times(row: dict, bit: int, step: int) -> dict:
+    """The row multiplied by the indeterminate `bit`, multilinearized: keys
+    without the bit gain it and one degree (`step` = (1 << N) + bit), keys
+    with it stay, and two terms landing on one key merge."""
+    out = {}
+    for k, c in row.items():
+        if not k & bit:
+            k += step
+        if k in out:
+            c += out[k]
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
+    return out
 
 
 def complementarity(var: int) -> Polynomial:
@@ -182,32 +232,35 @@ def check_inputs(polys, d: int, mode: str) -> None:
 
 
 def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
-    """Triangular basis of the degree-d derivable space, as a dict from each
-    (distinct) leading monomial to its polynomial.  Returns (basis,
-    multipliers)."""
+    """Row echelon basis of the degree-d derivable space, as a dict from each
+    (distinct) leading monomial key to its primitive integer row (content 1).
+    Returns (basis, codec), where `codec` keys the instance's monomials."""
     hyps = list(hyps)
     check_inputs(hyps + [q], d, mode)
 
-    variables = sorted(set().union(*(p.variables() for p in hyps + [q])))
+    variables = set().union(*(p.variables() for p in hyps + [q]))
+    codec = MonomialCodec(variables, mode)
+    pending = deque(codec.row(p) for p in hyps)
     if mode == PCR:
-        multipliers = [Indet(v, dual) for v in variables for dual in (False, True)]
-    else:
-        multipliers = [Indet(v) for v in variables]
+        pending.extend(codec.row(complementarity(v)) for v in sorted(variables))
 
-    pending = deque(hyps)
-    if mode == PCR:
-        pending.extend(complementarity(v) for v in variables)
-
+    width = codec.width
+    one = 1 << width
+    steps = [(bit, one + bit) for bit in map(codec.bit, codec.multipliers)]
     basis = {}
     while pending:
         p = gaussian_reduce(pending.popleft(), basis)
-        if p.is_zero:
+        if not p:
             continue
-        basis[p.leading_monomial()] = p
-        if p.degree <= d - 1:
-            for alpha in multipliers:
-                pending.append(p.mul_indet(alpha))
-    return basis, multipliers
+        content = gcd(*p.values())
+        if content != 1:
+            p = {k: c // content for k, c in p.items()}
+        lead = max(p)
+        basis[lead] = p
+        if lead >> width < d:
+            for bit, step in steps:
+                pending.append(_times(p, bit, step))
+    return basis, codec
 
 
 def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
@@ -215,30 +268,34 @@ def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
     equations (linear combination and multiplication; Boolean axioms act
     through multilinearization).  PCR additionally seeds the complementarity
     polynomial of every variable appearing in the instance."""
-    basis, _ = build_basis(hyps, q, d, mode)
-    return gaussian_reduce(q, basis).is_zero
+    basis, codec = build_basis(hyps, q, d, mode)
+    return not gaussian_reduce(codec.row(q), basis)
 
 
 def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
     """Kill monomials with an indeterminate set to 0, delete those set to 1;
-    duals read the negated assignment."""
-    out = []
+    duals read the negated assignment.  Raises InputError for a variable
+    beyond len(rho)."""
+    entries = rho.entries
+    data = {}
     for m, c in p.terms.items():
         kept = []
-        dead = False
         for i in m:
-            v = rho.value(i.var)
+            try:
+                v = entries[i.var - 1]
+            except IndexError:
+                raise InputError(
+                    f"variable x{i.var} out of range 1..{len(entries)}"
+                ) from None
             if v is None:
                 kept.append(i)
-            else:
-                if i.dual:
-                    v = 1 - v
-                if v == 0:
-                    dead = True
-                    break
-        if not dead:
-            out.append((frozenset(kept), c))
-    return Polynomial(out)
+            elif bool(v) == i.dual:  # the indeterminate reads 0
+                break
+        else:
+            if len(kept) < len(m):
+                m = frozenset(kept)
+            data[m] = data[m] + c if m in data else c
+    return Polynomial._trusted({m: c for m, c in data.items() if c})
 
 
 def encode_clause_pcr(clause) -> Polynomial:

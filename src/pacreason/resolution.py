@@ -96,6 +96,15 @@ class Cnf:
         object.__setattr__(self, "clauses", tuple(out))
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _trusted(cls, clauses, n: int) -> "Cnf":
+        """A Cnf of canonical, non-tautological clauses over 1..n, only
+        deduplicated: no `make_clause`, no range check."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "clauses", tuple(dict.fromkeys(clauses)))
+        object.__setattr__(out, "n", n)
+        return out
+
     def __eq__(self, other):
         return isinstance(other, Cnf) and self.n == other.n and self.clauses == other.clauses
 
@@ -261,7 +270,9 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
     One pass over rho collects the literals it makes true and those it makes
     false; a clause meeting the first set is satisfied and dropped, any other
     loses the second set.  The result equals restricting clause by clause with
-    `restrict_clause`.  Raises InputError when rho is shorter than phi.n.
+    `restrict_clause`.  Each restricted clause is a subset of a valid clause of
+    phi, so it skips `Cnf`'s checks.  Raises InputError when rho is shorter
+    than phi.n.
     """
     if len(rho) < phi.n:
         raise InputError(
@@ -273,12 +284,12 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
         if value is not None
     }
     false_lits = {-lit for lit in true_lits}
-    restricted = [
+    restricted = (
         c - false_lits
         for c in phi.clauses
         if c is not TAUTOLOGY and c.isdisjoint(true_lits)
-    ]
-    return Cnf(restricted, phi.n)
+    )
+    return Cnf._trusted(restricted, phi.n)
 
 
 def _validate_structure(node: ProofNode) -> None:

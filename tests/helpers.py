@@ -3,9 +3,10 @@ test-only helpers built on the package: a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
 per-example sampler that `sampling.draw_examples` must match exactly, the
 RES(k) and cutting-planes deciders with their own round loops, which the
-deciders built on `saturation` must match exactly, and the list-based PC basis
-(sorted by leading monomial, scanned on every reduction), which the dict-keyed
-`polycalc` basis must match exactly."""
+deciders built on `saturation` must match exactly, and the PC kernel on
+`Fraction` coefficients and frozenset monomials (a list basis sorted by leading
+monomial, scanned on every reduction, and the per-term restriction), which the
+int-keyed `polycalc` kernel must match up to the scale of each row."""
 
 import math
 import random
@@ -48,6 +49,7 @@ from pacreason.polycalc import (
     PC,
     PCR,
     Indet,
+    MonomialCodec,
     Polynomial,
     check_inputs,
     complementarity,
@@ -400,26 +402,84 @@ def reference_decide_cp(hyps, target, w, L, stats=None):
         first_round = False
 
 
+def leading_monomial(p: Polynomial):
+    if p.is_zero:
+        raise InputError("the zero polynomial has no leading monomial")
+    return max(p.terms, key=monomial_key)
+
+
+def _add_scaled(p: Polynomial, b: Polynomial, factor: Fraction) -> Polynomial:
+    """p + factor * b."""
+    data = dict(p.terms)
+    for m, c in b.terms.items():
+        data[m] = data.get(m, Fraction(0)) + factor * c
+        if data[m] == 0:
+            del data[m]
+    return Polynomial(data)
+
+
+def mul_indet(p: Polynomial, indet: Indet) -> Polynomial:
+    """p times one indeterminate, multilinearized."""
+    return Polynomial((m | {indet}, c) for m, c in p.terms.items())
+
+
+def monic(p: Polynomial) -> Polynomial:
+    """p scaled to leading coefficient 1 (the zero polynomial stays zero)."""
+    if p.is_zero:
+        return p
+    lead = p.terms[leading_monomial(p)]
+    return Polynomial({m: c / lead for m, c in p.terms.items()})
+
+
+def decode_row(codec: MonomialCodec, row: dict) -> Polynomial:
+    """The polynomial an integer row of `codec` stands for."""
+    indets = [Indet(v, dual) for v in codec.var_bits for dual in (False, True)]
+    monomial = {key: frozenset(i for i in indets if key & codec.bit(i)) for key in row}
+    return Polynomial({monomial[k]: c for k, c in row.items()})
+
+
+def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
+    """Restriction term by term through `rho.value`, rebuilt by the checking
+    `Polynomial` constructor."""
+    out = []
+    for m, c in p.terms.items():
+        kept = []
+        dead = False
+        for i in m:
+            v = rho.value(i.var)
+            if v is None:
+                kept.append(i)
+            else:
+                if i.dual:
+                    v = 1 - v
+                if v == 0:
+                    dead = True
+                    break
+        if not dead:
+            out.append((frozenset(kept), c))
+    return Polynomial(out)
+
+
 def reference_gaussian_reduce(p: Polynomial, basis) -> Polynomial:
     """Reduce `p` against basis polynomials sorted by decreasing leading
     monomial with distinct leading monomials; cancels matching leads only."""
     for b in basis:
         if p.is_zero:
             break
-        lead = p.leading_monomial()
-        b_lead = b.leading_monomial()
+        lead = leading_monomial(p)
+        b_lead = leading_monomial(b)
         if b_lead == lead:
-            p = p.add(b.scale(-p.coeff(lead) / b.coeff(b_lead)))
+            p = _add_scaled(p, b, -p.coeff(lead) / b.coeff(b_lead))
     return p
 
 
 def _reference_insert_sorted(basis, p: Polynomial) -> None:
-    key = monomial_key(p.leading_monomial())
+    key = monomial_key(leading_monomial(p))
     lo = 0
     hi = len(basis)
     while lo < hi:
         mid = (lo + hi) // 2
-        if monomial_key(basis[mid].leading_monomial()) > key:
+        if monomial_key(leading_monomial(basis[mid])) > key:
             lo = mid + 1
         else:
             hi = mid
@@ -427,8 +487,9 @@ def _reference_insert_sorted(basis, p: Polynomial) -> None:
 
 
 def reference_build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
-    """Triangular basis of the degree-d derivable space as a list (decreasing
-    leading monomials, all distinct).  Returns (basis, multipliers)."""
+    """Triangular basis of the degree-d derivable space over `Fraction`s, as a
+    list (decreasing leading monomials, all distinct).  Returns (basis,
+    multipliers)."""
     hyps = list(hyps)
     check_inputs(hyps + [q], d, mode)
 
@@ -450,5 +511,5 @@ def reference_build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
         _reference_insert_sorted(basis, p)
         if p.degree <= d - 1:
             for alpha in multipliers:
-                pending.append(p.mul_indet(alpha))
+                pending.append(mul_indet(p, alpha))
     return basis, multipliers

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from pacreason.backends import SpaceResolutionBackend
+from pacreason.backends import CuttingPlanesBackend, SpaceResolutionBackend
 from pacreason.cutting_planes import (
     LinIneq,
     check_trace as check_cp_trace,
@@ -178,21 +178,15 @@ def test_criterion_2_restriction_closure():
         w, L = 2, 4
         if target.sparsity > w or target.l1_norm > L:
             continue
-        accepted, _ = decide_cp(hyps, target, w, L)
-        if not accepted:
+        backend = CuttingPlanesBackend(w, L, n)
+        if not backend.decide(target, hyps):
             continue
         cp_accepted += 1
         for _ in range(20):
             rho = random_partial(rng, n)
-            from pacreason.cutting_planes import restrict_ineq
-
-            r_target = restrict_ineq(target, rho)
-            if r_target == TRUE:
-                checks += 1
-                continue
-            r_hyps = [r for r in (restrict_ineq(h, rho) for h in hyps) if r != TRUE]
-            again, _ = decide_cp(r_hyps, r_target, w, L)
-            assert again
+            assert backend.decide(
+                backend.restrict_query(target, rho), backend.restrict_hyps(hyps, rho)
+            )
             checks += 1
 
     report(2, True, f"same-budget acceptance preserved under {checks} restrictions")

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from pacreason.backends import CuttingPlanesBackend
 from pacreason.errors import InputError, RuleError
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.cutting_planes import (
@@ -188,20 +189,17 @@ def test_restriction_closure_randomized():
         target = random_ineq(rng, n)
         if target.sparsity > w or target.l1_norm > L:
             continue
-        accepted, _ = decide_cp(hyps, target, w, L)
-        if not accepted:
+        backend = CuttingPlanesBackend(w, L, n)
+        if not backend.decide(target, hyps):
             continue
         closed += 1
         for _ in range(6):
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            r_target = restrict_ineq(target, rho)
-            if r_target == TRUE:
-                continue
-            r_hyps = [r for r in (restrict_ineq(h, rho) for h in hyps) if r != TRUE]
-            again, _ = decide_cp(r_hyps, r_target, w, L)
-            assert again
+            assert backend.decide(
+                backend.restrict_query(target, rho), backend.restrict_hyps(hyps, rho)
+            )
 
 
 def test_trace_checker_rejects_tampering():

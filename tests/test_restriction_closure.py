@@ -1,17 +1,23 @@
-"""Restriction closure of the cutting-planes backend, checked through its own
-`restrict_query`/`restrict_hyps`: whatever it accepts it also accepts at
-every restriction, at the same budget, which is what makes `decide_pac`
-sound.  Hypotheses beyond the budget may feed addition steps, so a
-restriction that makes one witnessed true must not drop it."""
+"""Restriction closure of the cutting-planes and polynomial-calculus backends,
+checked through their own `restrict_query`/`restrict_hyps`: whatever a
+backend accepts it also accepts at every restriction, at the same budget,
+which is what makes `decide_pac` sound.  Cutting-planes hypotheses beyond the
+budget may feed addition steps, so a restriction that makes one witnessed
+true must not drop it."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 
-from pacreason.backends import CuttingPlanesBackend
+from pacreason.backends import CuttingPlanesBackend, PolynomialCalculusBackend
 from pacreason.cutting_planes import LinIneq, always_witnessed_true
 from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
 from pacreason.formulas import PartialAssignment
+from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
+from pacreason.resolution import TAUTOLOGY
+
+from helpers import mul_indet, random_clause
+from test_polycalc import random_polynomial, with_rational_coefficients
 
 COEFFS = (-3, -2, -1, 1, 2, 3)
 
@@ -90,3 +96,50 @@ def test_cp_keeps_an_over_budget_hypothesis_that_restriction_makes_true():
     params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
     outcome = decide_pac(backend, query, hyps, params, [PartialAssignment.all_masked(3)] * 10)
     assert (outcome.verdict, outcome.failed_count) == (ACCEPT, 0)
+
+
+def random_pc_instance(rng):
+    """A pc or pcr instance over n <= 4 variables at d in 1..3 with
+    non-integer coefficients (duals and encoded clauses in pcr).  Half the
+    queries are derivable: a rational combination of hypotheses, each
+    multiplied by an indeterminate when its degree allows."""
+    mode = PC if rng.random() < 0.5 else PCR
+    n = rng.randint(1, 4 if mode == PC else 3)
+    d = rng.randint(1, 3)
+    hyps = [
+        with_rational_coefficients(rng, random_polynomial(rng, n, d, mode))
+        for _ in range(rng.randint(1, 3))
+    ]
+    if mode == PCR and rng.random() < 0.5:
+        clause = random_clause(rng, n, max_width=d)
+        if clause is not TAUTOLOGY:
+            hyps.append(encode_clause_pcr(clause))
+    if rng.random() < 0.5:
+        return mode, n, d, hyps, with_rational_coefficients(rng, random_polynomial(rng, n, d, mode))
+    q = Polynomial()
+    for h in rng.sample(hyps, rng.randint(1, len(hyps))):
+        if h.degree < d and rng.random() < 0.7:
+            h = mul_indet(h, Indet(rng.randint(1, n), dual=mode == PCR and rng.random() < 0.4))
+        c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        q = Polynomial(list(q.terms.items()) + [(m, c * a) for m, a in h.terms.items()])
+    return mode, n, d, hyps, q
+
+
+def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
+    rng = random.Random(8002)
+    kinds = Counter()
+    for _ in range(2000):
+        mode, n, d, hyps, query = random_pc_instance(rng)
+        backend = PolynomialCalculusBackend(d, n, mode)
+        kinds["non-integer"] += any(
+            c.denominator != 1 for p in hyps + [query] for c in p.terms.values()
+        )
+        if backend.decide(query, hyps):
+            kinds[f"accepted {mode}"] += 1
+            kinds["accepted with duals"] += any(p.has_duals() for p in hyps + [query])
+            assert accepts_at(backend, query, hyps, PartialAssignment.all_masked(n))
+        rho = random_partial(rng, n)
+        if accepts_at(backend, query, hyps, rho):
+            kinds[f"accepted at rho {mode}"] += 1
+            assert accepts_at(backend, query, hyps, refine(rng, rho)), (mode, d, hyps, query, rho)
+    assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
