@@ -5,6 +5,8 @@ accepts any restriction of that instance at the same budget, which is what
 makes the per-example aggregation sound.  Cutting planes keeps every
 restricted hypothesis as its residual inequality, even one witnessed true,
 because the search may use an over-budget hypothesis as an addition input.
+Restriction also keeps an instance inside its system's budget check, so the
+caller checks the unrestricted instance once and no decider checks again.
 
 `decide(query, hyps)` is the plain yes/no search the reduction calls once per
 example.  `certificate(query, hyps)` runs the same search once, replays the

@@ -34,7 +34,7 @@ from .errors import FormatError, InputError, RuleError
 from .formulas import TRUE
 from .oracle import entails, sat_solve
 from .polycalc import PC, PCR, check_inputs
-from .res_k import negate_query
+from .res_k import BOTTOM, check_budget, negate_query
 from .resolution import check_space_bound
 from .sampling import draw_masked_examples, validity
 
@@ -106,6 +106,7 @@ def _load_instance(args):
         negated = tuple(
             phi for phi in negate_query([query_cnf.clauses], p["k"]) if phi != TRUE
         )
+        check_budget(hyps + list(negated), BOTTOM, p["k"], p["w"])
         return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
     if system in (PC, PCR):
         n, hyps = formats.parse_poly_file(_read(args.kb))
@@ -131,9 +132,16 @@ def _load_instance(args):
 
 def _load_examples(args, n: int):
     if args.samples is not None:
+        drawn = [name for name in ("dist", "mask", "seed") if getattr(args, name) is not None]
+        if drawn:
+            raise InputError(f"--samples excludes {', '.join('--' + name for name in drawn)}")
         sample_n, examples = formats.parse_pasgns(_read(args.samples))
         if sample_n != n:
             raise InputError(f"samples n={sample_n} does not match instance n={n}")
+        if args.m not in (None, len(examples)):
+            raise InputError(
+                f"--m {args.m} does not match the {len(examples)} examples in --samples"
+            )
         return examples
     if args.dist is None or args.mask is None or args.seed is None:
         raise InputError("need either --samples or all of --dist, --mask and --seed")

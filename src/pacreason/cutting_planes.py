@@ -257,7 +257,8 @@ def _l1(line) -> int:
 
 def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
     """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
-    and the axioms.  Returns (accepted, trace).
+    and the axioms.  Returns (accepted, trace).  Takes a target that
+    `check_target` accepts.
 
     The search runs on raw `(coeffs, bound)` lines, the fields of a
     `LinIneq`; only the lines of an accepting trace become `LinIneq`s.  Each
@@ -274,7 +275,6 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
       either norm.
     """
     hyps = list(hyps)
-    check_target(target, w, L)
 
     def in_budget(line) -> bool:
         return len(line[0]) <= w and _l1(line) <= L

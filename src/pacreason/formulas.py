@@ -104,9 +104,14 @@ class PartialAssignment:
 
     def __init__(self, entries: Iterable):
         entries = tuple(entries)
-        for e in entries:
-            if e not in (0, 1, None):
-                raise InputError(f"partial assignment entries must be 0, 1 or *, got {e!r}")
+        try:
+            valid = set(entries) <= _VALUE_CHARS.keys()  # one pass in C
+        except TypeError:  # an unhashable entry
+            valid = False
+        if not valid:
+            for e in entries:
+                if e not in (0, 1, None):
+                    raise InputError(f"partial assignment entries must be 0, 1 or *, got {e!r}")
         object.__setattr__(self, "entries", entries)
 
     @classmethod

@@ -234,9 +234,9 @@ def check_inputs(polys, d: int, mode: str) -> None:
 def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
     """Row echelon basis of the degree-d derivable space, as a dict from each
     (distinct) leading monomial key to its primitive integer row (content 1).
-    Returns (basis, codec), where `codec` keys the instance's monomials."""
+    Returns (basis, codec), where `codec` keys the instance's monomials.
+    Takes inputs that `check_inputs` accepts."""
     hyps = list(hyps)
-    check_inputs(hyps + [q], d, mode)
 
     variables = set().union(*(p.variables() for p in hyps + [q]))
     codec = MonomialCodec(variables, mode)
@@ -267,7 +267,8 @@ def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
     """Accept iff [q = 0] has a degree-d derivation from the hypothesis
     equations (linear combination and multiplication; Boolean axioms act
     through multilinearization).  PCR additionally seeds the complementarity
-    polynomial of every variable appearing in the instance."""
+    polynomial of every variable appearing in the instance.  Takes inputs
+    that `check_inputs` accepts."""
     basis, codec = build_basis(hyps, q, d, mode)
     return not gaussian_reduce(codec.row(q), basis)
 

@@ -190,22 +190,27 @@ def _term_universe(variables, k: int):
     return universe
 
 
-def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] = None):
-    """Accept iff a width-w RES(k) proof of `target` from `hyps` exists.
-
-    Returns (accepted, trace).  The table holds every derived k-DNF of width
-    at most w.  Each `saturation` round offers the weakenings and
-    and-eliminations of the previous round's k-DNFs, then cuts (wider
-    hypotheses included) and and-introductions.  An accepting run is unwound
-    into a TraceStep list ending at the target.
-    """
-    hyps = list(hyps)
+def check_budget(hyps, target: KDnf, k: int, w: int) -> None:
+    """The target has width at most w (so w >= 0), and the hypotheses and
+    the target are all k-DNFs."""
     if target.width > w:
         raise InputError(f"target width {target.width} exceeds the bound {w}")
-    for phi in hyps + [target]:
+    for phi in (*hyps, target):
         if phi.max_term_size > k:
             raise InputError(f"formula {phi!r} is not a {k}-DNF")
 
+
+def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] = None):
+    """Accept iff a width-w RES(k) proof of `target` from `hyps` exists.
+
+    Returns (accepted, trace).  Takes inputs that `check_budget` accepts.
+    The table holds every derived k-DNF of width at most w.  Each
+    `saturation` round offers the weakenings and and-eliminations of the
+    previous round's k-DNFs, then cuts (wider hypotheses included) and
+    and-introductions.  An accepting run is unwound into a TraceStep list
+    ending at the target.
+    """
+    hyps = list(hyps)
     variables = sorted(set().union(*(phi.variables() for phi in hyps + [target])))
     universe_terms = _term_universe(variables, k)
 

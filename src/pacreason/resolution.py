@@ -216,9 +216,9 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
     in the inputs are branched on, in ascending order, positive literal
     first, so results are reproducible.  A cut on any other variable never
     helps: restricting it away leaves a proof of the same clause in no more
-    space.  Returns None when no such proof exists.
+    space.  Returns None when no such proof exists.  Takes an `s` that
+    `check_space_bound` accepts.
     """
-    check_space_bound(s)
     if target is TAUTOLOGY:
         return Leaf(TAUTOLOGY)
 
@@ -290,55 +290,6 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
         if c is not TAUTOLOGY and c.isdisjoint(true_lits)
     )
     return Cnf._trusted(restricted, phi.n)
-
-
-def _validate_structure(node: ProofNode) -> None:
-    if isinstance(node, Leaf):
-        return
-    if isinstance(node, Weaken):
-        if not clause_superset(node.clause, node.child.clause):
-            raise InputError("weakening step does not derive a superset")
-        _validate_structure(node.child)
-        return
-    if isinstance(node, Cut):
-        lc, rc = node.left.clause, node.right.clause
-        if lc is TAUTOLOGY or rc is TAUTOLOGY:
-            raise InputError("cut step uses the tautology clause")
-        if node.pivot not in lc or -node.pivot not in rc:
-            raise InputError("cut premises do not carry the pivot")
-        _validate_structure(node.left)
-        _validate_structure(node.right)
-        return
-    raise InputError(f"not a proof node: {node!r}")
-
-
-def restrict_proof(proof: ProofNode, rho: PartialAssignment) -> ProofNode:
-    """Project a treelike proof under a partial assignment.
-
-    Satisfied clauses become tautology leaves; a cut on an assigned pivot
-    becomes (at most) a weakening of the branch whose pivot literal was
-    falsified.  The result proves the restricted root from the restricted
-    inputs, is no longer than the input, and its clause space does not grow.
-    """
-    _validate_structure(proof)
-
-    def walk(node: ProofNode) -> ProofNode:
-        derived = restrict_clause(node.clause, rho)
-        if derived is TAUTOLOGY:
-            return Leaf(TAUTOLOGY)
-        if isinstance(node, Leaf):
-            return Leaf(derived)
-        if isinstance(node, Weaken):
-            sub = walk(node.child)
-            return sub if sub.clause == derived else Weaken(derived, sub)
-        v = rho.value(node.pivot)
-        if v is None:
-            return Cut(node.pivot, walk(node.left), walk(node.right), derived)
-        # assigned pivot: keep the branch whose pivot literal is falsified
-        sub = walk(node.right if v == 1 else node.left)
-        return sub if sub.clause == derived else Weaken(derived, sub)
-
-    return walk(proof)
 
 
 def clause_to_text(clause: Clause) -> str:

@@ -6,7 +6,10 @@ RES(k) and cutting-planes deciders with their own round loops, which the
 deciders built on `saturation` must match exactly, and the PC kernel on
 `Fraction` coefficients and frozenset monomials (a list basis sorted by leading
 monomial, scanned on every reduction, and the per-term restriction), which the
-int-keyed `polycalc` kernel must match up to the scale of each row."""
+int-keyed `polycalc` kernel must match up to the scale of each row, the
+projection of a treelike resolution proof under a restriction (the closure
+argument for clause space, run), and a `pacreason prove` runner on file
+texts."""
 
 import math
 import random
@@ -28,6 +31,7 @@ from pacreason.cutting_planes import (
     var_at_most_one,
     var_nonneg,
 )
+from pacreason.cli import main
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -63,8 +67,75 @@ from pacreason.res_k import (
     _term_universe,
     _weaken_results,
 )
-from pacreason.resolution import Cnf, make_clause
+from pacreason.resolution import (
+    TAUTOLOGY,
+    Cnf,
+    Cut,
+    Leaf,
+    ProofNode,
+    Weaken,
+    clause_superset,
+    make_clause,
+    restrict_clause,
+)
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
+
+
+def prove_exit_code(tmp_path, system, flags, kb_text, query_text):
+    """Exit code of `pacreason prove` on a kb and a query given as file texts."""
+    kb, query = tmp_path / "kb.txt", tmp_path / "query.txt"
+    kb.write_text(kb_text)
+    query.write_text(query_text)
+    return main(["prove", "--system", system, *flags, "--kb", str(kb), "--query", str(query)])
+
+
+def _validate_structure(node: ProofNode) -> None:
+    if isinstance(node, Leaf):
+        return
+    if isinstance(node, Weaken):
+        if not clause_superset(node.clause, node.child.clause):
+            raise InputError("weakening step does not derive a superset")
+        _validate_structure(node.child)
+        return
+    if isinstance(node, Cut):
+        lc, rc = node.left.clause, node.right.clause
+        if lc is TAUTOLOGY or rc is TAUTOLOGY:
+            raise InputError("cut step uses the tautology clause")
+        if node.pivot not in lc or -node.pivot not in rc:
+            raise InputError("cut premises do not carry the pivot")
+        _validate_structure(node.left)
+        _validate_structure(node.right)
+        return
+    raise InputError(f"not a proof node: {node!r}")
+
+
+def restrict_proof(proof: ProofNode, rho: PartialAssignment) -> ProofNode:
+    """Project a treelike proof under a partial assignment.
+
+    Satisfied clauses become tautology leaves; a cut on an assigned pivot
+    becomes (at most) a weakening of the branch whose pivot literal was
+    falsified.  The result proves the restricted root from the restricted
+    inputs, is no longer than the input, and its clause space does not grow.
+    """
+    _validate_structure(proof)
+
+    def walk(node: ProofNode) -> ProofNode:
+        derived = restrict_clause(node.clause, rho)
+        if derived is TAUTOLOGY:
+            return Leaf(TAUTOLOGY)
+        if isinstance(node, Leaf):
+            return Leaf(derived)
+        if isinstance(node, Weaken):
+            sub = walk(node.child)
+            return sub if sub.clause == derived else Weaken(derived, sub)
+        v = rho.value(node.pivot)
+        if v is None:
+            return Cut(node.pivot, walk(node.left), walk(node.right), derived)
+        # assigned pivot: keep the branch whose pivot literal is falsified
+        sub = walk(node.right if v == 1 else node.left)
+        return sub if sub.clause == derived else Weaken(derived, sub)
+
+    return walk(proof)
 
 
 def random_formula(rng, n, depth=3):

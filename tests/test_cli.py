@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from pacreason import backends
-from pacreason.cli import main
+from pacreason import backends, cli, cutting_planes, polycalc, res_k, resolution
+from pacreason.cli import SYSTEMS, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -28,6 +28,13 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def uniform_dist(tmp_path, n):
+    """A dist file putting weight 1/2^n on every point of {0,1}^n."""
+    points = [format(i, f"0{n}b") for i in range(2 ** n)]
+    text = f"p dist {n} {len(points)}\n" + "".join(f"1/{len(points)} {p}\n" for p in points)
+    return write(tmp_path / f"uniform{n}.dist", text)
 
 
 # one `prove` instance per case: system, backend flags, kb text, query text
@@ -169,19 +176,118 @@ def test_decide_from_samples_file(aviary, tmp_path, capsys):
     assert out.count("verdict=accept") == 3
 
 
-# an instance over a budget and two sample sets: every example of the first
-# restricts the offending line away, the second leaves it; both must give the
-# same input error
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (["--seed", "3"], "--samples excludes --seed"),
+        (["--mask", "iid:1/2"], "--samples excludes --mask"),
+        (["--dist", "DIST", "--mask", "iid:1/2", "--seed", "3"],
+         "--samples excludes --dist, --mask, --seed"),
+        (["--m", "7"], "--m 7 does not match the 3 examples in --samples"),
+        (["--m", "3"], None),
+    ],
+)
+def test_decide_samples_file_fixes_the_examples(extra, error, aviary, tmp_path, capsys):
+    samples = write(tmp_path / "obs.pasgn", "p pasgn 2 3\n1*\n1*\n1*\n")
+    extra = [aviary["dist"] if arg == "DIST" else arg for arg in extra]
+    code, out, err = run_cli(
+        ["decide", "--system", "res-space", "--epsilon", "1/3", "--gamma", "1/10",
+         "--delta", "1/20", "--s", "1", "--kb", aviary["kb"], "--query", aviary["query"],
+         "--samples", samples, *extra],
+        capsys,
+    )
+    if error is None:
+        assert code == 0 and "m=3\n" in out
+    else:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+# the budget check of each system, which the CLI runs once per invocation on
+# the unrestricted instance and no decider repeats
+BUDGET_CHECKS = {
+    "res-space": (resolution, "check_space_bound"),
+    "res-k-width": (res_k, "check_budget"),
+    "pc": (polycalc, "check_inputs"),
+    "pcr": (polycalc, "check_inputs"),
+    "cp": (cutting_planes, "check_target"),
+}
+
+
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_decide_checks_the_budget_once_before_drawing(system, m, tmp_path, capsys, monkeypatch):
+    events = []
+    package = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "pacreason"]
+    for module, name in set(BUDGET_CHECKS.values()):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            events.append(_name)
+            return _original(*args)
+
+        # every module holding the check gets the counting one, so a decider
+        # that called it would be counted too
+        for mod in package:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    draw = cli.draw_masked_examples
+
+    def counted_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    monkeypatch.setattr(cli, "draw_masked_examples", counted_draw)
+    _, flags, kb_text, query_text = PROVE_CASES[system]
+    n = int(kb_text.split()[2])
+    code, out, _ = run_cli(
+        ["decide", "--system", system, *flags, "--epsilon", "1/2", "--gamma", "1/10",
+         "--delta", "1/20", "--kb", write(tmp_path / "kb.txt", kb_text),
+         "--query", write(tmp_path / "query.txt", query_text),
+         "--dist", uniform_dist(tmp_path, n), "--mask", "iid:1/2", "--seed", "5", "--m", str(m)],
+        capsys,
+    )
+    assert code in (0, 1) and f"m={m}\n" in out
+    assert events == [BUDGET_CHECKS[system][1], "draw"]
+
+
+# an instance over a budget and two sample sets: where a line is over the
+# budget, every example of the first restricts it under, the second leaves it;
+# both, and examples drawn at several seeds, must give the same input error
 OVER_BUDGET_CASES = {
     "res-space-s0": (
         "res-space", ["--s", "0"], "p cnf 2 1\n1 2 0\n", "p cnf 2 1\n1 0\n", ("1*", "10"), ("1*", "**")
+    ),
+    "res-k-width-w-negative": (
+        "res-k-width", ["--k", "1", "--w", "-1"], "p kdnf 2 1 1\nx1\n", "p cnf 2 1\n2 0\n",
+        ("1*", "0*"), ("**",),
+    ),
+    "res-k-width-k-below-kb": (
+        "res-k-width", ["--k", "1", "--w", "2"], "p kdnf 2 2 1\nx1&x2\n", "p cnf 2 1\n2 0\n",
+        ("1*",), ("**",),
+    ),
+    "res-k-width-query-wider-than-k": (
+        "res-k-width", ["--k", "1", "--w", "2"], "p kdnf 2 1 1\nx1\n", "p cnf 2 1\n1 2 0\n",
+        ("0*",), ("**",),
     ),
     "cp-query-too-sparse": (
         "cp", ["--w", "2", "--L", "3"], "p cp 3 1\nx1:1 >= 0\n", "p cp 3 1\nx1:1 x2:1 x3:1 >= 1\n",
         ("0**", "00*"), ("0**", "***"),
     ),
+    "cp-query-l1": (
+        "cp", ["--w", "2", "--L", "3"], "p cp 2 1\nx1:1 >= 0\n", "p cp 2 1\nx1:2 x2:1 >= 1\n",
+        ("0*",), ("**",),
+    ),
     "pc-kb-degree": (
         "pc", ["--d", "1"], "p poly 2 1\n1 x1 x2\n", "p poly 2 1\n1 x1\n", ("*0",), ("**",)
+    ),
+    "pc-kb-duals": (
+        "pc", ["--d", "1"], "p poly 2 1\n1 ~x2\n", "p poly 2 1\n1 x1\n", ("*1",), ("**",)
+    ),
+    "pc-query-degree": (
+        "pc", ["--d", "1"], "p poly 2 1\n1 x1\n", "p poly 2 1\n1 x1 x2\n", ("*1",), ("**",)
+    ),
+    "pcr-kb-degree": (
+        "pcr", ["--d", "1"], "p poly 2 1\n1 x1 ~x2\n", "p poly 2 1\n1 x1\n", ("*0",), ("**",)
     ),
 }
 
@@ -202,7 +308,17 @@ def test_budget_errors_do_not_depend_on_the_examples(case, tmp_path, capsys):
         )
         assert (code, out) == (2, "")
         errors.append(err)
-    assert errors[0] == errors[1] and errors[0].startswith("error:")
+    dist = uniform_dist(tmp_path, n)
+    for seed in range(1, 4):
+        code, out, err = run_cli(
+            ["decide", "--system", system, *flags, "--epsilon", "1/2", "--gamma", "1/10",
+             "--delta", "1/20", "--kb", kb, "--query", query, "--dist", dist,
+             "--mask", "iid:1/2", "--seed", str(seed), "--m", "5"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert len(set(errors)) == 1 and errors[0].startswith("error:")
 
 
 def test_prove_res_space_shows_proof(aviary, capsys):

@@ -12,6 +12,7 @@ from pacreason.cutting_planes import (
     LinIneq,
     TRUTH_AXIOM,
     add_ineqs,
+    check_target,
     check_trace,
     decide_cp,
     divide_ineq,
@@ -21,6 +22,8 @@ from pacreason.cutting_planes import (
     weaken_ineq,
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
+
+from helpers import prove_exit_code
 
 
 def ineq(coeffs, bound):
@@ -83,11 +86,18 @@ def test_decide_rejects_semantically():
     assert not accepted and trace is None
 
 
-def test_decide_validates_target_budget():
+def test_decide_validates_target_budget(tmp_path, capsys):
+    # `decide_cp` takes a checked target; the CLI checks it once per run
     with pytest.raises(InputError):
-        decide_cp([], ineq({1: 1, 2: 1}, 1), w=1, L=4)
+        check_target(ineq({1: 1, 2: 1}, 1), w=1, L=4)
     with pytest.raises(InputError):
-        decide_cp([], ineq({1: 3}, 1), w=1, L=2)
+        check_target(ineq({1: 3}, 1), w=1, L=2)
+    for flags, query, error in [
+        (["--w", "1", "--L", "4"], "x1:1 x2:1 >= 1", "target sparsity 2 exceeds the bound 1"),
+        (["--w", "1", "--L", "2"], "x1:3 >= 1", "target l1-norm 4 exceeds the bound 2"),
+    ]:
+        code = prove_exit_code(tmp_path, "cp", flags, "p cp 2 0\n", f"p cp 2 1\n{query}\n")
+        assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
 def test_unit_propagation_chain():

@@ -18,6 +18,7 @@ from pacreason.polycalc import (
     MonomialCodec,
     Polynomial,
     build_basis,
+    check_inputs,
     decide_pc,
     encode_clause_pcr,
     gaussian_reduce,
@@ -27,6 +28,7 @@ from pacreason.polycalc import (
 from pacreason.resolution import TAUTOLOGY, make_clause
 
 from helpers import (
+    prove_exit_code,
     decode_row,
     monic,
     mul_indet,
@@ -158,11 +160,20 @@ def test_decide_pcr_complementarity_axiom():
     assert decide_pc([], q, 1, PCR)
 
 
-def test_decide_pc_degree_gate():
+def test_decide_pc_degree_gate(tmp_path, capsys):
+    # `decide_pc` takes checked inputs; the CLI checks them once per run
     with pytest.raises(InputError):
-        decide_pc([poly((1, [x(1), x(2)]))], poly((1, [x(1)])), 1, PC)
+        check_inputs([poly((1, [x(1), x(2)])), poly((1, [x(1)]))], 1, PC)
     with pytest.raises(InputError):
-        decide_pc([poly((1, [xd(1)]))], poly((1, [x(1)])), 1, PC)
+        check_inputs([poly((1, [xd(1)])), poly((1, [x(1)]))], 1, PC)
+    for system, kb, error in [
+        ("pc", "1 x1 x2", "degree 2 input exceeds the bound 1"),
+        ("pc", "1 ~x1", "dual indeterminates require PCR mode"),
+        ("pcr", "1 x1 ~x2", "degree 2 input exceeds the bound 1"),
+    ]:
+        code = prove_exit_code(tmp_path, system, ["--d", "1"], f"p poly 2 1\n{kb}\n",
+                               "p poly 2 1\n1 x1\n")
+        assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
 def test_restrict_polynomial_examples():

@@ -9,6 +9,7 @@ from pacreason.oracle import entails
 from pacreason.res_k import (
     BOTTOM,
     KDnf,
+    check_budget,
     check_trace,
     decide_resk_width,
     kdnf_to_formula,
@@ -16,7 +17,7 @@ from pacreason.res_k import (
     restrict_kdnf,
 )
 
-from helpers import random_partial
+from helpers import prove_exit_code, random_partial
 
 
 def kd(*terms):
@@ -79,11 +80,26 @@ def test_decide_needs_intermediate_weakening():
     assert check_trace(trace, hyps, target, 2, 2)
 
 
-def test_decide_width_gate():
+def test_decide_width_gate(tmp_path, capsys):
+    # `decide_resk_width` takes checked inputs; the CLI checks them once per run
     with pytest.raises(InputError):
-        decide_resk_width([kd((1,))], kd((1,), (2,), (3,)), k=1, w=2)
+        check_budget([kd((1,))], kd((1,), (2,), (3,)), k=1, w=2)
     with pytest.raises(InputError):
-        decide_resk_width([kd((1, 2, 3))], kd((1,)), k=2, w=1)
+        check_budget([kd((1, 2, 3))], kd((1,)), k=2, w=1)
+    with pytest.raises(InputError):
+        check_budget([], BOTTOM, k=1, w=-1)
+    query = "p cnf 2 1\n2 0\n"
+    for flags, kb, error in [
+        (["--k", "1", "--w", "-1"], "p kdnf 2 1 1\nx1\n", "target width 0 exceeds the bound -1"),
+        (["--k", "1", "--w", "1"], "p kdnf 2 2 1\nx1\n", "kb file holds 2-DNFs but --k is 1"),
+    ]:
+        code = prove_exit_code(tmp_path, "res-k-width", flags, kb, query)
+        assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
+    code = prove_exit_code(tmp_path, "res-k-width", ["--k", "1", "--w", "1"], "p kdnf 2 1 0\n",
+                           "p cnf 2 1\n1 2 0\n")
+    assert (code, capsys.readouterr().err) == (
+        2, "error: clause with 2 literals cannot be negated into a 1-DNF\n"
+    )
 
 
 def test_bottom_hypothesis_derives_anything():

@@ -24,13 +24,12 @@ from pacreason.resolution import (
     proof_to_text,
     restrict_clause,
     restrict_cnf,
-    restrict_proof,
     search_space,
     space_bound_for_size,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
-from helpers import random_cnf, random_partial
+from helpers import random_cnf, random_partial, restrict_proof
 
 
 def cl(*lits):

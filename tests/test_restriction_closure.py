@@ -1,22 +1,30 @@
-"""Restriction closure of the cutting-planes and polynomial-calculus backends,
-checked through their own `restrict_query`/`restrict_hyps`: whatever a
-backend accepts it also accepts at every restriction, at the same budget,
-which is what makes `decide_pac` sound.  Cutting-planes hypotheses beyond the
-budget may feed addition steps, so a restriction that makes one witnessed
-true must not drop it."""
+"""Restriction closure of every backend, checked through its own
+`restrict_query`/`restrict_hyps`: whatever a backend accepts it also accepts
+at every restriction, at the same budget, which is what makes `decide_pac`
+sound.  Cutting-planes hypotheses beyond the budget may feed addition steps,
+so a restriction that makes one witnessed true must not drop it.  A
+restricted instance also passes the budget check its unrestricted instance
+passed, which is why the CLI checks the budget only once per run."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 
-from pacreason.backends import CuttingPlanesBackend, PolynomialCalculusBackend
+from pacreason.backends import (
+    CuttingPlanesBackend,
+    PolynomialCalculusBackend,
+    ResKWidthBackend,
+    SpaceResolutionBackend,
+)
 from pacreason.cutting_planes import LinIneq, always_witnessed_true
 from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
-from pacreason.formulas import PartialAssignment
+from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
-from pacreason.resolution import TAUTOLOGY
+from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
+from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound
 
 from helpers import mul_indet, random_clause
+from test_res_k import random_kdnf
 from test_polycalc import random_polynomial, with_rational_coefficients
 
 COEFFS = (-3, -2, -1, 1, 2, 3)
@@ -143,3 +151,84 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
             kinds[f"accepted at rho {mode}"] += 1
             assert accepts_at(backend, query, hyps, refine(rng, rho)), (mode, d, hyps, query, rho)
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
+
+
+def assert_closed(rng, backend, query, hyps, n, check, kinds):
+    """For a random rho and a random refinement sigma of it: accept
+    unrestricted implies accept at the all-masked rho, and accept at rho
+    implies accept at sigma; every restricted instance passes
+    `check(query, hyps)`.  Counts the accepts in `kinds` and returns the
+    unrestricted verdict."""
+    rho = random_partial(rng, n)
+    sigma = refine(rng, rho)
+    accepts = {}
+    for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
+        restricted = backend.restrict_query(query, at), backend.restrict_hyps(hyps, at)
+        check(*restricted)
+        accepts[name] = backend.decide(*restricted)
+    accepted = backend.decide(query, hyps)
+    if accepted:
+        kinds["accepted"] += 1
+        assert accepts["all-masked"], (query, hyps)
+    if accepts["rho"]:
+        kinds["accepted at rho"] += 1
+        assert accepts["sigma"], (query, hyps, rho, sigma)
+    return accepted
+
+
+def random_space_instance(rng):
+    """A clause-space instance over n <= 4 variables with tautological KB
+    clauses, and queries that are sometimes empty or the tautology."""
+    n = rng.randint(2, 4)
+    clauses = [random_clause(rng, n) for _ in range(rng.randint(1, 5))]
+    tautological = rng.random() < 0.5
+    if tautological:
+        clauses.append(TAUTOLOGY)
+    query = rng.choice((random_clause(rng, n, max_width=2), frozenset(), TAUTOLOGY))
+    return n, rng.randint(1, 3), query, Cnf(clauses, n), tautological
+
+
+def test_res_space_accepts_every_restriction_of_what_it_accepts():
+    rng = random.Random(8003)
+    kinds = Counter()
+    for _ in range(2000):
+        n, s, query, hyps, tautological = random_space_instance(rng)
+        backend = SpaceResolutionBackend(s, n)
+        accepted = assert_closed(
+            rng, backend, query, hyps, n, lambda *_: check_space_bound(s), kinds
+        )
+        kinds["accepted, tautological hypothesis"] += accepted and tautological
+        kinds["accepted at s = 1"] += accepted and s == 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def random_resk_instance(rng):
+    """A RES(k) refutation instance as the CLI builds it: KB k-DNFs, some
+    wider than w, half the time a tautological x | -x, and a cnf query
+    clause negated into k-DNFs.  n = 3 only below k = w = 2, where the
+    search is slowest."""
+    k, w = rng.randint(1, 2), rng.randint(1, 2)
+    n = rng.randint(2, 2 if k == w == 2 else 3)
+    hyps = [random_kdnf(rng, n, k, w + 2) for _ in range(rng.randint(1, 3))]
+    tautological = rng.random() < 0.5
+    if tautological:
+        v = rng.randint(1, n)
+        hyps.append(KDnf([(v,), (-v,)]))
+    clause = random_clause(rng, n, max_width=k)
+    query = tuple(phi for phi in negate_query([[clause]], k) if phi != TRUE)
+    return n, k, w, query, tuple(hyps), tautological
+
+
+def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
+    rng = random.Random(8004)
+    kinds = Counter()
+    for _ in range(1000):
+        n, k, w, query, hyps, tautological = random_resk_instance(rng)
+        backend = ResKWidthBackend(k, w, n)
+        check_budget(hyps + query, BOTTOM, k, w)
+        accepted = assert_closed(
+            rng, backend, query, hyps, n, lambda q, h: check_budget(h + q, BOTTOM, k, w), kinds
+        )
+        kinds["accepted, over-width hypothesis"] += accepted and any(h.width > w for h in hyps)
+        kinds["accepted, tautological hypothesis"] += accepted and tautological
+    assert min(kinds.values()) >= 100, kinds

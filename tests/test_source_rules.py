@@ -30,3 +30,23 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_no_decider_calls_a_budget_check():
+    # budgets are checked once per run on the unrestricted instance, and a
+    # restriction keeps a checked instance valid, so the per-example
+    # deciders take checked input and never re-check it
+    deciders = {"search_space", "decide_resk_width", "decide_cp", "build_basis", "decide_pc"}
+    found, offenders = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and func.name in deciders:
+                found.add(func.name)
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+                        if callee.startswith("check_"):
+                            offenders.append(f"{path.name}:{node.lineno} {func.name} calls {callee}")
+    assert found == deciders
+    assert offenders == []
