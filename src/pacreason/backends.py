@@ -35,7 +35,7 @@ from .resolution import (
 def _restrict_each(restrict_one, formulas, rho) -> tuple:
     """Restricts every formula by rho and drops those that became TRUE."""
     restricted = (restrict_one(phi, rho) for phi in formulas)
-    return tuple(phi for phi in restricted if phi != TRUE)
+    return tuple(phi for phi in restricted if phi is not TRUE)
 
 
 def _replayed(ok: bool, system: str) -> None:
@@ -127,13 +127,13 @@ class CuttingPlanesBackend:
         self.n = n
 
     def decide(self, query, hyps) -> bool:
-        if query == TRUE:
+        if query is TRUE:
             return True
         accepted, _ = decide_cp(list(hyps), query, self.w, self.L)
         return accepted
 
     def certificate(self, query, hyps):
-        if query == TRUE:
+        if query is TRUE:
             return ()
         accepted, trace = decide_cp(list(hyps), query, self.w, self.L)
         if not accepted:

@@ -28,14 +28,14 @@ from .backends import (
     ResKWidthBackend,
     SpaceResolutionBackend,
 )
-from .cutting_planes import check_target
+from .cutting_planes import check_target, encode_clause_cp
 from .decide_pac import PacParams, decide_pac, required_sample_size
 from .errors import FormatError, InputError, RuleError
 from .formulas import TRUE
 from .oracle import entails, sat_solve
-from .polycalc import PC, PCR, check_inputs
+from .polycalc import PC, PCR, check_inputs, encode_clause_pcr
 from .res_k import BOTTOM, check_budget, negate_query
-from .resolution import check_space_bound
+from .resolution import check_space_bound, clause_to_formula
 from .sampling import draw_masked_examples, validity
 
 SYSTEMS = ("res-space", "res-k-width", "pc", "pcr", "cp")
@@ -104,7 +104,7 @@ def _load_instance(args):
         if query_cnf.n != n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={n}")
         negated = tuple(
-            phi for phi in negate_query([query_cnf.clauses], p["k"]) if phi != TRUE
+            phi for phi in negate_query([query_cnf.clauses], p["k"]) if phi is not TRUE
         )
         check_budget(hyps + list(negated), BOTTOM, p["k"], p["w"])
         return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
@@ -130,7 +130,7 @@ def _load_instance(args):
     raise InputError(f"unknown system {system!r}")
 
 
-def _load_examples(args, n: int):
+def _load_examples(args, n: int, params: PacParams):
     if args.samples is not None:
         drawn = [name for name in ("dist", "mask", "seed") if getattr(args, name) is not None]
         if drawn:
@@ -153,16 +153,17 @@ def _load_examples(args, n: int):
     )
     m = args.m
     if m is None:
-        m = required_sample_size(args.gamma, args.delta)
+        m = required_sample_size(params.gamma, params.delta)
     return draw_masked_examples(dist, mask, m, args.seed)
 
 
 def run_scenario(args):
     """Execute the reduction for parsed `decide` arguments; returns
-    (outcome, report text)."""
-    backend, query, hyps, n = _load_instance(args)
-    examples = _load_examples(args, n)
+    (outcome, report text).  The PAC parameters and the budgets are checked
+    before any example is read or drawn."""
     params = PacParams(args.epsilon, args.gamma, args.delta)
+    backend, query, hyps, n = _load_instance(args)
+    examples = _load_examples(args, n, params)
     outcome = decide_pac(backend, query, hyps, params, examples)
     lines = [
         f"system={args.system}",
@@ -230,8 +231,6 @@ def _cmd_oracle(args) -> int:
         query = formats.parse_cnf(_read(args.query))
         if query.n != kb.n:
             raise InputError(f"query n={query.n} does not match kb n={kb.n}")
-        from .resolution import clause_to_formula
-
         hyps = [clause_to_formula(c) for c in kb.clauses]
         result = entails(hyps, query.to_formula(), kb.n)
         sys.stdout.write("entails\n" if result else "does-not-entail\n")
@@ -250,14 +249,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_encode(args) -> int:
     cnf = formats.parse_cnf(_read(args.cnf))
     if args.target == "pcr":
-        from .polycalc import encode_clause_pcr
-
         text = formats.serialize_poly_file(
             cnf.n, [encode_clause_pcr(c) for c in cnf.clauses]
         )
     else:
-        from .cutting_planes import encode_clause_cp
-
         text = formats.serialize_cp_file(
             cnf.n, [encode_clause_cp(c) for c in cnf.clauses]
         )

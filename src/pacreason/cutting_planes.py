@@ -26,7 +26,8 @@ from math import gcd
 from typing import Optional, Union
 
 from .errors import InputError, RuleError
-from .formulas import Const, Formula, PartialAssignment, TRUE, Threshold, Var
+from .formulas import Const, PartialAssignment, TRUE
+from .resolution import TAUTOLOGY
 from .saturation import derivation, saturate, seed_inputs
 
 
@@ -61,18 +62,6 @@ class LinIneq:
 
     def variables(self) -> frozenset:
         return frozenset(v for v, _ in self.coeffs)
-
-    def holds_at(self, x) -> bool:
-        return sum(c * x[v - 1] for v, c in self.coeffs) >= self.bound
-
-    def to_formula(self) -> Formula:
-        if not self.coeffs:
-            return TRUE if self.bound <= 0 else Const(False)
-        return Threshold(
-            tuple(c for _, c in self.coeffs),
-            tuple(Var(v) for v, _ in self.coeffs),
-            self.bound,
-        )
 
     def __eq__(self, other):
         return (
@@ -210,10 +199,9 @@ def _premise_indices(step: CpStep):
     return ()
 
 
-def check_trace(trace, hyps, target: LinIneq, w: Optional[int] = None,
-                L: Optional[int] = None) -> bool:
-    """Replay every step; derived conclusions must respect the budgets when
-    given (hypothesis steps are inputs and are exempt)."""
+def check_trace(trace, hyps, target: LinIneq, w: int, L: int) -> bool:
+    """Replay every step; derived conclusions must be w-sparse and L-bounded
+    (hypothesis steps are inputs and are exempt)."""
     hyps = list(hyps)
     derived = []
     for step in trace:
@@ -230,9 +218,7 @@ def check_trace(trace, hyps, target: LinIneq, w: Optional[int] = None,
                     return False
             except RuleError:
                 return False
-            if w is not None and step.conclusion.sparsity > w:
-                return False
-            if L is not None and step.conclusion.l1_norm > L:
+            if step.conclusion.sparsity > w or step.conclusion.l1_norm > L:
                 return False
         derived.append(step.conclusion)
     return bool(derived) and derived[-1] == target
@@ -349,7 +335,7 @@ def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:
 
 
 def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const]:
-    """The residual inequality, collapsed to Const(True) when witnessed true."""
+    """The residual inequality, collapsed to TRUE when witnessed true."""
     residual = residual_ineq(ineq, rho)
     return TRUE if always_witnessed_true(residual) else residual
 
@@ -357,8 +343,6 @@ def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const
 def encode_clause_cp(clause) -> LinIneq:
     """A clause as the inequality: +1 per positive literal, -1 per negative,
     bound 1 minus the number of negative literals."""
-    from .resolution import TAUTOLOGY
-
     if clause is TAUTOLOGY:
         raise InputError("the tautology clause has no inequality encoding")
     negatives = sum(1 for lit in clause if lit < 0)

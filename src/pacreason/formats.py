@@ -9,7 +9,8 @@ Grammar summary:
 
     p cnf <n> <m>        clauses as DIMACS literal lists ending in 0
     p pasgn <n> <m>      m lines of n characters over {0,1,*}
-    p kdnf <n> <k> <m>   m k-DNFs like x1&-x2|x3 (F is the empty disjunction)
+    p kdnf <n> <k> <m>   m k-DNFs like x1&-x2|x3 (F is the empty disjunction;
+                         a term has at most k distinct literals)
     p poly <n> <m>       m polynomials: '; '-joined terms `<rational> x1 ~x2`
                          (~ marks a dual indeterminate; a bare rational is the
                          constant term; 0 is the zero polynomial)
@@ -31,7 +32,7 @@ from .formulas import PartialAssignment
 from .cutting_planes import LinIneq
 from .polycalc import Indet, Polynomial, monomial_key
 from .res_k import KDnf
-from .resolution import Cnf, make_clause
+from .resolution import TAUTOLOGY, Cnf, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 
 
@@ -113,8 +114,6 @@ def _clause_tokens(clause):
 
 
 def serialize_cnf(cnf: Cnf) -> str:
-    from .resolution import TAUTOLOGY
-
     body = []
     for clause in cnf.clauses:
         if clause is TAUTOLOGY:
@@ -178,13 +177,16 @@ def _kdnf_body(n, k, lines):
             continue
         terms = []
         for term_text in line.split("|"):
-            lits = [_parse_literal(tok, number) for tok in term_text.split("&")]
+            lits = {_parse_literal(tok, number) for tok in term_text.split("&")}
             if len(lits) > k:
                 raise FormatError(f"line {number}: term exceeds {k} literals")
             if any(abs(lit) > n for lit in lits):
                 raise FormatError(f"line {number}: variable out of range for n={n}")
             terms.append(lits)
-        formulas.append(KDnf(terms))
+        try:
+            formulas.append(KDnf(terms))
+        except InputError as exc:  # a complementary pair in a term
+            raise FormatError(f"line {number}: {exc}") from None
     return formulas
 
 

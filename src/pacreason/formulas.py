@@ -9,7 +9,8 @@ Partial assignments over {0, 1, *} drive three-valued "witnessed" evaluation:
 a formula is witnessed when its value is forced no matter how the masked
 variables are filled in, judged locally per connective (no completion search).
 Restriction partially evaluates a formula under a partial assignment,
-collapsing witnessed subformulas to constants.
+collapsing witnessed subformulas to constants: a formula is witnessed true
+(false) exactly when its restriction is TRUE (FALSE).
 
 All values are immutable; all functions are pure.
 """
@@ -141,23 +142,6 @@ class PartialAssignment:
     def masked_vars(self) -> tuple:
         return tuple(i + 1 for i, e in enumerate(self.entries) if e is None)
 
-    def consistent_with(self, x: Iterable[int]) -> bool:
-        x = tuple(x)
-        return len(x) == len(self.entries) and all(
-            e is None or e == xi for e, xi in zip(self.entries, x)
-        )
-
-    def completions(self):
-        """All full assignments consistent with this partial assignment."""
-        from itertools import product
-
-        masked = [i for i, e in enumerate(self.entries) if e is None]
-        base = list(self.entries)
-        for bits in product((0, 1), repeat=len(masked)):
-            for i, b in zip(masked, bits):
-                base[i] = b
-            yield tuple(base)
-
     def __eq__(self, other):
         return isinstance(other, PartialAssignment) and self.entries == other.entries
 
@@ -208,74 +192,57 @@ def evaluate(phi: Formula, x) -> bool:
 
 
 def witness_status(phi: Formula, rho: PartialAssignment) -> WitnessStatus:
-    """Three-valued local evaluation of `phi` under the partial assignment `rho`.
-
-    A threshold is witnessed true when the witnessed-true coefficients plus the
-    most pessimistic (minimal) contribution of unwitnessed children already meet
-    the bound, and witnessed false when even the most optimistic (maximal)
-    contribution falls short.
-    """
-    if isinstance(phi, Const):
-        return WitnessStatus.WITNESSED_TRUE if phi.value else WitnessStatus.WITNESSED_FALSE
-    if isinstance(phi, Var):
-        v = rho.value(phi.index)
-        if v is None:
-            return WitnessStatus.UNWITNESSED
-        return WitnessStatus.WITNESSED_TRUE if v else WitnessStatus.WITNESSED_FALSE
-    if isinstance(phi, Not):
-        inner = witness_status(phi.child, rho)
-        if inner is WitnessStatus.WITNESSED_TRUE:
-            return WitnessStatus.WITNESSED_FALSE
-        if inner is WitnessStatus.WITNESSED_FALSE:
-            return WitnessStatus.WITNESSED_TRUE
-        return WitnessStatus.UNWITNESSED
-    if isinstance(phi, Threshold):
-        base = Fraction(0)
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for c, child in zip(phi.coeffs, phi.children):
-            status = witness_status(child, rho)
-            if status is WitnessStatus.WITNESSED_TRUE:
-                base += c
-            elif status is WitnessStatus.UNWITNESSED:
-                lo += min(Fraction(0), c)
-                hi += max(Fraction(0), c)
-        if base + lo >= phi.bound:
-            return WitnessStatus.WITNESSED_TRUE
-        if base + hi < phi.bound:
-            return WitnessStatus.WITNESSED_FALSE
-        return WitnessStatus.UNWITNESSED
-    raise InputError(f"not a formula: {phi!r}")
+    """Three-valued local evaluation of `phi` under the partial assignment
+    `rho`: witnessed exactly when `restrict(phi, rho)` is a constant."""
+    restricted = restrict(phi, rho)
+    if restricted is TRUE:
+        return WitnessStatus.WITNESSED_TRUE
+    if restricted is FALSE:
+        return WitnessStatus.WITNESSED_FALSE
+    return WitnessStatus.UNWITNESSED
 
 
 def restrict(phi: Formula, rho: PartialAssignment) -> Formula:
-    """Partial evaluation of `phi` under `rho`; witnessed subformulas collapse.
+    """Partial evaluation of `phi` under `rho`; witnessed subformulas collapse
+    to TRUE or FALSE.
 
-    Surviving variables keep their original indices, so restrictions compose.
+    Children are restricted first, and a child is witnessed when its
+    restriction is a constant.  A threshold is witnessed true when the
+    witnessed-true coefficients plus the most pessimistic (minimal)
+    contribution of unwitnessed children already meet the bound, and witnessed
+    false when even the most optimistic (maximal) contribution falls short;
+    otherwise it keeps its unwitnessed children, and the witnessed-true
+    coefficients move into the bound.  Surviving variables keep their
+    original indices, so restrictions compose.
     """
-    status = witness_status(phi, rho)
-    if status is WitnessStatus.WITNESSED_TRUE:
-        return TRUE
-    if status is WitnessStatus.WITNESSED_FALSE:
-        return FALSE
+    if isinstance(phi, Const):
+        return TRUE if phi.value else FALSE
     if isinstance(phi, Var):
-        return phi
+        v = rho.value(phi.index)
+        if v is None:
+            return phi
+        return TRUE if v else FALSE
     if isinstance(phi, Not):
-        return Not(restrict(phi.child, rho))
+        inner = restrict(phi.child, rho)
+        if isinstance(inner, Const):
+            return FALSE if inner.value else TRUE
+        return Not(inner)
     if isinstance(phi, Threshold):
+        base = lo = hi = 0
         coeffs = []
         children = []
-        d = phi.bound
         for c, child in zip(phi.coeffs, phi.children):
-            st = witness_status(child, rho)
-            if st is WitnessStatus.WITNESSED_TRUE:
-                d -= c
-            elif st is WitnessStatus.UNWITNESSED:
+            restricted = restrict(child, rho)
+            if restricted is TRUE:
+                base += c
+            elif restricted is not FALSE:
+                lo += min(0, c)
+                hi += max(0, c)
                 coeffs.append(c)
-                children.append(restrict(child, rho))
-        if not children:
-            # unreachable when phi itself is unwitnessed; kept for safety
-            return Const(d <= 0)
-        return Threshold(tuple(coeffs), tuple(children), d)
+                children.append(restricted)
+        if base + lo >= phi.bound:
+            return TRUE
+        if base + hi < phi.bound:
+            return FALSE
+        return Threshold(tuple(coeffs), tuple(children), phi.bound - base)
     raise InputError(f"not a formula: {phi!r}")
-

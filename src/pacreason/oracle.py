@@ -11,6 +11,7 @@ from itertools import product
 
 from .errors import InputError
 from .formulas import Formula, evaluate
+from .resolution import TAUTOLOGY
 
 ENUMERATION_CAP = 20
 
@@ -34,8 +35,6 @@ def sat_solve(cnf, cap: int = ENUMERATION_CAP):
     """
     if cnf.n > cap:
         raise InputError(f"{cnf.n} variables exceed the enumeration cap {cap}")
-    from .resolution import TAUTOLOGY
-
     clauses = [c for c in cnf.clauses if c is not TAUTOLOGY]
     for x in product((0, 1), repeat=cnf.n):
         if all(

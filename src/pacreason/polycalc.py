@@ -29,6 +29,7 @@ from math import gcd, lcm
 
 from .errors import InputError
 from .formulas import PartialAssignment
+from .resolution import TAUTOLOGY
 
 PC = "pc"
 PCR = "pcr"
@@ -302,8 +303,6 @@ def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
 def encode_clause_pcr(clause) -> Polynomial:
     """A clause as the single-monomial equation: product of the complementary
     indeterminate of each literal; the empty clause encodes to [1 = 0]."""
-    from .resolution import TAUTOLOGY
-
     if clause is TAUTOLOGY:
         raise InputError("the tautology clause has no polynomial encoding")
     monomial = frozenset(Indet(abs(lit), dual=lit > 0) for lit in clause)

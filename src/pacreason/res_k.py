@@ -20,16 +20,8 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .errors import InputError
-from .formulas import (
-    Const,
-    Formula,
-    FALSE,
-    PartialAssignment,
-    TRUE,
-    conjunction,
-    disjunction,
-    literal as literal_formula,
-)
+from .formulas import Const, PartialAssignment, TRUE
+from .resolution import TAUTOLOGY
 from .saturation import derivation, pairs, saturate, seed_inputs
 
 
@@ -80,20 +72,11 @@ class KDnf:
 BOTTOM = KDnf(())
 
 
-def kdnf_to_formula(phi: KDnf) -> Formula:
-    if not phi.terms:
-        return FALSE
-    return disjunction(
-        conjunction(literal_formula(abs(lit), lit > 0) for lit in sorted(t, key=abs))
-        for t in sorted(phi.terms, key=lambda t: sorted(t, key=abs))
-    )
-
-
 def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
     """Drop falsified terms, strip satisfied literals; may collapse to true.
 
-    A fully satisfied term makes the whole disjunction true.  The all-literals
-    encoding of the constant 1 also collapses to Const(True).
+    A fully satisfied term makes the whole disjunction TRUE.  The all-literals
+    encoding of the constant 1 also collapses to TRUE.
     """
     new_terms = set()
     for term in phi.terms:
@@ -121,10 +104,8 @@ def negate_query(query, k: int):
     """De Morgan dual of a disjunction of k-CNFs, one k-DNF per disjunct.
 
     Each clause negates to a term, so every clause must have at most k
-    literals.  A disjunct containing the empty clause negates to Const(True).
+    literals.  A disjunct containing the empty clause negates to TRUE.
     """
-    from .resolution import TAUTOLOGY
-
     out = []
     for kcnf in query:
         terms = []

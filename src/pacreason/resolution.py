@@ -1,9 +1,10 @@
 """Clauses, treelike resolution proofs and bounded clause-space proof search.
 
 Literals are signed integers (+v / -v), clauses are frozensets of literals.
-A clause holding a complementary pair canonicalizes to the distinguished
-TAUTOLOGY constant, which stands for the always-true axiom clause without
-materializing all 2n literals.
+A clause holding a complementary pair canonicalizes to TAUTOLOGY, which is
+`formulas.TRUE`: the always-true axiom clause, without materializing all 2n
+literals, and the same object that restricting a satisfied clause, k-DNF or
+inequality returns.
 
 Treelike proofs are trees of Leaf / Weaken / Cut nodes, each annotated with
 the clause it derives.  Clause space follows the pebbling recurrence: a leaf
@@ -19,31 +20,18 @@ from typing import Optional, Union
 from .errors import InputError
 from .formulas import (
     FALSE,
+    Const,
     Formula,
     PartialAssignment,
     TRUE,
+    conjunction,
     disjunction,
     literal as literal_formula,
 )
 
+TAUTOLOGY = TRUE
 
-class _Tautology:
-    """Singleton stand-in for the clause containing all literals."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TAUTOLOGY"
-
-
-TAUTOLOGY = _Tautology()
-
-Clause = Union[frozenset, _Tautology]
+Clause = Union[frozenset, Const]
 
 
 def make_clause(literals) -> Clause:
@@ -81,7 +69,6 @@ class Cnf:
     __slots__ = ("clauses", "n")
 
     def __init__(self, clauses, n: int):
-        seen = set()
         out = []
         for c in clauses:
             c = c if c is TAUTOLOGY else make_clause(c)
@@ -89,11 +76,8 @@ class Cnf:
                 for lit in c:
                     if abs(lit) > n:
                         raise InputError(f"literal {lit} out of range for n={n}")
-            key = id(TAUTOLOGY) if c is TAUTOLOGY else c
-            if key not in seen:
-                seen.add(key)
-                out.append(c)
-        object.__setattr__(self, "clauses", tuple(out))
+            out.append(c)
+        object.__setattr__(self, "clauses", tuple(dict.fromkeys(out)))
         object.__setattr__(self, "n", n)
 
     @classmethod
@@ -115,8 +99,6 @@ class Cnf:
         raise AttributeError("Cnf is immutable")
 
     def to_formula(self) -> Formula:
-        from .formulas import conjunction
-
         return conjunction(clause_to_formula(c) for c in self.clauses)
 
 
@@ -185,21 +167,6 @@ def clause_space(proof: ProofNode) -> int:
     left = clause_space(proof.left)
     right = clause_space(proof.right)
     return left + 1 if left == right else max(left, right)
-
-
-def proof_size(proof: ProofNode) -> int:
-    if isinstance(proof, Leaf):
-        return 1
-    if isinstance(proof, Weaken):
-        return 1 + proof_size(proof.child)
-    return 1 + proof_size(proof.left) + proof_size(proof.right)
-
-
-def space_bound_for_size(length: int) -> int:
-    """Clause space sufficient for any treelike proof of the given length."""
-    if length < 1:
-        raise InputError(f"proof length must be at least 1, got {length}")
-    return length.bit_length()  # floor(log2 L) + 1
 
 
 def check_space_bound(s: int) -> None:

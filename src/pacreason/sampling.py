@@ -25,7 +25,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
@@ -56,11 +56,6 @@ class ExplicitDistribution:
             raise InputError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "support", support)
-
-    @classmethod
-    def point_mass(cls, x) -> "ExplicitDistribution":
-        x = tuple(x)
-        return cls(len(x), [(x, Fraction(1))])
 
     @classmethod
     def uniform(cls, points) -> "ExplicitDistribution":
@@ -220,8 +215,6 @@ def tight_union_bound_distribution(
         raise PreconditionError(f"epsilons sum to {total}, need strictly less than 1")
     if n > cap:
         raise InputError(f"{n} variables exceed the enumeration cap {cap}")
-
-    from itertools import product
 
     points = list(product((0, 1), repeat=n))
     values = [[evaluate(psi, x) for psi in psis] for x in points]

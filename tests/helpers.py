@@ -1,5 +1,8 @@
 """Shared random generators for the test suite (seeded, deterministic), and
-test-only helpers built on the package: a brute-force entailment backend,
+test-only helpers built on the package: the two-recursion witnessing and
+restriction that `formulas.restrict` must match exactly, small semantic
+helpers (completions of a partial assignment, proof size, k-DNFs as
+formulas, inequalities at a point), a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
 per-example sampler that `sampling.draw_examples` must match exactly, the
 RES(k) and cutting-planes deciders with their own round loops, which the
@@ -15,7 +18,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from pacreason.cutting_planes import (
     AddStep,
@@ -44,6 +47,8 @@ from pacreason.formulas import (
     Var,
     WitnessStatus,
     conjunction,
+    disjunction,
+    literal,
     restrict,
     witness_status,
 )
@@ -159,6 +164,112 @@ def random_formula(rng, n, depth=3):
 def random_partial(rng, n, mask_prob=0.5):
     return PartialAssignment(
         None if rng.random() < mask_prob else rng.randint(0, 1) for _ in range(n)
+    )
+
+
+def reference_witness_status(phi: Formula, rho: PartialAssignment) -> WitnessStatus:
+    """Witnessing by its own recursion, judged per connective: a threshold is
+    witnessed true when the witnessed-true coefficients plus the minimal
+    contribution of unwitnessed children meet the bound, and witnessed false
+    when even the maximal contribution falls short."""
+    if isinstance(phi, Const):
+        return WitnessStatus.WITNESSED_TRUE if phi.value else WitnessStatus.WITNESSED_FALSE
+    if isinstance(phi, Var):
+        v = rho.value(phi.index)
+        if v is None:
+            return WitnessStatus.UNWITNESSED
+        return WitnessStatus.WITNESSED_TRUE if v else WitnessStatus.WITNESSED_FALSE
+    if isinstance(phi, Not):
+        inner = reference_witness_status(phi.child, rho)
+        if inner is WitnessStatus.WITNESSED_TRUE:
+            return WitnessStatus.WITNESSED_FALSE
+        if inner is WitnessStatus.WITNESSED_FALSE:
+            return WitnessStatus.WITNESSED_TRUE
+        return WitnessStatus.UNWITNESSED
+    base = lo = hi = Fraction(0)
+    for c, child in zip(phi.coeffs, phi.children):
+        status = reference_witness_status(child, rho)
+        if status is WitnessStatus.WITNESSED_TRUE:
+            base += c
+        elif status is WitnessStatus.UNWITNESSED:
+            lo += min(Fraction(0), c)
+            hi += max(Fraction(0), c)
+    if base + lo >= phi.bound:
+        return WitnessStatus.WITNESSED_TRUE
+    if base + hi < phi.bound:
+        return WitnessStatus.WITNESSED_FALSE
+    return WitnessStatus.UNWITNESSED
+
+
+def reference_restrict(phi: Formula, rho: PartialAssignment) -> Formula:
+    """Restriction that re-runs `reference_witness_status` at every node."""
+    status = reference_witness_status(phi, rho)
+    if status is WitnessStatus.WITNESSED_TRUE:
+        return TRUE
+    if status is WitnessStatus.WITNESSED_FALSE:
+        return FALSE
+    if isinstance(phi, Var):
+        return phi
+    if isinstance(phi, Not):
+        return Not(reference_restrict(phi.child, rho))
+    coeffs = []
+    children = []
+    d = phi.bound
+    for c, child in zip(phi.coeffs, phi.children):
+        st = reference_witness_status(child, rho)
+        if st is WitnessStatus.WITNESSED_TRUE:
+            d -= c
+        elif st is WitnessStatus.UNWITNESSED:
+            coeffs.append(c)
+            children.append(reference_restrict(child, rho))
+    if not children:
+        return Const(d <= 0)
+    return Threshold(tuple(coeffs), tuple(children), d)
+
+
+def completions(rho: PartialAssignment):
+    """All full assignments consistent with the partial assignment `rho`."""
+    masked = [i for i, e in enumerate(rho.entries) if e is None]
+    base = list(rho.entries)
+    for bits in product((0, 1), repeat=len(masked)):
+        for i, b in zip(masked, bits):
+            base[i] = b
+        yield tuple(base)
+
+
+def consistent_with(rho: PartialAssignment, x) -> bool:
+    x = tuple(x)
+    return len(x) == len(rho.entries) and all(
+        e is None or e == xi for e, xi in zip(rho.entries, x)
+    )
+
+
+def holds_at(ineq, x) -> bool:
+    """Whether the linear inequality `ineq` holds at the full assignment `x`."""
+    return sum(c * x[v - 1] for v, c in ineq.coeffs) >= ineq.bound
+
+
+def proof_size(proof: ProofNode) -> int:
+    if isinstance(proof, Leaf):
+        return 1
+    if isinstance(proof, Weaken):
+        return 1 + proof_size(proof.child)
+    return 1 + proof_size(proof.left) + proof_size(proof.right)
+
+
+def space_bound_for_size(length: int) -> int:
+    """Clause space sufficient for any treelike proof of the given length."""
+    if length < 1:
+        raise InputError(f"proof length must be at least 1, got {length}")
+    return length.bit_length()  # floor(log2 L) + 1
+
+
+def kdnf_to_formula(phi: KDnf) -> Formula:
+    if not phi.terms:
+        return FALSE
+    return disjunction(
+        conjunction(literal(abs(lit), lit > 0) for lit in sorted(t, key=abs))
+        for t in sorted(phi.terms, key=lambda t: sorted(t, key=abs))
     )
 
 

@@ -69,7 +69,7 @@ from pacreason.sampling import (
     validity,
 )
 
-from helpers import random_cnf, random_formula, random_partial
+from helpers import completions, holds_at, random_cnf, random_formula, random_partial
 from pc_span_oracle import span_closure_decides
 from test_polycalc import random_polynomial
 from test_cutting_planes import random_ineq
@@ -213,7 +213,7 @@ def test_criterion_3_restriction_witnessing_semantics():
         simplified = restrict(phi, rho)
         status = witness_status(phi, rho)
         values = set()
-        for x in rho.completions():
+        for x in completions(rho):
             v = evaluate(phi, x)
             if evaluate(simplified, x) != v:
                 report(3, False, f"restriction changed the value of {phi!r} under {rho}")
@@ -428,7 +428,7 @@ def test_criterion_7_cutting_planes():
         if not check_cp_trace(trace, hyps, target, w, L):
             report(7, False, "accepted trace failed replay or budget checks")
         satisfying = [
-            x for x in product((0, 1), repeat=n) if all(h.holds_at(x) for h in hyps)
+            x for x in product((0, 1), repeat=n) if all(holds_at(h, x) for h in hyps)
         ]
         from pacreason.cutting_planes import HypothesisStep
 
@@ -436,7 +436,7 @@ def test_criterion_7_cutting_planes():
             if isinstance(step, HypothesisStep):
                 continue
             for x in satisfying:
-                if not step.conclusion.holds_at(x):
+                if not holds_at(step.conclusion, x):
                     report(7, False, "a derived inequality fails a satisfying point")
     report(7, True, f"chain encodings plus {sound_checks} sound accepted traces")
 

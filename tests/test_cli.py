@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pacreason import backends, cli, cutting_planes, polycalc, res_k, resolution
+from pacreason import backends, cli, cutting_planes, formats, polycalc, res_k, resolution
 from pacreason.cli import SYSTEMS, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -200,6 +200,44 @@ def test_decide_samples_file_fixes_the_examples(extra, error, aviary, tmp_path, 
         assert code == 0 and "m=3\n" in out
     else:
         assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--epsilon", "2"],
+        ["--gamma", "0"],
+        ["--delta", "1"],
+        ["--epsilon", "1/20", "--gamma", "1/10"],  # epsilon - gamma < 0
+    ],
+)
+def test_decide_checks_the_pac_parameters_before_any_example(bad, aviary, tmp_path, capsys, monkeypatch):
+    events = []
+    draw, parse = cli.draw_masked_examples, formats.parse_pasgns
+
+    def counted_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    def counted_parse(*args):
+        events.append("parse")
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "draw_masked_examples", counted_draw)
+    monkeypatch.setattr(formats, "parse_pasgns", counted_parse)
+    samples = write(tmp_path / "obs.pasgn", "p pasgn 2 3\n1*\n1*\n1*\n")
+    params = {"--epsilon": "1/10", "--gamma": "1/10", "--delta": "1/20"}
+    params.update(zip(bad[::2], bad[1::2]))
+    base = ["decide", "--system", "res-space", "--s", "1", "--kb", aviary["kb"],
+            "--query", aviary["query"], *(arg for item in params.items() for arg in item)]
+    drawn = ["--dist", aviary["dist"], "--mask", "fixed:01", "--seed", "7"]
+    errors = set()
+    for extra in (drawn, drawn + ["--m", "5"], ["--samples", samples]):
+        code, out, err = run_cli(base + extra, capsys)
+        assert (code, out) == (2, "")
+        errors.add(err)
+    assert events == []
+    assert len(errors) == 1 and errors.pop().startswith("error: ")
 
 
 # the budget check of each system, which the CLI runs once per invocation on

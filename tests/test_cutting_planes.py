@@ -23,7 +23,7 @@ from pacreason.cutting_planes import (
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
 
-from helpers import prove_exit_code
+from helpers import holds_at, prove_exit_code
 
 
 def ineq(coeffs, bound):
@@ -161,7 +161,7 @@ def test_encode_clause_cp_violation_matches_falsification():
         encoded = encode_clause_cp(clause)
         for x in product((0, 1), repeat=n):
             satisfied = any((lit > 0) == bool(x[abs(lit) - 1]) for lit in clause)
-            assert encoded.holds_at(x) == satisfied
+            assert holds_at(encoded, x) == satisfied
 
 
 def random_ineq(rng, n, max_coeff=2):
@@ -185,8 +185,8 @@ def test_accepts_are_semantically_sound_randomized():
             continue
         assert check_trace(trace, hyps, target, w, L)
         for x in product((0, 1), repeat=n):
-            if all(h.holds_at(x) for h in hyps):
-                assert target.holds_at(x)
+            if all(holds_at(h, x) for h in hyps):
+                assert holds_at(target, x)
 
 
 def test_restriction_closure_randomized():

@@ -132,7 +132,7 @@ def test_resolution_backend_accepts_revealed_antecedent():
 def test_sampled_path_matches_direct_path():
     kb = Cnf([make_clause([-1, 2])], 2)
     backend = SpaceResolutionBackend(s=1, n=2)
-    dist = ExplicitDistribution.point_mass((1, 1))
+    dist = ExplicitDistribution.uniform([(1, 1)])
     mask = FixedMask({2})
     sampled = decide_pac_from_distribution(
         backend, make_clause([2]), kb, params(), dist, mask, seed=5, m=8

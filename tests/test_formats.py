@@ -82,6 +82,16 @@ def test_kdnf_term_size_gate():
         parse_kdnf_file("p kdnf 3 1 1\nx1&x2\n")
 
 
+def test_kdnf_term_size_counts_distinct_literals():
+    # like `1 1 0` in a cnf file, a repeated literal is one literal
+    assert parse_kdnf_file("p kdnf 2 1 1\nx1&x1|-x2\n") == parse_kdnf_file("p kdnf 2 1 1\nx1|-x2\n")
+
+
+def test_kdnf_complementary_term_reports_its_line():
+    with pytest.raises(FormatError, match=r"^line 3: term contains the complementary pair x1$"):
+        parse_kdnf_file("p kdnf 2 2 2\nx2\nx1&-x1\n")
+
+
 def test_poly_roundtrip():
     text = "p poly 2 3\n3/2 x1 ~x2; -1 x1; 2\n0\n1 ~x1\n"
     n, polys = parse_poly_file(text)

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from pacreason.cutting_planes import LinIneq, restrict_ineq
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
     Not,
     PartialAssignment,
+    TRUE,
     Threshold,
     Var,
     WitnessStatus,
@@ -20,8 +22,16 @@ from pacreason.formulas import (
     restrict,
     witness_status,
 )
+from pacreason.res_k import KDnf, restrict_kdnf
+from pacreason.resolution import TAUTOLOGY, Cnf, make_clause, restrict_clause
 
-from helpers import random_formula, random_partial
+from helpers import (
+    completions,
+    random_formula,
+    random_partial,
+    reference_restrict,
+    reference_witness_status,
+)
 
 
 def pa(text):
@@ -56,7 +66,7 @@ def test_witness_and_needs_both_children():
     phi = conjunction([Var(1), Var(2)])
     # oracle: over completions of (1,*), x2=0 falsifies and x2=1 satisfies
     rho = pa("1*")
-    outcomes = {evaluate(phi, x) for x in rho.completions()}
+    outcomes = {evaluate(phi, x) for x in completions(rho)}
     assert outcomes == {True, False}
     assert witness_status(phi, rho) is WitnessStatus.UNWITNESSED
 
@@ -114,7 +124,7 @@ def test_restriction_and_witnessing_soundness_randomized():
         status = witness_status(phi, rho)
         simplified = restrict(phi, rho)
         values = set()
-        for x in rho.completions():
+        for x in completions(rho):
             v = evaluate(phi, x)
             assert evaluate(simplified, x) == v
             values.add(v)
@@ -185,3 +195,30 @@ def test_fraction_coefficients_are_exact():
     phi = Threshold((Fraction(1, 3), Fraction(2, 3)), (Var(1), Var(2)), 1)
     assert evaluate(phi, (1, 1)) is True
     assert evaluate(phi, (0, 1)) is False
+
+
+def test_one_pass_restriction_matches_the_two_recursion_reference():
+    rng = random.Random(1101)
+    statuses = set()
+    for depth in range(5):
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            phi = random_formula(rng, n, depth)
+            rho = random_partial(rng, n)
+            assert repr(restrict(phi, rho)) == repr(reference_restrict(phi, rho))
+            status = witness_status(phi, rho)
+            assert status is reference_witness_status(phi, rho)
+            statuses.add((depth, status))
+    # every depth meets every status, so no branch goes unexercised
+    assert len(statuses) == 15
+
+
+def test_witnessed_items_restrict_to_the_one_true():
+    rho = pa("10*")
+    assert TAUTOLOGY is TRUE
+    assert restrict(clause_x1_notx2_x3(), rho) is TRUE
+    assert restrict_clause(make_clause([-1, -2, 3]), rho) is TRUE
+    assert restrict_kdnf(KDnf([[1, -2], [3]]), rho) is TRUE
+    assert restrict_ineq(LinIneq([(1, 1), (3, -1)], 0), rho) is TRUE
+    assert Cnf([TAUTOLOGY, TAUTOLOGY], 3).clauses == (TAUTOLOGY,)
+    assert Cnf([make_clause([1, -1]), [2], TAUTOLOGY], 3).clauses == (TAUTOLOGY, frozenset({2}))

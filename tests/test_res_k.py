@@ -12,12 +12,11 @@ from pacreason.res_k import (
     check_budget,
     check_trace,
     decide_resk_width,
-    kdnf_to_formula,
     negate_query,
     restrict_kdnf,
 )
 
-from helpers import prove_exit_code, random_partial
+from helpers import kdnf_to_formula, prove_exit_code, random_partial
 
 
 def kd(*terms):

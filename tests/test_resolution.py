@@ -20,16 +20,14 @@ from pacreason.resolution import (
     check_proof,
     clause_space,
     make_clause,
-    proof_size,
     proof_to_text,
     restrict_clause,
     restrict_cnf,
     search_space,
-    space_bound_for_size,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
-from helpers import random_cnf, random_partial, restrict_proof
+from helpers import proof_size, random_cnf, random_partial, restrict_proof, space_bound_for_size
 
 
 def cl(*lits):

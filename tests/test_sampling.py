@@ -19,17 +19,17 @@ from pacreason.sampling import (
     validity,
 )
 
-from helpers import random_formula, reference_draw_examples
+from helpers import consistent_with, random_formula, reference_draw_examples
 
 
 def test_point_mass_fixed_mask():
-    d = ExplicitDistribution.point_mass((1, 1))
+    d = ExplicitDistribution.uniform([(1, 1)])
     got = draw_masked_examples(d, FixedMask({2}), 3, seed=0)
     assert [str(r) for r in got] == ["1*", "1*", "1*"]
 
 
 def test_independent_mask_zero_probability():
-    d = ExplicitDistribution.point_mass((0,))
+    d = ExplicitDistribution.uniform([(0,)])
     got = draw_masked_examples(d, IndependentMask(0), 1, seed=42)
     assert [str(r) for r in got] == ["0"]
 
@@ -126,7 +126,7 @@ def test_examples_consistent_with_sources():
     for seed in range(20):
         p = Fraction(rng.randint(0, 4), 4)
         for x, rho in draw_examples(d, IndependentMask(p), 10, seed):
-            assert rho.consistent_with(x)
+            assert consistent_with(rho, x)
 
 
 def test_streams_are_deterministic():
@@ -147,7 +147,7 @@ def test_distribution_validation():
     with pytest.raises(InputError):
         ExplicitDistribution(2, [((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))])
     with pytest.raises(InputError):
-        draw_masked_examples(ExplicitDistribution.point_mass((1,)), FixedMask(set()), 0, 0)
+        draw_masked_examples(ExplicitDistribution.uniform([(1,)]), FixedMask(set()), 0, 0)
 
 
 def test_validity_examples():

@@ -21,6 +21,21 @@ def test_package_checks_do_not_rely_on_assert():
     assert offenders == []
 
 
+def test_package_imports_only_at_module_level():
+    # no package module imports another inside a function: `formulas` and
+    # `resolution` import no kernel module, so there is no cycle to break
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top = set(map(id, tree.body))
+        offenders.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        )
+    assert offenders == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps package functions and methods by name; a
     # renamed one is only listed as missing, and its per-layer metrics vanish
