@@ -8,9 +8,15 @@ because the search may use an over-budget hypothesis as an addition input.
 Restriction also keeps an instance inside its system's budget check, so the
 caller checks the unrestricted instance once and no decider checks again.
 
-`decide(query, hyps)` is the plain yes/no search the reduction calls once per
-example.  `certificate(query, hyps)` runs the same search once, replays the
-proof it found with that system's independent checker, and returns the
+`restrict_query` returns `formulas.TRUE` for a query that the restriction
+settles (witnessed true), and the reduction accepts such an example without
+restricting the hypotheses.  The clause and inequality restrictions collapse
+to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
+to BOTTOM, its refutation target, and PC/PCR when the query polynomial
+restricts to zero.  Each system's search accepts those forms too.
+`decide(query, hyps)` is the plain yes/no search the reduction calls on every
+other example.  `certificate(query, hyps)` runs the same search once, replays
+the proof it found with that system's independent checker, and returns the
 proof's text lines (None on reject, () where the system prints no proof); a
 proof that fails its replay raises RuleError.
 """
@@ -23,7 +29,6 @@ from .polycalc import PC, decide_pc, restrict_polynomial
 from .cutting_planes import check_trace as check_cp_trace, decide_cp, residual_ineq, restrict_ineq
 from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
 from .resolution import (
-    TAUTOLOGY,
     check_proof,
     proof_to_text,
     restrict_clause,
@@ -51,8 +56,6 @@ class SpaceResolutionBackend:
         self.n = n
 
     def decide(self, query, hyps) -> bool:
-        if query is TAUTOLOGY:
-            return True  # the tautology clause is an axiom
         return search_space(hyps, self.s, query) is not None
 
     def certificate(self, query, hyps):
@@ -91,7 +94,8 @@ class ResKWidthBackend:
         return tuple(f"{step.rule}: {step.formula!r}" for step in trace)
 
     def restrict_query(self, query, rho):
-        return _restrict_each(restrict_kdnf, query, rho)
+        restricted = _restrict_each(restrict_kdnf, query, rho)
+        return TRUE if BOTTOM in restricted else restricted
 
     def restrict_hyps(self, hyps, rho):
         return _restrict_each(restrict_kdnf, hyps, rho)
@@ -112,7 +116,8 @@ class PolynomialCalculusBackend:
         return () if self.decide(query, hyps) else None
 
     def restrict_query(self, query, rho):
-        return restrict_polynomial(query, rho)
+        restricted = restrict_polynomial(query, rho)
+        return TRUE if restricted.is_zero else restricted
 
     def restrict_hyps(self, hyps, rho):
         return tuple(restrict_polynomial(p, rho) for p in hyps)
@@ -127,8 +132,6 @@ class CuttingPlanesBackend:
         self.n = n
 
     def decide(self, query, hyps) -> bool:
-        if query is TRUE:
-            return True
         accepted, _ = decide_cp(list(hyps), query, self.w, self.L)
         return accepted
 

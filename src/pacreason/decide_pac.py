@@ -10,13 +10,18 @@ A backend is any object with
 
     n                              -- variable count of its instances
     decide(query, hyps) -> bool    -- pure, deterministic
-    restrict_query(query, rho)
+    restrict_query(query, rho)     -- `formulas.TRUE` when rho settles the
+                                      query: it is witnessed true, and
+                                      decide would accept it from any
+                                      hypotheses
     restrict_hyps(hyps, rho)
 
-Examples are decided one after another in sample order.  The verdict depends
-only on the multiset of per-example answers, so it does not depend on that
-order; every example is always evaluated (no early exit) to keep the reported
-failure count canonical.
+Each example is decided query-first (`decide_example`): an example that
+settles the query is accepted without restricting the hypotheses or calling
+`decide`.  Examples are decided one after another in sample order.  The
+verdict depends only on the multiset of per-example answers, so it does not
+depend on that order; every example is always evaluated (no early exit) to
+keep the reported failure count canonical.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from fractions import Fraction
 from math import ceil, log
 
 from .errors import InputError
+from .formulas import TRUE
 from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
@@ -83,8 +89,17 @@ def failure_budget(epsilon, m: int) -> int:
     return product.numerator // product.denominator
 
 
+def decide_example(backend, query, hyps, rho) -> bool:
+    """The backend's verdict on one example: True at once when rho settles
+    the query, otherwise `decide` on the restricted instance."""
+    restricted = backend.restrict_query(query, rho)
+    if restricted is TRUE:
+        return True
+    return backend.decide(restricted, backend.restrict_hyps(hyps, rho))
+
+
 def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
-    """Run the backend on every restricted instance and tally rejections.
+    """Decide every example with `decide_example` and tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
     """
@@ -97,10 +112,7 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
         if len(rho) != n:
             raise InputError(f"example {rho} has length {len(rho)}, expected {n}")
 
-    verdicts = tuple(
-        backend.decide(backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho))
-        for rho in examples
-    )
+    verdicts = tuple(decide_example(backend, query, hyps, rho) for rho in examples)
 
     failed = sum(1 for ok in verdicts if not ok)
     budget = failure_budget(params.epsilon, m)

@@ -95,30 +95,43 @@ class WitnessStatus(Enum):
 
 
 _CHAR_VALUES = {"0": 0, "1": 1, "*": None}
-_VALUE_CHARS = {v: ch for ch, v in _CHAR_VALUES.items()}  # True/False hash as 1/0
+_VALUE_CHARS = {v: ch for ch, v in _CHAR_VALUES.items()}
+_ENTRY_TYPES = {int, type(None)}
+
+
+def _entry(value):
+    """0, 1 or None for a valid entry (a bool becomes 0 or 1); any other
+    value or type, such as 1.0 or Fraction(1), raises InputError."""
+    if value is None or (type(value) in (int, bool) and value in (0, 1)):
+        return None if value is None else int(value)
+    raise InputError(f"partial assignment entries must be 0, 1 or *, got {value!r}")
 
 
 class PartialAssignment:
-    """A vector over {0, 1, *}; entry i (1-based) is None when masked."""
+    """A vector over {0, 1, *}; entry i (1-based) is None when masked.  The
+    entries are only the ints 0 and 1 and None."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
         entries = tuple(entries)
-        try:
-            valid = set(entries) <= _VALUE_CHARS.keys()  # one pass in C
-        except TypeError:  # an unhashable entry
-            valid = False
-        if not valid:
-            for e in entries:
-                if e not in (0, 1, None):
-                    raise InputError(f"partial assignment entries must be 0, 1 or *, got {e!r}")
+        # two passes in C; the type pass stops 1.0 or Fraction(1) from passing
+        # by equality and sends a bool to `_entry`
+        if not (set(map(type, entries)) <= _ENTRY_TYPES and set(entries) <= _VALUE_CHARS.keys()):
+            entries = tuple(map(_entry, entries))
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "PartialAssignment":
+        """Wraps a tuple of 0, 1 and None without checking it."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
 
     @classmethod
     def from_string(cls, text: str) -> "PartialAssignment":
         try:
-            return cls(map(_CHAR_VALUES.__getitem__, text))
+            return cls._trusted(tuple(map(_CHAR_VALUES.__getitem__, text)))
         except KeyError as exc:
             raise InputError(f"bad partial assignment character {exc.args[0]!r}") from None
 
@@ -166,7 +179,7 @@ def refine(sigma: PartialAssignment, tau: Mapping[int, int]) -> PartialAssignmen
             raise InputError(f"refinement touches x{var}, out of range 1..{len(entries)}")
         if entries[var - 1] is not None:
             raise InputError(f"refinement touches x{var}, already set in the base assignment")
-        if val not in (0, 1):
+        if type(val) not in (int, bool) or val not in (0, 1):
             raise InputError(f"refinement value for x{var} must be 0 or 1, got {val!r}")
         entries[var - 1] = val
     return PartialAssignment(entries)

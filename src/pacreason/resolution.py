@@ -64,9 +64,13 @@ def clause_to_formula(clause: Clause) -> Formula:
 
 
 class Cnf:
-    """A deduplicated list of clauses over variables 1..n."""
+    """A deduplicated list of clauses over variables 1..n.
 
-    __slots__ = ("clauses", "n")
+    `_restriction_index()` builds the clause bitmasks that `restrict_cnf`
+    reads on first use and keeps them; they take no part in equality or
+    the repr."""
+
+    __slots__ = ("clauses", "n", "_index")
 
     def __init__(self, clauses, n: int):
         out = []
@@ -88,6 +92,27 @@ class Cnf:
         object.__setattr__(out, "clauses", tuple(dict.fromkeys(clauses)))
         object.__setattr__(out, "n", n)
         return out
+
+    def _restriction_index(self):
+        """(tautologies, masks): bit i of an int stands for clause i.
+        `tautologies` marks the TAUTOLOGY clauses; `masks[v - 1]` is the pair
+        (clauses that x_v = 0 satisfies, clauses that x_v = 1 satisfies)."""
+        try:
+            return self._index
+        except AttributeError:
+            pass
+        tautologies, by_literal = 0, {}
+        for i, c in enumerate(self.clauses):
+            if c is TAUTOLOGY:
+                tautologies |= 1 << i
+                continue
+            for lit in c:
+                by_literal[lit] = by_literal.get(lit, 0) | 1 << i
+        masks = tuple(
+            (by_literal.get(-v, 0), by_literal.get(v, 0)) for v in range(1, self.n + 1)
+        )
+        object.__setattr__(self, "_index", (tautologies, masks))
+        return self._index
 
     def __eq__(self, other):
         return isinstance(other, Cnf) and self.n == other.n and self.clauses == other.clauses
@@ -234,28 +259,34 @@ def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
 def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
     """Restrict every clause, dropping the satisfied ones, in clause order.
 
-    One pass over rho collects the literals it makes true and those it makes
-    false; a clause meeting the first set is satisfied and dropped, any other
-    loses the second set.  The result equals restricting clause by clause with
-    `restrict_clause`.  Each restricted clause is a subset of a valid clause of
-    phi, so it skips `Cnf`'s checks.  Raises InputError when rho is shorter
-    than phi.n.
+    Runs on the clause bitmasks of `Cnf._restriction_index`, built once per
+    Cnf: the clauses that rho satisfies are the OR of the masks of its set
+    coordinates (with the TAUTOLOGY clauses), and the clauses left are read
+    off the other bits in ascending order, which is clause order, each
+    losing the literals rho falsifies.  The result equals restricting clause
+    by clause with `restrict_clause`.  Each restricted clause is a subset of
+    a valid clause of phi, so it skips `Cnf`'s checks.  Coordinates of rho
+    beyond phi.n are ignored; raises InputError when rho is shorter than
+    phi.n.
     """
     if len(rho) < phi.n:
         raise InputError(
             f"partial assignment has length {len(rho)}, CNF needs at least {phi.n}"
         )
-    true_lits = {
-        var if value else -var
-        for var, value in enumerate(rho.entries, 1)
-        if value is not None
+    satisfied, masks = phi._restriction_index()
+    entries = rho.entries
+    for value, pair in zip(entries, masks):
+        if value is not None:
+            satisfied |= pair[value]
+    false_lits = {
+        -var if value else var for var, value in enumerate(entries, 1) if value is not None
     }
-    false_lits = {-lit for lit in true_lits}
-    restricted = (
-        c - false_lits
-        for c in phi.clauses
-        if c is not TAUTOLOGY and c.isdisjoint(true_lits)
-    )
+    left = ~satisfied & ((1 << len(phi.clauses)) - 1)
+    restricted = []
+    while left:
+        low = left & -left
+        restricted.append(phi.clauses[low.bit_length() - 1] - false_lits)
+        left ^= low
     return Cnf._trusted(restricted, phi.n)
 
 

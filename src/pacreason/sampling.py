@@ -44,7 +44,7 @@ class ExplicitDistribution:
             raise InputError("distribution needs a nonempty support")
         seen = set()
         for x, w in support:
-            if len(x) != n or any(b not in (0, 1) for b in x):
+            if len(x) != n or any(type(b) not in (int, bool) or b not in (0, 1) for b in x):
                 raise InputError(f"support point {x} is not a {n}-bit vector")
             if w <= 0:
                 raise InputError(f"weight {w} of {x} is not positive")
@@ -55,7 +55,8 @@ class ExplicitDistribution:
         if total != 1:
             raise InputError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "support", support)
+        # bools become 0 and 1, as in the partial assignments drawn from it
+        object.__setattr__(self, "support", tuple((tuple(map(int, x)), w) for x, w in support))
 
     @classmethod
     def uniform(cls, points) -> "ExplicitDistribution":

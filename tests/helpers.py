@@ -11,8 +11,9 @@ deciders built on `saturation` must match exactly, and the PC kernel on
 monomial, scanned on every reduction, and the per-term restriction), which the
 int-keyed `polycalc` kernel must match up to the scale of each row, the
 projection of a treelike resolution proof under a restriction (the closure
-argument for clause space, run), and a `pacreason prove` runner on file
-texts."""
+argument for clause space, run), a `pacreason prove` runner on file texts,
+and the plain per-example loop, `decide` on every restricted instance, that
+`decide_pac` with its settled-query shortcut must match exactly."""
 
 import math
 import random
@@ -20,6 +21,11 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
+from pacreason.backends import (
+    CuttingPlanesBackend,
+    PolynomialCalculusBackend,
+    ResKWidthBackend,
+)
 from pacreason.cutting_planes import (
     AddStep,
     AxiomStep,
@@ -31,10 +37,12 @@ from pacreason.cutting_planes import (
     divide_ineq,
     is_axiom,
     multiply_ineq,
+    residual_ineq,
     var_at_most_one,
     var_nonneg,
 )
 from pacreason.cli import main
+from pacreason.decide_pac import ACCEPT, REJECT, PacOutcome, failure_budget
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -63,6 +71,7 @@ from pacreason.polycalc import (
     check_inputs,
     complementarity,
     monomial_key,
+    restrict_polynomial,
 )
 from pacreason.res_k import (
     KDnf,
@@ -71,6 +80,7 @@ from pacreason.res_k import (
     _elim_results,
     _term_universe,
     _weaken_results,
+    restrict_kdnf,
 )
 from pacreason.resolution import (
     TAUTOLOGY,
@@ -84,6 +94,38 @@ from pacreason.resolution import (
     restrict_clause,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
+
+
+def plain_restricted_query(backend, query, rho):
+    """The restricted query in the form the search itself reads, before a
+    settled query collapses to TRUE: RES(k) keeps a k-DNF restricted to
+    BOTTOM, PC/PCR a polynomial restricted to zero, and cutting planes the
+    residual inequality, even when it is witnessed true.  A clause restricts
+    to TAUTOLOGY, which the clause-space search takes as an axiom."""
+    if isinstance(backend, ResKWidthBackend):
+        restricted = (restrict_kdnf(phi, rho) for phi in query)
+        return tuple(phi for phi in restricted if phi is not TRUE)
+    if isinstance(backend, PolynomialCalculusBackend):
+        return restrict_polynomial(query, rho)
+    if isinstance(backend, CuttingPlanesBackend):
+        return residual_ineq(query, rho)
+    return backend.restrict_query(query, rho)
+
+
+def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
+    """The plain per-example loop: `decide` on every restricted instance,
+    settled queries included, tallied as `decide_pac` tallies."""
+    examples = list(examples)
+    verdicts = tuple(
+        backend.decide(
+            plain_restricted_query(backend, query, rho), backend.restrict_hyps(hyps, rho)
+        )
+        for rho in examples
+    )
+    failed = verdicts.count(False)
+    budget = failure_budget(params.epsilon, len(examples))
+    verdict = REJECT if failed > budget else ACCEPT
+    return PacOutcome(verdict, failed, budget, len(examples), verdicts)
 
 
 def prove_exit_code(tmp_path, system, flags, kb_text, query_text):

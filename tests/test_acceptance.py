@@ -24,6 +24,7 @@ from pacreason.decide_pac import (
     ACCEPT,
     REJECT,
     PacParams,
+    decide_example,
     decide_pac_from_distribution,
     required_sample_size,
 )
@@ -184,9 +185,7 @@ def test_criterion_2_restriction_closure():
         cp_accepted += 1
         for _ in range(20):
             rho = random_partial(rng, n)
-            assert backend.decide(
-                backend.restrict_query(target, rho), backend.restrict_hyps(hyps, rho)
-            )
+            assert decide_example(backend, target, hyps, rho)
             checks += 1
 
     report(2, True, f"same-budget acceptance preserved under {checks} restrictions")

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from pacreason.backends import CuttingPlanesBackend
+from pacreason.decide_pac import decide_example
 from pacreason.errors import InputError, RuleError
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.cutting_planes import (
@@ -207,9 +208,7 @@ def test_restriction_closure_randomized():
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            assert backend.decide(
-                backend.restrict_query(target, rho), backend.restrict_hyps(hyps, rho)
-            )
+            assert decide_example(backend, target, hyps, rho)
 
 
 def test_trace_checker_rejects_tampering():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from pacreason.backends import (
     ResKWidthBackend,
     SpaceResolutionBackend,
 )
+from pacreason.cutting_planes import LinIneq, residual_ineq, restrict_ineq
 from pacreason.decide_pac import (
     ACCEPT,
     REJECT,
@@ -19,12 +21,26 @@ from pacreason.decide_pac import (
     required_sample_size,
 )
 from pacreason.errors import InputError
-from pacreason.formulas import PartialAssignment, Var
-from pacreason.res_k import negate_query
-from pacreason.resolution import Cnf, make_clause
-from pacreason.sampling import ExplicitDistribution, FixedMask, TableMask
+from pacreason.formulas import PartialAssignment, TRUE, Var
+from pacreason.polycalc import PC, PCR, Indet, Polynomial
+from pacreason.res_k import BOTTOM, KDnf, negate_query
+from pacreason.resolution import TAUTOLOGY, Cnf, make_clause
+from pacreason.sampling import (
+    ExplicitDistribution,
+    FixedMask,
+    IndependentMask,
+    TableMask,
+    draw_masked_examples,
+)
 
-from helpers import EntailmentOracleBackend
+from helpers import EntailmentOracleBackend, reference_decide_pac
+from test_restriction_closure import (
+    random_kb_ineq,
+    random_pc_instance,
+    random_resk_instance,
+    random_space_instance,
+    random_target,
+)
 
 
 class ScriptedBackend:
@@ -217,3 +233,89 @@ def test_table_mask_scenario_statistics():
         if outcome.verdict != ACCEPT:
             wrong += 1
     assert wrong <= 3
+
+
+class CountingBackend:
+    """Delegates to a backend and counts its `restrict_hyps` and `decide`
+    calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.calls = {"restrict_hyps": 0, "decide": 0}
+
+    def decide(self, query, hyps):
+        self.calls["decide"] += 1
+        return self.inner.decide(query, hyps)
+
+    def restrict_query(self, query, rho):
+        return self.inner.restrict_query(query, rho)
+
+    def restrict_hyps(self, hyps, rho):
+        self.calls["restrict_hyps"] += 1
+        return self.inner.restrict_hyps(hyps, rho)
+
+
+def random_instance(system, rng):
+    """(backend, query, hyps, n) for `system`, drawn as the restriction
+    closure tests draw them: n <= 4, small budgets."""
+    if system == "res-space":
+        n, s, query, hyps, _ = random_space_instance(rng)
+        return SpaceResolutionBackend(s, n), query, hyps, n
+    if system == "res-k-width":
+        n, k, w, query, hyps, _ = random_resk_instance(rng)
+        return ResKWidthBackend(k, w, n), query, hyps, n
+    if system == "cp":
+        n, w, L = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 3)
+        hyps = tuple(random_kb_ineq(rng, n) for _ in range(rng.randint(1, 3)))
+        return CuttingPlanesBackend(w, L, n), random_target(rng, n, w, L), hyps, n
+    while True:
+        mode, n, d, hyps, query = random_pc_instance(rng)
+        if mode == system:
+            return PolynomialCalculusBackend(d, n, mode), query, tuple(hyps), n
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_query_first_decide_pac_matches_the_plain_loop(system):
+    # iid streams hiding half the coordinates, until at least 50 examples
+    # settle the query, 50 do not and 50 are rejected; an example that
+    # settles the query must cost no restrict_hyps and no decide call
+    rng = random.Random(f"query-first:{system}")
+    seen = {"settled": 0, "unsettled": 0, "rejected": 0}
+    for seed in range(500):
+        backend, query, hyps, n = random_instance(system, rng)
+        dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+        examples = draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 12, seed)
+        counting = CountingBackend(backend)
+        outcome = decide_pac(counting, query, hyps, params(), examples)
+        assert outcome == reference_decide_pac(backend, query, hyps, params(), examples)
+        settled = sum(backend.restrict_query(query, rho) is TRUE for rho in examples)
+        unsettled = len(examples) - settled
+        assert counting.calls == {"restrict_hyps": unsettled, "decide": unsettled}
+        seen["settled"] += settled
+        seen["unsettled"] += unsettled
+        seen["rejected"] += outcome.failed_count
+        if min(seen.values()) >= 50:
+            break
+    assert min(seen.values()) >= 50, seen
+
+
+def test_plain_decide_accepts_what_a_settled_query_stands_for():
+    # each form that restrict_query now collapses to TRUE is accepted by the
+    # system's own search from no hypotheses
+    assert SpaceResolutionBackend(s=1, n=2).decide(TAUTOLOGY, Cnf([], 2))
+    resk = ResKWidthBackend(k=1, w=1, n=2)
+    assert resk.decide((KDnf([(1,)]), BOTTOM), ())
+    assert not resk.decide((KDnf([(1,)]),), ())
+    assert resk.restrict_query((KDnf([(-1,)]),), PartialAssignment.from_string("1*")) is TRUE
+    x1 = Polynomial([(frozenset({Indet(1)}), 1)])
+    for mode in (PC, PCR):
+        pc = PolynomialCalculusBackend(d=1, n=2, mode=mode)
+        assert pc.decide(Polynomial(), ())
+        assert not pc.decide(x1, ())
+        assert pc.restrict_query(x1, PartialAssignment.from_string("0*")) is TRUE
+    cp = CuttingPlanesBackend(w=1, L=2, n=2)
+    query, rho = LinIneq({1: 1, 2: -1}, -1), PartialAssignment.from_string("*1")
+    assert restrict_ineq(query, rho) is TRUE
+    assert cp.decide(residual_ineq(query, rho), ())  # x1 >= 0
+    assert not cp.decide(LinIneq({1: 1}, 1), ())

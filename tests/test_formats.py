@@ -121,6 +121,7 @@ def test_dist_roundtrip_with_bool_entries():
     text = serialize_dist(dist)
     assert text == "p dist 2 2\n1/2 10\n1/2 01\n"
     assert parse_dist(text).support == dist.support
+    assert {type(b) for x, _ in dist.support for b in x} == {int}
 
 
 def test_dist_rejects_bad_weights():

@@ -185,10 +185,23 @@ def test_partial_assignment_parsing_roundtrip():
         pa("10x")
 
 
-@pytest.mark.parametrize("bad", [2, -1, "1", []])
+@pytest.mark.parametrize("bad", [2, -1, "1", [], 1.0, 0.0, Fraction(1)])
 def test_partial_assignment_rejects_bad_entries(bad):
     with pytest.raises(InputError, match=rf"must be 0, 1 or \*, got {re.escape(repr(bad))}$"):
         PartialAssignment((1, None, bad, 0))
+
+
+def test_partial_assignment_stores_bools_as_ints():
+    rho = PartialAssignment((True, None, False))
+    assert [type(e) for e in rho.entries] == [int, type(None), int]
+    assert rho == pa("1*0") and str(rho) == "1*0"
+    assert [type(e) for e in refine(pa("**"), {1: True, 2: False}).entries] == [int, int]
+
+
+@pytest.mark.parametrize("bad", [2, 1.0, 0.0, Fraction(1), None, "1"])
+def test_refine_rejects_a_value_other_than_0_or_1(bad):
+    with pytest.raises(InputError, match=rf"must be 0 or 1, got {re.escape(repr(bad))}$"):
+        refine(pa("1*"), {2: bad})
 
 
 def test_fraction_coefficients_are_exact():

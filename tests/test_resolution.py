@@ -342,37 +342,56 @@ def reference_restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
 
 
 def random_restriction_case(rng):
-    """A CNF (n <= 8, widths 0-3, maybe TAUTOLOGY) and a rho of one of three
-    kinds, sometimes longer than n."""
-    n = rng.randint(1, 8)
-    pool = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))  # few variables: collisions
+    """A CNF (widths 0-3, maybe TAUTOLOGY) over a few of its variables,
+    with n <= 8 or, one time in ten, n and the clause count above 64, so
+    that the clause and variable masks outgrow a machine word."""
+    wide = rng.random() < 0.1
+    n = rng.randint(65, 100) if wide else rng.randint(1, 8)
+    # few variables: collisions
+    pool = rng.sample(range(1, n + 1), rng.randint(16, 24) if wide else rng.randint(1, min(n, 4)))
     clauses = []
-    for _ in range(rng.randint(0, 8)):
+    for _ in range(rng.randint(110, 150) if wide else rng.randint(0, 8)):
         if rng.random() < 0.1:
             clauses.append(TAUTOLOGY)
             continue
         vars_ = rng.sample(pool, rng.randint(0, min(3, len(pool))))
         clauses.append(make_clause(v if rng.random() < 0.5 else -v for v in vars_))
+    return Cnf(clauses, n)
+
+
+def random_restriction(rng, n):
+    """A rho of one of three kinds, sometimes longer than n."""
     kind = rng.choice(("masked", "set", "mixed"))
     length = n + (rng.randint(1, 2) if rng.random() < 0.2 else 0)
     mask_prob = {"masked": 1.0, "set": 0.0, "mixed": 0.5}[kind]
-    return Cnf(clauses, n), random_partial(rng, length, mask_prob), kind
+    return random_partial(rng, length, mask_prob), kind
 
 
 def test_restrict_cnf_matches_clause_by_clause_restriction():
+    # each CNF is restricted under one to four rho, so later ones reuse the
+    # clause index the first one built
     rng = random.Random(929292)
-    seen = {"masked": 0, "set": 0, "mixed": 0, "tautology": 0, "merged": 0, "long": 0}
-    for _ in range(3000):
-        phi, rho, kind = random_restriction_case(rng)
-        result = restrict_cnf(phi, rho)
-        expected = reference_restrict_cnf(phi, rho)
-        assert result == expected  # same n, same clauses in the same order
-        seen[kind] += 1
+    seen = {"masked": 0, "set": 0, "mixed": 0, "tautology": 0, "merged": 0, "empty": 0,
+            "long": 0, "wide": 0, "reused": 0}
+    for _ in range(2000):
+        phi = random_restriction_case(rng)
+        fresh = Cnf(phi.clauses, phi.n)
+        for count in range(rng.randint(1, 4)):
+            rho, kind = random_restriction(rng, phi.n)
+            result = restrict_cnf(phi, rho)
+            expected = reference_restrict_cnf(phi, rho)
+            assert result == expected  # same n, same clauses in the same order
+            seen[kind] += 1
+            seen["reused"] += count > 0
+            kept = [restrict_clause(c, rho) for c in phi.clauses]
+            kept = [r for r in kept if r is not TAUTOLOGY]
+            seen["merged"] += len(set(kept)) < len(kept)  # dedup keeps the first
+            seen["empty"] += frozenset() in kept
+            seen["long"] += len(rho) > phi.n
         seen["tautology"] += TAUTOLOGY in phi.clauses
-        kept = [restrict_clause(c, rho) for c in phi.clauses]
-        kept = [r for r in kept if r is not TAUTOLOGY]
-        seen["merged"] += len(set(kept)) < len(kept)
-        seen["long"] += len(rho) > phi.n
+        seen["wide"] += phi.n > 64 and len(phi.clauses) > 64
+        # the index restrict_cnf built takes no part in equality or the repr
+        assert phi == fresh and fresh == phi and repr(phi) == repr(fresh)
     assert min(seen.values()) >= 100, seen
 
 

@@ -1,10 +1,11 @@
-"""Restriction closure of every backend, checked through its own
-`restrict_query`/`restrict_hyps`: whatever a backend accepts it also accepts
-at every restriction, at the same budget, which is what makes `decide_pac`
-sound.  Cutting-planes hypotheses beyond the budget may feed addition steps,
-so a restriction that makes one witnessed true must not drop it.  A
-restricted instance also passes the budget check its unrestricted instance
-passed, which is why the CLI checks the budget only once per run."""
+"""Restriction closure of every backend, checked through
+`decide_pac.decide_example`, the reduction's own per-example path over the
+backend's `restrict_query`/`restrict_hyps`: whatever a backend accepts it
+also accepts at every restriction, at the same budget, which is what makes
+`decide_pac` sound.  Cutting-planes hypotheses beyond the budget may feed
+addition steps, so a restriction that makes one witnessed true must not drop
+it.  A restricted instance also passes the budget check its unrestricted
+instance passed, which is why the CLI checks the budget only once per run."""
 
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from pacreason.backends import (
     SpaceResolutionBackend,
 )
 from pacreason.cutting_planes import LinIneq, always_witnessed_true
-from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
+from pacreason.decide_pac import ACCEPT, PacParams, decide_example, decide_pac
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
@@ -61,10 +62,6 @@ def refine(rng, rho):
     )
 
 
-def accepts_at(backend, query, hyps, rho):
-    return backend.decide(backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho))
-
-
 def test_cp_accepts_every_restriction_of_what_it_accepts():
     rng = random.Random(8001)
     kinds = Counter()
@@ -82,11 +79,12 @@ def test_cp_accepts_every_restriction_of_what_it_accepts():
             kinds["accepted, over-budget hypothesis"] += any(
                 h.sparsity > w or h.l1_norm > L for h in hyps
             )
-            assert accepts_at(backend, query, hyps, PartialAssignment.all_masked(n))
+            assert decide_example(backend, query, hyps, PartialAssignment.all_masked(n))
         rho = random_partial(rng, n)
-        if accepts_at(backend, query, hyps, rho):
+        if decide_example(backend, query, hyps, rho):
             kinds["accepted at rho"] += 1
-            assert accepts_at(backend, query, hyps, refine(rng, rho)), (hyps, query, rho)
+            sigma = refine(rng, rho)
+            assert decide_example(backend, query, hyps, sigma), (hyps, query, rho, sigma)
     assert min(kinds.values()) >= 100, kinds
 
 
@@ -145,11 +143,12 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
         if backend.decide(query, hyps):
             kinds[f"accepted {mode}"] += 1
             kinds["accepted with duals"] += any(p.has_duals() for p in hyps + [query])
-            assert accepts_at(backend, query, hyps, PartialAssignment.all_masked(n))
+            assert decide_example(backend, query, hyps, PartialAssignment.all_masked(n))
         rho = random_partial(rng, n)
-        if accepts_at(backend, query, hyps, rho):
+        if decide_example(backend, query, hyps, rho):
             kinds[f"accepted at rho {mode}"] += 1
-            assert accepts_at(backend, query, hyps, refine(rng, rho)), (mode, d, hyps, query, rho)
+            sigma = refine(rng, rho)
+            assert decide_example(backend, query, hyps, sigma), (mode, d, hyps, query, rho, sigma)
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
 
 
@@ -163,9 +162,8 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
     sigma = refine(rng, rho)
     accepts = {}
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
-        restricted = backend.restrict_query(query, at), backend.restrict_hyps(hyps, at)
-        check(*restricted)
-        accepts[name] = backend.decide(*restricted)
+        check(backend.restrict_query(query, at), backend.restrict_hyps(hyps, at))
+        accepts[name] = decide_example(backend, query, hyps, at)
     accepted = backend.decide(query, hyps)
     if accepted:
         kinds["accepted"] += 1
@@ -219,6 +217,12 @@ def random_resk_instance(rng):
     return n, k, w, query, tuple(hyps), tautological
 
 
+def check_restricted(query, hyps, k, w):
+    """The RES(k) budget check of a restricted instance; a settled query
+    (TRUE) never reaches `decide`, but its hypotheses are still checked."""
+    check_budget(hyps + (() if query is TRUE else query), BOTTOM, k, w)
+
+
 def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
     rng = random.Random(8004)
     kinds = Counter()
@@ -227,7 +231,7 @@ def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
         backend = ResKWidthBackend(k, w, n)
         check_budget(hyps + query, BOTTOM, k, w)
         accepted = assert_closed(
-            rng, backend, query, hyps, n, lambda q, h: check_budget(h + q, BOTTOM, k, w), kinds
+            rng, backend, query, hyps, n, lambda q, h: check_restricted(q, h, k, w), kinds
         )
         kinds["accepted, over-width hypothesis"] += accepted and any(h.width > w for h in hyps)
         kinds["accepted, tautological hypothesis"] += accepted and tautological

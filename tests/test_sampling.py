@@ -148,6 +148,10 @@ def test_distribution_validation():
         ExplicitDistribution(2, [((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))])
     with pytest.raises(InputError):
         draw_masked_examples(ExplicitDistribution.uniform([(1,)]), FixedMask(set()), 0, 0)
+    for bad in (1.0, Fraction(1)):
+        # rejected at construction, not when an iid draw first keeps it
+        with pytest.raises(InputError, match="is not a 2-bit vector"):
+            ExplicitDistribution.uniform([(0, 0), (bad, 0)])
 
 
 def test_validity_examples():
