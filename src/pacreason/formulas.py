@@ -99,11 +99,19 @@ _VALUE_CHARS = {v: ch for ch, v in _CHAR_VALUES.items()}
 _ENTRY_TYPES = {int, type(None)}
 
 
+def is_bit(value) -> bool:
+    """True for the ints 0 and 1 and for the bools; False for any other value
+    or type, such as 1.0 or Fraction(1), which equal a bit without being one."""
+    return type(value) in (int, bool) and value in (0, 1)
+
+
 def _entry(value):
-    """0, 1 or None for a valid entry (a bool becomes 0 or 1); any other
-    value or type, such as 1.0 or Fraction(1), raises InputError."""
-    if value is None or (type(value) in (int, bool) and value in (0, 1)):
-        return None if value is None else int(value)
+    """0, 1 or None for a valid entry (a bool becomes 0 or 1); anything else
+    raises InputError."""
+    if value is None:
+        return None
+    if is_bit(value):
+        return int(value)
     raise InputError(f"partial assignment entries must be 0, 1 or *, got {value!r}")
 
 
@@ -179,7 +187,7 @@ def refine(sigma: PartialAssignment, tau: Mapping[int, int]) -> PartialAssignmen
             raise InputError(f"refinement touches x{var}, out of range 1..{len(entries)}")
         if entries[var - 1] is not None:
             raise InputError(f"refinement touches x{var}, already set in the base assignment")
-        if type(val) not in (int, bool) or val not in (0, 1):
+        if not is_bit(val):
             raise InputError(f"refinement value for x{var} must be 0 or 1, got {val!r}")
         entries[var - 1] = val
     return PartialAssignment(entries)

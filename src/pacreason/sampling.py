@@ -29,7 +29,7 @@ from itertools import accumulate, product
 from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
-from .formulas import Formula, PartialAssignment, evaluate
+from .formulas import Formula, PartialAssignment, evaluate, is_bit
 from .oracle import ENUMERATION_CAP
 
 
@@ -44,7 +44,7 @@ class ExplicitDistribution:
             raise InputError("distribution needs a nonempty support")
         seen = set()
         for x, w in support:
-            if len(x) != n or any(type(b) not in (int, bool) or b not in (0, 1) for b in x):
+            if len(x) != n or not all(map(is_bit, x)):
                 raise InputError(f"support point {x} is not a {n}-bit vector")
             if w <= 0:
                 raise InputError(f"weight {w} of {x} is not positive")

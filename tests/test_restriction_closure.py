@@ -24,7 +24,7 @@ from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
 from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound
 
-from helpers import mul_indet, random_clause
+from helpers import mul_indet, plain_restricted_query, random_clause
 from test_res_k import random_kdnf
 from test_polycalc import random_polynomial, with_rational_coefficients
 
@@ -155,14 +155,15 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
 def assert_closed(rng, backend, query, hyps, n, check, kinds):
     """For a random rho and a random refinement sigma of it: accept
     unrestricted implies accept at the all-masked rho, and accept at rho
-    implies accept at sigma; every restricted instance passes
-    `check(query, hyps)`.  Counts the accepts in `kinds` and returns the
-    unrestricted verdict."""
+    implies accept at sigma; every restricted instance, its query in the
+    form the search reads (`plain_restricted_query`, also when the
+    restriction settles it), passes `check(query, hyps)`.  Counts the
+    accepts in `kinds` and returns the unrestricted verdict."""
     rho = random_partial(rng, n)
     sigma = refine(rng, rho)
     accepts = {}
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
-        check(backend.restrict_query(query, at), backend.restrict_hyps(hyps, at))
+        check(plain_restricted_query(backend, query, at), backend.restrict_hyps(hyps, at))
         accepts[name] = decide_example(backend, query, hyps, at)
     accepted = backend.decide(query, hyps)
     if accepted:
@@ -217,12 +218,6 @@ def random_resk_instance(rng):
     return n, k, w, query, tuple(hyps), tautological
 
 
-def check_restricted(query, hyps, k, w):
-    """The RES(k) budget check of a restricted instance; a settled query
-    (TRUE) never reaches `decide`, but its hypotheses are still checked."""
-    check_budget(hyps + (() if query is TRUE else query), BOTTOM, k, w)
-
-
 def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
     rng = random.Random(8004)
     kinds = Counter()
@@ -231,7 +226,7 @@ def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
         backend = ResKWidthBackend(k, w, n)
         check_budget(hyps + query, BOTTOM, k, w)
         accepted = assert_closed(
-            rng, backend, query, hyps, n, lambda q, h: check_restricted(q, h, k, w), kinds
+            rng, backend, query, hyps, n, lambda q, h: check_budget(h + q, BOTTOM, k, w), kinds
         )
         kinds["accepted, over-width hypothesis"] += accepted and any(h.width > w for h in hyps)
         kinds["accepted, tautological hypothesis"] += accepted and tautological
