@@ -18,7 +18,10 @@ restricts to zero.  Each system's search accepts those forms too.
 other example.  `certificate(query, hyps)` runs the same search once, replays
 the proof it found with that system's independent checker, and returns the
 proof's text lines (None on reject, () where the system prints no proof); a
-proof that fails its replay raises RuleError.
+proof that fails its replay raises RuleError.  Clause-space resolution prints
+its proof tree on one line; RES(k) prints `rule: formula` per trace step and
+cutting planes `index: rule inequality`, both from `saturation.TraceStep`s;
+PC and PCR print nothing.
 """
 
 from __future__ import annotations
@@ -136,15 +139,11 @@ class CuttingPlanesBackend:
         return accepted
 
     def certificate(self, query, hyps):
-        if query is TRUE:
-            return ()
         accepted, trace = decide_cp(list(hyps), query, self.w, self.L)
         if not accepted:
             return None
         _replayed(check_cp_trace(trace, hyps, query, self.w, self.L), "cp")
-        return tuple(
-            f"{i}: {type(step).__name__} {step.conclusion!r}" for i, step in enumerate(trace)
-        )
+        return tuple(f"{i}: {step.rule} {step.formula!r}" for i, step in enumerate(trace))
 
     def restrict_query(self, query, rho):
         return restrict_ineq(query, rho)

@@ -57,14 +57,6 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
-def _read(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
 def _check_params(system, given):
     allowed = SYSTEM_PARAMS[system]
     for name, value in given.items():
@@ -88,8 +80,8 @@ def _load_instance(args):
         system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
     )
     if system == "res-space":
-        kb = formats.parse_cnf(_read(args.kb))
-        query_cnf = formats.parse_cnf(_read(args.query))
+        kb = formats.parse_cnf(formats.read_text(args.kb))
+        query_cnf = formats.parse_cnf(formats.read_text(args.query))
         if len(query_cnf.clauses) != 1:
             raise InputError("res-space queries are a single clause (one-clause cnf file)")
         if query_cnf.n != kb.n:
@@ -97,10 +89,10 @@ def _load_instance(args):
         check_space_bound(p["s"])
         return SpaceResolutionBackend(p["s"], kb.n), query_cnf.clauses[0], kb, kb.n
     if system == "res-k-width":
-        n, k_file, hyps = formats.parse_kdnf_file(_read(args.kb))
+        n, k_file, hyps = formats.parse_kdnf_file(formats.read_text(args.kb))
         if k_file > p["k"]:
             raise InputError(f"kb file holds {k_file}-DNFs but --k is {p['k']}")
-        query_cnf = formats.parse_cnf(_read(args.query))
+        query_cnf = formats.parse_cnf(formats.read_text(args.query))
         if query_cnf.n != n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={n}")
         negated = tuple(
@@ -109,8 +101,8 @@ def _load_instance(args):
         check_budget(hyps + list(negated), BOTTOM, p["k"], p["w"])
         return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
     if system in (PC, PCR):
-        n, hyps = formats.parse_poly_file(_read(args.kb))
-        qn, queries = formats.parse_poly_file(_read(args.query))
+        n, hyps = formats.parse_poly_file(formats.read_text(args.kb))
+        qn, queries = formats.parse_poly_file(formats.read_text(args.query))
         if len(queries) != 1:
             raise InputError("pc/pcr queries are a single polynomial")
         if qn != n:
@@ -119,8 +111,8 @@ def _load_instance(args):
         backend = PolynomialCalculusBackend(p["d"], n, mode=system)
         return backend, queries[0], tuple(hyps), n
     if system == "cp":
-        n, hyps = formats.parse_cp_file(_read(args.kb))
-        qn, queries = formats.parse_cp_file(_read(args.query))
+        n, hyps = formats.parse_cp_file(formats.read_text(args.kb))
+        qn, queries = formats.parse_cp_file(formats.read_text(args.query))
         if len(queries) != 1:
             raise InputError("cp queries are a single inequality")
         if qn != n:
@@ -135,7 +127,7 @@ def _load_examples(args, n: int, params: PacParams):
         drawn = [name for name in ("dist", "mask", "seed") if getattr(args, name) is not None]
         if drawn:
             raise InputError(f"--samples excludes {', '.join('--' + name for name in drawn)}")
-        sample_n, examples = formats.parse_pasgns(_read(args.samples))
+        sample_n, examples = formats.parse_pasgns(formats.read_text(args.samples))
         if sample_n != n:
             raise InputError(f"samples n={sample_n} does not match instance n={n}")
         if args.m not in (None, len(examples)):
@@ -145,7 +137,7 @@ def _load_examples(args, n: int, params: PacParams):
         return examples
     if args.dist is None or args.mask is None or args.seed is None:
         raise InputError("need either --samples or all of --dist, --mask and --seed")
-    dist = formats.parse_dist(_read(args.dist))
+    dist = formats.parse_dist(formats.read_text(args.dist))
     if dist.n != n:
         raise InputError(f"distribution n={dist.n} does not match instance n={n}")
     mask = formats.parse_mask_spec(
@@ -203,7 +195,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    dist = formats.parse_dist(_read(args.dist))
+    dist = formats.parse_dist(formats.read_text(args.dist))
     mask = formats.parse_mask_spec(
         args.mask, dist.n, base_dir=os.path.dirname(args.dist) or "."
     )
@@ -219,7 +211,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.action == "sat":
-        cnf = formats.parse_cnf(_read(args.cnf))
+        cnf = formats.parse_cnf(formats.read_text(args.cnf))
         model = sat_solve(cnf)
         if model is None:
             sys.stdout.write("unsat\n")
@@ -227,8 +219,8 @@ def _cmd_oracle(args) -> int:
         sys.stdout.write("sat " + "".join(str(b) for b in model) + "\n")
         return 0
     if args.action == "entails":
-        kb = formats.parse_cnf(_read(args.kb))
-        query = formats.parse_cnf(_read(args.query))
+        kb = formats.parse_cnf(formats.read_text(args.kb))
+        query = formats.parse_cnf(formats.read_text(args.query))
         if query.n != kb.n:
             raise InputError(f"query n={query.n} does not match kb n={kb.n}")
         hyps = [clause_to_formula(c) for c in kb.clauses]
@@ -236,8 +228,8 @@ def _cmd_oracle(args) -> int:
         sys.stdout.write("entails\n" if result else "does-not-entail\n")
         return 0 if result else 1
     if args.action == "validity":
-        dist = formats.parse_dist(_read(args.dist))
-        query = formats.parse_cnf(_read(args.query))
+        dist = formats.parse_dist(formats.read_text(args.dist))
+        query = formats.parse_cnf(formats.read_text(args.query))
         if query.n != dist.n:
             raise InputError(f"query n={query.n} does not match dist n={dist.n}")
         value = validity(dist, query.to_formula())
@@ -247,7 +239,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    cnf = formats.parse_cnf(_read(args.cnf))
+    cnf = formats.parse_cnf(formats.read_text(args.cnf))
     if args.target == "pcr":
         text = formats.serialize_poly_file(
             cnf.n, [encode_clause_pcr(c) for c in cnf.clauses]

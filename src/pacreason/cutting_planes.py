@@ -5,10 +5,8 @@ An inequality says sum(c_i * x_i) >= b with nonzero integer coefficients.
 Sparsity counts the variables; the l1-norm is |b| plus the coefficient
 magnitudes.  The proof rules are addition, multiplication by a positive
 integer, ceiling division by a common divisor of the coefficients, plus the
-Boolean axioms x >= 0, -x >= -1 and the truth axiom 0 >= -1.  A weakening
-step (adding an inequality that holds under the fully masked assignment)
-exists for trace checking but is never needed by the search, where repeated
-axiom additions simulate it.
+Boolean axioms x >= 0, -x >= -1 and the truth axiom 0 >= -1.  There is no
+weakening rule: repeated axiom additions simulate one.
 
 decide_cp runs the w-sparse L-bounded dynamic program on the `saturation`
 engine (see its contract): the table of in-budget inequalities grows one
@@ -16,12 +14,17 @@ derivation round at a time; hypotheses beyond the budget still feed addition
 steps.  The search runs on raw `(coeffs, bound)` tuples: it adds each
 unordered pair once, drops an over-budget sum before building it, and
 multiplies by positive factors up to L // l1 only (negative factors would
-flip the inequality unsoundly).  Accepted runs return a replayable trace.
+flip the inequality unsoundly).
+
+An accepted run returns its trace as `saturation.TraceStep`s that
+`check_trace` replays.  A step's formula is its `LinIneq` and its rule one of
+AxiomStep, HypothesisStep, AddStep, MultiplyStep and DivideStep; its premises
+are the earlier steps' inequalities followed by the factor or divisor, and a
+hypothesis step's premises are its index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
@@ -106,13 +109,13 @@ def add_ineqs(a: LinIneq, b: LinIneq) -> LinIneq:
 
 
 def multiply_ineq(a: LinIneq, factor: int) -> LinIneq:
-    if factor < 1:
+    if not isinstance(factor, int) or factor < 1:
         raise RuleError(f"multiplication factor must be a positive integer, got {factor}")
     return LinIneq(((v, c * factor) for v, c in a.coeffs), a.bound * factor)
 
 
 def divide_ineq(a: LinIneq, divisor: int) -> LinIneq:
-    if divisor < 1:
+    if not isinstance(divisor, int) or divisor < 1:
         raise RuleError(f"divisor must be a positive integer, got {divisor}")
     if any(c % divisor for _, c in a.coeffs):
         raise RuleError(f"{divisor} does not divide every coefficient of {a!r}")
@@ -124,104 +127,39 @@ def always_witnessed_true(ineq: LinIneq) -> bool:
     return sum(min(0, c) for _, c in ineq.coeffs) >= ineq.bound
 
 
-def weaken_ineq(base: LinIneq, addend: LinIneq) -> LinIneq:
-    if not always_witnessed_true(addend):
-        raise RuleError(f"{addend!r} is not witnessed true under full masking")
-    return add_ineqs(base, addend)
-
-
-@dataclass(frozen=True)
-class AxiomStep:
-    conclusion: LinIneq
-
-
-@dataclass(frozen=True)
-class HypothesisStep:
-    index: int
-    conclusion: LinIneq
-
-
-@dataclass(frozen=True)
-class AddStep:
-    left: int  # indices of earlier steps
-    right: int
-    conclusion: LinIneq
-
-
-@dataclass(frozen=True)
-class MultiplyStep:
-    source: int
-    factor: int
-    conclusion: LinIneq
-
-
-@dataclass(frozen=True)
-class DivideStep:
-    source: int
-    divisor: int
-    conclusion: LinIneq
-
-
-@dataclass(frozen=True)
-class WeakenStep:
-    source: int
-    addend: LinIneq
-    conclusion: LinIneq
-
-
-CpStep = Union[AxiomStep, HypothesisStep, AddStep, MultiplyStep, DivideStep, WeakenStep]
-
-
-def apply_rule(step: CpStep, premises) -> LinIneq:
-    """Recompute a step's conclusion from its resolved premise inequalities."""
-    if isinstance(step, AxiomStep):
-        if not is_axiom(step.conclusion):
-            raise RuleError(f"{step.conclusion!r} is not an axiom")
-        return step.conclusion
-    if isinstance(step, HypothesisStep):
-        return step.conclusion
-    if isinstance(step, AddStep):
-        return add_ineqs(premises[0], premises[1])
-    if isinstance(step, MultiplyStep):
-        return multiply_ineq(premises[0], step.factor)
-    if isinstance(step, DivideStep):
-        return divide_ineq(premises[0], step.divisor)
-    if isinstance(step, WeakenStep):
-        return weaken_ineq(premises[0], step.addend)
-    raise RuleError(f"unknown step type: {step!r}")
-
-
-def _premise_indices(step: CpStep):
-    if isinstance(step, AddStep):
-        return (step.left, step.right)
-    if isinstance(step, (MultiplyStep, DivideStep, WeakenStep)):
-        return (step.source,)
-    return ()
-
-
 def check_trace(trace, hyps, target: LinIneq, w: int, L: int) -> bool:
-    """Replay every step; derived conclusions must be w-sparse and L-bounded
-    (hypothesis steps are inputs and are exempt)."""
+    """Replay every step; derived inequalities must be w-sparse and
+    L-bounded (hypothesis steps are inputs and are exempt).  A malformed
+    step, such as an unknown rule, a premise that no earlier step derived or
+    a factor that is not a positive integer, fails the replay."""
     hyps = list(hyps)
-    derived = []
+    derived = set()
     for step in trace:
-        for i in _premise_indices(step):
-            if not 0 <= i < len(derived):
-                return False
-        premises = [derived[i] for i in _premise_indices(step)]
-        if isinstance(step, HypothesisStep):
-            if not (0 <= step.index < len(hyps)) or hyps[step.index] != step.conclusion:
-                return False
+        ineq, rule, premises = step.formula, step.rule, step.premises
+        if not isinstance(ineq, LinIneq):
+            return False
+        if rule == "HypothesisStep":
+            ok = any(premises == (i,) for i, h in enumerate(hyps) if h == ineq)
         else:
             try:
-                if apply_rule(step, premises) != step.conclusion:
-                    return False
-            except RuleError:
+                if rule == "AxiomStep":
+                    ok = premises == () and is_axiom(ineq)
+                elif rule == "AddStep":
+                    a, b = premises
+                    ok = a in derived and b in derived and add_ineqs(a, b) == ineq
+                elif rule in ("MultiplyStep", "DivideStep"):
+                    a, k = premises
+                    apply = multiply_ineq if rule == "MultiplyStep" else divide_ineq
+                    ok = a in derived and apply(a, k) == ineq
+                else:
+                    ok = False
+            except (ValueError, TypeError):  # a RuleError, or premises of the wrong count or type
                 return False
-            if step.conclusion.sparsity > w or step.conclusion.l1_norm > L:
-                return False
-        derived.append(step.conclusion)
-    return bool(derived) and derived[-1] == target
+            ok = ok and ineq.sparsity <= w and ineq.l1_norm <= L
+        if not ok:
+            return False
+        derived.add(ineq)
+    return bool(trace) and trace[-1].formula == target
 
 
 def check_target(target: LinIneq, w: int, L: int) -> None:
@@ -284,8 +222,8 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
     axioms = [TRUTH_AXIOM]
     for v in variables:
         axioms.extend((var_nonneg(v), var_at_most_one(v)))
-    table = {_line(ax): (AxiomStep, ()) for ax in axioms if in_budget(_line(ax))}
-    outside = seed_inputs(table, map(_line, hyps), in_budget, HypothesisStep)
+    table = {_line(ax): ("AxiomStep", ()) for ax in axioms if in_budget(_line(ax))}
+    outside = seed_inputs(table, map(_line, hyps), in_budget, "HypothesisStep")
 
     def rules(delta, first_round):
         sources = [*table, *outside]
@@ -295,28 +233,23 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
                 if a_fresh or b_fresh:
                     line = add(a, b)
                     if line is not None:
-                        yield line, (AddStep, (a, b))
+                        yield line, ("AddStep", (a, b))
         for line in table:
             if first_round or line in delta:
                 coeffs, bound = line
                 for factor in range(2, L // max(_l1(line), 1) + 1):
                     product = tuple((v, c * factor) for v, c in coeffs), bound * factor
-                    yield product, (MultiplyStep, (line,), factor)
+                    yield product, ("MultiplyStep", (line,), factor)
                 common = gcd(*(c for _, c in coeffs))
                 for divisor in range(2, L + 1):
                     if common % divisor == 0:
                         quotient = tuple((v, c // divisor) for v, c in coeffs), -(-bound // divisor)
-                        yield quotient, (DivideStep, (line,), divisor)
+                        yield quotient, ("DivideStep", (line,), divisor)
 
     target_line = _line(target)
     if not saturate(table, target_line, rules, stats):
         return False, None
-    lines = derivation(target_line, table, outside)
-    index = {line: i for i, line in enumerate(lines)}
-    return True, tuple(
-        step(*(index[p] for p in premises), *params, LinIneq(*line))
-        for line, (step, premises, *params) in lines.items()
-    )
+    return True, derivation(target_line, table, outside, lambda line: LinIneq(*line))
 
 
 def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:

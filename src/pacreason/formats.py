@@ -36,6 +36,15 @@ from .resolution import TAUTOLOGY, Cnf, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; InputError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _lines(text, allow_c_comments=False):
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -78,6 +87,18 @@ def _fraction(token, number):
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"line {number}: bad rational {token!r}") from None
+
+
+def _variable(text, n, number, noun, token):
+    """The index in `text`, which must be `x<ASCII digits>` with the index in
+    1..n; otherwise a FormatError calls `token` a bad `noun`."""
+    digits = text[1:]
+    if not (text.startswith("x") and digits.isascii() and digits.isdigit()):
+        raise FormatError(f"line {number}: bad {noun} {token!r}")
+    var = int(digits)
+    if not 1 <= var <= n:
+        raise FormatError(f"line {number}: variable out of range for n={n}")
+    return var
 
 
 # ---------------------------------------------------------------- cnf
@@ -153,14 +174,9 @@ def serialize_pasgns(n: int, assignments) -> str:
 # ---------------------------------------------------------------- kdnf
 
 
-def _parse_literal(token, number):
+def _parse_literal(token, number, n):
     neg = token.startswith("-")
-    body = token[1:] if neg else token
-    if not body.startswith("x") or not body[1:].isdigit():
-        raise FormatError(f"line {number}: bad literal {token!r}")
-    var = int(body[1:])
-    if var < 1:
-        raise FormatError(f"line {number}: bad variable in {token!r}")
+    var = _variable(token[1:] if neg else token, n, number, "literal", token)
     return -var if neg else var
 
 
@@ -177,11 +193,9 @@ def _kdnf_body(n, k, lines):
             continue
         terms = []
         for term_text in line.split("|"):
-            lits = {_parse_literal(tok, number) for tok in term_text.split("&")}
+            lits = {_parse_literal(tok, number, n) for tok in term_text.split("&")}
             if len(lits) > k:
                 raise FormatError(f"line {number}: term exceeds {k} literals")
-            if any(abs(lit) > n for lit in lits):
-                raise FormatError(f"line {number}: variable out of range for n={n}")
             terms.append(lits)
         try:
             formulas.append(KDnf(terms))
@@ -219,15 +233,10 @@ def serialize_kdnf_file(n: int, k: int, formulas) -> str:
 # ---------------------------------------------------------------- poly
 
 
-def _parse_indet(token, number):
+def _parse_indet(token, number, n):
     dual = token.startswith("~")
     body = token[1:] if dual else token
-    if not body.startswith("x") or not body[1:].isdigit():
-        raise FormatError(f"line {number}: bad indeterminate {token!r}")
-    var = int(body[1:])
-    if var < 1:
-        raise FormatError(f"line {number}: bad variable in {token!r}")
-    return Indet(var, dual)
+    return Indet(_variable(body, n, number, "indeterminate", token), dual)
 
 
 def parse_poly_file(text):
@@ -247,9 +256,7 @@ def _poly_body(n, lines):
             if not tokens:
                 raise FormatError(f"line {number}: empty term")
             coeff = _fraction(tokens[0], number)
-            indets = [_parse_indet(tok, number) for tok in tokens[1:]]
-            if any(i.var > n for i in indets):
-                raise FormatError(f"line {number}: variable out of range for n={n}")
+            indets = [_parse_indet(tok, number, n) for tok in tokens[1:]]
             terms.append((frozenset(indets), coeff))
         polys.append(Polynomial(terms))
     return polys
@@ -296,15 +303,9 @@ def _cp_body(n, lines):
         coeffs = []
         for token in lhs.split():
             var_text, colon, coeff_text = token.partition(":")
-            if (
-                not colon
-                or not var_text.startswith("x")
-                or not var_text[1:].isdigit()
-            ):
+            if not colon:
                 raise FormatError(f"line {number}: bad coefficient token {token!r}")
-            var = int(var_text[1:])
-            if not 1 <= var <= n:
-                raise FormatError(f"line {number}: variable out of range for n={n}")
+            var = _variable(var_text, n, number, "coefficient token", token)
             try:
                 coeffs.append((var, int(coeff_text)))
             except ValueError:
@@ -398,6 +399,5 @@ def parse_mask_spec(spec: str, n: int, base_dir: str = "."):
         return IndependentMask(p)
     if kind == "table":
         path = rest if os.path.isabs(rest) else os.path.join(base_dir, rest)
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_mask_table(fh.read())
+        return parse_mask_table(read_text(path))
     raise FormatError(f"unknown mask kind {kind!r}")

@@ -15,7 +15,6 @@ that an independent checker can replay rule by rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
@@ -126,13 +125,6 @@ def negate_query(query, k: int):
     return out
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    formula: KDnf
-    rule: str  # hypothesis | weakening | cut | and_elim | and_intro
-    premises: tuple  # hypothesis index, or earlier formulas
-
-
 def _cut_results(psi1: KDnf, psi2: KDnf, w: int):
     """All width-w cuts with psi1 supplying the conjunction."""
     for term in psi1.terms:
@@ -188,8 +180,9 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
     The table holds every derived k-DNF of width at most w.  Each
     `saturation` round offers the weakenings and and-eliminations of the
     previous round's k-DNFs, then cuts (wider hypotheses included) and
-    and-introductions.  An accepting run is unwound into a TraceStep list
-    ending at the target.
+    and-introductions.  An accepting run is unwound into `TraceStep`s
+    ending at the target; a step's rule is hypothesis, weakening, cut,
+    and_elim or and_intro, and a hypothesis step's premises are its index.
     """
     hyps = list(hyps)
     variables = sorted(set().union(*(phi.variables() for phi in hyps + [target])))
@@ -231,10 +224,7 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
 
     if not saturate(table, target, derive, stats):
         return False, None
-    return True, tuple(
-        TraceStep(phi, rule, premises + tuple(params))
-        for phi, (rule, premises, *params) in derivation(target, table, wide).items()
-    )
+    return True, derivation(target, table, wide)
 
 
 def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:

@@ -2,10 +2,20 @@
 L-bounded cutting planes: a table of in-budget lines grows one derivation
 round at a time until it holds the target or a round adds nothing.  Each
 system supplies its inputs and a rule generator; `saturate` states the
-contract between them, and `derivation` unwinds an accepting run.
+contract between them, and `derivation` unwinds an accepting run into
+`TraceStep`s, the one trace type that each system's checker replays.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    formula: object  # the system's formula for the line
+    rule: str
+    premises: tuple  # earlier steps' formulas, then the rule's parameters
 
 
 def seed_inputs(table: dict, inputs, in_budget, rule) -> dict:
@@ -60,17 +70,24 @@ def saturate(table: dict, target, derive, stats: dict | None) -> bool:
     return True
 
 
-def derivation(target, table: dict, outside: dict) -> dict:
-    """The lines of `target`'s derivation, each after its premises, mapped to
-    their provenance (from `outside` for an over-budget input)."""
-    order = {}
+def derivation(target, table: dict, outside: dict, formula=lambda line: line) -> tuple:
+    """`target`'s derivation as TraceSteps, each after its premises.  A
+    step's formula is `formula(line)`, built once per line, and its premises
+    are its premise lines' formulas followed by the provenance's parameters
+    (an input's index for an input, whose provenance comes from `outside`
+    when it is over budget)."""
+    formulas = {}
+    steps = []
 
     def visit(line):
-        if line not in order:
-            provenance = table.get(line) or outside[line]
-            for premise in provenance[1]:
+        if line not in formulas:
+            rule, premises, *params = table.get(line) or outside[line]
+            for premise in premises:
                 visit(premise)
-            order[line] = provenance
+            formulas[line] = formula(line)
+            steps.append(
+                TraceStep(formulas[line], rule, (*(formulas[p] for p in premises), *params))
+            )
 
     visit(target)
-    return order
+    return tuple(steps)

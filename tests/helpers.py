@@ -27,11 +27,6 @@ from pacreason.backends import (
     ResKWidthBackend,
 )
 from pacreason.cutting_planes import (
-    AddStep,
-    AxiomStep,
-    DivideStep,
-    HypothesisStep,
-    MultiplyStep,
     TRUTH_AXIOM,
     add_ineqs,
     divide_ineq,
@@ -75,7 +70,6 @@ from pacreason.polycalc import (
 )
 from pacreason.res_k import (
     KDnf,
-    TraceStep,
     _cut_results,
     _elim_results,
     _term_universe,
@@ -94,6 +88,7 @@ from pacreason.resolution import (
     restrict_clause,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
+from pacreason.saturation import TraceStep
 
 
 def plain_restricted_query(backend, query, rho):
@@ -551,7 +546,7 @@ def reference_decide_cp(hyps, target, w, L, stats=None):
         if in_budget(ax) and ax not in table:
             table[ax] = ("axiom",)
     if is_axiom(target):
-        return True, (AxiomStep(target),)
+        return True, (TraceStep(target, "AxiomStep", ()),)
 
     for i, h in enumerate(hyps):
         if in_budget(h) and h not in table:
@@ -559,27 +554,27 @@ def reference_decide_cp(hyps, target, w, L, stats=None):
 
     def build_trace():
         steps = []
-        index_of = {}
+        emitted = set()
 
         def visit(ineq):
-            if ineq in index_of:
-                return index_of[ineq]
+            if ineq in emitted:
+                return ineq
             prov = table.get(ineq)
             if prov is None:  # out-of-budget hypothesis used as an addition input
-                step = HypothesisStep(hyps.index(ineq), ineq)
+                step = TraceStep(ineq, "HypothesisStep", (hyps.index(ineq),))
             elif prov[0] == "axiom":
-                step = AxiomStep(ineq)
+                step = TraceStep(ineq, "AxiomStep", ())
             elif prov[0] == "hypothesis":
-                step = HypothesisStep(prov[1], ineq)
+                step = TraceStep(ineq, "HypothesisStep", (prov[1],))
             elif prov[0] == "add":
-                step = AddStep(visit(prov[1]), visit(prov[2]), ineq)
+                step = TraceStep(ineq, "AddStep", (visit(prov[1]), visit(prov[2])))
             elif prov[0] == "mul":
-                step = MultiplyStep(visit(prov[1]), prov[2], ineq)
+                step = TraceStep(ineq, "MultiplyStep", (visit(prov[1]), prov[2]))
             else:
-                step = DivideStep(visit(prov[1]), prov[2], ineq)
-            index_of[ineq] = len(steps)
+                step = TraceStep(ineq, "DivideStep", (visit(prov[1]), prov[2]))
+            emitted.add(ineq)
             steps.append(step)
-            return index_of[ineq]
+            return ineq
 
         visit(target)
         return tuple(steps)

@@ -51,6 +51,8 @@ PROVE_CASES = {
     "pc": ("pc", ["--d", "2"], "p poly 2 2\n1 x1; -1\n1 x1 x2; -1 x1\n", "p poly 2 1\n1 x2; -1\n"),
     "pcr": ("pcr", ["--d", "2"], "p poly 2 2\n1 ~x1\n1 x1 ~x2\n", "p poly 2 1\n1 ~x2\n"),
     "cp": ("cp", ["--w", "1", "--L", "2"], "p cp 1 2\nx1:1 >= 1\nx1:-1 >= 0\n", "p cp 1 1\n>= 1\n"),
+    "cp-divide": ("cp", ["--w", "2", "--L", "5"], "p cp 2 1\nx1:2 x2:2 >= 1\n", "p cp 2 1\nx1:1 x2:1 >= 1\n"),
+    "cp-multiply": ("cp", ["--w", "2", "--L", "9"], "p cp 2 1\nx1:1 x2:1 >= 1\n", "p cp 2 1\nx1:3 x2:3 >= 3\n"),
 }
 
 
@@ -420,6 +422,14 @@ def test_prove_pcr(tmp_path, capsys):
         ("pc", []),  # polynomial calculus prints no proof lines
         ("pcr", []),
         ("res-space-unused-var", ["(cut x2 (leaf x2|x3) (leaf -x2|x3) x3)"]),
+        (
+            "cp-divide",
+            ["0: HypothesisStep LinIneq(2*x1 + 2*x2 >= 1)", "1: DivideStep LinIneq(1*x1 + 1*x2 >= 1)"],
+        ),
+        (
+            "cp-multiply",
+            ["0: HypothesisStep LinIneq(1*x1 + 1*x2 >= 1)", "1: MultiplyStep LinIneq(3*x1 + 3*x2 >= 3)"],
+        ),
     ],
 )
 def test_prove_show_proof_prints_the_certificate(case, certificate, tmp_path, capsys):
@@ -489,6 +499,53 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+# a variable token is `x` and ASCII digits: `x²` has no integer value and
+# `x٣` (an Arabic-Indic three) is not `x3`
+@pytest.mark.parametrize("token", ["x²", "x٣"], ids=["superscript-two", "arabic-indic-three"])
+@pytest.mark.parametrize(
+    "system, flags, kb_text, query_text, error",
+    [
+        ("res-k-width", ["--k", "1", "--w", "2"], "p kdnf 3 1 1\n{}\n", "p cnf 3 1\n2 0\n",
+         "bad literal '{}'"),
+        ("pc", ["--d", "2"], "p poly 3 1\n1 {}; -1\n", "p poly 3 1\n1 x2; -1\n",
+         "bad indeterminate '{}'"),
+        ("cp", ["--w", "1", "--L", "2"], "p cp 3 1\n{}:1 >= 1\n", "p cp 3 1\nx1:1 >= 1\n",
+         "bad coefficient token '{}:1'"),
+    ],
+    ids=["kdnf", "poly", "cp"],
+)
+def test_non_ascii_digit_in_a_variable_is_a_format_error(
+    token, system, flags, kb_text, query_text, error, tmp_path, capsys
+):
+    kb, query = tmp_path / "kb.txt", tmp_path / "query.txt"
+    kb.write_bytes(kb_text.format(token).encode("utf-8"))
+    query.write_bytes(query_text.encode("utf-8"))
+    code, out, err = run_cli(
+        ["prove", "--system", system, *flags, "--kb", str(kb), "--query", str(query)], capsys
+    )
+    assert (code, out, err) == (2, "", f"error: line 2: {error.format(token)}\n")
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(aviary, tmp_path, capsys):
+    kb = tmp_path / "bad.cnf"
+    kb.write_bytes(b"p cnf 2 1\n\xff 0\n")
+    code, out, err = run_cli(
+        ["prove", "--system", "res-space", "--s", "2", "--kb", str(kb), "--query", aviary["query"]],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {kb}: ") and err.count("\n") == 1
+
+    mask = tmp_path / "bad.mask"  # beside the dist file, which `table:` paths are relative to
+    mask.write_bytes(b"p masktable 2 1\n\xff\n")
+    code, out, err = run_cli(
+        ["sample", "--dist", aviary["dist"], "--mask", "table:bad.mask", "--seed", "1", "--m", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {mask}: ") and err.count("\n") == 1
 
 
 def cli_subprocess(argv, tmp_path):

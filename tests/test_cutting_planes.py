@@ -8,8 +8,6 @@ from pacreason.decide_pac import decide_example
 from pacreason.errors import InputError, RuleError
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.cutting_planes import (
-    AxiomStep,
-    HypothesisStep,
     LinIneq,
     TRUTH_AXIOM,
     add_ineqs,
@@ -20,9 +18,9 @@ from pacreason.cutting_planes import (
     encode_clause_cp,
     multiply_ineq,
     restrict_ineq,
-    weaken_ineq,
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
+from pacreason.saturation import TraceStep
 
 from helpers import holds_at, prove_exit_code
 
@@ -61,12 +59,8 @@ def test_multiply_scales():
     assert multiply_ineq(ineq({1: 1}, 0), 3) == ineq({1: 3}, 0)
     with pytest.raises(RuleError):
         multiply_ineq(ineq({1: 1}, 0), -2)
-
-
-def test_weaken_requires_masked_truth():
-    assert weaken_ineq(ineq({1: 1}, 1), ineq({2: -1}, -1)) == ineq({1: 1, 2: -1}, 0)
-    with pytest.raises(RuleError):
-        weaken_ineq(ineq({1: 1}, 1), ineq({2: 1}, 1))
+    with pytest.raises(RuleError):  # 1.5 * (x1 + x2 + x3 >= 3) would truncate to >= 4
+        multiply_ineq(ineq({1: 1, 2: 1, 3: 1}, 3), 1.5)
 
 
 def test_decide_accepts_contradiction_by_addition():
@@ -79,7 +73,7 @@ def test_decide_accepts_contradiction_by_addition():
 def test_decide_accepts_truth_axiom():
     accepted, trace = decide_cp([], TRUTH_AXIOM, w=0, L=1)
     assert accepted
-    assert trace == (AxiomStep(TRUTH_AXIOM),)
+    assert trace == (TraceStep(TRUTH_AXIOM, "AxiomStep", ()),)
 
 
 def test_decide_rejects_semantically():
@@ -215,5 +209,56 @@ def test_trace_checker_rejects_tampering():
     hyps = [ineq({1: 1}, 1), ineq({1: -1}, 0)]
     accepted, trace = decide_cp(hyps, ineq({}, 1), w=1, L=2)
     assert accepted
-    broken = trace[:-1] + (HypothesisStep(0, ineq({}, 1)),)
+    broken = trace[:-1] + (TraceStep(ineq({}, 1), "HypothesisStep", (0,)),)
     assert not check_trace(broken, hyps, ineq({}, 1), w=1, L=2)
+
+
+def test_trace_checker_rejects_each_malformed_step():
+    hyps = [ineq({1: -2, 2: -2}, -1)]
+    target = ineq({1: -1, 2: 2}, 0)
+    accepted, trace = decide_cp(hyps, target, w=2, L=5)
+    assert accepted
+    axiom, product, hyp, quotient, total = trace
+    assert [step.rule for step in trace] == [
+        "AxiomStep", "MultiplyStep", "HypothesisStep", "DivideStep", "AddStep"
+    ]
+    assert check_trace(trace, hyps, target, w=2, L=3)  # the hypothesis (l1-norm 5) is exempt
+    other = hyps + [ineq({1: 1}, 0)]
+    assert check_trace(trace, other, target, w=2, L=5)
+
+    def step(formula, rule, *premises):
+        return TraceStep(formula, rule, premises)
+
+    def replaced(i, new):
+        return trace[:i] + (new,) + trace[i + 1:]
+
+    x2 = axiom.formula
+    cases = {
+        "premise not derived": replaced(1, step(ineq({1: 3}, 0), "MultiplyStep", ineq({1: 1}, 0), 3)),
+        "premise given as an index": replaced(4, step(target, "AddStep", 1, 3)),
+        "step before its premise": (axiom, product, quotient, hyp, total),
+        "unknown rule": replaced(0, step(x2, "WeakenStep")),
+        "one premise to an addition": replaced(4, step(target, "AddStep", product.formula)),
+        "no factor": replaced(1, step(product.formula, "MultiplyStep", x2)),
+        "an extra premise": replaced(1, step(product.formula, "MultiplyStep", x2, 3, 1)),
+        "a premise to an axiom": replaced(0, step(x2, "AxiomStep", 0)),
+        "a second hypothesis index": replaced(2, step(hyp.formula, "HypothesisStep", 0, 0)),
+        "factor 0": replaced(1, step(ineq({}, 0), "MultiplyStep", x2, 0)),
+        "factor -1": replaced(1, step(ineq({2: -1}, 0), "MultiplyStep", x2, -1)),
+        # LinIneq truncates 3.5 * x2 >= 0 to 3*x2 >= 0, so the factor's type must be checked
+        "factor 3.5": replaced(1, step(product.formula, "MultiplyStep", x2, 3.5)),
+        "divisor 3 of -2": replaced(3, step(quotient.formula, "DivideStep", hyp.formula, 3)),
+        "divisor 0": replaced(3, step(quotient.formula, "DivideStep", hyp.formula, 0)),
+        "divisor -2": replaced(3, step(ineq({1: 1, 2: 1}, 1), "DivideStep", hyp.formula, -2)),
+        "hypothesis index out of range": replaced(2, step(hyp.formula, "HypothesisStep", 1)),
+        "negative hypothesis index": replaced(2, step(hyp.formula, "HypothesisStep", -1)),
+        "non-axiom labelled AxiomStep": replaced(2, step(hyp.formula, "AxiomStep")),
+        "last step not the target": trace[:-1],
+        "empty trace": (),
+    }
+    for name, broken in cases.items():
+        assert not check_trace(broken, hyps, target, w=2, L=5), name
+    tampered_hyp = replaced(2, step(hyp.formula, "HypothesisStep", 1))
+    assert not check_trace(tampered_hyp, other, target, w=2, L=5)  # index 1 names x1 >= 0
+    assert not check_trace(trace, hyps, target, w=1, L=5)  # a derived line over w
+    assert not check_trace(trace, hyps, target, w=2, L=2)  # a derived line over L

@@ -6,10 +6,7 @@ import random
 from collections import Counter
 
 from pacreason.cutting_planes import (
-    DivideStep,
-    HypothesisStep,
     LinIneq,
-    MultiplyStep,
     TRUTH_AXIOM,
     decide_cp,
     is_axiom,
@@ -17,6 +14,7 @@ from pacreason.cutting_planes import (
     var_nonneg,
 )
 from pacreason.res_k import BOTTOM, KDnf, decide_resk_width
+from pacreason.saturation import TraceStep
 
 from helpers import reference_decide_cp, reference_decide_resk_width
 
@@ -125,13 +123,13 @@ def test_cp_matches_the_reference_decider():
         kinds["input target"] += target in hyps
         kinds["fixpoint reject"] += not accepted
         kinds["over-budget premise"] += accepted and any(
-            isinstance(step, HypothesisStep)
-            and (step.conclusion.sparsity > w or step.conclusion.l1_norm > L)
+            step.rule == "HypothesisStep"
+            and (step.formula.sparsity > w or step.formula.l1_norm > L)
             for step in trace
         )
-        for rule in (MultiplyStep, DivideStep):
-            kinds[f"accepted trace with a {rule.__name__}"] += accepted and any(
-                isinstance(step, rule) for step in trace
+        for rule in ("MultiplyStep", "DivideStep"):
+            kinds[f"accepted trace with a {rule}"] += accepted and any(
+                step.rule == rule for step in trace
             )
     assert min(kinds.values()) >= 50, kinds
 
@@ -152,5 +150,5 @@ def test_cp_records_the_initial_table_when_the_target_is_an_axiom_or_an_input():
     hyps = [LinIneq({2: 1}, 1), LinIneq({1: 3, 2: 1}, 1)]
     stats = {}
     accepted, trace = decide_cp(hyps, hyps[0], 2, 3, stats=stats)
-    assert accepted and trace == (HypothesisStep(0, hyps[0]),)
+    assert accepted and trace == (TraceStep(hyps[0], "HypothesisStep", (0,)),)
     assert stats == {"table_sizes": [6]}  # five axioms and the in-budget hypothesis
