@@ -34,6 +34,7 @@ from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, r
 from .resolution import (
     check_proof,
     proof_to_text,
+    proof_tree,
     restrict_clause,
     restrict_cnf,
     search_space,
@@ -62,7 +63,7 @@ class SpaceResolutionBackend:
         return search_space(hyps, self.s, query) is not None
 
     def certificate(self, query, hyps):
-        proof = search_space(hyps, self.s, query)
+        proof = proof_tree(search_space(hyps, self.s, query))
         if proof is None:
             return None
         _replayed(check_proof(proof, hyps, query), "res-space")

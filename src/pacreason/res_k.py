@@ -228,51 +228,56 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
 
 
 def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:
-    """Replay a derivation trace rule by rule, independently of the search."""
+    """Replay a derivation trace rule by rule, independently of the search.
+    A malformed step, such as an unknown rule, a premise that no earlier
+    step derived or premises of the wrong count or type, fails the replay."""
     hyps = list(hyps)
     derived = set()
     for step in trace:
         f = step.formula
         if f.max_term_size > k:
             return False
-        if step.rule == "hypothesis":
-            (index,) = step.premises
-            if not (0 <= index < len(hyps)) or hyps[index] != f:
+        try:
+            if step.rule == "hypothesis":
+                (index,) = step.premises
+                if not (0 <= index < len(hyps)) or hyps[index] != f:
+                    return False
+                derived.add(f)
+                continue
+            if f.width > w:
                 return False
-            derived.add(f)
-            continue
-        if f.width > w:
-            return False
-        if any(p not in derived for p in step.premises):
-            return False
-        if step.rule == "weakening":
-            (p,) = step.premises
-            ok = p.terms <= f.terms
-        elif step.rule == "and_elim":
-            (p,) = step.premises
-            ok = any(
-                f == KDnf((p.terms - {term}) | {frozenset((lit,))})
-                for term in p.terms
-                for lit in term
-            )
-        elif step.rule == "cut":
-            p1, p2 = step.premises
-            ok = any(f == r for r in _cut_results(p1, p2, f.width)) or any(
-                f == r for r in _cut_results(p2, p1, f.width)
-            )
-        elif step.rule == "and_intro":
-            ok = False
-            for term in f.terms:
-                if not 1 <= len(term) <= k:
-                    continue
-                rest = f.terms - {term}
-                expected = frozenset(
-                    KDnf(rest | {frozenset((lit,))}) for lit in term
+            if any(p not in derived for p in step.premises):
+                return False
+            if step.rule == "weakening":
+                (p,) = step.premises
+                ok = p.terms <= f.terms
+            elif step.rule == "and_elim":
+                (p,) = step.premises
+                ok = any(
+                    f == KDnf((p.terms - {term}) | {frozenset((lit,))})
+                    for term in p.terms
+                    for lit in term
                 )
-                if expected == frozenset(step.premises):
-                    ok = True
-                    break
-        else:
+            elif step.rule == "cut":
+                p1, p2 = step.premises
+                ok = any(f == r for r in _cut_results(p1, p2, f.width)) or any(
+                    f == r for r in _cut_results(p2, p1, f.width)
+                )
+            elif step.rule == "and_intro":
+                ok = False
+                for term in f.terms:
+                    if not 1 <= len(term) <= k:
+                        continue
+                    rest = f.terms - {term}
+                    expected = frozenset(
+                        KDnf(rest | {frozenset((lit,))}) for lit in term
+                    )
+                    if expected == frozenset(step.premises):
+                        ok = True
+                        break
+            else:
+                return False
+        except (ValueError, TypeError):  # premises of the wrong count or type
             return False
         if not ok:
             return False

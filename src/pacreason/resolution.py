@@ -6,10 +6,15 @@ A clause holding a complementary pair canonicalizes to TAUTOLOGY, which is
 literals, and the same object that restricting a satisfied clause, k-DNF or
 inequality returns.
 
+Restriction and proof search run on an int form instead: the literal mask
+of a clause has bit 2v for x_v and bit 2v+1 for -x_v, and a `Cnf` keeps the
+masks of its clauses.
+
 Treelike proofs are trees of Leaf / Weaken / Cut nodes, each annotated with
-the clause it derives.  Clause space follows the pebbling recurrence: a leaf
-costs 1; a cut over subtrees of equal space s costs s+1, over unequal spaces
-the maximum; unary weakening steps are free.
+the clause it derives.  `search_space` returns its proof as mask steps, and
+`proof_tree` builds the tree from them.  Clause space follows the pebbling
+recurrence: a leaf costs 1; a cut over subtrees of equal space s costs s+1,
+over unequal spaces the maximum; unary weakening steps are free.
 """
 
 from __future__ import annotations
@@ -63,14 +68,44 @@ def clause_to_formula(clause: Clause) -> Formula:
     )
 
 
+def literal_bit(lit: int) -> int:
+    """Bit 2v for x_v, bit 2v+1 for -x_v."""
+    return 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
+
+
+def encode_clause(clause: frozenset) -> int:
+    """The literal mask of a non-tautology clause."""
+    bits = 0
+    for lit in clause:
+        bits |= literal_bit(lit)
+    return bits
+
+
+def decode_clause(bits: int) -> frozenset:
+    """The clause whose literal mask is `bits`."""
+    lits = []
+    while bits:
+        low = bits & -bits
+        index = low.bit_length() - 1
+        lits.append(-(index >> 1) if index & 1 else index >> 1)
+        bits ^= low
+    return frozenset(lits)
+
+
 class Cnf:
     """A deduplicated list of clauses over variables 1..n.
 
-    `_restriction_index()` builds the clause bitmasks that `restrict_cnf`
-    reads on first use and keeps them; they take no part in equality or
+    A Cnf also has an int form: the literal masks (`encode_clause`) of its
+    non-tautology clauses, in clause order, which `restrict_cnf` and
+    `search_space` run on.  A Cnf built from clauses encodes them on first
+    use.  A Cnf that `restrict_cnf` returns holds only masks, each with the
+    index of the input clause it came from, and decodes `clauses` on first
+    read: each clause keeps the literals of its input clause that its mask
+    holds, in that clause's order, as restricting clause by clause does.
+    The cached forms and the restriction index take no part in equality or
     the repr."""
 
-    __slots__ = ("clauses", "n", "_index")
+    __slots__ = ("n", "_clauses", "_masks", "_sources", "_index")
 
     def __init__(self, clauses, n: int):
         out = []
@@ -81,37 +116,67 @@ class Cnf:
                     if abs(lit) > n:
                         raise InputError(f"literal {lit} out of range for n={n}")
             out.append(c)
-        object.__setattr__(self, "clauses", tuple(dict.fromkeys(out)))
+        object.__setattr__(self, "_clauses", tuple(dict.fromkeys(out)))
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def _trusted(cls, clauses, n: int) -> "Cnf":
-        """A Cnf of canonical, non-tautological clauses over 1..n, only
-        deduplicated: no `make_clause`, no range check."""
+    def _restricted(cls, parent: "Cnf", sources: dict) -> "Cnf":
+        """The Cnf over parent.n whose masks are the keys of `sources`, in
+        order, each mapped to the index of the parent mask it came from."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "clauses", tuple(dict.fromkeys(clauses)))
-        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "n", parent.n)
+        object.__setattr__(out, "_masks", tuple(sources))
+        object.__setattr__(out, "_sources", (parent, tuple(sources.values())))
         return out
 
+    @property
+    def clauses(self) -> tuple:
+        try:
+            return self._clauses
+        except AttributeError:
+            pass
+        parent, indices = self._sources
+        inputs = [c for c in parent.clauses if c is not TAUTOLOGY]
+        clauses = tuple(
+            frozenset(lit for lit in inputs[i] if bits & literal_bit(lit))
+            for i, bits in zip(indices, self._masks)
+        )
+        object.__setattr__(self, "_clauses", clauses)
+        return clauses
+
+    def _literal_masks(self) -> tuple:
+        try:
+            return self._masks
+        except AttributeError:
+            pass
+        masks = tuple(encode_clause(c) for c in self._clauses if c is not TAUTOLOGY)
+        object.__setattr__(self, "_masks", masks)
+        return masks
+
     def _restriction_index(self):
-        """(tautologies, masks): bit i of an int stands for clause i.
-        `tautologies` marks the TAUTOLOGY clauses; `masks[v - 1]` is the pair
-        (clauses that x_v = 0 satisfies, clauses that x_v = 1 satisfies)."""
+        """(masks, by_variable): the literal masks, and for each variable
+        v, `by_variable[v - 1][value]` is the pair (the clauses that x_v =
+        value satisfies, as a bitmask where bit i stands for mask i; the bit
+        of the literal that x_v = value falsifies)."""
         try:
             return self._index
         except AttributeError:
             pass
-        tautologies, by_literal = 0, {}
-        for i, c in enumerate(self.clauses):
-            if c is TAUTOLOGY:
-                tautologies |= 1 << i
-                continue
-            for lit in c:
-                by_literal[lit] = by_literal.get(lit, 0) | 1 << i
-        masks = tuple(
-            (by_literal.get(-v, 0), by_literal.get(v, 0)) for v in range(1, self.n + 1)
+        masks = self._literal_masks()
+        by_literal = {}
+        for i, bits in enumerate(masks):
+            while bits:
+                low = bits & -bits
+                by_literal[low] = by_literal.get(low, 0) | 1 << i
+                bits ^= low
+        by_variable = tuple(
+            (
+                (by_literal.get(2 << 2 * v, 0), 1 << 2 * v),
+                (by_literal.get(1 << 2 * v, 0), 2 << 2 * v),
+            )
+            for v in range(1, self.n + 1)
         )
-        object.__setattr__(self, "_index", (tautologies, masks))
+        object.__setattr__(self, "_index", (masks, by_variable))
         return self._index
 
     def __eq__(self, other):
@@ -199,47 +264,117 @@ def check_space_bound(s: int) -> None:
         raise InputError(f"space bound must be at least 1, got {s}")
 
 
-def search_space(phi: Cnf, s: int, target: Clause) -> Optional[ProofNode]:
+def search_space(phi: Cnf, s: int, target: Clause) -> Optional[tuple]:
     """Find a clause-space-at-most-s treelike proof of `target` from `phi`.
 
-    Base case: a target that is a superset of an input clause follows by
-    weakening.  Otherwise branch on a literal, proving target-or-literal in
-    space s-1 and target-or-negation in space s.  Only variables that occur
-    in the inputs are branched on, in ascending order, positive literal
-    first, so results are reproducible.  A cut on any other variable never
-    helps: restricting it away leaves a proof of the same clause in no more
-    space.  Returns None when no such proof exists.  Takes an `s` that
-    `check_space_bound` accepts.
+    Runs `search_masks` on the literal masks and returns what it found as
+    the pair (target mask, step), `(TAUTOLOGY, None)` for the tautology
+    target, or None when no such proof exists; `proof_tree` turns the pair
+    into Leaf / Weaken / Cut nodes.  Takes an `s` that `check_space_bound`
+    accepts.
     """
     if target is TAUTOLOGY:
+        return TAUTOLOGY, None
+    goal = encode_clause(target)
+    step = search_masks(phi._literal_masks(), goal, s)
+    return None if step is None else (goal, step)
+
+
+def search_masks(inputs: tuple, goal: int, s: int):
+    """The proof search of `search_space` on literal masks.
+
+    A clause that contains an input follows from the first such input, in
+    input order, by weakening.  Otherwise branch on a literal: prove
+    clause-or-literal in space s-1 and clause-or-negation in space s,
+    committing to the first literal whose first proof exists.  Only
+    variables that occur in the inputs are branched on, ascending, positive
+    literal first, so results are reproducible.  A cut on any other variable
+    never helps: restricting it away leaves a proof of the same clause in no
+    more space.  More space than one plus the number of those variables
+    finds the same proofs, so s is capped there.
+
+    Each node computes `base & ~clause` once per input.  A zero is the base
+    case; a single bit marks the first input that proves clause-or-that-
+    literal at space 1, which is also the base case of that child, so a
+    space-2 node is one pass.  Results are kept per (clause, space) for the
+    call, since at s >= 3 different branch orders reach the same clause.  A
+    step is the mask of the base input, or (bit of x_v, step for clause |
+    x_v, step for clause | -x_v) for a cut on x_v; None means no proof.
+    """
+    union, keep = 0, ~goal
+    for base in inputs:
+        if not base & keep:
+            return base
+        union |= base
+    if s == 1:
+        return None
+    branches = []  # (bits of x_v and -x_v, bit of x_v, both literal orders)
+    for bit in range(2, union.bit_length(), 2):
+        if union >> bit & 3:
+            pos, neg = 1 << bit, 2 << bit
+            branches.append((pos | neg, pos, ((pos, neg), (neg, pos))))
+    s = min(s, len(branches) + 1)
+    memos = [{} for _ in range(s + 1)]
+
+    def search(clause: int, space: int):
+        memo = memos[space]
+        if clause in memo:
+            return memo[clause]
+        keep = ~clause
+        firsts = {}
+        for base in inputs:
+            rest = base & keep
+            if not rest:
+                memo[clause] = base
+                return base
+            if not rest & (rest - 1) and rest not in firsts:
+                firsts[rest] = base
+        found = None  # space is 1 here only when the cap found no branches
+        for used, pos, orders in branches:
+            if clause & used:
+                continue
+            for lit, other in orders:
+                first = firsts.get(lit)
+                if first is None and space > 2:
+                    first = search(clause | lit, space - 1)
+                if first is not None:
+                    break
+            else:
+                continue
+            second = firsts.get(other)
+            if second is None:
+                second = search(clause | other, space)
+            if second is not None:
+                found = (pos, first, second) if lit == pos else (pos, second, first)
+            break
+        memo[clause] = found
+        return found
+
+    return search(goal, s)
+
+
+def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
+    """The Leaf / Weaken / Cut tree of what `search_space` found (None for
+    None), each node annotated with the clause it derives."""
+    if found is None:
+        return None
+    goal, step = found
+    if goal is TAUTOLOGY:
         return Leaf(TAUTOLOGY)
 
-    inputs = [c for c in phi.clauses if c is not TAUTOLOGY]
-    variables = sorted({abs(lit) for c in inputs for lit in c})
+    def build(clause: int, step) -> ProofNode:
+        if isinstance(step, int):
+            leaf = Leaf(decode_clause(step))
+            return leaf if step == clause else Weaken(decode_clause(clause), leaf)
+        pos, left, right = step
+        return Cut(
+            pos.bit_length() >> 1,
+            build(clause | pos, left),
+            build(clause | pos << 1, right),
+            decode_clause(clause),
+        )
 
-    def search(clause: frozenset, space: int) -> Optional[ProofNode]:
-        for base in inputs:
-            if base <= clause:
-                leaf = Leaf(base)
-                return leaf if base == clause else Weaken(clause, leaf)
-        if space > 1:
-            used = {abs(lit) for lit in clause}
-            for var in variables:
-                if var in used:
-                    continue
-                for lit in (var, -var):
-                    first = search(clause | {lit}, space - 1)
-                    if first is None:
-                        continue
-                    second = search(clause | {-lit}, space)
-                    if second is None:
-                        return None
-                    if lit > 0:
-                        return Cut(var, first, second, clause)
-                    return Cut(var, second, first, clause)
-        return None
-
-    return search(frozenset(target), s)
+    return build(goal, step)
 
 
 def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
@@ -259,35 +394,37 @@ def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
 def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
     """Restrict every clause, dropping the satisfied ones, in clause order.
 
-    Runs on the clause bitmasks of `Cnf._restriction_index`, built once per
-    Cnf: the clauses that rho satisfies are the OR of the masks of its set
-    coordinates (with the TAUTOLOGY clauses), and the clauses left are read
-    off the other bits in ascending order, which is clause order, each
-    losing the literals rho falsifies.  The result equals restricting clause
-    by clause with `restrict_clause`.  Each restricted clause is a subset of
-    a valid clause of phi, so it skips `Cnf`'s checks.  Coordinates of rho
-    beyond phi.n are ignored; raises InputError when rho is shorter than
-    phi.n.
+    Runs on `Cnf._restriction_index`, built once per Cnf: the clauses that
+    rho satisfies are the OR of the clause bitmasks of its set coordinates,
+    and each clause left, read off the other bits in ascending order, which
+    is clause order, loses the literals rho falsifies by an AND with the
+    complement of their OR.  Equal results keep the first.  The result
+    equals restricting clause by clause with `restrict_clause`, and is a Cnf
+    of masks (see `Cnf`).  Coordinates of rho beyond phi.n are ignored;
+    raises InputError when rho is shorter than phi.n.
     """
     if len(rho) < phi.n:
         raise InputError(
             f"partial assignment has length {len(rho)}, CNF needs at least {phi.n}"
         )
-    satisfied, masks = phi._restriction_index()
-    entries = rho.entries
-    for value, pair in zip(entries, masks):
+    masks, by_variable = phi._restriction_index()
+    satisfied = false_lits = 0
+    for value, pairs in zip(rho.entries, by_variable):
         if value is not None:
-            satisfied |= pair[value]
-    false_lits = {
-        -var if value else var for var, value in enumerate(entries, 1) if value is not None
-    }
-    left = ~satisfied & ((1 << len(phi.clauses)) - 1)
-    restricted = []
+            clause_bits, lit_bit = pairs[value]
+            satisfied |= clause_bits
+            false_lits |= lit_bit
+    keep = ~false_lits
+    left = ~satisfied & ((1 << len(masks)) - 1)
+    sources = {}
     while left:
         low = left & -left
-        restricted.append(phi.clauses[low.bit_length() - 1] - false_lits)
+        i = low.bit_length() - 1
+        bits = masks[i] & keep
+        if bits not in sources:
+            sources[bits] = i
         left ^= low
-    return Cnf._trusted(restricted, phi.n)
+    return Cnf._restricted(phi, sources)
 
 
 def clause_to_text(clause: Clause) -> str:

@@ -11,7 +11,9 @@ deciders built on `saturation` must match exactly, and the PC kernel on
 monomial, scanned on every reduction, and the per-term restriction), which the
 int-keyed `polycalc` kernel must match up to the scale of each row, the
 projection of a treelike resolution proof under a restriction (the closure
-argument for clause space, run), a `pacreason prove` runner on file texts,
+argument for clause space, run), the clause-space search and the CNF
+restriction on frozenset clauses, which the literal-mask kernels in
+`resolution` must match exactly, a `pacreason prove` runner on file texts,
 and the plain per-example loop, `decide` on every restricted instance, that
 `decide_pac` with its settled-query shortcut must match exactly."""
 
@@ -20,6 +22,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 from pacreason.backends import (
     CuttingPlanesBackend,
@@ -121,6 +124,53 @@ def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
     budget = failure_budget(params.epsilon, len(examples))
     verdict = REJECT if failed > budget else ACCEPT
     return PacOutcome(verdict, failed, budget, len(examples), verdicts)
+
+
+def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional[ProofNode]:
+    """The clause-space search on frozensets: the first input, in input
+    order, that is a subset of the clause is the base case; otherwise branch
+    on `variables` (by default those that occur in the inputs), ascending,
+    positive literal first, committing to the first literal whose
+    space-(s-1) proof exists."""
+    if target is TAUTOLOGY:
+        return Leaf(TAUTOLOGY)
+    inputs = [c for c in phi.clauses if c is not TAUTOLOGY]
+    if variables is None:
+        variables = sorted({abs(lit) for c in inputs for lit in c})
+
+    def search(clause: frozenset, space: int) -> Optional[ProofNode]:
+        for base in inputs:
+            if base <= clause:
+                leaf = Leaf(base)
+                return leaf if base == clause else Weaken(clause, leaf)
+        if space > 1:
+            used = {abs(lit) for lit in clause}
+            for var in variables:
+                if var in used:
+                    continue
+                for lit in (var, -var):
+                    first = search(clause | {lit}, space - 1)
+                    if first is None:
+                        continue
+                    second = search(clause | {-lit}, space)
+                    if second is None:
+                        return None
+                    if lit > 0:
+                        return Cut(var, first, second, clause)
+                    return Cut(var, second, first, clause)
+        return None
+
+    return search(frozenset(target), s)
+
+
+def reference_restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
+    """The clause-by-clause restriction that restrict_cnf must reproduce."""
+    restricted = []
+    for c in phi.clauses:
+        r = restrict_clause(c, rho)
+        if r is not TAUTOLOGY:
+            restricted.append(r)
+    return Cnf(restricted, phi.n)
 
 
 def prove_exit_code(tmp_path, system, flags, kb_text, query_text):

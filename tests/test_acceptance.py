@@ -60,6 +60,7 @@ from pacreason.resolution import (
     check_proof,
     clause_space,
     make_clause,
+    proof_tree,
     restrict_cnf,
     search_space,
 )
@@ -95,7 +96,7 @@ def resolution_corpus():
         for _ in range(220):
             n = rng.randint(1, 4)
             phi = random_cnf(rng, n, max_clauses=8)
-            corpus.append((phi, n + 2, search_space(phi, n + 2, BOT)))
+            corpus.append((phi, n + 2, proof_tree(search_space(phi, n + 2, BOT))))
         _corpus_cache["corpus"] = corpus
     return _corpus_cache["corpus"]
 

@@ -138,6 +138,27 @@ def test_trace_checker_rejects_tampering():
     assert not check_trace(tuple(broken), hyps, kd((3,)), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "index, rule, premises",
+    [
+        (0, "hypothesis", (0, 1)),
+        (0, "hypothesis", ()),
+        (0, "hypothesis", ("a",)),
+        (0, "weakening", ()),
+        (2, "cut", (kd((1,)),)),
+    ],
+)
+def test_trace_checker_rejects_premises_of_the_wrong_count_or_type(index, rule, premises):
+    # each step once raised ValueError or TypeError from unpacking or
+    # comparing its premises; a malformed step fails the replay instead
+    hyps = [kd((1,)), kd((-1,), (2,))]
+    accepted, trace = decide_resk_width(hyps, kd((2,)), k=1, w=1)
+    assert accepted and check_trace(trace, hyps, kd((2,)), 1, 1)
+    broken = list(trace)
+    broken[index] = type(trace[index])(trace[index].formula, rule, premises)
+    assert not check_trace(tuple(broken), hyps, kd((2,)), 1, 1)
+
+
 def random_kdnf(rng, n, k, max_width):
     terms = []
     for _ in range(rng.randint(1, max_width)):

@@ -21,13 +21,27 @@ from pacreason.resolution import (
     clause_space,
     make_clause,
     proof_to_text,
+    proof_tree,
     restrict_clause,
     restrict_cnf,
     search_space,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
-from helpers import proof_size, random_cnf, random_partial, restrict_proof, space_bound_for_size
+from helpers import (
+    proof_size,
+    random_cnf,
+    random_partial,
+    reference_restrict_cnf,
+    reference_search_space,
+    restrict_proof,
+    space_bound_for_size,
+)
+
+
+def search_proof(phi, s, target):
+    """search_space's proof as Leaf / Weaken / Cut nodes, or None."""
+    return proof_tree(search_space(phi, s, target))
 
 
 def cl(*lits):
@@ -91,7 +105,7 @@ def test_space_bound_for_size():
 
 def test_search_space_finds_one_cut_refutation():
     phi = Cnf([cl(1), cl(-1)], 1)
-    proof = search_space(phi, 2, BOT)
+    proof = search_proof(phi, 2, BOT)
     assert proof is not None
     assert check_proof(proof, phi, BOT)
     assert clause_space(proof) <= 2
@@ -104,20 +118,20 @@ def test_search_space_fails_below_needed_space():
 
 def test_search_space_superset_base_case():
     phi = Cnf([cl(1, 2)], 3)
-    proof = search_space(phi, 1, cl(1, 2, 3))
+    proof = search_proof(phi, 1, cl(1, 2, 3))
     assert isinstance(proof, Weaken)
     assert check_proof(proof, phi, cl(1, 2, 3))
 
 
 def test_search_space_tautology_target():
     phi = Cnf([cl(1)], 1)
-    proof = search_space(phi, 1, TAUTOLOGY)
+    proof = search_proof(phi, 1, TAUTOLOGY)
     assert check_proof(proof, phi, TAUTOLOGY)
 
 
 def test_search_space_empty_clause_hypothesis_derives_anything():
     phi = Cnf([BOT], 2)
-    proof = search_space(phi, 1, cl(2))
+    proof = search_proof(phi, 1, cl(2))
     assert proof is not None and check_proof(proof, phi, cl(2))
 
 
@@ -161,7 +175,7 @@ def test_search_space_matches_sat_oracle_randomized():
         n = rng.randint(1, 4)
         phi = random_cnf(rng, n)
         s = n + 2
-        proof = search_space(phi, s, BOT)
+        proof = search_proof(phi, s, BOT)
         unsat = sat_solve(phi) is None
         assert (proof is not None) == unsat
         if proof is not None:
@@ -176,7 +190,7 @@ def test_space_class_restriction_closure_randomized():
         n = rng.randint(1, 4)
         phi = random_cnf(rng, n)
         s = n + 2
-        proof = search_space(phi, s, BOT)
+        proof = search_proof(phi, s, BOT)
         if proof is None:
             continue
         closed += 1
@@ -186,7 +200,7 @@ def test_space_class_restriction_closure_randomized():
             assert check_proof(projected, restrict_cnf(phi, rho), restrict_clause(BOT, rho))
             assert clause_space(projected) <= clause_space(proof)
             assert proof_size(projected) <= proof_size(proof)
-            again = search_space(restrict_cnf(phi, rho), s, BOT)
+            again = search_proof(restrict_cnf(phi, rho), s, BOT)
             assert again is not None
             assert clause_space(again) <= s
 
@@ -221,35 +235,9 @@ def test_proof_text_golden():
     )
 
 
-def reference_search_space(phi: Cnf, s: int, target) -> Optional[ProofNode]:
-    """search_space as it branched before: on every declared variable 1..n."""
-    if target is TAUTOLOGY:
-        return Leaf(TAUTOLOGY)
-    inputs = [c for c in phi.clauses if c is not TAUTOLOGY]
-
-    def search(clause, space):
-        for base in inputs:
-            if base <= clause:
-                leaf = Leaf(base)
-                return leaf if base == clause else Weaken(clause, leaf)
-        if space > 1:
-            used = {abs(lit) for lit in clause}
-            for var in range(1, phi.n + 1):
-                if var in used:
-                    continue
-                for lit in (var, -var):
-                    first = search(clause | {lit}, space - 1)
-                    if first is None:
-                        continue
-                    second = search(clause | {-lit}, space)
-                    if second is None:
-                        return None
-                    if lit > 0:
-                        return Cut(var, first, second, clause)
-                    return Cut(var, second, first, clause)
-        return None
-
-    return search(frozenset(target), s)
+def all_variables_search(phi: Cnf, s: int, target) -> Optional[ProofNode]:
+    """The reference search branching on every declared variable 1..n."""
+    return reference_search_space(phi, s, target, range(1, phi.n + 1))
 
 
 def cut_pivots(proof) -> set:
@@ -285,8 +273,8 @@ def test_search_space_agrees_with_all_variables_search():
     for _ in range(2000):
         phi, target = random_cnf_with_unused_variables(rng)
         s = rng.randint(1, 4)
-        proof = search_space(phi, s, target)
-        reference = reference_search_space(phi, s, target)
+        proof = search_proof(phi, s, target)
+        reference = all_variables_search(phi, s, target)
         assert (proof is None) == (reference is None)
         for found in (proof, reference):
             if found is not None:
@@ -324,21 +312,11 @@ def test_decide_pac_matches_reference_search_per_example():
         SpaceResolutionBackend(s=s, n=n), query, kb, params, dist, mask, seed=9, m=300
     )
     expected = tuple(
-        reference_search_space(restrict_cnf(kb, rho), s, restrict_clause(query, rho)) is not None
+        all_variables_search(restrict_cnf(kb, rho), s, restrict_clause(query, rho)) is not None
         for rho in draw_masked_examples(dist, mask, 300, 9)
     )
     assert outcome.per_example == expected
     assert 0 < sum(expected) < len(expected)
-
-
-def reference_restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """The clause-by-clause restriction that restrict_cnf must reproduce."""
-    restricted = []
-    for c in phi.clauses:
-        r = restrict_clause(c, rho)
-        if r is not TAUTOLOGY:
-            restricted.append(r)
-    return Cnf(restricted, phi.n)
 
 
 def random_restriction_case(rng):
@@ -381,6 +359,7 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
             result = restrict_cnf(phi, rho)
             expected = reference_restrict_cnf(phi, rho)
             assert result == expected  # same n, same clauses in the same order
+            assert repr(result) == repr(expected)
             seen[kind] += 1
             seen["reused"] += count > 0
             kept = [restrict_clause(c, rho) for c in phi.clauses]
@@ -409,3 +388,74 @@ def test_restrict_cnf_accepts_a_longer_rho():
     phi = Cnf([cl(1, -2), cl(2)], 2)
     rho = PartialAssignment.from_string("*1*0")
     assert restrict_cnf(phi, rho) == Cnf([cl(1)], 2)
+
+
+def random_differential_case(rng):
+    """A CNF over n <= 12 variables with the empty clause, TAUTOLOGY and
+    repeated clauses among its inputs, and a target clause.  Most CNFs over
+    three or more variables are dense over a few of them, so that many
+    proofs need cuts and space 3 or 4."""
+    n = rng.randint(1, 12)
+    dense = n >= 3 and rng.random() < 0.6
+    pool = rng.sample(range(1, n + 1), min(n, rng.randint(3, 5))) if dense else range(1, n + 1)
+    clauses = []
+    for _ in range(rng.randint(8, 20) if dense else rng.randint(0, 14)):
+        roll = rng.random()
+        if roll < 0.03:
+            clauses.append(BOT)
+        elif roll < 0.08:
+            clauses.append(TAUTOLOGY)
+        elif roll < 0.15 and clauses:
+            clauses.append(rng.choice(clauses))
+        else:
+            vars_ = rng.sample(pool, rng.randint(2 if dense else 1, min(3, len(pool))))
+            clauses.append(make_clause(v if rng.random() < 0.5 else -v for v in vars_))
+    target = make_clause(
+        v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, min(2, n)))
+    )
+    return Cnf(clauses, n), target
+
+
+def test_mask_kernels_match_the_frozenset_reference():
+    # the literal-mask restriction and search against the frozenset ones in
+    # helpers: same restricted Cnf (==, repr, decoded clauses), same verdict
+    # and the same proof, on each CNF and on its restrictions, twice deep
+    rng = random.Random(303030)
+    seen = {"accepted": 0, "rejected": 0, "cut": 0, "weaken": 0, "empty": 0,
+            "tautology": 0, "merged": 0, "twice": 0, "space 3+": 0}
+    seen.update({f"s={s}": 0 for s in range(1, 5)})
+    for _ in range(800):
+        phi, target = random_differential_case(rng)
+        instances = [(phi, target)]
+        for _ in range(6):
+            rho = random_partial(rng, phi.n, rng.choice((0.3, 0.6, 0.9)))
+            restricted = restrict_cnf(phi, rho)
+            expected = reference_restrict_cnf(phi, rho)
+            assert restricted == expected and repr(restricted) == repr(expected)
+            assert repr(restricted.clauses) == repr(expected.clauses)
+            seen["merged"] += len(restricted.clauses) < sum(
+                restrict_clause(c, rho) is not TAUTOLOGY for c in phi.clauses
+            )
+            instances.append((restricted, restrict_clause(target, rho)))
+            again = random_partial(rng, phi.n, 0.7)
+            twice, expected_twice = restrict_cnf(restricted, again), reference_restrict_cnf(expected, again)
+            assert repr(twice) == repr(expected_twice) and twice == expected_twice
+            seen["twice"] += len(twice.clauses) > 0
+        seen["empty"] += BOT in phi.clauses
+        seen["tautology"] += TAUTOLOGY in phi.clauses
+        for hyps, goal in instances:
+            s = rng.randint(1, 4)
+            found = search_proof(hyps, s, goal)
+            reference = reference_search_space(hyps, s, goal)
+            assert (found is None) == (reference is None)
+            if reference is None:
+                seen["rejected"] += 1
+                continue
+            assert proof_to_text(found) == proof_to_text(reference)
+            assert found == reference
+            seen["accepted"] += 1
+            seen[f"s={s}"] += 1
+            seen["cut"] += isinstance(found, Cut)
+            seen["space 3+"] += clause_space(found) >= 3
+            seen["weaken"] += isinstance(found, Weaken)
+    assert min(seen.values()) >= 100, seen
