@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import formats
 from .backends import (
@@ -52,9 +51,16 @@ SYSTEM_PARAMS = {
 
 def _fraction_arg(text):
     try:
-        return Fraction(text)
+        return formats.read_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
+
+
+def _int_arg(text):
+    try:
+        return formats.read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
 
 
 def _check_params(system, given):
@@ -194,6 +200,16 @@ def _cmd_prove(args) -> int:
     return 0 if accepted else 1
 
 
+def _write_output(text, path) -> int:
+    """Writes `text` to the file at `path`, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_sample(args) -> int:
     dist = formats.parse_dist(formats.read_text(args.dist))
     mask = formats.parse_mask_spec(
@@ -201,12 +217,7 @@ def _cmd_sample(args) -> int:
     )
     examples = draw_masked_examples(dist, mask, args.m, args.seed)
     text = formats.serialize_pasgns(dist.n, examples)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(text, args.out)
 
 
 def _cmd_oracle(args) -> int:
@@ -248,20 +259,15 @@ def _cmd_encode(args) -> int:
         text = formats.serialize_cp_file(
             cnf.n, [encode_clause_cp(c) for c in cnf.clauses]
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(text, args.out)
 
 
 def _add_backend_params(parser):
-    parser.add_argument("--s", type=int, help="clause space bound (res-space)")
-    parser.add_argument("--k", type=int, help="conjunction size bound (res-k-width)")
-    parser.add_argument("--w", type=int, help="width (res-k-width) or sparsity (cp)")
-    parser.add_argument("--d", type=int, help="degree bound (pc/pcr)")
-    parser.add_argument("--L", type=int, help="l1-norm bound (cp)")
+    parser.add_argument("--s", type=_int_arg, help="clause space bound (res-space)")
+    parser.add_argument("--k", type=_int_arg, help="conjunction size bound (res-k-width)")
+    parser.add_argument("--w", type=_int_arg, help="width (res-k-width) or sparsity (cp)")
+    parser.add_argument("--d", type=_int_arg, help="degree bound (pc/pcr)")
+    parser.add_argument("--L", type=_int_arg, help="l1-norm bound (cp)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--samples", help="pasgn file of masked examples")
     decide.add_argument("--dist", help="dist file to sample from")
     decide.add_argument("--mask", help="mask spec: fixed:BITS, iid:P or table:PATH")
-    decide.add_argument("--seed", type=int, help="64-bit stream seed")
-    decide.add_argument("--m", type=int, help="example count (default: Hoeffding size)")
+    decide.add_argument("--seed", type=_int_arg, help="64-bit stream seed")
+    decide.add_argument("--m", type=_int_arg, help="example count (default: Hoeffding size)")
     decide.add_argument("--per-example", action="store_true", dest="per_example")
     decide.set_defaults(func=_cmd_decide)
 
@@ -299,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="emit masked examples")
     sample.add_argument("--dist", required=True)
     sample.add_argument("--mask", required=True)
-    sample.add_argument("--seed", type=int, required=True)
-    sample.add_argument("--m", type=int, required=True)
+    sample.add_argument("--seed", type=_int_arg, required=True)
+    sample.add_argument("--m", type=_int_arg, required=True)
     sample.add_argument("--out")
     sample.set_defaults(func=_cmd_sample)
 

@@ -18,6 +18,9 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
+Numbers are what `int` or `Fraction` reads, in ASCII and without '_'.  Header
+fields are non-negative, and a mask table has one rule per assignment.
+
 Inline mask specs: `fixed:0110` (1 = hidden), `iid:<rational>`,
 `table:<path>` (path resolved against the referencing file's directory).
 """
@@ -45,6 +48,31 @@ def read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def read_int(text: str) -> int:
+    """int(text) for ASCII text without '_'; ValueError otherwise."""
+    return int(_ascii(text))
+
+
+def read_fraction(text: str) -> Fraction:
+    """Fraction(text) for ASCII text without '_'; ValueError otherwise."""
+    return Fraction(_ascii(text))
+
+
+def _ascii(text: str) -> str:
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
+
+
+def _number(read, token, noun, number=None):
+    """read(token), or a FormatError calling `token` a bad `noun` (on line `number`)."""
+    try:
+        return read(token)
+    except (ValueError, ZeroDivisionError):
+        where = "" if number is None else f"line {number}: "
+        raise FormatError(f"{where}bad {noun} {token!r}") from None
+
+
 def _lines(text, allow_c_comments=False):
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -59,10 +87,10 @@ def _header(line, number, kind, count):
     parts = line.split()
     if parts[0] != "p" or len(parts) != count + 2 or parts[1] != kind:
         raise FormatError(f"line {number}: expected header 'p {kind}' with {count} fields")
-    try:
-        return [int(p) for p in parts[2:]]
-    except ValueError:
-        raise FormatError(f"line {number}: header fields must be integers") from None
+    fields = [_number(read_int, p, "header field", number) for p in parts[2:]]
+    if min(fields) < 0:
+        raise FormatError(f"line {number}: header fields must be non-negative")
+    return fields
 
 
 def _parse_file(text, kind, fields, noun, read_body, allow_c_comments=False):
@@ -80,13 +108,6 @@ def _parse_file(text, kind, fields, noun, read_body, allow_c_comments=False):
     if len(records) != header[-1]:
         raise FormatError(f"header promises {header[-1]} {noun}, found {len(records)}")
     return header, records
-
-
-def _fraction(token, number):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"line {number}: bad rational {token!r}") from None
 
 
 def _variable(text, n, number, noun, token):
@@ -114,10 +135,7 @@ def _cnf_body(n, lines):
     current = []
     for number, line in lines:
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise FormatError(f"line {number}: bad literal {token!r}") from None
+            lit = _number(read_int, token, "literal", number)
             if lit == 0:
                 clauses.append(make_clause(current))
                 current = []
@@ -255,7 +273,7 @@ def _poly_body(n, lines):
             tokens = term_text.split()
             if not tokens:
                 raise FormatError(f"line {number}: empty term")
-            coeff = _fraction(tokens[0], number)
+            coeff = _number(read_fraction, tokens[0], "rational", number)
             indets = [_parse_indet(tok, number, n) for tok in tokens[1:]]
             terms.append((frozenset(indets), coeff))
         polys.append(Polynomial(terms))
@@ -296,20 +314,14 @@ def _cp_body(n, lines):
         if ">=" not in line:
             raise FormatError(f"line {number}: missing '>='")
         lhs, _, rhs = line.partition(">=")
-        try:
-            bound = int(rhs.strip())
-        except ValueError:
-            raise FormatError(f"line {number}: bad bound {rhs.strip()!r}") from None
+        bound = _number(read_int, rhs.strip(), "bound", number)
         coeffs = []
         for token in lhs.split():
             var_text, colon, coeff_text = token.partition(":")
             if not colon:
                 raise FormatError(f"line {number}: bad coefficient token {token!r}")
             var = _variable(var_text, n, number, "coefficient token", token)
-            try:
-                coeffs.append((var, int(coeff_text)))
-            except ValueError:
-                raise FormatError(f"line {number}: bad coefficient {coeff_text!r}") from None
+            coeffs.append((var, _number(read_int, coeff_text, "coefficient", number)))
         ineqs.append(LinIneq(coeffs, bound))
     return ineqs
 
@@ -342,7 +354,7 @@ def _dist_body(n, lines):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {number}: expected '<weight> <bits>'")
-        weight = _fraction(parts[0], number)
+        weight = _number(read_fraction, parts[0], "rational", number)
         bits = parts[1]
         if len(bits) != n or any(ch not in "01" for ch in bits):
             raise FormatError(f"line {number}: expected {n} bits")
@@ -376,8 +388,9 @@ def _mask_table_body(n, lines):
         if any(ch not in "01" for ch in parts[0] + parts[1]):
             raise FormatError(f"line {number}: mask table entries are over 0/1")
         x = tuple(int(ch) for ch in parts[0])
-        hidden = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
-        rule[x] = hidden
+        if x in rule:
+            raise FormatError(f"line {number}: assignment {parts[0]} already has a rule")
+        rule[x] = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
     return rule
 
 
@@ -390,10 +403,7 @@ def parse_mask_spec(spec: str, n: int, base_dir: str = "."):
             raise FormatError(f"fixed mask pattern must be {n} characters over 0/1")
         return FixedMask(i + 1 for i, ch in enumerate(rest) if ch == "1")
     if kind == "iid":
-        try:
-            p = Fraction(rest)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad hide probability {rest!r}") from None
+        p = _number(read_fraction, rest, "hide probability")
         if not 0 <= p <= 1:
             raise FormatError(f"hide probability {p} must lie in [0,1]")
         return IndependentMask(p)

@@ -95,17 +95,15 @@ def decode_clause(bits: int) -> frozenset:
 class Cnf:
     """A deduplicated list of clauses over variables 1..n.
 
-    A Cnf also has an int form: the literal masks (`encode_clause`) of its
-    non-tautology clauses, in clause order, which `restrict_cnf` and
-    `search_space` run on.  A Cnf built from clauses encodes them on first
-    use.  A Cnf that `restrict_cnf` returns holds only masks, each with the
-    index of the input clause it came from, and decodes `clauses` on first
-    read: each clause keeps the literals of its input clause that its mask
-    holds, in that clause's order, as restricting clause by clause does.
-    The cached forms and the restriction index take no part in equality or
-    the repr."""
+    A Cnf also has an int form, `masks`: the literal masks (`encode_clause`)
+    of its non-tautology clauses, in clause order, which `restrict_cnf` and
+    `search_space` run on.  A Cnf built from clauses encodes them at
+    construction.  A Cnf that `restrict_cnf` returns holds only n and masks,
+    and decodes `clauses` on first read.  Equality and the repr depend only
+    on the clauses as sets of literals; the restriction index takes no part
+    in them."""
 
-    __slots__ = ("n", "_clauses", "_masks", "_sources", "_index")
+    __slots__ = ("n", "masks", "_clauses", "_index")
 
     def __init__(self, clauses, n: int):
         out = []
@@ -116,17 +114,18 @@ class Cnf:
                     if abs(lit) > n:
                         raise InputError(f"literal {lit} out of range for n={n}")
             out.append(c)
-        object.__setattr__(self, "_clauses", tuple(dict.fromkeys(out)))
+        clauses = tuple(dict.fromkeys(out))
+        object.__setattr__(self, "_clauses", clauses)
         object.__setattr__(self, "n", n)
+        masks = tuple(encode_clause(c) for c in clauses if c is not TAUTOLOGY)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def _restricted(cls, parent: "Cnf", sources: dict) -> "Cnf":
-        """The Cnf over parent.n whose masks are the keys of `sources`, in
-        order, each mapped to the index of the parent mask it came from."""
+    def _of_masks(cls, n: int, masks: tuple) -> "Cnf":
+        """The Cnf over n whose masks are `masks`, which are distinct."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "n", parent.n)
-        object.__setattr__(out, "_masks", tuple(sources))
-        object.__setattr__(out, "_sources", (parent, tuple(sources.values())))
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "masks", masks)
         return out
 
     @property
@@ -135,55 +134,39 @@ class Cnf:
             return self._clauses
         except AttributeError:
             pass
-        parent, indices = self._sources
-        inputs = [c for c in parent.clauses if c is not TAUTOLOGY]
-        clauses = tuple(
-            frozenset(lit for lit in inputs[i] if bits & literal_bit(lit))
-            for i, bits in zip(indices, self._masks)
-        )
+        clauses = tuple(decode_clause(bits) for bits in self.masks)
         object.__setattr__(self, "_clauses", clauses)
         return clauses
 
-    def _literal_masks(self) -> tuple:
-        try:
-            return self._masks
-        except AttributeError:
-            pass
-        masks = tuple(encode_clause(c) for c in self._clauses if c is not TAUTOLOGY)
-        object.__setattr__(self, "_masks", masks)
-        return masks
-
-    def _restriction_index(self):
-        """(masks, by_variable): the literal masks, and for each variable
-        v, `by_variable[v - 1][value]` is the pair (the clauses that x_v =
-        value satisfies, as a bitmask where bit i stands for mask i; the bit
-        of the literal that x_v = value falsifies)."""
+    def _restriction_index(self) -> tuple:
+        """For each variable v, `[v - 1][value]` is the pair (the clauses
+        that x_v = value satisfies, as a bitmask where bit i stands for mask
+        i; the bit of the literal that x_v = value falsifies)."""
         try:
             return self._index
         except AttributeError:
             pass
-        masks = self._literal_masks()
         by_literal = {}
-        for i, bits in enumerate(masks):
+        for i, bits in enumerate(self.masks):
             while bits:
                 low = bits & -bits
                 by_literal[low] = by_literal.get(low, 0) | 1 << i
                 bits ^= low
-        by_variable = tuple(
+        index = tuple(
             (
                 (by_literal.get(2 << 2 * v, 0), 1 << 2 * v),
                 (by_literal.get(1 << 2 * v, 0), 2 << 2 * v),
             )
             for v in range(1, self.n + 1)
         )
-        object.__setattr__(self, "_index", (masks, by_variable))
-        return self._index
+        object.__setattr__(self, "_index", index)
+        return index
 
     def __eq__(self, other):
         return isinstance(other, Cnf) and self.n == other.n and self.clauses == other.clauses
 
     def __repr__(self):
-        return f"Cnf(n={self.n}, clauses={list(self.clauses)!r})"
+        return f"Cnf(n={self.n}, clauses=[{', '.join(map(clause_to_text, self.clauses))}])"
 
     def __setattr__(self, name, value):
         raise AttributeError("Cnf is immutable")
@@ -276,7 +259,7 @@ def search_space(phi: Cnf, s: int, target: Clause) -> Optional[tuple]:
     if target is TAUTOLOGY:
         return TAUTOLOGY, None
     goal = encode_clause(target)
-    step = search_masks(phi._literal_masks(), goal, s)
+    step = search_masks(phi.masks, goal, s)
     return None if step is None else (goal, step)
 
 
@@ -407,24 +390,21 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
         raise InputError(
             f"partial assignment has length {len(rho)}, CNF needs at least {phi.n}"
         )
-    masks, by_variable = phi._restriction_index()
+    masks = phi.masks
     satisfied = false_lits = 0
-    for value, pairs in zip(rho.entries, by_variable):
+    for value, pairs in zip(rho.entries, phi._restriction_index()):
         if value is not None:
             clause_bits, lit_bit = pairs[value]
             satisfied |= clause_bits
             false_lits |= lit_bit
     keep = ~false_lits
     left = ~satisfied & ((1 << len(masks)) - 1)
-    sources = {}
+    kept = {}
     while left:
         low = left & -left
-        i = low.bit_length() - 1
-        bits = masks[i] & keep
-        if bits not in sources:
-            sources[bits] = i
+        kept[masks[low.bit_length() - 1] & keep] = None
         left ^= low
-    return Cnf._restricted(phi, sources)
+    return Cnf._of_masks(phi.n, tuple(kept))
 
 
 def clause_to_text(clause: Clause) -> str:

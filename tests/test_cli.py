@@ -493,6 +493,18 @@ def test_encode_commands(tmp_path, capsys):
     assert code == 0 and out == "p cp 2 2\nx1:1 x2:-1 >= 0\nx2:1 >= 1\n"
 
 
+@pytest.mark.parametrize("command", ["sample", "encode"])
+def test_out_writes_what_stdout_shows(command, aviary, tmp_path, capsys):
+    argv = {
+        "sample": ["sample", "--dist", aviary["dist"], "--mask", "fixed:01", "--seed", "3", "--m", "2"],
+        "encode": ["encode", "cp", "--cnf", aviary["kb"]],
+    }[command]
+    code, shown, _ = run_cli(argv, capsys)
+    out = tmp_path / "out.txt"
+    assert run_cli(argv + ["--out", str(out)], capsys) == (0, "", "")
+    assert code == 0 and out.read_text() == shown
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["oracle", "sat", "--cnf", str(tmp_path / "missing.cnf")], capsys
@@ -526,6 +538,28 @@ def test_non_ascii_digit_in_a_variable_is_a_format_error(
         ["prove", "--system", system, *flags, "--kb", str(kb), "--query", str(query)], capsys
     )
     assert (code, out, err) == (2, "", f"error: line 2: {error.format(token)}\n")
+
+
+# a number option is ASCII: a non-ASCII digit or an underscore is a usage
+# error, not the number it would read as
+@pytest.mark.parametrize(
+    "option, value",
+    [("--epsilon", "١/٢"), ("--gamma", "1_0/100"), ("--delta", "١/٢٠"), ("--s", "٣"),
+     ("--k", "1_0"), ("--w", "٣"), ("--d", "٣"), ("--L", "1_0"), ("--m", "1_0"), ("--seed", "٣")],
+)
+def test_a_number_option_is_ascii(option, value, aviary, capsys):
+    options = {"--epsilon": "1/2", "--gamma": "1/10", "--delta": "1/20", "--s": "1",
+               "--m": "10", "--seed": "3"}
+    options[option] = value
+    argv = ["decide", "--system", "res-space", "--kb", aviary["kb"], "--query", aviary["query"],
+            "--dist", aviary["dist"], "--mask", "fixed:01",
+            *(arg for item in options.items() for arg in item)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    noun = "rational" if option in ("--epsilon", "--gamma", "--delta") else "integer"
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"argument {option}: bad {noun} {value!r}\n")
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(aviary, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from pacreason.formats import (
     serialize_pasgns,
     serialize_poly_file,
 )
+from pacreason.cutting_planes import LinIneq
 from pacreason.formulas import PartialAssignment
+from pacreason.res_k import KDnf
 from pacreason.sampling import ExplicitDistribution, FixedMask, IndependentMask
-from pacreason.resolution import make_clause
+from pacreason.resolution import Cnf, make_clause
 
 
 def test_parse_dimacs():
@@ -146,3 +149,64 @@ def test_mask_table_parsing(tmp_path):
     path.write_text(table_text)
     loaded = parse_mask_spec(f"table:{path.name}", 2, base_dir=str(tmp_path))
     assert loaded == mask
+
+
+def test_mask_table_rejects_a_repeated_assignment():
+    for count in (1, 2):
+        with pytest.raises(FormatError, match=r"^line 3: assignment 10 already has a rule$"):
+            parse_mask_table(f"p masktable 2 {count}\n10 01\n10 11\n")
+
+
+# each case is one value built twice, its literals, terms or coefficients
+# given in two orders
+EQUAL_VALUES = {
+    "cnf": (Cnf([make_clause([1, 2, -6])], 7), Cnf([make_clause([1, -6, 2])], 7)),
+    "cnf-parsed": (parse_cnf("p cnf 7 1\n1 2 -6 0\n"), parse_cnf("p cnf 7 1\n1 -6 2 0\n")),
+    "kdnf": (KDnf([[1, 2, -6], [3]]), KDnf([[3], [1, -6, 2]])),
+    "cp": (LinIneq([(1, 1), (2, 1), (6, -1)], 1), LinIneq([(1, 1), (6, -1), (2, 1)], 1)),
+    "poly": (
+        parse_poly_file("p poly 7 1\n1 x1 x2 ~x6; -1\n")[1][0],
+        parse_poly_file("p poly 7 1\n-1; 1 x1 ~x6 x2\n")[1][0],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUAL_VALUES))
+def test_equal_values_print_alike(kind):
+    first, second = EQUAL_VALUES[kind]
+    assert first == second and repr(first) == repr(second)
+
+
+def test_a_cnf_prints_its_clauses_as_text():
+    cnf = Cnf([make_clause([-6, 2, 1]), make_clause([]), make_clause([1, -1])], 7)
+    assert repr(cnf) == "Cnf(n=7, clauses=[x1|x2|-x6, (), T])"
+
+
+# one case per number a file or mask spec holds: a non-ASCII digit or an
+# underscore is not a number, and a header field is not negative
+BAD_NUMBERS = {
+    "header-digit": (parse_cnf, "p cnf ٣ 1\n1 0\n", "line 1: bad header field '٣'"),
+    "header-negative": (parse_cnf, "p cnf -1 0\n", "line 1: header fields must be non-negative"),
+    "kdnf-negative-k": (parse_kdnf_file, "p kdnf 2 -1 1\nx1\n", "line 1: header fields must be non-negative"),
+    "cnf-literal-digit": (parse_cnf, "p cnf 3 1\n٣ 0\n", "line 2: bad literal '٣'"),
+    "cnf-literal-underscore": (parse_cnf, "p cnf 10 1\n1_0 0\n", "line 2: bad literal '1_0'"),
+    "cp-coefficient": (parse_cp_file, "p cp 1 1\nx1:1_0 >= 1\n", "line 2: bad coefficient '1_0'"),
+    "cp-bound": (parse_cp_file, "p cp 1 1\nx1:1 >= ١\n", "line 2: bad bound '١'"),
+    "dist-weight": (parse_dist, "p dist 1 1\n١ 1\n", "line 2: bad rational '١'"),
+    "poly-coefficient": (parse_poly_file, "p poly 1 1\n١/٢ x1\n", "line 2: bad rational '١/٢'"),
+    "iid-mask": (lambda spec: parse_mask_spec(spec, 2), "iid:١/٣", "bad hide probability '١/٣'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_numbers_are_ascii_and_header_fields_non_negative(case):
+    parse, text, error = BAD_NUMBERS[case]
+    with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
+        parse(text)
+
+
+def test_ascii_numbers_keep_their_forms():
+    assert parse_cnf("p cnf +2 1\n+1 -2 0\n").clauses == (make_clause([1, -2]),)
+    assert parse_cp_file("p cp 1 1\nx1:+2 >= +1\n")[1] == [LinIneq([(1, 2)], 1)]
+    assert parse_dist("p dist 1 2\n+1/2 0\n0.5 1\n").support[0][1] == Fraction(1, 2)
+    assert parse_mask_spec("iid:1e-1", 1) == IndependentMask(Fraction(1, 10))
