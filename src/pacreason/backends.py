@@ -16,12 +16,13 @@ to BOTTOM, its refutation target, and PC/PCR when the query polynomial
 restricts to zero.  Each system's search accepts those forms too.
 `decide(query, hyps)` is the plain yes/no search the reduction calls on every
 other example.  `certificate(query, hyps)` runs the same search once, replays
-the proof it found with that system's independent checker, and returns the
-proof's text lines (None on reject, () where the system prints no proof); a
-proof that fails its replay raises RuleError.  Clause-space resolution prints
-its proof tree on one line; RES(k) prints `rule: formula` per trace step and
-cutting planes `index: rule inequality`, both from `saturation.TraceStep`s;
-PC and PCR print nothing.
+the proof it found with that system's independent checker, budget included
+(s for clause-space resolution, k and w for RES(k), w and L for cutting
+planes), and returns the proof's text lines (None on reject, () where the
+system prints no proof); a proof that fails its replay raises RuleError.
+Clause-space resolution prints its proof tree on one line; RES(k) prints
+`rule: formula` per trace step and cutting planes `index: rule inequality`,
+both from `saturation.TraceStep`s; PC and PCR print nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .cutting_planes import check_trace as check_cp_trace, decide_cp, residual_i
 from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
 from .resolution import (
     check_proof,
+    clause_space,
     proof_to_text,
     proof_tree,
     restrict_clause,
@@ -66,7 +68,7 @@ class SpaceResolutionBackend:
         proof = proof_tree(search_space(hyps, self.s, query))
         if proof is None:
             return None
-        _replayed(check_proof(proof, hyps, query), "res-space")
+        _replayed(check_proof(proof, hyps, query) and clause_space(proof) <= self.s, "res-space")
         return (proof_to_text(proof),)
 
     def restrict_query(self, query, rho):

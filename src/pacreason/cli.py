@@ -101,9 +101,8 @@ def _load_instance(args):
         query_cnf = formats.parse_cnf(formats.read_text(args.query))
         if query_cnf.n != n:
             raise InputError(f"query n={query_cnf.n} does not match kb n={n}")
-        negated = tuple(
-            phi for phi in negate_query([query_cnf.clauses], p["k"]) if phi is not TRUE
-        )
+        negated = negate_query(query_cnf.clauses, p["k"])
+        negated = () if negated is TRUE else (negated,)
         check_budget(hyps + list(negated), BOTTOM, p["k"], p["w"])
         return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
     if system in (PC, PCR):

@@ -3,7 +3,11 @@
 Every format starts with a `p <kind> ...` header and ignores blank lines and
 '#' comments (DIMACS 'c' comments are also accepted in cnf files).  Parsers
 raise FormatError with a line number; serializers emit the canonical form, and
-serialize(parse(text)) is byte-identical for canonical files.
+serialize(parse(text)) is byte-identical for canonical files.  The canonical
+order: the literals of a clause or term by `resolution.literal_bit` (by
+variable, x_v before -x_v), kdnf terms by their literal lists in that order,
+and polynomial terms as `Polynomial.term_texts` lists them; every other
+record keeps its order.
 
 Grammar summary:
 
@@ -18,8 +22,9 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
-Numbers are what `int` or `Fraction` reads, in ASCII and without '_'.  Header
-fields are non-negative, and a mask table has one rule per assignment.
+Numbers are what `int` or `Fraction` reads, in ASCII and without '_', and a
+decimal exponent is at most MAX_EXPONENT in size.  Header fields are
+non-negative, and a mask table has one rule per assignment.
 
 Inline mask specs: `fixed:0110` (1 = hidden), `iid:<rational>`,
 `table:<path>` (path resolved against the referencing file's directory).
@@ -33,10 +38,14 @@ from fractions import Fraction
 from .errors import FormatError, InputError
 from .formulas import PartialAssignment
 from .cutting_planes import LinIneq
-from .polycalc import Indet, Polynomial, monomial_key
+from .polycalc import Indet, Polynomial
 from .res_k import KDnf
-from .resolution import TAUTOLOGY, Cnf, make_clause
+from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
+
+# reading 1e-<exponent> builds 10**exponent, whose time grows faster than the
+# exponent; Python's default int-digit limit is the cap
+MAX_EXPONENT = 4300
 
 
 def read_text(path) -> str:
@@ -54,8 +63,14 @@ def read_int(text: str) -> int:
 
 
 def read_fraction(text: str) -> Fraction:
-    """Fraction(text) for ASCII text without '_'; ValueError otherwise."""
-    return Fraction(_ascii(text))
+    """Fraction(text) for ASCII text without '_' whose decimal exponent is at
+    most MAX_EXPONENT in size; ValueError otherwise."""
+    _, e, exponent = _ascii(text).lower().partition("e")
+    digits = exponent.strip().lstrip("+-").lstrip("0")
+    if e and digits.isdigit():  # the length test keeps int() off a long exponent
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def _ascii(text: str) -> str:
@@ -91,6 +106,13 @@ def _header(line, number, kind, count):
     if min(fields) < 0:
         raise FormatError(f"line {number}: header fields must be non-negative")
     return fields
+
+
+def _file_text(kind, fields, records) -> str:
+    """The `p <kind> <fields> <count>` header, then one line per record text."""
+    records = list(records)
+    head = " ".join(["p", kind, *map(str, fields), str(len(records))])
+    return "\n".join([head] + records) + "\n"
 
 
 def _parse_file(text, kind, fields, noun, read_body, allow_c_comments=False):
@@ -148,18 +170,11 @@ def _cnf_body(n, lines):
     return clauses
 
 
-def _clause_tokens(clause):
-    return sorted(clause, key=lambda lit: (abs(lit), lit < 0))
-
-
 def serialize_cnf(cnf: Cnf) -> str:
-    body = []
-    for clause in cnf.clauses:
-        if clause is TAUTOLOGY:
-            raise FormatError("the tautology clause is not serializable")
-        body.append(" ".join(str(lit) for lit in _clause_tokens(clause) + [0]))
-    head = f"p cnf {cnf.n} {len(cnf.clauses)}"
-    return "\n".join([head] + body) + "\n"
+    if any(clause is TAUTOLOGY for clause in cnf.clauses):
+        raise FormatError("the tautology clause is not serializable")
+    lines = (" ".join(map(str, [*sorted(c, key=literal_bit), 0])) for c in cnf.clauses)
+    return _file_text("cnf", [cnf.n], lines)
 
 
 # ---------------------------------------------------------------- pasgn
@@ -184,9 +199,7 @@ def _pasgn_body(n, lines):
 
 
 def serialize_pasgns(n: int, assignments) -> str:
-    assignments = list(assignments)
-    head = f"p pasgn {n} {len(assignments)}"
-    return "\n".join([head] + [str(a) for a in assignments]) + "\n"
+    return _file_text("pasgn", [n], map(str, assignments))
 
 
 # ---------------------------------------------------------------- kdnf
@@ -222,30 +235,13 @@ def _kdnf_body(n, k, lines):
     return formulas
 
 
-def _literal_text(lit):
-    return f"x{lit}" if lit > 0 else f"-x{-lit}"
-
-
-def _term_key(term):
-    return sorted((abs(lit), lit < 0) for lit in term)
-
-
 def serialize_kdnf_file(n: int, k: int, formulas) -> str:
-    formulas = list(formulas)
-    body = []
-    for phi in formulas:
-        if not phi.terms:
-            body.append("F")
-            continue
-        terms = sorted(phi.terms, key=_term_key)
-        body.append(
-            "|".join(
-                "&".join(_literal_text(lit) for lit in sorted(t, key=lambda l: (abs(l), l < 0)))
-                for t in terms
-            )
-        )
-    head = f"p kdnf {n} {k} {len(formulas)}"
-    return "\n".join([head] + body) + "\n"
+    return _file_text("kdnf", [n, k], map(_kdnf_text, formulas))
+
+
+def _kdnf_text(phi: KDnf) -> str:
+    terms = sorted(phi.terms, key=lambda term: sorted(map(literal_bit, term)))
+    return "|".join(literals_text(term, "&") for term in terms) or "F"
 
 
 # ---------------------------------------------------------------- poly
@@ -281,23 +277,7 @@ def _poly_body(n, lines):
 
 
 def serialize_poly_file(n: int, polys) -> str:
-    polys = list(polys)
-    body = []
-    for p in polys:
-        if p.is_zero:
-            body.append("0")
-            continue
-        parts = []
-        for mono in sorted(p.terms, key=monomial_key, reverse=True):
-            tokens = [str(p.terms[mono])]
-            tokens.extend(
-                ("~x" if i.dual else "x") + str(i.var)
-                for i in sorted(mono, key=lambda i: (i.var, i.dual))
-            )
-            parts.append(" ".join(tokens))
-        body.append("; ".join(parts))
-    head = f"p poly {n} {len(polys)}"
-    return "\n".join([head] + body) + "\n"
+    return _file_text("poly", [n], ("; ".join(p.term_texts(" ")) or "0" for p in polys))
 
 
 # ---------------------------------------------------------------- cp
@@ -327,14 +307,8 @@ def _cp_body(n, lines):
 
 
 def serialize_cp_file(n: int, ineqs) -> str:
-    ineqs = list(ineqs)
-    body = []
-    for ineq in ineqs:
-        tokens = [f"x{v}:{c}" for v, c in ineq.coeffs]
-        tokens.append(f">= {ineq.bound}")
-        body.append(" ".join(tokens))
-    head = f"p cp {n} {len(ineqs)}"
-    return "\n".join([head] + body) + "\n"
+    lines = (" ".join([*(f"x{v}:{c}" for v, c in q.coeffs), f">= {q.bound}"]) for q in ineqs)
+    return _file_text("cp", [n], lines)
 
 
 # ---------------------------------------------------------------- dist
@@ -363,12 +337,8 @@ def _dist_body(n, lines):
 
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
-    body = [
-        f"{w.numerator}/{w.denominator} {PartialAssignment(x)}"
-        for x, w in dist.support
-    ]
-    head = f"p dist {dist.n} {len(dist.support)}"
-    return "\n".join([head] + body) + "\n"
+    lines = (f"{w.numerator}/{w.denominator} {PartialAssignment(x)}" for x, w in dist.support)
+    return _file_text("dist", [dist.n], lines)
 
 
 # ---------------------------------------------------------------- masks

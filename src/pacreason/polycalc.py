@@ -118,17 +118,19 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __repr__(self):
-        if self.is_zero:
-            return "Polynomial(0)"
-        bits = []
+    def term_texts(self, sep: str) -> list:
+        """Each term as its coefficient, then its indeterminates (x<v>, or
+        ~x<v> for a dual, by variable, x<v> first), joined by `sep`; the
+        highest monomial first."""
+        texts = []
         for m in sorted(self.terms, key=monomial_key, reverse=True):
-            names = "".join(
-                ("~x" if i.dual else "x") + str(i.var)
-                for i in sorted(m, key=lambda i: (i.var, i.dual))
-            )
-            bits.append(f"{self.terms[m]}{names}")
-        return f"Polynomial({' + '.join(bits)})"
+            indets = sorted(m, key=lambda i: (i.var, i.dual))
+            names = [("~x" if i.dual else "x") + str(i.var) for i in indets]
+            texts.append(sep.join([str(self.terms[m])] + names))
+        return texts
+
+    def __repr__(self):
+        return f"Polynomial({' + '.join(self.term_texts('')) or '0'})"
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .errors import InputError
 from .formulas import Const, PartialAssignment, TRUE
-from .resolution import TAUTOLOGY
+from .resolution import TAUTOLOGY, literal_bit
 from .saturation import derivation, pairs, saturate, seed_inputs
 
 
@@ -62,7 +62,7 @@ class KDnf:
         return hash(self.terms)
 
     def __repr__(self):
-        return f"KDnf({sorted(sorted(t, key=abs) for t in self.terms)!r})"
+        return f"KDnf({sorted(sorted(t, key=literal_bit) for t in self.terms)!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError("KDnf is immutable")
@@ -99,30 +99,25 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
     return KDnf(new_terms)
 
 
-def negate_query(query, k: int):
-    """De Morgan dual of a disjunction of k-CNFs, one k-DNF per disjunct.
+def negate_query(kcnf, k: int) -> Union[KDnf, Const]:
+    """De Morgan dual of a k-CNF, given as its clauses: one k-DNF.
 
     Each clause negates to a term, so every clause must have at most k
-    literals.  A disjunct containing the empty clause negates to TRUE.
+    literals.  A k-CNF containing the empty clause negates to TRUE.
     """
-    out = []
-    for kcnf in query:
-        terms = []
-        trivially_true = False
-        for clause in kcnf:
-            if clause is TAUTOLOGY:
-                continue  # negates to a falsified disjunct, which drops
-            clause = frozenset(clause)
-            if not clause:
-                trivially_true = True
-                break
-            if len(clause) > k:
-                raise InputError(
-                    f"clause with {len(clause)} literals cannot be negated into a {k}-DNF"
-                )
-            terms.append(frozenset(-lit for lit in clause))
-        out.append(TRUE if trivially_true else KDnf(terms))
-    return out
+    terms = []
+    for clause in kcnf:
+        if clause is TAUTOLOGY:
+            continue  # negates to a falsified term, which drops
+        clause = frozenset(clause)
+        if not clause:
+            return TRUE
+        if len(clause) > k:
+            raise InputError(
+                f"clause with {len(clause)} literals cannot be negated into a {k}-DNF"
+            )
+        terms.append(frozenset(-lit for lit in clause))
+    return KDnf(terms)
 
 
 def _cut_results(psi1: KDnf, psi2: KDnf, w: int):
@@ -151,9 +146,7 @@ def _weaken_results(psi: KDnf, universe_terms, w: int):
 
 
 def _term_universe(variables, k: int):
-    literals = sorted(
-        (s * v for v in variables for s in (1, -1)), key=lambda l: (abs(l), l < 0)
-    )
+    literals = sorted((s * v for v in variables for s in (1, -1)), key=literal_bit)
     universe = []
     for size in range(1, k + 1):
         for combo in combinations(literals, size):
@@ -213,7 +206,7 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
         for rest, lits in groups.items():
             if len(rest) + 1 > w:
                 continue
-            available = sorted(lits, key=lambda l: (abs(l), l < 0))
+            available = sorted(lits, key=literal_bit)
             for j in range(2, k + 1):
                 for combo in combinations(available, j):
                     if any(-lit in combo for lit in combo):

@@ -64,13 +64,21 @@ def clause_to_formula(clause: Clause) -> Formula:
     if not clause:
         return FALSE
     return disjunction(
-        literal_formula(abs(lit), lit > 0) for lit in sorted(clause, key=abs)
+        literal_formula(abs(lit), lit > 0) for lit in sorted(clause, key=literal_bit)
     )
 
 
 def literal_bit(lit: int) -> int:
-    """Bit 2v for x_v, bit 2v+1 for -x_v."""
+    """Bit 2v for x_v, bit 2v+1 for -x_v.  Also the one literal sort key:
+    by variable, x_v before -x_v."""
     return 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
+
+
+def literals_text(literals, sep: str) -> str:
+    """The literals as x<v> for x_v and -x<v> for -x_v, in `literal_bit`
+    order, joined by `sep`."""
+    ordered = sorted(literals, key=literal_bit)
+    return sep.join(f"x{lit}" if lit > 0 else f"-x{-lit}" for lit in ordered)
 
 
 def encode_clause(clause: frozenset) -> int:
@@ -412,9 +420,7 @@ def clause_to_text(clause: Clause) -> str:
         return "T"
     if not clause:
         return "()"
-    return "|".join(
-        f"x{lit}" if lit > 0 else f"-x{-lit}" for lit in sorted(clause, key=lambda l: (abs(l), l < 0))
-    )
+    return literals_text(clause, "|")
 
 
 def proof_to_text(proof: ProofNode) -> str:

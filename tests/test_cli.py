@@ -460,6 +460,22 @@ def test_prove_rejected_replay_is_an_error(case, checker, tmp_path, capsys, monk
         assert err.startswith("error:")
 
 
+def test_prove_replays_a_res_space_proof_against_the_space_bound(tmp_path, capsys, monkeypatch):
+    # a search that overshoots --s finds a space-2 proof of x2; the replay
+    # checks its clause space against --s 1 and refuses it
+    monkeypatch.setattr(
+        backends, "search_space", lambda phi, s, target: resolution.search_space(phi, 2, target)
+    )
+    kb = write(tmp_path / "kb.cnf", "p cnf 2 2\n1 0\n-1 2 0\n")
+    query = write(tmp_path / "query.cnf", "p cnf 2 1\n2 0\n")
+    for extra in ([], ["--show-proof"]):
+        code, out, err = run_cli(
+            ["prove", "--system", "res-space", "--s", "1", "--kb", kb, "--query", query, *extra],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: res-space certificate failed its replay check\n")
+
+
 def test_sample_emits_pasgn(aviary, capsys):
     code, out, _ = run_cli(
         ["sample", "--dist", aviary["dist"], "--mask", "fixed:01",
@@ -560,6 +576,23 @@ def test_a_number_option_is_ascii(option, value, aviary, capsys):
     noun = "rational" if option in ("--epsilon", "--gamma", "--delta") else "integer"
     assert exit_info.value.code == 2 and captured.out == ""
     assert captured.err.endswith(f"argument {option}: bad {noun} {value!r}\n")
+
+
+# a decimal exponent above formats.MAX_EXPONENT is a usage error, refused
+# before the power of ten it names is built
+def test_a_long_decimal_exponent_is_a_usage_error(aviary, capsys):
+    too_long = "1e-3000000"
+    argv = ["decide", "--system", "res-space", "--s", "1", "--kb", aviary["kb"],
+            "--query", aviary["query"], "--dist", aviary["dist"], "--seed", "3", "--m", "10",
+            "--gamma", "1/10", "--delta", "1/20"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--mask", "fixed:01", "--epsilon", too_long])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"argument --epsilon: bad rational {too_long!r}\n")
+
+    code, out, err = run_cli([*argv, "--mask", f"iid:{too_long}", "--epsilon", "1/2"], capsys)
+    assert (code, out, err) == (2, "", f"error: bad hide probability {too_long!r}\n")
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(aviary, tmp_path, capsys):

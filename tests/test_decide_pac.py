@@ -181,9 +181,9 @@ def test_oracle_backend_accept_implies_empirical_validity():
 
 
 def test_res_k_backend_roundtrip():
-    kb = (negate_query([[frozenset({-1, 2})]], k=2)[0],)  # KB k-DNF for clause
+    kb = (negate_query([frozenset({-1, 2})], k=2),)  # KB k-DNF for clause
     backend = ResKWidthBackend(k=2, w=2, n=2)
-    query = tuple(negate_query([[frozenset({2})]], k=2))
+    query = (negate_query([frozenset({2})], k=2),)
     examples = [PartialAssignment.from_string("1*")] * 6
     # hypothesis here is the clause (not-x1 or x2) as a 1-DNF
     from pacreason.res_k import KDnf

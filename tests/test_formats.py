@@ -5,6 +5,7 @@ import pytest
 
 from pacreason.errors import FormatError
 from pacreason.formats import (
+    MAX_EXPONENT,
     parse_cnf,
     parse_cp_file,
     parse_dist,
@@ -13,6 +14,7 @@ from pacreason.formats import (
     parse_mask_table,
     parse_pasgns,
     parse_poly_file,
+    read_fraction,
     serialize_cnf,
     serialize_cp_file,
     serialize_dist,
@@ -78,6 +80,37 @@ def test_kdnf_roundtrip():
     n, k, formulas = parse_kdnf_file(text)
     assert (n, k) == (3, 2)
     assert serialize_kdnf_file(n, k, formulas) == text
+
+
+# one case per serializer that orders literals, terms or monomials: the text
+# read, and the canonical text written back.  Literals go by variable, x_v
+# before -x_v; kdnf terms by their literal lists in that order; polynomial
+# terms by `monomial_key`, highest first, each listing x_v before ~x_v
+CANONICAL_TEXT = {
+    "cnf": (lambda text: serialize_cnf(parse_cnf(text)), "p cnf 3 1\n3 -2 0\n", "p cnf 3 1\n-2 3 0\n"),
+    "kdnf": (
+        lambda text: serialize_kdnf_file(*parse_kdnf_file(text)),
+        "p kdnf 3 2 2\nx1&-x2|-x1|x2&x3\n-x3|x3\n",
+        "p kdnf 3 2 2\nx1&-x2|-x1|x2&x3\nx3|-x3\n",
+    ),
+    "poly": (
+        lambda text: serialize_poly_file(*parse_poly_file(text)),
+        "p poly 3 1\n1 ~x2 x1; -1/2 x3 ~x1; 2; 3 ~x3; 5 ~x1 x1\n",
+        "p poly 3 1\n5 x1 ~x1; 1 x1 ~x2; -1/2 ~x1 x3; 3 ~x3; 2\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CANONICAL_TEXT))
+def test_serializers_write_the_canonical_order(kind):
+    roundtrip, text, canonical = CANONICAL_TEXT[kind]
+    assert roundtrip(text) == canonical
+    assert roundtrip(canonical) == canonical
+
+
+def test_a_polynomial_prints_its_terms_in_the_file_order():
+    _, (p,) = parse_poly_file(CANONICAL_TEXT["poly"][1])
+    assert repr(p) == "Polynomial(5x1~x1 + 1x1~x2 + -1/2~x1x3 + 3~x3 + 2)"
 
 
 def test_kdnf_term_size_gate():
@@ -183,7 +216,9 @@ def test_a_cnf_prints_its_clauses_as_text():
 
 
 # one case per number a file or mask spec holds: a non-ASCII digit or an
-# underscore is not a number, and a header field is not negative
+# underscore is not a number, and a header field is not negative; then one
+# case per rational with a decimal exponent above MAX_EXPONENT
+BIG = f"1e-{MAX_EXPONENT + 1}"
 BAD_NUMBERS = {
     "header-digit": (parse_cnf, "p cnf ٣ 1\n1 0\n", "line 1: bad header field '٣'"),
     "header-negative": (parse_cnf, "p cnf -1 0\n", "line 1: header fields must be non-negative"),
@@ -195,6 +230,9 @@ BAD_NUMBERS = {
     "dist-weight": (parse_dist, "p dist 1 1\n١ 1\n", "line 2: bad rational '١'"),
     "poly-coefficient": (parse_poly_file, "p poly 1 1\n١/٢ x1\n", "line 2: bad rational '١/٢'"),
     "iid-mask": (lambda spec: parse_mask_spec(spec, 2), "iid:١/٣", "bad hide probability '١/٣'"),
+    "dist-exponent": (parse_dist, f"p dist 1 1\n{BIG} 1\n", f"line 2: bad rational {BIG!r}"),
+    "poly-exponent": (parse_poly_file, f"p poly 1 1\n{BIG} x1\n", f"line 2: bad rational {BIG!r}"),
+    "iid-exponent": (lambda spec: parse_mask_spec(spec, 2), f"iid:{BIG}", f"bad hide probability {BIG!r}"),
 }
 
 
@@ -210,3 +248,14 @@ def test_ascii_numbers_keep_their_forms():
     assert parse_cp_file("p cp 1 1\nx1:+2 >= +1\n")[1] == [LinIneq([(1, 2)], 1)]
     assert parse_dist("p dist 1 2\n+1/2 0\n0.5 1\n").support[0][1] == Fraction(1, 2)
     assert parse_mask_spec("iid:1e-1", 1) == IndependentMask(Fraction(1, 10))
+
+
+def test_a_decimal_exponent_is_capped():
+    assert read_fraction(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    assert read_fraction(f" 25E+0{MAX_EXPONENT - 1} ") == 25 * 10 ** (MAX_EXPONENT - 1)
+    assert read_fraction("1e-000000000000000000001") == Fraction(1, 10)
+    assert (read_fraction("+1"), read_fraction("0.5")) == (1, Fraction(1, 2))
+    for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-0{MAX_EXPONENT + 1}", "1e-1000000", "1e-3000000"):
+        error = f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}"
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            read_fraction(text)

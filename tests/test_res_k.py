@@ -9,6 +9,7 @@ from pacreason.oracle import entails
 from pacreason.res_k import (
     BOTTOM,
     KDnf,
+    _term_universe,
     check_budget,
     check_trace,
     decide_resk_width,
@@ -107,25 +108,33 @@ def test_bottom_hypothesis_derives_anything():
     assert check_trace(trace, [BOTTOM], kd((2,)), 1, 1)
 
 
+def test_term_universe_lists_terms_in_literal_order():
+    # weakening offers terms in this order, so it fixes which of two
+    # derivations of a k-DNF the table records
+    universe = _term_universe([1, 3], 2)
+    terms = ([1], [-1], [3], [-3], [1, 3], [1, -3], [-1, 3], [-1, -3])
+    assert universe == [frozenset(t) for t in terms]
+
+
 def test_negate_query():
-    assert negate_query([[frozenset({1})]], k=1) == [kd((-1,))]
-    assert negate_query([[frozenset({1, 2})]], k=2) == [kd((-1, -2))]
-    assert negate_query([[frozenset()]], k=1) == [TRUE]
+    assert negate_query([frozenset({1})], k=1) == kd((-1,))
+    assert negate_query([frozenset({1, 2})], k=2) == kd((-1, -2))
+    assert negate_query([frozenset()], k=1) == TRUE
     with pytest.raises(InputError):
-        negate_query([[frozenset({1, 2})]], k=1)
+        negate_query([frozenset({1, 2})], k=1)
 
 
 def test_negate_query_skips_tautological_clause():
     from pacreason.resolution import TAUTOLOGY
 
-    assert negate_query([[TAUTOLOGY, frozenset({1})]], k=1) == [kd((-1,))]
+    assert negate_query([TAUTOLOGY, frozenset({1})], k=1) == kd((-1,))
 
 
 def test_negate_query_refutation_pipeline():
     # KB (not-x1 or x2) with query clause (x2) and x1 known: refute together
     kb = [kd((-1,), (2,))]
-    negated = negate_query([[frozenset({2})]], k=1)
-    accepted, trace = decide_resk_width(kb + [kd((1,))] + negated, BOTTOM, k=1, w=1)
+    negated = negate_query([frozenset({2})], k=1)
+    accepted, trace = decide_resk_width(kb + [kd((1,)), negated], BOTTOM, k=1, w=1)
     assert accepted
 
 

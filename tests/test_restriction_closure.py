@@ -214,7 +214,8 @@ def random_resk_instance(rng):
         v = rng.randint(1, n)
         hyps.append(KDnf([(v,), (-v,)]))
     clause = random_clause(rng, n, max_width=k)
-    query = tuple(phi for phi in negate_query([[clause]], k) if phi != TRUE)
+    negated = negate_query([clause], k)
+    query = () if negated == TRUE else (negated,)
     return n, k, w, query, tuple(hyps), tautological
 
 

@@ -66,3 +66,27 @@ def test_no_decider_calls_a_budget_check():
                             offenders.append(f"{path.name}:{node.lineno} {func.name} calls {callee}")
     assert found == deciders
     assert offenders == []
+
+
+def test_literals_sort_only_by_literal_bit():
+    # `resolution.literal_bit` is the one literal order: by variable, x_v
+    # before -x_v.  A sort key built on abs, or an `(abs(l), l < 0)` pair, is
+    # a second copy of it
+    def literal_key(node):
+        if isinstance(node, ast.keyword) and node.arg == "key":
+            return any(isinstance(n, ast.Name) and n.id == "abs" for n in ast.walk(node.value))
+        return (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Call)
+            and getattr(node.elts[0].func, "id", None) == "abs"
+            and isinstance(node.elts[1], ast.Compare)
+        )
+
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if literal_key(node)
+        )
+    assert offenders == []
