@@ -11,10 +11,12 @@ weakening rule: repeated axiom additions simulate one.
 decide_cp runs the w-sparse L-bounded dynamic program on the `saturation`
 engine (see its contract): the table of in-budget inequalities grows one
 derivation round at a time; hypotheses beyond the budget still feed addition
-steps.  The search runs on raw `(coeffs, bound)` tuples: it adds each
-unordered pair once, drops an over-budget sum before building it, and
-multiplies by positive factors up to L // l1 only (negative factors would
-flip the inequality unsoundly).
+steps.  The search runs on `(coeffs, bound)` lines: a `LinIneq` is one, so
+the axioms and hypotheses seed the table, and the target is sought in it, as
+they are; derived lines are plain tuples.  It adds each unordered pair once,
+drops an over-budget sum before building it, and multiplies by positive
+factors up to L // l1 only (negative factors would flip the inequality
+unsoundly).
 
 An accepted run returns its trace as `saturation.TraceStep`s that
 `check_trace` replays.  A step's formula is its `LinIneq` and its rule one of
@@ -26,6 +28,7 @@ hypothesis step's premises are its index.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import InputError, RuleError
@@ -34,12 +37,19 @@ from .resolution import TAUTOLOGY
 from .saturation import derivation, saturate, seed_inputs
 
 
-class LinIneq:
-    """Canonical inequality sum(c_i x_i) >= bound; coefficients sorted by var."""
+def _l1(line) -> int:
+    coeffs, bound = line
+    return abs(bound) + sum(abs(c) for _, c in coeffs)
 
-    __slots__ = ("coeffs", "bound")
 
-    def __init__(self, coeffs, bound: int):
+class LinIneq(tuple):
+    """Canonical inequality sum(c_i x_i) >= bound: the pair (coeffs, bound),
+    coeffs the nonzero (var, c) pairs sorted by var.  It equals and hashes as
+    that plain pair, the raw line that `decide_cp` searches on."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs, bound: int):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         data = {}
         for var, c in items:
@@ -50,10 +60,11 @@ class LinIneq:
             if c == 0:
                 continue
             data[var] = data.get(var, 0) + c
-        object.__setattr__(
-            self, "coeffs", tuple(sorted((v, c) for v, c in data.items() if c != 0))
-        )
-        object.__setattr__(self, "bound", int(bound))
+        coeffs = tuple(sorted((v, c) for v, c in data.items() if c != 0))
+        return tuple.__new__(cls, (coeffs, int(bound)))
+
+    coeffs = property(itemgetter(0))
+    bound = property(itemgetter(1))
 
     @property
     def sparsity(self) -> int:
@@ -61,27 +72,14 @@ class LinIneq:
 
     @property
     def l1_norm(self) -> int:
-        return abs(self.bound) + sum(abs(c) for _, c in self.coeffs)
+        return _l1(self)
 
     def variables(self) -> frozenset:
         return frozenset(v for v, _ in self.coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinIneq)
-            and self.coeffs == other.coeffs
-            and self.bound == other.bound
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.bound))
-
     def __repr__(self):
         lhs = " + ".join(f"{c}*x{v}" for v, c in self.coeffs) or "0"
         return f"LinIneq({lhs} >= {self.bound})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinIneq is immutable")
 
 
 TRUTH_AXIOM = LinIneq((), -1)  # 0 >= -1
@@ -105,7 +103,7 @@ def is_axiom(ineq: LinIneq) -> bool:
 
 
 def add_ineqs(a: LinIneq, b: LinIneq) -> LinIneq:
-    return LinIneq(tuple(a.coeffs) + tuple(b.coeffs), a.bound + b.bound)
+    return LinIneq(a.coeffs + b.coeffs, a.bound + b.bound)
 
 
 def multiply_ineq(a: LinIneq, factor: int) -> LinIneq:
@@ -130,10 +128,15 @@ def always_witnessed_true(ineq: LinIneq) -> bool:
 def check_trace(trace, hyps, target: LinIneq, w: int, L: int) -> bool:
     """Replay every step; derived inequalities must be w-sparse and
     L-bounded (hypothesis steps are inputs and are exempt).  A malformed
-    step, such as an unknown rule, a premise that no earlier step derived or
-    a factor that is not a positive integer, fails the replay."""
+    step, such as an unknown rule, a formula or premise that is not a
+    `LinIneq`, a premise that no earlier step derived or a factor that is not
+    a positive integer, fails the replay."""
     hyps = list(hyps)
     derived = set()
+
+    def known(premise) -> bool:
+        return isinstance(premise, LinIneq) and premise in derived
+
     for step in trace:
         ineq, rule, premises = step.formula, step.rule, step.premises
         if not isinstance(ineq, LinIneq):
@@ -146,11 +149,11 @@ def check_trace(trace, hyps, target: LinIneq, w: int, L: int) -> bool:
                     ok = premises == () and is_axiom(ineq)
                 elif rule == "AddStep":
                     a, b = premises
-                    ok = a in derived and b in derived and add_ineqs(a, b) == ineq
+                    ok = known(a) and known(b) and add_ineqs(a, b) == ineq
                 elif rule in ("MultiplyStep", "DivideStep"):
                     a, k = premises
                     apply = multiply_ineq if rule == "MultiplyStep" else divide_ineq
-                    ok = a in derived and apply(a, k) == ineq
+                    ok = known(a) and apply(a, k) == ineq
                 else:
                     ok = False
             except (ValueError, TypeError):  # a RuleError, or premises of the wrong count or type
@@ -170,24 +173,15 @@ def check_target(target: LinIneq, w: int, L: int) -> None:
         raise InputError(f"target l1-norm {target.l1_norm} exceeds the bound {L}")
 
 
-def _line(ineq: LinIneq) -> tuple:
-    return ineq.coeffs, ineq.bound
-
-
-def _l1(line) -> int:
-    coeffs, bound = line
-    return abs(bound) + sum(abs(c) for _, c in coeffs)
-
-
 def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
     """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
     and the axioms.  Returns (accepted, trace).  Takes a target that
     `check_target` accepts.
 
-    The search runs on raw `(coeffs, bound)` lines, the fields of a
-    `LinIneq`; only the lines of an accepting trace become `LinIneq`s.  Each
-    `saturation` round offers sums (over-budget hypotheses included), then
-    the multiples and quotients of the previous round's lines:
+    Derived lines stay plain `(coeffs, bound)` tuples; only those of an
+    accepting trace become `LinIneq`s.  Each `saturation` round offers sums
+    (over-budget hypotheses included), then the multiples and quotients of
+    the previous round's lines:
 
     - sums of unordered pairs only (a before b in source order, a = b
       included): (b, a) offers the same line after (a, b) in the same round,
@@ -222,8 +216,8 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
     axioms = [TRUTH_AXIOM]
     for v in variables:
         axioms.extend((var_nonneg(v), var_at_most_one(v)))
-    table = {_line(ax): ("AxiomStep", ()) for ax in axioms if in_budget(_line(ax))}
-    outside = seed_inputs(table, map(_line, hyps), in_budget, "HypothesisStep")
+    table = {ax: ("AxiomStep", ()) for ax in axioms if in_budget(ax)}
+    outside = seed_inputs(table, hyps, in_budget, "HypothesisStep")
 
     def rules(delta, first_round):
         sources = [*table, *outside]
@@ -246,10 +240,9 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = Non
                         quotient = tuple((v, c // divisor) for v, c in coeffs), -(-bound // divisor)
                         yield quotient, ("DivideStep", (line,), divisor)
 
-    target_line = _line(target)
-    if not saturate(table, target_line, rules, stats):
+    if not saturate(table, target, rules, stats):
         return False, None
-    return True, derivation(target_line, table, outside, lambda line: LinIneq(*line))
+    return True, derivation(target, table, outside, lambda line: LinIneq(*line))
 
 
 def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:

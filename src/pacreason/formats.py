@@ -22,8 +22,9 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
-Numbers are what `int` or `Fraction` reads, in ASCII and without '_', and a
-decimal exponent is at most MAX_EXPONENT in size.  Header fields are
+Numbers are what `int` or `Fraction` reads, in ASCII and without '_'; a
+decimal exponent is at most MAX_EXPONENT in size, and a rational's numerator
+and denominator have at most MAX_EXPONENT + 1 digits.  Header fields are
 non-negative, and a mask table has one rule per assignment.
 
 Inline mask specs: `fixed:0110` (1 = hidden), `iid:<rational>`,
@@ -43,9 +44,12 @@ from .res_k import KDnf
 from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 
-# reading 1e-<exponent> builds 10**exponent, whose time grows faster than the
-# exponent; Python's default int-digit limit is the cap
-MAX_EXPONENT = 4300
+# str() prints an int of at most 4300 digits (Python's default limit), so a
+# rational read keeps its numerator and denominator below 10**4300; the
+# exponent cap, the largest whose power of ten prints, keeps reading fast,
+# since 1e-<exponent> builds 10**exponent
+MAX_EXPONENT = 4299
+_VALUE_LIMIT = 10 ** (MAX_EXPONENT + 1)
 
 
 def read_text(path) -> str:
@@ -64,13 +68,17 @@ def read_int(text: str) -> int:
 
 def read_fraction(text: str) -> Fraction:
     """Fraction(text) for ASCII text without '_' whose decimal exponent is at
-    most MAX_EXPONENT in size; ValueError otherwise."""
+    most MAX_EXPONENT in size, and whose value's numerator and denominator
+    have at most MAX_EXPONENT + 1 digits; ValueError otherwise."""
     _, e, exponent = _ascii(text).lower().partition("e")
     digits = exponent.strip().lstrip("+-").lstrip("0")
     if e and digits.isdigit():  # the length test keeps int() off a long exponent
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
-    return Fraction(text)
+    value = Fraction(text)
+    if abs(value.numerator) >= _VALUE_LIMIT or value.denominator >= _VALUE_LIMIT:
+        raise ValueError(f"{text!r} has more than {MAX_EXPONENT + 1} digits")
+    return value
 
 
 def _ascii(text: str) -> str:
@@ -240,7 +248,7 @@ def serialize_kdnf_file(n: int, k: int, formulas) -> str:
 
 
 def _kdnf_text(phi: KDnf) -> str:
-    terms = sorted(phi.terms, key=lambda term: sorted(map(literal_bit, term)))
+    terms = sorted(phi, key=lambda term: sorted(map(literal_bit, term)))
     return "|".join(literals_text(term, "&") for term in terms) or "F"
 
 

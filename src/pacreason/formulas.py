@@ -115,31 +115,30 @@ def _entry(value):
     raise InputError(f"partial assignment entries must be 0, 1 or *, got {value!r}")
 
 
-class PartialAssignment:
-    """A vector over {0, 1, *}; entry i (1-based) is None when masked.  The
-    entries are only the ints 0 and 1 and None."""
+class PartialAssignment(tuple):
+    """A vector over {0, 1, *}: the tuple of its entries, each the int 0 or
+    1, or None where masked.  It equals and hashes as that plain tuple; entry
+    i (1-based) is `value(i)`."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable):
-        entries = tuple(entries)
+    def __new__(cls, entries: Iterable):
+        self = tuple.__new__(cls, entries)
         # two passes in C; the type pass stops 1.0 or Fraction(1) from passing
         # by equality and sends a bool to `_entry`
-        if not (set(map(type, entries)) <= _ENTRY_TYPES and set(entries) <= _VALUE_CHARS.keys()):
-            entries = tuple(map(_entry, entries))
-        object.__setattr__(self, "entries", entries)
+        if set(map(type, self)) <= _ENTRY_TYPES and set(self) <= _VALUE_CHARS.keys():
+            return self
+        return tuple.__new__(cls, map(_entry, self))
 
     @classmethod
-    def _trusted(cls, entries: tuple) -> "PartialAssignment":
-        """Wraps a tuple of 0, 1 and None without checking it."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        return out
+    def _trusted(cls, entries) -> "PartialAssignment":
+        """Wraps an iterable of 0, 1 and None without checking it."""
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def from_string(cls, text: str) -> "PartialAssignment":
         try:
-            return cls._trusted(tuple(map(_CHAR_VALUES.__getitem__, text)))
+            return cls._trusted(map(_CHAR_VALUES.__getitem__, text))
         except KeyError as exc:
             raise InputError(f"bad partial assignment character {exc.args[0]!r}") from None
 
@@ -147,41 +146,25 @@ class PartialAssignment:
     def all_masked(cls, n: int) -> "PartialAssignment":
         return cls((None,) * n)
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def value(self, var: int):
         """Value of variable `var` (1-based): 0, 1 or None."""
-        if not 1 <= var <= len(self.entries):
-            raise InputError(f"variable x{var} out of range 1..{len(self.entries)}")
-        return self.entries[var - 1]
+        if not 1 <= var <= len(self):
+            raise InputError(f"variable x{var} out of range 1..{len(self)}")
+        return self[var - 1]
 
     def masked_vars(self) -> tuple:
-        return tuple(i + 1 for i, e in enumerate(self.entries) if e is None)
-
-    def __eq__(self, other):
-        return isinstance(other, PartialAssignment) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+        return tuple(i + 1 for i, e in enumerate(self) if e is None)
 
     def __str__(self):
-        return "".join(map(_VALUE_CHARS.__getitem__, self.entries))
+        return "".join(map(_VALUE_CHARS.__getitem__, self))
 
     def __repr__(self):
         return f"PartialAssignment({self})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialAssignment is immutable")
-
 
 def refine(sigma: PartialAssignment, tau: Mapping[int, int]) -> PartialAssignment:
     """Merge `tau`, defined only on coordinates masked in `sigma`, into `sigma`."""
-    entries = list(sigma.entries)
+    entries = list(sigma)
     for var, val in tau.items():
         if not 1 <= var <= len(entries):
             raise InputError(f"refinement touches x{var}, out of range 1..{len(entries)}")

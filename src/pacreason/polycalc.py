@@ -280,16 +280,15 @@ def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
     """Kill monomials with an indeterminate set to 0, delete those set to 1;
     duals read the negated assignment.  Raises InputError for a variable
     beyond len(rho)."""
-    entries = rho.entries
     data = {}
     for m, c in p.terms.items():
         kept = []
         for i in m:
             try:
-                v = entries[i.var - 1]
+                v = rho[i.var - 1]
             except IndexError:
                 raise InputError(
-                    f"variable x{i.var} out of range 1..{len(entries)}"
+                    f"variable x{i.var} out of range 1..{len(rho)}"
                 ) from None
             if v is None:
                 kept.append(i)

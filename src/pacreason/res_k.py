@@ -1,9 +1,9 @@
 """k-DNF formulas and width-bounded RES(k) proof search.
 
-A k-DNF is a set of terms (conjunctions of at most k literals, stored as
-frozensets of signed integers); its width is the number of terms, and the
-empty k-DNF is the unsatisfiable bottom formula.  The proof system derives
-k-DNFs by weakening, cut, and-introduction and and-elimination.
+A k-DNF is a frozenset of terms, each a conjunction of at most k literals
+stored as a frozenset of signed integers; its width is the number of terms,
+and the empty k-DNF is the unsatisfiable bottom formula.  The proof system
+derives k-DNFs by weakening, cut, and-introduction and and-elimination.
 
 decide_resk_width runs the width-w dynamic program on the `saturation`
 engine (see its contract): a table over canonical width-at-most-w k-DNFs
@@ -36,36 +36,29 @@ def make_term(literals) -> frozenset:
     return lits
 
 
-class KDnf:
-    """Canonical disjunction of conjunctions of literals."""
+class KDnf(frozenset):
+    """Canonical disjunction of conjunctions of literals: the frozenset of
+    its terms, each checked by `make_term`.  It equals and hashes as that
+    plain frozenset."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", frozenset(make_term(t) for t in terms))
+    def __new__(cls, terms):
+        return frozenset.__new__(cls, map(make_term, terms))
 
     @property
     def width(self) -> int:
-        return len(self.terms)
+        return len(self)
 
     @property
     def max_term_size(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
+        return max(map(len, self), default=0)
 
     def variables(self) -> frozenset:
-        return frozenset(abs(lit) for t in self.terms for lit in t)
-
-    def __eq__(self, other):
-        return isinstance(other, KDnf) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
+        return frozenset(abs(lit) for t in self for lit in t)
 
     def __repr__(self):
-        return f"KDnf({sorted(sorted(t, key=literal_bit) for t in self.terms)!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KDnf is immutable")
+        return f"KDnf({sorted(sorted(t, key=literal_bit) for t in self)!r})"
 
 
 BOTTOM = KDnf(())
@@ -78,7 +71,7 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
     encoding of the constant 1 also collapses to TRUE.
     """
     new_terms = set()
-    for term in phi.terms:
+    for term in phi:
         kept = []
         falsified = False
         for lit in term:
@@ -122,27 +115,27 @@ def negate_query(kcnf, k: int) -> Union[KDnf, Const]:
 
 def _cut_results(psi1: KDnf, psi2: KDnf, w: int):
     """All width-w cuts with psi1 supplying the conjunction."""
-    for term in psi1.terms:
+    for term in psi1:
         negs = frozenset(frozenset((-lit,)) for lit in term)
-        if negs <= psi2.terms:
-            rest = (psi1.terms - {term}) | (psi2.terms - negs)
+        if negs <= psi2:
+            rest = (psi1 - {term}) | (psi2 - negs)
             if len(rest) <= w:
                 yield KDnf(rest)
 
 
 def _elim_results(psi: KDnf):
-    for term in psi.terms:
+    for term in psi:
         if len(term) < 2:
             continue
         for lit in term:
-            yield KDnf((psi.terms - {term}) | {frozenset((lit,))})
+            yield KDnf((psi - {term}) | {frozenset((lit,))})
 
 
 def _weaken_results(psi: KDnf, universe_terms, w: int):
-    extra = [t for t in universe_terms if t not in psi.terms]
+    extra = [t for t in universe_terms if t not in psi]
     for count in range(1, w - psi.width + 1):
         for combo in combinations(extra, count):
-            yield KDnf(psi.terms | set(combo))
+            yield KDnf(psi | set(combo))
 
 
 def _term_universe(variables, k: int):
@@ -199,9 +192,9 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
         # and-introduction: group table entries psi = A or literal by shared A
         groups = {}
         for psi in table:
-            for term in psi.terms:
+            for term in psi:
                 if len(term) == 1:
-                    rest = psi.terms - {term}
+                    rest = psi - {term}
                     groups.setdefault(rest, set()).add(next(iter(term)))
         for rest, lits in groups.items():
             if len(rest) + 1 > w:
@@ -222,13 +215,14 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
 
 def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:
     """Replay a derivation trace rule by rule, independently of the search.
-    A malformed step, such as an unknown rule, a premise that no earlier
-    step derived or premises of the wrong count or type, fails the replay."""
+    A malformed step, such as an unknown rule, a formula or premise that is
+    not a `KDnf`, a premise that no earlier step derived or premises of the
+    wrong count, fails the replay."""
     hyps = list(hyps)
     derived = set()
     for step in trace:
         f = step.formula
-        if f.max_term_size > k:
+        if not isinstance(f, KDnf) or f.max_term_size > k:
             return False
         try:
             if step.rule == "hypothesis":
@@ -239,16 +233,16 @@ def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:
                 continue
             if f.width > w:
                 return False
-            if any(p not in derived for p in step.premises):
+            if not all(isinstance(p, KDnf) and p in derived for p in step.premises):
                 return False
             if step.rule == "weakening":
                 (p,) = step.premises
-                ok = p.terms <= f.terms
+                ok = p <= f
             elif step.rule == "and_elim":
                 (p,) = step.premises
                 ok = any(
-                    f == KDnf((p.terms - {term}) | {frozenset((lit,))})
-                    for term in p.terms
+                    f == KDnf((p - {term}) | {frozenset((lit,))})
+                    for term in p
                     for lit in term
                 )
             elif step.rule == "cut":
@@ -258,10 +252,10 @@ def check_trace(trace, hyps, target: KDnf, k: int, w: int) -> bool:
                 )
             elif step.rule == "and_intro":
                 ok = False
-                for term in f.terms:
+                for term in f:
                     if not 1 <= len(term) <= k:
                         continue
-                    rest = f.terms - {term}
+                    rest = f - {term}
                     expected = frozenset(
                         KDnf(rest | {frozenset((lit,))}) for lit in term
                     )

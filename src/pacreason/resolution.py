@@ -400,7 +400,7 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
         )
     masks = phi.masks
     satisfied = false_lits = 0
-    for value, pairs in zip(rho.entries, phi._restriction_index()):
+    for value, pairs in zip(rho, phi._restriction_index()):
         if value is not None:
             clause_bits, lit_bit = pairs[value]
             satisfied |= clause_bits

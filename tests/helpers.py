@@ -316,8 +316,8 @@ def reference_restrict(phi: Formula, rho: PartialAssignment) -> Formula:
 
 def completions(rho: PartialAssignment):
     """All full assignments consistent with the partial assignment `rho`."""
-    masked = [i for i, e in enumerate(rho.entries) if e is None]
-    base = list(rho.entries)
+    masked = [i for i, e in enumerate(rho) if e is None]
+    base = list(rho)
     for bits in product((0, 1), repeat=len(masked)):
         for i, b in zip(masked, bits):
             base[i] = b
@@ -326,8 +326,8 @@ def completions(rho: PartialAssignment):
 
 def consistent_with(rho: PartialAssignment, x) -> bool:
     x = tuple(x)
-    return len(x) == len(rho.entries) and all(
-        e is None or e == xi for e, xi in zip(rho.entries, x)
+    return len(x) == len(rho) and all(
+        e is None or e == xi for e, xi in zip(rho, x)
     )
 
 
@@ -352,11 +352,11 @@ def space_bound_for_size(length: int) -> int:
 
 
 def kdnf_to_formula(phi: KDnf) -> Formula:
-    if not phi.terms:
+    if not phi:
         return FALSE
     return disjunction(
         conjunction(literal(abs(lit), lit > 0) for lit in sorted(t, key=abs))
-        for t in sorted(phi.terms, key=lambda t: sorted(t, key=abs))
+        for t in sorted(phi, key=lambda t: sorted(t, key=abs))
     )
 
 
@@ -542,9 +542,9 @@ def reference_decide_resk_width(hyps, target, k, w, stats=None):
 
         groups = {}
         for psi in table:
-            for term in psi.terms:
+            for term in psi:
                 if len(term) == 1:
-                    rest = psi.terms - {term}
+                    rest = psi - {term}
                     groups.setdefault(rest, set()).add(next(iter(term)))
         for rest, lits in groups.items():
             if len(rest) + 1 > w:

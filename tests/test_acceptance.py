@@ -228,7 +228,7 @@ def test_criterion_3_restriction_witnessing_semantics():
         # staged evaluation: sigma then tau equals rho in one shot
         sigma_entries = []
         tau = {}
-        for i, e in enumerate(rho.entries, start=1):
+        for i, e in enumerate(rho, start=1):
             if e is not None and rng.random() < 0.5:
                 sigma_entries.append(None)
                 tau[i] = e
@@ -238,7 +238,7 @@ def test_criterion_3_restriction_witnessing_semantics():
         if refine(sigma, tau) != rho:
             report(3, False, "refine did not reassemble the split assignment")
         tau_assignment = PartialAssignment(
-            tau.get(i) if sigma.entries[i - 1] is None else None
+            tau.get(i) if sigma[i - 1] is None else None
             for i in range(1, n + 1)
         )
         if restrict(phi, rho) != restrict(restrict(phi, sigma), tau_assignment):

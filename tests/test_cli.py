@@ -53,6 +53,18 @@ PROVE_CASES = {
     "cp": ("cp", ["--w", "1", "--L", "2"], "p cp 1 2\nx1:1 >= 1\nx1:-1 >= 0\n", "p cp 1 1\n>= 1\n"),
     "cp-divide": ("cp", ["--w", "2", "--L", "5"], "p cp 2 1\nx1:2 x2:2 >= 1\n", "p cp 2 1\nx1:1 x2:1 >= 1\n"),
     "cp-multiply": ("cp", ["--w", "2", "--L", "9"], "p cp 2 1\nx1:1 x2:1 >= 1\n", "p cp 2 1\nx1:3 x2:3 >= 3\n"),
+    # implication chains: three saturation rounds, so the trace shows which
+    # derivation of each line was offered first
+    "res-k-width-chain": (
+        "res-k-width", ["--k", "1", "--w", "2"],
+        "p kdnf 6 1 6\nx1\n-x1|x2\n-x2|x3\n-x3|x4\n-x4|x5\n-x5|x6\n", "p cnf 6 1\n6 0\n",
+    ),
+    "cp-chain": (
+        "cp", ["--w", "2", "--L", "3"],
+        "p cp 5 6\nx1:-1 x2:1 >= 0\nx2:-1 x3:1 >= 0\nx3:-1 x4:1 >= 0\nx4:-1 x5:1 >= 0\n"
+        "x5:-1 >= 0\nx1:2 >= 1\n",
+        "p cp 5 1\n>= 1\n",
+    ),
 }
 
 
@@ -430,6 +442,41 @@ def test_prove_pcr(tmp_path, capsys):
             "cp-multiply",
             ["0: HypothesisStep LinIneq(1*x1 + 1*x2 >= 1)", "1: MultiplyStep LinIneq(3*x1 + 3*x2 >= 3)"],
         ),
+        (
+            "res-k-width-chain",
+            [
+                "hypothesis: KDnf([[1]])",
+                "hypothesis: KDnf([[-1], [2]])",
+                "hypothesis: KDnf([[-2], [3]])",
+                "cut: KDnf([[-1], [3]])",
+                "cut: KDnf([[3]])",
+                "hypothesis: KDnf([[-3], [4]])",
+                "hypothesis: KDnf([[-4], [5]])",
+                "cut: KDnf([[-3], [5]])",
+                "hypothesis: KDnf([[-5], [6]])",
+                "hypothesis: KDnf([[-6]])",
+                "cut: KDnf([[-5]])",
+                "cut: KDnf([[-3]])",
+                "cut: KDnf([])",
+            ],
+        ),
+        (
+            "cp-chain",
+            [
+                "0: HypothesisStep LinIneq(-1*x1 + 1*x2 >= 0)",
+                "1: HypothesisStep LinIneq(-1*x2 + 1*x3 >= 0)",
+                "2: HypothesisStep LinIneq(-1*x3 + 1*x4 >= 0)",
+                "3: AddStep LinIneq(-1*x2 + 1*x4 >= 0)",
+                "4: AddStep LinIneq(-1*x1 + 1*x4 >= 0)",
+                "5: HypothesisStep LinIneq(-1*x4 + 1*x5 >= 0)",
+                "6: HypothesisStep LinIneq(-1*x5 >= 0)",
+                "7: AddStep LinIneq(-1*x4 >= 0)",
+                "8: HypothesisStep LinIneq(2*x1 >= 1)",
+                "9: DivideStep LinIneq(1*x1 >= 1)",
+                "10: AddStep LinIneq(1*x1 + -1*x4 >= 1)",
+                "11: AddStep LinIneq(0 >= 1)",
+            ],
+        ),
     ],
 )
 def test_prove_show_proof_prints_the_certificate(case, certificate, tmp_path, capsys):
@@ -595,6 +642,27 @@ def test_a_long_decimal_exponent_is_a_usage_error(aviary, capsys):
     assert (code, out, err) == (2, "", f"error: bad hide probability {too_long!r}\n")
 
 
+# a rational whose numerator or denominator has more digits than str()
+# prints is refused when read, not found when its report line is written
+# (the first pair fails the exponent cap, the second the digit count)
+@pytest.mark.parametrize("tiny, huge", [("1e-4300", "1e4300"), ("0.1e-4299", "12e4299")])
+def test_a_rational_too_long_to_print_is_a_usage_error(tiny, huge, aviary, capsys):
+    argv = ["decide", "--system", "res-space", "--s", "1", "--kb", aviary["kb"],
+            "--query", aviary["query"], "--dist", aviary["dist"], "--mask", "fixed:01",
+            "--seed", "3", "--m", "10", "--epsilon", tiny, "--gamma", tiny, "--delta", "1/2"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"argument --epsilon: bad rational {tiny!r}\n")
+
+    code, out, err = run_cli(
+        ["sample", "--dist", aviary["dist"], "--mask", f"iid:{huge}", "--seed", "1", "--m", "2"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", f"error: bad hide probability {huge!r}\n")
+
+
 def test_a_file_that_is_not_utf8_is_an_input_error(aviary, tmp_path, capsys):
     kb = tmp_path / "bad.cnf"
     kb.write_bytes(b"p cnf 2 1\n\xff 0\n")
@@ -615,9 +683,11 @@ def test_a_file_that_is_not_utf8_is_an_input_error(aviary, tmp_path, capsys):
     assert err.startswith(f"error: cannot read {mask}: ") and err.count("\n") == 1
 
 
-def cli_subprocess(argv, tmp_path):
+def cli_subprocess(argv, tmp_path, hash_seed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "pacreason"] + argv,
         capture_output=True,
@@ -648,3 +718,27 @@ def test_reports_are_byte_identical_across_runs(aviary):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty report
+
+
+# stdout is a pure function of the configuration and seed: set and dict
+# orders, which decide provenance, must not follow the string-hash seed
+@pytest.mark.parametrize(
+    "command, case",
+    [("decide", case) for case in ("res-space", "res-k-width-chain", "pc", "pcr", "cp-chain")]
+    + [("prove", "res-k-width-chain"), ("prove", "cp-chain")],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(command, case, tmp_path):
+    system, flags, kb_text, query_text = PROVE_CASES[case]
+    argv = [command, "--system", system, *flags, "--kb", write(tmp_path / "kb.txt", kb_text),
+            "--query", write(tmp_path / "query.txt", query_text)]
+    if command == "decide":
+        n = int(kb_text.split()[2])
+        argv += ["--epsilon", "1/2", "--gamma", "1/10", "--delta", "1/20",
+                 "--dist", uniform_dist(tmp_path, n), "--mask", "iid:1/3", "--seed", "5",
+                 "--m", "30", "--per-example"]
+    else:
+        argv.append("--show-proof")
+    first, second = (cli_subprocess(argv, tmp_path, seed) for seed in ("0", "12345"))
+    assert first.returncode == second.returncode in (0, 1)
+    assert first.stdout == second.stdout
+    assert first.stdout.count("\n") > 5

@@ -253,6 +253,10 @@ def test_trace_checker_rejects_each_malformed_step():
         "hypothesis index out of range": replaced(2, step(hyp.formula, "HypothesisStep", 1)),
         "negative hypothesis index": replaced(2, step(hyp.formula, "HypothesisStep", -1)),
         "non-axiom labelled AxiomStep": replaced(2, step(hyp.formula, "AxiomStep")),
+        # a plain tuple equals the LinIneq with the same fields
+        "a plain tuple as a formula": replaced(0, step(tuple(x2), "AxiomStep")),
+        "plain tuples as addends": replaced(4, step(target, "AddStep", *map(tuple, total.premises))),
+        "a plain tuple multiplied": replaced(1, step(product.formula, "MultiplyStep", tuple(x2), product.premises[1])),
         "last step not the target": trace[:-1],
         "empty trace": (),
     }

@@ -259,3 +259,16 @@ def test_a_decimal_exponent_is_capped():
         error = f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}"
         with pytest.raises(ValueError, match=f"^{error}$"):
             read_fraction(text)
+
+
+def test_a_rational_has_at_most_the_digits_str_prints():
+    # numerator and denominator stay below 10**(MAX_EXPONENT + 1), so str()
+    # prints every rational read; a longer mantissa adds digits to an
+    # exponent within the cap
+    longest = read_fraction(f"-99e{MAX_EXPONENT - 1}")
+    assert longest == -99 * 10 ** (MAX_EXPONENT - 1) and len(str(longest)) == MAX_EXPONENT + 2
+    assert str(read_fraction(f"3e-{MAX_EXPONENT}")) == "3/1" + "0" * MAX_EXPONENT
+    for text in (f"10e{MAX_EXPONENT}", f"0.1e-{MAX_EXPONENT}", f"-12.5e{MAX_EXPONENT}"):
+        error = f"{text!r} has more than {MAX_EXPONENT + 1} digits"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            read_fraction(text)

@@ -147,7 +147,7 @@ def test_staged_restriction_randomized():
         # split rho into a coarser sigma plus the refinement tau back to rho
         sigma_entries = []
         tau = {}
-        for i, e in enumerate(rho.entries, start=1):
+        for i, e in enumerate(rho, start=1):
             if e is not None and rng.random() < 0.5:
                 sigma_entries.append(None)
                 tau[i] = e
@@ -161,7 +161,7 @@ def test_staged_restriction_randomized():
 def sigma_to_tau(sigma, tau, n):
     # tau as a partial assignment over all n coordinates (masked elsewhere)
     return PartialAssignment(
-        tau.get(i) if sigma.entries[i - 1] is None else None for i in range(1, n + 1)
+        tau.get(i) if sigma[i - 1] is None else None for i in range(1, n + 1)
     )
 
 
@@ -193,9 +193,9 @@ def test_partial_assignment_rejects_bad_entries(bad):
 
 def test_partial_assignment_stores_bools_as_ints():
     rho = PartialAssignment((True, None, False))
-    assert [type(e) for e in rho.entries] == [int, type(None), int]
+    assert [type(e) for e in rho] == [int, type(None), int]
     assert rho == pa("1*0") and str(rho) == "1*0"
-    assert [type(e) for e in refine(pa("**"), {1: True, 2: False}).entries] == [int, int]
+    assert [type(e) for e in refine(pa("**"), {1: True, 2: False})] == [int, int]
 
 
 @pytest.mark.parametrize("bad", [2, 1.0, 0.0, Fraction(1), None, "1"])

@@ -16,6 +16,7 @@ from pacreason.res_k import (
     negate_query,
     restrict_kdnf,
 )
+from pacreason.saturation import TraceStep
 
 from helpers import kdnf_to_formula, prove_exit_code, random_partial
 
@@ -166,6 +167,21 @@ def test_trace_checker_rejects_premises_of_the_wrong_count_or_type(index, rule, 
     broken = list(trace)
     broken[index] = type(trace[index])(trace[index].formula, rule, premises)
     assert not check_trace(tuple(broken), hyps, kd((2,)), 1, 1)
+
+
+def test_trace_checker_refuses_a_plain_frozenset_step_or_premise():
+    # a plain frozenset equals the KDnf with the same terms; the replay
+    # refuses it as a step's formula or premise instead of raising
+    assert not check_trace([TraceStep(frozenset(), "hypothesis", (0,))], [BOTTOM], BOTTOM, 1, 1)
+    hyps = [kd((1,)), kd((-1,), (2,))]
+    accepted, trace = decide_resk_width(hyps, kd((2,)), k=1, w=1)
+    cut = trace[-1]
+    assert accepted and cut.rule == "cut" and check_trace(trace, hyps, kd((2,)), 1, 1)
+    for broken in (
+        TraceStep(frozenset(cut.formula), cut.rule, cut.premises),
+        TraceStep(cut.formula, cut.rule, tuple(map(frozenset, cut.premises))),
+    ):
+        assert not check_trace(trace[:-1] + (broken,), hyps, kd((2,)), 1, 1)
 
 
 def random_kdnf(rng, n, k, max_width):

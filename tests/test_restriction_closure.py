@@ -58,7 +58,7 @@ def random_partial(rng, n):
 def refine(rng, rho):
     """Sets some of rho's masked variables; keeps every set one."""
     return PartialAssignment(
-        rng.randint(0, 1) if v is None and rng.random() < 0.5 else v for v in rho.entries
+        rng.randint(0, 1) if v is None and rng.random() < 0.5 else v for v in rho
     )
 
 

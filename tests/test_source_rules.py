@@ -90,3 +90,31 @@ def test_literals_sort_only_by_literal_bit():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if literal_key(node)
         )
     assert offenders == []
+
+
+def test_value_classes_keep_the_builtin_equality_and_hash():
+    # KDnf, LinIneq and PartialAssignment are the frozenset or tuple they
+    # subclass: the built-in hash fixes set and dict order, and with it which
+    # derivation of a line is offered first, so none may define its own
+    values = {"KDnf": "frozenset", "LinIneq": "tuple", "PartialAssignment": "tuple"}
+    found, offenders = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in values:
+                found[cls.name] = [getattr(base, "id", None) for base in cls.bases]
+                names = {}
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        names[node.name] = None
+                    elif isinstance(node, ast.Assign):
+                        names.update((t.id, ast.unparse(node.value)) for t in node.targets)
+                if names.get("__slots__", "missing") != "()":
+                    offenders.append(f"{cls.name} has no empty __slots__")
+                offenders.extend(
+                    f"{cls.name} defines {name}"
+                    for name in ("__eq__", "__hash__", "__len__", "__setattr__")
+                    if name in names
+                )
+    assert found == {name: [base] for name, base in values.items()}
+    assert offenders == []
