@@ -1,12 +1,16 @@
 """Limited-decision backends adapting each proof system to the reduction.
 
+`SYSTEMS` maps each `--system` name to its backend class.  The class names
+its budget flags in `budgets`; `load(system, kb_text, query_text, **budgets)`
+parses an instance, checks it against them and returns `(backend, query,
+hyps)`.  Restriction keeps an instance inside its system's budget check, so
+the unrestricted instance is checked there, once, and no decider checks.
+
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
 makes the per-example aggregation sound.  Cutting planes keeps every
 restricted hypothesis as its residual inequality, even one witnessed true,
 because the search may use an over-budget hypothesis as an addition input.
-Restriction also keeps an instance inside its system's budget check, so the
-caller checks the unrestricted instance once and no decider checks again.
 
 `restrict_query` returns `formulas.TRUE` for a query that the restriction
 settles (witnessed true), and the reduction accepts such an example without
@@ -14,39 +18,39 @@ restricting the hypotheses.  The clause and inequality restrictions collapse
 to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
 to BOTTOM, its refutation target, and PC/PCR when the query polynomial
 restricts to zero.  Each system's search accepts those forms too.
-`decide(query, hyps)` is the plain yes/no search the reduction calls on every
-other example.  `certificate(query, hyps)` runs the same search once, replays
-the proof it found with that system's independent checker, budget included
-(s for clause-space resolution, k and w for RES(k), w and L for cutting
-planes), and returns the proof's text lines (None on reject, () where the
-system prints no proof); a proof that fails its replay raises RuleError.
-Clause-space resolution prints its proof tree on one line; RES(k) prints
-`rule: formula` per trace step and cutting planes `index: rule inequality`,
-both from `saturation.TraceStep`s; PC and PCR print nothing.
+`decide(query, hyps)` runs the system's one search and returns what it
+found, a falsy value on reject: the `search_space` steps for clause-space
+resolution, the `saturation.TraceStep` trace for RES(k) and cutting planes,
+and True for PC and PCR.  `replay(proof, query, hyps)` checks that proof
+with the system's independent checker, budget included, and returns its text
+lines; a proof that fails its replay raises RuleError.  Clause-space
+resolution prints its proof tree on one line, RES(k) `rule: formula` per
+trace step, cutting planes `index: rule inequality`, and PC and PCR nothing.
 """
 
 from __future__ import annotations
 
-from .errors import RuleError
+from . import formats
+from .errors import InputError, RuleError
 from .formulas import TRUE
-from .polycalc import PC, decide_pc, restrict_polynomial
-from .cutting_planes import check_trace as check_cp_trace, decide_cp, residual_ineq, restrict_ineq
-from .res_k import BOTTOM, check_trace as check_resk_trace, decide_resk_width, restrict_kdnf
-from .resolution import (
-    check_proof,
-    clause_space,
-    proof_to_text,
-    proof_tree,
-    restrict_clause,
-    restrict_cnf,
-    search_space,
-)
+from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_polynomial
+from .cutting_planes import check_target, decide_cp, residual_ineq, restrict_ineq
+from .cutting_planes import check_trace as check_cp_trace
+from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
+from .res_k import check_trace as check_resk_trace
+from .resolution import check_proof, check_space_bound, clause_space, proof_to_text, proof_tree
+from .resolution import restrict_clause, restrict_cnf, search_space
 
 
 def _restrict_each(restrict_one, formulas, rho) -> tuple:
     """Restricts every formula by rho and drops those that became TRUE."""
     restricted = (restrict_one(phi, rho) for phi in formulas)
     return tuple(phi for phi in restricted if phi is not TRUE)
+
+
+def _same_n(query_n: int, kb_n: int) -> None:
+    if query_n != kb_n:
+        raise InputError(f"query n={query_n} does not match kb n={kb_n}")
 
 
 def _replayed(ok: bool, system: str) -> None:
@@ -57,19 +61,29 @@ def _replayed(ok: bool, system: str) -> None:
 class SpaceResolutionBackend:
     """Clause-space-bounded treelike resolution; query is a single clause."""
 
+    budgets = ("s",)
+
     def __init__(self, s: int, n: int):
         self.s = s
         self.n = n
 
-    def decide(self, query, hyps) -> bool:
-        return search_space(hyps, self.s, query) is not None
+    @classmethod
+    def load(cls, system, kb_text, query_text, s):
+        kb = formats.parse_cnf(kb_text)
+        query = formats.parse_cnf(query_text)
+        if len(query.clauses) != 1:
+            raise InputError("res-space queries are a single clause (one-clause cnf file)")
+        _same_n(query.n, kb.n)
+        check_space_bound(s)
+        return cls(s, kb.n), query.clauses[0], kb
 
-    def certificate(self, query, hyps):
-        proof = proof_tree(search_space(hyps, self.s, query))
-        if proof is None:
-            return None
-        _replayed(check_proof(proof, hyps, query) and clause_space(proof) <= self.s, "res-space")
-        return (proof_to_text(proof),)
+    def decide(self, query, hyps):
+        return search_space(hyps, self.s, query)
+
+    def replay(self, proof, query, hyps):
+        tree = proof_tree(proof)
+        _replayed(check_proof(tree, hyps, query) and clause_space(tree) <= self.s, "res-space")
+        return (proof_to_text(tree),)
 
     def restrict_query(self, query, rho):
         return restrict_clause(query, rho)
@@ -80,24 +94,34 @@ class SpaceResolutionBackend:
 
 class ResKWidthBackend:
     """Width-bounded RES(k) refutation; the query arrives pre-negated as a
-    list of k-DNFs that join the hypotheses for a bottom-target run."""
+    tuple of k-DNFs that join the hypotheses for a bottom-target run."""
+
+    budgets = ("k", "w")
 
     def __init__(self, k: int, w: int, n: int):
         self.k = k
         self.w = w
         self.n = n
 
-    def decide(self, query, hyps) -> bool:
-        accepted, _ = decide_resk_width(list(hyps) + list(query), BOTTOM, self.k, self.w)
-        return accepted
+    @classmethod
+    def load(cls, system, kb_text, query_text, k, w):
+        n, k_file, hyps = formats.parse_kdnf_file(kb_text)
+        if k_file > k:
+            raise InputError(f"kb file holds {k_file}-DNFs but --k is {k}")
+        query = formats.parse_cnf(query_text)
+        _same_n(query.n, n)
+        negated = negate_query(query.clauses, k)
+        negated = () if negated is TRUE else (negated,)
+        check_budget(hyps + list(negated), BOTTOM, k, w)
+        return cls(k, w, n), negated, tuple(hyps)
 
-    def certificate(self, query, hyps):
+    def decide(self, query, hyps):
+        return decide_resk_width(list(hyps) + list(query), BOTTOM, self.k, self.w)[1]
+
+    def replay(self, proof, query, hyps):
         inputs = list(hyps) + list(query)
-        accepted, trace = decide_resk_width(inputs, BOTTOM, self.k, self.w)
-        if not accepted:
-            return None
-        _replayed(check_resk_trace(trace, inputs, BOTTOM, self.k, self.w), "res-k-width")
-        return tuple(f"{step.rule}: {step.formula!r}" for step in trace)
+        _replayed(check_resk_trace(proof, inputs, BOTTOM, self.k, self.w), "res-k-width")
+        return tuple(f"{step.rule}: {step.formula!r}" for step in proof)
 
     def restrict_query(self, query, rho):
         restricted = _restrict_each(restrict_kdnf, query, rho)
@@ -110,16 +134,28 @@ class ResKWidthBackend:
 class PolynomialCalculusBackend:
     """Degree-bounded polynomial calculus (or PCR); query is a polynomial."""
 
+    budgets = ("d",)
+
     def __init__(self, d: int, n: int, mode: str = PC):
         self.d = d
         self.n = n
         self.mode = mode
 
-    def decide(self, query, hyps) -> bool:
+    @classmethod
+    def load(cls, system, kb_text, query_text, d):
+        n, hyps = formats.parse_poly_file(kb_text)
+        query_n, queries = formats.parse_poly_file(query_text)
+        if len(queries) != 1:
+            raise InputError("pc/pcr queries are a single polynomial")
+        _same_n(query_n, n)
+        check_inputs(hyps + queries, d, system)
+        return cls(d, n, mode=system), queries[0], tuple(hyps)
+
+    def decide(self, query, hyps):
         return decide_pc(list(hyps), query, self.d, self.mode)
 
-    def certificate(self, query, hyps):
-        return () if self.decide(query, hyps) else None
+    def replay(self, proof, query, hyps):
+        return ()
 
     def restrict_query(self, query, rho):
         restricted = restrict_polynomial(query, rho)
@@ -132,24 +168,41 @@ class PolynomialCalculusBackend:
 class CuttingPlanesBackend:
     """Sparse, l1-bounded cutting planes; query is a linear inequality."""
 
+    budgets = ("w", "L")
+
     def __init__(self, w: int, L: int, n: int):
         self.w = w
         self.L = L
         self.n = n
 
-    def decide(self, query, hyps) -> bool:
-        accepted, _ = decide_cp(list(hyps), query, self.w, self.L)
-        return accepted
+    @classmethod
+    def load(cls, system, kb_text, query_text, w, L):
+        n, hyps = formats.parse_cp_file(kb_text)
+        query_n, queries = formats.parse_cp_file(query_text)
+        if len(queries) != 1:
+            raise InputError("cp queries are a single inequality")
+        _same_n(query_n, n)
+        check_target(queries[0], w, L)
+        return cls(w, L, n), queries[0], tuple(hyps)
 
-    def certificate(self, query, hyps):
-        accepted, trace = decide_cp(list(hyps), query, self.w, self.L)
-        if not accepted:
-            return None
-        _replayed(check_cp_trace(trace, hyps, query, self.w, self.L), "cp")
-        return tuple(f"{i}: {step.rule} {step.formula!r}" for i, step in enumerate(trace))
+    def decide(self, query, hyps):
+        return decide_cp(list(hyps), query, self.w, self.L)[1]
+
+    def replay(self, proof, query, hyps):
+        _replayed(check_cp_trace(proof, hyps, query, self.w, self.L), "cp")
+        return tuple(f"{i}: {step.rule} {step.formula!r}" for i, step in enumerate(proof))
 
     def restrict_query(self, query, rho):
         return restrict_ineq(query, rho)
 
     def restrict_hyps(self, hyps, rho):
         return tuple(residual_ineq(h, rho) for h in hyps)
+
+
+SYSTEMS = {
+    "res-space": SpaceResolutionBackend,
+    "res-k-width": ResKWidthBackend,
+    PC: PolynomialCalculusBackend,
+    PCR: PolynomialCalculusBackend,
+    "cp": CuttingPlanesBackend,
+}

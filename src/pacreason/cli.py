@@ -21,32 +21,14 @@ import sys
 import time
 
 from . import formats
-from .backends import (
-    CuttingPlanesBackend,
-    PolynomialCalculusBackend,
-    ResKWidthBackend,
-    SpaceResolutionBackend,
-)
-from .cutting_planes import check_target, encode_clause_cp
+from .backends import SYSTEMS
+from .cutting_planes import encode_clause_cp
 from .decide_pac import PacParams, decide_pac, required_sample_size
 from .errors import FormatError, InputError, RuleError
-from .formulas import TRUE
 from .oracle import entails, sat_solve
-from .polycalc import PC, PCR, check_inputs, encode_clause_pcr
-from .res_k import BOTTOM, check_budget, negate_query
-from .resolution import check_space_bound, clause_to_formula
+from .polycalc import encode_clause_pcr
+from .resolution import clause_to_formula
 from .sampling import draw_masked_examples, validity
-
-SYSTEMS = ("res-space", "res-k-width", "pc", "pcr", "cp")
-
-# backend knobs each system accepts; anything else is a usage error
-SYSTEM_PARAMS = {
-    "res-space": ("s",),
-    "res-k-width": ("k", "w"),
-    "pc": ("d",),
-    "pcr": ("d",),
-    "cp": ("w", "L"),
-}
 
 
 def _fraction_arg(text):
@@ -63,68 +45,22 @@ def _int_arg(text):
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
 
 
-def _check_params(system, given):
-    allowed = SYSTEM_PARAMS[system]
+def _load_instance(args):
+    """Returns (backend, query, hyps) for the system named in the arguments,
+    whose backend class takes exactly the budget flags given."""
+    backend_class = SYSTEMS[args.system]
+    given = {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
     for name, value in given.items():
-        if value is not None and name not in allowed:
-            raise InputError(f"parameter --{name} does not apply to system {system}")
-    missing = [name for name in allowed if given.get(name) is None]
+        if value is not None and name not in backend_class.budgets:
+            raise InputError(f"parameter --{name} does not apply to system {args.system}")
+    missing = [name for name in backend_class.budgets if given[name] is None]
     if missing:
         raise InputError(
-            f"system {system} needs parameter(s): {', '.join('--' + p for p in missing)}"
+            f"system {args.system} needs parameter(s): {', '.join('--' + p for p in missing)}"
         )
-    return {name: given[name] for name in allowed}
-
-
-def _load_instance(args):
-    """Returns (backend, query, hyps, n) for the system named in the arguments.
-
-    The unrestricted instance is checked against the budgets here, once, so
-    whether an input is valid does not depend on the examples."""
-    system = args.system
-    p = _check_params(
-        system, {"s": args.s, "k": args.k, "w": args.w, "d": args.d, "L": args.L}
-    )
-    if system == "res-space":
-        kb = formats.parse_cnf(formats.read_text(args.kb))
-        query_cnf = formats.parse_cnf(formats.read_text(args.query))
-        if len(query_cnf.clauses) != 1:
-            raise InputError("res-space queries are a single clause (one-clause cnf file)")
-        if query_cnf.n != kb.n:
-            raise InputError(f"query n={query_cnf.n} does not match kb n={kb.n}")
-        check_space_bound(p["s"])
-        return SpaceResolutionBackend(p["s"], kb.n), query_cnf.clauses[0], kb, kb.n
-    if system == "res-k-width":
-        n, k_file, hyps = formats.parse_kdnf_file(formats.read_text(args.kb))
-        if k_file > p["k"]:
-            raise InputError(f"kb file holds {k_file}-DNFs but --k is {p['k']}")
-        query_cnf = formats.parse_cnf(formats.read_text(args.query))
-        if query_cnf.n != n:
-            raise InputError(f"query n={query_cnf.n} does not match kb n={n}")
-        negated = negate_query(query_cnf.clauses, p["k"])
-        negated = () if negated is TRUE else (negated,)
-        check_budget(hyps + list(negated), BOTTOM, p["k"], p["w"])
-        return ResKWidthBackend(p["k"], p["w"], n), negated, tuple(hyps), n
-    if system in (PC, PCR):
-        n, hyps = formats.parse_poly_file(formats.read_text(args.kb))
-        qn, queries = formats.parse_poly_file(formats.read_text(args.query))
-        if len(queries) != 1:
-            raise InputError("pc/pcr queries are a single polynomial")
-        if qn != n:
-            raise InputError(f"query n={qn} does not match kb n={n}")
-        check_inputs(hyps + queries, p["d"], system)
-        backend = PolynomialCalculusBackend(p["d"], n, mode=system)
-        return backend, queries[0], tuple(hyps), n
-    if system == "cp":
-        n, hyps = formats.parse_cp_file(formats.read_text(args.kb))
-        qn, queries = formats.parse_cp_file(formats.read_text(args.query))
-        if len(queries) != 1:
-            raise InputError("cp queries are a single inequality")
-        if qn != n:
-            raise InputError(f"query n={qn} does not match kb n={n}")
-        check_target(queries[0], p["w"], p["L"])
-        return CuttingPlanesBackend(p["w"], p["L"], n), queries[0], tuple(hyps), n
-    raise InputError(f"unknown system {system!r}")
+    kb_text, query_text = formats.read_text(args.kb), formats.read_text(args.query)
+    budgets = {name: given[name] for name in backend_class.budgets}
+    return backend_class.load(args.system, kb_text, query_text, **budgets)
 
 
 def _load_examples(args, n: int, params: PacParams):
@@ -159,8 +95,8 @@ def run_scenario(args):
     (outcome, report text).  The PAC parameters and the budgets are checked
     before any example is read or drawn."""
     params = PacParams(args.epsilon, args.gamma, args.delta)
-    backend, query, hyps, n = _load_instance(args)
-    examples = _load_examples(args, n, params)
+    backend, query, hyps = _load_instance(args)
+    examples = _load_examples(args, backend.n, params)
     outcome = decide_pac(backend, query, hyps, params, examples)
     lines = [
         f"system={args.system}",
@@ -190,13 +126,14 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    backend, query, hyps, _ = _load_instance(args)
-    lines = backend.certificate(query, hyps)
-    accepted = lines is not None
-    if args.show_proof and accepted:
-        sys.stdout.writelines(line + "\n" for line in lines)
-    sys.stdout.write(f"verdict={'Accept' if accepted else 'Reject'}\n")
-    return 0 if accepted else 1
+    backend, query, hyps = _load_instance(args)
+    proof = backend.decide(query, hyps)
+    if proof:
+        lines = backend.replay(proof, query, hyps)
+        if args.show_proof:
+            sys.stdout.writelines(line + "\n" for line in lines)
+    sys.stdout.write(f"verdict={'Accept' if proof else 'Reject'}\n")
+    return 0 if proof else 1
 
 
 def _write_output(text, path) -> int:

@@ -9,7 +9,8 @@ floor(eps * m).
 A backend is any object with
 
     n                              -- variable count of its instances
-    decide(query, hyps) -> bool    -- pure, deterministic
+    decide(query, hyps)            -- pure, deterministic; the proof found,
+                                      whose truthiness is the verdict
     restrict_query(query, rho)     -- `formulas.TRUE` when rho settles the
                                       query: it is witnessed true, and
                                       decide would accept it from any
@@ -26,6 +27,7 @@ keep the reported failure count canonical.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
@@ -75,12 +77,18 @@ class PacOutcome:
 
 
 def required_sample_size(gamma, delta) -> int:
-    """ceil(ln(1/delta) / (2 gamma^2)), the Hoeffding sample count."""
-    gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
-    delta = Fraction(delta) if not isinstance(delta, float) else delta
+    """ceil(ln(1/delta) / (2 gamma^2)), the Hoeffding sample count, exact but
+    for the logarithm, which comes from delta's integer numerator and
+    denominator, so a gamma or delta too small for a float keeps its count."""
+    gamma, delta = Fraction(gamma), Fraction(delta)
     if not 0 < gamma < 1 or not 0 < delta < 1:
         raise InputError("gamma and delta must lie strictly between 0 and 1")
-    return ceil(log(1 / float(delta)) / (2 * float(gamma) ** 2))
+    m = ceil(Fraction(log(delta.denominator) - log(delta.numerator)) / (2 * gamma**2))
+    if m > sys.maxsize:
+        raise InputError(
+            f"the Hoeffding sample size m exceeds {sys.maxsize}; give the example count with --m"
+        )
+    return m
 
 
 def failure_budget(epsilon, m: int) -> int:
@@ -95,7 +103,7 @@ def decide_example(backend, query, hyps, rho) -> bool:
     restricted = backend.restrict_query(query, rho)
     if restricted is TRUE:
         return True
-    return backend.decide(restricted, backend.restrict_hyps(hyps, rho))
+    return bool(backend.decide(restricted, backend.restrict_hyps(hyps, rho)))
 
 
 def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:

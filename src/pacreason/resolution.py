@@ -284,13 +284,16 @@ def search_masks(inputs: tuple, goal: int, s: int):
     more space.  More space than one plus the number of those variables
     finds the same proofs, so s is capped there.
 
-    Each node computes `base & ~clause` once per input.  A zero is the base
-    case; a single bit marks the first input that proves clause-or-that-
-    literal at space 1, which is also the base case of that child, so a
-    space-2 node is one pass.  Results are kept per (clause, space) for the
-    call, since at s >= 3 different branch orders reach the same clause.  A
-    step is the mask of the base input, or (bit of x_v, step for clause |
-    x_v, step for clause | -x_v) for a cut on x_v; None means no proof.
+    Each node computes `base & ~clause` once per input.  A single bit marks
+    the first input that proves clause-or-that-literal at space 1, which is
+    also the base case of that child, so a space-2 node is one pass.  No
+    remainder in `search` is zero: it starts at the goal only after the top
+    scan found no input inside it, and at clause-or-literal only when no
+    remainder was exactly that literal.  Results are kept per (clause,
+    space) for the call, since at s >= 3 different branch orders reach the
+    same clause.  A step is the mask of the base input, or (bit of x_v, step
+    for clause | x_v, step for clause | -x_v) for a cut on x_v; None means
+    no proof.
     """
     union, keep = 0, ~goal
     for base in inputs:
@@ -315,9 +318,6 @@ def search_masks(inputs: tuple, goal: int, s: int):
         firsts = {}
         for base in inputs:
             rest = base & keep
-            if not rest:
-                memo[clause] = base
-                return base
             if not rest & (rest - 1) and rest not in firsts:
                 firsts[rest] = base
         found = None  # space is 1 here only when the cap found no branches

@@ -115,9 +115,9 @@ def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
     settled queries included, tallied as `decide_pac` tallies."""
     examples = list(examples)
     verdicts = tuple(
-        backend.decide(
+        bool(backend.decide(
             plain_restricted_query(backend, query, rho), backend.restrict_hyps(hyps, rho)
-        )
+        ))
         for rho in examples
     )
     failed = verdicts.count(False)

@@ -126,6 +126,20 @@ def test_decide_rejects_counterexample_distribution(tmp_path, capsys):
     assert "verdict=Reject" in out
 
 
+def test_the_default_sample_size_takes_a_tiny_gamma_or_delta(aviary, capsys):
+    base = ["decide", "--system", "res-space", "--s", "1", "--epsilon", "1/2",
+            "--kb", aviary["kb"], "--query", aviary["query"], "--dist", aviary["dist"],
+            "--mask", "fixed:01", "--seed", "7"]
+    code, out, _ = run_cli(base + ["--gamma", "1/2", "--delta", "1e-400"], capsys)
+    assert code == 0 and "m=1843\n" in out
+    code, out, err = run_cli(base + ["--gamma", "1e-200", "--delta", "1/20"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the Hoeffding sample size m exceeds {sys.maxsize}; "
+        "give the example count with --m\n"
+    )
+
+
 def test_decide_rejects_mismatched_parameter(aviary, capsys):
     code, _, err = run_cli(
         [
@@ -371,6 +385,108 @@ def test_budget_errors_do_not_depend_on_the_examples(case, tmp_path, capsys):
         assert (code, out) == (2, "")
         errors.append(err)
     assert len(set(errors)) == 1 and errors[0].startswith("error:")
+
+
+# an input that parses but does not fit the instance: the arguments, with
+# each upper-case token a file holding the text given for it, and the error
+KB2, QUERY2, DIST2 = "p cnf 2 1\n-1 2 0\n", "p cnf 2 1\n2 0\n", "p dist 2 1\n1/1 11\n"
+DECIDE = ["decide", "--system", "res-space", "--s", "1", "--epsilon", "1/2", "--gamma", "1/10",
+          "--delta", "1/20", "--kb", "KB", "--query", "QUERY"]
+INSTANCE_REFUSALS = {
+    "res-space-query-of-0-clauses": (
+        ["prove", "--system", "res-space", "--s", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": KB2, "QUERY": "p cnf 2 0\n"},
+        "res-space queries are a single clause (one-clause cnf file)",
+    ),
+    "res-space-query-of-2-clauses": (
+        ["prove", "--system", "res-space", "--s", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": KB2, "QUERY": "p cnf 2 2\n1 0\n2 0\n"},
+        "res-space queries are a single clause (one-clause cnf file)",
+    ),
+    "res-space-query-n": (
+        ["prove", "--system", "res-space", "--s", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": KB2, "QUERY": "p cnf 3 1\n2 0\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "res-k-width-query-n": (
+        ["prove", "--system", "res-k-width", "--k", "1", "--w", "2", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p kdnf 2 1 1\nx1\n", "QUERY": "p cnf 3 1\n2 0\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "pc-query-n": (
+        ["prove", "--system", "pc", "--d", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p poly 2 1\n1 x1\n", "QUERY": "p poly 3 1\n1 x1\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "pcr-query-n": (
+        ["prove", "--system", "pcr", "--d", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p poly 2 1\n1 ~x1\n", "QUERY": "p poly 3 1\n1 x1\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "cp-query-n": (
+        ["prove", "--system", "cp", "--w", "1", "--L", "2", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p cp 2 1\nx1:1 >= 0\n", "QUERY": "p cp 3 1\nx1:1 >= 1\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "pc-query-of-2-records": (
+        ["prove", "--system", "pc", "--d", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p poly 2 1\n1 x1\n", "QUERY": "p poly 2 2\n1 x1\n1 x2\n"},
+        "pc/pcr queries are a single polynomial",
+    ),
+    "pcr-query-of-2-records": (
+        ["prove", "--system", "pcr", "--d", "1", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p poly 2 1\n1 ~x1\n", "QUERY": "p poly 2 2\n1 x1\n1 ~x2\n"},
+        "pc/pcr queries are a single polynomial",
+    ),
+    "cp-query-of-2-records": (
+        ["prove", "--system", "cp", "--w", "1", "--L", "2", "--kb", "KB", "--query", "QUERY"],
+        {"KB": "p cp 2 1\nx1:1 >= 0\n", "QUERY": "p cp 2 2\nx1:1 >= 1\nx2:1 >= 1\n"},
+        "cp queries are a single inequality",
+    ),
+    "samples-n": (
+        DECIDE + ["--samples", "SAMPLES"],
+        {"KB": KB2, "QUERY": QUERY2, "SAMPLES": "p pasgn 3 1\n1**\n"},
+        "samples n=3 does not match instance n=2",
+    ),
+    "dist-n": (
+        DECIDE + ["--dist", "DIST", "--mask", "fixed:010", "--seed", "1", "--m", "1"],
+        {"KB": KB2, "QUERY": QUERY2, "DIST": "p dist 3 1\n1/1 111\n"},
+        "distribution n=3 does not match instance n=2",
+    ),
+    "no-dist": (
+        DECIDE + ["--mask", "fixed:01", "--seed", "1"],
+        {"KB": KB2, "QUERY": QUERY2},
+        "need either --samples or all of --dist, --mask and --seed",
+    ),
+    "no-mask": (
+        DECIDE + ["--dist", "DIST", "--seed", "1"],
+        {"KB": KB2, "QUERY": QUERY2, "DIST": DIST2},
+        "need either --samples or all of --dist, --mask and --seed",
+    ),
+    "no-seed": (
+        DECIDE + ["--dist", "DIST", "--mask", "fixed:01"],
+        {"KB": KB2, "QUERY": QUERY2, "DIST": DIST2},
+        "need either --samples or all of --dist, --mask and --seed",
+    ),
+    "oracle-entails-n": (
+        ["oracle", "entails", "--kb", "KB", "--query", "QUERY"],
+        {"KB": KB2, "QUERY": "p cnf 3 1\n2 0\n"},
+        "query n=3 does not match kb n=2",
+    ),
+    "oracle-validity-n": (
+        ["oracle", "validity", "--dist", "DIST", "--query", "QUERY"],
+        {"DIST": DIST2, "QUERY": "p cnf 3 1\n2 0\n"},
+        "query n=3 does not match dist n=2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_REFUSALS))
+def test_an_input_that_does_not_fit_the_instance_is_refused(case, tmp_path, capsys):
+    argv, files, error = INSTANCE_REFUSALS[case]
+    paths = {name: write(tmp_path / name.lower(), text) for name, text in files.items()}
+    code, out, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_prove_res_space_shows_proof(aviary, capsys):

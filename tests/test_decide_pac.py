@@ -82,6 +82,17 @@ def test_required_sample_size_worked_values():
     assert required_sample_size(Fraction(1, 10), Fraction(1, 2)) == 35
 
 
+def test_required_sample_size_of_values_too_small_for_a_float():
+    # float(1e-400) and float(1e-200) ** 2 are 0.0, and 1 / 5e-324 is inf;
+    # the count comes from the exact rationals, and one above sys.maxsize is
+    # an input error
+    assert required_sample_size(Fraction(1, 2), Fraction(1, 10**400)) == 1843
+    assert required_sample_size(Fraction(1, 10), Fraction(1, 10**400)) == 46052
+    assert required_sample_size(Fraction(1, 2), 5e-324) == 1489
+    with pytest.raises(InputError, match=r"sample size m exceeds .*--m"):
+        required_sample_size(Fraction(1, 10**200), Fraction(1, 20))
+
+
 def test_required_sample_size_validation():
     with pytest.raises(InputError):
         required_sample_size(Fraction(0), Fraction(1, 2))

@@ -169,6 +169,42 @@ def test_trace_checker_rejects_premises_of_the_wrong_count_or_type(index, rule, 
     assert not check_trace(tuple(broken), hyps, kd((2,)), 1, 1)
 
 
+def test_trace_checker_rejects_each_malformed_step():
+    hyps = [kd((1,)), kd((2,))]
+    target = kd((1, 2))
+    accepted, trace = decide_resk_width(hyps, target, k=2, w=2)
+    assert accepted
+    first, second, intro = trace
+    assert [step.rule for step in trace] == ["hypothesis", "hypothesis", "and_intro"]
+    assert check_trace(trace, hyps, target, k=2, w=2)
+
+    def step(formula, rule, *premises):
+        return TraceStep(formula, rule, premises)
+
+    def replaced(i, new):
+        return trace[:i] + (new,) + trace[i + 1:]
+
+    def inserted(i, new):
+        return trace[:i] + (new,) + trace[i:]
+
+    # a weakening of x1 that is sound but over a bound: w=3 or k=3 admits it
+    wide = inserted(2, step(kd((1,), (3,), (4,)), "weakening", first.formula))
+    long_term = inserted(2, step(kd((1,), (2, 3, 4)), "weakening", first.formula))
+    assert check_trace(wide, hyps, target, k=2, w=3)
+    assert check_trace(long_term, hyps, target, k=3, w=2)
+    cases = {
+        "hypothesis index out of range": replaced(1, step(second.formula, "hypothesis", 2)),
+        # hyps[-1] is x2, so only the range check refuses it
+        "negative hypothesis index": replaced(1, step(second.formula, "hypothesis", -1)),
+        "index names another hypothesis": replaced(1, step(second.formula, "hypothesis", 0)),
+        "a derived line wider than w": wide,
+        "a term longer than k": long_term,
+        "unknown rule": replaced(2, step(intro.formula, "and_introduction", *intro.premises)),
+    }
+    for name, broken in cases.items():
+        assert not check_trace(broken, hyps, target, k=2, w=2), name
+
+
 def test_trace_checker_refuses_a_plain_frozenset_step_or_premise():
     # a plain frozenset equals the KDnf with the same terms; the replay
     # refuses it as a step's formula or premise instead of raising

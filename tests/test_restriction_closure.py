@@ -165,7 +165,7 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
         check(plain_restricted_query(backend, query, at), backend.restrict_hyps(hyps, at))
         accepts[name] = decide_example(backend, query, hyps, at)
-    accepted = backend.decide(query, hyps)
+    accepted = bool(backend.decide(query, hyps))
     if accepted:
         kinds["accepted"] += 1
         assert accepts["all-masked"], (query, hyps)

@@ -118,3 +118,27 @@ def test_value_classes_keep_the_builtin_equality_and_hash():
                 )
     assert found == {name: [base] for name, base in values.items()}
     assert offenders == []
+
+
+def test_cli_knows_no_system_by_name():
+    # each backend class loads its own instance and names its budget flags,
+    # so the command line imports no backend class or budget check and never
+    # branches on which system it runs
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            offenders.extend(
+                f"cli.py:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.endswith("Backend") or alias.name.startswith("check_")
+            )
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                getattr(n, "id", None) == "system" or getattr(n, "attr", None) == "system"
+                for operand in operands
+                for n in ast.walk(operand)
+            ):
+                offenders.append(f"cli.py:{node.lineno} compares a system name")
+    assert offenders == []
