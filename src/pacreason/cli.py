@@ -16,6 +16,7 @@ goes to stderr so reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -97,7 +98,13 @@ def run_scenario(args):
     params = PacParams(args.epsilon, args.gamma, args.delta)
     backend, query, hyps = _load_instance(args)
     examples = _load_examples(args, backend.n, params)
-    outcome = decide_pac(backend, query, hyps, params, examples)
+    # the inputs live through the run, and a PartialAssignment (a tuple
+    # subclass) stays tracked: frozen, the collector skips every example
+    gc.freeze()
+    try:
+        outcome = decide_pac(backend, query, hyps, params, examples)
+    finally:
+        gc.unfreeze()
     lines = [
         f"system={args.system}",
         f"epsilon={args.epsilon}",
@@ -272,10 +279,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, FormatError, RuleError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InputError, FormatError, RuleError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

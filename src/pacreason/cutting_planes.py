@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import InputError, RuleError
-from .formulas import Const, PartialAssignment, TRUE
+from .formulas import Const, PartialAssignment, TRUE, out_of_range
 from .resolution import TAUTOLOGY
 from .saturation import derivation, saturate, seed_inputs
 
@@ -252,7 +252,10 @@ def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:
     fixed = 0
     kept = []
     for v, c in ineq.coeffs:
-        value = rho.value(v)
+        try:
+            value = rho[v - 1]
+        except IndexError:
+            raise out_of_range(v, rho) from None
         if value is None:
             kept.append((v, c))
         elif value == 1:

@@ -7,7 +7,8 @@ serialize(parse(text)) is byte-identical for canonical files.  The canonical
 order: the literals of a clause or term by `resolution.literal_bit` (by
 variable, x_v before -x_v), kdnf terms by their literal lists in that order,
 and polynomial terms as `Polynomial.term_texts` lists them; every other
-record keeps its order.
+record keeps its order.  A literal reads and prints as x<v> or -x<v>, and in
+poly files as x<v> or ~x<v>, the dual indeterminate of x<v>.
 
 Grammar summary:
 
@@ -16,8 +17,9 @@ Grammar summary:
     p kdnf <n> <k> <m>   m k-DNFs like x1&-x2|x3 (F is the empty disjunction;
                          a term has at most k distinct literals)
     p poly <n> <m>       m polynomials: '; '-joined terms `<rational> x1 ~x2`
-                         (~ marks a dual indeterminate; a bare rational is the
-                         constant term; 0 is the zero polynomial)
+                         (~x2 is the dual of x2, read as the literal -x2; a
+                         bare rational is the constant term; 0 is the zero
+                         polynomial)
     p cp <n> <m>         m inequalities like `x1:2 x2:-1 >= 1`
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
@@ -39,7 +41,7 @@ from fractions import Fraction
 from .errors import FormatError, InputError
 from .formulas import PartialAssignment
 from .cutting_planes import LinIneq
-from .polycalc import Indet, Polynomial
+from .polycalc import Polynomial
 from .res_k import KDnf
 from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
@@ -213,10 +215,12 @@ def serialize_pasgns(n: int, assignments) -> str:
 # ---------------------------------------------------------------- kdnf
 
 
-def _parse_literal(token, number, n):
-    neg = token.startswith("-")
-    var = _variable(token[1:] if neg else token, n, number, "literal", token)
-    return -var if neg else var
+def _parse_literal(token, number, n, neg="-", noun="literal"):
+    """The literal `token` names: v for x<v>, -v for <neg>x<v>, with v in
+    1..n; otherwise a FormatError calls `token` a bad `noun`."""
+    negated = token.startswith(neg)
+    var = _variable(token[1:] if negated else token, n, number, noun, token)
+    return -var if negated else var
 
 
 def parse_kdnf_file(text):
@@ -255,12 +259,6 @@ def _kdnf_text(phi: KDnf) -> str:
 # ---------------------------------------------------------------- poly
 
 
-def _parse_indet(token, number, n):
-    dual = token.startswith("~")
-    body = token[1:] if dual else token
-    return Indet(_variable(body, n, number, "indeterminate", token), dual)
-
-
 def parse_poly_file(text):
     (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_body)
     return n, polys
@@ -278,8 +276,8 @@ def _poly_body(n, lines):
             if not tokens:
                 raise FormatError(f"line {number}: empty term")
             coeff = _number(read_fraction, tokens[0], "rational", number)
-            indets = [_parse_indet(tok, number, n) for tok in tokens[1:]]
-            terms.append((frozenset(indets), coeff))
+            monomial = {_parse_literal(tok, number, n, "~", "indeterminate") for tok in tokens[1:]}
+            terms.append((monomial, coeff))
         polys.append(Polynomial(terms))
     return polys
 
@@ -326,7 +324,7 @@ def parse_dist(text) -> ExplicitDistribution:
     (n, _), support = _parse_file(text, "dist", 2, "points", _dist_body)
     try:
         return ExplicitDistribution(n, support)
-    except Exception as exc:
+    except InputError as exc:
         raise FormatError(f"invalid distribution: {exc}") from None
 
 

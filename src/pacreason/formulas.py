@@ -149,7 +149,7 @@ class PartialAssignment(tuple):
     def value(self, var: int):
         """Value of variable `var` (1-based): 0, 1 or None."""
         if not 1 <= var <= len(self):
-            raise InputError(f"variable x{var} out of range 1..{len(self)}")
+            raise out_of_range(var, self)
         return self[var - 1]
 
     def masked_vars(self) -> tuple:
@@ -160,6 +160,11 @@ class PartialAssignment(tuple):
 
     def __repr__(self):
         return f"PartialAssignment({self})"
+
+
+def out_of_range(var: int, values) -> InputError:
+    """The error for reading variable x<var> from a sequence of values."""
+    return InputError(f"variable x{var} out of range 1..{len(values)}")
 
 
 def refine(sigma: PartialAssignment, tau: Mapping[int, int]) -> PartialAssignment:
@@ -182,7 +187,7 @@ def evaluate(phi: Formula, x) -> bool:
         return phi.value
     if isinstance(phi, Var):
         if not 1 <= phi.index <= len(x):
-            raise InputError(f"variable x{phi.index} out of range 1..{len(x)}")
+            raise out_of_range(phi.index, x)
         return bool(x[phi.index - 1])
     if isinstance(phi, Not):
         return not evaluate(phi.child, x)

@@ -1,11 +1,13 @@
 """Multilinear polynomials over exact rationals and degree-bounded proof search.
 
-Lines are polynomial equations [p = 0] over Boolean variables.  Monomials are
-sets of indeterminates (multilinearity is structural); in PCR mode each
-variable x also has a dual indeterminate behaving like its negation, tied by
-the complementarity polynomial x + x_dual - 1.  Monomials are ordered degree
-first, ties broken by the lexicographically smallest sorted indeterminate list
-being larger (`monomial_key`).
+Lines are polynomial equations [p = 0] over Boolean variables.  An
+indeterminate is a literal, the signed int that clauses and k-DNF terms use:
+x_v is v, and in PCR mode its dual ~x_v, which behaves like the negation and
+is tied to x_v by the complementarity polynomial x_v + ~x_v - 1, is -v.  A
+monomial is a frozenset of literals (multilinearity is structural), so it
+restricts as a RES(k) term does (`resolution.restrict_term`).  Monomials are
+ordered degree first, ties broken by the lexicographically smallest sorted
+indeterminate list being larger (`monomial_key`).
 
 The degree-d decision procedure is row echelon form over Q (Clegg, Edmonds &
 Impagliazzo, STOC 1996), run on integers.  A `MonomialCodec` turns each
@@ -23,29 +25,26 @@ reduces to zero against the finished basis.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
 from .formulas import PartialAssignment
-from .resolution import TAUTOLOGY
+from .resolution import TAUTOLOGY, literal_bit, literals_text, restrict_term
 
 PC = "pc"
 PCR = "pcr"
 
 
-@dataclass(frozen=True)
-class Indet:
-    var: int
-    dual: bool = False
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise InputError(f"variable index must be >= 1, got {self.var}")
+def Indet(var: int, dual: bool = False) -> int:
+    """The literal of the indeterminate x_var, `var`, or of its dual ~x_var,
+    `-var`."""
+    if type(var) is not int or var < 1:
+        raise InputError(f"an indeterminate's variable must be an int >= 1, got {var!r}")
+    return -var if dual else var
 
 
-Monomial = frozenset  # of Indet
+Monomial = frozenset  # of literals
 
 ONE = frozenset()  # the empty monomial
 
@@ -53,12 +52,13 @@ ONE = frozenset()  # the empty monomial
 def monomial_key(m: Monomial):
     """Sort key realizing the graded order: higher degree first, then the
     lexicographically smallest id list wins ties."""
-    ids = sorted((i.var, i.dual) for i in m)
-    return (len(ids), tuple((-v, not d) for v, d in ids))
+    lits = sorted(m, key=literal_bit)
+    return (len(lits), tuple((-abs(lit), lit > 0) for lit in lits))
 
 
 class Polynomial:
-    """Map from multilinear monomials to nonzero rational coefficients."""
+    """Map from multilinear monomials to nonzero rational coefficients.
+    Every literal of a monomial is a nonzero int."""
 
     __slots__ = ("terms",)
 
@@ -66,10 +66,13 @@ class Polynomial:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for m, c in items:
+            m = frozenset(m)
+            for lit in m:
+                if type(lit) is not int or not lit:
+                    raise InputError(f"a monomial's literals are nonzero ints, got {lit!r}")
             c = Fraction(c)
             if c == 0:
                 continue
-            m = frozenset(m)
             data[m] = data.get(m, Fraction(0)) + c
             if data[m] == 0:
                 del data[m]
@@ -95,38 +98,29 @@ class Polynomial:
         return self.terms.get(frozenset(m), Fraction(0))
 
     def variables(self) -> frozenset:
-        return frozenset(i.var for m in self.terms for i in m)
+        return frozenset(abs(lit) for m in self.terms for lit in m)
 
     def has_duals(self) -> bool:
-        return any(i.dual for m in self.terms for i in m)
+        return any(lit < 0 for m in self.terms for lit in m)
 
     def evaluate(self, x) -> Fraction:
-        """Value at a Boolean point; duals read as negations."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            value = 1
-            for i in m:
-                bit = x[i.var - 1]
-                if (not bit) if i.dual else bit:
-                    continue
-                value = 0
-                break
-            if value:
-                total += c
-        return total
+        """Value at a Boolean point; a monomial is 1 when all its literals
+        are true, and a dual reads as the negation."""
+        true = (c for m, c in self.terms.items()
+                if all(bool(x[abs(lit) - 1]) == (lit > 0) for lit in m))
+        return sum(true, Fraction(0))
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def term_texts(self, sep: str) -> list:
         """Each term as its coefficient, then its indeterminates (x<v>, or
-        ~x<v> for a dual, by variable, x<v> first), joined by `sep`; the
-        highest monomial first."""
+        ~x<v> for a dual, by `literal_bit`), joined by `sep`; the highest
+        monomial first."""
         texts = []
         for m in sorted(self.terms, key=monomial_key, reverse=True):
-            indets = sorted(m, key=lambda i: (i.var, i.dual))
-            names = [("~x" if i.dual else "x") + str(i.var) for i in indets]
-            texts.append(sep.join([str(self.terms[m])] + names))
+            text = str(self.terms[m])
+            texts.append(f"{text}{sep}{literals_text(m, sep, '~')}" if m else text)
         return texts
 
     def __repr__(self):
@@ -139,8 +133,9 @@ class Polynomial:
 class MonomialCodec:
     """Int keys for the monomials over one instance's variables.
 
-    With the variables ranked in increasing order, indeterminate (var, dual)
-    gets index i = 2*rank + dual and bit N-1-i, where N = 2 * #variables, and a
+    With the variables ranked in increasing order, the indeterminate x_v gets
+    index 2*rank and its dual -v index 2*rank + 1, index i is bit N-1-i,
+    where N = 2 * #variables (`bits` maps each literal to its bit), and a
     monomial's key is (degree << N) | mask.  Keys compare as their
     `monomial_key`s do: degree first, then the smallest index at which two
     masks differ is the higher bit, set in the larger monomial.  Multiplying
@@ -151,17 +146,12 @@ class MonomialCodec:
     def __init__(self, variables, mode: str = PC):
         variables = sorted(variables)
         self.width = width = 2 * len(variables)
-        # the bit of x_var; its dual's bit is the next lower one
-        self.var_bits = {v: 1 << (width - 1 - 2 * rank) for rank, v in enumerate(variables)}
-        duals = (False, True) if mode == PCR else (False,)
-        self.multipliers = [Indet(v, dual) for v in variables for dual in duals]
-
-    def bit(self, i: Indet) -> int:
-        return self.var_bits[i.var] >> i.dual
+        lits = [lit for v in variables for lit in (v, -v)]  # in index order
+        self.bits = {lit: 1 << (width - 1 - i) for i, lit in enumerate(lits)}
+        self.multipliers = lits if mode == PCR else variables
 
     def key(self, m: Monomial) -> int:
-        var_bits = self.var_bits
-        return (len(m) << self.width) + sum(var_bits[i.var] >> i.dual for i in m)
+        return (len(m) << self.width) + sum(map(self.bits.__getitem__, m))
 
     def row(self, p: Polynomial) -> dict:
         """p times the lcm of its denominators: an integer row."""
@@ -213,14 +203,8 @@ def _times(row: dict, bit: int, step: int) -> dict:
 
 
 def complementarity(var: int) -> Polynomial:
-    """x + x_dual - 1, tying a dual indeterminate to the negation."""
-    return Polynomial(
-        [
-            (frozenset((Indet(var),)), 1),
-            (frozenset((Indet(var, True),)), 1),
-            (ONE, -1),
-        ]
-    )
+    """x + ~x - 1, tying a dual indeterminate to the negation."""
+    return Polynomial([(frozenset((var,)), 1), (frozenset((-var,)), 1), (ONE, -1)])
 
 
 def check_inputs(polys, d: int, mode: str) -> None:
@@ -249,7 +233,7 @@ def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
 
     width = codec.width
     one = 1 << width
-    steps = [(bit, one + bit) for bit in map(codec.bit, codec.multipliers)]
+    steps = [(bit, one + bit) for bit in map(codec.bits.__getitem__, codec.multipliers)]
     basis = {}
     while pending:
         p = gaussian_reduce(pending.popleft(), basis)
@@ -277,34 +261,25 @@ def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
 
 
 def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
-    """Kill monomials with an indeterminate set to 0, delete those set to 1;
-    duals read the negated assignment.  Raises InputError for a variable
-    beyond len(rho)."""
+    """Restrict each monomial as the conjunction of its literals
+    (`restrict_term`): it dies when rho falsifies a literal and loses the
+    literals rho makes true, and like monomials merge.  Raises InputError for
+    a variable beyond len(rho)."""
     data = {}
     for m, c in p.terms.items():
-        kept = []
-        for i in m:
-            try:
-                v = rho[i.var - 1]
-            except IndexError:
-                raise InputError(
-                    f"variable x{i.var} out of range 1..{len(rho)}"
-                ) from None
-            if v is None:
-                kept.append(i)
-            elif bool(v) == i.dual:  # the indeterminate reads 0
-                break
-        else:
-            if len(kept) < len(m):
-                m = frozenset(kept)
-            data[m] = data[m] + c if m in data else c
+        kept = restrict_term(m, rho)
+        if kept is None:
+            continue
+        if len(kept) < len(m):
+            m = frozenset(kept)
+        data[m] = data[m] + c if m in data else c
     return Polynomial._trusted({m: c for m, c in data.items() if c})
 
 
 def encode_clause_pcr(clause) -> Polynomial:
-    """A clause as the single-monomial equation: product of the complementary
-    indeterminate of each literal; the empty clause encodes to [1 = 0]."""
+    """A clause as the single-monomial equation [t = 0], t the negated clause
+    as a term (one complementary indeterminate per literal); the empty clause
+    encodes to [1 = 0]."""
     if clause is TAUTOLOGY:
         raise InputError("the tautology clause has no polynomial encoding")
-    monomial = frozenset(Indet(abs(lit), dual=lit > 0) for lit in clause)
-    return Polynomial([(monomial, 1)])
+    return Polynomial([(frozenset(-lit for lit in clause), 1)])

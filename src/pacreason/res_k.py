@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .errors import InputError
 from .formulas import Const, PartialAssignment, TRUE
-from .resolution import TAUTOLOGY, literal_bit
+from .resolution import TAUTOLOGY, literal_bit, restrict_term
 from .saturation import derivation, pairs, saturate, seed_inputs
 
 
@@ -72,16 +72,8 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
     """
     new_terms = set()
     for term in phi:
-        kept = []
-        falsified = False
-        for lit in term:
-            v = rho.value(abs(lit))
-            if v is None:
-                kept.append(lit)
-            elif (v == 1) != (lit > 0):
-                falsified = True
-                break
-        if falsified:
+        kept = restrict_term(term, rho)
+        if kept is None:
             continue
         if not kept:
             return TRUE

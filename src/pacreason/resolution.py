@@ -32,6 +32,7 @@ from .formulas import (
     conjunction,
     disjunction,
     literal as literal_formula,
+    out_of_range,
 )
 
 TAUTOLOGY = TRUE
@@ -74,11 +75,11 @@ def literal_bit(lit: int) -> int:
     return 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
 
 
-def literals_text(literals, sep: str) -> str:
-    """The literals as x<v> for x_v and -x<v> for -x_v, in `literal_bit`
+def literals_text(literals, sep: str, neg: str = "-") -> str:
+    """The literals as x<v> for x_v and <neg>x<v> for -x_v, in `literal_bit`
     order, joined by `sep`."""
     ordered = sorted(literals, key=literal_bit)
-    return sep.join(f"x{lit}" if lit > 0 else f"-x{-lit}" for lit in ordered)
+    return sep.join(f"x{lit}" if lit > 0 else f"{neg}x{-lit}" for lit in ordered)
 
 
 def encode_clause(clause: frozenset) -> int:
@@ -369,17 +370,38 @@ def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
 
 
 def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
-    """Drop falsified literals; a satisfied literal collapses to TAUTOLOGY."""
+    """Drop falsified literals; a satisfied literal collapses to TAUTOLOGY.
+    Raises InputError for a variable beyond len(rho)."""
     if clause is TAUTOLOGY:
         return TAUTOLOGY
     out = []
     for lit in clause:
-        v = rho.value(abs(lit))
+        try:
+            v = rho[abs(lit) - 1]
+        except IndexError:
+            raise out_of_range(abs(lit), rho) from None
         if v is None:
             out.append(lit)
         elif (v == 1) == (lit > 0):
             return TAUTOLOGY
     return frozenset(out)
+
+
+def restrict_term(term, rho: PartialAssignment) -> Optional[list]:
+    """The literals of a conjunction that rho leaves masked, in term order,
+    or None when rho falsifies one of them.  Raises InputError for a
+    variable beyond len(rho)."""
+    kept = []
+    for lit in term:
+        try:
+            v = rho[abs(lit) - 1]
+        except IndexError:
+            raise out_of_range(abs(lit), rho) from None
+        if v is None:
+            kept.append(lit)
+        elif (v == 1) != (lit > 0):
+            return None
+    return kept
 
 
 def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:

@@ -25,12 +25,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
 from .formulas import Formula, PartialAssignment, evaluate, is_bit
-from .oracle import ENUMERATION_CAP
+from .oracle import assignments
 
 
 class ExplicitDistribution:
@@ -195,9 +195,7 @@ def validity(dist: ExplicitDistribution, phi: Formula) -> Fraction:
     )
 
 
-def tight_union_bound_distribution(
-    psis, epsilons, n: int, cap: int = ENUMERATION_CAP
-) -> ExplicitDistribution:
+def tight_union_bound_distribution(psis, epsilons, n: int) -> ExplicitDistribution:
     """A distribution on which each formula is exactly (1-eps_i)-valid and their
     conjunction exactly (1-sum eps_i)-valid.
 
@@ -214,10 +212,8 @@ def tight_union_bound_distribution(
     total = sum(epsilons)
     if total >= 1:
         raise PreconditionError(f"epsilons sum to {total}, need strictly less than 1")
-    if n > cap:
-        raise InputError(f"{n} variables exceed the enumeration cap {cap}")
 
-    points = list(product((0, 1), repeat=n))
+    points = list(assignments(n))
     values = [[evaluate(psi, x) for psi in psis] for x in points]
 
     common = next(

@@ -9,7 +9,8 @@ RES(k) and cutting-planes deciders with their own round loops, which the
 deciders built on `saturation` must match exactly, and the PC kernel on
 `Fraction` coefficients and frozenset monomials (a list basis sorted by leading
 monomial, scanned on every reduction, and the per-term restriction), which the
-int-keyed `polycalc` kernel must match up to the scale of each row, the
+int-keyed `polycalc` kernel must match up to the scale of each row, the k-DNF
+restriction through `rho.value`, which `res_k.restrict_kdnf` must match, the
 projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the CNF
 restriction on frozenset clauses, which the literal-mask kernels in
@@ -58,7 +59,7 @@ from pacreason.formulas import (
     restrict,
     witness_status,
 )
-from pacreason.oracle import ENUMERATION_CAP, entails
+from pacreason.oracle import entails
 from pacreason.polycalc import (
     ONE,
     PC,
@@ -87,6 +88,7 @@ from pacreason.resolution import (
     ProofNode,
     Weaken,
     clause_superset,
+    literal_bit,
     make_clause,
     restrict_clause,
 )
@@ -374,12 +376,11 @@ def random_cnf(rng, n, max_clauses=8, max_width=3):
 class EntailmentOracleBackend:
     """Brute-force classical entailment over threshold-basis formulas."""
 
-    def __init__(self, n: int, cap: int = ENUMERATION_CAP):
+    def __init__(self, n: int):
         self.n = n
-        self.cap = cap
 
     def decide(self, query, hyps) -> bool:
-        return entails(list(hyps), query, self.n, cap=self.cap)
+        return entails(list(hyps), query, self.n)
 
     def restrict_query(self, query, rho):
         return restrict(query, rho)
@@ -405,8 +406,8 @@ def poly_to_formula(p: Polynomial) -> Formula:
 
     def monomial_formula(m):
         return conjunction(
-            Not(Var(i.var)) if i.dual else Var(i.var)
-            for i in sorted(m, key=lambda i: (i.var, i.dual))
+            Not(Var(-lit)) if lit < 0 else Var(lit)
+            for lit in sorted(m, key=literal_bit)
         )
 
     children = tuple(monomial_formula(m) for m in monomials)
@@ -687,7 +688,7 @@ def _add_scaled(p: Polynomial, b: Polynomial, factor: Fraction) -> Polynomial:
     return Polynomial(data)
 
 
-def mul_indet(p: Polynomial, indet: Indet) -> Polynomial:
+def mul_indet(p: Polynomial, indet: int) -> Polynomial:
     """p times one indeterminate, multilinearized."""
     return Polynomial((m | {indet}, c) for m, c in p.terms.items())
 
@@ -702,8 +703,7 @@ def monic(p: Polynomial) -> Polynomial:
 
 def decode_row(codec: MonomialCodec, row: dict) -> Polynomial:
     """The polynomial an integer row of `codec` stands for."""
-    indets = [Indet(v, dual) for v in codec.var_bits for dual in (False, True)]
-    monomial = {key: frozenset(i for i in indets if key & codec.bit(i)) for key in row}
+    monomial = {key: frozenset(lit for lit, bit in codec.bits.items() if key & bit) for key in row}
     return Polynomial({monomial[k]: c for k, c in row.items()})
 
 
@@ -714,12 +714,12 @@ def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Poly
     for m, c in p.terms.items():
         kept = []
         dead = False
-        for i in m:
-            v = rho.value(i.var)
+        for lit in m:
+            v = rho.value(abs(lit))
             if v is None:
-                kept.append(i)
+                kept.append(lit)
             else:
-                if i.dual:
+                if lit < 0:
                     v = 1 - v
                 if v == 0:
                     dead = True
@@ -727,6 +727,32 @@ def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Poly
         if not dead:
             out.append((frozenset(kept), c))
     return Polynomial(out)
+
+
+def reference_restrict_kdnf(phi: KDnf, rho: PartialAssignment):
+    """Restriction term by term through `rho.value`: falsified terms drop,
+    satisfied literals go, a satisfied term or the all-literals encoding of
+    the constant 1 collapses to TRUE."""
+    new_terms = set()
+    for term in phi:
+        kept = []
+        falsified = False
+        for lit in term:
+            v = rho.value(abs(lit))
+            if v is None:
+                kept.append(lit)
+            elif (v == 1) != (lit > 0):
+                falsified = True
+                break
+        if falsified:
+            continue
+        if not kept:
+            return TRUE
+        new_terms.add(frozenset(kept))
+    masked = rho.masked_vars()
+    if masked and new_terms == {frozenset({s * v}) for v in masked for s in (1, -1)}:
+        return TRUE
+    return KDnf(new_terms)
 
 
 def reference_gaussian_reduce(p: Polynomial, basis) -> Polynomial:

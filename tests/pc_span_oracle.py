@@ -23,7 +23,7 @@ def _columns(indets, d):
     for size in range(d + 1):
         for combo in combinations(indets, size):
             monos.append(frozenset(combo))
-    monos.sort(key=lambda m: (-len(m), sorted((i.var, i.dual) for i in m)))
+    monos.sort(key=lambda m: (-len(m), sorted((abs(lit), lit < 0) for lit in m)))
     return monos
 
 

@@ -664,6 +664,14 @@ def test_oracle_commands(tmp_path, capsys):
     assert code == 0 and out == "validity=3/4\n"
 
 
+def test_encode_pcr_negates_each_clause_into_a_monomial(tmp_path, capsys):
+    # a positive literal becomes its dual indeterminate and a negative one the
+    # plain indeterminate; each monomial prints by variable, x before ~x
+    cnf = write(tmp_path / "f.cnf", "p cnf 4 5\n3 -2 1 0\n-4 -1 0\n4 2 0\n-3 1 -4 0\n0\n")
+    code, out, _ = run_cli(["encode", "pcr", "--cnf", cnf], capsys)
+    assert (code, out) == (0, "p poly 4 5\n1 ~x1 x2 ~x3\n1 x1 x4\n1 ~x2 ~x4\n1 ~x1 x3 x4\n1\n")
+
+
 def test_encode_commands(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", "p cnf 2 2\n1 -2 0\n2 0\n")
     code, out, _ = run_cli(["encode", "pcr", "--cnf", cnf], capsys)

@@ -96,7 +96,7 @@ def test_monomial_codec_keys_sort_like_monomial_key():
             codec = MonomialCodec(variables, mode)
             indets = [Indet(v, dual) for v in variables for dual in (False, True)]
             if mode == PC:
-                indets = [i for i in indets if not i.dual]
+                indets = [i for i in indets if i > 0]
             monomials = [
                 frozenset(c)
                 for c in chain.from_iterable(
@@ -107,7 +107,7 @@ def test_monomial_codec_keys_sort_like_monomial_key():
             rng.shuffle(monomials)
             assert len(set(map(codec.key, monomials))) == len(monomials)
             for i in indets:
-                assert codec.key(frozenset([i])) == (1 << codec.width) + codec.bit(i)
+                assert codec.key(frozenset([i])) == (1 << codec.width) + codec.bits[i]
             assert sorted(monomials, key=codec.key) == sorted(monomials, key=monomial_key)
 
 
@@ -248,6 +248,25 @@ def test_encode_clause_pcr():
     assert encode_clause_pcr(frozenset()) == poly((1, []))
     with pytest.raises(InputError):
         encode_clause_pcr(TAUTOLOGY)
+
+
+@pytest.mark.parametrize("bad", [0, True, False, 1.0, "x1", None])
+def test_a_literal_is_a_nonzero_int(bad):
+    for c in (1, 0):
+        with pytest.raises(InputError, match=f"^a monomial's literals are nonzero ints, got {bad!r}$"):
+            Polynomial([(frozenset([2, bad]), c)])
+    error = f"^an indeterminate's variable must be an int >= 1, got {bad!r}$"
+    with pytest.raises(InputError, match=error):
+        Indet(bad)
+
+
+def test_an_indeterminate_is_its_literal():
+    assert (Indet(3), Indet(3, dual=True)) == (3, -3)
+    with pytest.raises(InputError):
+        Indet(-3)
+    p = poly((Fraction(1, 2), [x(1), xd(1), xd(2)]), (-1, []))
+    assert p.terms == {frozenset({1, -1, -2}): Fraction(1, 2), ONE: -1}
+    assert repr(p) == "Polynomial(1/2x1~x1~x2 + -1)"
 
 
 def test_encode_clause_pcr_semantics_exhaustive():

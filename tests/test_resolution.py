@@ -1,15 +1,19 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
 from pacreason.backends import SpaceResolutionBackend
+from pacreason.cutting_planes import LinIneq, residual_ineq
 from pacreason.decide_pac import PacParams, decide_pac_from_distribution
 from pacreason.errors import InputError
-from pacreason.formulas import PartialAssignment
+from pacreason.formulas import TRUE, PartialAssignment
 from pacreason.oracle import sat_solve
+from pacreason.polycalc import Polynomial, restrict_polynomial
+from pacreason.res_k import KDnf, restrict_kdnf
 from pacreason.resolution import (
     TAUTOLOGY,
     Cnf,
@@ -24,6 +28,7 @@ from pacreason.resolution import (
     proof_tree,
     restrict_clause,
     restrict_cnf,
+    restrict_term,
     search_space,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
@@ -33,6 +38,8 @@ from helpers import (
     random_cnf,
     random_partial,
     reference_restrict_cnf,
+    reference_restrict_kdnf,
+    reference_restrict_polynomial,
     reference_search_space,
     restrict_proof,
     space_bound_for_size,
@@ -140,6 +147,92 @@ def test_restrict_clause():
     assert restrict_clause(cl(1, -2, 3), rho) == cl(1, 3)
     rho2 = PartialAssignment.from_string("*0*")
     assert restrict_clause(cl(1, -2, 3), rho2) is TAUTOLOGY
+
+
+def test_restrict_term():
+    rho = PartialAssignment.from_string("*1*0")
+    assert restrict_term(frozenset({1, 2, -4}), rho) == [1]
+    assert restrict_term(frozenset({2, -4}), rho) == []
+    assert restrict_term(frozenset({1, 4}), rho) is None
+    assert restrict_term(frozenset(), rho) == []
+
+
+def test_restrictions_name_a_variable_beyond_rho():
+    rho = PartialAssignment.from_string("**")
+    error = "^variable x3 out of range 1..2$"
+    for restrict, value in (
+        (restrict_clause, cl(-3)),
+        (restrict_term, frozenset({-3})),
+        (residual_ineq, LinIneq([(3, 1)], 0)),
+    ):
+        with pytest.raises(InputError, match=error):
+            restrict(value, rho)
+
+
+def _restriction_outcome(restrict, value, rho):
+    try:
+        return restrict(value, rho)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _cancels(p, rho):
+    """Whether two terms of p restrict to one monomial whose coefficients
+    sum to 0."""
+    sums, counts = Counter(), Counter()
+    for m, c in p.terms.items():
+        values = [rho[abs(lit) - 1] for lit in m]
+        if all(v is None or v == (lit > 0) for lit, v in zip(m, values)):
+            kept = frozenset(lit for lit, v in zip(m, values) if v is None)
+            sums[kept] += c
+            counts[kept] += 1
+    return any(counts[m] > 1 and not sums[m] for m in counts)
+
+
+def test_term_restrictions_match_the_references():
+    # restrict_kdnf and restrict_polynomial both restrict a term (a monomial
+    # is a conjunction of literals, a dual -v) through restrict_term; each
+    # must match its per-literal loop through rho.value in value, repr and
+    # error text, over duals, monomials holding x and its dual, coefficients
+    # that cancel when restricted monomials merge, and a rho shorter than the
+    # variables used
+    rng = random.Random(1919)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        length = n if rng.random() < 0.85 else rng.randint(0, n - 1)
+        rho = random_partial(rng, length, 0.4)
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            variables = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            terms.append([v if rng.random() < 0.5 else -v for v in variables])
+        phi = KDnf(terms)
+        monomials = []
+        for _ in range(rng.randint(1, 4)):
+            lits = [rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+            if lits and rng.random() < 0.3:
+                lits.append(-lits[0])
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            monomials.append((frozenset(lits), c))
+            widened = frozenset(lits) | {rng.choice((1, -1)) * rng.randint(1, n)}
+            monomials.append((widened, -c if rng.random() < 0.6 else c))
+        p = Polynomial(monomials)
+        outcomes = []
+        for restrict, reference, value in (
+            (restrict_kdnf, reference_restrict_kdnf, phi),
+            (restrict_polynomial, reference_restrict_polynomial, p),
+        ):
+            got = _restriction_outcome(restrict, value, rho)
+            want = _restriction_outcome(reference, value, rho)
+            assert got == want and repr(got) == repr(want), (value, rho)
+            outcomes.append(got)
+        restricted_phi, restricted_p = outcomes
+        seen["error"] += isinstance(restricted_p, str)
+        seen["true"] += restricted_phi is TRUE
+        seen["dual"] += p.has_duals()
+        seen["pair"] += any(-lit in m for m in p.terms for lit in m)
+        seen["cancel"] += length == n and _cancels(p, rho)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_restrict_proof_assigned_pivot_becomes_weakening():
