@@ -28,23 +28,19 @@ keep the reported failure count canonical.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
 
 from .errors import InputError
-from .formulas import TRUE
+from .formulas import TRUE, Record
 from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
 REJECT = "Reject"
 
 
-@dataclass(frozen=True)
-class PacParams:
-    epsilon: Fraction
-    gamma: Fraction
-    delta: Fraction
+class PacParams(Record):
+    __slots__ = ("epsilon", "gamma", "delta")  # Fractions
 
     def __post_init__(self):
         eps = Fraction(self.epsilon)
@@ -63,13 +59,9 @@ class PacParams:
         object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class PacOutcome:
-    verdict: str
-    failed_count: int
-    budget: int
-    sample_count: int
-    per_example: tuple  # True where the backend accepted
+class PacOutcome(Record):
+    # per_example is True where the backend accepted
+    __slots__ = ("verdict", "failed_count", "budget", "sample_count", "per_example")
 
     @property
     def accepted(self) -> bool:

@@ -17,7 +17,6 @@ All values are immutable; all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -25,30 +24,71 @@ from typing import Iterable, Mapping, Union
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+class Record:
+    """An immutable value whose fields are its `__slots__`, given by position
+    or by name; `__post_init__` may then check them and normalize them
+    through `object.__setattr__`.  It equals a record of the same class with
+    equal fields, hashes as their tuple, prints as `Var(index=1)` and copies
+    through its constructor.  A subclass with its own `__init__`, equality
+    and repr inherits only the immutability."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        values += tuple(named.pop(name) for name in names[len(values):] if name in named)
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        self.__delattr__(name)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+class Const(Record):
+    __slots__ = ("value",)  # a bool
+
+
+class Var(Record):
+    __slots__ = ("index",)  # 1-based
 
     def __post_init__(self):
         if self.index < 1:
             raise InputError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+class Not(Record):
+    __slots__ = ("child",)  # a Formula
 
 
-@dataclass(frozen=True)
-class Threshold:
-    coeffs: tuple
-    children: tuple
-    bound: Fraction
+class Threshold(Record):
+    __slots__ = ("coeffs", "children", "bound")  # Fractions, Formulas, a Fraction
 
     def __post_init__(self):
         coeffs = tuple(Fraction(c) for c in self.coeffs)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .formulas import PartialAssignment
+from .formulas import PartialAssignment, Record
 from .resolution import TAUTOLOGY, literal_bit, literals_text, restrict_term
 
 PC = "pc"
@@ -56,7 +56,7 @@ def monomial_key(m: Monomial):
     return (len(lits), tuple((-abs(lit), lit > 0) for lit in lits))
 
 
-class Polynomial:
+class Polynomial(Record):
     """Map from multilinear monomials to nonzero rational coefficients.
     Every literal of a monomial is a nonzero int."""
 
@@ -125,9 +125,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({' + '.join(self.term_texts('')) or '0'})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
 
 class MonomialCodec:

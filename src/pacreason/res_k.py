@@ -15,6 +15,7 @@ that an independent checker can replay rule by rule.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
@@ -78,10 +79,12 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
         if not kept:
             return TRUE
         new_terms.add(frozenset(kept))
-    masked = rho.masked_vars()
-    if masked and new_terms == {frozenset({s * v}) for v in masked for s in (1, -1)}:
+    # kept literals are masked, so 2 * |masked| one-literal terms are all of them
+    if len(new_terms) == 2 * rho.count(None) > 0 and all(len(t) == 1 for t in new_terms):
         return TRUE
-    return KDnf(new_terms)
+    # subsets of valid terms, so unchecked; added one by one as `KDnf` adds
+    # them, which keeps the set's layout and with it the term order
+    return frozenset.__new__(KDnf, iter(new_terms))
 
 
 def negate_query(kcnf, k: int) -> Union[KDnf, Const]:
@@ -130,7 +133,10 @@ def _weaken_results(psi: KDnf, universe_terms, w: int):
             yield KDnf(psi | set(combo))
 
 
-def _term_universe(variables, k: int):
+@lru_cache(maxsize=64)
+def _term_universe(variables: tuple, k: int) -> tuple:
+    """Every term of at most k literals over `variables`, by size, then in
+    `literal_bit` order.  Restricted instances share a few variable sets."""
     literals = sorted((s * v for v in variables for s in (1, -1)), key=literal_bit)
     universe = []
     for size in range(1, k + 1):
@@ -138,7 +144,7 @@ def _term_universe(variables, k: int):
             if any(-lit in combo for lit in combo):
                 continue
             universe.append(frozenset(combo))
-    return universe
+    return tuple(universe)
 
 
 def check_budget(hyps, target: KDnf, k: int, w: int) -> None:
@@ -163,7 +169,7 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
     and_elim or and_intro, and a hypothesis step's premises are its index.
     """
     hyps = list(hyps)
-    variables = sorted(set().union(*(phi.variables() for phi in hyps + [target])))
+    variables = tuple(sorted(set().union(*(phi.variables() for phi in hyps + [target]))))
     universe_terms = _term_universe(variables, k)
 
     table = {}

@@ -19,7 +19,6 @@ over unequal spaces the maximum; unary weakening steps are free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
@@ -28,6 +27,7 @@ from .formulas import (
     Const,
     Formula,
     PartialAssignment,
+    Record,
     TRUE,
     conjunction,
     disjunction,
@@ -101,7 +101,7 @@ def decode_clause(bits: int) -> frozenset:
     return frozenset(lits)
 
 
-class Cnf:
+class Cnf(Record):
     """A deduplicated list of clauses over variables 1..n.
 
     A Cnf also has an int form, `masks`: the literal masks (`encode_clause`)
@@ -177,30 +177,21 @@ class Cnf:
     def __repr__(self):
         return f"Cnf(n={self.n}, clauses=[{', '.join(map(clause_to_text, self.clauses))}])"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cnf is immutable")
-
     def to_formula(self) -> Formula:
         return conjunction(clause_to_formula(c) for c in self.clauses)
 
 
-@dataclass(frozen=True)
-class Leaf:
-    clause: Clause
+class Leaf(Record):
+    __slots__ = ("clause",)
 
 
-@dataclass(frozen=True)
-class Weaken:
-    clause: Clause
-    child: "ProofNode"
+class Weaken(Record):
+    __slots__ = ("clause", "child")
 
 
-@dataclass(frozen=True)
-class Cut:
-    pivot: int  # positive literal in left child, negative in right
-    left: "ProofNode"
-    right: "ProofNode"
-    clause: Clause
+class Cut(Record):
+    # the pivot is a positive literal in the left child, negative in the right
+    __slots__ = ("pivot", "left", "right", "clause")
 
 
 ProofNode = Union[Leaf, Weaken, Cut]

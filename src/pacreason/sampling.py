@@ -23,17 +23,16 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
-from .formulas import Formula, PartialAssignment, evaluate, is_bit
+from .formulas import Formula, PartialAssignment, Record, evaluate, is_bit
 from .oracle import assignments
 
 
-class ExplicitDistribution:
+class ExplicitDistribution(Record):
     """A finitely supported distribution with exact rational weights summing to 1."""
 
     __slots__ = ("n", "support")
@@ -74,34 +73,29 @@ class ExplicitDistribution:
     def __repr__(self):
         return f"ExplicitDistribution(n={self.n}, support={list(self.support)!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExplicitDistribution is immutable")
 
-
-@dataclass(frozen=True)
-class FixedMask:
+class FixedMask(Record):
     """Always hide the same set of coordinates."""
 
-    hidden: frozenset
+    __slots__ = ("hidden",)
 
-    def __init__(self, hidden):
-        object.__setattr__(self, "hidden", frozenset(hidden))
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", frozenset(self.hidden))
 
 
-@dataclass(frozen=True)
-class IndependentMask:
+class IndependentMask(Record):
     """Hide each coordinate independently with the same probability."""
 
-    hide_prob: Fraction
+    __slots__ = ("hide_prob",)
 
-    def __init__(self, hide_prob):
-        p = Fraction(hide_prob)
+    def __post_init__(self):
+        p = Fraction(self.hide_prob)
         if not 0 <= p <= 1:
             raise InputError(f"hide probability must lie in [0,1], got {p}")
         object.__setattr__(self, "hide_prob", p)
 
 
-class TableMask:
+class TableMask(Record):
     """Deterministic mask that may depend on the underlying assignment."""
 
     __slots__ = ("rule",)
@@ -116,9 +110,6 @@ class TableMask:
 
     def __repr__(self):
         return f"TableMask({self.rule!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TableMask is immutable")
 
 
 def _masked_point(x, hidden) -> PartialAssignment:

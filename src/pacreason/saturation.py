@@ -8,14 +8,13 @@ contract between them, and `derivation` unwinds an accepting run into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .formulas import Record
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    formula: object  # the system's formula for the line
-    rule: str
-    premises: tuple  # earlier steps' formulas, then the rule's parameters
+class TraceStep(Record):
+    # the system's formula for the line, the rule's name, and the earlier
+    # steps' formulas followed by the rule's parameters
+    __slots__ = ("formula", "rule", "premises")
 
 
 def seed_inputs(table: dict, inputs, in_budget, rule) -> dict:

@@ -482,7 +482,7 @@ def reference_decide_resk_width(hyps, target, k, w, stats=None):
         if phi.max_term_size > k:
             raise InputError(f"formula {phi!r} is not a {k}-DNF")
 
-    variables = sorted(set().union(*(phi.variables() for phi in hyps + [target])))
+    variables = tuple(sorted(set().union(*(phi.variables() for phi in hyps + [target]))))
     universe_terms = _term_universe(variables, k)
 
     table = {}

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
 import re
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
 
 from pacreason.cutting_planes import LinIneq, restrict_ineq
+from pacreason.decide_pac import PacOutcome, PacParams
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -22,8 +26,11 @@ from pacreason.formulas import (
     restrict,
     witness_status,
 )
+from pacreason.polycalc import Polynomial
 from pacreason.res_k import KDnf, restrict_kdnf
-from pacreason.resolution import TAUTOLOGY, Cnf, make_clause, restrict_clause
+from pacreason.resolution import TAUTOLOGY, Cnf, Cut, Leaf, Weaken, make_clause, restrict_clause
+from pacreason.sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
+from pacreason.saturation import TraceStep
 
 from helpers import (
     completions,
@@ -235,3 +242,78 @@ def test_witnessed_items_restrict_to_the_one_true():
     assert restrict_ineq(LinIneq([(1, 1), (3, -1)], 0), rho) is TRUE
     assert Cnf([TAUTOLOGY, TAUTOLOGY], 3).clauses == (TAUTOLOGY,)
     assert Cnf([make_clause([1, -1]), [2], TAUTOLOGY], 3).clauses == (TAUTOLOGY, frozenset({2}))
+
+
+# every Record class with normalized field values, which construction keeps
+RECORDS = [
+    (Const, (True,)),
+    (Var, (3,)),
+    (Not, (Var(1),)),
+    (Threshold, ((Fraction(1), Fraction(-2)), (Var(1), Not(Var(2))), Fraction(1, 2))),
+    (Leaf, (frozenset({1}),)),
+    (Weaken, (frozenset({1, 2}), Leaf(frozenset({1})))),
+    (Cut, (1, Leaf(frozenset({1})), Leaf(frozenset({-1})), frozenset())),
+    (FixedMask, (frozenset({2}),)),
+    (IndependentMask, (Fraction(1, 3),)),
+    (TraceStep, (KDnf([[1]]), "cut", (KDnf([[1], [2]]), 0))),
+    (PacParams, (Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))),
+    (PacOutcome, ("Accept", 0, 1, 2, (True, True))),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_behaves_as_the_frozen_dataclass_it_replaced(cls, values):
+    # the field-tuple hash fixes set and dict order, and with it traces and
+    # reports, so it must stay exactly the dataclass hash; the repr is the
+    # dataclass repr
+    frozen = make_dataclass(cls.__name__, cls.__slots__, frozen=True)(*values)
+    record = cls(*values)
+    assert repr(record) == repr(frozen)
+    assert hash(record) == hash(frozen) == hash(values)
+    assert record == cls(**dict(zip(cls.__slots__, values)))
+    assert record != frozen
+    assert copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(record, cls.__slots__[0], values[0])
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        delattr(record, cls.__slots__[0])
+
+
+def test_record_equality_needs_the_same_class():
+    assert repr(Var(1)) == "Var(index=1)"
+    assert Var(1) == Var(index=1) and Var(1) != Var(2)
+    assert Var(1) != Const(True)  # equal field tuples, (1,) == (True,)
+    assert hash(Var(3)) == hash((3,))
+
+
+def test_record_construction():
+    assert Threshold(coeffs=[1], children=[Var(1)], bound=1) == Threshold((1,), (Var(1),), 1)
+    left, right = Leaf(frozenset({1})), Leaf(frozenset({-1}))
+    assert Cut(1, left, right=right, clause=frozenset()) == Cut(1, left, right, frozenset())
+    with pytest.raises(InputError):
+        Var(index=0)  # the check runs on keyword construction too
+    for bad in ((), (1, 2)):
+        with pytest.raises(TypeError):
+            Var(*bad)
+    with pytest.raises(TypeError):
+        Var(1, index=1)
+    with pytest.raises(TypeError):
+        Not(child=Var(1), parent=None)
+
+
+@pytest.mark.parametrize("value", [
+    Cnf([[1]], 1),
+    Polynomial([([1], 1)]),
+    ExplicitDistribution.uniform([(0,)]),
+    TableMask({(0,): {1}}),
+], ids=lambda value: type(value).__name__)
+def test_hand_written_values_inherit_record_immutability(value):
+    # these keep their own equality and repr, and stay unhashable
+    name = type(value).__name__
+    field = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(value, field)
+    with pytest.raises(TypeError):
+        hash(value)

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +19,7 @@ from pacreason.res_k import (
 )
 from pacreason.saturation import TraceStep
 
-from helpers import kdnf_to_formula, prove_exit_code, random_partial
+from helpers import kdnf_to_formula, prove_exit_code, random_partial, reference_restrict_kdnf
 
 
 def kd(*terms):
@@ -52,6 +53,32 @@ def test_restrict_satisfied_term_gives_true():
 def test_restrict_all_literals_collapses_to_true():
     one = kd((1,), (-1,), (2,), (-2,))
     assert restrict_kdnf(one, pa("**")) == TRUE
+
+
+def test_restrict_kdnf_matches_the_reference_on_one_literal_terms():
+    # the all-literals test counts the masked entries of rho instead of
+    # building the set of all literals, and the result is built without
+    # re-checking its terms: on every set of one-literal terms over x1..x3,
+    # with and without a longer term, under every rho of length 3 and 4,
+    # value, repr and term order match the reference
+    literals = (1, -1, 2, -2, 3, -3)
+    seen = Counter()
+    for length in (3, 4):
+        for entries in product((0, 1, None), repeat=length):
+            rho = PartialAssignment(entries)
+            for bits in range(64):
+                terms = [[lit] for i, lit in enumerate(literals) if bits >> i & 1]
+                for extra in ([], [[1, -2]]):
+                    phi = KDnf(terms + extra)
+                    got, want = restrict_kdnf(phi, rho), reference_restrict_kdnf(phi, rho)
+                    assert repr(got) == repr(want), (phi, rho)
+                    if want is TRUE:
+                        assert got is TRUE
+                        seen["true"] += all(len(t) == 1 for t in phi) and None in entries
+                    else:
+                        assert type(got) is KDnf and list(got) == list(want), (phi, rho)
+                        seen["kdnf"] += 1
+    assert seen["true"] >= 100 and seen["kdnf"] >= 1000, seen
 
 
 def test_decide_single_cut():
@@ -112,9 +139,9 @@ def test_bottom_hypothesis_derives_anything():
 def test_term_universe_lists_terms_in_literal_order():
     # weakening offers terms in this order, so it fixes which of two
     # derivations of a k-DNF the table records
-    universe = _term_universe([1, 3], 2)
+    universe = _term_universe((1, 3), 2)
     terms = ([1], [-1], [3], [-3], [1, 3], [1, -3], [-1, 3], [-1, -3])
-    assert universe == [frozenset(t) for t in terms]
+    assert universe == tuple(frozenset(t) for t in terms)
 
 
 def test_negate_query():

@@ -36,6 +36,21 @@ def test_package_imports_only_at_module_level():
     assert offenders == []
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every query is one `pacreason` process, so the import is paid per
+    # query; `dataclasses` alone pulls in `inspect`, `ast` and `tokenize`,
+    # and `formulas.Record` takes the place of the frozen dataclasses
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = (
+        "import sys, pacreason.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps package functions and methods by name; a
     # renamed one is only listed as missing, and its per-layer metrics vanish
