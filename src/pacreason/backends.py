@@ -38,8 +38,8 @@ from .cutting_planes import check_target, decide_cp, residual_ineq, restrict_ine
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
 from .res_k import check_trace as check_resk_trace
-from .resolution import check_proof, check_space_bound, clause_space, proof_to_text, proof_tree
-from .resolution import restrict_clause, restrict_cnf, search_space
+from .resolution import check_proof, check_space_bound, clause_space, decode_clause, proof_to_text
+from .resolution import encode_clause, proof_tree, restrict_cnf, restrict_mask, search_space
 
 
 def _restrict_each(restrict_one, formulas, rho) -> tuple:
@@ -59,7 +59,8 @@ def _replayed(ok: bool, system: str) -> None:
 
 
 class SpaceResolutionBackend:
-    """Clause-space-bounded treelike resolution; query is a single clause."""
+    """Clause-space-bounded treelike resolution; query is a single clause,
+    held as its literal mask (`resolution.encode_clause`)."""
 
     budgets = ("s",)
 
@@ -75,18 +76,19 @@ class SpaceResolutionBackend:
             raise InputError("res-space queries are a single clause (one-clause cnf file)")
         _same_n(query.n, kb.n)
         check_space_bound(s)
-        return cls(s, kb.n), query.clauses[0], kb
+        return cls(s, kb.n), encode_clause(query.clauses[0]), kb
 
     def decide(self, query, hyps):
         return search_space(hyps, self.s, query)
 
     def replay(self, proof, query, hyps):
         tree = proof_tree(proof)
-        _replayed(check_proof(tree, hyps, query) and clause_space(tree) <= self.s, "res-space")
+        ok = check_proof(tree, hyps, decode_clause(query)) and clause_space(tree) <= self.s
+        _replayed(ok, "res-space")
         return (proof_to_text(tree),)
 
     def restrict_query(self, query, rho):
-        return restrict_clause(query, rho)
+        return restrict_mask(query, rho)
 
     def restrict_hyps(self, hyps, rho):
         return restrict_cnf(hyps, rho)

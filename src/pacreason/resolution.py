@@ -82,16 +82,20 @@ def literals_text(literals, sep: str, neg: str = "-") -> str:
     return sep.join(f"x{lit}" if lit > 0 else f"{neg}x{-lit}" for lit in ordered)
 
 
-def encode_clause(clause: frozenset) -> int:
-    """The literal mask of a non-tautology clause."""
+def encode_clause(clause: Clause) -> Union[int, Const]:
+    """The literal mask of a clause; TAUTOLOGY stays TAUTOLOGY."""
+    if clause is TAUTOLOGY:
+        return TAUTOLOGY
     bits = 0
     for lit in clause:
         bits |= literal_bit(lit)
     return bits
 
 
-def decode_clause(bits: int) -> frozenset:
-    """The clause whose literal mask is `bits`."""
+def decode_clause(bits: Union[int, Const]) -> Clause:
+    """The clause whose literal mask is `bits`; TAUTOLOGY stays TAUTOLOGY."""
+    if bits is TAUTOLOGY:
+        return TAUTOLOGY
     lits = []
     while bits:
         low = bits & -bits
@@ -247,18 +251,17 @@ def check_space_bound(s: int) -> None:
         raise InputError(f"space bound must be at least 1, got {s}")
 
 
-def search_space(phi: Cnf, s: int, target: Clause) -> Optional[tuple]:
-    """Find a clause-space-at-most-s treelike proof of `target` from `phi`.
+def search_space(phi: Cnf, s: int, goal: Union[int, Const]) -> Optional[tuple]:
+    """Find a clause-space-at-most-s treelike proof from `phi` of the clause
+    whose literal mask is `goal` (`encode_clause`).
 
     Runs `search_masks` on the literal masks and returns what it found as
-    the pair (target mask, step), `(TAUTOLOGY, None)` for the tautology
-    target, or None when no such proof exists; `proof_tree` turns the pair
-    into Leaf / Weaken / Cut nodes.  Takes an `s` that `check_space_bound`
-    accepts.
+    the pair (goal, step), `(TAUTOLOGY, None)` for the tautology goal, or
+    None when no such proof exists; `proof_tree` turns the pair into Leaf /
+    Weaken / Cut nodes.  Takes an `s` that `check_space_bound` accepts.
     """
-    if target is TAUTOLOGY:
+    if goal is TAUTOLOGY:
         return TAUTOLOGY, None
-    goal = encode_clause(target)
     step = search_masks(phi.masks, goal, s)
     return None if step is None else (goal, step)
 
@@ -286,13 +289,20 @@ def search_masks(inputs: tuple, goal: int, s: int):
     same clause.  A step is the mask of the base input, or (bit of x_v, step
     for clause | x_v, step for clause | -x_v) for a cut on x_v; None means
     no proof.
+
+    Before it branches, the search tries `countermodel`, one pass over the
+    inputs, and returns None when the pass finds an assignment that
+    satisfies every input and falsifies the goal.  That is exact by
+    soundness alone: every clause a proof derives is true wherever its
+    inputs are, so no proof of the goal exists at any space.  The pass only
+    settles rejects, and every proof is the one the search finds without it.
     """
     union, keep = 0, ~goal
     for base in inputs:
         if not base & keep:
             return base
         union |= base
-    if s == 1:
+    if s == 1 or countermodel(inputs, goal) is not None:
         return None
     branches = []  # (bits of x_v and -x_v, bit of x_v, both literal orders)
     for bit in range(2, union.bit_length(), 2):
@@ -336,6 +346,37 @@ def search_masks(inputs: tuple, goal: int, s: int):
     return search(goal, s)
 
 
+def _negation(lit: int) -> int:
+    """The literal bit of the negation of the literal bit `lit`."""
+    return lit << 1 if lit.bit_length() & 1 else lit >> 1
+
+
+def countermodel(inputs: tuple, goal: int) -> Optional[int]:
+    """The true-literal mask of an assignment that satisfies every input and
+    falsifies the goal, found in one pass, or None where the pass gets stuck.
+
+    The pass makes the negations of the goal's literals true, then takes the
+    inputs in input order.  An input with a true literal is satisfied; for
+    any other it makes the lowest of its literals that is not already false
+    true, and it gets stuck at an input whose literals are all false.  A
+    literal once true stays true, so every input is satisfied at the end.
+    """
+    true, false, bits = 0, goal, goal
+    while bits:
+        lit = bits & -bits
+        true |= _negation(lit)
+        bits ^= lit
+    for base in inputs:
+        if not base & true:
+            free = base & ~false
+            if not free:
+                return None
+            lit = free & -free
+            true |= lit
+            false |= _negation(lit)
+    return true
+
+
 def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
     """The Leaf / Weaken / Cut tree of what `search_space` found (None for
     None), each node annotated with the clause it derives."""
@@ -360,22 +401,27 @@ def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
     return build(goal, step)
 
 
-def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
-    """Drop falsified literals; a satisfied literal collapses to TAUTOLOGY.
-    Raises InputError for a variable beyond len(rho)."""
-    if clause is TAUTOLOGY:
+def restrict_mask(bits: Union[int, Const], rho: PartialAssignment) -> Union[int, Const]:
+    """The literal mask of a clause restricted by rho: TAUTOLOGY when rho
+    satisfies one of its literals, otherwise the mask without the literals
+    rho falsifies.  TAUTOLOGY stays TAUTOLOGY.  Raises InputError for a
+    variable beyond len(rho)."""
+    if bits is TAUTOLOGY:
         return TAUTOLOGY
-    out = []
-    for lit in clause:
+    kept = bits
+    while bits:
+        lit = bits & -bits
+        index = lit.bit_length() - 1
         try:
-            v = rho[abs(lit) - 1]
+            value = rho[(index >> 1) - 1]
         except IndexError:
-            raise out_of_range(abs(lit), rho) from None
-        if v is None:
-            out.append(lit)
-        elif (v == 1) == (lit > 0):
-            return TAUTOLOGY
-    return frozenset(out)
+            raise out_of_range(index >> 1, rho) from None
+        if value is not None:
+            if value != index & 1:  # x_v (even index) holds at 1, -x_v at 0
+                return TAUTOLOGY
+            kept ^= lit
+        bits ^= lit
+    return kept
 
 
 def restrict_term(term, rho: PartialAssignment) -> Optional[list]:
@@ -403,7 +449,7 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
     and each clause left, read off the other bits in ascending order, which
     is clause order, loses the literals rho falsifies by an AND with the
     complement of their OR.  Equal results keep the first.  The result
-    equals restricting clause by clause with `restrict_clause`, and is a Cnf
+    equals `restrict_mask` on each mask, with TAUTOLOGY dropped, and is a Cnf
     of masks (see `Cnf`).  Coordinates of rho beyond phi.n are ignored;
     raises InputError when rho is shorter than phi.n.
     """

@@ -113,7 +113,7 @@ class TableMask(Record):
 
 
 def _masked_point(x, hidden) -> PartialAssignment:
-    return PartialAssignment(None if (i + 1) in hidden else b for i, b in enumerate(x))
+    return PartialAssignment._trusted(None if (i + 1) in hidden else b for i, b in enumerate(x))
 
 
 def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
@@ -169,7 +169,7 @@ def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
             while r >= hide_den:
                 r = getrandbits(hide_bits)
             entries.append(None if r < hide_num else b)
-        out.append((x, PartialAssignment(entries)))
+        out.append((x, PartialAssignment._trusted(entries)))
     return out
 
 

@@ -12,8 +12,8 @@ monomial, scanned on every reduction, and the per-term restriction), which the
 int-keyed `polycalc` kernel must match up to the scale of each row, the k-DNF
 restriction through `rho.value`, which `res_k.restrict_kdnf` must match, the
 projection of a treelike resolution proof under a restriction (the closure
-argument for clause space, run), the clause-space search and the CNF
-restriction on frozenset clauses, which the literal-mask kernels in
+argument for clause space, run), the clause-space search and the clause and
+CNF restrictions on frozenset clauses, which the literal-mask kernels in
 `resolution` must match exactly, a `pacreason prove` runner on file texts,
 and the plain per-example loop, `decide` on every restricted instance, that
 `decide_pac` with its settled-query shortcut must match exactly."""
@@ -56,6 +56,7 @@ from pacreason.formulas import (
     conjunction,
     disjunction,
     literal,
+    out_of_range,
     restrict,
     witness_status,
 )
@@ -82,6 +83,7 @@ from pacreason.res_k import (
 )
 from pacreason.resolution import (
     TAUTOLOGY,
+    Clause,
     Cnf,
     Cut,
     Leaf,
@@ -90,7 +92,6 @@ from pacreason.resolution import (
     clause_superset,
     literal_bit,
     make_clause,
-    restrict_clause,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
 from pacreason.saturation import TraceStep
@@ -126,6 +127,26 @@ def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
     budget = failure_budget(params.epsilon, len(examples))
     verdict = REJECT if failed > budget else ACCEPT
     return PacOutcome(verdict, failed, budget, len(examples), verdicts)
+
+
+def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
+    """The clause restriction on frozensets, which `resolution.restrict_mask`
+    runs on literal masks: drop falsified literals; a satisfied literal
+    collapses to TAUTOLOGY.  Raises InputError for a variable beyond
+    len(rho)."""
+    if clause is TAUTOLOGY:
+        return TAUTOLOGY
+    out = []
+    for lit in clause:
+        try:
+            v = rho[abs(lit) - 1]
+        except IndexError:
+            raise out_of_range(abs(lit), rho) from None
+        if v is None:
+            out.append(lit)
+        elif (v == 1) == (lit > 0):
+            return TAUTOLOGY
+    return frozenset(out)
 
 
 def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional[ProofNode]:

@@ -59,6 +59,7 @@ from pacreason.resolution import (
     Cnf,
     check_proof,
     clause_space,
+    encode_clause,
     make_clause,
     proof_tree,
     restrict_cnf,
@@ -96,7 +97,7 @@ def resolution_corpus():
         for _ in range(220):
             n = rng.randint(1, 4)
             phi = random_cnf(rng, n, max_clauses=8)
-            corpus.append((phi, n + 2, proof_tree(search_space(phi, n + 2, BOT))))
+            corpus.append((phi, n + 2, proof_tree(search_space(phi, n + 2, encode_clause(BOT)))))
         _corpus_cache["corpus"] = corpus
     return _corpus_cache["corpus"]
 
@@ -132,7 +133,7 @@ def test_criterion_2_restriction_closure():
             continue
         for _ in range(20):
             rho = random_partial(rng, phi.n)
-            assert search_space(restrict_cnf(phi, rho), s, BOT) is not None
+            assert search_space(restrict_cnf(phi, rho), s, encode_clause(BOT)) is not None
             checks += 1
 
     resk_accepted = 0
@@ -299,7 +300,7 @@ def test_criterion_5_decide_pac_statistics():
     # promise case 2: witness rate of psi=(x1) is exactly 1-eps+gamma = 9/10,
     # and cutting x1 with the rule (not-x1 or x2) proves x2 in clause space 2
     kb = Cnf([make_clause([-1, 2])], 2)
-    query = make_clause([2])
+    query = encode_clause(make_clause([2]))
     dist2 = ExplicitDistribution(
         2, [((1, 1), Fraction(9, 10)), ((0, 0), Fraction(1, 10))]
     )

@@ -24,7 +24,7 @@ from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, TRUE, Var
 from pacreason.polycalc import PC, PCR, Indet, Polynomial
 from pacreason.res_k import BOTTOM, KDnf, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, make_clause
+from pacreason.resolution import TAUTOLOGY, Cnf, encode_clause, make_clause
 from pacreason.sampling import (
     ExplicitDistribution,
     FixedMask,
@@ -151,7 +151,7 @@ def test_resolution_backend_accepts_revealed_antecedent():
     kb = Cnf([make_clause([-1, 2])], 2)
     backend = SpaceResolutionBackend(s=1, n=2)
     examples = [PartialAssignment.from_string("1*")] * 8
-    outcome = decide_pac(backend, make_clause([2]), kb, params(), examples)
+    outcome = decide_pac(backend, encode_clause(make_clause([2])), kb, params(), examples)
     assert outcome.verdict == ACCEPT
     assert outcome.failed_count == 0
 
@@ -159,18 +159,17 @@ def test_resolution_backend_accepts_revealed_antecedent():
 def test_sampled_path_matches_direct_path():
     kb = Cnf([make_clause([-1, 2])], 2)
     backend = SpaceResolutionBackend(s=1, n=2)
+    query = encode_clause(make_clause([2]))
     dist = ExplicitDistribution.uniform([(1, 1)])
     mask = FixedMask({2})
     sampled = decide_pac_from_distribution(
-        backend, make_clause([2]), kb, params(), dist, mask, seed=5, m=8
+        backend, query, kb, params(), dist, mask, seed=5, m=8
     )
     from pacreason.sampling import draw_masked_examples
 
-    direct = decide_pac(
-        backend, make_clause([2]), kb, params(), draw_masked_examples(dist, mask, 8, 5)
-    )
+    direct = decide_pac(backend, query, kb, params(), draw_masked_examples(dist, mask, 8, 5))
     assert sampled == direct == decide_pac_from_distribution(
-        backend, make_clause([2]), kb, params(), dist, mask, seed=5, m=8
+        backend, query, kb, params(), dist, mask, seed=5, m=8
     )
 
 
@@ -239,7 +238,7 @@ def test_table_mask_scenario_statistics():
     wrong = 0
     for seed in range(30):
         outcome = decide_pac_from_distribution(
-            backend, make_clause([2]), kb, p, dist, mask, seed=seed, m=100
+            backend, encode_clause(make_clause([2])), kb, p, dist, mask, seed=seed, m=100
         )
         if outcome.verdict != ACCEPT:
             wrong += 1

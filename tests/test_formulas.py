@@ -28,7 +28,9 @@ from pacreason.formulas import (
 )
 from pacreason.polycalc import Polynomial
 from pacreason.res_k import KDnf, restrict_kdnf
-from pacreason.resolution import TAUTOLOGY, Cnf, Cut, Leaf, Weaken, make_clause, restrict_clause
+from pacreason.resolution import (
+    TAUTOLOGY, Cnf, Cut, Leaf, Weaken, encode_clause, make_clause, restrict_mask,
+)
 from pacreason.sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 from pacreason.saturation import TraceStep
 
@@ -237,7 +239,7 @@ def test_witnessed_items_restrict_to_the_one_true():
     rho = pa("10*")
     assert TAUTOLOGY is TRUE
     assert restrict(clause_x1_notx2_x3(), rho) is TRUE
-    assert restrict_clause(make_clause([-1, -2, 3]), rho) is TRUE
+    assert restrict_mask(encode_clause(make_clause([-1, -2, 3])), rho) is TRUE
     assert restrict_kdnf(KDnf([[1, -2], [3]]), rho) is TRUE
     assert restrict_ineq(LinIneq([(1, 1), (3, -1)], 0), rho) is TRUE
     assert Cnf([TAUTOLOGY, TAUTOLOGY], 3).clauses == (TAUTOLOGY,)

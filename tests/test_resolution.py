@@ -23,11 +23,14 @@ from pacreason.resolution import (
     Weaken,
     check_proof,
     clause_space,
+    countermodel,
+    decode_clause,
+    encode_clause,
     make_clause,
     proof_to_text,
     proof_tree,
-    restrict_clause,
     restrict_cnf,
+    restrict_mask,
     restrict_term,
     search_space,
 )
@@ -35,20 +38,23 @@ from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_maske
 
 from helpers import (
     proof_size,
+    random_clause,
     random_cnf,
     random_partial,
     reference_restrict_cnf,
     reference_restrict_kdnf,
     reference_restrict_polynomial,
     reference_search_space,
+    restrict_clause,
     restrict_proof,
     space_bound_for_size,
 )
+from rk_oracle import derives_in_space
 
 
 def search_proof(phi, s, target):
     """search_space's proof as Leaf / Weaken / Cut nodes, or None."""
-    return proof_tree(search_space(phi, s, target))
+    return proof_tree(search_space(phi, s, encode_clause(target)))
 
 
 def cl(*lits):
@@ -120,7 +126,7 @@ def test_search_space_finds_one_cut_refutation():
 
 def test_search_space_fails_below_needed_space():
     phi = Cnf([cl(1), cl(-1)], 1)
-    assert search_space(phi, 1, BOT) is None
+    assert search_space(phi, 1, encode_clause(BOT)) is None
 
 
 def test_search_space_superset_base_case():
@@ -144,9 +150,28 @@ def test_search_space_empty_clause_hypothesis_derives_anything():
 
 def test_restrict_clause():
     rho = PartialAssignment.from_string("*1*")
-    assert restrict_clause(cl(1, -2, 3), rho) == cl(1, 3)
+    assert decode_clause(restrict_mask(encode_clause(cl(1, -2, 3)), rho)) == cl(1, 3)
     rho2 = PartialAssignment.from_string("*0*")
-    assert restrict_clause(cl(1, -2, 3), rho2) is TAUTOLOGY
+    assert restrict_mask(encode_clause(cl(1, -2, 3)), rho2) is TAUTOLOGY
+    assert restrict_mask(TAUTOLOGY, rho) is TAUTOLOGY
+
+
+def test_restrict_mask_matches_the_frozenset_restriction():
+    # the query restriction of res-space, on literal masks, against the
+    # frozenset one in helpers: the same clause, and the one TAUTOLOGY
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        clause = rng.choice((TAUTOLOGY, BOT, random_clause(rng, n), random_clause(rng, n)))
+        rho = random_partial(rng, n + rng.choice((0, 0, 1)), rng.choice((0.2, 0.5, 0.8)))
+        got = restrict_mask(encode_clause(clause), rho)
+        want = restrict_clause(clause, rho)
+        assert (got is TAUTOLOGY) == (want is TAUTOLOGY), (clause, rho)
+        assert decode_clause(got) == want, (clause, rho)
+        seen["true" if want is TAUTOLOGY else "kept"] += 1
+        seen["shortened"] += want is not TAUTOLOGY and want != clause
+    assert min(seen.values()) >= 100, seen
 
 
 def test_restrict_term():
@@ -161,7 +186,7 @@ def test_restrictions_name_a_variable_beyond_rho():
     rho = PartialAssignment.from_string("**")
     error = "^variable x3 out of range 1..2$"
     for restrict, value in (
-        (restrict_clause, cl(-3)),
+        (restrict_mask, encode_clause(cl(-3))),
         (restrict_term, frozenset({-3})),
         (residual_ineq, LinIneq([(3, 1)], 0)),
     ):
@@ -306,13 +331,14 @@ def test_space_closure_holds_for_arbitrary_targets():
         phi = random_cnf(rng, n)
         target = random_clause_local(rng, n)
         s = rng.randint(2, n + 2)
-        if search_space(phi, s, target) is None:
+        if search_space(phi, s, encode_clause(target)) is None:
             continue
         closed += 1
         for _ in range(8):
             rho = random_partial(rng, n)
             restricted_target = restrict_clause(target, rho)
-            assert search_space(restrict_cnf(phi, rho), s, restricted_target) is not None
+            goal = encode_clause(restricted_target)
+            assert search_space(restrict_cnf(phi, rho), s, goal) is not None
 
 
 def random_clause_local(rng, n):
@@ -402,7 +428,8 @@ def test_decide_pac_matches_reference_search_per_example():
     query = cl(1, 2)
     params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))
     outcome = decide_pac_from_distribution(
-        SpaceResolutionBackend(s=s, n=n), query, kb, params, dist, mask, seed=9, m=300
+        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb, params, dist, mask, seed=9,
+        m=300,
     )
     expected = tuple(
         all_variables_search(restrict_cnf(kb, rho), s, restrict_clause(query, rho)) is not None
@@ -552,3 +579,141 @@ def test_mask_kernels_match_the_frozenset_reference():
             seen["space 3+"] += clause_space(found) >= 3
             seen["weaken"] += isinstance(found, Weaken)
     assert min(seen.values()) >= 100, seen
+
+
+def random_literals(rng, n, count):
+    return make_clause(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), count))
+
+
+def random_pass_case(rng):
+    """A CNF of 2-8 clauses over 3-6 variables and a goal of 0-2 literals,
+    the empty clause a third of the time.  About two thirds of the pairs
+    have a model of CNF and negated goal."""
+    n = rng.randint(3, 6)
+    phi = Cnf([random_clause(rng, n) for _ in range(rng.randint(2, 8))], n)
+    return phi, random_literals(rng, n, rng.choice((0, 1, 2)))
+
+
+def assignment_of(model: int, n: int) -> PartialAssignment:
+    """The partial assignment whose true literals are the literal bits of
+    `model`; both literals of one variable true is an error."""
+    entries = []
+    for v in range(1, n + 1):
+        pos, neg = model >> 2 * v & 1, model >> 2 * v + 1 & 1
+        assert not (pos and neg), f"x{v} and -x{v} both true"
+        entries.append(1 if pos else 0 if neg else None)
+    assert model >> 2 * n + 2 == 0 and model & 3 == 0
+    return PartialAssignment(entries)
+
+
+def test_countermodel_pass_settles_only_rejects():
+    # search_space tries the one-pass countermodel before it branches; the
+    # frozenset reference search has no such pass, and the two must agree
+    # at s = 2..4 on the verdict and the proof text.  Every assignment the
+    # pass returns must satisfy each input and falsify the goal
+    rng = random.Random(616161)
+    seen = Counter()
+    for _ in range(1500):
+        phi, target = random_pass_case(rng)
+        model = countermodel(phi.masks, encode_clause(target))
+        if model is not None:
+            rho = assignment_of(model, phi.n)
+            assert all(restrict_clause(c, rho) is TAUTOLOGY for c in phi.clauses), (phi, rho)
+            assert restrict_clause(target, rho) == BOT, (target, rho)
+            seen["settled"] += 1
+            seen["settled, empty goal"] += not target
+        for s in (2, 3, 4):
+            found = search_proof(phi, s, target)
+            reference = reference_search_space(phi, s, target)
+            assert (found is None) == (reference is None), (phi, target, s)
+            if reference is None:
+                seen["rejected, pass stuck"] += model is None
+            else:
+                assert proof_to_text(found) == proof_to_text(reference)
+                seen["accepted"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_countermodel_skips_satisfied_inputs():
+    # x2 satisfies x1|x2, so the pass leaves x1 free and -x1 can be made true
+    inputs = tuple(encode_clause(c) for c in (cl(2), cl(1, 2), cl(-1)))
+    assert countermodel(inputs, encode_clause(BOT)) == encode_clause(cl(2, -1))
+    # the negated goal makes x1 false, and x1|x2 then makes x2 true
+    assert countermodel(inputs[1:2], encode_clause(cl(1))) == encode_clause(cl(-1, 2))
+    # every literal of -x1|x2 is false once x1 is true and x2 false
+    assert countermodel((encode_clause(cl(1)), encode_clause(cl(-1, 2))), encode_clause(cl(2))) is None
+
+
+def random_space_case(rng):
+    """A CNF and a goal of 0-2 literals.  Half the CNFs are random clauses
+    over 3-7 variables; the other half hold most full-width clauses over 3
+    or 4 of their variables, whose refutations need space 4 or 5, with a
+    few random clauses among them."""
+    n = rng.randint(3, 7)
+    if rng.random() < 0.5:
+        clauses = [random_clause(rng, n) for _ in range(rng.randint(2, 12))]
+    else:
+        pool = rng.sample(range(1, n + 1), rng.randint(3, min(n, 4)))
+        clauses = [
+            make_clause(v * sign for v, sign in zip(pool, signs))
+            for signs in itertools.product((1, -1), repeat=len(pool))
+            if rng.random() < 0.9
+        ]
+        clauses += [random_clause(rng, n) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(clauses)
+    return Cnf(clauses, n), random_literals(rng, n, rng.randint(0, 2))
+
+
+def test_search_space_matches_generalized_unit_propagation():
+    # the second characterization of tests/rk_oracle.py: search_space(F, s,
+    # C) accepts exactly when r_(s-1) refutes F under the assignment that
+    # falsifies C.  Goals that need exactly space 2, 3 and 4 are all met,
+    # so a search at space s - 1 disagrees
+    rng = random.Random(727272)
+    seen = Counter()
+    for _ in range(1500):
+        phi, target = random_space_case(rng)
+        s = rng.randint(1, 5)
+        accepted = derives_in_space(phi.clauses, s, target)
+        assert (search_space(phi, s, encode_clause(target)) is not None) == accepted
+        seen["accepted" if accepted else "rejected"] += 1
+        if accepted and s > 1 and not derives_in_space(phi.clauses, s - 1, target):
+            seen[f"exactly s={s}"] += 1
+    assert min(seen[key] for key in ("accepted", "rejected", "exactly s=2", "exactly s=3",
+                                     "exactly s=4")) >= 20, seen
+
+
+def test_decide_pac_stream_matches_generalized_unit_propagation():
+    # every example of one seeded stream: decide_pac's verdict is r_(s-1)
+    # on the restricted KB under the assignment that falsifies the
+    # restricted query, and a settled query is accepted.  The four clauses
+    # x1|x2|x5|(+-x3)|(+-x4) prove the query at space 3 when x5 is revealed
+    # false and x3, x4 are masked, so a search at space 2 disagrees
+    rng = random.Random(838383)
+    n, s = 8, 3
+    gadget = [cl(1, 2, 5, a, b) for a in (3, -3) for b in (4, -4)]
+    others = [
+        make_clause(v if rng.random() < 0.5 else -v for v in rng.sample(range(3, n + 1), 3))
+        for _ in range(4)
+    ]
+    kb = Cnf(gadget + others, n)
+    models = [
+        x
+        for x in itertools.product((0, 1), repeat=n)
+        if all(any((x[abs(lit) - 1] == 1) == (lit > 0) for lit in c) for c in kb.clauses)
+    ]
+    dist = ExplicitDistribution(n, [(x, Fraction(1, 16)) for x in rng.sample(models, 16)])
+    mask = IndependentMask(Fraction(1, 2))
+    query = cl(1, 2)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))
+    outcome = decide_pac_from_distribution(
+        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb, params, dist, mask, seed=11,
+        m=400,
+    )
+    seen = Counter()
+    for rho, verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
+        hyps, goal = restrict_cnf(kb, rho).clauses, restrict_clause(query, rho)
+        assert verdict == derives_in_space(hyps, s, goal), rho
+        seen["settled" if goal is TAUTOLOGY else "accepted" if verdict else "rejected"] += 1
+        seen["exactly s=3"] += verdict and not derives_in_space(hyps, s - 1, goal)
+    assert min(seen.values()) >= 5, seen

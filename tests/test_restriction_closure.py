@@ -22,7 +22,7 @@ from pacreason.decide_pac import ACCEPT, PacParams, decide_example, decide_pac
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound
+from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause
 
 from helpers import mul_indet, plain_restricted_query, random_clause
 from test_res_k import random_kdnf
@@ -177,14 +177,14 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
 
 def random_space_instance(rng):
     """A clause-space instance over n <= 4 variables with tautological KB
-    clauses, and queries that are sometimes empty or the tautology."""
+    clauses, and query masks that are sometimes empty or the tautology."""
     n = rng.randint(2, 4)
     clauses = [random_clause(rng, n) for _ in range(rng.randint(1, 5))]
     tautological = rng.random() < 0.5
     if tautological:
         clauses.append(TAUTOLOGY)
     query = rng.choice((random_clause(rng, n, max_width=2), frozenset(), TAUTOLOGY))
-    return n, rng.randint(1, 3), query, Cnf(clauses, n), tautological
+    return n, rng.randint(1, 3), encode_clause(query), Cnf(clauses, n), tautological
 
 
 def test_res_space_accepts_every_restriction_of_what_it_accepts():
