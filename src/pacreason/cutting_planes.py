@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from math import gcd
 from operator import itemgetter
-from typing import Optional, Union
 
 from .errors import InputError, RuleError
 from .formulas import Const, PartialAssignment, TRUE, out_of_range
@@ -173,7 +172,7 @@ def check_target(target: LinIneq, w: int, L: int) -> None:
         raise InputError(f"target l1-norm {target.l1_norm} exceeds the bound {L}")
 
 
-def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: Optional[dict] = None):
+def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: dict | None = None):
     """Accept iff `target` has a w-sparse L-bounded derivation from `hyps`
     and the axioms.  Returns (accepted, trace).  Takes a target that
     `check_target` accepts.
@@ -263,7 +262,7 @@ def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:
     return LinIneq(kept, ineq.bound - fixed)
 
 
-def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> Union[LinIneq, Const]:
+def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq | Const:
     """The residual inequality, collapsed to TRUE when witnessed true."""
     residual = residual_ineq(ineq, rho)
     return TRUE if always_witnessed_true(residual) else residual

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
 
 from .errors import InputError
 
@@ -102,7 +102,7 @@ class Threshold(Record):
         object.__setattr__(self, "bound", Fraction(self.bound))
 
 
-Formula = Union[Const, Var, Not, Threshold]
+Formula = Const | Var | Not | Threshold
 
 TRUE = Const(True)
 FALSE = Const(False)

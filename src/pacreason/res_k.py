@@ -11,18 +11,28 @@ grows monotonically, one derivation round at a time, until the target
 appears or no rule yields anything new.  Hypotheses wider than w never enter
 the table but may feed cut steps.  Accepted runs return a derivation trace
 that an independent checker can replay rule by rule.
+
+A cut of the term T from psi1 into psi2 needs -l to be a one-literal term
+of psi2 for every literal l of T.  So each line gets, once per call, the
+`literal_bit` mask of its one-literal terms and, per term, the mask of its
+negated literals (`_cut_masks`).  The cut loop walks the ordered pairs in
+source order, as the plain loop over all pairs does; it skips receivers with
+no one-literal term and calls `_cut_results` only when some term mask of
+psi1 lies inside psi2's unit mask.  Every skipped pair would have yielded
+nothing, so offers, provenance, `table_sizes` and traces are those of the
+plain loop.  Rule results are subsets or copies of checked terms and skip
+`make_term` (`_checked`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Union
 
 from .errors import InputError
 from .formulas import Const, PartialAssignment, TRUE
 from .resolution import TAUTOLOGY, literal_bit, restrict_term
-from .saturation import derivation, pairs, saturate, seed_inputs
+from .saturation import derivation, saturate, seed_inputs
 
 
 def make_term(literals) -> frozenset:
@@ -65,7 +75,15 @@ class KDnf(frozenset):
 BOTTOM = KDnf(())
 
 
-def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
+def _checked(terms) -> KDnf:
+    """The `KDnf` of terms that are already valid: copies or subsets of
+    checked terms.  They skip `make_term` but are added one by one, in the
+    order `KDnf` would add them, which keeps the set's layout and with it
+    the term order that later rules iterate."""
+    return frozenset.__new__(KDnf, iter(terms))
+
+
+def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> KDnf | Const:
     """Drop falsified terms, strip satisfied literals; may collapse to true.
 
     A fully satisfied term makes the whole disjunction TRUE.  The all-literals
@@ -82,12 +100,10 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> Union[KDnf, Const]:
     # kept literals are masked, so 2 * |masked| one-literal terms are all of them
     if len(new_terms) == 2 * rho.count(None) > 0 and all(len(t) == 1 for t in new_terms):
         return TRUE
-    # subsets of valid terms, so unchecked; added one by one as `KDnf` adds
-    # them, which keeps the set's layout and with it the term order
-    return frozenset.__new__(KDnf, iter(new_terms))
+    return _checked(new_terms)
 
 
-def negate_query(kcnf, k: int) -> Union[KDnf, Const]:
+def negate_query(kcnf, k: int) -> KDnf | Const:
     """De Morgan dual of a k-CNF, given as its clauses: one k-DNF.
 
     Each clause negates to a term, so every clause must have at most k
@@ -115,7 +131,7 @@ def _cut_results(psi1: KDnf, psi2: KDnf, w: int):
         if negs <= psi2:
             rest = (psi1 - {term}) | (psi2 - negs)
             if len(rest) <= w:
-                yield KDnf(rest)
+                yield _checked(rest)
 
 
 def _elim_results(psi: KDnf):
@@ -123,14 +139,28 @@ def _elim_results(psi: KDnf):
         if len(term) < 2:
             continue
         for lit in term:
-            yield KDnf((psi - {term}) | {frozenset((lit,))})
+            yield _checked((psi - {term}) | {frozenset((lit,))})
 
 
 def _weaken_results(psi: KDnf, universe_terms, w: int):
     extra = [t for t in universe_terms if t not in psi]
     for count in range(1, w - psi.width + 1):
         for combo in combinations(extra, count):
-            yield KDnf(psi | set(combo))
+            yield _checked(psi | set(combo))
+
+
+def _cut_masks(psi: KDnf) -> tuple:
+    """The `literal_bit` mask of psi's one-literal terms, and per term the
+    mask of its negated literals."""
+    units, negated = 0, []
+    for term in psi:
+        bits = 0
+        for lit in term:
+            bits |= literal_bit(-lit)
+        negated.append(bits)
+        if len(term) == 1:
+            units |= literal_bit(lit)
+    return units, negated
 
 
 @lru_cache(maxsize=64)
@@ -157,7 +187,7 @@ def check_budget(hyps, target: KDnf, k: int, w: int) -> None:
             raise InputError(f"formula {phi!r} is not a {k}-DNF")
 
 
-def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] = None):
+def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: dict | None = None):
     """Accept iff a width-w RES(k) proof of `target` from `hyps` exists.
 
     Returns (accepted, trace).  Takes inputs that `check_budget` accepts.
@@ -174,6 +204,7 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
 
     table = {}
     wide = seed_inputs(table, hyps, lambda phi: phi.width <= w, "hypothesis")
+    masks = {}  # each line's `_cut_masks`
 
     def derive(delta, first_round):
         for psi in delta:
@@ -183,9 +214,23 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: Optional[dict] 
             for result in _elim_results(psi):
                 yield result, ("and_elim", (psi,))
 
-        for psi1, psi2 in pairs([*table, *wide], delta, first_round):
-            for result in _cut_results(psi1, psi2, w):
-                yield result, ("cut", (psi1, psi2))
+        # cuts on ordered pairs in source order, filtered by their masks (see
+        # the module docstring); after the first round a pair with no member
+        # in `delta` was tried in an earlier round
+        sources = [*table, *wide]
+        for psi in sources:
+            if psi not in masks:
+                masks[psi] = _cut_masks(psi)
+        receivers = [(psi, masks[psi][0]) for psi in sources if masks[psi][0]]
+        new_receivers = [r for r in receivers if r[0] in delta]
+        for psi1 in sources:
+            negated = masks[psi1][1]
+            for psi2, units in receivers if first_round or psi1 in delta else new_receivers:
+                for bits in negated:
+                    if bits & units == bits:
+                        for result in _cut_results(psi1, psi2, w):
+                            yield result, ("cut", (psi1, psi2))
+                        break
 
         # and-introduction: group table entries psi = A or literal by shared A
         groups = {}

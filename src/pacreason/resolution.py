@@ -19,7 +19,6 @@ over unequal spaces the maximum; unary weakening steps are free.
 
 from __future__ import annotations
 
-from typing import Optional, Union
 
 from .errors import InputError
 from .formulas import (
@@ -37,7 +36,7 @@ from .formulas import (
 
 TAUTOLOGY = TRUE
 
-Clause = Union[frozenset, Const]
+Clause = frozenset | Const
 
 
 def make_clause(literals) -> Clause:
@@ -82,7 +81,7 @@ def literals_text(literals, sep: str, neg: str = "-") -> str:
     return sep.join(f"x{lit}" if lit > 0 else f"{neg}x{-lit}" for lit in ordered)
 
 
-def encode_clause(clause: Clause) -> Union[int, Const]:
+def encode_clause(clause: Clause) -> int | Const:
     """The literal mask of a clause; TAUTOLOGY stays TAUTOLOGY."""
     if clause is TAUTOLOGY:
         return TAUTOLOGY
@@ -92,7 +91,7 @@ def encode_clause(clause: Clause) -> Union[int, Const]:
     return bits
 
 
-def decode_clause(bits: Union[int, Const]) -> Clause:
+def decode_clause(bits: int | Const) -> Clause:
     """The clause whose literal mask is `bits`; TAUTOLOGY stays TAUTOLOGY."""
     if bits is TAUTOLOGY:
         return TAUTOLOGY
@@ -198,7 +197,7 @@ class Cut(Record):
     __slots__ = ("pivot", "left", "right", "clause")
 
 
-ProofNode = Union[Leaf, Weaken, Cut]
+ProofNode = Leaf | Weaken | Cut
 
 
 def check_proof(proof: ProofNode, phi: Cnf, target: Clause) -> bool:
@@ -251,7 +250,7 @@ def check_space_bound(s: int) -> None:
         raise InputError(f"space bound must be at least 1, got {s}")
 
 
-def search_space(phi: Cnf, s: int, goal: Union[int, Const]) -> Optional[tuple]:
+def search_space(phi: Cnf, s: int, goal: int | Const) -> tuple | None:
     """Find a clause-space-at-most-s treelike proof from `phi` of the clause
     whose literal mask is `goal` (`encode_clause`).
 
@@ -351,7 +350,7 @@ def _negation(lit: int) -> int:
     return lit << 1 if lit.bit_length() & 1 else lit >> 1
 
 
-def countermodel(inputs: tuple, goal: int) -> Optional[int]:
+def countermodel(inputs: tuple, goal: int) -> int | None:
     """The true-literal mask of an assignment that satisfies every input and
     falsifies the goal, found in one pass, or None where the pass gets stuck.
 
@@ -377,7 +376,7 @@ def countermodel(inputs: tuple, goal: int) -> Optional[int]:
     return true
 
 
-def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
+def proof_tree(found: tuple | None) -> ProofNode | None:
     """The Leaf / Weaken / Cut tree of what `search_space` found (None for
     None), each node annotated with the clause it derives."""
     if found is None:
@@ -401,7 +400,7 @@ def proof_tree(found: Optional[tuple]) -> Optional[ProofNode]:
     return build(goal, step)
 
 
-def restrict_mask(bits: Union[int, Const], rho: PartialAssignment) -> Union[int, Const]:
+def restrict_mask(bits: int | Const, rho: PartialAssignment) -> int | Const:
     """The literal mask of a clause restricted by rho: TAUTOLOGY when rho
     satisfies one of its literals, otherwise the mask without the literals
     rho falsifies.  TAUTOLOGY stays TAUTOLOGY.  Raises InputError for a
@@ -424,7 +423,7 @@ def restrict_mask(bits: Union[int, Const], rho: PartialAssignment) -> Union[int,
     return kept
 
 
-def restrict_term(term, rho: PartialAssignment) -> Optional[list]:
+def restrict_term(term, rho: PartialAssignment) -> list | None:
     """The literals of a conjunction that rho leaves masked, in term order,
     or None when rho falsifies one of them.  Raises InputError for a
     variable beyond len(rho)."""

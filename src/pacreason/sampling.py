@@ -25,7 +25,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import InputError, PreconditionError
 from .formulas import Formula, PartialAssignment, Record, evaluate, is_bit

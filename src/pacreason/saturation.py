@@ -4,6 +4,12 @@ round at a time until it holds the target or a round adds nothing.  Each
 system supplies its inputs and a rule generator; `saturate` states the
 contract between them, and `derivation` unwinds an accepting run into
 `TraceStep`s, the one trace type that each system's checker replays.
+
+The first offer of a line wins, so the order of a generator's offers is
+part of every trace.  A generator may skip work only where it can show
+that the work offers nothing: RES(k) calls its cut rule only on the pairs
+that a literal-mask test shows can cut, and cutting planes drops a sum that
+is over budget before building it.  Neither reorders what it does offer.
 """
 
 from __future__ import annotations
@@ -26,15 +32,6 @@ def seed_inputs(table: dict, inputs, in_budget, rule) -> dict:
         if line not in table and line not in outside:
             (table if in_budget(line) else outside)[line] = (rule, (), i)
     return outside
-
-
-def pairs(sources, delta, first_round: bool):
-    """Ordered pairs of sources for a two-premise rule.  After the first
-    round a pair with no member in `delta` was tried in an earlier round."""
-    for a in sources:
-        for b in sources:
-            if first_round or a in delta or b in delta:
-                yield a, b
 
 
 def saturate(table: dict, target, derive, stats: dict | None) -> bool:

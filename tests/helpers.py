@@ -73,14 +73,7 @@ from pacreason.polycalc import (
     monomial_key,
     restrict_polynomial,
 )
-from pacreason.res_k import (
-    KDnf,
-    _cut_results,
-    _elim_results,
-    _term_universe,
-    _weaken_results,
-    restrict_kdnf,
-)
+from pacreason.res_k import KDnf, _term_universe, restrict_kdnf
 from pacreason.resolution import (
     TAUTOLOGY,
     Clause,
@@ -494,8 +487,37 @@ def reference_draw_examples(dist, mask, m, seed):
     return out
 
 
+# the RES(k) rules with every result built through `KDnf`, which checks
+# each term: the kernel builds its results without that check and must get
+# the same k-DNFs, with the same term order
+def reference_cut_results(psi1: KDnf, psi2: KDnf, w: int):
+    """All width-w cuts with psi1 supplying the conjunction."""
+    for term in psi1:
+        negs = frozenset(frozenset((-lit,)) for lit in term)
+        if negs <= psi2:
+            rest = (psi1 - {term}) | (psi2 - negs)
+            if len(rest) <= w:
+                yield KDnf(rest)
+
+
+def reference_elim_results(psi: KDnf):
+    for term in psi:
+        if len(term) < 2:
+            continue
+        for lit in term:
+            yield KDnf((psi - {term}) | {frozenset((lit,))})
+
+
+def reference_weaken_results(psi: KDnf, universe_terms, w: int):
+    extra = [t for t in universe_terms if t not in psi]
+    for count in range(1, w - psi.width + 1):
+        for combo in combinations(extra, count):
+            yield KDnf(psi | set(combo))
+
+
 def reference_decide_resk_width(hyps, target, k, w, stats=None):
-    """RES(k) width-w decision with its own round loop and trace unwinding."""
+    """RES(k) width-w decision with its own rules, round loop and trace
+    unwinding; it tries a cut on every ordered pair of lines."""
     hyps = list(hyps)
     if target.width > w:
         raise InputError(f"target width {target.width} exceeds the bound {w}")
@@ -549,9 +571,9 @@ def reference_decide_resk_width(hyps, target, k, w, stats=None):
                 new[formula] = prov
 
         for psi in delta:
-            for result in _weaken_results(psi, universe_terms, w):
+            for result in reference_weaken_results(psi, universe_terms, w):
                 offer(result, ("weakening", psi))
-            for result in _elim_results(psi):
+            for result in reference_elim_results(psi):
                 offer(result, ("and_elim", psi))
 
         cut_sources = list(table) + [h for h in hyps if h not in table]
@@ -559,7 +581,7 @@ def reference_decide_resk_width(hyps, target, k, w, stats=None):
             for psi2 in cut_sources:
                 if not first_round and psi1 not in delta and psi2 not in delta:
                     continue
-                for result in _cut_results(psi1, psi2, w):
+                for result in reference_cut_results(psi1, psi2, w):
                     offer(result, ("cut", psi1, psi2))
 
         groups = {}

@@ -59,6 +59,13 @@ PROVE_CASES = {
         "res-k-width", ["--k", "1", "--w", "2"],
         "p kdnf 6 1 6\nx1\n-x1|x2\n-x2|x3\n-x3|x4\n-x4|x5\n-x5|x6\n", "p cnf 6 1\n6 0\n",
     ),
+    # table-birds' rules (BIRD=1, FLIES=2, WINGS=3, FEATHERS=4, EGGS=5,
+    # PENGUIN=6, SWIMS=7, NEST=8) plus the fact BIRD, as in perfbench
+    "res-k-width-birds": (
+        "res-k-width", ["--k", "2", "--w", "2"],
+        "p kdnf 8 1 9\nx1\n-x1|x3\n-x1|x4\n-x1|x5\n-x3|x2\n-x6|x1\n-x6|x7\n-x6|-x2\n-x8|x5\n",
+        "p cnf 8 1\n2 0\n",
+    ),
     "cp-chain": (
         "cp", ["--w", "2", "--L", "3"],
         "p cp 5 6\nx1:-1 x2:1 >= 0\nx2:-1 x3:1 >= 0\nx3:-1 x4:1 >= 0\nx4:-1 x5:1 >= 0\n"
@@ -591,6 +598,18 @@ def test_prove_pcr(tmp_path, capsys):
                 "9: DivideStep LinIneq(1*x1 >= 1)",
                 "10: AddStep LinIneq(1*x1 + -1*x4 >= 1)",
                 "11: AddStep LinIneq(0 >= 1)",
+            ],
+        ),
+        (
+            "res-k-width-birds",
+            [
+                "hypothesis: KDnf([[1]])",
+                "hypothesis: KDnf([[-1], [3]])",
+                "cut: KDnf([[3]])",
+                "hypothesis: KDnf([[-3], [2]])",
+                "hypothesis: KDnf([[-2]])",
+                "cut: KDnf([[-3]])",
+                "cut: KDnf([])",
             ],
         ),
     ],

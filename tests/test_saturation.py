@@ -4,7 +4,12 @@ engine's `stats` contract."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
+import pytest
+
+from pacreason import backends, res_k
+from pacreason.backends import ResKWidthBackend
 from pacreason.cutting_planes import (
     LinIneq,
     TRUTH_AXIOM,
@@ -13,10 +18,24 @@ from pacreason.cutting_planes import (
     var_at_most_one,
     var_nonneg,
 )
-from pacreason.res_k import BOTTOM, KDnf, decide_resk_width
+from pacreason.decide_pac import PacParams, decide_pac
+from pacreason.res_k import BOTTOM, KDnf, decide_resk_width, negate_query
+from pacreason.resolution import make_clause
+from pacreason.sampling import (
+    ExplicitDistribution,
+    IndependentMask,
+    TableMask,
+    draw_masked_examples,
+)
 from pacreason.saturation import TraceStep
 
-from helpers import reference_decide_cp, reference_decide_resk_width
+from helpers import (
+    reference_cut_results,
+    reference_decide_cp,
+    reference_decide_resk_width,
+    reference_elim_results,
+    reference_weaken_results,
+)
 
 
 def random_resk_instance(rng):
@@ -132,6 +151,123 @@ def test_cp_matches_the_reference_decider():
                 step.rule == rule for step in trace
             )
     assert min(kinds.values()) >= 50, kinds
+
+
+# table-birds' scenario: BIRD=1, FLIES=2, WINGS=3, FEATHERS=4, EGGS=5,
+# PENGUIN=6, SWIMS=7, NEST=8; each point with its weight and hidden roles
+BIRD_RULES = ((-1, 3), (-1, 4), (-1, 5), (-3, 2), (-6, 1), (-6, 7), (-6, -2), (-8, 5))
+BIRD_POINTS = (
+    ("3/20", {1, 2, 3, 4, 5}, {2, 3}),
+    ("3/20", {1, 2, 3, 4, 5, 7}, {2}),
+    ("3/20", {1, 2, 3, 4, 5, 8}, {2, 4}),
+    ("3/20", {1, 2, 3, 4, 5, 7, 8}, {2, 3, 5}),
+    ("1/20", {1, 3, 4, 5, 6, 7}, {2, 6}),
+    ("1/20", {1, 3, 4, 5, 6, 7, 8}, {2, 7}),
+    ("1/10", {2, 3}, {2}),
+    ("1/20", set(), {2}),
+    ("1/20", {5}, {2, 3}),
+    ("1/20", {7}, {2, 1}),
+    ("1/20", {5, 7}, {2, 5}),
+)
+
+
+def birds_stream():
+    """The birds KB under its table mask, at k=2, w=2, with query FLIES."""
+    points = {
+        tuple(int(v in on) for v in range(1, 9)): (w, hidden) for w, on, hidden in BIRD_POINTS
+    }
+    dist = ExplicitDistribution(8, [(x, Fraction(w)) for x, (w, _) in points.items()])
+    mask = TableMask({x: hidden for x, (_, hidden) in points.items()})
+    clauses = [make_clause(rule) for rule in BIRD_RULES]
+    return 8, 2, 2, clauses, make_clause([2]), draw_masked_examples(dist, mask, 400, 11)
+
+
+def random_3cnf_stream():
+    """n=10, 14 random 3-clauses, up to 40 support points that satisfy them,
+    iid:1/3, at k=2, w=1, with query x1 | x2."""
+    rng = random.Random(6003)
+    clauses = [
+        make_clause(v if rng.getrandbits(1) else -v for v in rng.sample(range(1, 11), 3))
+        for _ in range(14)
+    ]
+    points = set()
+    for _ in range(4000):
+        x = tuple(rng.getrandbits(1) for _ in range(10))
+        if all(any((x[abs(lit) - 1] == 1) == (lit > 0) for lit in c) for c in clauses):
+            points.add(x)
+        if len(points) == 40:
+            break
+    dist = ExplicitDistribution.uniform(sorted(points))
+    examples = draw_masked_examples(dist, IndependentMask(Fraction(1, 3)), 3000, 12)
+    return 10, 2, 1, clauses, make_clause([1, 2]), examples
+
+
+def in_term_order(results) -> list:
+    return [list(result) for result in results]
+
+
+def assert_rules_keep_the_term_order(lines, k, w):
+    """Each rule's results on `lines`, as the kernel builds them without
+    `make_term`, iterate their terms as the `KDnf`-built ones do."""
+    variables = tuple(sorted(set().union(*(phi.variables() for phi in lines))))
+    universe = res_k._term_universe(variables, k)
+    for psi1 in lines:
+        assert in_term_order(res_k._elim_results(psi1)) == in_term_order(reference_elim_results(psi1))
+        assert in_term_order(res_k._weaken_results(psi1, universe, w)) == in_term_order(
+            reference_weaken_results(psi1, universe, w)
+        )
+        for psi2 in lines:
+            assert in_term_order(res_k._cut_results(psi1, psi2, w)) == in_term_order(
+                reference_cut_results(psi1, psi2, w)
+            )
+
+
+def cuts_a_later_term(psi1, psi2) -> bool:
+    """Only a term of psi1 after its first (in iteration order) cuts into psi2."""
+    fits = [all(frozenset((-lit,)) in psi2 for lit in term) for term in psi1]
+    return not fits[0] and any(fits[1:])
+
+
+@pytest.mark.parametrize(
+    "stream, required",
+    [
+        (birds_stream, ("accepted", "rejected", "later term cut")),
+        (random_3cnf_stream, ("accepted", "rejected", "later term cut", "wide cut premise")),
+    ],
+)
+def test_resk_matches_the_reference_on_the_instances_of_a_stream(stream, required, monkeypatch):
+    # every distinct restricted instance that `decide_pac` hands the kernel
+    # on a seeded stream.  The rules' results must also iterate their terms
+    # in the reference's order: that order decides the order of later
+    # offers, and so the provenance that a trace records
+    n, k, w, clauses, query, examples = stream()
+    instances = {}
+
+    def record(hyps, target, k, w, stats=None):
+        instances.setdefault((tuple(hyps), target, k, w), None)
+        return decide_resk_width(hyps, target, k, w, stats)
+
+    monkeypatch.setattr(backends, "decide_resk_width", record)
+    hyps = tuple(KDnf([[lit] for lit in c]) for c in clauses)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
+    decide_pac(ResKWidthBackend(k, w, n), (negate_query([query], k),), hyps, params, examples)
+
+    kinds = Counter()
+    for hyps, target, k, w in instances:
+        stats, reference_stats = {}, {}
+        accepted, trace = decide_resk_width(hyps, target, k, w, stats=stats)
+        assert (accepted, trace) == reference_decide_resk_width(
+            hyps, target, k, w, stats=reference_stats
+        )
+        assert stats == reference_stats
+        lines = [*dict.fromkeys([*hyps, *(step.formula for step in trace or ())])]
+        assert_rules_keep_the_term_order(lines, k, w)
+        kinds["accepted" if accepted else "rejected"] += 1
+        if accepted:
+            cuts = [step.premises for step in trace if step.rule == "cut"]
+            kinds["wide cut premise"] += any(p.width > w for pair in cuts for p in pair)
+            kinds["later term cut"] += any(cuts_a_later_term(*pair) for pair in cuts)
+    assert all(kinds[kind] for kind in required), kinds
 
 
 def test_resk_records_the_initial_table_when_the_target_is_an_input():

@@ -39,11 +39,12 @@ def test_package_imports_only_at_module_level():
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # every query is one `pacreason` process, so the import is paid per
     # query; `dataclasses` alone pulls in `inspect`, `ast` and `tokenize`,
-    # and `formulas.Record` takes the place of the frozen dataclasses
+    # and `formulas.Record` takes the place of the frozen dataclasses;
+    # annotations and type aliases use `collections.abc` and `X | Y`, not `typing`
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = (
         "import sys, pacreason.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
