@@ -1,14 +1,24 @@
 """Line-oriented text formats: cnf, pasgn, kdnf, poly, cp, dist and mask specs.
 
 Every format starts with a `p <kind> ...` header and ignores blank lines and
-'#' comments (DIMACS 'c' comments are also accepted in cnf files).  Parsers
-raise FormatError with a line number; serializers emit the canonical form, and
-serialize(parse(text)) is byte-identical for canonical files.  The canonical
-order: the literals of a clause or term by `resolution.literal_bit` (by
-variable, x_v before -x_v), kdnf terms by their literal lists in that order,
-and polynomial terms as `Polynomial.term_texts` lists them; every other
-record keeps its order.  A literal reads and prints as x<v> or -x<v>, and in
-poly files as x<v> or ~x<v>, the dual indeterminate of x<v>.
+'#' comments (DIMACS 'c' comments are also accepted in cnf files).
+
+One record loop, `_parse_file`, reads every file.  It parses the header and
+hands each later line, with the header fields before the count, to the
+format's record reader `read(line, *fields)`, which returns the records that
+the line completes.  A reader parses one line and raises FormatError or
+InputError without a line number; the loop prefixes the message with
+`line N: `, N the physical line, blank and comment lines counted.  A record
+may span lines only in cnf files, whose reader keeps the unfinished clause
+and reports it once the lines run out.  The header's count is checked last.
+
+Serializers emit the canonical form, and serialize(parse(text)) is
+byte-identical for canonical files.  The canonical order: the literals of a
+clause or term by `resolution.literal_bit` (by variable, x_v before -x_v),
+kdnf terms by their literal lists in that order, and polynomial terms as
+`Polynomial.term_texts` lists them; every other record keeps its order.  A
+literal reads and prints as x<v> or -x<v>, and in poly files as x<v> or ~x<v>,
+the dual indeterminate of x<v>.
 
 Grammar summary:
 
@@ -89,32 +99,21 @@ def _ascii(text: str) -> str:
     return text
 
 
-def _number(read, token, noun, number=None):
-    """read(token), or a FormatError calling `token` a bad `noun` (on line `number`)."""
+def _number(read, token, noun):
+    """read(token), or a FormatError calling `token` a bad `noun`."""
     try:
         return read(token)
     except (ValueError, ZeroDivisionError):
-        where = "" if number is None else f"line {number}: "
-        raise FormatError(f"{where}bad {noun} {token!r}") from None
+        raise FormatError(f"bad {noun} {token!r}") from None
 
 
-def _lines(text, allow_c_comments=False):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if allow_c_comments and line.startswith("c"):
-            continue
-        yield number, line
-
-
-def _header(line, number, kind, count):
+def _header(line, kind, count):
     parts = line.split()
     if parts[0] != "p" or len(parts) != count + 2 or parts[1] != kind:
-        raise FormatError(f"line {number}: expected header 'p {kind}' with {count} fields")
-    fields = [_number(read_int, p, "header field", number) for p in parts[2:]]
+        raise FormatError(f"expected header 'p {kind}' with {count} fields")
+    fields = [_number(read_int, p, "header field") for p in parts[2:]]
     if min(fields) < 0:
-        raise FormatError(f"line {number}: header fields must be non-negative")
+        raise FormatError("header fields must be non-negative")
     return fields
 
 
@@ -125,32 +124,43 @@ def _file_text(kind, fields, records) -> str:
     return "\n".join([head] + records) + "\n"
 
 
-def _parse_file(text, kind, fields, noun, read_body, allow_c_comments=False):
-    """Reads the `p <kind>` header of `text`, hands the header fields before
-    the count, then the remaining (number, line) pairs, to read_body, and
-    checks that it found as many records as the header's last field promises.
-    Returns (header fields, records)."""
-    lines = _lines(text, allow_c_comments)
+def _parse_file(text, kind, field_count, noun, read, end=None, comments="#"):
+    """The record loop of every format (see the module docstring).  Skips
+    blank lines and lines starting with a character of `comments`, reads the
+    `p <kind>` header of `field_count` fields, then extends the records with
+    `read(line, *fields)` for each later line.  After the last line it calls
+    `end()`, which raises if the lines stop inside a record, and then checks
+    the count.  Returns (header fields, records)."""
+    header, records, number = None, [], 1
     try:
-        number, line = next(lines)
-    except StopIteration:
-        raise FormatError(f"line 1: empty {kind} file") from None
-    header = _header(line, number, kind, fields)
-    records = read_body(*header[:-1], lines)
-    if len(records) != header[-1]:
-        raise FormatError(f"header promises {header[-1]} {noun}, found {len(records)}")
+        for number, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] in comments:
+                continue
+            if header is None:
+                *fields, count = header = _header(line, kind, field_count)
+            else:
+                records += read(line, *fields)
+    except InputError as exc:  # FormatError included
+        raise FormatError(f"line {number}: {exc}") from None
+    if header is None:
+        raise FormatError(f"line 1: empty {kind} file")
+    if end is not None:
+        end()
+    if len(records) != count:
+        raise FormatError(f"header promises {count} {noun}, found {len(records)}")
     return header, records
 
 
-def _variable(text, n, number, noun, token):
+def _variable(text, n, noun, token):
     """The index in `text`, which must be `x<ASCII digits>` with the index in
     1..n; otherwise a FormatError calls `token` a bad `noun`."""
     digits = text[1:]
     if not (text.startswith("x") and digits.isascii() and digits.isdigit()):
-        raise FormatError(f"line {number}: bad {noun} {token!r}")
+        raise FormatError(f"bad {noun} {token!r}")
     var = int(digits)
     if not 1 <= var <= n:
-        raise FormatError(f"line {number}: variable out of range for n={n}")
+        raise FormatError(f"variable out of range for n={n}")
     return var
 
 
@@ -158,26 +168,27 @@ def _variable(text, n, number, noun, token):
 
 
 def parse_cnf(text) -> Cnf:
-    (n, _), clauses = _parse_file(text, "cnf", 2, "clauses", _cnf_body, allow_c_comments=True)
-    return Cnf(clauses, n)
+    current = []  # the literals of the clause not yet ended by 0; it may span lines
 
-
-def _cnf_body(n, lines):
-    clauses = []
-    current = []
-    for number, line in lines:
+    def read(line, n):
+        clauses = []
         for token in line.split():
-            lit = _number(read_int, token, "literal", number)
+            lit = _number(read_int, token, "literal")
             if lit == 0:
                 clauses.append(make_clause(current))
-                current = []
+                current.clear()
+            elif abs(lit) > n:
+                raise FormatError(f"literal {lit} out of range for n={n}")
             else:
-                if abs(lit) > n:
-                    raise FormatError(f"line {number}: literal {lit} out of range for n={n}")
                 current.append(lit)
-    if current:
-        raise FormatError("last clause is not terminated by 0")
-    return clauses
+        return clauses
+
+    def end():
+        if current:
+            raise FormatError("last clause is not terminated by 0")
+
+    (n, _), clauses = _parse_file(text, "cnf", 2, "clauses", read, end, comments="#c")
+    return Cnf(clauses, n)
 
 
 def serialize_cnf(cnf: Cnf) -> str:
@@ -191,21 +202,18 @@ def serialize_cnf(cnf: Cnf) -> str:
 
 
 def parse_pasgns(text):
-    (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_body)
+    (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_record)
     return n, out
 
 
-def _pasgn_body(n, lines):
-    out = []
-    for number, line in lines:
-        try:
-            rho = PartialAssignment.from_string(line)  # rejects a bad character
-        except InputError:
-            rho = None
-        if rho is None or len(rho) != n:
-            raise FormatError(f"line {number}: expected {n} characters over 0/1/*")
-        out.append(rho)
-    return out
+def _pasgn_record(line, n):
+    try:
+        rho = PartialAssignment.from_string(line)  # rejects a bad character
+    except InputError:
+        rho = None
+    if rho is None or len(rho) != n:
+        raise FormatError(f"expected {n} characters over 0/1/*")
+    return (rho,)
 
 
 def serialize_pasgns(n: int, assignments) -> str:
@@ -215,36 +223,29 @@ def serialize_pasgns(n: int, assignments) -> str:
 # ---------------------------------------------------------------- kdnf
 
 
-def _parse_literal(token, number, n, neg="-", noun="literal"):
+def _parse_literal(token, n, neg="-", noun="literal"):
     """The literal `token` names: v for x<v>, -v for <neg>x<v>, with v in
     1..n; otherwise a FormatError calls `token` a bad `noun`."""
     negated = token.startswith(neg)
-    var = _variable(token[1:] if negated else token, n, number, noun, token)
+    var = _variable(token[1:] if negated else token, n, noun, token)
     return -var if negated else var
 
 
 def parse_kdnf_file(text):
-    (n, k, _), formulas = _parse_file(text, "kdnf", 3, "formulas", _kdnf_body)
+    (n, k, _), formulas = _parse_file(text, "kdnf", 3, "formulas", _kdnf_record)
     return n, k, formulas
 
 
-def _kdnf_body(n, k, lines):
-    formulas = []
-    for number, line in lines:
-        if line == "F":
-            formulas.append(KDnf(()))
-            continue
-        terms = []
-        for term_text in line.split("|"):
-            lits = {_parse_literal(tok, number, n) for tok in term_text.split("&")}
-            if len(lits) > k:
-                raise FormatError(f"line {number}: term exceeds {k} literals")
-            terms.append(lits)
-        try:
-            formulas.append(KDnf(terms))
-        except InputError as exc:  # a complementary pair in a term
-            raise FormatError(f"line {number}: {exc}") from None
-    return formulas
+def _kdnf_record(line, n, k):
+    if line == "F":
+        return (KDnf(()),)
+    terms = []
+    for term_text in line.split("|"):
+        lits = {_parse_literal(tok, n) for tok in term_text.split("&")}
+        if len(lits) > k:
+            raise FormatError(f"term exceeds {k} literals")
+        terms.append(lits)
+    return (KDnf(terms),)  # an InputError for a complementary pair in a term
 
 
 def serialize_kdnf_file(n: int, k: int, formulas) -> str:
@@ -260,26 +261,22 @@ def _kdnf_text(phi: KDnf) -> str:
 
 
 def parse_poly_file(text):
-    (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_body)
+    (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_record)
     return n, polys
 
 
-def _poly_body(n, lines):
-    polys = []
-    for number, line in lines:
-        if line == "0":
-            polys.append(Polynomial())
-            continue
-        terms = []
-        for term_text in line.split(";"):
-            tokens = term_text.split()
-            if not tokens:
-                raise FormatError(f"line {number}: empty term")
-            coeff = _number(read_fraction, tokens[0], "rational", number)
-            monomial = {_parse_literal(tok, number, n, "~", "indeterminate") for tok in tokens[1:]}
-            terms.append((monomial, coeff))
-        polys.append(Polynomial(terms))
-    return polys
+def _poly_record(line, n):
+    if line == "0":
+        return (Polynomial(),)
+    terms = []
+    for term_text in line.split(";"):
+        tokens = term_text.split()
+        if not tokens:
+            raise FormatError("empty term")
+        coeff = _number(read_fraction, tokens[0], "rational")
+        monomial = {_parse_literal(tok, n, "~", "indeterminate") for tok in tokens[1:]}
+        terms.append((monomial, coeff))
+    return (Polynomial(terms),)
 
 
 def serialize_poly_file(n: int, polys) -> str:
@@ -290,26 +287,23 @@ def serialize_poly_file(n: int, polys) -> str:
 
 
 def parse_cp_file(text):
-    (n, _), ineqs = _parse_file(text, "cp", 2, "inequalities", _cp_body)
+    (n, _), ineqs = _parse_file(text, "cp", 2, "inequalities", _cp_record)
     return n, ineqs
 
 
-def _cp_body(n, lines):
-    ineqs = []
-    for number, line in lines:
-        if ">=" not in line:
-            raise FormatError(f"line {number}: missing '>='")
-        lhs, _, rhs = line.partition(">=")
-        bound = _number(read_int, rhs.strip(), "bound", number)
-        coeffs = []
-        for token in lhs.split():
-            var_text, colon, coeff_text = token.partition(":")
-            if not colon:
-                raise FormatError(f"line {number}: bad coefficient token {token!r}")
-            var = _variable(var_text, n, number, "coefficient token", token)
-            coeffs.append((var, _number(read_int, coeff_text, "coefficient", number)))
-        ineqs.append(LinIneq(coeffs, bound))
-    return ineqs
+def _cp_record(line, n):
+    if ">=" not in line:
+        raise FormatError("missing '>='")
+    lhs, _, rhs = line.partition(">=")
+    bound = _number(read_int, rhs.strip(), "bound")
+    coeffs = []
+    for token in lhs.split():
+        var_text, colon, coeff_text = token.partition(":")
+        if not colon:
+            raise FormatError(f"bad coefficient token {token!r}")
+        var = _variable(var_text, n, "coefficient token", token)
+        coeffs.append((var, _number(read_int, coeff_text, "coefficient")))
+    return (LinIneq(coeffs, bound),)
 
 
 def serialize_cp_file(n: int, ineqs) -> str:
@@ -321,25 +315,22 @@ def serialize_cp_file(n: int, ineqs) -> str:
 
 
 def parse_dist(text) -> ExplicitDistribution:
-    (n, _), support = _parse_file(text, "dist", 2, "points", _dist_body)
+    (n, _), support = _parse_file(text, "dist", 2, "points", _dist_record)
     try:
         return ExplicitDistribution(n, support)
     except InputError as exc:
         raise FormatError(f"invalid distribution: {exc}") from None
 
 
-def _dist_body(n, lines):
-    support = []
-    for number, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {number}: expected '<weight> <bits>'")
-        weight = _number(read_fraction, parts[0], "rational", number)
-        bits = parts[1]
-        if len(bits) != n or any(ch not in "01" for ch in bits):
-            raise FormatError(f"line {number}: expected {n} bits")
-        support.append((tuple(int(ch) for ch in bits), weight))
-    return support
+def _dist_record(line, n):
+    parts = line.split()
+    if len(parts) != 2:
+        raise FormatError("expected '<weight> <bits>'")
+    weight = _number(read_fraction, parts[0], "rational")
+    bits = parts[1]
+    if len(bits) != n or any(ch not in "01" for ch in bits):
+        raise FormatError(f"expected {n} bits")
+    return ((tuple(int(ch) for ch in bits), weight),)
 
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
@@ -351,23 +342,22 @@ def serialize_dist(dist: ExplicitDistribution) -> str:
 
 
 def parse_mask_table(text) -> TableMask:
-    _, rule = _parse_file(text, "masktable", 2, "rules", _mask_table_body)
-    return TableMask(rule)
-
-
-def _mask_table_body(n, lines):
     rule = {}
-    for number, line in lines:
+
+    def read(line, n):
         parts = line.split()
         if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
-            raise FormatError(f"line {number}: expected '<{n} bits> <{n} bits>'")
+            raise FormatError(f"expected '<{n} bits> <{n} bits>'")
         if any(ch not in "01" for ch in parts[0] + parts[1]):
-            raise FormatError(f"line {number}: mask table entries are over 0/1")
+            raise FormatError("mask table entries are over 0/1")
         x = tuple(int(ch) for ch in parts[0])
         if x in rule:
-            raise FormatError(f"line {number}: assignment {parts[0]} already has a rule")
+            raise FormatError(f"assignment {parts[0]} already has a rule")
         rule[x] = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
-    return rule
+        return (x,)
+
+    _parse_file(text, "masktable", 2, "rules", read)
+    return TableMask(rule)
 
 
 def parse_mask_spec(spec: str, n: int, base_dir: str = "."):

@@ -20,8 +20,10 @@ source order, as the plain loop over all pairs does; it skips receivers with
 no one-literal term and calls `_cut_results` only when some term mask of
 psi1 lies inside psi2's unit mask.  Every skipped pair would have yielded
 nothing, so offers, provenance, `table_sizes` and traces are those of the
-plain loop.  Rule results are subsets or copies of checked terms and skip
-`make_term` (`_checked`).
+plain loop.  Rule results skip `make_term` (`_checked`): their terms are
+subsets or copies of checked terms, or an and-introduction's conjunction of
+one-literal terms, which that rule checks for a complementary pair itself.
+And-introduction's premises are the table's own lines.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ BOTTOM = KDnf(())
 
 
 def _checked(terms) -> KDnf:
-    """The `KDnf` of terms that are already valid: copies or subsets of
-    checked terms.  They skip `make_term` but are added one by one, in the
+    """The `KDnf` of terms that are already valid, such as copies or subsets
+    of checked terms.  They skip `make_term` but are added one by one, in the
     order `KDnf` would add them, which keeps the set's layout and with it
     the term order that later rules iterate."""
     return frozenset.__new__(KDnf, iter(terms))
@@ -232,24 +234,22 @@ def decide_resk_width(hyps, target: KDnf, k: int, w: int, stats: dict | None = N
                             yield result, ("cut", (psi1, psi2))
                         break
 
-        # and-introduction: group table entries psi = A or literal by shared A
+        # and-introduction: group table lines psi = A or literal by shared A;
+        # each literal maps to its line, the rule's premise
         groups = {}
         for psi in table:
             for term in psi:
                 if len(term) == 1:
-                    rest = psi - {term}
-                    groups.setdefault(rest, set()).add(next(iter(term)))
-        for rest, lits in groups.items():
-            if len(rest) + 1 > w:
-                continue
-            available = sorted(lits, key=literal_bit)
+                    groups.setdefault(psi - {term}, {})[next(iter(term))] = psi
+        for rest, lines in groups.items():
+            available = sorted(lines, key=literal_bit)
             for j in range(2, k + 1):
                 for combo in combinations(available, j):
                     if any(-lit in combo for lit in combo):
                         continue
-                    premises = tuple(KDnf(rest | {frozenset((lit,))}) for lit in combo)
+                    premises = tuple(map(lines.__getitem__, combo))
                     if first_round or any(p in delta for p in premises):
-                        yield KDnf(rest | {frozenset(combo)}), ("and_intro", premises)
+                        yield _checked(rest | {frozenset(combo)}), ("and_intro", premises)
 
     if not saturate(table, target, derive, stats):
         return False, None

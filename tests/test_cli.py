@@ -237,6 +237,17 @@ def test_decide_samples_file_fixes_the_examples(extra, error, aviary, tmp_path, 
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+def test_decide_refuses_a_samples_file_without_examples(aviary, tmp_path, capsys):
+    samples = write(tmp_path / "obs.pasgn", "p pasgn 2 0\n")
+    code, out, err = run_cli(
+        ["decide", "--system", "res-space", "--epsilon", "1/3", "--gamma", "1/10",
+         "--delta", "1/20", "--s", "1", "--kb", aviary["kb"], "--query", aviary["query"],
+         "--samples", samples],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: need at least one example\n")
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -681,6 +692,16 @@ def test_oracle_commands(tmp_path, capsys):
     dist = write(tmp_path / "d.dist", "p dist 2 2\n1/4 00\n3/4 11\n")
     code, out, _ = run_cli(["oracle", "validity", "--dist", dist, "--query", query], capsys)
     assert code == 0 and out == "validity=3/4\n"
+
+
+def test_oracle_exit_code_follows_the_answer(tmp_path, capsys):
+    cnf = write(tmp_path / "f.cnf", "p cnf 2 2\n1 0\n-1 -2 0\n")
+    assert run_cli(["oracle", "sat", "--cnf", cnf], capsys) == (0, "sat 10\n", "")
+
+    kb = write(tmp_path / "kb.cnf", "p cnf 2 1\n-1 2 0\n")
+    query = write(tmp_path / "q.cnf", "p cnf 2 1\n2 0\n")
+    code, out, _ = run_cli(["oracle", "entails", "--kb", kb, "--query", query], capsys)
+    assert (code, out) == (1, "does-not-entail\n")
 
 
 def test_encode_pcr_negates_each_clause_into_a_monomial(tmp_path, capsys):

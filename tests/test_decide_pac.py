@@ -173,6 +173,18 @@ def test_sampled_path_matches_direct_path():
     )
 
 
+def test_sampled_path_draws_the_hoeffding_count_without_m():
+    kb = Cnf([make_clause([-1, 2])], 2)
+    backend = SpaceResolutionBackend(s=1, n=2)
+    p = params(eps="1/2", gamma="1/4", delta="1/2")
+    outcome = decide_pac_from_distribution(
+        backend, encode_clause(make_clause([2])), kb, p, ExplicitDistribution.uniform([(1, 1)]),
+        FixedMask({2}), seed=5,
+    )
+    assert outcome.sample_count == required_sample_size(p.gamma, p.delta) == 6
+    assert len(outcome.per_example) == 6
+
+
 def test_oracle_backend_accept_implies_empirical_validity():
     rng = random.Random(404)
     n = 3

@@ -40,6 +40,35 @@ def test_parse_dimacs_comments_and_multiline():
     assert cnf.clauses == (make_clause([1, -2]),)
 
 
+def test_an_unterminated_last_clause_is_reported_before_the_count():
+    with pytest.raises(FormatError, match="^last clause is not terminated by 0$"):
+        parse_cnf("p cnf 2 3\n1 0\n2\n")
+
+
+# one case per format: a file whose bad record sits on a later physical line,
+# after blank and comment lines, and the error that names that line
+LATER_LINE_ERRORS = {
+    "cnf": (parse_cnf, "c x\np cnf 2 2\n\n1\n# x\n-2 0 3 0\n", "line 6: literal 3 out of range for n=2"),
+    "pasgn": (parse_pasgns, "# x\np pasgn 2 2\n\n1*\n# x\n1x\n", "line 6: expected 2 characters over 0/1/*"),
+    "kdnf": (
+        parse_kdnf_file, "p kdnf 2 2 2\n# x\n\nx2\nx1&-x1\n", "line 5: term contains the complementary pair x1"
+    ),
+    "poly": (parse_poly_file, "p poly 2 2\n\n1 x1\n# x\n1 x3\n", "line 5: variable out of range for n=2"),
+    "cp": (parse_cp_file, "p cp 2 2\n# x\nx1:1 >= 0\n\nx1:1\n", "line 5: missing '>='"),
+    "dist": (parse_dist, "p dist 2 2\n1/2 00\n\n# x\n1/2 0\n", "line 5: expected 2 bits"),
+    "masktable": (
+        parse_mask_table, "p masktable 2 2\n# x\n10 01\n\n10 11\n", "line 5: assignment 10 already has a rule"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LATER_LINE_ERRORS))
+def test_a_record_error_names_its_physical_line(kind):
+    parse, text, error = LATER_LINE_ERRORS[kind]
+    with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
+        parse(text)
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(FormatError):
         parse_cnf("p cnf 1 1\n2 0\n")

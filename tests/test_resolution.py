@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -93,6 +94,28 @@ def test_check_proof_rejects_bad_cut():
     phi = Cnf([cl(1), cl(2)], 2)
     bogus = Cut(1, Leaf(cl(1)), Leaf(cl(2)), BOT)
     assert not check_proof(bogus, phi, BOT)
+
+
+def test_check_proof_refuses_a_tautology_premise_of_a_cut():
+    phi = Cnf([cl(1), cl(-1)], 1)
+    for cut in (Cut(1, Leaf(TAUTOLOGY), Leaf(cl(-1)), BOT), Cut(1, Leaf(cl(1)), Leaf(TAUTOLOGY), BOT)):
+        assert not check_proof(cut, phi, BOT)
+
+
+def test_check_proof_takes_a_tautological_resolvent_only_as_the_tautology():
+    phi = Cnf([cl(1, 2), cl(-1, -2)], 2)
+    leaves = Leaf(cl(1, 2)), Leaf(cl(-1, -2))
+    assert check_proof(Cut(1, *leaves, TAUTOLOGY), phi, TAUTOLOGY)
+    for clause in (frozenset({2, -2}), cl(2), BOT):
+        assert not check_proof(Cut(1, *leaves, clause), phi, clause)
+
+
+def test_check_proof_refuses_a_node_of_another_kind():
+    # the node carries a clause, so only its kind is wrong
+    phi = Cnf([cl(1)], 2)
+    impostor = SimpleNamespace(clause=cl(1))
+    assert not check_proof(impostor, phi, cl(1))
+    assert not check_proof(Weaken(cl(1, 2), impostor), phi, cl(1, 2))
 
 
 def test_clause_space_examples():

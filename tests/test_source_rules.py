@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,21 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_only_the_record_loop_numbers_format_lines():
+    # `formats._parse_file` walks the lines and prefixes a reader's error with
+    # `line N: `; a reader that wrote its own prefix would number a second way
+    prefix = re.compile(r"line (\{|\d+:)")
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    builders = set()
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.JoinedStr, ast.Constant)) and prefix.search(ast.unparse(node)):
+                    builders.add(func.name)
+    assert "_parse_file" in builders
+    assert builders <= {"_parse_file", "_header"}
 
 
 def test_no_decider_calls_a_budget_check():
