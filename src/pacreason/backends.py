@@ -26,6 +26,13 @@ with the system's independent checker, budget included, and returns its text
 lines; a proof that fails its replay raises RuleError.  Clause-space
 resolution prints its proof tree on one line, RES(k) `rule: formula` per
 trace step, cutting planes `index: rule inequality`, and PC and PCR nothing.
+
+Cutting planes' `decide` first tries a one-pass countermodel
+(`cutting_planes.countermodel`): a 0/1 point that satisfies every restricted
+hypothesis and falsifies the restricted query.  Every rule is sound over 0/1
+points, so such a point rules out a derivation at any budget, and `decide`
+rejects without running `decide_cp`; where the pass finds none, `decide_cp`
+runs as it would without it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import formats
 from .errors import InputError, RuleError
 from .formulas import TRUE
 from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_polynomial
-from .cutting_planes import check_target, decide_cp, residual_ineq, restrict_ineq
+from .cutting_planes import check_target, countermodel, decide_cp, residual_ineq, restrict_ineq
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
 from .res_k import check_trace as check_resk_trace
@@ -188,6 +195,8 @@ class CuttingPlanesBackend:
         return cls(w, L, n), queries[0], tuple(hyps)
 
     def decide(self, query, hyps):
+        if countermodel(hyps, query) is not None:
+            return None
         return decide_cp(list(hyps), query, self.w, self.L)[1]
 
     def replay(self, proof, query, hyps):

@@ -23,6 +23,11 @@ An accepted run returns its trace as `saturation.TraceStep`s that
 AxiomStep, HypothesisStep, AddStep, MultiplyStep and DivideStep; its premises
 are the earlier steps' inequalities followed by the factor or divisor, and a
 hypothesis step's premises are its index.
+
+`countermodel` looks, in one pass, for a 0/1 point that satisfies the
+hypotheses and falsifies a target.  Every rule and axiom holds at every 0/1
+point where its premises hold, so such a point rules out a derivation at any
+budget; the backend tries it before `decide_cp`.
 """
 
 from __future__ import annotations
@@ -122,6 +127,48 @@ def divide_ineq(a: LinIneq, divisor: int) -> LinIneq:
 def always_witnessed_true(ineq: LinIneq) -> bool:
     """Witnessed true even under the fully masked assignment."""
     return sum(min(0, c) for _, c in ineq.coeffs) >= ineq.bound
+
+
+def countermodel(hyps, target: LinIneq) -> dict | None:
+    """A partial 0/1 assignment {var: value}, found in one pass, every
+    completion of which satisfies each hypothesis and falsifies the target;
+    None where the target is witnessed true or the pass gets stuck.
+
+    The pass fixes each variable of the target to the value that lowers its
+    left-hand side (1 for a negative coefficient, 0 for a positive one), then
+    takes the hypotheses in order.  A hypothesis whose lowest reachable
+    left-hand side meets its bound is witnessed true; the pass is stuck at
+    one whose highest reachable value falls short, and otherwise fixes its
+    free variables, in `coeffs` order, to the value that raises the left-hand
+    side until it is witnessed true.  Fixing a variable never lowers the
+    lowest reachable value, so a witnessed-true hypothesis stays true.
+    """
+    if always_witnessed_true(target):
+        return None
+    value = {v: int(c < 0) for v, c in target.coeffs}
+    for coeffs, bound in hyps:
+        low = high = 0
+        for v, c in coeffs:
+            x = value.get(v)
+            if x is None:
+                if c < 0:
+                    low += c
+                else:
+                    high += c
+            elif x:
+                low += c
+                high += c
+        if low >= bound:
+            continue
+        if high < bound:
+            return None
+        for v, c in coeffs:
+            if v not in value:
+                value[v] = int(c > 0)
+                low += abs(c)
+                if low >= bound:
+                    break
+    return value
 
 
 def check_trace(trace, hyps, target: LinIneq, w: int, L: int) -> bool:

@@ -3,10 +3,11 @@
 Every format starts with a `p <kind> ...` header and ignores blank lines and
 '#' comments (DIMACS 'c' comments are also accepted in cnf files).
 
-One record loop, `_parse_file`, reads every file.  It parses the header and
-hands each later line, with the header fields before the count, to the
-format's record reader `read(line, *fields)`, which returns the records that
-the line completes.  A reader parses one line and raises FormatError or
+One record loop, `_parse_file`, reads every file.  It parses the header,
+binds the header fields before the count once with the format's reader
+factory, `reader(*fields)`, and hands each later line to the record reader
+`read(line)` that the factory returns, which returns the records that the
+line completes.  A reader parses one line and raises FormatError or
 InputError without a line number; the loop prefixes the message with
 `line N: `, N the physical line, blank and comment lines counted.  A record
 may span lines only in cnf files, whose reader keeps the unfinished clause
@@ -124,11 +125,11 @@ def _file_text(kind, fields, records) -> str:
     return "\n".join([head] + records) + "\n"
 
 
-def _parse_file(text, kind, field_count, noun, read, end=None, comments="#"):
+def _parse_file(text, kind, field_count, noun, reader, end=None, comments="#"):
     """The record loop of every format (see the module docstring).  Skips
     blank lines and lines starting with a character of `comments`, reads the
-    `p <kind>` header of `field_count` fields, then extends the records with
-    `read(line, *fields)` for each later line.  After the last line it calls
+    `p <kind>` header of `field_count` fields, binds `read = reader(*fields)`
+    and then extends the records with `read(line)` for each later line.  After the last line it calls
     `end()`, which raises if the lines stop inside a record, and then checks
     the count.  Returns (header fields, records)."""
     header, records, number = None, [], 1
@@ -139,8 +140,9 @@ def _parse_file(text, kind, field_count, noun, read, end=None, comments="#"):
                 continue
             if header is None:
                 *fields, count = header = _header(line, kind, field_count)
+                read = reader(*fields)
             else:
-                records += read(line, *fields)
+                records += read(line)
     except InputError as exc:  # FormatError included
         raise FormatError(f"line {number}: {exc}") from None
     if header is None:
@@ -170,24 +172,27 @@ def _variable(text, n, noun, token):
 def parse_cnf(text) -> Cnf:
     current = []  # the literals of the clause not yet ended by 0; it may span lines
 
-    def read(line, n):
-        clauses = []
-        for token in line.split():
-            lit = _number(read_int, token, "literal")
-            if lit == 0:
-                clauses.append(make_clause(current))
-                current.clear()
-            elif abs(lit) > n:
-                raise FormatError(f"literal {lit} out of range for n={n}")
-            else:
-                current.append(lit)
-        return clauses
+    def reader(n):
+        def read(line):
+            clauses = []
+            for token in line.split():
+                lit = _number(read_int, token, "literal")
+                if lit == 0:
+                    clauses.append(make_clause(current))
+                    current.clear()
+                elif abs(lit) > n:
+                    raise FormatError(f"literal {lit} out of range for n={n}")
+                else:
+                    current.append(lit)
+            return clauses
+
+        return read
 
     def end():
         if current:
             raise FormatError("last clause is not terminated by 0")
 
-    (n, _), clauses = _parse_file(text, "cnf", 2, "clauses", read, end, comments="#c")
+    (n, _), clauses = _parse_file(text, "cnf", 2, "clauses", reader, end, comments="#c")
     return Cnf(clauses, n)
 
 
@@ -202,18 +207,21 @@ def serialize_cnf(cnf: Cnf) -> str:
 
 
 def parse_pasgns(text):
-    (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_record)
+    (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_reader)
     return n, out
 
 
-def _pasgn_record(line, n):
-    try:
-        rho = PartialAssignment.from_string(line)  # rejects a bad character
-    except InputError:
-        rho = None
-    if rho is None or len(rho) != n:
-        raise FormatError(f"expected {n} characters over 0/1/*")
-    return (rho,)
+def _pasgn_reader(n):
+    def read(line):
+        try:
+            rho = PartialAssignment.from_string(line)  # rejects a bad character
+        except InputError:
+            rho = None
+        if rho is None or len(rho) != n:
+            raise FormatError(f"expected {n} characters over 0/1/*")
+        return (rho,)
+
+    return read
 
 
 def serialize_pasgns(n: int, assignments) -> str:
@@ -232,20 +240,23 @@ def _parse_literal(token, n, neg="-", noun="literal"):
 
 
 def parse_kdnf_file(text):
-    (n, k, _), formulas = _parse_file(text, "kdnf", 3, "formulas", _kdnf_record)
+    (n, k, _), formulas = _parse_file(text, "kdnf", 3, "formulas", _kdnf_reader)
     return n, k, formulas
 
 
-def _kdnf_record(line, n, k):
-    if line == "F":
-        return (KDnf(()),)
-    terms = []
-    for term_text in line.split("|"):
-        lits = {_parse_literal(tok, n) for tok in term_text.split("&")}
-        if len(lits) > k:
-            raise FormatError(f"term exceeds {k} literals")
-        terms.append(lits)
-    return (KDnf(terms),)  # an InputError for a complementary pair in a term
+def _kdnf_reader(n, k):
+    def read(line):
+        if line == "F":
+            return (KDnf(()),)
+        terms = []
+        for term_text in line.split("|"):
+            lits = {_parse_literal(tok, n) for tok in term_text.split("&")}
+            if len(lits) > k:
+                raise FormatError(f"term exceeds {k} literals")
+            terms.append(lits)
+        return (KDnf(terms),)  # an InputError for a complementary pair in a term
+
+    return read
 
 
 def serialize_kdnf_file(n: int, k: int, formulas) -> str:
@@ -261,22 +272,25 @@ def _kdnf_text(phi: KDnf) -> str:
 
 
 def parse_poly_file(text):
-    (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_record)
+    (n, _), polys = _parse_file(text, "poly", 2, "polynomials", _poly_reader)
     return n, polys
 
 
-def _poly_record(line, n):
-    if line == "0":
-        return (Polynomial(),)
-    terms = []
-    for term_text in line.split(";"):
-        tokens = term_text.split()
-        if not tokens:
-            raise FormatError("empty term")
-        coeff = _number(read_fraction, tokens[0], "rational")
-        monomial = {_parse_literal(tok, n, "~", "indeterminate") for tok in tokens[1:]}
-        terms.append((monomial, coeff))
-    return (Polynomial(terms),)
+def _poly_reader(n):
+    def read(line):
+        if line == "0":
+            return (Polynomial(),)
+        terms = []
+        for term_text in line.split(";"):
+            tokens = term_text.split()
+            if not tokens:
+                raise FormatError("empty term")
+            coeff = _number(read_fraction, tokens[0], "rational")
+            monomial = {_parse_literal(tok, n, "~", "indeterminate") for tok in tokens[1:]}
+            terms.append((monomial, coeff))
+        return (Polynomial(terms),)
+
+    return read
 
 
 def serialize_poly_file(n: int, polys) -> str:
@@ -287,23 +301,26 @@ def serialize_poly_file(n: int, polys) -> str:
 
 
 def parse_cp_file(text):
-    (n, _), ineqs = _parse_file(text, "cp", 2, "inequalities", _cp_record)
+    (n, _), ineqs = _parse_file(text, "cp", 2, "inequalities", _cp_reader)
     return n, ineqs
 
 
-def _cp_record(line, n):
-    if ">=" not in line:
-        raise FormatError("missing '>='")
-    lhs, _, rhs = line.partition(">=")
-    bound = _number(read_int, rhs.strip(), "bound")
-    coeffs = []
-    for token in lhs.split():
-        var_text, colon, coeff_text = token.partition(":")
-        if not colon:
-            raise FormatError(f"bad coefficient token {token!r}")
-        var = _variable(var_text, n, "coefficient token", token)
-        coeffs.append((var, _number(read_int, coeff_text, "coefficient")))
-    return (LinIneq(coeffs, bound),)
+def _cp_reader(n):
+    def read(line):
+        if ">=" not in line:
+            raise FormatError("missing '>='")
+        lhs, _, rhs = line.partition(">=")
+        bound = _number(read_int, rhs.strip(), "bound")
+        coeffs = []
+        for token in lhs.split():
+            var_text, colon, coeff_text = token.partition(":")
+            if not colon:
+                raise FormatError(f"bad coefficient token {token!r}")
+            var = _variable(var_text, n, "coefficient token", token)
+            coeffs.append((var, _number(read_int, coeff_text, "coefficient")))
+        return (LinIneq(coeffs, bound),)
+
+    return read
 
 
 def serialize_cp_file(n: int, ineqs) -> str:
@@ -315,22 +332,25 @@ def serialize_cp_file(n: int, ineqs) -> str:
 
 
 def parse_dist(text) -> ExplicitDistribution:
-    (n, _), support = _parse_file(text, "dist", 2, "points", _dist_record)
+    (n, _), support = _parse_file(text, "dist", 2, "points", _dist_reader)
     try:
         return ExplicitDistribution(n, support)
     except InputError as exc:
         raise FormatError(f"invalid distribution: {exc}") from None
 
 
-def _dist_record(line, n):
-    parts = line.split()
-    if len(parts) != 2:
-        raise FormatError("expected '<weight> <bits>'")
-    weight = _number(read_fraction, parts[0], "rational")
-    bits = parts[1]
-    if len(bits) != n or any(ch not in "01" for ch in bits):
-        raise FormatError(f"expected {n} bits")
-    return ((tuple(int(ch) for ch in bits), weight),)
+def _dist_reader(n):
+    def read(line):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError("expected '<weight> <bits>'")
+        weight = _number(read_fraction, parts[0], "rational")
+        bits = parts[1]
+        if len(bits) != n or any(ch not in "01" for ch in bits):
+            raise FormatError(f"expected {n} bits")
+        return ((tuple(int(ch) for ch in bits), weight),)
+
+    return read
 
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
@@ -344,19 +364,22 @@ def serialize_dist(dist: ExplicitDistribution) -> str:
 def parse_mask_table(text) -> TableMask:
     rule = {}
 
-    def read(line, n):
-        parts = line.split()
-        if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
-            raise FormatError(f"expected '<{n} bits> <{n} bits>'")
-        if any(ch not in "01" for ch in parts[0] + parts[1]):
-            raise FormatError("mask table entries are over 0/1")
-        x = tuple(int(ch) for ch in parts[0])
-        if x in rule:
-            raise FormatError(f"assignment {parts[0]} already has a rule")
-        rule[x] = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
-        return (x,)
+    def reader(n):
+        def read(line):
+            parts = line.split()
+            if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
+                raise FormatError(f"expected '<{n} bits> <{n} bits>'")
+            if any(ch not in "01" for ch in parts[0] + parts[1]):
+                raise FormatError("mask table entries are over 0/1")
+            x = tuple(int(ch) for ch in parts[0])
+            if x in rule:
+                raise FormatError(f"assignment {parts[0]} already has a rule")
+            rule[x] = frozenset(i + 1 for i, ch in enumerate(parts[1]) if ch == "1")
+            return (x,)
 
-    _parse_file(text, "masktable", 2, "rules", read)
+        return read
+
+    _parse_file(text, "masktable", 2, "rules", reader)
     return TableMask(rule)
 
 

@@ -15,8 +15,9 @@ projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
 `resolution` must match exactly, a `pacreason prove` runner on file texts,
-and the plain per-example loop, `decide` on every restricted instance, that
-`decide_pac` with its settled-query shortcut must match exactly."""
+and the plain per-example loop, the search on every restricted instance
+without the cutting-planes countermodel pass, that `decide_pac` with its
+settled-query shortcut must match exactly."""
 
 import math
 import random
@@ -33,6 +34,7 @@ from pacreason.backends import (
 from pacreason.cutting_planes import (
     TRUTH_AXIOM,
     add_ineqs,
+    decide_cp,
     divide_ineq,
     is_axiom,
     multiply_ineq,
@@ -106,13 +108,23 @@ def plain_restricted_query(backend, query, rho):
     return backend.restrict_query(query, rho)
 
 
+def plain_decide(backend, query, hyps):
+    """What the backend's search finds without the cutting-planes
+    countermodel pass: cutting planes runs `decide_cp` alone, and every
+    other backend runs its `decide`."""
+    if isinstance(backend, CuttingPlanesBackend):
+        return decide_cp(list(hyps), query, backend.w, backend.L)[1]
+    return backend.decide(query, hyps)
+
+
 def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
-    """The plain per-example loop: `decide` on every restricted instance,
-    settled queries included, tallied as `decide_pac` tallies."""
+    """The plain per-example loop: the search (`plain_decide`) on every
+    restricted instance, settled queries included, tallied as `decide_pac`
+    tallies."""
     examples = list(examples)
     verdicts = tuple(
-        bool(backend.decide(
-            plain_restricted_query(backend, query, rho), backend.restrict_hyps(hyps, rho)
+        bool(plain_decide(
+            backend, plain_restricted_query(backend, query, rho), backend.restrict_hyps(hyps, rho)
         ))
         for rho in examples
     )

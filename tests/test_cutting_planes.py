@@ -13,6 +13,7 @@ from pacreason.cutting_planes import (
     add_ineqs,
     check_target,
     check_trace,
+    countermodel,
     decide_cp,
     divide_ineq,
     encode_clause_cp,
@@ -266,3 +267,17 @@ def test_trace_checker_rejects_each_malformed_step():
     assert not check_trace(tampered_hyp, other, target, w=2, L=5)  # index 1 names x1 >= 0
     assert not check_trace(trace, hyps, target, w=1, L=5)  # a derived line over w
     assert not check_trace(trace, hyps, target, w=2, L=2)  # a derived line over L
+
+
+def test_countermodel_falsifies_the_target_then_meets_each_hypothesis():
+    # x1 - x2 >= 1 fails at x1 = 0, x2 = 1; x2 + x3 >= 1 is then witnessed
+    # true, and 2*x3 - x4 >= 1 is met by x3 = 1 alone, so x4 stays free
+    hyps = (ineq({2: 1, 3: 1}, 1), ineq({3: 2, 4: -1}, 1))
+    assert countermodel(hyps, ineq({1: 1, 2: -1}, 1)) == {1: 0, 2: 1, 3: 1}
+    # a constant line that holds is skipped, one that fails gets the pass stuck
+    assert countermodel((ineq({}, -2),), ineq({1: 1}, 1)) == {1: 0}
+    assert countermodel((ineq({}, 1),), ineq({1: 1}, 1)) is None
+    # x1 >= 1 cannot hold once the target has made x1 false
+    assert countermodel((ineq({1: 1}, 1),), ineq({1: 1, 2: 1}, 1)) is None
+    # a target witnessed true has no countermodel
+    assert countermodel((), ineq({1: -1}, -1)) is None

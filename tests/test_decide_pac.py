@@ -24,7 +24,7 @@ from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, TRUE, Var
 from pacreason.polycalc import PC, PCR, Indet, Polynomial
 from pacreason.res_k import BOTTOM, KDnf, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, encode_clause, make_clause
+from pacreason.resolution import TAUTOLOGY, Cnf, decode_clause, encode_clause, make_clause
 from pacreason.sampling import (
     ExplicitDistribution,
     FixedMask,
@@ -33,7 +33,7 @@ from pacreason.sampling import (
     draw_masked_examples,
 )
 
-from helpers import EntailmentOracleBackend, reference_decide_pac
+from helpers import EntailmentOracleBackend, completions, holds_at, reference_decide_pac
 from test_restriction_closure import (
     random_kb_ineq,
     random_pc_instance,
@@ -341,3 +341,51 @@ def test_plain_decide_accepts_what_a_settled_query_stands_for():
     assert restrict_ineq(query, rho) is TRUE
     assert cp.decide(residual_ineq(query, rho), ())  # x1 >= 0
     assert not cp.decide(LinIneq({1: 1}, 1), ())
+
+
+def refutes_at(system, query, hyps, x) -> bool:
+    """Whether the full assignment x satisfies every hypothesis and falsifies
+    the query, each in the form its backend searches on: for RES(k), every
+    hypothesis and every negated-query k-DNF true."""
+
+    def true(lit):
+        return bool(x[abs(lit) - 1]) == (lit > 0)
+
+    def clause(c):
+        return c is TAUTOLOGY or any(map(true, c))
+
+    if system == "res-space":
+        return all(map(clause, hyps.clauses)) and not clause(decode_clause(query))
+    if system == "res-k-width":
+        return all(any(all(map(true, term)) for term in phi) for phi in (*hyps, *query))
+    if system == "cp":
+        return all(holds_at(h, x) for h in hyps) and not holds_at(query, x)
+    return all(p.evaluate(x) == 0 for p in hyps) and query.evaluate(x) != 0
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_no_accepted_example_has_a_countermodel(system):
+    # soundness on seeded decide_pac streams: no completion of an accepted
+    # example satisfies the knowledge base and falsifies the query, checked
+    # by brute force.  The countermodel passes reject on exactly such a
+    # completion, so an unsound pass or kernel would show here
+    rng = random.Random(f"soundness:{system}")
+    seen = dict.fromkeys(("rejected", "accepted after a search", "masked, accepted after a search"), 0)
+    for seed in range(500):
+        backend, query, hyps, n = random_instance(system, rng)
+        dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+        examples = draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 12, seed)
+        outcome = decide_pac(backend, query, hyps, params(), examples)
+        for rho, accepted in zip(examples, outcome.per_example):
+            if not accepted:
+                seen["rejected"] += 1
+                continue
+            assert not any(refutes_at(system, query, hyps, x) for x in completions(rho)), (
+                query, hyps, rho,
+            )
+            if backend.restrict_query(query, rho) is not TRUE:
+                seen["accepted after a search"] += 1
+                seen["masked, accepted after a search"] += None in rho
+        if min(seen.values()) >= 100:
+            break
+    assert min(seen.values()) >= 100, seen

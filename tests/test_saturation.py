@@ -1,6 +1,7 @@
 """The derivation-table engine: the RES(k) and cutting-planes deciders built on
-it against the reference deciders with their own round loops, and the
-engine's `stats` contract."""
+it against the reference deciders with their own round loops, the engine's
+`stats` contract, and the cutting-planes backend, whose countermodel pass
+settles rejects before the engine runs, against both deciders."""
 
 import random
 from collections import Counter
@@ -9,16 +10,19 @@ from fractions import Fraction
 import pytest
 
 from pacreason import backends, res_k
-from pacreason.backends import ResKWidthBackend
+from pacreason.backends import CuttingPlanesBackend, ResKWidthBackend
 from pacreason.cutting_planes import (
     LinIneq,
     TRUTH_AXIOM,
+    countermodel,
     decide_cp,
+    encode_clause_cp,
     is_axiom,
     var_at_most_one,
     var_nonneg,
 )
 from pacreason.decide_pac import PacParams, decide_pac
+from pacreason.formulas import PartialAssignment
 from pacreason.res_k import BOTTOM, KDnf, decide_resk_width, negate_query
 from pacreason.resolution import make_clause
 from pacreason.sampling import (
@@ -30,6 +34,8 @@ from pacreason.sampling import (
 from pacreason.saturation import TraceStep
 
 from helpers import (
+    completions,
+    holds_at,
     reference_cut_results,
     reference_decide_cp,
     reference_decide_resk_width,
@@ -268,6 +274,79 @@ def test_resk_matches_the_reference_on_the_instances_of_a_stream(stream, require
             kinds["wide cut premise"] += any(p.width > w for pair in cuts for p in pair)
             kinds["later term cut"] += any(cuts_a_later_term(*pair) for pair in cuts)
     assert all(kinds[kind] for kind in required), kinds
+
+
+class RecordingCuttingPlanes(CuttingPlanesBackend):
+    """Keeps every distinct instance that `decide_pac` hands `decide`."""
+
+    def __init__(self, w, L, n):
+        super().__init__(w, L, n)
+        self.instances = {}
+
+    def decide(self, query, hyps):
+        self.instances.setdefault((query, tuple(hyps)), None)
+        return super().decide(query, hyps)
+
+
+def cp_stream_instances(stream, m):
+    """The distinct cutting-planes instances (n, w, L, target, hyps), at w=2
+    and L=3, of the first m examples of a stream, its clauses and query
+    encoded as inequalities."""
+    n, _, _, clauses, query, examples = stream()
+    backend = RecordingCuttingPlanes(2, 3, n)
+    hyps = tuple(encode_clause_cp(c) for c in clauses)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
+    decide_pac(backend, encode_clause_cp(query), hyps, params, examples[:m])
+    return [(n, 2, 3, query, hyps) for query, hyps in backend.instances]
+
+
+def cp_fuzz_instances():
+    rng = random.Random(6004)
+    for _ in range(1500):
+        hyps, target, w, L = random_cp_instance(rng)
+        yield 3, w, L, target, tuple(hyps)
+
+
+def assert_countermodel(model, hyps, target, n):
+    """Every completion of `model` over the instance's variables satisfies
+    each hypothesis and falsifies the target."""
+    variables = set(model).union(*(h.variables() for h in hyps), target.variables())
+    rho = PartialAssignment(
+        model.get(v, None if v in variables else 0) for v in range(1, n + 1)
+    )
+    for x in completions(rho):
+        assert all(holds_at(h, x) for h in hyps), (hyps, target, model, x)
+        assert not holds_at(target, x), (hyps, target, model, x)
+
+
+@pytest.mark.parametrize(
+    "cases, floors",
+    [
+        (lambda: cp_stream_instances(birds_stream, 400), {"settled": 4, "accepted": 5}),
+        (lambda: cp_stream_instances(random_3cnf_stream, 120), {"settled": 40, "accepted": 5}),
+        (cp_fuzz_instances, {"settled": 350, "accepted": 700, "rejected, pass stuck": 130}),
+    ],
+    ids=["birds", "random-3cnf", "fuzz"],
+)
+def test_cp_countermodel_pass_keeps_the_verdicts_of_both_deciders(cases, floors):
+    # the backend's decide tries the pass before decide_cp; it must reject
+    # exactly what decide_cp and the reference decider reject, and give
+    # decide_cp's trace on an accept.  Every model the pass returns is
+    # checked at each of its completions
+    kinds = Counter()
+    for n, w, L, target, hyps in cases():
+        found = CuttingPlanesBackend(w, L, n).decide(target, hyps)
+        accepted, trace = decide_cp(list(hyps), target, w, L)
+        assert found == trace, (hyps, target)
+        assert reference_decide_cp(list(hyps), target, w, L)[0] == accepted, (hyps, target)
+        model = countermodel(hyps, target)
+        if model is not None:
+            assert_countermodel(model, hyps, target, n)
+            kinds["settled"] += 1
+        elif not accepted:
+            kinds["rejected, pass stuck"] += 1
+        kinds["accepted"] += accepted
+    assert all(kinds[kind] >= floor for kind, floor in floors.items()), kinds
 
 
 def test_resk_records_the_initial_table_when_the_target_is_an_input():
