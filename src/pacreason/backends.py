@@ -5,6 +5,8 @@ its budget flags in `budgets`; `load(system, kb_text, query_text, **budgets)`
 parses an instance, checks it against them and returns `(backend, query,
 hyps)`.  Restriction keeps an instance inside its system's budget check, so
 the unrestricted instance is checked there, once, and no decider checks.
+Clause-space resolution holds its hyps, restricted or not, as a plain tuple
+of literal masks, so a restricted instance is a hashable value.
 
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
@@ -45,8 +47,9 @@ from .cutting_planes import check_target, countermodel, decide_cp, residual_ineq
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
 from .res_k import check_trace as check_resk_trace
-from .resolution import check_proof, check_space_bound, clause_space, decode_clause, proof_to_text
-from .resolution import encode_clause, proof_tree, restrict_cnf, restrict_mask, search_space
+from .resolution import Cnf, check_proof, check_space_bound, clause_space, decode_clause
+from .resolution import encode_clause, proof_to_text, proof_tree, restrict_cnf, restrict_mask
+from .resolution import restriction_index, search_space
 
 
 def _restrict_each(restrict_one, formulas, rho) -> tuple:
@@ -66,14 +69,18 @@ def _replayed(ok: bool, system: str) -> None:
 
 
 class SpaceResolutionBackend:
-    """Clause-space-bounded treelike resolution; query is a single clause,
-    held as its literal mask (`resolution.encode_clause`)."""
+    """Clause-space-bounded treelike resolution; query is a single clause
+    and hyps a tuple of clauses, each held as its literal mask
+    (`resolution.encode_clause`).  `restrict_hyps` keeps the restriction
+    index of the last hyps tuple it was given, so a run that restricts one
+    KB by every example builds it once."""
 
     budgets = ("s",)
 
     def __init__(self, s: int, n: int):
         self.s = s
         self.n = n
+        self._indexed = self._index = None
 
     @classmethod
     def load(cls, system, kb_text, query_text, s):
@@ -83,14 +90,15 @@ class SpaceResolutionBackend:
             raise InputError("res-space queries are a single clause (one-clause cnf file)")
         _same_n(query.n, kb.n)
         check_space_bound(s)
-        return cls(s, kb.n), encode_clause(query.clauses[0]), kb
+        return cls(s, kb.n), encode_clause(query.clauses[0]), kb.masks
 
     def decide(self, query, hyps):
         return search_space(hyps, self.s, query)
 
     def replay(self, proof, query, hyps):
         tree = proof_tree(proof)
-        ok = check_proof(tree, hyps, decode_clause(query)) and clause_space(tree) <= self.s
+        kb = Cnf(map(decode_clause, hyps), self.n)
+        ok = check_proof(tree, kb, decode_clause(query)) and clause_space(tree) <= self.s
         _replayed(ok, "res-space")
         return (proof_to_text(tree),)
 
@@ -98,7 +106,9 @@ class SpaceResolutionBackend:
         return restrict_mask(query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        return restrict_cnf(hyps, rho)
+        if hyps is not self._indexed:
+            self._indexed, self._index = hyps, restriction_index(hyps, self.n)
+        return restrict_cnf(hyps, self._index, rho)
 
 
 class ResKWidthBackend:

@@ -67,6 +67,10 @@ class LinIneq(tuple):
         coeffs = tuple(sorted((v, c) for v, c in data.items() if c != 0))
         return tuple.__new__(cls, (coeffs, int(bound)))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild it through __new__(coeffs, bound)
+        return tuple(self)
+
     coeffs = property(itemgetter(0))
     bound = property(itemgetter(1))
 

@@ -74,6 +74,10 @@ class Record:
 class Const(Record):
     __slots__ = ("value",)  # a bool
 
+    def __reduce__(self):
+        # a copy is TRUE or FALSE itself, which the `is` checks recognize
+        return _constant, (self.value,)
+
 
 class Var(Record):
     __slots__ = ("index",)  # 1-based
@@ -106,6 +110,10 @@ Formula = Const | Var | Not | Threshold
 
 TRUE = Const(True)
 FALSE = Const(False)
+
+
+def _constant(value: bool) -> Const:
+    return TRUE if value else FALSE
 
 
 def conjunction(children: Iterable[Formula]) -> Formula:

@@ -7,8 +7,10 @@ literals, and the same object that restricting a satisfied clause, k-DNF or
 inequality returns.
 
 Restriction and proof search run on an int form instead: the literal mask
-of a clause has bit 2v for x_v and bit 2v+1 for -x_v, and a `Cnf` keeps the
-masks of its clauses.
+of a clause has bit 2v for x_v and bit 2v+1 for -x_v.  A `Cnf` is a plain
+value of clauses, and its `masks` are the tuple of literal masks that
+`restrict_cnf` restricts, through a `restriction_index` built once per
+tuple, into another such tuple, which `search_space` searches.
 
 Treelike proofs are trees of Leaf / Weaken / Cut nodes, each annotated with
 the clause it derives.  `search_space` returns its proof as mask steps, and
@@ -105,77 +107,29 @@ def decode_clause(bits: int | Const) -> Clause:
 
 
 class Cnf(Record):
-    """A deduplicated list of clauses over variables 1..n.
+    """A deduplicated tuple of clauses over variables 1..n, in the order
+    given, each canonicalized by `make_clause` and range-checked.
 
-    A Cnf also has an int form, `masks`: the literal masks (`encode_clause`)
-    of its non-tautology clauses, in clause order, which `restrict_cnf` and
-    `search_space` run on.  A Cnf built from clauses encodes them at
-    construction.  A Cnf that `restrict_cnf` returns holds only n and masks,
-    and decodes `clauses` on first read.  Equality and the repr depend only
-    on the clauses as sets of literals; the restriction index takes no part
-    in them."""
+    `masks` is its int form: the literal masks (`encode_clause`) of its
+    non-tautology clauses, in clause order, which `restriction_index`,
+    `restrict_cnf` and `search_space` run on."""
 
-    __slots__ = ("n", "masks", "_clauses", "_index")
+    __slots__ = ("clauses", "n")
 
-    def __init__(self, clauses, n: int):
+    def __post_init__(self):
         out = []
-        for c in clauses:
+        for c in self.clauses:
             c = c if c is TAUTOLOGY else make_clause(c)
             if c is not TAUTOLOGY:
                 for lit in c:
-                    if abs(lit) > n:
-                        raise InputError(f"literal {lit} out of range for n={n}")
+                    if abs(lit) > self.n:
+                        raise InputError(f"literal {lit} out of range for n={self.n}")
             out.append(c)
-        clauses = tuple(dict.fromkeys(out))
-        object.__setattr__(self, "_clauses", clauses)
-        object.__setattr__(self, "n", n)
-        masks = tuple(encode_clause(c) for c in clauses if c is not TAUTOLOGY)
-        object.__setattr__(self, "masks", masks)
-
-    @classmethod
-    def _of_masks(cls, n: int, masks: tuple) -> "Cnf":
-        """The Cnf over n whose masks are `masks`, which are distinct."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "masks", masks)
-        return out
+        object.__setattr__(self, "clauses", tuple(dict.fromkeys(out)))
 
     @property
-    def clauses(self) -> tuple:
-        try:
-            return self._clauses
-        except AttributeError:
-            pass
-        clauses = tuple(decode_clause(bits) for bits in self.masks)
-        object.__setattr__(self, "_clauses", clauses)
-        return clauses
-
-    def _restriction_index(self) -> tuple:
-        """For each variable v, `[v - 1][value]` is the pair (the clauses
-        that x_v = value satisfies, as a bitmask where bit i stands for mask
-        i; the bit of the literal that x_v = value falsifies)."""
-        try:
-            return self._index
-        except AttributeError:
-            pass
-        by_literal = {}
-        for i, bits in enumerate(self.masks):
-            while bits:
-                low = bits & -bits
-                by_literal[low] = by_literal.get(low, 0) | 1 << i
-                bits ^= low
-        index = tuple(
-            (
-                (by_literal.get(2 << 2 * v, 0), 1 << 2 * v),
-                (by_literal.get(1 << 2 * v, 0), 2 << 2 * v),
-            )
-            for v in range(1, self.n + 1)
-        )
-        object.__setattr__(self, "_index", index)
-        return index
-
-    def __eq__(self, other):
-        return isinstance(other, Cnf) and self.n == other.n and self.clauses == other.clauses
+    def masks(self) -> tuple:
+        return tuple(encode_clause(c) for c in self.clauses if c is not TAUTOLOGY)
 
     def __repr__(self):
         return f"Cnf(n={self.n}, clauses=[{', '.join(map(clause_to_text, self.clauses))}])"
@@ -250,18 +204,19 @@ def check_space_bound(s: int) -> None:
         raise InputError(f"space bound must be at least 1, got {s}")
 
 
-def search_space(phi: Cnf, s: int, goal: int | Const) -> tuple | None:
-    """Find a clause-space-at-most-s treelike proof from `phi` of the clause
-    whose literal mask is `goal` (`encode_clause`).
+def search_space(inputs: tuple, s: int, goal: int | Const) -> tuple | None:
+    """Find a clause-space-at-most-s treelike proof from the clauses whose
+    literal masks are `inputs` of the clause whose literal mask is `goal`
+    (`encode_clause`).
 
-    Runs `search_masks` on the literal masks and returns what it found as
-    the pair (goal, step), `(TAUTOLOGY, None)` for the tautology goal, or
-    None when no such proof exists; `proof_tree` turns the pair into Leaf /
-    Weaken / Cut nodes.  Takes an `s` that `check_space_bound` accepts.
+    Runs `search_masks` and returns what it found as the pair (goal, step),
+    `(TAUTOLOGY, None)` for the tautology goal, or None when no such proof
+    exists; `proof_tree` turns the pair into Leaf / Weaken / Cut nodes.
+    Takes an `s` that `check_space_bound` accepts.
     """
     if goal is TAUTOLOGY:
         return TAUTOLOGY, None
-    step = search_masks(phi.masks, goal, s)
+    step = search_masks(inputs, goal, s)
     return None if step is None else (goal, step)
 
 
@@ -440,25 +395,43 @@ def restrict_term(term, rho: PartialAssignment) -> list | None:
     return kept
 
 
-def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """Restrict every clause, dropping the satisfied ones, in clause order.
-
-    Runs on `Cnf._restriction_index`, built once per Cnf: the clauses that
-    rho satisfies are the OR of the clause bitmasks of its set coordinates,
-    and each clause left, read off the other bits in ascending order, which
-    is clause order, loses the literals rho falsifies by an AND with the
-    complement of their OR.  Equal results keep the first.  The result
-    equals `restrict_mask` on each mask, with TAUTOLOGY dropped, and is a Cnf
-    of masks (see `Cnf`).  Coordinates of rho beyond phi.n are ignored;
-    raises InputError when rho is shorter than phi.n.
-    """
-    if len(rho) < phi.n:
-        raise InputError(
-            f"partial assignment has length {len(rho)}, CNF needs at least {phi.n}"
+def restriction_index(masks: tuple, n: int) -> tuple:
+    """For each variable v of 1..n, `[v - 1][value]` is the pair (the masks
+    that x_v = value satisfies, as a bitmask where bit i stands for mask i;
+    the bit of the literal that x_v = value falsifies)."""
+    by_literal = {}
+    for i, bits in enumerate(masks):
+        while bits:
+            low = bits & -bits
+            by_literal[low] = by_literal.get(low, 0) | 1 << i
+            bits ^= low
+    return tuple(
+        (
+            (by_literal.get(2 << 2 * v, 0), 1 << 2 * v),
+            (by_literal.get(1 << 2 * v, 0), 2 << 2 * v),
         )
-    masks = phi.masks
+        for v in range(1, n + 1)
+    )
+
+
+def restrict_cnf(masks: tuple, index: tuple, rho: PartialAssignment) -> tuple:
+    """Restrict every literal mask, dropping the satisfied ones, in mask
+    order; `index` is `restriction_index(masks, n)`.
+
+    The masks that rho satisfies are the OR of the bitmasks of its set
+    coordinates, and each mask left, read off the other bits in ascending
+    order, which is mask order, loses the literals rho falsifies by an AND
+    with the complement of their OR.  Equal results keep the first.  The
+    result equals `restrict_mask` on each mask, with TAUTOLOGY dropped.
+    Coordinates of rho beyond n are ignored; raises InputError when rho is
+    shorter than n.
+    """
+    if len(rho) < len(index):
+        raise InputError(
+            f"partial assignment has length {len(rho)}, CNF needs at least {len(index)}"
+        )
     satisfied = false_lits = 0
-    for value, pairs in zip(rho, phi._restriction_index()):
+    for value, pairs in zip(rho, index):
         if value is not None:
             clause_bits, lit_bit = pairs[value]
             satisfied |= clause_bits
@@ -470,7 +443,7 @@ def restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:
         low = left & -left
         kept[masks[low.bit_length() - 1] & keep] = None
         left ^= low
-    return Cnf._of_masks(phi.n, tuple(kept))
+    return tuple(kept)
 
 
 def clause_to_text(clause: Clause) -> str:

@@ -14,10 +14,11 @@ restriction through `rho.value`, which `res_k.restrict_kdnf` must match, the
 projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
-`resolution` must match exactly, a `pacreason prove` runner on file texts,
-and the plain per-example loop, the search on every restricted instance
-without the cutting-planes countermodel pass, that `decide_pac` with its
-settled-query shortcut must match exactly."""
+`resolution` must match exactly, with the CNF restriction run on a Cnf's
+masks and decoded back, a `pacreason prove` runner on file texts, and the
+plain per-example loop, a search without a countermodel pass on every
+restricted instance, that `decide_pac` with its settled-query shortcut must
+match exactly."""
 
 import math
 import random
@@ -30,6 +31,7 @@ from pacreason.backends import (
     CuttingPlanesBackend,
     PolynomialCalculusBackend,
     ResKWidthBackend,
+    SpaceResolutionBackend,
 )
 from pacreason.cutting_planes import (
     TRUTH_AXIOM,
@@ -85,8 +87,11 @@ from pacreason.resolution import (
     ProofNode,
     Weaken,
     clause_superset,
+    decode_clause,
     literal_bit,
     make_clause,
+    restrict_cnf,
+    restriction_index,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
 from pacreason.saturation import TraceStep
@@ -109,9 +114,13 @@ def plain_restricted_query(backend, query, rho):
 
 
 def plain_decide(backend, query, hyps):
-    """What the backend's search finds without the cutting-planes
-    countermodel pass: cutting planes runs `decide_cp` alone, and every
-    other backend runs its `decide`."""
+    """What the backend's search finds without a countermodel pass:
+    clause-space resolution runs `reference_search_space` on the decoded
+    clauses, cutting planes runs `decide_cp` alone, and every other backend
+    runs its `decide`."""
+    if isinstance(backend, SpaceResolutionBackend):
+        kb = Cnf(map(decode_clause, hyps), backend.n)
+        return reference_search_space(kb, backend.s, decode_clause(query))
     if isinstance(backend, CuttingPlanesBackend):
         return decide_cp(list(hyps), query, backend.w, backend.L)[1]
     return backend.decide(query, hyps)
@@ -189,6 +198,18 @@ def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional
         return None
 
     return search(frozenset(target), s)
+
+
+def restrict_kb(phi: Cnf, rho: PartialAssignment) -> Cnf:
+    """`resolution.restrict_cnf` on the masks of phi, with their index built
+    for this call, decoded back into a Cnf over phi.n."""
+    masks = phi.masks
+    return decoded(restrict_cnf(masks, restriction_index(masks, phi.n), rho), phi.n)
+
+
+def decoded(masks: tuple, n: int) -> Cnf:
+    """The Cnf over n whose clauses have the literal masks `masks`."""
+    return Cnf(map(decode_clause, masks), n)
 
 
 def reference_restrict_cnf(phi: Cnf, rho: PartialAssignment) -> Cnf:

@@ -62,7 +62,6 @@ from pacreason.resolution import (
     encode_clause,
     make_clause,
     proof_tree,
-    restrict_cnf,
     search_space,
 )
 from pacreason.sampling import (
@@ -72,7 +71,7 @@ from pacreason.sampling import (
     validity,
 )
 
-from helpers import completions, holds_at, random_cnf, random_formula, random_partial
+from helpers import completions, holds_at, random_cnf, random_formula, random_partial, restrict_kb
 from pc_span_oracle import span_closure_decides
 from test_polycalc import random_polynomial
 from test_cutting_planes import random_ineq
@@ -97,7 +96,8 @@ def resolution_corpus():
         for _ in range(220):
             n = rng.randint(1, 4)
             phi = random_cnf(rng, n, max_clauses=8)
-            corpus.append((phi, n + 2, proof_tree(search_space(phi, n + 2, encode_clause(BOT)))))
+            found = search_space(phi.masks, n + 2, encode_clause(BOT))
+            corpus.append((phi, n + 2, proof_tree(found)))
         _corpus_cache["corpus"] = corpus
     return _corpus_cache["corpus"]
 
@@ -133,7 +133,7 @@ def test_criterion_2_restriction_closure():
             continue
         for _ in range(20):
             rho = random_partial(rng, phi.n)
-            assert search_space(restrict_cnf(phi, rho), s, encode_clause(BOT)) is not None
+            assert search_space(restrict_kb(phi, rho).masks, s, encode_clause(BOT)) is not None
             checks += 1
 
     resk_accepted = 0
@@ -299,7 +299,7 @@ def test_criterion_5_decide_pac_statistics():
 
     # promise case 2: witness rate of psi=(x1) is exactly 1-eps+gamma = 9/10,
     # and cutting x1 with the rule (not-x1 or x2) proves x2 in clause space 2
-    kb = Cnf([make_clause([-1, 2])], 2)
+    kb = Cnf([make_clause([-1, 2])], 2).masks
     query = encode_clause(make_clause([2]))
     dist2 = ExplicitDistribution(
         2, [((1, 1), Fraction(9, 10)), ((0, 0), Fraction(1, 10))]
@@ -315,7 +315,7 @@ def test_criterion_5_decide_pac_statistics():
     )
 
     # promise case 1: [KB => query] is exactly 1-eps-gamma = 7/10 valid
-    kb1 = Cnf([], 2)
+    kb1 = Cnf([], 2).masks
     dist1 = ExplicitDistribution(
         2, [((1, 1), Fraction(7, 10)), ((1, 0), Fraction(3, 10))]
     )

@@ -12,6 +12,7 @@ from pacreason.decide_pac import PacOutcome, PacParams
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
+    FALSE,
     Not,
     PartialAssignment,
     TRUE,
@@ -310,12 +311,59 @@ def test_record_construction():
     TableMask({(0,): {1}}),
 ], ids=lambda value: type(value).__name__)
 def test_hand_written_values_inherit_record_immutability(value):
-    # these keep their own equality and repr, and stay unhashable
+    # these keep their own repr; Cnf takes the Record equality and hash, and
+    # the others keep their own equality and stay unhashable
     name = type(value).__name__
     field = type(value).__slots__[0]
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         setattr(value, field, None)
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         delattr(value, field)
-    with pytest.raises(TypeError):
-        hash(value)
+    if isinstance(value, Cnf):
+        same = Cnf([frozenset({1}), [1]], 1)
+        assert same == value and hash(same) == hash(value) == hash(((frozenset({1}),), 1))
+        assert Cnf([[1]], 2) != value and Cnf([[-1]], 1) != value
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+# one instance of every value class of the package: each Record subclass and
+# the three container values (tests/test_source_rules.py keeps the list whole)
+VALUES = [
+    Cnf([[1, -2], TAUTOLOGY, []], 2),
+    Polynomial([([1, -2], Fraction(1, 2)), ([], 3)]),
+    ExplicitDistribution.uniform([(0, 1), (1, 1)]),
+    TableMask({(0,): {1}, (1,): set()}),
+    FixedMask(frozenset({2})),
+    IndependentMask(Fraction(1, 3)),
+    PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)),
+    PacOutcome("Accept", 0, 1, 2, (True, True)),
+    KDnf([[1, -2], [3]]),
+    LinIneq([(1, 2), (3, -1)], 1),
+    PartialAssignment.from_string("1*0"),
+    TraceStep(LinIneq([(1, 1)], 1), "add", (LinIneq([(1, 1), (2, 1)], 1), 0)),
+    Leaf(TAUTOLOGY),
+    Weaken(frozenset({1, 2}), Leaf(frozenset({1}))),
+    Cut(1, Leaf(frozenset({1})), Leaf(frozenset({-1})), frozenset()),
+    TRUE,
+    Var(3),
+    Not(Var(1)),
+    Threshold((1, -2), (Var(1), Not(Var(2))), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_values_survive_copy_deepcopy_and_pickle(value):
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+
+
+def test_copies_of_true_and_false_are_themselves():
+    # the `is` checks on TRUE and FALSE keep working in copied clauses and
+    # formulas, and a copied Cnf rebuilds its tautology clause
+    for const in (TRUE, FALSE, Const(True)):
+        for copied in (copy.copy(const), copy.deepcopy(const), pickle.loads(pickle.dumps(const))):
+            assert copied is (TRUE if const.value else FALSE)
+    assert copy.deepcopy(Leaf(TAUTOLOGY)).clause is TAUTOLOGY
+    assert pickle.loads(pickle.dumps(Cnf([TAUTOLOGY], 1))).clauses[0] is TAUTOLOGY

@@ -33,11 +33,13 @@ from pacreason.resolution import (
     restrict_cnf,
     restrict_mask,
     restrict_term,
+    restriction_index,
     search_space,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
 from helpers import (
+    decoded,
     proof_size,
     random_clause,
     random_cnf,
@@ -47,6 +49,7 @@ from helpers import (
     reference_restrict_polynomial,
     reference_search_space,
     restrict_clause,
+    restrict_kb,
     restrict_proof,
     space_bound_for_size,
 )
@@ -54,8 +57,9 @@ from rk_oracle import derives_in_space
 
 
 def search_proof(phi, s, target):
-    """search_space's proof as Leaf / Weaken / Cut nodes, or None."""
-    return proof_tree(search_space(phi, s, encode_clause(target)))
+    """search_space's proof from the masks of phi as Leaf / Weaken / Cut
+    nodes, or None."""
+    return proof_tree(search_space(phi.masks, s, encode_clause(target)))
 
 
 def cl(*lits):
@@ -149,7 +153,7 @@ def test_search_space_finds_one_cut_refutation():
 
 def test_search_space_fails_below_needed_space():
     phi = Cnf([cl(1), cl(-1)], 1)
-    assert search_space(phi, 1, encode_clause(BOT)) is None
+    assert search_space(phi.masks, 1, encode_clause(BOT)) is None
 
 
 def test_search_space_superset_base_case():
@@ -288,7 +292,7 @@ def test_restrict_proof_assigned_pivot_becomes_weakening():
     rho = PartialAssignment.from_string("1")
     projected = restrict_proof(one_cut_refutation(), rho)
     assert projected.clause == BOT
-    assert check_proof(projected, restrict_cnf(phi, rho), BOT)
+    assert check_proof(projected, restrict_kb(phi, rho), BOT)
     assert proof_size(projected) <= proof_size(one_cut_refutation())
 
 
@@ -338,10 +342,10 @@ def test_space_class_restriction_closure_randomized():
         for _ in range(10):
             rho = random_partial(rng, n)
             projected = restrict_proof(proof, rho)
-            assert check_proof(projected, restrict_cnf(phi, rho), restrict_clause(BOT, rho))
+            assert check_proof(projected, restrict_kb(phi, rho), restrict_clause(BOT, rho))
             assert clause_space(projected) <= clause_space(proof)
             assert proof_size(projected) <= proof_size(proof)
-            again = search_proof(restrict_cnf(phi, rho), s, BOT)
+            again = search_proof(restrict_kb(phi, rho), s, BOT)
             assert again is not None
             assert clause_space(again) <= s
 
@@ -354,14 +358,14 @@ def test_space_closure_holds_for_arbitrary_targets():
         phi = random_cnf(rng, n)
         target = random_clause_local(rng, n)
         s = rng.randint(2, n + 2)
-        if search_space(phi, s, encode_clause(target)) is None:
+        if search_space(phi.masks, s, encode_clause(target)) is None:
             continue
         closed += 1
         for _ in range(8):
             rho = random_partial(rng, n)
             restricted_target = restrict_clause(target, rho)
             goal = encode_clause(restricted_target)
-            assert search_space(restrict_cnf(phi, rho), s, goal) is not None
+            assert search_space(restrict_kb(phi, rho).masks, s, goal) is not None
 
 
 def random_clause_local(rng, n):
@@ -451,11 +455,11 @@ def test_decide_pac_matches_reference_search_per_example():
     query = cl(1, 2)
     params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))
     outcome = decide_pac_from_distribution(
-        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb, params, dist, mask, seed=9,
-        m=300,
+        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb.masks, params, dist, mask,
+        seed=9, m=300,
     )
     expected = tuple(
-        all_variables_search(restrict_cnf(kb, rho), s, restrict_clause(query, rho)) is not None
+        all_variables_search(restrict_kb(kb, rho), s, restrict_clause(query, rho)) is not None
         for rho in draw_masked_examples(dist, mask, 300, 9)
     )
     assert outcome.per_example == expected
@@ -497,10 +501,13 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
     for _ in range(2000):
         phi = random_restriction_case(rng)
         fresh = Cnf(phi.clauses, phi.n)
+        masks = phi.masks
+        index = restriction_index(masks, phi.n)
         for count in range(rng.randint(1, 4)):
             rho, kind = random_restriction(rng, phi.n)
-            result = restrict_cnf(phi, rho)
-            expected = reference_restrict_cnf(phi, rho)
+            restricted = restrict_cnf(masks, index, rho)
+            result, expected = decoded(restricted, phi.n), reference_restrict_cnf(phi, rho)
+            assert type(restricted) is tuple and restricted == expected.masks
             assert result == expected  # same n, same clauses in the same order
             assert repr(result) == repr(expected)
             seen[kind] += 1
@@ -512,8 +519,9 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
             seen["long"] += len(rho) > phi.n
         seen["tautology"] += TAUTOLOGY in phi.clauses
         seen["wide"] += phi.n > 64 and len(phi.clauses) > 64
-        # the index restrict_cnf built takes no part in equality or the repr
+        # a Cnf rebuilt from its own clauses is the same value
         assert phi == fresh and fresh == phi and repr(phi) == repr(fresh)
+        assert hash(phi) == hash(fresh)
     assert min(seen.values()) >= 100, seen
 
 
@@ -521,16 +529,44 @@ def test_restrict_cnf_rejects_a_short_rho():
     phi = Cnf([cl(1, 3)], 3)
     # x1 satisfies the clause, so no literal of it needs the missing x3
     with pytest.raises(InputError):
-        restrict_cnf(phi, PartialAssignment.from_string("1*"))
+        restrict_kb(phi, PartialAssignment.from_string("1*"))
     # x1 is masked, so x3 is out of range
     with pytest.raises(InputError):
-        restrict_cnf(phi, PartialAssignment.from_string("**"))
+        restrict_kb(phi, PartialAssignment.from_string("**"))
 
 
 def test_restrict_cnf_accepts_a_longer_rho():
     phi = Cnf([cl(1, -2), cl(2)], 2)
     rho = PartialAssignment.from_string("*1*0")
-    assert restrict_cnf(phi, rho) == Cnf([cl(1)], 2)
+    assert restrict_cnf(phi.masks, restriction_index(phi.masks, 2), rho) == Cnf([cl(1)], 2).masks
+
+
+def test_backend_restricts_each_kb_by_its_own_index():
+    # one backend restricts two KBs of the same length and n in turn, A, B,
+    # then A again; the index it keeps must follow the hyps tuple it is
+    # given.  Equal restrictions are equal tuples with equal hashes, so a
+    # restricted instance can key a memo
+    n = 3
+    kbs = [Cnf([cl(1, 2), cl(-1, 3), cl(-2, -3)], n), Cnf([cl(-1, 2), cl(1, -3), cl(2, 3)], n)]
+    masks = [phi.masks for phi in kbs]
+    backend = SpaceResolutionBackend(s=2, n=n)
+    rhos = [PartialAssignment(x) for x in itertools.product((0, 1, None), repeat=n)]
+    seen = Counter()
+    for which in (0, 1, 0):
+        phi, hyps = kbs[which], masks[which]
+        by_reference = {}
+        for rho in rhos:
+            restricted = backend.restrict_hyps(hyps, rho)
+            expected = reference_restrict_cnf(phi, rho)
+            assert type(restricted) is tuple and decoded(restricted, n) == expected, (which, rho)
+            first = by_reference.setdefault(expected, restricted)
+            assert first == restricted and hash(first) == hash(restricted)
+            seen["same restriction again"] += first is not restricted
+        seen["differs from the other kb"] += sum(
+            decoded(backend.restrict_hyps(masks[1 - which], rho), n) != reference_restrict_cnf(phi, rho)
+            for rho in rhos
+        )
+    assert min(seen.values()) >= 20, seen
 
 
 def random_differential_case(rng):
@@ -572,7 +608,7 @@ def test_mask_kernels_match_the_frozenset_reference():
         instances = [(phi, target)]
         for _ in range(6):
             rho = random_partial(rng, phi.n, rng.choice((0.3, 0.6, 0.9)))
-            restricted = restrict_cnf(phi, rho)
+            restricted = restrict_kb(phi, rho)
             expected = reference_restrict_cnf(phi, rho)
             assert restricted == expected and repr(restricted) == repr(expected)
             assert restricted.clauses == expected.clauses
@@ -581,7 +617,7 @@ def test_mask_kernels_match_the_frozenset_reference():
             )
             instances.append((restricted, restrict_clause(target, rho)))
             again = random_partial(rng, phi.n, 0.7)
-            twice, expected_twice = restrict_cnf(restricted, again), reference_restrict_cnf(expected, again)
+            twice, expected_twice = restrict_kb(restricted, again), reference_restrict_cnf(expected, again)
             assert repr(twice) == repr(expected_twice) and twice == expected_twice
             seen["twice"] += len(twice.clauses) > 0
         seen["empty"] += BOT in phi.clauses
@@ -698,7 +734,7 @@ def test_search_space_matches_generalized_unit_propagation():
         phi, target = random_space_case(rng)
         s = rng.randint(1, 5)
         accepted = derives_in_space(phi.clauses, s, target)
-        assert (search_space(phi, s, encode_clause(target)) is not None) == accepted
+        assert (search_space(phi.masks, s, encode_clause(target)) is not None) == accepted
         seen["accepted" if accepted else "rejected"] += 1
         if accepted and s > 1 and not derives_in_space(phi.clauses, s - 1, target):
             seen[f"exactly s={s}"] += 1
@@ -730,12 +766,12 @@ def test_decide_pac_stream_matches_generalized_unit_propagation():
     query = cl(1, 2)
     params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20))
     outcome = decide_pac_from_distribution(
-        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb, params, dist, mask, seed=11,
-        m=400,
+        SpaceResolutionBackend(s=s, n=n), encode_clause(query), kb.masks, params, dist, mask,
+        seed=11, m=400,
     )
     seen = Counter()
     for rho, verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
-        hyps, goal = restrict_cnf(kb, rho).clauses, restrict_clause(query, rho)
+        hyps, goal = restrict_kb(kb, rho).clauses, restrict_clause(query, rho)
         assert verdict == derives_in_space(hyps, s, goal), rho
         seen["settled" if goal is TAUTOLOGY else "accepted" if verdict else "rejected"] += 1
         seen["exactly s=3"] += verdict and not derives_in_space(hyps, s - 1, goal)

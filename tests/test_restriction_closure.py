@@ -176,15 +176,16 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
 
 
 def random_space_instance(rng):
-    """A clause-space instance over n <= 4 variables with tautological KB
-    clauses, and query masks that are sometimes empty or the tautology."""
+    """A clause-space instance over n <= 4 variables: the masks of a KB
+    with tautological clauses, which they leave out, and query masks that
+    are sometimes empty or the tautology."""
     n = rng.randint(2, 4)
     clauses = [random_clause(rng, n) for _ in range(rng.randint(1, 5))]
     tautological = rng.random() < 0.5
     if tautological:
         clauses.append(TAUTOLOGY)
     query = rng.choice((random_clause(rng, n, max_width=2), frozenset(), TAUTOLOGY))
-    return n, rng.randint(1, 3), encode_clause(query), Cnf(clauses, n), tautological
+    return n, rng.randint(1, 3), encode_clause(query), Cnf(clauses, n).masks, tautological
 
 
 def test_res_space_accepts_every_restriction_of_what_it_accepts():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_formulas import VALUES
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pacreason"
 
@@ -150,6 +152,23 @@ def test_value_classes_keep_the_builtin_equality_and_hash():
                 )
     assert found == {name: [base] for name, base in values.items()}
     assert offenders == []
+
+
+def test_every_value_class_has_a_copy_case():
+    # tests/test_formulas.py round-trips one instance of each value class
+    # through copy, deepcopy and pickle: every Record subclass, also through
+    # another one, and the three container values
+    bases = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                bases[cls.name] = {getattr(base, "id", None) for base in cls.bases}
+    values = {"KDnf", "LinIneq", "PartialAssignment"} & bases.keys() | {"Record"}
+    while more := {name for name, of in bases.items() if of & values} - values:
+        values |= more
+    assert values - {"Record"} == {type(value).__name__ for value in VALUES}
+    assert {"Cnf", "KDnf", "LinIneq", "PartialAssignment", "TraceStep"} < values
 
 
 def test_cli_knows_no_system_by_name():
