@@ -52,12 +52,6 @@ from .resolution import encode_clause, proof_to_text, proof_tree, restrict_cnf, 
 from .resolution import restriction_index, search_space
 
 
-def _restrict_each(restrict_one, formulas, rho) -> tuple:
-    """Restricts every formula by rho and drops those that became TRUE."""
-    restricted = (restrict_one(phi, rho) for phi in formulas)
-    return tuple(phi for phi in restricted if phi is not TRUE)
-
-
 def _same_n(query_n: int, kb_n: int) -> None:
     if query_n != kb_n:
         raise InputError(f"query n={query_n} does not match kb n={kb_n}")
@@ -143,11 +137,12 @@ class ResKWidthBackend:
         return tuple(f"{step.rule}: {step.formula!r}" for step in proof)
 
     def restrict_query(self, query, rho):
-        restricted = _restrict_each(restrict_kdnf, query, rho)
+        restricted = self.restrict_hyps(query, rho)  # the negated query's k-DNFs
         return TRUE if BOTTOM in restricted else restricted
 
     def restrict_hyps(self, hyps, rho):
-        return _restrict_each(restrict_kdnf, hyps, rho)
+        restricted = (restrict_kdnf(phi, rho, self.n) for phi in hyps)
+        return tuple(phi for phi in restricted if phi is not TRUE)
 
 
 class PolynomialCalculusBackend:

@@ -16,7 +16,6 @@ goes to stderr so reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 import time
@@ -64,6 +63,15 @@ def _load_instance(args):
     return backend_class.load(args.system, kb_text, query_text, **budgets)
 
 
+def _load_source(args, n: int = None):
+    """The --dist distribution (of n variables, if given) and --mask spec."""
+    dist = formats.parse_dist(formats.read_text(args.dist))
+    if n is not None and dist.n != n:
+        raise InputError(f"distribution n={dist.n} does not match instance n={n}")
+    mask = formats.parse_mask_spec(args.mask, dist.n, base_dir=os.path.dirname(args.dist) or ".")
+    return dist, mask
+
+
 def _load_examples(args, n: int, params: PacParams):
     if args.samples is not None:
         drawn = [name for name in ("dist", "mask", "seed") if getattr(args, name) is not None]
@@ -79,12 +87,7 @@ def _load_examples(args, n: int, params: PacParams):
         return examples
     if args.dist is None or args.mask is None or args.seed is None:
         raise InputError("need either --samples or all of --dist, --mask and --seed")
-    dist = formats.parse_dist(formats.read_text(args.dist))
-    if dist.n != n:
-        raise InputError(f"distribution n={dist.n} does not match instance n={n}")
-    mask = formats.parse_mask_spec(
-        args.mask, n, base_dir=os.path.dirname(args.dist) or "."
-    )
+    dist, mask = _load_source(args, n)
     m = args.m
     if m is None:
         m = required_sample_size(params.gamma, params.delta)
@@ -98,13 +101,7 @@ def run_scenario(args):
     params = PacParams(args.epsilon, args.gamma, args.delta)
     backend, query, hyps = _load_instance(args)
     examples = _load_examples(args, backend.n, params)
-    # the inputs live through the run, and a PartialAssignment (a tuple
-    # subclass) stays tracked: frozen, the collector skips every example
-    gc.freeze()
-    try:
-        outcome = decide_pac(backend, query, hyps, params, examples)
-    finally:
-        gc.unfreeze()
+    outcome = decide_pac(backend, query, hyps, params, examples)
     lines = [
         f"system={args.system}",
         f"epsilon={args.epsilon}",
@@ -154,10 +151,7 @@ def _write_output(text, path) -> int:
 
 
 def _cmd_sample(args) -> int:
-    dist = formats.parse_dist(formats.read_text(args.dist))
-    mask = formats.parse_mask_spec(
-        args.mask, dist.n, base_dir=os.path.dirname(args.dist) or "."
-    )
+    dist, mask = _load_source(args)
     examples = draw_masked_examples(dist, mask, args.m, args.seed)
     text = formats.serialize_pasgns(dist.n, examples)
     return _write_output(text, args.out)

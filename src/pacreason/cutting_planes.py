@@ -36,7 +36,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import InputError, RuleError
-from .formulas import Const, PartialAssignment, TRUE, out_of_range
+from .formulas import Const, TRUE
 from .resolution import TAUTOLOGY
 from .saturation import derivation, saturate, seed_inputs
 
@@ -295,25 +295,23 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: dict | None = None):
     return True, derivation(target, table, outside, lambda line: LinIneq(*line))
 
 
-def residual_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq:
-    """Variables set to 1 move into the bound, variables set to 0 vanish.
-    Neither norm grows, and addition, multiplication and division commute
-    with it, so keeping every residual hypothesis keeps a derivation."""
+def residual_ineq(ineq: LinIneq, rho: tuple) -> LinIneq:
+    """Variables the example rho sets to 1 move into the bound, those set to
+    0 vanish.  Neither norm grows, and addition, multiplication and division
+    commute with it, so keeping every residual hypothesis keeps a derivation."""
+    true, false = rho
     fixed = 0
     kept = []
     for v, c in ineq.coeffs:
-        try:
-            value = rho[v - 1]
-        except IndexError:
-            raise out_of_range(v, rho) from None
-        if value is None:
-            kept.append((v, c))
-        elif value == 1:
+        bit = 1 << 2 * v  # the literal x_v
+        if bit & true:
             fixed += c
+        elif not bit & false:
+            kept.append((v, c))
     return LinIneq(kept, ineq.bound - fixed)
 
 
-def restrict_ineq(ineq: LinIneq, rho: PartialAssignment) -> LinIneq | Const:
+def restrict_ineq(ineq: LinIneq, rho: tuple) -> LinIneq | Const:
     """The residual inequality, collapsed to TRUE when witnessed true."""
     residual = residual_ineq(ineq, rho)
     return TRUE if always_witnessed_true(residual) else residual

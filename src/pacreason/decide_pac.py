@@ -6,7 +6,7 @@ examples: restrict the query and hypotheses by each example, run the backend,
 and accept exactly when the number of rejections stays within the budget
 floor(eps * m).
 
-A backend is any object with
+A backend, given each example rho as its literal-mask pair, is any object with
 
     n                              -- variable count of its instances
     decide(query, hyps)            -- pure, deterministic; the proof found,
@@ -33,6 +33,7 @@ from math import ceil, log
 
 from .errors import InputError
 from .formulas import TRUE, Record
+from .resolution import negation
 from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
@@ -102,15 +103,23 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     """Decide every example with `decide_example` and tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
+    An example that is not a literal-mask pair over x1..xn is an InputError.
     """
     examples = list(examples)
     m = len(examples)
     if m < 1:
         raise InputError("need at least one example")
     n = backend.n
+    negate = negation(n)
     for rho in examples:
-        if len(rho) != n:
-            raise InputError(f"example {rho} has length {len(rho)}, expected {n}")
+        try:
+            true, false = rho
+            # false is true swapped, so true & false marks both literals in true
+            ok = not (true >> 2 * n + 2 or true & 3 or true & false) and false == negate(true)
+        except (TypeError, ValueError):  # not a pair of ints
+            ok = False
+        if not ok:
+            raise InputError(f"example {rho!r} is not a literal-mask pair over x1..x{n}")
 
     verdicts = tuple(decide_example(backend, query, hyps, rho) for rho in examples)
 

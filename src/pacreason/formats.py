@@ -35,6 +35,9 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
+A pasgn line reads as its `PartialAssignment.masks` pair, and every bit
+string, a pasgn line too, passes one check, `_is_string_over`.
+
 Numbers are what `int` or `Fraction` reads, in ASCII and without '_'; a
 decimal exponent is at most MAX_EXPONENT in size, and a rational's numerator
 and denominator have at most MAX_EXPONENT + 1 digits.  Header fields are
@@ -50,11 +53,10 @@ import os
 from fractions import Fraction
 
 from .errors import FormatError, InputError
-from .formulas import PartialAssignment
 from .cutting_planes import LinIneq
 from .polycalc import Polynomial
 from .res_k import KDnf
-from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause
+from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause, negation
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 
 # str() prints an int of at most 4300 digits (Python's default limit), so a
@@ -154,6 +156,11 @@ def _parse_file(text, kind, field_count, noun, reader, end=None, comments="#"):
     return header, records
 
 
+def _is_string_over(text, n, alphabet) -> bool:
+    """Whether `text` is n characters, each one of `alphabet`."""
+    return len(text) == n and not text.strip(alphabet)
+
+
 def _variable(text, n, noun, token):
     """The index in `text`, which must be `x<ASCII digits>` with the index in
     1..n; otherwise a FormatError calls `token` a bad `noun`."""
@@ -211,21 +218,27 @@ def parse_pasgns(text):
     return n, out
 
 
+# a variable's base-4 digit in the true mask, and a hex digit's two variables
+_PASGN_DIGITS = str.maketrans("10*", "120")
+_PASGN_CHARS = {ord(f"{a + 4 * b:x}"): "*10"[a] + "*10"[b] for a in range(3) for b in range(3)}
+
+
 def _pasgn_reader(n):
+    negate = negation(n)  # the false mask of a true mask
+
     def read(line):
-        try:
-            rho = PartialAssignment.from_string(line)  # rejects a bad character
-        except InputError:
-            rho = None
-        if rho is None or len(rho) != n:
+        if not _is_string_over(line, n, "01*"):
             raise FormatError(f"expected {n} characters over 0/1/*")
-        return (rho,)
+        true = int(line[::-1].translate(_PASGN_DIGITS), 4) << 2
+        return ((true, negate(true)),)
 
     return read
 
 
-def serialize_pasgns(n: int, assignments) -> str:
-    return _file_text("pasgn", [n], map(str, assignments))
+def serialize_pasgns(n: int, examples) -> str:
+    width = n // 2 + 1  # hex digits of bits 0..2n+1, lowest first: x0 (unset) and x1, ...
+    lines = (f"{true:0{width}x}"[::-1].translate(_PASGN_CHARS)[1:n + 1] for true, _ in examples)
+    return _file_text("pasgn", [n], lines)
 
 
 # ---------------------------------------------------------------- kdnf
@@ -346,7 +359,7 @@ def _dist_reader(n):
             raise FormatError("expected '<weight> <bits>'")
         weight = _number(read_fraction, parts[0], "rational")
         bits = parts[1]
-        if len(bits) != n or any(ch not in "01" for ch in bits):
+        if not _is_string_over(bits, n, "01"):
             raise FormatError(f"expected {n} bits")
         return ((tuple(int(ch) for ch in bits), weight),)
 
@@ -354,7 +367,7 @@ def _dist_reader(n):
 
 
 def serialize_dist(dist: ExplicitDistribution) -> str:
-    lines = (f"{w.numerator}/{w.denominator} {PartialAssignment(x)}" for x, w in dist.support)
+    lines = (f"{w.numerator}/{w.denominator} {''.join(map(str, x))}" for x, w in dist.support)
     return _file_text("dist", [dist.n], lines)
 
 
@@ -369,7 +382,7 @@ def parse_mask_table(text) -> TableMask:
             parts = line.split()
             if len(parts) != 2 or len(parts[0]) != n or len(parts[1]) != n:
                 raise FormatError(f"expected '<{n} bits> <{n} bits>'")
-            if any(ch not in "01" for ch in parts[0] + parts[1]):
+            if not _is_string_over(parts[0] + parts[1], 2 * n, "01"):
                 raise FormatError("mask table entries are over 0/1")
             x = tuple(int(ch) for ch in parts[0])
             if x in rule:
@@ -388,7 +401,7 @@ def parse_mask_spec(spec: str, n: int, base_dir: str = "."):
     if not colon:
         raise FormatError(f"bad mask spec {spec!r}; expected fixed:, iid: or table:")
     if kind == "fixed":
-        if len(rest) != n or any(ch not in "01" for ch in rest):
+        if not _is_string_over(rest, n, "01"):
             raise FormatError(f"fixed mask pattern must be {n} characters over 0/1")
         return FixedMask(i + 1 for i, ch in enumerate(rest) if ch == "1")
     if kind == "iid":

@@ -144,7 +144,6 @@ class WitnessStatus(Enum):
 
 _CHAR_VALUES = {"0": 0, "1": 1, "*": None}
 _VALUE_CHARS = {v: ch for ch, v in _CHAR_VALUES.items()}
-_ENTRY_TYPES = {int, type(None)}
 
 
 def is_bit(value) -> bool:
@@ -166,27 +165,17 @@ def _entry(value):
 class PartialAssignment(tuple):
     """A vector over {0, 1, *}: the tuple of its entries, each the int 0 or
     1, or None where masked.  It equals and hashes as that plain tuple; entry
-    i (1-based) is `value(i)`."""
+    i (1-based) is `value(i)`.  The proof systems restrict by its `masks`."""
 
     __slots__ = ()
 
     def __new__(cls, entries: Iterable):
-        self = tuple.__new__(cls, entries)
-        # two passes in C; the type pass stops 1.0 or Fraction(1) from passing
-        # by equality and sends a bool to `_entry`
-        if set(map(type, self)) <= _ENTRY_TYPES and set(self) <= _VALUE_CHARS.keys():
-            return self
-        return tuple.__new__(cls, map(_entry, self))
-
-    @classmethod
-    def _trusted(cls, entries) -> "PartialAssignment":
-        """Wraps an iterable of 0, 1 and None without checking it."""
-        return tuple.__new__(cls, entries)
+        return tuple.__new__(cls, map(_entry, entries))
 
     @classmethod
     def from_string(cls, text: str) -> "PartialAssignment":
         try:
-            return cls._trusted(map(_CHAR_VALUES.__getitem__, text))
+            return cls(map(_CHAR_VALUES.__getitem__, text))
         except KeyError as exc:
             raise InputError(f"bad partial assignment character {exc.args[0]!r}") from None
 
@@ -202,6 +191,17 @@ class PartialAssignment(tuple):
 
     def masked_vars(self) -> tuple:
         return tuple(i + 1 for i, e in enumerate(self) if e is None)
+
+    @property
+    def masks(self) -> tuple:
+        """The example as the pair (true, false) of the literal masks
+        (`resolution.literal_bit`) of what it makes true and false."""
+        true = false = 0
+        for v, e in enumerate(self, 1):
+            if e is not None:
+                true |= 1 << 2 * v + 1 - e
+                false |= 1 << 2 * v + e
+        return true, false
 
     def __str__(self):
         return "".join(map(_VALUE_CHARS.__getitem__, self))

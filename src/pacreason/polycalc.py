@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .formulas import PartialAssignment, Record
+from .formulas import Record
 from .resolution import TAUTOLOGY, literal_bit, literals_text, restrict_term
 
 PC = "pc"
@@ -257,11 +257,10 @@ def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
     return not gaussian_reduce(codec.row(q), basis)
 
 
-def restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
-    """Restrict each monomial as the conjunction of its literals
-    (`restrict_term`): it dies when rho falsifies a literal and loses the
-    literals rho makes true, and like monomials merge.  Raises InputError for
-    a variable beyond len(rho)."""
+def restrict_polynomial(p: Polynomial, rho: tuple) -> Polynomial:
+    """Restrict each monomial by the example rho as the conjunction of its
+    literals (`restrict_term`): it dies when rho falsifies a literal and
+    loses the literals rho makes true, and like monomials merge."""
     data = {}
     for m, c in p.terms.items():
         kept = restrict_term(m, rho)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import InputError
-from .formulas import Const, PartialAssignment, TRUE
+from .formulas import Const, TRUE
 from .resolution import TAUTOLOGY, literal_bit, restrict_term
 from .saturation import derivation, saturate, seed_inputs
 
@@ -85,8 +85,9 @@ def _checked(terms) -> KDnf:
     return frozenset.__new__(KDnf, iter(terms))
 
 
-def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> KDnf | Const:
-    """Drop falsified terms, strip satisfied literals; may collapse to true.
+def restrict_kdnf(phi: KDnf, rho: tuple, n: int) -> KDnf | Const:
+    """Drop the terms rho (an example over x1..xn) falsifies, strip satisfied
+    literals; may collapse to true.
 
     A fully satisfied term makes the whole disjunction TRUE.  The all-literals
     encoding of the constant 1 also collapses to TRUE.
@@ -99,8 +100,9 @@ def restrict_kdnf(phi: KDnf, rho: PartialAssignment) -> KDnf | Const:
         if not kept:
             return TRUE
         new_terms.add(frozenset(kept))
-    # kept literals are masked, so 2 * |masked| one-literal terms are all of them
-    if len(new_terms) == 2 * rho.count(None) > 0 and all(len(t) == 1 for t in new_terms):
+    # kept literals are masked, so 2 * |masked| one-literal terms are all of
+    # them; the true mask has one bit per set variable
+    if len(new_terms) == 2 * (n - rho[0].bit_count()) > 0 and all(len(t) == 1 for t in new_terms):
         return TRUE
     return _checked(new_terms)
 

@@ -12,6 +12,9 @@ value of clauses, and its `masks` are the tuple of literal masks that
 `restrict_cnf` restricts, through a `restriction_index` built once per
 tuple, into another such tuple, which `search_space` searches.
 
+An example rho is the pair (true, false) of the literal masks of what it
+makes true and false; every restriction reads it with int tests.
+
 Treelike proofs are trees of Leaf / Weaken / Cut nodes, each annotated with
 the clause it derives.  `search_space` returns its proof as mask steps, and
 `proof_tree` builds the tree from them.  Clause space follows the pebbling
@@ -27,13 +30,11 @@ from .formulas import (
     FALSE,
     Const,
     Formula,
-    PartialAssignment,
     Record,
     TRUE,
     conjunction,
     disjunction,
     literal as literal_formula,
-    out_of_range,
 )
 
 TAUTOLOGY = TRUE
@@ -74,6 +75,13 @@ def literal_bit(lit: int) -> int:
     """Bit 2v for x_v, bit 2v+1 for -x_v.  Also the one literal sort key:
     by variable, x_v before -x_v."""
     return 1 << (2 * lit if lit > 0 else 1 - 2 * lit)
+
+
+def negation(n: int):
+    """The map from a literal mask over x1..xn to the mask of the negated
+    literals, which swaps each variable's two bits."""
+    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
+    return lambda bits: (bits & even) << 1 | bits >> 1 & even
 
 
 def literals_text(literals, sep: str, neg: str = "-") -> str:
@@ -355,88 +363,61 @@ def proof_tree(found: tuple | None) -> ProofNode | None:
     return build(goal, step)
 
 
-def restrict_mask(bits: int | Const, rho: PartialAssignment) -> int | Const:
-    """The literal mask of a clause restricted by rho: TAUTOLOGY when rho
-    satisfies one of its literals, otherwise the mask without the literals
-    rho falsifies.  TAUTOLOGY stays TAUTOLOGY.  Raises InputError for a
-    variable beyond len(rho)."""
-    if bits is TAUTOLOGY:
+def restrict_mask(bits: int | Const, rho: tuple) -> int | Const:
+    """The literal mask of a clause restricted by the example rho:
+    TAUTOLOGY when rho makes one of its literals true, otherwise the mask
+    without the literals rho makes false.  TAUTOLOGY stays TAUTOLOGY."""
+    true, false = rho
+    if bits is TAUTOLOGY or bits & true:
         return TAUTOLOGY
-    kept = bits
-    while bits:
-        lit = bits & -bits
-        index = lit.bit_length() - 1
-        try:
-            value = rho[(index >> 1) - 1]
-        except IndexError:
-            raise out_of_range(index >> 1, rho) from None
-        if value is not None:
-            if value != index & 1:  # x_v (even index) holds at 1, -x_v at 0
-                return TAUTOLOGY
-            kept ^= lit
-        bits ^= lit
-    return kept
+    return bits & ~false
 
 
-def restrict_term(term, rho: PartialAssignment) -> list | None:
-    """The literals of a conjunction that rho leaves masked, in term order,
-    or None when rho falsifies one of them.  Raises InputError for a
-    variable beyond len(rho)."""
+def restrict_term(term, rho: tuple) -> list | None:
+    """The literals of a conjunction that the example rho leaves masked, in
+    term order, or None when rho makes one of them false."""
+    true, false = rho
     kept = []
     for lit in term:
-        try:
-            v = rho[abs(lit) - 1]
-        except IndexError:
-            raise out_of_range(abs(lit), rho) from None
-        if v is None:
-            kept.append(lit)
-        elif (v == 1) != (lit > 0):
+        bit = 1 << (2 * lit if lit > 0 else 1 - 2 * lit)  # literal_bit(lit)
+        if bit & false:
             return None
+        if not bit & true:
+            kept.append(lit)
     return kept
 
 
 def restriction_index(masks: tuple, n: int) -> tuple:
-    """For each variable v of 1..n, `[v - 1][value]` is the pair (the masks
-    that x_v = value satisfies, as a bitmask where bit i stands for mask i;
-    the bit of the literal that x_v = value falsifies)."""
-    by_literal = {}
-    for i, bits in enumerate(masks):
-        while bits:
-            low = bits & -bits
-            by_literal[low] = by_literal.get(low, 0) | 1 << i
-            bits ^= low
-    return tuple(
-        (
-            (by_literal.get(2 << 2 * v, 0), 1 << 2 * v),
-            (by_literal.get(1 << 2 * v, 0), 2 << 2 * v),
-        )
-        for v in range(1, n + 1)
-    )
+    """One 256-entry table per byte of a true mask over x1..xn, low byte
+    first: entry b of table j is the bitmask (bit i for mask i) of the masks
+    that hold a literal whose bit is set in b at byte j."""
+    tables = []
+    for shift in range(0, 2 * n + 2, 8):
+        holding = [sum(1 << i for i, bits in enumerate(masks) if bits >> shift + k & 1)
+                   for k in range(8)]  # the masks that hold literal bit shift + k
+        table = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            table[b] = table[b ^ low] | holding[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
 
 
-def restrict_cnf(masks: tuple, index: tuple, rho: PartialAssignment) -> tuple:
-    """Restrict every literal mask, dropping the satisfied ones, in mask
-    order; `index` is `restriction_index(masks, n)`.
+def restrict_cnf(masks: tuple, index: tuple, rho: tuple) -> tuple:
+    """Restrict every literal mask by the example rho over x1..xn, dropping
+    the satisfied ones, in mask order; `index` is `restriction_index(masks, n)`.
 
-    The masks that rho satisfies are the OR of the bitmasks of its set
-    coordinates, and each mask left, read off the other bits in ascending
-    order, which is mask order, loses the literals rho falsifies by an AND
-    with the complement of their OR.  Equal results keep the first.  The
-    result equals `restrict_mask` on each mask, with TAUTOLOGY dropped.
-    Coordinates of rho beyond n are ignored; raises InputError when rho is
-    shorter than n.
+    The masks that rho satisfies are the OR of one table lookup per byte of
+    its true mask, and each mask left, read off the other bits in ascending
+    order, which is mask order, loses the literals of the false mask.  Equal
+    results keep the first.  The result equals `restrict_mask` on each mask,
+    with TAUTOLOGY dropped.
     """
-    if len(rho) < len(index):
-        raise InputError(
-            f"partial assignment has length {len(rho)}, CNF needs at least {len(index)}"
-        )
-    satisfied = false_lits = 0
-    for value, pairs in zip(rho, index):
-        if value is not None:
-            clause_bits, lit_bit = pairs[value]
-            satisfied |= clause_bits
-            false_lits |= lit_bit
-    keep = ~false_lits
+    true, false = rho
+    satisfied = 0
+    for table, byte in zip(index, true.to_bytes(len(index), "little")):
+        satisfied |= table[byte]
+    keep = ~false
     left = ~satisfied & ((1 << len(masks)) - 1)
     kept = {}
     while left:

@@ -11,9 +11,9 @@ Python versions.
 `draw_examples` computes its per-run tables once, before the first draw: the
 common denominator of the weights with its bit length and cumulative integer
 weights (an assignment is picked by bisection on them), the hide probability's
-numerator, denominator and bit length, and one shared masked example per
-support point for masks that need no draws (fixed, table, and iid with
-probability 0 or 1; partial assignments are immutable).  The tables change
+numerator, denominator and bit length, and each support point's example (the
+pair of `PartialAssignment.masks`), whole or, for masks that need no draws
+(fixed, table, and iid with probability 0 or 1), masked.  The tables change
 only the cost of a draw, not the stream layout above.  Because of them a table
 mask must have a rule for every support point, whatever the seed draws.
 """
@@ -112,8 +112,9 @@ class TableMask(Record):
         return f"TableMask({self.rule!r})"
 
 
-def _masked_point(x, hidden) -> PartialAssignment:
-    return PartialAssignment._trusted(None if (i + 1) in hidden else b for i, b in enumerate(x))
+def _hide(example: tuple, hidden) -> tuple:
+    keep = ~sum(3 << 2 * v for v in hidden)  # both literals of each hidden variable
+    return example[0] & keep, example[1] & keep
 
 
 def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
@@ -133,22 +134,24 @@ def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
     cumulative = list(
         accumulate(w.numerator * (denom // w.denominator) for _, w in dist.support)
     )
+    revealed = [PartialAssignment(x).masks for x in points]
     masked = None
     if isinstance(mask, IndependentMask):
         p = mask.hide_prob
         if p.denominator == 1:  # p is 0 or 1: no mask draws
             hidden = range(1, dist.n + 1) if p else ()
-            masked = [_masked_point(x, hidden) for x in points]
+            masked = [_hide(example, hidden) for example in revealed]
         else:
             hide_num, hide_den = p.numerator, p.denominator
             hide_bits = (hide_den - 1).bit_length()
+            both = [3 << 2 * v for v in range(1, dist.n + 1)]  # x_v and -x_v
     elif isinstance(mask, FixedMask):
-        masked = [_masked_point(x, mask.hidden) for x in points]
+        masked = [_hide(example, mask.hidden) for example in revealed]
     elif isinstance(mask, TableMask):
         for x in points:
             if x not in mask.rule:
                 raise InputError(f"mask table has no rule for support point {x}")
-        masked = [_masked_point(x, mask.rule[x]) for x in points]
+        masked = [_hide(example, mask.rule[x]) for x, example in zip(points, revealed)]
     else:
         raise InputError(f"unknown mask spec: {mask!r}")
 
@@ -163,13 +166,15 @@ def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
         if masked is not None:
             out.append((x, masked[j]))
             continue
-        entries = []
-        for b in x:  # index order, one draw per coordinate
+        hidden = 0
+        for bits in both:  # index order, one draw per coordinate
             r = getrandbits(hide_bits)
             while r >= hide_den:
                 r = getrandbits(hide_bits)
-            entries.append(None if r < hide_num else b)
-        out.append((x, PartialAssignment._trusted(entries)))
+            if r < hide_num:
+                hidden |= bits
+        true, false = revealed[j]
+        out.append((x, (true & ~hidden, false & ~hidden)))
     return out
 
 

@@ -1,6 +1,11 @@
 """Shared random generators for the test suite (seeded, deterministic), and
-test-only helpers built on the package: the two-recursion witnessing and
-restriction that `formulas.restrict` must match exactly, small semantic
+test-only helpers built on the package: `example`, the literal-mask pair
+that the restriction kernels and `decide_pac` take, of a PartialAssignment
+or its string, and `assignment_of`, the PartialAssignment of a true mask;
+the per-literal restriction loops through `rho.value` (terms, residual
+inequalities, k-DNFs, polynomials) that the mask kernels must match; the
+two-recursion witnessing and restriction that `formulas.restrict` must match
+exactly, small semantic
 helpers (completions of a partial assignment, proof size, k-DNFs as
 formulas, inequalities at a point), a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
@@ -9,8 +14,7 @@ RES(k) and cutting-planes deciders with their own round loops, which the
 deciders built on `saturation` must match exactly, and the PC kernel on
 `Fraction` coefficients and frozenset monomials (a list basis sorted by leading
 monomial, scanned on every reduction, and the per-term restriction), which the
-int-keyed `polycalc` kernel must match up to the scale of each row, the k-DNF
-restriction through `rho.value`, which `res_k.restrict_kdnf` must match, the
+int-keyed `polycalc` kernel must match up to the scale of each row, the
 projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
@@ -35,6 +39,7 @@ from pacreason.backends import (
 )
 from pacreason.cutting_planes import (
     TRUTH_AXIOM,
+    LinIneq,
     add_ineqs,
     decide_cp,
     divide_ineq,
@@ -102,9 +107,10 @@ def plain_restricted_query(backend, query, rho):
     settled query collapses to TRUE: RES(k) keeps a k-DNF restricted to
     BOTTOM, PC/PCR a polynomial restricted to zero, and cutting planes the
     residual inequality, even when it is witnessed true.  A clause restricts
-    to TAUTOLOGY, which the clause-space search takes as an axiom."""
+    to TAUTOLOGY, which the clause-space search takes as an axiom.  rho is
+    an example's literal-mask pair."""
     if isinstance(backend, ResKWidthBackend):
-        restricted = (restrict_kdnf(phi, rho) for phi in query)
+        restricted = (restrict_kdnf(phi, rho, backend.n) for phi in query)
         return tuple(phi for phi in restricted if phi is not TRUE)
     if isinstance(backend, PolynomialCalculusBackend):
         return restrict_polynomial(query, rho)
@@ -141,6 +147,28 @@ def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
     budget = failure_budget(params.epsilon, len(examples))
     verdict = REJECT if failed > budget else ACCEPT
     return PacOutcome(verdict, failed, budget, len(examples), verdicts)
+
+
+def example(rho) -> tuple:
+    """The literal-mask pair (true, false) that the restriction kernels and
+    `decide_pac` take, of a PartialAssignment or of its {0, 1, *} string."""
+    if isinstance(rho, str):
+        rho = PartialAssignment.from_string(rho)
+    return rho.masks
+
+
+def assignment_of(true: int, n: int) -> PartialAssignment:
+    """The partial assignment over x1..xn whose true literals are the
+    literal bits of the mask `true`, such as an example's true mask; both
+    literals of one variable true, bit 0 or 1, or a bit beyond x_n is an
+    error."""
+    entries = []
+    for v in range(1, n + 1):
+        pos, neg = true >> 2 * v & 1, true >> 2 * v + 1 & 1
+        assert not (pos and neg), f"x{v} and -x{v} both true"
+        entries.append(1 if pos else 0 if neg else None)
+    assert true >> 2 * n + 2 == 0 and true & 3 == 0
+    return PartialAssignment(entries)
 
 
 def restrict_clause(clause: Clause, rho: PartialAssignment) -> Clause:
@@ -201,10 +229,10 @@ def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional
 
 
 def restrict_kb(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """`resolution.restrict_cnf` on the masks of phi, with their index built
-    for this call, decoded back into a Cnf over phi.n."""
+    """`resolution.restrict_cnf` on the masks of phi and of rho, with their
+    index built for this call, decoded back into a Cnf over phi.n."""
     masks = phi.masks
-    return decoded(restrict_cnf(masks, restriction_index(masks, phi.n), rho), phi.n)
+    return decoded(restrict_cnf(masks, restriction_index(masks, phi.n), example(rho)), phi.n)
 
 
 def decoded(masks: tuple, n: int) -> Cnf:
@@ -421,7 +449,8 @@ def random_cnf(rng, n, max_clauses=8, max_width=3):
 
 
 class EntailmentOracleBackend:
-    """Brute-force classical entailment over threshold-basis formulas."""
+    """Brute-force classical entailment over threshold-basis formulas, which
+    restrict by the partial assignment of an example's true mask."""
 
     def __init__(self, n: int):
         self.n = n
@@ -430,10 +459,10 @@ class EntailmentOracleBackend:
         return entails(list(hyps), query, self.n)
 
     def restrict_query(self, query, rho):
-        return restrict(query, rho)
+        return restrict(query, assignment_of(rho[0], self.n))
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict(phi, rho) for phi in hyps)
+        restricted = (restrict(phi, assignment_of(rho[0], self.n)) for phi in hyps)
         return tuple(phi for phi in restricted if phi != TRUE)
 
 
@@ -507,7 +536,8 @@ def _hidden_coords(mask, x, rng):
 
 def reference_draw_examples(dist, mask, m, seed):
     """The per-example sampler: recomputes the weight denominator, rescans the
-    weights and rebuilds the masked example on every draw."""
+    weights and rebuilds the masked example, a PartialAssignment turned into
+    its literal-mask pair, on every draw."""
     rng = random.Random(seed)
     out = []
     for _ in range(m):
@@ -516,7 +546,7 @@ def reference_draw_examples(dist, mask, m, seed):
         rho = PartialAssignment(
             None if (i + 1) in hidden else x[i] for i in range(dist.n)
         )
-        out.append((x, rho))
+        out.append((x, example(rho)))
     return out
 
 
@@ -805,22 +835,41 @@ def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Poly
     return Polynomial(out)
 
 
+def reference_restrict_term(term, rho: PartialAssignment):
+    """The literals of a conjunction that rho leaves masked, in term order,
+    or None when rho falsifies one of them, through `rho.value`."""
+    kept = []
+    for lit in term:
+        v = rho.value(abs(lit))
+        if v is None:
+            kept.append(lit)
+        elif (v == 1) != (lit > 0):
+            return None
+    return kept
+
+
+def reference_residual_ineq(ineq, rho: PartialAssignment):
+    """The residual inequality through `rho.value`, rebuilt by the checking
+    `LinIneq` constructor: a variable set to 1 moves its coefficient into
+    the bound, one set to 0 vanishes."""
+    kept, bound = {}, ineq.bound
+    for v, c in ineq.coeffs:
+        value = rho.value(v)
+        if value is None:
+            kept[v] = c
+        elif value == 1:
+            bound -= c
+    return LinIneq(kept, bound)
+
+
 def reference_restrict_kdnf(phi: KDnf, rho: PartialAssignment):
     """Restriction term by term through `rho.value`: falsified terms drop,
     satisfied literals go, a satisfied term or the all-literals encoding of
     the constant 1 collapses to TRUE."""
     new_terms = set()
     for term in phi:
-        kept = []
-        falsified = False
-        for lit in term:
-            v = rho.value(abs(lit))
-            if v is None:
-                kept.append(lit)
-            elif (v == 1) != (lit > 0):
-                falsified = True
-                break
-        if falsified:
+        kept = reference_restrict_term(term, rho)
+        if kept is None:
             continue
         if not kept:
             return TRUE

@@ -71,7 +71,15 @@ from pacreason.sampling import (
     validity,
 )
 
-from helpers import completions, holds_at, random_cnf, random_formula, random_partial, restrict_kb
+from helpers import (
+    completions,
+    example,
+    holds_at,
+    random_cnf,
+    random_formula,
+    random_partial,
+    restrict_kb,
+)
 from pc_span_oracle import span_closure_decides
 from test_polycalc import random_polynomial
 from test_cutting_planes import random_ineq
@@ -145,9 +153,9 @@ def test_criterion_2_restriction_closure():
             continue
         resk_accepted += 1
         for _ in range(20):
-            rho = random_partial(rng, n)
+            rho = example(random_partial(rng, n))
             restricted = [
-                r for r in (restrict_kdnf(h, rho) for h in hyps) if r != TRUE
+                r for r in (restrict_kdnf(h, rho, n) for h in hyps) if r != TRUE
             ]
             again, _ = decide_resk_width(restricted, BOTTOM, 2, 2)
             assert again
@@ -164,7 +172,7 @@ def test_criterion_2_restriction_closure():
             continue
         pc_accepted += 1
         for _ in range(20):
-            rho = random_partial(rng, n)
+            rho = example(random_partial(rng, n))
             assert decide_pc(
                 [restrict_polynomial(h, rho) for h in hyps],
                 restrict_polynomial(q, rho),
@@ -186,7 +194,7 @@ def test_criterion_2_restriction_closure():
             continue
         cp_accepted += 1
         for _ in range(20):
-            rho = random_partial(rng, n)
+            rho = example(random_partial(rng, n))
             assert decide_example(backend, target, hyps, rho)
             checks += 1
 

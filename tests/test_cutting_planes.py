@@ -23,15 +23,11 @@ from pacreason.cutting_planes import (
 from pacreason.resolution import TAUTOLOGY, make_clause
 from pacreason.saturation import TraceStep
 
-from helpers import holds_at, prove_exit_code
+from helpers import example, holds_at, prove_exit_code
 
 
 def ineq(coeffs, bound):
     return LinIneq(coeffs, bound)
-
-
-def pa(text):
-    return PartialAssignment.from_string(text)
 
 
 def test_norms():
@@ -119,9 +115,9 @@ def test_division_needed_for_some_targets():
 
 def test_restrict_ineq_examples():
     phi = ineq({1: 2, 2: -1}, 1)
-    assert restrict_ineq(phi, pa("1*")) == TRUE
-    assert restrict_ineq(phi, pa("*1")) == ineq({1: 2}, 2)
-    assert restrict_ineq(ineq({1: 1, 2: 1}, 1), pa("0*")) == ineq({2: 1}, 1)
+    assert restrict_ineq(phi, example("1*")) == TRUE
+    assert restrict_ineq(phi, example("*1")) == ineq({1: 2}, 2)
+    assert restrict_ineq(ineq({1: 1, 2: 1}, 1), example("0*")) == ineq({2: 1}, 1)
 
 
 def test_restrict_never_grows_norms():
@@ -132,7 +128,7 @@ def test_restrict_never_grows_norms():
         rho = PartialAssignment(
             None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
         )
-        r = restrict_ineq(phi, rho)
+        r = restrict_ineq(phi, example(rho))
         if r != TRUE:
             assert r.l1_norm <= phi.l1_norm
             assert r.sparsity <= phi.sparsity
@@ -203,7 +199,7 @@ def test_restriction_closure_randomized():
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            assert decide_example(backend, target, hyps, rho)
+            assert decide_example(backend, target, hyps, example(rho))
 
 
 def test_trace_checker_rejects_tampering():

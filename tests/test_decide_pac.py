@@ -24,7 +24,7 @@ from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, TRUE, Var
 from pacreason.polycalc import PC, PCR, Indet, Polynomial
 from pacreason.res_k import BOTTOM, KDnf, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, decode_clause, encode_clause, make_clause
+from pacreason.resolution import TAUTOLOGY, Cnf, decode_clause, encode_clause, make_clause, negation
 from pacreason.sampling import (
     ExplicitDistribution,
     FixedMask,
@@ -33,7 +33,14 @@ from pacreason.sampling import (
     draw_masked_examples,
 )
 
-from helpers import EntailmentOracleBackend, completions, holds_at, reference_decide_pac
+from helpers import (
+    EntailmentOracleBackend,
+    assignment_of,
+    completions,
+    example,
+    holds_at,
+    reference_decide_pac,
+)
 from test_restriction_closure import (
     random_kb_ineq,
     random_pc_instance,
@@ -69,7 +76,7 @@ class ScriptedBackend:
 def distinct_examples(count):
     """`count` different full assignments over ScriptedBackend.n variables."""
     n = ScriptedBackend.n
-    return [PartialAssignment(tuple((i >> b) & 1 for b in range(n))) for i in range(count)]
+    return [example(PartialAssignment((i >> b) & 1 for b in range(n))) for i in range(count)]
 
 
 def params(eps="1/10", gamma="1/20", delta="1/20"):
@@ -142,15 +149,45 @@ def test_verdict_is_order_independent():
 
 
 def test_example_length_is_validated():
+    # an example that sets x5 is not an example over ScriptedBackend.n = 4
     backend = ScriptedBackend([True])
     with pytest.raises(InputError):
-        decide_pac(backend, None, None, params(), [PartialAssignment.all_masked(3)])
+        decide_pac(backend, None, None, params(), [example("****1")])
+
+
+def test_a_malformed_example_is_an_input_error():
+    # over n = 4 an example is (true, false), false being true with each
+    # variable's two bits swapped; each pair below breaks one condition, with
+    # false swapped from its true where the condition is on true alone, and
+    # any position in the stream raises before a backend call
+    backend = ScriptedBackend([True])
+    good = distinct_examples(1)[0]  # 0000
+    true, false = good
+    swapped = negation(4)
+    malformed = [
+        (true | 1 << 10, swapped(true | 1 << 10)),  # a bit above x4's
+        (true | 1, swapped(true | 1)),  # bit 0
+        (true | 2, swapped(true | 2)),  # bit 1
+        (true | 1 << 4, swapped(true | 1 << 4)),  # both literals of x2
+        (true, false ^ 1 << 9),  # false is not true swapped
+        (true, 0),
+        (-4, swapped(-4)),
+        PartialAssignment.from_string("0000"),
+        (true, false, 0),
+        (float(true), false),
+    ]
+    assert decide_pac(backend, None, None, params(), [good]).verdict == ACCEPT
+    for rho in malformed:
+        for examples in ([rho], [good, good, rho], [rho, good]):
+            with pytest.raises(InputError) as caught:
+                decide_pac(backend, None, None, params(), examples)
+            assert str(caught.value) == f"example {rho!r} is not a literal-mask pair over x1..x4"
 
 
 def test_resolution_backend_accepts_revealed_antecedent():
     kb = Cnf([make_clause([-1, 2])], 2).masks
     backend = SpaceResolutionBackend(s=1, n=2)
-    examples = [PartialAssignment.from_string("1*")] * 8
+    examples = [example("1*")] * 8
     outcome = decide_pac(backend, encode_clause(make_clause([2])), kb, params(), examples)
     assert outcome.verdict == ACCEPT
     assert outcome.failed_count == 0
@@ -196,7 +233,7 @@ def test_oracle_backend_accept_implies_empirical_validity():
         ]
         query = Var(rng.randint(1, n))
         p = params("1/4", "1/8")
-        outcome = decide_pac(backend, query, (), p, examples)
+        outcome = decide_pac(backend, query, (), p, list(map(example, examples)))
         satisfied = sum(1 for rho in examples if rho.value(query.index) == 1)
         if outcome.verdict == ACCEPT:
             assert Fraction(satisfied, len(examples)) >= 1 - p.epsilon
@@ -206,7 +243,7 @@ def test_res_k_backend_roundtrip():
     kb = (negate_query([frozenset({-1, 2})], k=2),)  # KB k-DNF for clause
     backend = ResKWidthBackend(k=2, w=2, n=2)
     query = (negate_query([frozenset({2})], k=2),)
-    examples = [PartialAssignment.from_string("1*")] * 6
+    examples = [example("1*")] * 6
     # hypothesis here is the clause (not-x1 or x2) as a 1-DNF
     from pacreason.res_k import KDnf
 
@@ -222,7 +259,7 @@ def test_polynomial_backend_under_masking():
     backend = PolynomialCalculusBackend(d=2, n=2, mode=PCR)
     hyps = (encode_clause_pcr(make_clause([-1, 2])),)
     query = encode_clause_pcr(make_clause([2]))
-    examples = [PartialAssignment.from_string("1*")] * 6
+    examples = [example("1*")] * 6
     outcome = decide_pac(backend, query, hyps, params(), examples)
     assert outcome.verdict == ACCEPT
 
@@ -233,7 +270,7 @@ def test_cutting_planes_backend_under_masking():
     backend = CuttingPlanesBackend(w=2, L=4, n=2)
     hyps = (encode_clause_cp(make_clause([-1, 2])),)
     query = encode_clause_cp(make_clause([2]))
-    examples = [PartialAssignment.from_string("1*")] * 6
+    examples = [example("1*")] * 6
     outcome = decide_pac(backend, query, hyps, params(), examples)
     assert outcome.verdict == ACCEPT
 
@@ -329,15 +366,15 @@ def test_plain_decide_accepts_what_a_settled_query_stands_for():
     resk = ResKWidthBackend(k=1, w=1, n=2)
     assert resk.decide((KDnf([(1,)]), BOTTOM), ())
     assert not resk.decide((KDnf([(1,)]),), ())
-    assert resk.restrict_query((KDnf([(-1,)]),), PartialAssignment.from_string("1*")) is TRUE
+    assert resk.restrict_query((KDnf([(-1,)]),), example("1*")) is TRUE
     x1 = Polynomial([(frozenset({Indet(1)}), 1)])
     for mode in (PC, PCR):
         pc = PolynomialCalculusBackend(d=1, n=2, mode=mode)
         assert pc.decide(Polynomial(), ())
         assert not pc.decide(x1, ())
-        assert pc.restrict_query(x1, PartialAssignment.from_string("0*")) is TRUE
+        assert pc.restrict_query(x1, example("0*")) is TRUE
     cp = CuttingPlanesBackend(w=1, L=2, n=2)
-    query, rho = LinIneq({1: 1, 2: -1}, -1), PartialAssignment.from_string("*1")
+    query, rho = LinIneq({1: 1, 2: -1}, -1), example("*1")
     assert restrict_ineq(query, rho) is TRUE
     assert cp.decide(residual_ineq(query, rho), ())  # x1 >= 0
     assert not cp.decide(LinIneq({1: 1}, 1), ())
@@ -380,12 +417,13 @@ def test_no_accepted_example_has_a_countermodel(system):
             if not accepted:
                 seen["rejected"] += 1
                 continue
-            assert not any(refutes_at(system, query, hyps, x) for x in completions(rho)), (
-                query, hyps, rho,
+            sigma = assignment_of(rho[0], n)
+            assert not any(refutes_at(system, query, hyps, x) for x in completions(sigma)), (
+                query, hyps, sigma,
             )
             if backend.restrict_query(query, rho) is not TRUE:
                 seen["accepted after a search"] += 1
-                seen["masked, accepted after a search"] += None in rho
+                seen["masked, accepted after a search"] += None in sigma
         if min(seen.values()) >= 100:
             break
     assert min(seen.values()) >= 100, seen

@@ -1,11 +1,14 @@
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pacreason.errors import FormatError
+from pacreason.errors import FormatError, InputError
 from pacreason.formats import (
     MAX_EXPONENT,
+    _parse_file,
     parse_cnf,
     parse_cp_file,
     parse_dist,
@@ -27,6 +30,8 @@ from pacreason.formulas import PartialAssignment
 from pacreason.res_k import KDnf
 from pacreason.sampling import ExplicitDistribution, FixedMask, IndependentMask
 from pacreason.resolution import Cnf, make_clause
+
+from helpers import example
 
 
 def test_parse_dimacs():
@@ -82,12 +87,13 @@ def test_pasgn_roundtrip():
     text = "p pasgn 3 2\n1*0\n***\n"
     n, got = parse_pasgns(text)
     assert n == 3
-    assert got == [PartialAssignment.from_string("1*0"), PartialAssignment.all_masked(3)]
+    assert got == [example("1*0"), example(PartialAssignment.all_masked(3))]
     assert serialize_pasgns(n, got) == text
 
 
 def test_pasgn_roundtrip_with_bool_entries():
     rhos = [PartialAssignment([True, None, False]), PartialAssignment([False, True, None])]
+    rhos = list(map(example, rhos))
     text = serialize_pasgns(3, rhos)
     assert text == "p pasgn 3 2\n1*0\n01*\n"
     assert parse_pasgns(text) == (3, rhos)
@@ -97,6 +103,92 @@ def test_pasgn_roundtrip_with_bool_entries():
 def test_pasgn_rejects_bad_lines(line):
     with pytest.raises(FormatError, match=r"^line 3: expected 3 characters over 0/1/\*$"):
         parse_pasgns(f"p pasgn 3 2\n1*0\n{line}\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 200])
+def test_pasgn_text_survives_its_masks(n):
+    # the reader turns each line into its literal masks, and the writer
+    # reads the true mask back out of its hex digits: all-masked, all-set
+    # and mixed lines come back byte for byte, at n on both sides of the
+    # hex-digit and machine-word boundaries
+    rng = random.Random(n)
+    lines = ["*" * n, "0" * n, "1" * n, "".join(rng.choice("01") for _ in range(n))]
+    lines += ["".join(rng.choice("01*") for _ in range(n)) for _ in range(12)]
+    text = f"p pasgn {n} {len(lines)}\n" + "\n".join(lines) + "\n"
+    assert parse_pasgns(text) == (n, list(map(example, lines)))
+    assert serialize_pasgns(*parse_pasgns(text)) == text
+
+
+def _pasgn_reader_of_assignments(n):
+    """The pasgn reader that builds a PartialAssignment per line, whose error
+    text the mask reader keeps."""
+
+    def read(line):
+        try:
+            rho = PartialAssignment.from_string(line)
+        except InputError:
+            rho = None
+        if rho is None or len(rho) != n:
+            raise FormatError(f"expected {n} characters over 0/1/*")
+        return (rho.masks,)
+
+    return read
+
+
+def _pasgn_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def test_pasgn_fuzz_matches_the_reader_of_assignments():
+    # seeded files of short, long and foreign-character lines among good
+    # ones, blank and comment lines, and a header count that may be off: the
+    # same masks or the same error, byte for byte
+    rng = random.Random(26)
+    seen = Counter()
+
+    def reference(text):
+        (n, _), rhos = _parse_file(text, "pasgn", 2, "assignments", _pasgn_reader_of_assignments)
+        return n, rhos
+
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3, 4, 7, 8, 9))
+        lines = []
+        for _ in range(rng.randint(1, 5)):
+            length = n + rng.choice((0, 0, 0, -1, 1))
+            chars = [rng.choice("01*") for _ in range(max(length, 0))]
+            if chars and rng.random() < 0.2:
+                chars[rng.randrange(len(chars))] = rng.choice("x2 \t-_#é١")
+            lines.append("".join(chars))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(("", "# note", "  ")))
+        count = sum(1 for line in lines if line.strip() and line.strip()[0] != "#")
+        text = f"p pasgn {n} {count + rng.choice((0, 0, 0, 1))}\n" + "\n".join(lines) + "\n"
+        got, want = _pasgn_outcome(parse_pasgns, text), _pasgn_outcome(reference, text)
+        assert got == want, text
+        seen["error" if isinstance(want, str) else "parsed"] += 1
+        seen["count error"] += isinstance(want, str) and "header promises" in want
+    assert min(seen.values()) >= 100, seen
+
+
+# the bit-string errors of the dist reader, the mask table and fixed: specs
+BIT_STRING_ERRORS = [
+    (parse_dist, "p dist 2 1\n1 0x\n", "line 2: expected 2 bits"),
+    (parse_dist, "p dist 2 1\n1 010\n", "line 2: expected 2 bits"),
+    (parse_mask_table, "p masktable 2 1\n00 1\n", "line 2: expected '<2 bits> <2 bits>'"),
+    (parse_mask_table, "p masktable 2 1\n0* 10\n", "line 2: mask table entries are over 0/1"),
+    (parse_mask_table, "p masktable 2 1\n00 1x\n", "line 2: mask table entries are over 0/1"),
+    (lambda spec: parse_mask_spec(spec, 3), "fixed:01*", "fixed mask pattern must be 3 characters over 0/1"),
+    (lambda spec: parse_mask_spec(spec, 3), "fixed:0101", "fixed mask pattern must be 3 characters over 0/1"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error", BIT_STRING_ERRORS)
+def test_bit_strings_keep_their_errors(parse, text, error):
+    with pytest.raises(FormatError, match=f"^{re.escape(error)}$"):
+        parse(text)
 
 
 def test_cnf_roundtrip():

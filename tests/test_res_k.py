@@ -19,15 +19,17 @@ from pacreason.res_k import (
 )
 from pacreason.saturation import TraceStep
 
-from helpers import kdnf_to_formula, prove_exit_code, random_partial, reference_restrict_kdnf
+from helpers import (
+    example,
+    kdnf_to_formula,
+    prove_exit_code,
+    random_partial,
+    reference_restrict_kdnf,
+)
 
 
 def kd(*terms):
     return KDnf(terms)
-
-
-def pa(text):
-    return PartialAssignment.from_string(text)
 
 
 def test_term_validation():
@@ -39,28 +41,29 @@ def test_term_validation():
 
 def test_restrict_drops_falsified_term():
     phi = kd((1, 2), (3,))
-    assert restrict_kdnf(phi, pa("0**")) == kd((3,))
+    assert restrict_kdnf(phi, example("0**"), 3) == kd((3,))
 
 
 def test_restrict_strips_satisfied_literal():
-    assert restrict_kdnf(kd((1, 2)), pa("1*")) == kd((2,))
+    assert restrict_kdnf(kd((1, 2)), example("1*"), 2) == kd((2,))
 
 
 def test_restrict_satisfied_term_gives_true():
-    assert restrict_kdnf(kd((1,), (2,)), pa("1*")) == TRUE
+    assert restrict_kdnf(kd((1,), (2,)), example("1*"), 2) == TRUE
 
 
 def test_restrict_all_literals_collapses_to_true():
     one = kd((1,), (-1,), (2,), (-2,))
-    assert restrict_kdnf(one, pa("**")) == TRUE
+    assert restrict_kdnf(one, example("**"), 2) == TRUE
 
 
 def test_restrict_kdnf_matches_the_reference_on_one_literal_terms():
-    # the all-literals test counts the masked entries of rho instead of
-    # building the set of all literals, and the result is built without
-    # re-checking its terms: on every set of one-literal terms over x1..x3,
-    # with and without a longer term, under every rho of length 3 and 4,
-    # value, repr and term order match the reference
+    # the all-literals test counts the masked variables of rho, n less the
+    # bits of its true mask, instead of building the set of all literals,
+    # and the result is built without re-checking its terms: on every set
+    # of one-literal terms over x1..x3, with and without a longer term,
+    # under every rho over n = 3 and 4, value, repr and term order match the
+    # reference
     literals = (1, -1, 2, -2, 3, -3)
     seen = Counter()
     for length in (3, 4):
@@ -70,7 +73,8 @@ def test_restrict_kdnf_matches_the_reference_on_one_literal_terms():
                 terms = [[lit] for i, lit in enumerate(literals) if bits >> i & 1]
                 for extra in ([], [[1, -2]]):
                     phi = KDnf(terms + extra)
-                    got, want = restrict_kdnf(phi, rho), reference_restrict_kdnf(phi, rho)
+                    got = restrict_kdnf(phi, example(rho), length)
+                    want = reference_restrict_kdnf(phi, rho)
                     assert repr(got) == repr(want), (phi, rho)
                     if want is TRUE:
                         assert got is TRUE
@@ -284,7 +288,7 @@ def test_refutation_restriction_closure_randomized():
             rho = random_partial(rng, n)
             restricted = []
             for h in hyps:
-                r = restrict_kdnf(h, rho)
+                r = restrict_kdnf(h, example(rho), n)
                 if r != TRUE:
                     restricted.append(r)
             again, _ = decide_resk_width(restricted, BOTTOM, k, w)

@@ -8,7 +8,6 @@ from typing import Optional
 import pytest
 
 from pacreason.backends import SpaceResolutionBackend
-from pacreason.cutting_planes import LinIneq, residual_ineq
 from pacreason.decide_pac import PacParams, decide_pac_from_distribution
 from pacreason.errors import InputError
 from pacreason.formulas import TRUE, PartialAssignment
@@ -39,7 +38,9 @@ from pacreason.resolution import (
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
 from helpers import (
+    assignment_of,
     decoded,
+    example,
     proof_size,
     random_clause,
     random_cnf,
@@ -176,9 +177,9 @@ def test_search_space_empty_clause_hypothesis_derives_anything():
 
 
 def test_restrict_clause():
-    rho = PartialAssignment.from_string("*1*")
+    rho = example("*1*")
     assert decode_clause(restrict_mask(encode_clause(cl(1, -2, 3)), rho)) == cl(1, 3)
-    rho2 = PartialAssignment.from_string("*0*")
+    rho2 = example("*0*")
     assert restrict_mask(encode_clause(cl(1, -2, 3)), rho2) is TAUTOLOGY
     assert restrict_mask(TAUTOLOGY, rho) is TAUTOLOGY
 
@@ -192,7 +193,7 @@ def test_restrict_mask_matches_the_frozenset_restriction():
         n = rng.randint(1, 6)
         clause = rng.choice((TAUTOLOGY, BOT, random_clause(rng, n), random_clause(rng, n)))
         rho = random_partial(rng, n + rng.choice((0, 0, 1)), rng.choice((0.2, 0.5, 0.8)))
-        got = restrict_mask(encode_clause(clause), rho)
+        got = restrict_mask(encode_clause(clause), example(rho))
         want = restrict_clause(clause, rho)
         assert (got is TAUTOLOGY) == (want is TAUTOLOGY), (clause, rho)
         assert decode_clause(got) == want, (clause, rho)
@@ -202,30 +203,11 @@ def test_restrict_mask_matches_the_frozenset_restriction():
 
 
 def test_restrict_term():
-    rho = PartialAssignment.from_string("*1*0")
+    rho = example("*1*0")
     assert restrict_term(frozenset({1, 2, -4}), rho) == [1]
     assert restrict_term(frozenset({2, -4}), rho) == []
     assert restrict_term(frozenset({1, 4}), rho) is None
     assert restrict_term(frozenset(), rho) == []
-
-
-def test_restrictions_name_a_variable_beyond_rho():
-    rho = PartialAssignment.from_string("**")
-    error = "^variable x3 out of range 1..2$"
-    for restrict, value in (
-        (restrict_mask, encode_clause(cl(-3))),
-        (restrict_term, frozenset({-3})),
-        (residual_ineq, LinIneq([(3, 1)], 0)),
-    ):
-        with pytest.raises(InputError, match=error):
-            restrict(value, rho)
-
-
-def _restriction_outcome(restrict, value, rho):
-    try:
-        return restrict(value, rho)
-    except InputError as exc:
-        return f"InputError: {exc}"
 
 
 def _cancels(p, rho):
@@ -244,16 +226,14 @@ def _cancels(p, rho):
 def test_term_restrictions_match_the_references():
     # restrict_kdnf and restrict_polynomial both restrict a term (a monomial
     # is a conjunction of literals, a dual -v) through restrict_term; each
-    # must match its per-literal loop through rho.value in value, repr and
-    # error text, over duals, monomials holding x and its dual, coefficients
-    # that cancel when restricted monomials merge, and a rho shorter than the
-    # variables used
+    # must match its per-literal loop through rho.value in value and repr,
+    # over duals, monomials holding x and its dual, and coefficients that
+    # cancel when restricted monomials merge
     rng = random.Random(1919)
     seen = Counter()
     for _ in range(2000):
         n = rng.randint(1, 5)
-        length = n if rng.random() < 0.85 else rng.randint(0, n - 1)
-        rho = random_partial(rng, length, 0.4)
+        rho = random_partial(rng, n, 0.4)
         terms = []
         for _ in range(rng.randint(0, 4)):
             variables = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
@@ -269,21 +249,17 @@ def test_term_restrictions_match_the_references():
             widened = frozenset(lits) | {rng.choice((1, -1)) * rng.randint(1, n)}
             monomials.append((widened, -c if rng.random() < 0.6 else c))
         p = Polynomial(monomials)
-        outcomes = []
-        for restrict, reference, value in (
-            (restrict_kdnf, reference_restrict_kdnf, phi),
-            (restrict_polynomial, reference_restrict_polynomial, p),
+        restricted_phi = restrict_kdnf(phi, example(rho), n)
+        restricted_p = restrict_polynomial(p, example(rho))
+        for got, want in (
+            (restricted_phi, reference_restrict_kdnf(phi, rho)),
+            (restricted_p, reference_restrict_polynomial(p, rho)),
         ):
-            got = _restriction_outcome(restrict, value, rho)
-            want = _restriction_outcome(reference, value, rho)
-            assert got == want and repr(got) == repr(want), (value, rho)
-            outcomes.append(got)
-        restricted_phi, restricted_p = outcomes
-        seen["error"] += isinstance(restricted_p, str)
+            assert got == want and repr(got) == repr(want), (phi, p, rho)
         seen["true"] += restricted_phi is TRUE
         seen["dual"] += p.has_duals()
         seen["pair"] += any(-lit in m for m in p.terms for lit in m)
-        seen["cancel"] += length == n and _cancels(p, rho)
+        seen["cancel"] += _cancels(p, rho)
     assert min(seen.values()) >= 100, seen
 
 
@@ -460,7 +436,7 @@ def test_decide_pac_matches_reference_search_per_example():
     )
     expected = tuple(
         all_variables_search(restrict_kb(kb, rho), s, restrict_clause(query, rho)) is not None
-        for rho in draw_masked_examples(dist, mask, 300, 9)
+        for rho in (assignment_of(true, n) for true, _ in draw_masked_examples(dist, mask, 300, 9))
     )
     assert outcome.per_example == expected
     assert 0 < sum(expected) < len(expected)
@@ -485,11 +461,10 @@ def random_restriction_case(rng):
 
 
 def random_restriction(rng, n):
-    """A rho of one of three kinds, sometimes longer than n."""
+    """A rho over x1..xn of one of three kinds."""
     kind = rng.choice(("masked", "set", "mixed"))
-    length = n + (rng.randint(1, 2) if rng.random() < 0.2 else 0)
     mask_prob = {"masked": 1.0, "set": 0.0, "mixed": 0.5}[kind]
-    return random_partial(rng, length, mask_prob), kind
+    return random_partial(rng, n, mask_prob), kind
 
 
 def test_restrict_cnf_matches_clause_by_clause_restriction():
@@ -497,7 +472,7 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
     # clause index the first one built
     rng = random.Random(929292)
     seen = {"masked": 0, "set": 0, "mixed": 0, "tautology": 0, "merged": 0, "empty": 0,
-            "long": 0, "wide": 0, "reused": 0}
+            "wide": 0, "reused": 0}
     for _ in range(2000):
         phi = random_restriction_case(rng)
         fresh = Cnf(phi.clauses, phi.n)
@@ -505,7 +480,7 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
         index = restriction_index(masks, phi.n)
         for count in range(rng.randint(1, 4)):
             rho, kind = random_restriction(rng, phi.n)
-            restricted = restrict_cnf(masks, index, rho)
+            restricted = restrict_cnf(masks, index, example(rho))
             result, expected = decoded(restricted, phi.n), reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and restricted == expected.masks
             assert result == expected  # same n, same clauses in the same order
@@ -516,29 +491,12 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
             kept = [r for r in kept if r is not TAUTOLOGY]
             seen["merged"] += len(set(kept)) < len(kept)  # dedup keeps the first
             seen["empty"] += frozenset() in kept
-            seen["long"] += len(rho) > phi.n
         seen["tautology"] += TAUTOLOGY in phi.clauses
         seen["wide"] += phi.n > 64 and len(phi.clauses) > 64
         # a Cnf rebuilt from its own clauses is the same value
         assert phi == fresh and fresh == phi and repr(phi) == repr(fresh)
         assert hash(phi) == hash(fresh)
     assert min(seen.values()) >= 100, seen
-
-
-def test_restrict_cnf_rejects_a_short_rho():
-    phi = Cnf([cl(1, 3)], 3)
-    # x1 satisfies the clause, so no literal of it needs the missing x3
-    with pytest.raises(InputError):
-        restrict_kb(phi, PartialAssignment.from_string("1*"))
-    # x1 is masked, so x3 is out of range
-    with pytest.raises(InputError):
-        restrict_kb(phi, PartialAssignment.from_string("**"))
-
-
-def test_restrict_cnf_accepts_a_longer_rho():
-    phi = Cnf([cl(1, -2), cl(2)], 2)
-    rho = PartialAssignment.from_string("*1*0")
-    assert restrict_cnf(phi.masks, restriction_index(phi.masks, 2), rho) == Cnf([cl(1)], 2).masks
 
 
 def test_backend_restricts_each_kb_by_its_own_index():
@@ -556,14 +514,15 @@ def test_backend_restricts_each_kb_by_its_own_index():
         phi, hyps = kbs[which], masks[which]
         by_reference = {}
         for rho in rhos:
-            restricted = backend.restrict_hyps(hyps, rho)
+            restricted = backend.restrict_hyps(hyps, example(rho))
             expected = reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and decoded(restricted, n) == expected, (which, rho)
             first = by_reference.setdefault(expected, restricted)
             assert first == restricted and hash(first) == hash(restricted)
             seen["same restriction again"] += first is not restricted
         seen["differs from the other kb"] += sum(
-            decoded(backend.restrict_hyps(masks[1 - which], rho), n) != reference_restrict_cnf(phi, rho)
+            decoded(backend.restrict_hyps(masks[1 - which], example(rho)), n)
+            != reference_restrict_cnf(phi, rho)
             for rho in rhos
         )
     assert min(seen.values()) >= 20, seen
@@ -651,18 +610,6 @@ def random_pass_case(rng):
     n = rng.randint(3, 6)
     phi = Cnf([random_clause(rng, n) for _ in range(rng.randint(2, 8))], n)
     return phi, random_literals(rng, n, rng.choice((0, 1, 2)))
-
-
-def assignment_of(model: int, n: int) -> PartialAssignment:
-    """The partial assignment whose true literals are the literal bits of
-    `model`; both literals of one variable true is an error."""
-    entries = []
-    for v in range(1, n + 1):
-        pos, neg = model >> 2 * v & 1, model >> 2 * v + 1 & 1
-        assert not (pos and neg), f"x{v} and -x{v} both true"
-        entries.append(1 if pos else 0 if neg else None)
-    assert model >> 2 * n + 2 == 0 and model & 3 == 0
-    return PartialAssignment(entries)
 
 
 def test_countermodel_pass_settles_only_rejects():
@@ -770,7 +717,8 @@ def test_decide_pac_stream_matches_generalized_unit_propagation():
         seed=11, m=400,
     )
     seen = Counter()
-    for rho, verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
+    for (true, _), verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
+        rho = assignment_of(true, n)
         hyps, goal = restrict_kb(kb, rho).clauses, restrict_clause(query, rho)
         assert verdict == derives_in_space(hyps, s, goal), rho
         seen["settled" if goal is TAUTOLOGY else "accepted" if verdict else "rejected"] += 1

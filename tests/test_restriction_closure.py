@@ -24,7 +24,7 @@ from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
 from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause
 
-from helpers import mul_indet, plain_restricted_query, random_clause
+from helpers import example, mul_indet, plain_restricted_query, random_clause
 from test_res_k import random_kdnf
 from test_polycalc import random_polynomial, with_rational_coefficients
 
@@ -79,12 +79,12 @@ def test_cp_accepts_every_restriction_of_what_it_accepts():
             kinds["accepted, over-budget hypothesis"] += any(
                 h.sparsity > w or h.l1_norm > L for h in hyps
             )
-            assert decide_example(backend, query, hyps, PartialAssignment.all_masked(n))
+            assert decide_example(backend, query, hyps, example("*" * n))
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, rho):
+        if decide_example(backend, query, hyps, example(rho)):
             kinds["accepted at rho"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, sigma), (hyps, query, rho, sigma)
+            assert decide_example(backend, query, hyps, example(sigma)), (hyps, query, rho, sigma)
     assert min(kinds.values()) >= 100, kinds
 
 
@@ -100,7 +100,7 @@ def test_cp_keeps_an_over_budget_hypothesis_that_restriction_makes_true():
     backend = CuttingPlanesBackend(w=2, L=3, n=3)
     assert backend.decide(query, hyps)
     params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
-    outcome = decide_pac(backend, query, hyps, params, [PartialAssignment.all_masked(3)] * 10)
+    outcome = decide_pac(backend, query, hyps, params, [example("***")] * 10)
     assert (outcome.verdict, outcome.failed_count) == (ACCEPT, 0)
 
 
@@ -143,12 +143,14 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
         if backend.decide(query, hyps):
             kinds[f"accepted {mode}"] += 1
             kinds["accepted with duals"] += any(p.has_duals() for p in hyps + [query])
-            assert decide_example(backend, query, hyps, PartialAssignment.all_masked(n))
+            assert decide_example(backend, query, hyps, example("*" * n))
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, rho):
+        if decide_example(backend, query, hyps, example(rho)):
             kinds[f"accepted at rho {mode}"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, sigma), (mode, d, hyps, query, rho, sigma)
+            assert decide_example(backend, query, hyps, example(sigma)), (
+                mode, d, hyps, query, rho, sigma,
+            )
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
 
 
@@ -163,6 +165,7 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
     sigma = refine(rng, rho)
     accepts = {}
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
+        at = example(at)
         check(plain_restricted_query(backend, query, at), backend.restrict_hyps(hyps, at))
         accepts[name] = decide_example(backend, query, hyps, at)
     accepted = bool(backend.decide(query, hyps))

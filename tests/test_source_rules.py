@@ -193,3 +193,25 @@ def test_cli_knows_no_system_by_name():
             ):
                 offenders.append(f"cli.py:{node.lineno} compares a system name")
     assert offenders == []
+
+
+def test_only_the_example_sources_import_partial_assignment():
+    # an example reaches every kernel as its literal-mask pair; a kernel
+    # that imported PartialAssignment could read rho one variable at a time
+    # again.  The command line holds no tracked examples, so it needs no
+    # `gc.freeze` and imports no gc
+    importers, gc_imports = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "PartialAssignment" in {
+                alias.name for alias in node.names
+            }:
+                importers.add(path.stem)
+            if path.stem == "cli" and isinstance(node, ast.Import):
+                gc_imports += [alias.name for alias in node.names if alias.name == "gc"]
+            if path.stem == "cli" and isinstance(node, ast.ImportFrom) and node.module == "gc":
+                gc_imports.append(node.module)
+    assert importers <= {"formulas", "sampling", "formats", "__init__"}
+    assert "sampling" in importers and "__init__" in importers
+    assert gc_imports == []
