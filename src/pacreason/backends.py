@@ -29,12 +29,22 @@ lines; a proof that fails its replay raises RuleError.  Clause-space
 resolution prints its proof tree on one line, RES(k) `rule: formula` per
 trace step, cutting planes `index: rule inequality`, and PC and PCR nothing.
 
-Cutting planes' `decide` first tries a one-pass countermodel
+Cutting planes' `decide` first tries a countermodel pass
 (`cutting_planes.countermodel`): a 0/1 point that satisfies every restricted
 hypothesis and falsifies the restricted query.  Every rule is sound over 0/1
 points, so such a point rules out a derivation at any budget, and `decide`
 rejects without running `decide_cp`; where the pass finds none, `decide_cp`
 runs as it would without it.
+
+`is_countermodel(query, hyps, x)` says whether the full assignment whose
+true-literal mask is x satisfies every restricted hypothesis and falsifies
+the restricted query, each on the system's own restricted forms: clause
+masks for clause-space resolution, the terms of every k-DNF with the negated
+query's for RES(k), `Polynomial.evaluate` (all hypotheses zero, the query
+not) for PC and PCR, and the residual inequalities for cutting planes.  Every
+system is sound over 0/1 points, so such an x rules out a proof at any
+budget; `decide_pac` keeps it and rejects every later example consistent
+with it without a search.
 """
 
 from __future__ import annotations
@@ -48,8 +58,8 @@ from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
 from .res_k import check_trace as check_resk_trace
 from .resolution import Cnf, check_proof, check_space_bound, clause_space, decode_clause
-from .resolution import encode_clause, proof_to_text, proof_tree, restrict_cnf, restrict_mask
-from .resolution import restriction_index, search_space
+from .resolution import encode_clause, literal_bit, proof_to_text, proof_tree, restrict_cnf
+from .resolution import restrict_mask, restriction_index, search_space
 
 
 def _same_n(query_n: int, kb_n: int) -> None:
@@ -104,6 +114,9 @@ class SpaceResolutionBackend:
             self._indexed, self._index = hyps, restriction_index(hyps, self.n)
         return restrict_cnf(hyps, self._index, rho)
 
+    def is_countermodel(self, query, hyps, x):
+        return not query & x and all(bits & x for bits in hyps)
+
 
 class ResKWidthBackend:
     """Width-bounded RES(k) refutation; the query arrives pre-negated as a
@@ -144,6 +157,11 @@ class ResKWidthBackend:
         restricted = (restrict_kdnf(phi, rho, self.n) for phi in hyps)
         return tuple(phi for phi in restricted if phi is not TRUE)
 
+    def is_countermodel(self, query, hyps, x):
+        return all(
+            any(all(literal_bit(lit) & x for lit in term) for term in phi) for phi in hyps + query
+        )
+
 
 class PolynomialCalculusBackend:
     """Degree-bounded polynomial calculus (or PCR); query is a polynomial."""
@@ -177,6 +195,10 @@ class PolynomialCalculusBackend:
 
     def restrict_hyps(self, hyps, rho):
         return tuple(restrict_polynomial(p, rho) for p in hyps)
+
+    def is_countermodel(self, query, hyps, x):
+        point = [x >> 2 * v & 1 for v in range(1, self.n + 1)]
+        return not any(p.evaluate(point) for p in hyps) and query.evaluate(point) != 0
 
 
 class CuttingPlanesBackend:
@@ -213,6 +235,10 @@ class CuttingPlanesBackend:
 
     def restrict_hyps(self, hyps, rho):
         return tuple(residual_ineq(h, rho) for h in hyps)
+
+    def is_countermodel(self, query, hyps, x):
+        holds = [sum(c for v, c in coeffs if x >> 2 * v & 1) >= b for coeffs, b in (query, *hyps)]
+        return not holds[0] and all(holds[1:])
 
 
 SYSTEMS = {

@@ -24,10 +24,10 @@ AxiomStep, HypothesisStep, AddStep, MultiplyStep and DivideStep; its premises
 are the earlier steps' inequalities followed by the factor or divisor, and a
 hypothesis step's premises are its index.
 
-`countermodel` looks, in one pass, for a 0/1 point that satisfies the
-hypotheses and falsifies a target.  Every rule and axiom holds at every 0/1
-point where its premises hold, so such a point rules out a derivation at any
-budget; the backend tries it before `decide_cp`.
+`countermodel` looks, by unit propagation and one pass, for a 0/1 point
+that satisfies the hypotheses and falsifies a target.  Every rule and axiom
+holds at every 0/1 point where its premises hold, so such a point rules out
+a derivation at any budget; the backend tries it before `decide_cp`.
 """
 
 from __future__ import annotations
@@ -134,22 +134,32 @@ def always_witnessed_true(ineq: LinIneq) -> bool:
 
 
 def countermodel(hyps, target: LinIneq) -> dict | None:
-    """A partial 0/1 assignment {var: value}, found in one pass, every
-    completion of which satisfies each hypothesis and falsifies the target;
-    None where the target is witnessed true or the pass gets stuck.
+    """A partial 0/1 assignment {var: value}, found by unit propagation and
+    one pass, every completion of which satisfies each hypothesis and
+    falsifies the target; None where the target is witnessed true or the
+    pass gets stuck.
 
     The pass fixes each variable of the target to the value that lowers its
-    left-hand side (1 for a negative coefficient, 0 for a positive one), then
-    takes the hypotheses in order.  A hypothesis whose lowest reachable
-    left-hand side meets its bound is witnessed true; the pass is stuck at
-    one whose highest reachable value falls short, and otherwise fixes its
-    free variables, in `coeffs` order, to the value that raises the left-hand
+    left-hand side (1 for a negative coefficient, 0 for a positive one).  It
+    then fixes each variable still free that a one-variable hypothesis
+    forces: c*x_v >= b holds at one value of x_v only.  Then it takes the
+    hypotheses in order.  A hypothesis whose lowest reachable left-hand side
+    meets its bound is witnessed true; the pass is stuck at one whose
+    highest reachable value falls short, which is where a forced value that
+    clashes with a fixed one, or a one-variable hypothesis that holds at
+    neither value, gets it stuck.  Otherwise it fixes the hypothesis's free
+    variables, in `coeffs` order, to the value that raises the left-hand
     side until it is witnessed true.  Fixing a variable never lowers the
     lowest reachable value, so a witnessed-true hypothesis stays true.
     """
     if always_witnessed_true(target):
         return None
     value = {v: int(c < 0) for v, c in target.coeffs}
+    for coeffs, bound in hyps:
+        if len(coeffs) == 1:
+            (v, c), = coeffs
+            if (c >= bound) != (0 >= bound):
+                value.setdefault(v, int(c >= bound))
     for coeffs, bound in hyps:
         low = high = 0
         for v, c in coeffs:

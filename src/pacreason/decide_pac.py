@@ -8,27 +8,39 @@ floor(eps * m).
 
 A backend, given each example rho as its literal-mask pair, is any object with
 
-    n                              -- variable count of its instances
-    decide(query, hyps)            -- pure, deterministic; the proof found,
-                                      whose truthiness is the verdict
-    restrict_query(query, rho)     -- `formulas.TRUE` when rho settles the
-                                      query: it is witnessed true, and
-                                      decide would accept it from any
-                                      hypotheses
+    n                               -- variable count of its instances
+    decide(query, hyps)             -- pure, deterministic; the proof found,
+                                       whose truthiness is the verdict
+    restrict_query(query, rho)      -- `formulas.TRUE` when rho settles the
+                                       query: it is witnessed true, and
+                                       decide would accept it from any
+                                       hypotheses
     restrict_hyps(hyps, rho)
+    is_countermodel(query, hyps, x) -- whether the full assignment whose
+                                       true-literal mask is x satisfies every
+                                       restricted hypothesis and falsifies the
+                                       restricted query
 
 Each example is decided query-first (`decide_example`): an example that
 settles the query is accepted without restricting the hypotheses or calling
-`decide`.  Examples are decided one after another in sample order.  The
-verdict depends only on the multiset of per-example answers, so it does not
-depend on that order; every example is always evaluated (no early exit) to
-keep the reported failure count canonical.
+`decide`.  A run keeps up to CACHED_MODELS countermodels, full assignments
+that satisfy the knowledge base and falsify the query, found by
+`is_countermodel` among the completions of searched rejects with at most
+ENUMERATED_FREE free coordinates; an unsettled example consistent with one
+is rejected without a search.  Every proof system here is sound over 0/1
+points, so no search accepts such an example at any budget, and the
+verdicts are those of a search on every example.  Examples are decided one
+after another in sample order.  The verdict depends only on the multiset of
+per-example answers, so it does not depend on that order; every example is
+always evaluated (no early exit) to keep the reported failure count
+canonical.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import product
 from math import ceil, log
 
 from .errors import InputError
@@ -38,6 +50,8 @@ from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
 REJECT = "Reject"
+CACHED_MODELS = 64  # countermodels a run keeps, the least recently hit dropped first
+ENUMERATED_FREE = 8  # most free coordinates whose completions a searched reject tries
 
 
 class PacParams(Record):
@@ -90,17 +104,45 @@ def failure_budget(epsilon, m: int) -> int:
     return product.numerator // product.denominator
 
 
-def decide_example(backend, query, hyps, rho) -> bool:
-    """The backend's verdict on one example: True at once when rho settles
-    the query, otherwise `decide` on the restricted instance."""
+def decide_example(backend, query, hyps, rho, models: list) -> bool:
+    """The backend's verdict on one example.
+
+    True at once when rho settles the query.  Otherwise False at once when
+    rho is consistent with a countermodel in `models` (its false mask
+    misses the model's true-literal mask), which moves that model to the
+    front.  Otherwise `decide` on the restricted instance; on a reject with
+    at most ENUMERATED_FREE free coordinates, the completions of rho are
+    tried in `itertools.product` order, negative literal first, and the
+    first that `is_countermodel` passes goes to the front of `models`, which
+    keeps CACHED_MODELS.  A hit is exact: the model, consistent with rho,
+    satisfies every hypothesis and falsifies the query restricted by rho, so
+    no sound search accepts rho at any budget.  A fresh empty list decides
+    rho by its own search."""
     restricted = backend.restrict_query(query, rho)
     if restricted is TRUE:
         return True
-    return bool(backend.decide(restricted, backend.restrict_hyps(hyps, rho)))
+    true, false = rho
+    for i, x in enumerate(models):
+        if not false & x:
+            models.insert(0, models.pop(i))
+            return False
+    hyps = backend.restrict_hyps(hyps, rho)
+    if backend.decide(restricted, hyps):
+        return True
+    free = [v for v in range(1, backend.n + 1) if not (true | false) >> 2 * v & 1]
+    if len(free) <= ENUMERATED_FREE:
+        for choice in product(*((2 << 2 * v, 1 << 2 * v) for v in free)):
+            x = true | sum(choice)
+            if backend.is_countermodel(restricted, hyps, x):
+                models.insert(0, x)
+                del models[CACHED_MODELS:]
+                break
+    return False
 
 
 def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
-    """Decide every example with `decide_example` and tally rejections.
+    """Decide every example with `decide_example`, sharing one list of
+    countermodels, and tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
     An example that is not a literal-mask pair over x1..xn is an InputError.
@@ -121,7 +163,8 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
         if not ok:
             raise InputError(f"example {rho!r} is not a literal-mask pair over x1..x{n}")
 
-    verdicts = tuple(decide_example(backend, query, hyps, rho) for rho in examples)
+    models = []
+    verdicts = tuple(decide_example(backend, query, hyps, rho, models) for rho in examples)
 
     failed = sum(1 for ok in verdicts if not ok)
     budget = failure_budget(params.epsilon, m)

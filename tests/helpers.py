@@ -21,8 +21,8 @@ CNF restrictions on frozenset clauses, which the literal-mask kernels in
 `resolution` must match exactly, with the CNF restriction run on a Cnf's
 masks and decoded back, a `pacreason prove` runner on file texts, and the
 plain per-example loop, a search without a countermodel pass on every
-restricted instance, that `decide_pac` with its settled-query shortcut must
-match exactly."""
+restricted instance, that `decide_pac` with its settled-query shortcut and
+its countermodel cache must match exactly."""
 
 import math
 import random
@@ -64,6 +64,7 @@ from pacreason.formulas import (
     WitnessStatus,
     conjunction,
     disjunction,
+    evaluate,
     literal,
     out_of_range,
     restrict,
@@ -464,6 +465,10 @@ class EntailmentOracleBackend:
     def restrict_hyps(self, hyps, rho):
         restricted = (restrict(phi, assignment_of(rho[0], self.n)) for phi in hyps)
         return tuple(phi for phi in restricted if phi != TRUE)
+
+    def is_countermodel(self, query, hyps, x):
+        point = [x >> 2 * v & 1 for v in range(1, self.n + 1)]
+        return all(evaluate(phi, point) for phi in hyps) and not evaluate(query, point)
 
 
 def multilinearize(raw_terms) -> Polynomial:

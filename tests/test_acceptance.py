@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from pacreason.backends import CuttingPlanesBackend, SpaceResolutionBackend
 from pacreason.cutting_planes import (
     LinIneq,
@@ -51,7 +49,6 @@ from pacreason.polycalc import (
 from pacreason.res_k import (
     BOTTOM,
     KDnf,
-    check_trace as check_resk_trace,
     decide_resk_width,
     restrict_kdnf,
 )
@@ -195,7 +192,7 @@ def test_criterion_2_restriction_closure():
         cp_accepted += 1
         for _ in range(20):
             rho = example(random_partial(rng, n))
-            assert decide_example(backend, target, hyps, rho)
+            assert decide_example(backend, target, hyps, rho, [])
             checks += 1
 
     report(2, True, f"same-budget acceptance preserved under {checks} restrictions")

@@ -23,7 +23,7 @@ from pacreason.cutting_planes import (
 from pacreason.resolution import TAUTOLOGY, make_clause
 from pacreason.saturation import TraceStep
 
-from helpers import example, holds_at, prove_exit_code
+from helpers import completions, example, holds_at, prove_exit_code
 
 
 def ineq(coeffs, bound):
@@ -199,7 +199,7 @@ def test_restriction_closure_randomized():
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            assert decide_example(backend, target, hyps, example(rho))
+            assert decide_example(backend, target, hyps, example(rho), [])
 
 
 def test_trace_checker_rejects_tampering():
@@ -277,3 +277,37 @@ def test_countermodel_falsifies_the_target_then_meets_each_hypothesis():
     assert countermodel((ineq({1: 1}, 1),), ineq({1: 1, 2: 1}, 1)) is None
     # a target witnessed true has no countermodel
     assert countermodel((), ineq({1: -1}, -1)) is None
+
+
+def test_countermodel_first_fixes_what_one_variable_hypotheses_force():
+    # x3 >= 1 forces x3 = 1 before x2 + x3 >= 1 is reached in order, so the
+    # pass leaves x2 free; -x4 >= 0 forces x4 = 0, and 2*x5 >= -1 holds at
+    # both values and forces nothing
+    hyps = (ineq({2: 1, 3: 1}, 1), ineq({3: 1}, 1), ineq({4: -1}, 0), ineq({5: 2}, -1))
+    assert countermodel(hyps, ineq({1: 1}, 1)) == {1: 0, 3: 1, 4: 0}
+    # a forced value that clashes with the target's, or with another forced
+    # value, and a one-variable hypothesis that holds at neither value get
+    # the pass stuck
+    assert countermodel((ineq({1: -1}, 0),), ineq({1: -1}, 0)) is None
+    assert countermodel((ineq({2: 1}, 1), ineq({2: -1}, 0)), ineq({1: 1}, 1)) is None
+    assert countermodel((ineq({2: 2}, 3),), ineq({1: 1}, 1)) is None
+
+
+def test_countermodel_settles_the_iid_probe_instance_that_the_in_order_pass_missed():
+    # a restricted instance of the seed-1 benchmark stream (cp, example 43):
+    # in hypothesis order, x6 + x10 >= 1 would make x6 true before x10 >= 1
+    # is reached, and x1 - x6 >= 0 then fails with x1 false.  x10 >= 1 forces
+    # x10 first, and every completion of the model refutes the instance
+    target = ineq({1: 1}, 1)
+    hyps = tuple(ineq(dict(coeffs), bound) for coeffs, bound in [
+        ({1: 1, 7: 1}, 1), ({6: 1, 10: 1}, 1), ({1: 1}, 0), ({7: 1}, -1), ({7: 1}, 0),
+        ({4: 1, 7: 1, 10: 1}, 1), ({1: -1}, -2), ({6: 1, 7: -1}, -1), ({10: 1}, 1),
+        ({6: -1}, -2), ({1: 1, 6: -1}, 0), ({4: -1, 6: 1, 7: 1}, 0), ({10: 1}, -1),
+        ({4: -1}, -2),
+    ])
+    model = countermodel(hyps, target)
+    assert model == {1: 0, 10: 1, 7: 1, 6: 0}
+    rho = PartialAssignment(model.get(v) for v in range(1, 11))
+    for x in completions(rho):
+        assert all(holds_at(h, x) for h in hyps) and not holds_at(target, x), x
+    assert CuttingPlanesBackend(w=2, L=3, n=10).decide(target, hyps) is None

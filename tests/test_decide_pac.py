@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,8 @@ from pacreason.backends import (
 from pacreason.cutting_planes import LinIneq, residual_ineq, restrict_ineq
 from pacreason.decide_pac import (
     ACCEPT,
+    CACHED_MODELS,
+    ENUMERATED_FREE,
     REJECT,
     PacParams,
     decide_pac,
@@ -71,6 +74,9 @@ class ScriptedBackend:
 
     def restrict_hyps(self, hyps, rho):
         return hyps
+
+    def is_countermodel(self, query, hyps, x):
+        return False  # keeps the script the verdict of every example
 
 
 def distinct_examples(count):
@@ -295,13 +301,17 @@ def test_table_mask_scenario_statistics():
 
 
 class CountingBackend:
-    """Delegates to a backend and counts its `restrict_hyps` and `decide`
-    calls."""
+    """Delegates to a backend and counts its `restrict_hyps`, `decide` and
+    `is_countermodel` calls.  `searched` holds, per `restrict_hyps` call in
+    call order, the example and the number of `is_countermodel` calls that
+    followed it; `models` each x that `is_countermodel` passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
-        self.calls = {"restrict_hyps": 0, "decide": 0}
+        self.calls = {"restrict_hyps": 0, "decide": 0, "is_countermodel": 0}
+        self.searched = []
+        self.models = []
 
     def decide(self, query, hyps):
         self.calls["decide"] += 1
@@ -312,7 +322,16 @@ class CountingBackend:
 
     def restrict_hyps(self, hyps, rho):
         self.calls["restrict_hyps"] += 1
+        self.searched.append([rho, 0])
         return self.inner.restrict_hyps(hyps, rho)
+
+    def is_countermodel(self, query, hyps, x):
+        self.calls["is_countermodel"] += 1
+        self.searched[-1][1] += 1
+        found = self.inner.is_countermodel(query, hyps, x)
+        if found:
+            self.models.append(x)
+        return found
 
 
 def random_instance(system, rng):
@@ -337,10 +356,12 @@ def random_instance(system, rng):
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
 def test_query_first_decide_pac_matches_the_plain_loop(system):
     # iid streams hiding half the coordinates, until at least 50 examples
-    # settle the query, 50 do not and 50 are rejected; an example that
-    # settles the query must cost no restrict_hyps and no decide call
+    # settle the query, 50 do not, 50 are rejected and 50 unsettled ones
+    # skip the search; an example that settles the query must cost no
+    # restrict_hyps and no decide call, and one consistent with a cached
+    # countermodel neither
     rng = random.Random(f"query-first:{system}")
-    seen = {"settled": 0, "unsettled": 0, "rejected": 0}
+    seen = {"settled": 0, "unsettled": 0, "rejected": 0, "skipped": 0}
     for seed in range(500):
         backend, query, hyps, n = random_instance(system, rng)
         dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
@@ -350,10 +371,12 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples)
         settled = sum(backend.restrict_query(query, rho) is TRUE for rho in examples)
         unsettled = len(examples) - settled
-        assert counting.calls == {"restrict_hyps": unsettled, "decide": unsettled}
+        searched = counting.calls["decide"]
+        assert counting.calls["restrict_hyps"] == searched <= unsettled
         seen["settled"] += settled
         seen["unsettled"] += unsettled
         seen["rejected"] += outcome.failed_count
+        seen["skipped"] += unsettled - searched
         if min(seen.values()) >= 50:
             break
     assert min(seen.values()) >= 50, seen
@@ -427,3 +450,74 @@ def test_no_accepted_example_has_a_countermodel(system):
         if min(seen.values()) >= 100:
             break
     assert min(seen.values()) >= 100, seen
+
+
+def cache_streams(system):
+    """(label, backend, query, hyps, n, examples) of the seeded streams that
+    the countermodel cache is checked on: small-n instances under iid:1/2
+    and iid:3/4 masks and, for clause-space resolution, two streams at n=12,
+    one under iid:3/4, whose examples often leave more free coordinates
+    than a reject enumerates, and one under iid:1/8 that finds more models
+    than the cache keeps."""
+    rng = random.Random(f"cache:{system}")
+    for seed in range(60):
+        for hidden in (Fraction(1, 2), Fraction(3, 4)):
+            backend, query, hyps, n = random_instance(system, rng)
+            dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+            examples = draw_masked_examples(dist, IndependentMask(hidden), 24, seed)
+            yield f"iid:{hidden}", backend, query, hyps, n, examples
+    if system == "res-space":
+        n = 12
+        clauses = [make_clause(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+                   for _ in range(10)]
+        kb = Cnf(clauses, n).masks
+        query = encode_clause(make_clause([rng.choice((1, -1)) * rng.randint(1, n)]))
+        dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+        for hidden, m in ((Fraction(3, 4), 400), (Fraction(1, 8), 600)):
+            examples = draw_masked_examples(dist, IndependentMask(hidden), m, 12)
+            yield f"n=12 iid:{hidden}", SpaceResolutionBackend(2, n), query, kb, n, examples
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_countermodel_cache_matches_the_plain_loop(system):
+    # decide_pac with its cache gives the plain loop's outcome.  An
+    # unsettled example that reaches no restrict_hyps call was settled by a
+    # cached model: it must have a completion that satisfies the knowledge
+    # base and falsifies the query, checked by brute force.  A searched
+    # reject tries its completions exactly when at most ENUMERATED_FREE
+    # coordinates are free, and a searched accept tries none
+    seen = Counter()
+    for label, backend, query, hyps, n, examples in cache_streams(system):
+        counting = CountingBackend(backend)
+        outcome = decide_pac(counting, query, hyps, params(), examples)
+        assert outcome == reference_decide_pac(backend, query, hyps, params(), examples), label
+        searched = iter(counting.searched)
+        step = next(searched, None)
+        for rho, accepted in zip(examples, outcome.per_example):
+            if backend.restrict_query(query, rho) is TRUE:
+                continue
+            sigma = assignment_of(rho[0], n)
+            if step is None or step[0] != rho:
+                assert any(refutes_at(system, query, hyps, x) for x in completions(sigma)), (
+                    label, query, hyps, sigma,
+                )
+                seen[f"{label} hits"] += 1
+                continue
+            free = sigma.count(None)
+            if accepted:
+                assert step[1] == 0, (label, sigma)
+            elif free > ENUMERATED_FREE:
+                assert step[1] == 0, (label, sigma)
+                seen["searched rejects over the cap"] += 1
+            else:
+                assert step[1] >= 1, (label, sigma)
+            step = next(searched, None)
+        assert step is None
+        models = len(set(counting.models))
+        seen["most models found in a run"] = max(seen["most models found in a run"], models)
+    floors = {"iid:1/2 hits": 30, "iid:3/4 hits": 30}
+    if system == "res-space":
+        floors["n=12 iid:3/4 hits"], floors["n=12 iid:1/8 hits"] = 200, 20
+        floors["searched rejects over the cap"] = 10
+        floors["most models found in a run"] = CACHED_MODELS + 1
+    assert all(seen[name] >= floor for name, floor in floors.items()), seen

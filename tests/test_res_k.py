@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from pacreason.errors import InputError
-from pacreason.formulas import Const, PartialAssignment, TRUE, evaluate
+from pacreason.formulas import PartialAssignment, TRUE, evaluate
 from pacreason.oracle import entails
 from pacreason.res_k import (
     BOTTOM,

@@ -79,12 +79,12 @@ def test_cp_accepts_every_restriction_of_what_it_accepts():
             kinds["accepted, over-budget hypothesis"] += any(
                 h.sparsity > w or h.l1_norm > L for h in hyps
             )
-            assert decide_example(backend, query, hyps, example("*" * n))
+            assert decide_example(backend, query, hyps, example("*" * n), [])
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, example(rho)):
+        if decide_example(backend, query, hyps, example(rho), []):
             kinds["accepted at rho"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, example(sigma)), (hyps, query, rho, sigma)
+            assert decide_example(backend, query, hyps, example(sigma), []), (hyps, query, rho, sigma)
     assert min(kinds.values()) >= 100, kinds
 
 
@@ -143,12 +143,12 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
         if backend.decide(query, hyps):
             kinds[f"accepted {mode}"] += 1
             kinds["accepted with duals"] += any(p.has_duals() for p in hyps + [query])
-            assert decide_example(backend, query, hyps, example("*" * n))
+            assert decide_example(backend, query, hyps, example("*" * n), [])
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, example(rho)):
+        if decide_example(backend, query, hyps, example(rho), []):
             kinds[f"accepted at rho {mode}"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, example(sigma)), (
+            assert decide_example(backend, query, hyps, example(sigma), []), (
                 mode, d, hyps, query, rho, sigma,
             )
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
@@ -167,7 +167,7 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
         at = example(at)
         check(plain_restricted_query(backend, query, at), backend.restrict_hyps(hyps, at))
-        accepts[name] = decide_example(backend, query, hyps, at)
+        accepts[name] = decide_example(backend, query, hyps, at, [])
     accepted = bool(backend.decide(query, hyps))
     if accepted:
         kinds["accepted"] += 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from pacreason import backends, res_k
+from pacreason import res_k
 from pacreason.backends import CuttingPlanesBackend, ResKWidthBackend
 from pacreason.cutting_planes import (
     LinIneq,
@@ -21,8 +21,7 @@ from pacreason.cutting_planes import (
     var_at_most_one,
     var_nonneg,
 )
-from pacreason.decide_pac import PacParams, decide_pac
-from pacreason.formulas import PartialAssignment
+from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.res_k import BOTTOM, KDnf, decide_resk_width, negate_query
 from pacreason.resolution import make_clause
 from pacreason.sampling import (
@@ -241,29 +240,28 @@ def cuts_a_later_term(psi1, psi2) -> bool:
         (random_3cnf_stream, ("accepted", "rejected", "later term cut", "wide cut premise")),
     ],
 )
-def test_resk_matches_the_reference_on_the_instances_of_a_stream(stream, required, monkeypatch):
-    # every distinct restricted instance that `decide_pac` hands the kernel
-    # on a seeded stream.  The rules' results must also iterate their terms
-    # in the reference's order: that order decides the order of later
-    # offers, and so the provenance that a trace records
+def test_resk_matches_the_reference_on_the_instances_of_a_stream(stream, required):
+    # every distinct restricted instance of a seeded stream, as the backend
+    # hands it to the kernel, that the plain loop would search.  The rules'
+    # results must also iterate their terms in the reference's order: that
+    # order decides the order of later offers, and so the provenance that a
+    # trace records
     n, k, w, clauses, query, examples = stream()
-    instances = {}
-
-    def record(hyps, target, k, w, stats=None):
-        instances.setdefault((tuple(hyps), target, k, w), None)
-        return decide_resk_width(hyps, target, k, w, stats)
-
-    monkeypatch.setattr(backends, "decide_resk_width", record)
+    backend = ResKWidthBackend(k, w, n)
     hyps = tuple(KDnf([[lit] for lit in c]) for c in clauses)
-    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
-    decide_pac(ResKWidthBackend(k, w, n), (negate_query([query], k),), hyps, params, examples)
+    query = (negate_query([query], k),)
+    instances = {}
+    for rho in examples:
+        restricted = backend.restrict_query(query, rho)
+        if restricted is not TRUE:
+            instances.setdefault(backend.restrict_hyps(hyps, rho) + restricted, None)
 
     kinds = Counter()
-    for hyps, target, k, w in instances:
+    for hyps in instances:
         stats, reference_stats = {}, {}
-        accepted, trace = decide_resk_width(hyps, target, k, w, stats=stats)
+        accepted, trace = decide_resk_width(hyps, BOTTOM, k, w, stats=stats)
         assert (accepted, trace) == reference_decide_resk_width(
-            hyps, target, k, w, stats=reference_stats
+            hyps, BOTTOM, k, w, stats=reference_stats
         )
         assert stats == reference_stats
         lines = [*dict.fromkeys([*hyps, *(step.formula for step in trace or ())])]
@@ -276,28 +274,21 @@ def test_resk_matches_the_reference_on_the_instances_of_a_stream(stream, require
     assert all(kinds[kind] for kind in required), kinds
 
 
-class RecordingCuttingPlanes(CuttingPlanesBackend):
-    """Keeps every distinct instance that `decide_pac` hands `decide`."""
-
-    def __init__(self, w, L, n):
-        super().__init__(w, L, n)
-        self.instances = {}
-
-    def decide(self, query, hyps):
-        self.instances.setdefault((query, tuple(hyps)), None)
-        return super().decide(query, hyps)
-
-
 def cp_stream_instances(stream, m):
     """The distinct cutting-planes instances (n, w, L, target, hyps), at w=2
-    and L=3, of the first m examples of a stream, its clauses and query
-    encoded as inequalities."""
+    and L=3, that the first m examples of a stream restrict its clauses and
+    query to, encoded as inequalities; a query the example settles gives
+    none.  These are every instance the plain loop would search."""
     n, _, _, clauses, query, examples = stream()
-    backend = RecordingCuttingPlanes(2, 3, n)
+    backend = CuttingPlanesBackend(2, 3, n)
     hyps = tuple(encode_clause_cp(c) for c in clauses)
-    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
-    decide_pac(backend, encode_clause_cp(query), hyps, params, examples[:m])
-    return [(n, 2, 3, query, hyps) for query, hyps in backend.instances]
+    query = encode_clause_cp(query)
+    instances = {}
+    for rho in examples[:m]:
+        target = backend.restrict_query(query, rho)
+        if target is not TRUE:
+            instances.setdefault((target, backend.restrict_hyps(hyps, rho)), None)
+    return [(n, 2, 3, target, hyps) for target, hyps in instances]
 
 
 def cp_fuzz_instances():
@@ -323,8 +314,8 @@ def assert_countermodel(model, hyps, target, n):
     "cases, floors",
     [
         (lambda: cp_stream_instances(birds_stream, 400), {"settled": 4, "accepted": 5}),
-        (lambda: cp_stream_instances(random_3cnf_stream, 120), {"settled": 40, "accepted": 5}),
-        (cp_fuzz_instances, {"settled": 350, "accepted": 700, "rejected, pass stuck": 130}),
+        (lambda: cp_stream_instances(random_3cnf_stream, 120), {"settled": 51, "accepted": 5}),
+        (cp_fuzz_instances, {"settled": 432, "accepted": 700, "rejected, pass stuck": 130}),
     ],
     ids=["birds", "random-3cnf", "fuzz"],
 )

@@ -215,3 +215,26 @@ def test_only_the_example_sources_import_partial_assignment():
     assert importers <= {"formulas", "sampling", "formats", "__init__"}
     assert "sampling" in importers and "__init__" in importers
     assert gc_imports == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name bound by an import and never read is dead weight that hides
+    # which modules a file really depends on; `__init__.py` imports are its
+    # re-exports, and `from __future__` imports bind no name
+    offenders = []
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            offenders.extend(f"{where} {name}" for name in names if name not in used)
+    assert offenders == []
