@@ -6,7 +6,9 @@ parses an instance, checks it against them and returns `(backend, query,
 hyps)`.  Restriction keeps an instance inside its system's budget check, so
 the unrestricted instance is checked there, once, and no decider checks.
 Clause-space resolution holds its hyps, restricted or not, as a plain tuple
-of literal masks, so a restricted instance is a hashable value.
+of literal masks, and PC/PCR its query and hyps as integer rows
+(`polycalc.row`, denominators cleared at load), so a restricted instance of
+either is a hashable value.
 
 Every backend is restriction-closed: whenever it accepts an instance it also
 accepts any restriction of that instance at the same budget, which is what
@@ -18,8 +20,8 @@ because the search may use an over-budget hypothesis as an addition input.
 settles (witnessed true), and the reduction accepts such an example without
 restricting the hypotheses.  The clause and inequality restrictions collapse
 to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
-to BOTTOM, its refutation target, and PC/PCR when the query polynomial
-restricts to zero.  Each system's search accepts those forms too.
+to BOTTOM, its refutation target, and PC/PCR when the query row restricts
+to the zero row ().  Each system's search accepts those forms too.
 `decide(query, hyps)` runs the system's one search and returns what it
 found, a falsy value on reject: the `search_space` steps for clause-space
 resolution, the `saturation.TraceStep` trace for RES(k) and cutting planes,
@@ -40,11 +42,11 @@ runs as it would without it.
 true-literal mask is x satisfies every restricted hypothesis and falsifies
 the restricted query, each on the system's own restricted forms: clause
 masks for clause-space resolution, the terms of every k-DNF with the negated
-query's for RES(k), `Polynomial.evaluate` (all hypotheses zero, the query
-not) for PC and PCR, and the residual inequalities for cutting planes.  Every
-system is sound over 0/1 points, so such an x rules out a proof at any
-budget; `decide_pac` keeps it and rejects every later example consistent
-with it without a search.
+query's for RES(k), the values of the integer rows (`polycalc.row_values`:
+every hypothesis zero, the query not) for PC and PCR, and the residual
+inequalities for cutting planes.  Every system is sound over 0/1 points, so
+such an x rules out a proof at any budget; `decide_pac` keeps it and rejects
+every later example consistent with it without a search.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from . import formats
 from .errors import InputError, RuleError
 from .formulas import TRUE
-from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_polynomial
+from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_rows, row, row_values
 from .cutting_planes import check_target, countermodel, decide_cp, residual_ineq, restrict_ineq
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
@@ -164,7 +166,8 @@ class ResKWidthBackend:
 
 
 class PolynomialCalculusBackend:
-    """Degree-bounded polynomial calculus (or PCR); query is a polynomial."""
+    """Degree-bounded polynomial calculus (or PCR); the query and every
+    hypothesis are integer rows over x1..xn (`polycalc.row`)."""
 
     budgets = ("d",)
 
@@ -181,24 +184,24 @@ class PolynomialCalculusBackend:
             raise InputError("pc/pcr queries are a single polynomial")
         _same_n(query_n, n)
         check_inputs(hyps + queries, d, system)
-        return cls(d, n, mode=system), queries[0], tuple(hyps)
+        return cls(d, n, mode=system), row(queries[0], n), tuple(row(p, n) for p in hyps)
 
     def decide(self, query, hyps):
-        return decide_pc(list(hyps), query, self.d, self.mode)
+        return decide_pc(hyps, query, self.d, self.n, self.mode)
 
     def replay(self, proof, query, hyps):
         return ()
 
     def restrict_query(self, query, rho):
-        restricted = restrict_polynomial(query, rho)
-        return TRUE if restricted.is_zero else restricted
+        (restricted,) = restrict_rows((query,), rho, self.n)
+        return restricted or TRUE
 
     def restrict_hyps(self, hyps, rho):
-        return tuple(restrict_polynomial(p, rho) for p in hyps)
+        return restrict_rows(hyps, rho, self.n)
 
     def is_countermodel(self, query, hyps, x):
-        point = [x >> 2 * v & 1 for v in range(1, self.n + 1)]
-        return not any(p.evaluate(point) for p in hyps) and query.evaluate(point) != 0
+        values = row_values((query, *hyps), x, self.n)
+        return next(values) != 0 and not any(values)
 
 
 class CuttingPlanesBackend:

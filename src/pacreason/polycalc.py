@@ -4,17 +4,29 @@ Lines are polynomial equations [p = 0] over Boolean variables.  An
 indeterminate is a literal, the signed int that clauses and k-DNF terms use:
 x_v is v, and in PCR mode its dual ~x_v, which behaves like the negation and
 is tied to x_v by the complementarity polynomial x_v + ~x_v - 1, is -v.  A
-monomial is a frozenset of literals (multilinearity is structural), so it
-restricts as a RES(k) term does (`resolution.restrict_term`).  Monomials are
-ordered degree first, ties broken by the lexicographically smallest sorted
-indeterminate list being larger (`monomial_key`).
+`Polynomial`, the value that files parse to and print from, maps monomials,
+frozensets of literals (multilinearity is structural), to Fraction
+coefficients.  Monomials are ordered degree first, ties broken by the
+lexicographically smallest sorted indeterminate list being larger
+(`monomial_key`).
+
+The search never sees a `Polynomial`.  `row(p, n)` clears p's denominators
+once and writes it as an integer row over x1..xn: a tuple of (key,
+coefficient) pairs by decreasing key, with nonzero int coefficients.  The
+layout is fixed by n: the indeterminate whose `literal_bit` is b (2v for x_v,
+2v+1 for ~x_v) is bit 2n+1-b, so a monomial's mask is its literal mask
+reversed, and its key is (degree << 2n) | mask.  Keys compare as their
+`monomial_key`s do: degree first, then the highest bit where two masks
+differ is the first indeterminate in literal order where they differ, and
+it is set in the larger monomial.  A tuple of rows is a hashable value.
+`restrict_rows` restricts rows by an example's literal masks (reversed into
+the layout) with int tests, `row_values` evaluates them at a full
+assignment, and rows scaled by positive factors span the same space, so
+clearing denominators changes no verdict.
 
 The degree-d decision procedure is row echelon form over Q (Clegg, Edmonds &
-Impagliazzo, STOC 1996), run on integers.  A `MonomialCodec` turns each
-monomial of the instance into one int whose natural order is the monomial
-order, and each input polynomial, denominators cleared, into a row: a dict
-from int keys to int coefficients, whose lead is `max(row)`.  The basis is a
-dict keyed by leading monomial: every pending row is reduced against it with
+Impagliazzo, STOC 1996), run on integers.  The basis is a dict from leading
+key (`max(row)`) to row: every pending row is reduced against it with
 fraction-free row operations (Bareiss 1968; one lookup per cancelled lead),
 survivors are divided by their content and join it, and survivors of degree
 below d spawn all their indeterminate multiples (multilinearized, which is
@@ -30,7 +42,7 @@ from math import gcd, lcm
 
 from .errors import InputError
 from .formulas import Record
-from .resolution import TAUTOLOGY, literal_bit, literals_text, restrict_term
+from .resolution import TAUTOLOGY, literal_bit, literals_text
 
 PC = "pc"
 PCR = "pcr"
@@ -78,14 +90,6 @@ class Polynomial(Record):
                 del data[m]
         object.__setattr__(self, "terms", data)
 
-    @classmethod
-    def _trusted(cls, terms: dict) -> "Polynomial":
-        """Wraps a dict that already maps frozenset monomials to nonzero
-        Fractions, without copying or checking it."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,43 +131,62 @@ class Polynomial(Record):
         return f"Polynomial({' + '.join(self.term_texts('')) or '0'})"
 
 
-class MonomialCodec:
-    """Int keys for the monomials over one instance's variables.
+def row(p: Polynomial, n: int) -> tuple:
+    """p times the lcm of its denominators, as its integer row over x1..xn:
+    (key, coefficient) pairs by decreasing key."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    keys = ((len(m) << 2 * n) | _layout(sum(map(literal_bit, m)), n) for m in p.terms)
+    coefficients = (c.numerator * (scale // c.denominator) for c in p.terms.values())
+    return tuple(sorted(zip(keys, coefficients), reverse=True))
 
-    With the variables ranked in increasing order, the indeterminate x_v gets
-    index 2*rank and its dual -v index 2*rank + 1, index i is bit N-1-i,
-    where N = 2 * #variables (`bits` maps each literal to its bit), and a
-    monomial's key is (degree << N) | mask.  Keys compare as their
-    `monomial_key`s do: degree first, then the smallest index at which two
-    masks differ is the higher bit, set in the larger monomial.  Multiplying
-    key k by an indeterminate whose bit is absent gives k + (1 << N) + bit.
-    `multipliers` lists the indeterminates a PC (or PCR) derivation may
-    multiply by, in rank order, duals after their variable."""
 
-    def __init__(self, variables, mode: str = PC):
-        variables = sorted(variables)
-        self.width = width = 2 * len(variables)
-        lits = [lit for v in variables for lit in (v, -v)]  # in index order
-        self.bits = {lit: 1 << (width - 1 - i) for i, lit in enumerate(lits)}
-        self.multipliers = lits if mode == PCR else variables
+def _layout(mask: int, n: int) -> int:
+    """A literal mask (`literal_bit`) as a monomial mask of the row layout
+    over x1..xn: its 2n+2 low bits reversed."""
+    return int(f"{mask:0{2 * n + 2}b}"[::-1], 2)
 
-    def key(self, m: Monomial) -> int:
-        return (len(m) << self.width) + sum(map(self.bits.__getitem__, m))
 
-    def row(self, p: Polynomial) -> dict:
-        """p times the lcm of its denominators: an integer row."""
-        scale = lcm(*(c.denominator for c in p.terms.values()))
-        return {
-            self.key(m): c.numerator * (scale // c.denominator) for m, c in p.terms.items()
-        }
+def restrict_rows(rows, rho, n: int) -> tuple:
+    """Each row restricted by the example rho, its literal-mask pair: a
+    monomial meeting the false mask drops, one meeting the true mask loses
+    those indeterminates and as many degrees, and like monomials merge.  A
+    row whose terms all drop or cancel restricts to (), the zero row."""
+    true, false = _layout(rho[0], n), _layout(rho[1], n)
+    width = 2 * n
+    out = []
+    for r in rows:
+        kept, shrunk = [], False
+        for k, c in r:
+            if k & false:
+                continue
+            hit = k & true
+            if hit:
+                k -= hit + (hit.bit_count() << width)
+                shrunk = True
+            kept.append((k, c))
+        if shrunk:
+            merged = {}
+            for k, c in kept:
+                merged[k] = merged.get(k, 0) + c
+            kept = sorted(((k, c) for k, c in merged.items() if c), reverse=True)
+        out.append(tuple(kept))
+    return tuple(out)
+
+
+def row_values(rows, x: int, n: int):
+    """Each row's value, lazily, at the full assignment whose true-literal
+    mask is x: the sum of the coefficients of the monomials x makes true."""
+    false = (1 << 2 * n) - 1 ^ _layout(x, n)
+    return (sum(c for k, c in r if not k & false) for r in rows)
 
 
 def gaussian_reduce(p: dict, basis) -> dict:
-    """Reduce the integer row `p` against a basis keyed by leading monomial:
-    while the lead of `p` is a key, cancel it fraction-free, p <- (cb/g)*p -
-    (cp/g)*b with cp, cb the two lead coefficients and g = gcd(cb, cp).  The
-    result is a nonzero integer multiple of what exact rational reduction
-    leaves; `p` itself is not changed."""
+    """Reduce the integer row `p`, a dict from key to coefficient, against a
+    basis keyed by leading key: while the lead of `p` is a key, cancel it
+    fraction-free, p <- (cb/g)*p - (cp/g)*b with cp, cb the two lead
+    coefficients and g = gcd(cb, cp).  The result is a nonzero integer
+    multiple of what exact rational reduction leaves; `p` itself is not
+    changed."""
     while p:
         lead = max(p)
         b = basis.get(lead)
@@ -184,7 +207,7 @@ def gaussian_reduce(p: dict, basis) -> dict:
 
 def _times(row: dict, bit: int, step: int) -> dict:
     """The row multiplied by the indeterminate `bit`, multilinearized: keys
-    without the bit gain it and one degree (`step` = (1 << N) + bit), keys
+    without the bit gain it and one degree (`step` = (1 << 2n) + bit), keys
     with it stay, and two terms landing on one key merge."""
     out = {}
     for k, c in row.items():
@@ -199,11 +222,6 @@ def _times(row: dict, bit: int, step: int) -> dict:
     return out
 
 
-def complementarity(var: int) -> Polynomial:
-    """x + ~x - 1, tying a dual indeterminate to the negation."""
-    return Polynomial([(frozenset((var,)), 1), (frozenset((-var,)), 1), (ONE, -1)])
-
-
 def check_inputs(polys, d: int, mode: str) -> None:
     """Every input has degree at most d, and only PCR inputs use duals."""
     if mode not in (PC, PCR):
@@ -215,22 +233,34 @@ def check_inputs(polys, d: int, mode: str) -> None:
             raise InputError("dual indeterminates require PCR mode")
 
 
-def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
-    """Row echelon basis of the degree-d derivable space, as a dict from each
-    (distinct) leading monomial key to its primitive integer row (content 1).
-    Returns (basis, codec), where `codec` keys the instance's monomials.
-    Takes inputs that `check_inputs` accepts."""
-    hyps = list(hyps)
-
-    variables = set().union(*(p.variables() for p in hyps + [q]))
-    codec = MonomialCodec(variables, mode)
-    pending = deque(codec.row(p) for p in hyps)
-    if mode == PCR:
-        pending.extend(codec.row(complementarity(v)) for v in sorted(variables))
-
-    width = codec.width
+def build_basis(hyps, q, d: int, n: int, mode: str = PC):
+    """Row echelon basis of the degree-d derivable space from the rows `hyps`
+    over x1..xn, as a dict from each (distinct) leading key to its primitive
+    integer row (content 1).  A derivation multiplies by the indeterminates
+    of the variables that `hyps` and the query row `q` mention, by variable:
+    x_v alone in PC, x_v and then ~x_v in PCR, where the complementarity
+    row x_v + ~x_v - 1 of each of those variables follows the hypotheses.
+    Returns (basis, multipliers), the multipliers as literals.  Takes rows
+    of inputs that `check_inputs` accepts."""
+    used = 0
+    for r in (*hyps, q):
+        for k, _ in r:
+            used |= k
+    variables = [v for v in range(1, n + 1) if used >> 2 * (n - v) & 3]
+    width = 2 * n
     one = 1 << width
-    steps = [(bit, one + bit) for bit in map(codec.bits.__getitem__, codec.multipliers)]
+    pending = deque(map(dict, hyps))
+    multipliers, bits = [], []
+    for v in variables:
+        x, dual = 2 << 2 * (n - v), 1 << 2 * (n - v)  # the layout bits of x_v and ~x_v
+        multipliers.append(v)
+        bits.append(x)
+        if mode == PCR:
+            multipliers.append(-v)
+            bits.append(dual)
+            pending.append({one | x: 1, one | dual: 1, 0: -1})
+
+    steps = [(bit, one + bit) for bit in bits]
     basis = {}
     while pending:
         p = gaussian_reduce(pending.popleft(), basis)
@@ -244,32 +274,17 @@ def build_basis(hyps, q: Polynomial, d: int, mode: str = PC):
         if lead >> width < d:
             for bit, step in steps:
                 pending.append(_times(p, bit, step))
-    return basis, codec
+    return basis, multipliers
 
 
-def decide_pc(hyps, q: Polynomial, d: int, mode: str = PC) -> bool:
+def decide_pc(hyps, q, d: int, n: int, mode: str = PC) -> bool:
     """Accept iff [q = 0] has a degree-d derivation from the hypothesis
     equations (linear combination and multiplication; Boolean axioms act
-    through multilinearization).  PCR additionally seeds the complementarity
-    polynomial of every variable appearing in the instance.  Takes inputs
-    that `check_inputs` accepts."""
-    basis, codec = build_basis(hyps, q, d, mode)
-    return not gaussian_reduce(codec.row(q), basis)
-
-
-def restrict_polynomial(p: Polynomial, rho: tuple) -> Polynomial:
-    """Restrict each monomial by the example rho as the conjunction of its
-    literals (`restrict_term`): it dies when rho falsifies a literal and
-    loses the literals rho makes true, and like monomials merge."""
-    data = {}
-    for m, c in p.terms.items():
-        kept = restrict_term(m, rho)
-        if kept is None:
-            continue
-        if len(kept) < len(m):
-            m = frozenset(kept)
-        data[m] = data[m] + c if m in data else c
-    return Polynomial._trusted({m: c for m, c in data.items() if c})
+    through multilinearization), all integer rows over x1..xn.  PCR
+    additionally seeds the complementarity row of every variable the
+    instance mentions.  Takes rows of inputs that `check_inputs` accepts."""
+    basis = build_basis(hyps, q, d, n, mode)[0]
+    return not gaussian_reduce(dict(q), basis)
 
 
 def encode_clause_pcr(clause) -> Polynomial:

@@ -167,18 +167,30 @@ def _cut_masks(psi: KDnf) -> tuple:
     return units, negated
 
 
+_universes = {}  # k -> (m, each term of at most k literals over x1..xm with its variable mask)
+
+
 @lru_cache(maxsize=64)
 def _term_universe(variables: tuple, k: int) -> tuple:
-    """Every term of at most k literals over `variables`, by size, then in
-    `literal_bit` order.  Restricted instances share a few variable sets."""
-    literals = sorted((s * v for v in variables for s in (1, -1)), key=literal_bit)
-    universe = []
-    for size in range(1, k + 1):
-        for combo in combinations(literals, size):
-            if any(-lit in combo for lit in combo):
-                continue
-            universe.append(frozenset(combo))
-    return tuple(universe)
+    """Every term of at most k literals over the ascending `variables`, by
+    size, then in `literal_bit` order: the terms of one universe per k, over
+    x1..xm for the largest m asked for yet, whose variables all occur in
+    `variables`.  Filtering keeps that order, and the terms are built once,
+    so a variable set missing from the cache costs one pass over the shared
+    universe, however many sets a stream of restricted instances brings."""
+    m, universe = _universes.get(k, (0, ()))
+    if variables and variables[-1] > m:
+        m = variables[-1]
+        literals = sorted((s * v for v in range(1, m + 1) for s in (1, -1)), key=literal_bit)
+        universe = tuple(
+            (sum(1 << abs(lit) for lit in combo), frozenset(combo))
+            for size in range(1, k + 1)
+            for combo in combinations(literals, size)
+            if not any(-lit in combo for lit in combo)
+        )
+        _universes[k] = m, universe
+    allowed = sum(1 << v for v in variables)
+    return tuple(term for bits, term in universe if bits | allowed == allowed)
 
 
 def check_budget(hyps, target: KDnf, k: int, w: int) -> None:

@@ -10,11 +10,15 @@ helpers (completions of a partial assignment, proof size, k-DNFs as
 formulas, inequalities at a point), a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
 per-example sampler that `sampling.draw_examples` must match exactly, the
-RES(k) and cutting-planes deciders with their own round loops, which the
-deciders built on `saturation` must match exactly, and the PC kernel on
-`Fraction` coefficients and frozenset monomials (a list basis sorted by leading
-monomial, scanned on every reduction, and the per-term restriction), which the
-int-keyed `polycalc` kernel must match up to the scale of each row, the
+RES(k) and cutting-planes deciders with their own round loops and the term
+universe built from an instance's own literals, which the deciders built on
+`saturation` must match exactly, and the PC kernel on `Fraction`
+coefficients and frozenset monomials (a list basis sorted by leading
+monomial, scanned on every reduction, and the per-term restriction), which
+the integer rows of `polycalc` must match up to the scale of each row, with
+`decode_row` reading a row back into its polynomial, `pc_instance` building
+a PC/PCR backend's (backend, query, hyps) from polynomials and
+`decide_polynomials` running `decide_pc` on them, the
 projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
@@ -76,14 +80,14 @@ from pacreason.polycalc import (
     PC,
     PCR,
     Indet,
-    MonomialCodec,
     Polynomial,
     check_inputs,
-    complementarity,
+    decide_pc,
     monomial_key,
-    restrict_polynomial,
+    restrict_rows,
+    row,
 )
-from pacreason.res_k import KDnf, _term_universe, restrict_kdnf
+from pacreason.res_k import KDnf, restrict_kdnf
 from pacreason.resolution import (
     TAUTOLOGY,
     Clause,
@@ -114,7 +118,7 @@ def plain_restricted_query(backend, query, rho):
         restricted = (restrict_kdnf(phi, rho, backend.n) for phi in query)
         return tuple(phi for phi in restricted if phi is not TRUE)
     if isinstance(backend, PolynomialCalculusBackend):
-        return restrict_polynomial(query, rho)
+        return restrict_rows((query,), rho, backend.n)[0]
     if isinstance(backend, CuttingPlanesBackend):
         return residual_ineq(query, rho)
     return backend.restrict_query(query, rho)
@@ -583,6 +587,19 @@ def reference_weaken_results(psi: KDnf, universe_terms, w: int):
             yield KDnf(psi | set(combo))
 
 
+def reference_term_universe(variables: tuple, k: int) -> tuple:
+    """Every term of at most k literals over `variables`, by size, then in
+    `literal_bit` order, built from the instance's own literals."""
+    literals = sorted((s * v for v in variables for s in (1, -1)), key=literal_bit)
+    universe = []
+    for size in range(1, k + 1):
+        for combo in combinations(literals, size):
+            if any(-lit in combo for lit in combo):
+                continue
+            universe.append(frozenset(combo))
+    return tuple(universe)
+
+
 def reference_decide_resk_width(hyps, target, k, w, stats=None):
     """RES(k) width-w decision with its own rules, round loop and trace
     unwinding; it tries a cut on every ordered pair of lines."""
@@ -594,7 +611,7 @@ def reference_decide_resk_width(hyps, target, k, w, stats=None):
             raise InputError(f"formula {phi!r} is not a {k}-DNF")
 
     variables = tuple(sorted(set().union(*(phi.variables() for phi in hyps + [target]))))
-    universe_terms = _term_universe(variables, k)
+    universe_terms = reference_term_universe(variables, k)
 
     table = {}
     for i, phi in enumerate(hyps):
@@ -812,10 +829,37 @@ def monic(p: Polynomial) -> Polynomial:
     return Polynomial({m: c / lead for m, c in p.terms.items()})
 
 
-def decode_row(codec: MonomialCodec, row: dict) -> Polynomial:
-    """The polynomial an integer row of `codec` stands for."""
-    monomial = {key: frozenset(lit for lit, bit in codec.bits.items() if key & bit) for key in row}
-    return Polynomial({monomial[k]: c for k, c in row.items()})
+def decode_row(r, n: int) -> Polynomial:
+    """The polynomial that an integer row over x1..xn (a dict or a tuple of
+    (key, coefficient) pairs) stands for, read off the documented layout:
+    x_v is bit 2n+1-2v, ~x_v bit 2n-2v, and the degree sits above bit 2n."""
+    bits = [(lit, 1 << 2 * n + 1 - 2 * v - (lit < 0)) for v in range(1, n + 1) for lit in (v, -v)]
+    out = {}
+    for k, c in r.items() if isinstance(r, dict) else r:
+        m = frozenset(lit for lit, bit in bits if k & bit)
+        if k >> 2 * n != len(m):
+            raise ValueError(f"key {k} does not hold the degree of its monomial over x1..x{n}")
+        out[m] = c
+    return Polynomial(out)
+
+
+def pc_instance(d: int, n: int, mode: str, query: Polynomial, hyps) -> tuple:
+    """(backend, query, hyps) as `PolynomialCalculusBackend.load` gives them
+    for these polynomials: the query and hypotheses as integer rows."""
+    return PolynomialCalculusBackend(d, n, mode), row(query, n), tuple(row(h, n) for h in hyps)
+
+
+def decide_polynomials(hyps, q: Polynomial, d: int, mode: str = PC, n: int = None) -> bool:
+    """`polycalc.decide_pc` on the rows of the polynomials over x1..xn, n the
+    largest variable they mention when not given."""
+    if n is None:
+        n = max((v for p in [*hyps, q] for v in p.variables()), default=1)
+    return decide_pc([row(h, n) for h in hyps], row(q, n), d, n, mode)
+
+
+def complementarity(var: int) -> Polynomial:
+    """x + ~x - 1, tying a dual indeterminate to the negation."""
+    return Polynomial([(frozenset((var,)), 1), (frozenset((-var,)), 1), (ONE, -1)])
 
 
 def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Polynomial:
@@ -838,6 +882,15 @@ def reference_restrict_polynomial(p: Polynomial, rho: PartialAssignment) -> Poly
         if not dead:
             out.append((frozenset(kept), c))
     return Polynomial(out)
+
+
+def reference_restricted_row(p: Polynomial, rho: PartialAssignment, n: int) -> tuple:
+    """The row that restricting p's row over x1..xn by rho must give:
+    `reference_restrict_polynomial` times the factor `row` scales p by, the
+    lcm of its denominators."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    want = reference_restrict_polynomial(p, rho)
+    return row(Polynomial({m: scale * c for m, c in want.terms.items()}), n)
 
 
 def reference_restrict_term(term, rho: PartialAssignment):

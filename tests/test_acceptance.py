@@ -39,13 +39,7 @@ from pacreason.formulas import (
     witness_status,
 )
 from pacreason.oracle import entails, sat_solve
-from pacreason.polycalc import (
-    PC,
-    PCR,
-    decide_pc,
-    encode_clause_pcr,
-    restrict_polynomial,
-)
+from pacreason.polycalc import PC, PCR, encode_clause_pcr
 from pacreason.res_k import (
     BOTTOM,
     KDnf,
@@ -70,10 +64,12 @@ from pacreason.sampling import (
 
 from helpers import (
     completions,
+    decide_polynomials,
     example,
     holds_at,
     random_cnf,
     random_formula,
+    pc_instance,
     random_partial,
     restrict_kb,
 )
@@ -165,17 +161,17 @@ def test_criterion_2_restriction_closure():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
-        if not decide_pc(hyps, q, d, mode):
+        backend, query, rows = pc_instance(d, n, mode, q, hyps)
+        if not backend.decide(query, rows):
             continue
         pc_accepted += 1
         for _ in range(20):
-            rho = example(random_partial(rng, n))
-            assert decide_pc(
-                [restrict_polynomial(h, rho) for h in hyps],
-                restrict_polynomial(q, rho),
-                d,
-                mode,
-            )
+            # the backend's own restriction, at rho and at a refinement sigma
+            rho = random_partial(rng, n)
+            assert decide_example(backend, query, rows, example(rho), [])
+            tau = {v: rng.randint(0, 1) for v in range(1, n + 1)
+                   if rho[v - 1] is None and rng.random() < 0.5}
+            assert decide_example(backend, query, rows, example(refine(rho, tau)), [])
             checks += 1
 
     cp_accepted = 0
@@ -356,7 +352,7 @@ def test_criterion_6_pc_pcr():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(0, 3))]
         q = random_polynomial(rng, n, d, mode)
-        if decide_pc(hyps, q, d, mode) != span_closure_decides(hyps, q, d, mode):
+        if decide_polynomials(hyps, q, d, mode) != span_closure_decides(hyps, q, d, mode):
             report(6, False, "decide_pc disagreed with the span-closure oracle")
         oracle_checks += 1
 
@@ -369,7 +365,7 @@ def test_criterion_6_pc_pcr():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
-        if not decide_pc(hyps, q, d, mode):
+        if not decide_polynomials(hyps, q, d, mode):
             continue
         sound_checks += 1
         for x in product((0, 1), repeat=n):

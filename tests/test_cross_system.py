@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from pacreason.backends import PolynomialCalculusBackend, ResKWidthBackend
+from pacreason.backends import ResKWidthBackend
 from pacreason.decide_pac import PacParams, decide_pac
 from pacreason.formulas import TRUE
 from pacreason.polycalc import PCR, encode_clause_pcr
@@ -25,7 +25,7 @@ from pacreason.res_k import KDnf, negate_query
 from pacreason.resolution import make_clause
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
-from helpers import random_clause
+from helpers import pc_instance, random_clause
 
 
 def random_instance(rng):
@@ -52,9 +52,8 @@ def backends(n, clauses, query, w):
     resk_hyps = tuple(KDnf([[lit] for lit in c]) for c in clauses)
     resk = (ResKWidthBackend(1, w, n), (negate_query([query], 1),), resk_hyps)
     degree = max(len(c) for c in [*clauses, query])
-    pcr_query = encode_clause_pcr(query)
-    pcr_hyps = tuple(encode_clause_pcr(c) for c in clauses)
-    pcr = (PolynomialCalculusBackend(max(w + 1, degree), n, mode=PCR), pcr_query, pcr_hyps)
+    pcr_hyps = [encode_clause_pcr(c) for c in clauses]
+    pcr = pc_instance(max(w + 1, degree), n, PCR, encode_clause_pcr(query), pcr_hyps)
     return resk, pcr
 
 

@@ -25,7 +25,7 @@ from pacreason.decide_pac import (
 )
 from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, TRUE, Var
-from pacreason.polycalc import PC, PCR, Indet, Polynomial
+from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr, row
 from pacreason.res_k import BOTTOM, KDnf, negate_query
 from pacreason.resolution import TAUTOLOGY, Cnf, decode_clause, encode_clause, make_clause, negation
 from pacreason.sampling import (
@@ -40,8 +40,10 @@ from helpers import (
     EntailmentOracleBackend,
     assignment_of,
     completions,
+    decode_row,
     example,
     holds_at,
+    pc_instance,
     reference_decide_pac,
 )
 from test_restriction_closure import (
@@ -259,12 +261,9 @@ def test_res_k_backend_roundtrip():
 
 
 def test_polynomial_backend_under_masking():
-    from pacreason.polycalc import encode_clause_pcr
-    from pacreason.polycalc import PCR
-
-    backend = PolynomialCalculusBackend(d=2, n=2, mode=PCR)
-    hyps = (encode_clause_pcr(make_clause([-1, 2])),)
-    query = encode_clause_pcr(make_clause([2]))
+    backend, query, hyps = pc_instance(
+        2, 2, PCR, encode_clause_pcr(make_clause([2])), [encode_clause_pcr(make_clause([-1, 2]))]
+    )
     examples = [example("1*")] * 6
     outcome = decide_pac(backend, query, hyps, params(), examples)
     assert outcome.verdict == ACCEPT
@@ -350,7 +349,7 @@ def random_instance(system, rng):
     while True:
         mode, n, d, hyps, query = random_pc_instance(rng)
         if mode == system:
-            return PolynomialCalculusBackend(d, n, mode), query, tuple(hyps), n
+            return (*pc_instance(d, n, mode, query, hyps), n)
 
 
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
@@ -390,10 +389,10 @@ def test_plain_decide_accepts_what_a_settled_query_stands_for():
     assert resk.decide((KDnf([(1,)]), BOTTOM), ())
     assert not resk.decide((KDnf([(1,)]),), ())
     assert resk.restrict_query((KDnf([(-1,)]),), example("1*")) is TRUE
-    x1 = Polynomial([(frozenset({Indet(1)}), 1)])
+    x1 = row(Polynomial([(frozenset({Indet(1)}), 1)]), 2)
     for mode in (PC, PCR):
         pc = PolynomialCalculusBackend(d=1, n=2, mode=mode)
-        assert pc.decide(Polynomial(), ())
+        assert pc.decide((), ())  # the zero row
         assert not pc.decide(x1, ())
         assert pc.restrict_query(x1, example("0*")) is TRUE
     cp = CuttingPlanesBackend(w=1, L=2, n=2)
@@ -420,6 +419,7 @@ def refutes_at(system, query, hyps, x) -> bool:
         return all(any(all(map(true, term)) for term in phi) for phi in (*hyps, *query))
     if system == "cp":
         return all(holds_at(h, x) for h in hyps) and not holds_at(query, x)
+    hyps, query = [decode_row(r, len(x)) for r in hyps], decode_row(query, len(x))
     return all(p.evaluate(x) == 0 for p in hyps) and query.evaluate(x) != 0
 
 

@@ -2,20 +2,19 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from pacreason import polycalc
 from pacreason.backends import PolynomialCalculusBackend
 from pacreason.errors import InputError
-from pacreason.formulas import PartialAssignment, WitnessStatus
+from pacreason.formulas import TRUE, PartialAssignment, WitnessStatus
 from pacreason.polycalc import (
     ONE,
     PC,
     PCR,
     Indet,
-    MonomialCodec,
     Polynomial,
     build_basis,
     check_inputs,
@@ -23,22 +22,28 @@ from pacreason.polycalc import (
     encode_clause_pcr,
     gaussian_reduce,
     monomial_key,
-    restrict_polynomial,
+    restrict_rows,
+    row,
 )
 from pacreason.resolution import TAUTOLOGY, make_clause
 
 from helpers import (
     prove_exit_code,
+    complementarity,
+    decide_polynomials,
     decode_row,
     example,
     monic,
     mul_indet,
     multilinearize,
+    pc_instance,
+    plain_restricted_query,
     poly_witness_status,
     random_partial,
     reference_build_basis,
     reference_gaussian_reduce,
     reference_restrict_polynomial,
+    reference_restricted_row,
 )
 from pc_span_oracle import span_closure_decides
 
@@ -55,10 +60,17 @@ def poly(*terms):
     return Polynomial([(frozenset(m), c) for c, m in terms])
 
 
-def keyed(codec, *polys):
-    """A basis of the polynomials' integer rows, keyed by their leads."""
-    rows = [codec.row(p) for p in polys]
+def keyed(n, *polys):
+    """A basis of the polynomials' integer rows over x1..xn, keyed by their
+    leads."""
+    rows = [dict(row(p, n)) for p in polys]
     return {max(r): r for r in rows}
+
+
+def instance_n(*polys):
+    """The largest variable the polynomials mention (1 when none)."""
+    return max((v for p in polys for v in p.variables()), default=1)
+
 
 
 def test_multilinearize_boolean_axiom_collapses():
@@ -87,10 +99,15 @@ def test_monomial_order_degree_dominates():
     assert monomial_key(frozenset([x(1), x(2)])) > monomial_key(frozenset([x(1), x(3)]))
 
 
-def test_monomial_codec_keys_sort_like_monomial_key():
-    for variables in ([], [1], [2, 5], [1, 2, 3], [3, 4, 7, 11]):
+def key(m, n):
+    """The row key of the monomial m over x1..xn."""
+    return row(Polynomial([(m, 1)]), n)[0][0]
+
+
+def test_row_keys_sort_like_monomial_key():
+    for variables, n in (([], 1), ([1], 1), ([2, 5], 5), ([1, 2, 3], 4), ([3, 4, 7, 11], 11),
+                         ([1, 64, 69], 69), ([2, 70], 70)):
         for mode in (PC, PCR):
-            codec = MonomialCodec(variables, mode)
             indets = [Indet(v, dual) for v in variables for dual in (False, True)]
             if mode == PC:
                 indets = [i for i in indets if i > 0]
@@ -102,59 +119,69 @@ def test_monomial_codec_keys_sort_like_monomial_key():
             ]
             rng = random.Random(len(monomials))
             rng.shuffle(monomials)
-            assert len(set(map(codec.key, monomials))) == len(monomials)
+            assert len({key(m, n) for m in monomials}) == len(monomials)
             for i in indets:
-                assert codec.key(frozenset([i])) == (1 << codec.width) + codec.bits[i]
-            assert sorted(monomials, key=codec.key) == sorted(monomials, key=monomial_key)
+                # x_v is bit 2n+1-2v and ~x_v bit 2n-2v, above them the degree
+                bit = 1 << 2 * n + 1 - 2 * abs(i) - (i < 0)
+                assert key(frozenset([i]), n) == (1 << 2 * n) + bit
+            assert sorted(monomials, key=lambda m: key(m, n)) == sorted(monomials, key=monomial_key)
 
 
-def test_monomial_codec_rows_clear_denominators():
-    codec = MonomialCodec([1, 2], PCR)
+def test_rows_clear_denominators():
     p = poly((Fraction(1, 2), [x(1), xd(2)]), (Fraction(-2, 3), []))
-    assert codec.row(p) == {codec.key(frozenset([x(1), xd(2)])): 3, 0: -4}
-    assert codec.row(Polynomial()) == {}
-    assert codec.multipliers == [x(1), xd(1), x(2), xd(2)]
-    assert MonomialCodec([1, 2], PC).multipliers == [x(1), x(2)]
+    assert row(p, 2) == ((key(frozenset([x(1), xd(2)]), 2), 3), (0, -4))
+    assert row(Polynomial(), 2) == ()
+    q = poly((1, [x(1), x(2)]))
+    assert build_basis([], row(q, 2), 1, 2, PCR)[1] == [x(1), xd(1), x(2), xd(2)]
+    assert build_basis([], row(q, 2), 1, 2)[1] == [x(1), x(2)]
+    # the complementarity rows x_v + ~x_v - 1, with content 1, are the pcr basis
+    basis = build_basis([], row(q, 2), 1, 2, PCR)[0]
+    assert sorted(sorted(b.items()) for b in basis.values()) == sorted(
+        sorted(row(complementarity(v), 2)) for v in (1, 2)
+    )
+    assert build_basis([], row(poly((1, [x(2)])), 3), 1, 3)[1] == [x(2)]
 
 
 def test_gaussian_reduce_examples():
-    codec = MonomialCodec([1, 2], PC)
-    row = codec.row
+    def r(p):
+        return dict(row(p, 2))
+
     xy_minus_x = poly((1, [x(1), x(2)]), (-1, [x(1)]))
-    assert gaussian_reduce(row(poly((1, [x(1), x(2)]))), keyed(codec, xy_minus_x)) == row(
+    assert gaussian_reduce(r(poly((1, [x(1), x(2)]))), keyed(2, xy_minus_x)) == r(
         poly((1, [x(1)]))
     )
     assert gaussian_reduce(
-        row(poly((1, [x(1)]))), keyed(codec, poly((1, [x(1), x(2)])))
-    ) == row(poly((1, [x(1)])))
-    assert gaussian_reduce({}, keyed(codec, xy_minus_x)) == {}
+        r(poly((1, [x(1)]))), keyed(2, poly((1, [x(1), x(2)])))
+    ) == r(poly((1, [x(1)])))
+    assert gaussian_reduce({}, keyed(2, xy_minus_x)) == {}
     # fraction-free: 2xy + 3y - (1/2)(4xy - y) becomes 2*(2xy + 3y) - (4xy - y),
     # both factors divided by gcd(2, 4)
-    p = row(poly((2, [x(1), x(2)]), (3, [x(2)])))
-    b = keyed(codec, poly((4, [x(1), x(2)]), (-1, [x(2)])))
-    assert gaussian_reduce(p, b) == row(poly((7, [x(2)])))
-    assert p == row(poly((2, [x(1), x(2)]), (3, [x(2)])))  # the input is not changed
+    p = r(poly((2, [x(1), x(2)]), (3, [x(2)])))
+    b = keyed(2, poly((4, [x(1), x(2)]), (-1, [x(2)])))
+    assert gaussian_reduce(p, b) == r(poly((7, [x(2)])))
+    assert p == r(poly((2, [x(1), x(2)]), (3, [x(2)])))  # the input is not changed
 
 
 def test_gaussian_reduce_is_idempotent():
-    codec = MonomialCodec([1, 2], PC)
-    basis = keyed(codec, poly((1, [x(1), x(2)]), (-1, [x(1)])), poly((1, [x(2)])))
-    p = codec.row(poly((2, [x(1), x(2)]), (1, [x(2)]), (3, [])))
+    basis = keyed(2, poly((1, [x(1), x(2)]), (-1, [x(1)])), poly((1, [x(2)])))
+    p = dict(row(poly((2, [x(1), x(2)]), (1, [x(2)]), (3, [])), 2))
     once = gaussian_reduce(p, basis)
     assert gaussian_reduce(once, basis) == once
 
 
 def test_decide_pc_multiplication():
-    assert decide_pc([poly((1, [x(1)]))], poly((1, [x(1), x(2)])), 2, PC)
+    assert decide_polynomials([poly((1, [x(1)]))], poly((1, [x(1), x(2)])), 2, PC)
 
 
 def test_decide_pc_reject_semantically():
-    assert not decide_pc([poly((1, [x(1), x(2)]))], poly((1, [x(1)])), 2, PC)
+    assert not decide_polynomials([poly((1, [x(1), x(2)]))], poly((1, [x(1)])), 2, PC)
 
 
 def test_decide_pcr_complementarity_axiom():
     q = poly((1, [x(1)]), (1, [xd(1)]), (-1, []))
-    assert decide_pc([], q, 1, PCR)
+    assert decide_polynomials([], q, 1, PCR)
+    # without the complementarity rows the same query is out of reach
+    assert not decide_polynomials([], q, 1, PC)
 
 
 def test_decide_pc_degree_gate(tmp_path, capsys):
@@ -173,11 +200,20 @@ def test_decide_pc_degree_gate(tmp_path, capsys):
         assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
+def restricted(p, rho, n):
+    """p's row over x1..xn restricted by rho, decoded."""
+    return decode_row(restrict_rows((row(p, n),), example(rho), n)[0], n)
+
+
 def test_restrict_polynomial_examples():
     p = poly((1, [x(1), x(2)]), (1, [x(2)]))
-    assert restrict_polynomial(p, example("1*")) == poly((2, [x(2)]))
-    assert restrict_polynomial(p, example("0*")) == poly((1, [x(2)]))
-    assert restrict_polynomial(poly((1, [xd(1), x(2)])), example("1*")).is_zero
+    assert restricted(p, "1*", 2) == poly((2, [x(2)]))
+    assert restricted(p, "0*", 2) == poly((1, [x(2)]))
+    assert restricted(poly((1, [xd(1), x(2)])), "1*", 2).is_zero
+    # denominators are cleared once, at the row: 1/2 x1 x2 - 1/3 ~x2
+    p = poly((Fraction(1, 2), [x(1), x(2)]), (Fraction(-1, 3), [xd(2)]))
+    assert restricted(p, "10", 2) == poly((-2, []))
+    assert restricted(p, "11", 2) == poly((3, []))
 
 
 def random_restriction_pair(rng):
@@ -214,18 +250,26 @@ def cancels(p, rho):
     return any(len(cs) > 1 and sum(cs) == 0 for cs in merged.values())
 
 
+def scale_of(p):
+    """The positive factor `row` multiplies p by: the lcm of its denominators."""
+    return lcm(*(c.denominator for c in p.terms.values()))
+
+
 def test_restrict_polynomial_matches_the_per_term_loop():
     rng = random.Random(632)
     seen = {"bool": 0, "dual": 0, "cancel": 0, "zero": 0}
     for _ in range(3000):
         p, rho, from_bools = random_restriction_pair(rng)
-        got = restrict_polynomial(p, example(rho))
-        assert got == reference_restrict_polynomial(p, rho), (p, rho)
-        assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+        n = len(rho)
+        got = restrict_rows((row(p, n),), example(rho), n)[0]
+        want = reference_restrict_polynomial(p, rho)
+        assert decode_row(got, n) == Polynomial({m: scale_of(p) * c for m, c in want.terms.items()})
+        assert all(type(c) is int and c != 0 for _, c in got)
+        assert list(got) == sorted(got, reverse=True)
         seen["bool"] += from_bools
         seen["dual"] += p.has_duals()
         seen["cancel"] += cancels(p, rho)
-        seen["zero"] += got.is_zero
+        seen["zero"] += not got
     assert min(seen.values()) >= 100, seen
 
 
@@ -300,7 +344,7 @@ def test_matches_span_oracle_randomized():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(0, 3))]
         q = random_polynomial(rng, n, d, mode)
-        got = decide_pc(hyps, q, d, mode)
+        got = decide_polynomials(hyps, q, d, mode)
         assert got == span_closure_decides(hyps, q, d, mode)
         agreements += 1
     assert agreements == 80
@@ -314,7 +358,7 @@ def test_accepts_are_semantically_sound_randomized():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(0, 3))]
         q = random_polynomial(rng, n, d, mode)
-        if not decide_pc(hyps, q, d, mode):
+        if not decide_polynomials(hyps, q, d, mode):
             continue
         for point in product((0, 1), repeat=n):
             if all(h.evaluate(point) == 0 for h in hyps):
@@ -330,15 +374,16 @@ def test_restriction_closure_randomized():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
-        if not decide_pc(hyps, q, d, mode):
+        if not decide_polynomials(hyps, q, d, mode, n):
             continue
         closed += 1
+        rows = [row(p, n) for p in (q, *hyps)]
         for _ in range(6):
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            r_hyps = [restrict_polynomial(h, example(rho)) for h in hyps]
-            assert decide_pc(r_hyps, restrict_polynomial(q, example(rho)), d, mode)
+            r_q, *r_hyps = restrict_rows(rows, example(rho), n)
+            assert decide_pc(r_hyps, r_q, d, n, mode)
 
 
 def test_basis_property_randomized():
@@ -349,17 +394,18 @@ def test_basis_property_randomized():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
-        basis, codec = build_basis(hyps, q, d, mode)
+        basis, multipliers = build_basis([row(h, n) for h in hyps], row(q, n), d, n,
+                                         mode)
         for lead, b in basis.items():
             assert lead == max(b)
             assert gcd(*b.values()) == 1
         for h in hyps:
-            assert not gaussian_reduce(codec.row(h), basis)
+            assert not gaussian_reduce(dict(row(h, n)), basis)
         for b in basis.values():
-            b = decode_row(codec, b)
+            b = decode_row(b, n)
             if b.degree <= d - 1:
-                for alpha in codec.multipliers:
-                    assert not gaussian_reduce(codec.row(mul_indet(b, alpha)), basis)
+                for alpha in multipliers:
+                    assert not gaussian_reduce(dict(row(mul_indet(b, alpha), n)), basis)
 
 
 def test_decide_pc_goes_through_the_module_level_build_basis(monkeypatch):
@@ -373,7 +419,7 @@ def test_decide_pc_goes_through_the_module_level_build_basis(monkeypatch):
 
     monkeypatch.setattr(polycalc, "build_basis", counting)
     backend = PolynomialCalculusBackend(d=2, n=2)
-    assert backend.decide(poly((1, [x(1), x(2)])), [poly((1, [x(1)]))])
+    assert backend.decide(row(poly((1, [x(1), x(2)])), 2), (row(poly((1, [x(1)])), 2),))
     # x1, then x1*x1 = x1 merges away and x1*x2 joins
     assert sizes == [2]
 
@@ -411,9 +457,9 @@ def random_basis_instance(rng, kinds):
     else:
         q = with_rational_coefficients(rng, random_polynomial(rng, n, d, mode))
     if rng.random() < 0.3:
-        rho = example(random_partial(rng, n))
-        hyps = [restrict_polynomial(h, rho) for h in hyps]
-        q = restrict_polynomial(q, rho)
+        rho = random_partial(rng, n)
+        hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
+        q = reference_restrict_polynomial(q, rho)
         kinds["restricted"] += 1
     kinds["non-integer"] += any(
         c.denominator != 1 for p in hyps + [q] for c in p.terms.values()
@@ -431,17 +477,164 @@ def test_dict_basis_matches_list_reference_randomized():
     # The reducer alone first, on the reference bases: a reducer that stops
     # early fails here instead of letting build_basis grow without end.
     for (hyps, q, _, mode), (ref_basis, _) in zip(instances, references):
-        codec = MonomialCodec(set().union(*(p.variables() for p in hyps + [q])), mode)
-        basis = keyed(codec, *ref_basis)
+        n = instance_n(*hyps, q)
+        basis = keyed(n, *ref_basis)
         for p in hyps + [q]:
-            got = decode_row(codec, gaussian_reduce(codec.row(p), basis))
+            got = decode_row(gaussian_reduce(dict(row(p, n)), basis), n)
             assert monic(got) == monic(reference_gaussian_reduce(p, ref_basis))
     for (hyps, q, d, mode), (ref_basis, ref_multipliers) in zip(instances, references):
-        basis, codec = build_basis(hyps, q, d, mode)
-        by_lead = [decode_row(codec, basis[lead]) for lead in sorted(basis, reverse=True)]
+        n = instance_n(*hyps, q)
+        hyp_rows, q_row = [row(h, n) for h in hyps], row(q, n)
+        basis, multipliers = build_basis(hyp_rows, q_row, d, n, mode)
+        by_lead = [decode_row(basis[lead], n) for lead in sorted(basis, reverse=True)]
         assert list(map(monic, by_lead)) == list(map(monic, ref_basis)), (hyps, q, d, mode)
-        assert codec.multipliers == ref_multipliers
+        assert multipliers == ref_multipliers
         ref_remainder = reference_gaussian_reduce(q, ref_basis)
-        remainder = decode_row(codec, gaussian_reduce(codec.row(q), basis))
+        remainder = decode_row(gaussian_reduce(dict(q_row), basis), n)
         assert monic(remainder) == monic(ref_remainder), (hyps, q, d, mode)
-        assert decide_pc(hyps, q, d, mode) == ref_remainder.is_zero
+        assert decide_pc(hyp_rows, q_row, d, n, mode) == ref_remainder.is_zero
+
+
+def spread_instance(rng):
+    """(mode, n, d, hyps, q): a pc or pcr instance at d in 1..3 over at most
+    four variables (three in pcr) spread over x1..xn, n odd or even up to
+    70, with negative and non-integer coefficients, and each term often
+    repeated one indeterminate wider with the opposite coefficient, so that
+    restricted terms merge and cancel."""
+    n = 2 * rng.randint(1, 35) - rng.randint(0, 1)
+    mode = PC if rng.random() < 0.5 else PCR
+    variables = rng.sample(range(1, n + 1), min(n, rng.randint(1, 4 if mode == PC else 3)))
+    d = rng.randint(1, 3)
+
+    def indet():
+        return Indet(rng.choice(variables), dual=mode == PCR and rng.random() < 0.4)
+
+    def polynomial():
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            m = frozenset(indet() for _ in range(rng.randint(0, d)))
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+            terms.append((m, c))
+            if len(m) < d and rng.random() < 0.6:
+                terms.append((m | {indet()}, -c if rng.random() < 0.7 else c))
+        return Polynomial(terms)
+
+    return mode, n, d, [polynomial() for _ in range(rng.randint(0, 3))], polynomial()
+
+
+def spread_examples(rng, n, count):
+    """`count` random examples over x1..xn, as PartialAssignments."""
+    return [random_partial(rng, n, rng.choice((0.0, 0.3, 0.7, 1.0))) for _ in range(count)]
+
+
+def test_backend_rows_restrict_as_the_fraction_reference():
+    # restrict_query and restrict_hyps give, for each polynomial, the row of
+    # `reference_restrict_polynomial` times the factor `row` scaled it by,
+    # and the query settles exactly when its reference restriction is zero
+    rng = random.Random(2810)
+    seen = Counter()
+    for _ in range(1500):
+        mode, n, d, hyps, q = spread_instance(rng)
+        backend, query, rows = pc_instance(d, n, mode, q, hyps)
+        for rho in spread_examples(rng, n, 3):
+            pair = example(rho)
+            restricted = backend.restrict_query(query, pair)
+            want = reference_restricted_row(q, rho, n)
+            assert restricted == (want or TRUE), (q, rho)
+            got = backend.restrict_hyps(rows, pair)
+            assert got == tuple(reference_restricted_row(h, rho, n) for h in hyps), (hyps, rho)
+            for h, r in zip(hyps, got):
+                want = reference_restrict_polynomial(h, rho)
+                scaled = Polynomial({m: scale_of(h) * c for m, c in want.terms.items()})
+                assert decode_row(r, n) == scaled
+                seen["cancel"] += cancels(h, rho)
+                seen["non-integer"] += scale_of(h) > 1
+            seen["settled"] += restricted is TRUE
+            seen["odd n" if n % 2 else "even n"] += 1
+            seen["n > 64"] += n > 64
+    assert min(seen.values()) >= 100, seen
+
+
+def test_row_basis_matches_the_reference_and_the_span_oracle():
+    # on rows, restricted or not, the verdict and the basis size of
+    # `build_basis` are those of the Fraction kernel, and the verdict that of
+    # the dense span-closure oracle
+    rng = random.Random(2811)
+    seen = Counter()
+    for _ in range(400):
+        mode, n, d, hyps, q = spread_instance(rng)
+        backend, query, rows = pc_instance(d, n, mode, q, hyps)
+        for rho in [None, *spread_examples(rng, n, 2)]:
+            if rho is None:
+                ref_q, ref_hyps, r_q, r_rows = q, hyps, query, rows
+            else:
+                pair = example(rho)
+                ref_q = reference_restrict_polynomial(q, rho)
+                ref_hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
+                r_q = plain_restricted_query(backend, query, pair)
+                r_rows = backend.restrict_hyps(rows, pair)
+            ref_basis, ref_multipliers = reference_build_basis(ref_hyps, ref_q, d, mode)
+            basis, multipliers = build_basis(r_rows, r_q, d, n, mode)
+            accepted = bool(backend.decide(r_q, r_rows))
+            assert (len(basis), multipliers) == (len(ref_basis), ref_multipliers), (ref_hyps, ref_q)
+            assert accepted == reference_gaussian_reduce(ref_q, ref_basis).is_zero
+            assert accepted == span_closure_decides(ref_hyps, ref_q, d, mode)
+            seen[f"{mode} {'accepted' if accepted else 'rejected'}"] += 1
+            seen["restricted"] += rho is not None
+            seen["n > 64"] += n > 64
+    assert min(seen.values()) >= 50, seen
+
+
+def test_is_countermodel_is_the_brute_force_evaluation():
+    # at full assignments, random ones and completions of rho: every
+    # restricted hypothesis evaluates to zero and the restricted query not,
+    # by `Polynomial.evaluate` on the Fraction reference restrictions
+    rng = random.Random(2812)
+    seen = Counter()
+    for _ in range(600):
+        mode, n, d, hyps, q = spread_instance(rng)
+        backend, query, rows = pc_instance(d, n, mode, q, hyps)
+        for rho in spread_examples(rng, n, 3):
+            pair = example(rho)
+            restricted = backend.restrict_query(query, pair)
+            if restricted is TRUE:
+                continue
+            r_rows = backend.restrict_hyps(rows, pair)
+            ref_q = reference_restrict_polynomial(q, rho)
+            ref_hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
+            for _ in range(8):
+                point = tuple(e if e is not None and rng.random() < 0.8 else rng.randint(0, 1)
+                              for e in rho)
+                x = example(PartialAssignment(point))[0]
+                want = ref_q.evaluate(point) != 0 and all(h.evaluate(point) == 0 for h in ref_hyps)
+                assert backend.is_countermodel(restricted, r_rows, x) == want, (q, hyps, rho, point)
+                seen[want] += 1
+    assert min(seen[True], seen[False]) >= 200, seen
+
+
+def test_equal_restricted_instances_are_equal_values():
+    # a restricted instance is a tuple of rows: two examples give equal
+    # values, with equal hashes, exactly when the Fraction references agree
+    rng = random.Random(2813)
+    seen = Counter()
+    for _ in range(300):
+        mode, n, d, hyps, q = spread_instance(rng)
+        n = min(n, 6)
+        hyps = [Polynomial({m: c for m, c in p.terms.items() if all(abs(l) <= n for l in m)})
+                for p in hyps]
+        q = Polynomial({m: c for m, c in q.terms.items() if all(abs(l) <= n for l in m)})
+        backend, query, rows = pc_instance(d, n, mode, q, hyps)
+        by_reference = {}
+        for rho in spread_examples(rng, n, 12):
+            pair = example(rho)
+            instance = (plain_restricted_query(backend, query, pair),
+                        backend.restrict_hyps(rows, pair))
+            reference = tuple(frozenset(reference_restrict_polynomial(p, rho).terms.items())
+                              for p in (q, *hyps))
+            earlier = by_reference.setdefault(reference, instance)
+            assert earlier == instance and hash(earlier) == hash(instance), (q, hyps, rho)
+            seen["repeat"] += earlier is not instance
+        instances = list(by_reference.values())
+        assert len(set(instances)) == len(instances)
+        seen["distinct"] += len(instances)
+    assert min(seen.values()) >= 200, seen

@@ -25,6 +25,7 @@ from helpers import (
     prove_exit_code,
     random_partial,
     reference_restrict_kdnf,
+    reference_term_universe,
 )
 
 
@@ -146,6 +147,19 @@ def test_term_universe_lists_terms_in_literal_order():
     universe = _term_universe((1, 3), 2)
     terms = ([1], [-1], [3], [-3], [1, 3], [1, -3], [-1, 3], [-1, -3])
     assert universe == tuple(frozenset(t) for t in terms)
+
+
+def test_term_universe_matches_a_fresh_build_per_variable_set():
+    # one shared universe per k, filtered by the variable set, as the
+    # stream's maximum variable grows and shrinks: the same terms, in the
+    # same order, each iterating its literals as a fresh frozenset does
+    rng = random.Random(2814)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 12)
+        variables = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 6)))))
+        got, want = _term_universe(variables, k), reference_term_universe(variables, k)
+        assert got == want and [list(t) for t in got] == [list(t) for t in want], (variables, k)
 
 
 def test_negate_query():

@@ -12,7 +12,7 @@ from pacreason.decide_pac import PacParams, decide_pac_from_distribution
 from pacreason.errors import InputError
 from pacreason.formulas import TRUE, PartialAssignment
 from pacreason.oracle import sat_solve
-from pacreason.polycalc import Polynomial, restrict_polynomial
+from pacreason.polycalc import Polynomial, restrict_rows, row
 from pacreason.res_k import KDnf, restrict_kdnf
 from pacreason.resolution import (
     TAUTOLOGY,
@@ -47,7 +47,7 @@ from helpers import (
     random_partial,
     reference_restrict_cnf,
     reference_restrict_kdnf,
-    reference_restrict_polynomial,
+    reference_restricted_row,
     reference_search_space,
     restrict_clause,
     restrict_kb,
@@ -224,11 +224,12 @@ def _cancels(p, rho):
 
 
 def test_term_restrictions_match_the_references():
-    # restrict_kdnf and restrict_polynomial both restrict a term (a monomial
-    # is a conjunction of literals, a dual -v) through restrict_term; each
-    # must match its per-literal loop through rho.value in value and repr,
-    # over duals, monomials holding x and its dual, and coefficients that
-    # cancel when restricted monomials merge
+    # restrict_kdnf restricts a term through restrict_term, and
+    # restrict_rows a monomial (a conjunction of literals, a dual -v) with
+    # the same two mask tests; each must match its per-literal loop through
+    # rho.value (in value and repr, or as the canonical row), over duals,
+    # monomials holding x and its dual, and coefficients that cancel when
+    # restricted monomials merge
     rng = random.Random(1919)
     seen = Counter()
     for _ in range(2000):
@@ -250,10 +251,10 @@ def test_term_restrictions_match_the_references():
             monomials.append((widened, -c if rng.random() < 0.6 else c))
         p = Polynomial(monomials)
         restricted_phi = restrict_kdnf(phi, example(rho), n)
-        restricted_p = restrict_polynomial(p, example(rho))
+        (restricted_p,) = restrict_rows((row(p, n),), example(rho), n)
         for got, want in (
             (restricted_phi, reference_restrict_kdnf(phi, rho)),
-            (restricted_p, reference_restrict_polynomial(p, rho)),
+            (restricted_p, reference_restricted_row(p, rho, n)),
         ):
             assert got == want and repr(got) == repr(want), (phi, p, rho)
         seen["true"] += restricted_phi is TRUE

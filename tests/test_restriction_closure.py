@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from pacreason.backends import (
     CuttingPlanesBackend,
-    PolynomialCalculusBackend,
     ResKWidthBackend,
     SpaceResolutionBackend,
 )
@@ -24,7 +23,7 @@ from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
 from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause
 
-from helpers import example, mul_indet, plain_restricted_query, random_clause
+from helpers import example, mul_indet, pc_instance, plain_restricted_query, random_clause
 from test_res_k import random_kdnf
 from test_polycalc import random_polynomial, with_rational_coefficients
 
@@ -135,21 +134,21 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
     rng = random.Random(8002)
     kinds = Counter()
     for _ in range(2000):
-        mode, n, d, hyps, query = random_pc_instance(rng)
-        backend = PolynomialCalculusBackend(d, n, mode)
+        mode, n, d, polys, poly_query = random_pc_instance(rng)
+        backend, query, hyps = pc_instance(d, n, mode, poly_query, polys)
         kinds["non-integer"] += any(
-            c.denominator != 1 for p in hyps + [query] for c in p.terms.values()
+            c.denominator != 1 for p in polys + [poly_query] for c in p.terms.values()
         )
         if backend.decide(query, hyps):
             kinds[f"accepted {mode}"] += 1
-            kinds["accepted with duals"] += any(p.has_duals() for p in hyps + [query])
+            kinds["accepted with duals"] += any(p.has_duals() for p in polys + [poly_query])
             assert decide_example(backend, query, hyps, example("*" * n), [])
         rho = random_partial(rng, n)
         if decide_example(backend, query, hyps, example(rho), []):
             kinds[f"accepted at rho {mode}"] += 1
             sigma = refine(rng, rho)
             assert decide_example(backend, query, hyps, example(sigma), []), (
-                mode, d, hyps, query, rho, sigma,
+                mode, d, polys, poly_query, rho, sigma,
             )
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
 

@@ -238,3 +238,34 @@ def test_no_module_imports_a_name_it_does_not_use():
             where = f"{path.relative_to(ROOT)}:{node.lineno}"
             offenders.extend(f"{where} {name}" for name in names if name not in used)
     assert offenders == []
+
+
+def test_the_per_example_pc_path_names_no_fraction_or_polynomial():
+    # pc and pcr restrict, evaluate and search integer rows: the backend's
+    # per-example methods and every polycalc function they call, directly or
+    # not, name neither Fraction nor Polynomial, as only the example sources
+    # name PartialAssignment
+    def parse(name):
+        return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+    functions = {f.name: f for f in parse("polycalc.py").body if isinstance(f, ast.FunctionDef)}
+    (backend,) = [node for node in parse("backends.py").body
+                  if isinstance(node, ast.ClassDef) and node.name == "PolynomialCalculusBackend"]
+    methods = {"restrict_query", "restrict_hyps", "is_countermodel", "decide"}
+    pending = [f for f in backend.body if isinstance(f, ast.FunctionDef) and f.name in methods]
+    assert {f.name for f in pending} == methods
+    reached, offenders = set(), []
+    while pending:
+        func = pending.pop()
+        for node in ast.walk(func):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("Fraction", "Polynomial"):
+                offenders.append(f"{func.name}:{node.lineno} names {name}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                callee = node.func.id
+                if callee not in reached:
+                    reached.add(callee)
+                    pending.append(functions[callee])
+    assert reached == {"restrict_rows", "row_values", "decide_pc", "build_basis", "gaussian_reduce",
+                       "_times", "_layout"}
+    assert offenders == []
