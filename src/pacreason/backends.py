@@ -61,7 +61,7 @@ from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restri
 from .res_k import check_trace as check_resk_trace
 from .resolution import Cnf, check_proof, check_space_bound, clause_space, decode_clause
 from .resolution import encode_clause, literal_bit, proof_to_text, proof_tree, restrict_cnf
-from .resolution import restrict_mask, restriction_index, search_space
+from .resolution import restrict_mask, search_space
 
 
 def _same_n(query_n: int, kb_n: int) -> None:
@@ -77,16 +77,14 @@ def _replayed(ok: bool, system: str) -> None:
 class SpaceResolutionBackend:
     """Clause-space-bounded treelike resolution; query is a single clause
     and hyps a tuple of clauses, each held as its literal mask
-    (`resolution.encode_clause`).  `restrict_hyps` keeps the restriction
-    index of the last hyps tuple it was given, so a run that restricts one
-    KB by every example builds it once."""
+    (`resolution.encode_clause`), which `resolution.restrict_cnf`
+    restricts in one pass over the masks."""
 
     budgets = ("s",)
 
     def __init__(self, s: int, n: int):
         self.s = s
         self.n = n
-        self._indexed = self._index = None
 
     @classmethod
     def load(cls, system, kb_text, query_text, s):
@@ -112,9 +110,7 @@ class SpaceResolutionBackend:
         return restrict_mask(query, rho)
 
     def restrict_hyps(self, hyps, rho):
-        if hyps is not self._indexed:
-            self._indexed, self._index = hyps, restriction_index(hyps, self.n)
-        return restrict_cnf(hyps, self._index, rho)
+        return restrict_cnf(hyps, rho)
 
     def is_countermodel(self, query, hyps, x):
         return not query & x and all(bits & x for bits in hyps)

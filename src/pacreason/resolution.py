@@ -9,8 +9,8 @@ inequality returns.
 Restriction and proof search run on an int form instead: the literal mask
 of a clause has bit 2v for x_v and bit 2v+1 for -x_v.  A `Cnf` is a plain
 value of clauses, and its `masks` are the tuple of literal masks that
-`restrict_cnf` restricts, through a `restriction_index` built once per
-tuple, into another such tuple, which `search_space` searches.
+`restrict_cnf` restricts, in one pass, into another such tuple, which
+`search_space` searches.
 
 An example rho is the pair (true, false) of the literal masks of what it
 makes true and false; every restriction reads it with int tests.
@@ -119,8 +119,8 @@ class Cnf(Record):
     given, each canonicalized by `make_clause` and range-checked.
 
     `masks` is its int form: the literal masks (`encode_clause`) of its
-    non-tautology clauses, in clause order, which `restriction_index`,
-    `restrict_cnf` and `search_space` run on."""
+    non-tautology clauses, in clause order, which `restrict_cnf` and
+    `search_space` run on."""
 
     __slots__ = ("clauses", "n")
 
@@ -387,44 +387,13 @@ def restrict_term(term, rho: tuple) -> list | None:
     return kept
 
 
-def restriction_index(masks: tuple, n: int) -> tuple:
-    """One 256-entry table per byte of a true mask over x1..xn, low byte
-    first: entry b of table j is the bitmask (bit i for mask i) of the masks
-    that hold a literal whose bit is set in b at byte j."""
-    tables = []
-    for shift in range(0, 2 * n + 2, 8):
-        holding = [sum(1 << i for i, bits in enumerate(masks) if bits >> shift + k & 1)
-                   for k in range(8)]  # the masks that hold literal bit shift + k
-        table = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            table[b] = table[b ^ low] | holding[low.bit_length() - 1]
-        tables.append(table)
-    return tuple(tables)
-
-
-def restrict_cnf(masks: tuple, index: tuple, rho: tuple) -> tuple:
-    """Restrict every literal mask by the example rho over x1..xn, dropping
-    the satisfied ones, in mask order; `index` is `restriction_index(masks, n)`.
-
-    The masks that rho satisfies are the OR of one table lookup per byte of
-    its true mask, and each mask left, read off the other bits in ascending
-    order, which is mask order, loses the literals of the false mask.  Equal
-    results keep the first.  The result equals `restrict_mask` on each mask,
-    with TAUTOLOGY dropped.
-    """
+def restrict_cnf(masks: tuple, rho: tuple) -> tuple:
+    """Restrict every literal mask by the example rho, in mask order: a mask
+    that meets the true mask is satisfied and dropped, every other loses the
+    literals of the false mask, and equal results keep the first.  The result
+    equals `restrict_mask` on each mask, with TAUTOLOGY dropped."""
     true, false = rho
-    satisfied = 0
-    for table, byte in zip(index, true.to_bytes(len(index), "little")):
-        satisfied |= table[byte]
-    keep = ~false
-    left = ~satisfied & ((1 << len(masks)) - 1)
-    kept = {}
-    while left:
-        low = left & -left
-        kept[masks[low.bit_length() - 1] & keep] = None
-        left ^= low
-    return tuple(kept)
+    return tuple(dict.fromkeys([bits & ~false for bits in masks if not bits & true]))
 
 
 def clause_to_text(clause: Clause) -> str:

@@ -101,7 +101,6 @@ from pacreason.resolution import (
     literal_bit,
     make_clause,
     restrict_cnf,
-    restriction_index,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
 from pacreason.saturation import TraceStep
@@ -234,10 +233,9 @@ def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional
 
 
 def restrict_kb(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """`resolution.restrict_cnf` on the masks of phi and of rho, with their
-    index built for this call, decoded back into a Cnf over phi.n."""
-    masks = phi.masks
-    return decoded(restrict_cnf(masks, restriction_index(masks, phi.n), example(rho)), phi.n)
+    """`resolution.restrict_cnf` on the masks of phi and of rho, decoded
+    back into a Cnf over phi.n."""
+    return decoded(restrict_cnf(phi.masks, example(rho)), phi.n)
 
 
 def decoded(masks: tuple, n: int) -> Cnf:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from pacreason.backends import (
+    SYSTEMS,
     CuttingPlanesBackend,
     PolynomialCalculusBackend,
     ResKWidthBackend,
@@ -521,3 +522,32 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         floors["searched rejects over the cap"] = 10
         floors["most models found in a run"] = CACHED_MODELS + 1
     assert all(seen[name] >= floor for name, floor in floors.items()), seen
+
+
+STATELESS_CASES = {
+    # system: (budgets, kb text, query text), each over x1..x3 with the
+    # chain x1 -> x2 -> x3 and the query x3
+    "res-space": ({"s": 3}, "p cnf 3 2\n-1 2 0\n-2 3 0\n", "p cnf 3 1\n3 0\n"),
+    "res-k-width": ({"k": 1, "w": 2}, "p kdnf 3 1 2\n-x1|x2\n-x2|x3\n", "p cnf 3 1\n3 0\n"),
+    PC: ({"d": 2}, "p poly 3 2\n1 x1; -1 x1 x2\n1 x2; -1 x2 x3\n", "p poly 3 1\n1 x3; -1\n"),
+    PCR: ({"d": 2}, "p poly 3 2\n1 x1 ~x2\n1 x2 ~x3\n", "p poly 3 1\n1 ~x3\n"),
+    "cp": ({"w": 2, "L": 3}, "p cp 3 2\nx1:-1 x2:1 >= 0\nx2:-1 x3:1 >= 0\n", "p cp 3 1\nx3:1 >= 1\n"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(STATELESS_CASES))
+def test_backends_keep_no_state_over_a_run(system):
+    # a backend is a plain value of its budgets and n: a decide_pac run over
+    # a seeded stream, with accepts and rejects after a search, leaves every
+    # attribute of the loaded backend as load made it
+    budgets, kb_text, query_text = STATELESS_CASES[system]
+    backend, query, hyps = SYSTEMS[system].load(system, kb_text, query_text, **budgets)
+    before = dict(vars(backend))
+    dist = ExplicitDistribution.uniform(product((0, 1), repeat=3))
+    examples = draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 200, 29)
+    counting = CountingBackend(backend)
+    outcome = decide_pac(counting, query, hyps, params(), examples)
+    assert vars(backend) == before, system
+    searched = {rho for rho, _ in counting.searched}
+    verdicts = Counter(ok for rho, ok in zip(examples, outcome.per_example) if rho in searched)
+    assert verdicts[True] >= 5 and verdicts[False] >= 5, (system, verdicts)

@@ -1,8 +1,7 @@
 """Every restriction kernel reads an example as its literal-mask pair (true,
 false); each must equal its per-literal reference loop over the
 PartialAssignment in helpers, in value and repr, at odd and even n up to 70,
-so that the per-byte tables of `restriction_index` cross several byte
-boundaries."""
+so that the literal masks (bit 2n+1 for -x_n) are wider than 64 bits."""
 
 import random
 from collections import Counter
@@ -20,7 +19,6 @@ from pacreason.resolution import (
     restrict_cnf,
     restrict_mask,
     restrict_term,
-    restriction_index,
 )
 
 from helpers import (
@@ -99,8 +97,6 @@ def test_each_mask_restriction_matches_its_per_literal_loop():
         phi = Cnf([rng.choice((TAUTOLOGY, make_clause(random_literals(rng, n, 4))))
                    for _ in range(rng.randint(0, 12))], n)
         masks = phi.masks
-        index = restriction_index(masks, n)
-        assert len(index) == (2 * n + 2 + 7) // 8
         seen["odd n" if n % 2 else "even n"] += 1
         seen["n > 64"] += n > 64
         for _ in range(4):
@@ -113,7 +109,7 @@ def test_each_mask_restriction_matches_its_per_literal_loop():
             assert got == encode_clause(want), (clause, rho)
             seen["clause satisfied"] += want is TAUTOLOGY
 
-            restricted, expected = restrict_cnf(masks, index, pair), reference_restrict_cnf(phi, rho)
+            restricted, expected = restrict_cnf(masks, pair), reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and restricted == expected.masks, (phi, rho)
             assert same(decoded(restricted, n), expected)
             seen["cnf shortened"] += 0 < len(restricted) < len(masks)

@@ -32,7 +32,6 @@ from pacreason.resolution import (
     restrict_cnf,
     restrict_mask,
     restrict_term,
-    restriction_index,
     search_space,
 )
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
@@ -469,8 +468,7 @@ def random_restriction(rng, n):
 
 
 def test_restrict_cnf_matches_clause_by_clause_restriction():
-    # each CNF is restricted under one to four rho, so later ones reuse the
-    # clause index the first one built
+    # each CNF's masks are restricted under one to four rho in turn
     rng = random.Random(929292)
     seen = {"masked": 0, "set": 0, "mixed": 0, "tautology": 0, "merged": 0, "empty": 0,
             "wide": 0, "reused": 0}
@@ -478,10 +476,9 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
         phi = random_restriction_case(rng)
         fresh = Cnf(phi.clauses, phi.n)
         masks = phi.masks
-        index = restriction_index(masks, phi.n)
         for count in range(rng.randint(1, 4)):
             rho, kind = random_restriction(rng, phi.n)
-            restricted = restrict_cnf(masks, index, example(rho))
+            restricted = restrict_cnf(masks, example(rho))
             result, expected = decoded(restricted, phi.n), reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and restricted == expected.masks
             assert result == expected  # same n, same clauses in the same order
@@ -500,11 +497,11 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
     assert min(seen.values()) >= 100, seen
 
 
-def test_backend_restricts_each_kb_by_its_own_index():
+def test_backend_restricts_each_kb_it_is_given():
     # one backend restricts two KBs of the same length and n in turn, A, B,
-    # then A again; the index it keeps must follow the hyps tuple it is
-    # given.  Equal restrictions are equal tuples with equal hashes, so a
-    # restricted instance can key a memo
+    # then A again; each restriction must be of the hyps tuple it is given,
+    # whatever was restricted before.  Equal restrictions are equal tuples
+    # with equal hashes, so a restricted instance can key a memo
     n = 3
     kbs = [Cnf([cl(1, 2), cl(-1, 3), cl(-2, -3)], n), Cnf([cl(-1, 2), cl(1, -3), cl(2, 3)], n)]
     masks = [phi.masks for phi in kbs]
