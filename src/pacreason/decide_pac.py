@@ -45,7 +45,6 @@ from math import ceil, log
 
 from .errors import InputError
 from .formulas import TRUE, Record
-from .resolution import negation
 from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
@@ -152,12 +151,14 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     if m < 1:
         raise InputError("need at least one example")
     n = backend.n
-    negate = negation(n)
+    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
     for rho in examples:
         try:
             true, false = rho
             # false is true swapped, so true & false marks both literals in true
-            ok = not (true >> 2 * n + 2 or true & 3 or true & false) and false == negate(true)
+            ok = not (true >> 2 * n + 2 or true & 3 or true & false) and (
+                false == (true & even) << 1 | true >> 1 & even
+            )
         except (TypeError, ValueError):  # not a pair of ints
             ok = False
         if not ok:

@@ -3,15 +3,16 @@
 Every format starts with a `p <kind> ...` header and ignores blank lines and
 '#' comments (DIMACS 'c' comments are also accepted in cnf files).
 
-One record loop, `_parse_file`, reads every file.  It parses the header,
-binds the header fields before the count once with the format's reader
-factory, `reader(*fields)`, and hands each later line to the record reader
-`read(line)` that the factory returns, which returns the records that the
-line completes.  A reader parses one line and raises FormatError or
-InputError without a line number; the loop prefixes the message with
-`line N: `, N the physical line, blank and comment lines counted.  A record
-may span lines only in cnf files, whose reader keeps the unfinished clause
-and reports it once the lines run out.  The header's count is checked last.
+One record loop, `_parse_file`, reads every file but a canonical pasgn file
+(see below).  It parses the header, binds the header fields before the count
+once with the format's reader factory, `reader(*fields)`, and hands each
+later line to the record reader `read(line)` that the factory returns, which
+returns the records that the line completes.  A reader parses one line and
+raises FormatError or InputError without a line number; the loop prefixes
+the message with `line N: `, N the physical line, blank and comment lines
+counted.  A record may span lines only in cnf files, whose reader keeps the
+unfinished clause and reports it once the lines run out.  The header's count
+is checked last.
 
 Serializers emit the canonical form, and serialize(parse(text)) is
 byte-identical for canonical files.  The canonical order: the literals of a
@@ -35,8 +36,16 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
-A pasgn line reads as its `PartialAssignment.masks` pair, and every bit
-string, a pasgn line too, passes one check, `_is_string_over`.
+A pasgn line reads as its `PartialAssignment.masks` pair.  A pasgn file in
+the canonical form, a header line that `_header` accepts with n >= 1 and then
+exactly m lines of n characters over {0,1,*}, each ended by '\\n' (the last
+may lack it), and nothing else, is read in one bulk pass: one alphabet check
+over the body, one length check per line and one base-4 translation of the
+whole body.  Any other text goes through the record loop, which raises every
+error: comments, blank lines, spaces, '\\r' or another line separator, a bad
+header or line, a count mismatch or n = 0.  Both paths give the same masks.
+Every other bit string, and every pasgn line the record loop reads, passes
+one check, `_is_string_over`.
 
 Numbers are what `int` or `Fraction` reads, in ASCII and without '_'; a
 decimal exponent is at most MAX_EXPONENT in size, and a rational's numerator
@@ -214,12 +223,39 @@ def serialize_cnf(cnf: Cnf) -> str:
 
 
 def parse_pasgns(text):
+    parsed = _parse_canonical_pasgns(text)
+    if parsed is not None:
+        return parsed
     (n, _), out = _parse_file(text, "pasgn", 2, "assignments", _pasgn_reader)
     return n, out
 
 
-# a variable's base-4 digit in the true mask, and a hex digit's two variables
+def _parse_canonical_pasgns(text):
+    """parse_pasgns(text) in one bulk pass when `text` is in the canonical
+    form (see the module docstring), None otherwise."""
+    head, _, body = text.partition("\n")
+    if not head.startswith("p ") or head.splitlines() != [head]:  # another line separator
+        return None
+    try:
+        n, count = _header(head, "pasgn", 2)
+    except FormatError:
+        return None
+    if n < 1 or body.translate(_PASGN_BODY):
+        return None
+    # reversed, the body holds its lines last first, each with x1 as its lowest digit
+    digits = body.removesuffix("\n")[::-1].translate(_PASGN_DIGITS).split("\n")
+    if len(digits) != count or set(map(len, digits)) != {n}:
+        return None
+    negate = negation(n)
+    out = [(true, negate(true)) for true in (int(line, 4) << 2 for line in digits)]
+    out.reverse()
+    return n, out
+
+
+# a variable's base-4 digit in the true mask, the characters of a canonical
+# pasgn body, and a hex digit's two variables
 _PASGN_DIGITS = str.maketrans("10*", "120")
+_PASGN_BODY = str.maketrans("", "", "01*\n")
 _PASGN_CHARS = {ord(f"{a + 4 * b:x}"): "*10"[a] + "*10"[b] for a in range(3) for b in range(3)}
 
 
@@ -236,6 +272,8 @@ def _pasgn_reader(n):
 
 
 def serialize_pasgns(n: int, examples) -> str:
+    if n < 1:  # an n = 0 line would be blank, which the reader skips
+        raise FormatError(f"pasgn files need n >= 1, got n={n}")
     width = n // 2 + 1  # hex digits of bits 0..2n+1, lowest first: x0 (unset) and x1, ...
     lines = (f"{true:0{width}x}"[::-1].translate(_PASGN_CHARS)[1:n + 1] for true, _ in examples)
     return _file_text("pasgn", [n], lines)

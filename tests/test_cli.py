@@ -679,6 +679,39 @@ def test_sample_emits_pasgn(aviary, capsys):
     assert out == "p pasgn 2 2\n1*\n1*\n"
 
 
+# one `decide` instance per system whose query x3 the rule x1 -> x2 does not
+# give: an example accepts exactly when it shows x3 = 1 or falsifies the rule
+UNSETTLED_CASES = {
+    "res-space": (["--s", "2"], "p cnf 3 1\n-1 2 0\n", "p cnf 3 1\n3 0\n"),
+    "res-k-width": (["--k", "1", "--w", "2"], "p kdnf 3 1 1\n-x1|x2\n", "p cnf 3 1\n3 0\n"),
+    "pc": (["--d", "2"], "p poly 3 1\n1 x1 x2; -1 x1\n", "p poly 3 1\n1 x3; -1\n"),
+    "pcr": (["--d", "2"], "p poly 3 1\n1 x1 ~x2\n", "p poly 3 1\n1 ~x3\n"),
+    "cp": (["--w", "2", "--L", "3"], "p cp 3 1\nx1:-1 x2:1 >= 0\n", "p cp 3 1\nx3:1 >= 1\n"),
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_sampled_pasgn_file_decides_as_the_drawn_examples_do(system, tmp_path, capsys):
+    # the examples that `sample --out` writes and `decide --samples` reads
+    # back are those `decide --dist` draws at the same seed and m
+    flags, kb_text, query_text = UNSETTLED_CASES[system]
+    kb = write(tmp_path / "kb.txt", kb_text)
+    query = write(tmp_path / "query.txt", query_text)
+    source = ["--dist", uniform_dist(tmp_path, 3), "--mask", "iid:1/3", "--seed", "11", "--m", "40"]
+    samples = str(tmp_path / "f.pasgn")
+    assert run_cli(["sample", *source, "--out", samples], capsys) == (0, "", "")
+    decide = ["decide", "--system", system, *flags, "--epsilon", "1/2", "--gamma", "1/10",
+              "--delta", "1/10", "--kb", kb, "--query", query, "--per-example"]
+    code, out, _ = run_cli([*decide, "--samples", samples], capsys)
+    lines = (tmp_path / "f.pasgn").read_text().splitlines()[1:]
+    accepted = [line[2] == "1" or line[:2] == "10" for line in lines]
+    assert len(lines) == 40 and 0 < sum(accepted) < 40
+    assert "".join(
+        f"example={i} verdict={'accept' if ok else 'reject'}\n" for i, ok in enumerate(accepted)
+    ) in out
+    assert run_cli([*decide, *source], capsys)[:2] == (code, out)
+
+
 def test_oracle_commands(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", "p cnf 1 2\n1 0\n-1 0\n")
     code, out, _ = run_cli(["oracle", "sat", "--cnf", cnf], capsys)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from pacreason import formats
 from pacreason.errors import FormatError, InputError
 from pacreason.formats import (
     MAX_EXPONENT,
     _parse_file,
+    _pasgn_reader,
     parse_cnf,
     parse_cp_file,
     parse_dist,
@@ -171,6 +173,114 @@ def test_pasgn_fuzz_matches_the_reader_of_assignments():
         seen["error" if isinstance(want, str) else "parsed"] += 1
         seen["count error"] += isinstance(want, str) and "header promises" in want
     assert min(seen.values()) >= 100, seen
+
+
+def _pasgn_record_loop(text):
+    (n, _), rhos = _parse_file(text, "pasgn", 2, "assignments", _pasgn_reader)
+    return n, rhos
+
+
+def _canonical_pasgn(n):
+    """A file as `serialize_pasgns` writes it: all-masked, all-false, all-true
+    and mixed lines at n."""
+    rng = random.Random(n)
+    lines = ["*" * n, "0" * n, "1" * n] + ["".join(rng.choice("01*") for _ in range(n)) for _ in range(4)]
+    return f"p pasgn {n} {len(lines)}\n" + "".join(line + "\n" for line in lines)
+
+
+def _edit_line(text, number, edit):
+    """`text` with its line `number` (0 the header) replaced by edit(line)."""
+    lines = text.split("\n")
+    lines[number] = edit(lines[number])
+    return "\n".join(lines)
+
+
+def _middle(char):
+    """An edit that replaces the middle character of a line by `char`."""
+    return lambda line: line[: len(line) // 2] + char + line[len(line) // 2 + 1:]
+
+
+def _join_lines(text, number, separator):
+    """`text` with lines `number` and `number` + 1 joined by `separator`."""
+    lines = text.split("\n")
+    lines[number:number + 2] = [lines[number] + separator + lines[number + 1]]
+    return "\n".join(lines)
+
+
+# edits of a canonical 7-line file: each result is a FormatError or reads as
+# the record loop reads it, so none may pass the bulk check by mistake
+NEAR_CANONICAL_PASGNS = {
+    "no final newline": lambda text: text[:-1],
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr at the end": lambda text: text[:-1] + "\r",
+    "leading comment": lambda text: "# note\n" + text,
+    "leading blank line": lambda text: "\n" + text,
+    "trailing blank line": lambda text: text + "\n",
+    "trailing comment": lambda text: text + "# note\n",
+    "trailing space in a line": lambda text: _edit_line(text, 2, lambda line: line + " "),
+    "leading space in a line": lambda text: _edit_line(text, 2, lambda line: " " + line),
+    "trailing space in the header": lambda text: _edit_line(text, 0, lambda line: line + " "),
+    "header arabic-indic digit": lambda text: _edit_line(text, 0, lambda line: line[:-1] + "\u0667"),
+    "header plus sign": lambda text: _edit_line(text, 0, lambda line: line.replace("n ", "n +")),
+    "header underscore": lambda text: _edit_line(text, 0, lambda line: line[:-1] + "0_7"),
+    "header leading zeros": lambda text: _edit_line(text, 0, lambda line: line.replace("n ", "n 00")),
+    "header extra field": lambda text: _edit_line(text, 0, lambda line: line + " 0"),
+    "header vertical tab": lambda text: _edit_line(text, 0, lambda line: line[:-2] + "\x0b7"),
+    "header tab": lambda text: _edit_line(text, 0, lambda line: line[:-2] + "\t7"),
+    "count one short": lambda text: _edit_line(text, 0, lambda line: line[:-1] + "6"),
+    "count one over": lambda text: _edit_line(text, 0, lambda line: line[:-1] + "8"),
+    "vertical tab in a line": lambda text: _edit_line(text, 2, _middle("\x0b")),
+    "line separator in a line": lambda text: _edit_line(text, 2, _middle("\u2028")),
+    "vertical tab between lines": lambda text: _join_lines(text, 2, "\x0b"),
+    "line separator between lines": lambda text: _join_lines(text, 2, "\u2028"),
+    "form feed between lines": lambda text: _join_lines(text, 2, "\x0c"),
+    "digit 2 in a line": lambda text: _edit_line(text, 3, _middle("2")),
+    "underscore in a line": lambda text: _edit_line(text, 3, _middle("_")),
+    "space in a line": lambda text: _edit_line(text, 3, _middle(" ")),
+    "arabic-indic digit in a line": lambda text: _edit_line(text, 3, _middle("\u0661")),
+    "letter in a line": lambda text: _edit_line(text, 3, _middle("x")),
+    "short line": lambda text: _edit_line(text, 3, lambda line: line[:-1]),
+    "long line": lambda text: _edit_line(text, 3, lambda line: line + "*"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 200])
+def test_pasgn_bulk_pass_matches_the_record_loop(n, monkeypatch):
+    # the same masks or the same error, byte for byte, as the record loop on
+    # canonical files and every file next to them
+    canonical = _canonical_pasgn(n)
+    files = {"canonical": canonical} | {name: edit(canonical) for name, edit in NEAR_CANONICAL_PASGNS.items()}
+    for name, text in files.items():
+        assert _pasgn_outcome(parse_pasgns, text) == _pasgn_outcome(_pasgn_record_loop, text), name
+
+    # the canonical form, with or without its final newline, never reaches the record loop
+    def record_loop(*args, **kwargs):
+        raise AssertionError("the record loop read a canonical pasgn file")
+
+    monkeypatch.setattr(formats, "_parse_file", record_loop)
+    for text in (canonical, canonical[:-1]):
+        assert parse_pasgns(text) == _pasgn_outcome(_pasgn_record_loop, text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("p pasgn 0 2\n\n\n", "FormatError: header promises 2 assignments, found 0"),
+    ("p pasgn 0 0\n\n", (0, [])),
+    ("p pasgn 1 0\n", (1, [])),
+    ("p pasgn 1 0", (1, [])),
+    ("p pasgn 1 1\n\n", "FormatError: header promises 1 assignments, found 0"),
+    ("p pasgn 1 1", "FormatError: header promises 1 assignments, found 0"),
+    ("", "FormatError: line 1: empty pasgn file"),
+    (" \n", "FormatError: line 1: empty pasgn file"),
+])
+def test_pasgn_files_without_records_read_as_the_record_loop_reads_them(text, want):
+    # blank lines are no n = 0 records on either path
+    assert _pasgn_outcome(parse_pasgns, text) == _pasgn_outcome(_pasgn_record_loop, text) == want
+
+
+def test_pasgn_serializer_refuses_n_zero():
+    # an n = 0 line is blank, and the reader skips blank lines
+    with pytest.raises(FormatError, match=r"^pasgn files need n >= 1, got n=0$"):
+        serialize_pasgns(0, [(0, 0), (0, 0)])
 
 
 # the bit-string errors of the dist reader, the mask table and fixed: specs
