@@ -217,19 +217,10 @@ def search_space(inputs: tuple, s: int, goal: int | Const) -> tuple | None:
     literal masks are `inputs` of the clause whose literal mask is `goal`
     (`encode_clause`).
 
-    Runs `search_masks` and returns what it found as the pair (goal, step),
-    `(TAUTOLOGY, None)` for the tautology goal, or None when no such proof
-    exists; `proof_tree` turns the pair into Leaf / Weaken / Cut nodes.
-    Takes an `s` that `check_space_bound` accepts.
-    """
-    if goal is TAUTOLOGY:
-        return TAUTOLOGY, None
-    step = search_masks(inputs, goal, s)
-    return None if step is None else (goal, step)
-
-
-def search_masks(inputs: tuple, goal: int, s: int):
-    """The proof search of `search_space` on literal masks.
+    Returns what it found as the pair (goal, step), `(TAUTOLOGY, None)` for
+    the tautology goal, or None when no such proof exists; `proof_tree`
+    turns the pair into Leaf / Weaken / Cut nodes.  Takes an `s` that
+    `check_space_bound` accepts.
 
     A clause that contains an input follows from the first such input, in
     input order, by weakening.  Otherwise branch on a literal: prove
@@ -259,10 +250,12 @@ def search_masks(inputs: tuple, goal: int, s: int):
     inputs are, so no proof of the goal exists at any space.  The pass only
     settles rejects, and every proof is the one the search finds without it.
     """
+    if goal is TAUTOLOGY:
+        return TAUTOLOGY, None
     union, keep = 0, ~goal
     for base in inputs:
         if not base & keep:
-            return base
+            return goal, base
         union |= base
     if s == 1 or countermodel(inputs, goal) is not None:
         return None
@@ -305,7 +298,8 @@ def search_masks(inputs: tuple, goal: int, s: int):
         memo[clause] = found
         return found
 
-    return search(goal, s)
+    step = search(goal, s)
+    return None if step is None else (goal, step)
 
 
 def _negation(lit: int) -> int:

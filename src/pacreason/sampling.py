@@ -8,14 +8,15 @@ Python's Mersenne Twister seeded with the 64-bit seed; uniform integers are
 drawn by rejection sampling over getrandbits, whose output is stable across
 Python versions.
 
-`draw_examples` computes its per-run tables once, before the first draw: the
-common denominator of the weights with its bit length and cumulative integer
-weights (an assignment is picked by bisection on them), the hide probability's
-numerator, denominator and bit length, and each support point's example (the
-pair of `PartialAssignment.masks`), whole or, for masks that need no draws
-(fixed, table, and iid with probability 0 or 1), masked.  The tables change
-only the cost of a draw, not the stream layout above.  Because of them a table
-mask must have a rule for every support point, whatever the seed draws.
+`draw_masked_examples` computes its per-run tables once, before the first
+draw: the common denominator of the weights with its bit length and
+cumulative integer weights (an assignment is picked by bisection on them),
+the hide probability's numerator, denominator and bit length, and each
+support point's example (the pair of `PartialAssignment.masks`), whole or,
+for masks that need no draws (fixed, table, and iid with probability 0 or
+1), masked.  The tables change only the cost of a draw, not the stream
+layout above.  Because of them a table mask must have a rule for every
+support point, whatever the seed draws.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def _hide(example: tuple, hidden) -> tuple:
     return example[0] & keep, example[1] & keep
 
 
-def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
-    """Draw `m` (assignment, masked example) pairs; deterministic given `seed`.
+def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
+    """Draw `m` masked examples, each the literal-mask pair of
+    `PartialAssignment.masks`; deterministic given `seed`.
 
     The per-run tables (see the module docstring) are built before the first
     draw, so a table mask without a rule for some support point raises
@@ -162,9 +164,8 @@ def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
         while ticket >= denom:
             ticket = getrandbits(denom_bits)
         j = bisect_right(cumulative, ticket)
-        x = points[j]
         if masked is not None:
-            out.append((x, masked[j]))
+            out.append(masked[j])
             continue
         hidden = 0
         for bits in both:  # index order, one draw per coordinate
@@ -174,13 +175,8 @@ def draw_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
             if r < hide_num:
                 hidden |= bits
         true, false = revealed[j]
-        out.append((x, (true & ~hidden, false & ~hidden)))
+        out.append((true & ~hidden, false & ~hidden))
     return out
-
-
-def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
-    """Masked example stream only (sources discarded)."""
-    return [rho for _, rho in draw_examples(dist, mask, m, seed)]
 
 
 def validity(dist: ExplicitDistribution, phi: Formula) -> Fraction:

@@ -9,7 +9,8 @@ exactly, small semantic
 helpers (completions of a partial assignment, proof size, k-DNFs as
 formulas, inequalities at a point), a brute-force entailment backend,
 polynomial constructions the decision procedures themselves do not need, the
-per-example sampler that `sampling.draw_examples` must match exactly, the
+per-example sampler, which also gives the assignment each example was drawn
+from and whose examples `sampling.draw_masked_examples` must match exactly, the
 RES(k) and cutting-planes deciders with their own round loops and the term
 universe built from an instance's own literals, which the deciders built on
 `saturation` must match exactly, and the PC kernel on `Fraction`
@@ -542,9 +543,11 @@ def _hidden_coords(mask, x, rng):
 
 
 def reference_draw_examples(dist, mask, m, seed):
-    """The per-example sampler: recomputes the weight denominator, rescans the
-    weights and rebuilds the masked example, a PartialAssignment turned into
-    its literal-mask pair, on every draw."""
+    """The per-example sampler: (assignment, masked example) pairs, whose
+    examples `sampling.draw_masked_examples` must match exactly.  It
+    recomputes the weight denominator, rescans the weights and rebuilds the
+    masked example, a PartialAssignment turned into its literal-mask pair,
+    on every draw."""
     rng = random.Random(seed)
     out = []
     for _ in range(m):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -892,6 +893,22 @@ def cli_subprocess(argv, tmp_path, hash_seed=None):
         env=env,
         cwd=str(tmp_path),
     )
+
+
+def test_readme_library_tour_prints_its_outcome(tmp_path):
+    # the one python block of README.md, run as a script under the tests'
+    # warning policy
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = re.findall(r"^```python\n(.*?)^```$", f.read(), re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", blocks[0]],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Accept 19 30\n", "")
 
 
 def test_reports_are_byte_identical_across_runs(aviary):

@@ -10,6 +10,12 @@ polynomial from the clauses encoded by `encode_clause_pcr`.  Inputs are
 exempt from the RES(k) width bound but not from the PCR degree bound, so the
 PCR degree is max(w + 1, the largest input degree).  Queries are one
 literal, so the CLI's negation of the query is a single term, a 1-DNF.
+
+A refutation of F in clause space s gives one in width at most
+s + w(F) - 1, where w(F) is the width of F's widest clause (Atserias and
+Dalmau 2008).  Treelike clause space, which `search_space` bounds, is at
+least the general clause space, so every refutation that `search_space`
+finds at space s must have a RES(1) counterpart within that width.
 """
 
 import random
@@ -21,8 +27,8 @@ from pacreason.backends import ResKWidthBackend
 from pacreason.decide_pac import PacParams, decide_pac
 from pacreason.formulas import TRUE
 from pacreason.polycalc import PCR, encode_clause_pcr
-from pacreason.res_k import KDnf, negate_query
-from pacreason.resolution import make_clause
+from pacreason.res_k import BOTTOM, KDnf, decide_resk_width, negate_query
+from pacreason.resolution import Cnf, make_clause, search_space
 from pacreason.sampling import ExplicitDistribution, IndependentMask, draw_masked_examples
 
 from helpers import pc_instance, random_clause
@@ -103,3 +109,44 @@ def test_pcr_simulates_width_bounded_resolution_per_example():
                 settled = resk.restrict_query(resk_instance[0], rho) is TRUE
                 seen["settled" if settled else ("accepted" if resk_ok else "rejected")] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def random_refutable_cnf(rng) -> Cnf:
+    """n in 3..6.  Half the CNFs are 2..9 random clauses of at most 3
+    literals; the other half hold most full-width clauses over 2..4 of the
+    variables, whose refutations need more space, with a few random clauses
+    among them."""
+    n = rng.randint(3, 6)
+    if rng.random() < 0.5:
+        return Cnf([random_clause(rng, n) for _ in range(rng.randint(2, 9))], n)
+    pool = rng.sample(range(1, n + 1), rng.randint(2, min(n, 4)))
+    clauses = [
+        make_clause(v * sign for v, sign in zip(pool, signs))
+        for signs in product((1, -1), repeat=len(pool))
+        if rng.random() < 0.9
+    ]
+    clauses += [random_clause(rng, n) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(clauses)
+    return Cnf(clauses, n)
+
+
+def test_clause_space_bounds_resolution_width():
+    # at the least space up to 5 where search_space refutes F (derives the
+    # empty clause, whose literal mask is 0), RES(1) refutes F at width
+    # s + w(F) - 1.  RES(1) is monotone in w, so the least width it refutes
+    # at is found from below, where runs are cheap, and must be at most that
+    # bound
+    rng = random.Random(20080101)
+    seen = Counter()
+    for _ in range(800):
+        kb = random_refutable_cnf(rng)
+        s = next((s for s in range(1, 6) if search_space(kb.masks, s, 0) is not None), None)
+        if s is None:
+            seen["not refuted"] += 1
+            continue
+        bound = s + max(map(len, kb.clauses)) - 1
+        hyps = [KDnf([[lit] for lit in c]) for c in kb.clauses]
+        refuted = (w for w in range(bound + 1) if decide_resk_width(hyps, BOTTOM, 1, w)[0])
+        assert next(refuted, None) is not None, (kb, s)
+        seen[s] += 1
+    assert min(seen[s] for s in (2, 3, 4)) >= 20 and seen["not refuted"] >= 100, seen

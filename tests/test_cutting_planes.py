@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from pacreason import backends
 from pacreason.backends import CuttingPlanesBackend
 from pacreason.decide_pac import decide_example
 from pacreason.errors import InputError, RuleError
@@ -293,7 +294,7 @@ def test_countermodel_first_fixes_what_one_variable_hypotheses_force():
     assert countermodel((ineq({2: 2}, 3),), ineq({1: 1}, 1)) is None
 
 
-def test_countermodel_settles_the_iid_probe_instance_that_the_in_order_pass_missed():
+def test_countermodel_settles_the_iid_probe_instance_that_the_in_order_pass_missed(monkeypatch):
     # a restricted instance of the seed-1 benchmark stream (cp, example 43):
     # in hypothesis order, x6 + x10 >= 1 would make x6 true before x10 >= 1
     # is reached, and x1 - x6 >= 0 then fails with x1 false.  x10 >= 1 forces
@@ -310,4 +311,11 @@ def test_countermodel_settles_the_iid_probe_instance_that_the_in_order_pass_miss
     rho = PartialAssignment(model.get(v) for v in range(1, 11))
     for x in completions(rho):
         assert all(holds_at(h, x) for h in hyps) and not holds_at(target, x), x
+    # the backend's pass rejects it without decide_cp, which keeps cp rejects
+    # cheap: without the pass, iid-probe's cp `decide` runs several times
+    # longer.  decide_cp raises here, so a backend that lost its pass fails
+    def refuse(*args):
+        raise AssertionError("decide_cp ran on an instance the pass settles")
+
+    monkeypatch.setattr(backends, "decide_cp", refuse)
     assert CuttingPlanesBackend(w=2, L=3, n=10).decide(target, hyps) is None

@@ -7,6 +7,7 @@ from typing import Optional
 
 import pytest
 
+from pacreason import resolution
 from pacreason.backends import SpaceResolutionBackend
 from pacreason.decide_pac import PacParams, decide_pac_from_distribution
 from pacreason.errors import InputError
@@ -636,6 +637,44 @@ def test_countermodel_pass_settles_only_rejects():
                 assert proof_to_text(found) == proof_to_text(reference)
                 seen["accepted"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def wide_samples_kb() -> Cnf:
+    """The KB of the wide-samples benchmark workload, built the same way:
+    150 distinct random 3-clauses over x1..x60 that 32 random points all
+    satisfy."""
+    n, rng = 60, random.Random("wide-samples:kb")
+    points = sorted({tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(32)})
+    clauses = []
+    while len(clauses) < 150:
+        c = make_clause(v if rng.getrandbits(1) else -v for v in rng.sample(range(1, n + 1), 3))
+        if c not in clauses and all(
+            any((x[abs(lit) - 1] == 1) == (lit > 0) for lit in c) for x in points
+        ):
+            clauses.append(c)
+    return Cnf(clauses, n)
+
+
+def test_countermodel_pass_settles_the_wide_samples_query(monkeypatch):
+    # x1|x2 does not follow from the wide-samples KB.  Without its
+    # countermodel pass, search_space tries every branch order before it
+    # rejects: seconds at s=5 and minutes at s=6.  The spy sees the pass
+    # return a model at s=2 already, so a search that lost its pass fails
+    # here before the s=6 search starts
+    kb, goal = wide_samples_kb(), encode_clause(make_clause([1, 2]))
+    models = []
+
+    def spy(inputs, goal):
+        models.append(countermodel(inputs, goal))
+        return models[-1]
+
+    monkeypatch.setattr(resolution, "countermodel", spy)
+    for s in (2, 6):
+        models.clear()
+        assert search_space(kb.masks, s, goal) is None
+        assert len(models) == 1 and models[0] is not None, s
+    model = models[0]
+    assert not goal & model and all(bits & model for bits in kb.masks)
 
 
 def test_countermodel_skips_satisfied_inputs():

@@ -13,7 +13,6 @@ from pacreason.sampling import (
     FixedMask,
     IndependentMask,
     TableMask,
-    draw_examples,
     draw_masked_examples,
     tight_union_bound_distribution,
     validity,
@@ -49,7 +48,8 @@ def test_fixed_mask_hides_everything():
 def test_table_mask_depends_on_assignment():
     d = ExplicitDistribution.uniform([(0, 0), (1, 1)])
     mask = TableMask({(0, 0): {1}, (1, 1): {2}})
-    for x, rho in draw_examples(d, mask, 50, seed=3):
+    sources = reference_draw_examples(d, mask, 50, seed=3)
+    for (x, _), rho in zip(sources, draw_masked_examples(d, mask, 50, seed=3)):
         assert rho == example("*0" if x == (0, 0) else "1*")
 
 
@@ -60,7 +60,7 @@ def test_table_mask_must_cover_the_support_at_every_seed():
     mask = TableMask({(0, 0): {1}})
     for seed in range(20):
         with pytest.raises(InputError, match=r"no rule for support point \(1, 1\)"):
-            draw_examples(d, mask, 10, seed)
+            draw_masked_examples(d, mask, 10, seed)
 
 
 def _random_distribution(rng):
@@ -99,8 +99,9 @@ def test_draw_examples_matches_the_per_example_sampler():
         kind, mask = _random_mask(rng, dist)
         m = rng.randint(1, 200)
         seed = rng.getrandbits(64)
-        got = draw_examples(dist, mask, m, seed)
-        assert got == reference_draw_examples(dist, mask, m, seed), (dist, mask, m, seed)
+        got = draw_masked_examples(dist, mask, m, seed)
+        want = [rho for _, rho in reference_draw_examples(dist, mask, m, seed)]
+        assert got == want, (dist, mask, m, seed)
         kinds[kind] += 1
         if len(dist.support) == 1:
             kinds["single-point"] += 1
@@ -131,7 +132,9 @@ def test_examples_consistent_with_sources():
     d = ExplicitDistribution.uniform([(0, 1, 0), (1, 1, 1), (0, 0, 0), (1, 0, 1)])
     for seed in range(20):
         p = Fraction(rng.randint(0, 4), 4)
-        for x, rho in draw_examples(d, IndependentMask(p), 10, seed):
+        mask = IndependentMask(p)
+        sources = reference_draw_examples(d, mask, 10, seed)
+        for (x, _), rho in zip(sources, draw_masked_examples(d, mask, 10, seed)):
             assert consistent_with(assignment_of(rho[0], len(x)), x)
 
 

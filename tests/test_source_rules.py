@@ -85,8 +85,7 @@ def test_no_decider_calls_a_budget_check():
     # budgets are checked once per run on the unrestricted instance, and a
     # restriction keeps a checked instance valid, so the per-example
     # deciders take checked input and never re-check it
-    deciders = {"search_space", "search_masks", "decide_resk_width", "decide_cp", "build_basis",
-                "decide_pc"}
+    deciders = {"search_space", "decide_resk_width", "decide_cp", "build_basis", "decide_pc"}
     found, offenders = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
