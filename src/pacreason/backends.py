@@ -22,6 +22,9 @@ restricting the hypotheses.  The clause and inequality restrictions collapse
 to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
 to BOTTOM, its refutation target, and PC/PCR when the query row restricts
 to the zero row ().  Each system's search accepts those forms too.
+`query_scope(query)`, the bits `restrict_query` reads of an example's masks,
+is the query's literals, but every literal bit for RES(k), whose
+all-literals collapse (`res_k.restrict_kdnf`) counts every set variable.
 `decide(query, hyps)` runs the system's one search and returns what it
 found, a falsy value on reject: the `search_space` steps for clause-space
 resolution, the `saturation.TraceStep` trace for RES(k) and cutting planes,
@@ -54,14 +57,14 @@ from __future__ import annotations
 from . import formats
 from .errors import InputError, RuleError
 from .formulas import TRUE
-from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_rows, row, row_values
+from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_rows, row, row_literals, row_values
 from .cutting_planes import check_target, countermodel, decide_cp, residual_ineq, restrict_ineq
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
 from .res_k import check_trace as check_resk_trace
 from .resolution import Cnf, check_proof, check_space_bound, clause_space, decode_clause
 from .resolution import encode_clause, literal_bit, proof_to_text, proof_tree, restrict_cnf
-from .resolution import restrict_mask, search_space
+from .resolution import TAUTOLOGY, restrict_mask, search_space
 
 
 def _same_n(query_n: int, kb_n: int) -> None:
@@ -106,6 +109,9 @@ class SpaceResolutionBackend:
         _replayed(ok, "res-space")
         return (proof_to_text(tree),)
 
+    def query_scope(self, query):
+        return 0 if query is TAUTOLOGY else query
+
     def restrict_query(self, query, rho):
         return restrict_mask(query, rho)
 
@@ -146,6 +152,9 @@ class ResKWidthBackend:
         inputs = list(hyps) + list(query)
         _replayed(check_resk_trace(proof, inputs, BOTTOM, self.k, self.w), "res-k-width")
         return tuple(f"{step.rule}: {step.formula!r}" for step in proof)
+
+    def query_scope(self, query):
+        return (1 << 2 * self.n + 2) - 4  # every literal bit
 
     def restrict_query(self, query, rho):
         restricted = self.restrict_hyps(query, rho)  # the negated query's k-DNFs
@@ -188,6 +197,9 @@ class PolynomialCalculusBackend:
     def replay(self, proof, query, hyps):
         return ()
 
+    def query_scope(self, query):
+        return row_literals(query, self.n)
+
     def restrict_query(self, query, rho):
         (restricted,) = restrict_rows((query,), rho, self.n)
         return restricted or TRUE
@@ -228,6 +240,9 @@ class CuttingPlanesBackend:
     def replay(self, proof, query, hyps):
         _replayed(check_cp_trace(proof, hyps, query, self.w, self.L), "cp")
         return tuple(f"{i}: {step.rule} {step.formula!r}" for i, step in enumerate(proof))
+
+    def query_scope(self, query):
+        return sum(1 << 2 * v for v, _ in query.coeffs)  # residual_ineq reads x_v alone
 
     def restrict_query(self, query, rho):
         return restrict_ineq(query, rho)

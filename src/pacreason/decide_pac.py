@@ -11,6 +11,8 @@ A backend, given each example rho as its literal-mask pair, is any object with
     n                               -- variable count of its instances
     decide(query, hyps)             -- pure, deterministic; the proof found,
                                        whose truthiness is the verdict
+    query_scope(query)              -- the literal bits of rho's masks that
+                                       restrict_query reads (all, for RES(k))
     restrict_query(query, rho)      -- `formulas.TRUE` when rho settles the
                                        query: it is witnessed true, and
                                        decide would accept it from any
@@ -21,19 +23,19 @@ A backend, given each example rho as its literal-mask pair, is any object with
                                        restricted hypothesis and falsifies the
                                        restricted query
 
-Each example is decided query-first (`decide_example`): an example that
-settles the query is accepted without restricting the hypotheses or calling
-`decide`.  A run keeps up to CACHED_MODELS countermodels, full assignments
-that satisfy the knowledge base and falsify the query, found by
-`is_countermodel` among the completions of searched rejects with at most
-ENUMERATED_FREE free coordinates; an unsettled example consistent with one
-is rejected without a search.  Every proof system here is sound over 0/1
-points, so no search accepts such an example at any budget, and the
-verdicts are those of a search on every example.  Examples are decided one
-after another in sample order.  The verdict depends only on the multiset of
-per-example answers, so it does not depend on that order; every example is
-always evaluated (no early exit) to keep the reported failure count
-canonical.
+Each example is decided query-first, the query restricted once per projection
+onto its scope: an example that settles it is accepted without restricting
+the hypotheses or calling `decide`.  A run keeps up to CACHED_MODELS
+countermodels, full assignments that satisfy the knowledge base and falsify
+the query, found by `is_countermodel` among the completions of searched
+rejects with at most ENUMERATED_FREE free coordinates; an unsettled example
+consistent with one is rejected without a search.  Every proof system here is
+sound over 0/1 points, so no search accepts such an example at any budget,
+and the verdicts are those of a search on every example.  Examples are
+decided one after another in sample order.  The verdict depends only on the
+multiset of per-example answers, so it does not depend on that order; every
+example is always evaluated (no early exit) to keep the reported failure
+count canonical.
 """
 
 from __future__ import annotations
@@ -57,20 +59,17 @@ class PacParams(Record):
     __slots__ = ("epsilon", "gamma", "delta")  # Fractions
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        gamma = Fraction(self.gamma)
-        delta = Fraction(self.delta)
-        for name, value in (("epsilon", eps), ("gamma", gamma), ("delta", delta)):
+        values = [Fraction(getattr(self, name)) for name in self.__slots__]
+        for name, value in zip(self.__slots__, values):
             if not 0 < value < 1:
                 raise InputError(f"{name} must lie strictly between 0 and 1, got {value}")
+            object.__setattr__(self, name, value)
+        eps, gamma, _ = values
         if eps + gamma > 1 or eps - gamma < 0:
             raise InputError(
                 f"promise needs epsilon+gamma <= 1 and epsilon-gamma >= 0, "
                 f"got epsilon={eps}, gamma={gamma}"
             )
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", delta)
 
 
 class PacOutcome(Record):
@@ -103,33 +102,15 @@ def failure_budget(epsilon, m: int) -> int:
     return product.numerator // product.denominator
 
 
-def decide_example(backend, query, hyps, rho, models: list) -> bool:
-    """The backend's verdict on one example.
-
-    True at once when rho settles the query.  Otherwise False at once when
-    rho is consistent with a countermodel in `models` (its false mask
-    misses the model's true-literal mask), which moves that model to the
-    front.  Otherwise `decide` on the restricted instance; on a reject with
-    at most ENUMERATED_FREE free coordinates, the completions of rho are
-    tried in `itertools.product` order, negative literal first, and the
-    first that `is_countermodel` passes goes to the front of `models`, which
-    keeps CACHED_MODELS.  A hit is exact: the model, consistent with rho,
-    satisfies every hypothesis and falsifies the query restricted by rho, so
-    no sound search accepts rho at any budget.  A fresh empty list decides
-    rho by its own search."""
-    restricted = backend.restrict_query(query, rho)
-    if restricted is TRUE:
-        return True
-    true, false = rho
-    for i, x in enumerate(models):
-        if not false & x:
-            models.insert(0, models.pop(i))
-            return False
+def _search(backend, restricted, hyps, rho, models: list) -> bool:
+    """The search's verdict on the unsettled example rho; a reject with at most
+    ENUMERATED_FREE free coordinates caches its first completion that is a countermodel."""
     hyps = backend.restrict_hyps(hyps, rho)
     if backend.decide(restricted, hyps):
         return True
-    free = [v for v in range(1, backend.n + 1) if not (true | false) >> 2 * v & 1]
-    if len(free) <= ENUMERATED_FREE:
+    true, false = rho
+    if backend.n - true.bit_count() <= ENUMERATED_FREE:  # one true bit per set variable
+        free = [v for v in range(1, backend.n + 1) if not (true | false) >> 2 * v & 1]
         for choice in product(*((2 << 2 * v, 1 << 2 * v) for v in free)):
             x = true | sum(choice)
             if backend.is_countermodel(restricted, hyps, x):
@@ -140,8 +121,8 @@ def decide_example(backend, query, hyps, rho, models: list) -> bool:
 
 
 def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
-    """Decide every example with `decide_example`, sharing one list of
-    countermodels, and tally rejections.
+    """Decide every example, sharing one query restriction per projection
+    onto the query's scope and one list of countermodels; tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
     An example that is not a literal-mask pair over x1..xn is an InputError.
@@ -152,11 +133,12 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
         raise InputError("need at least one example")
     n = backend.n
     even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
+    outside = ~((1 << 2 * n + 2) - 4)  # bits 0, 1 and those above x_n's
     for rho in examples:
         try:
             true, false = rho
             # false is true swapped, so true & false marks both literals in true
-            ok = not (true >> 2 * n + 2 or true & 3 or true & false) and (
+            ok = not (true & outside or true & false) and (
                 false == (true & even) << 1 | true >> 1 & even
             )
         except (TypeError, ValueError):  # not a pair of ints
@@ -164,13 +146,31 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
         if not ok:
             raise InputError(f"example {rho!r} is not a literal-mask pair over x1..x{n}")
 
-    models = []
-    verdicts = tuple(decide_example(backend, query, hyps, rho, models) for rho in examples)
+    scope = backend.query_scope(query)
+    scope |= (scope & even) << 1 | scope >> 1 & even  # so true & scope fixes false & scope
+    restricted_by, models, verdicts = {}, [], []  # restricted_by: true & scope -> restricted query
+    for rho in examples:
+        true, false = rho
+        key = true & scope
+        restricted = restricted_by.get(key)
+        if restricted is None:
+            restricted = restricted_by[key] = backend.restrict_query(query, (key, false & scope))
+        if restricted is TRUE:
+            verdicts.append(True)
+            continue
+        for i, x in enumerate(models):
+            if not false & x:  # rho is consistent with a cached countermodel
+                if i:
+                    models.insert(0, models.pop(i))
+                verdicts.append(False)
+                break
+        else:
+            verdicts.append(_search(backend, restricted, hyps, rho, models))
 
-    failed = sum(1 for ok in verdicts if not ok)
+    failed = verdicts.count(False)
     budget = failure_budget(params.epsilon, m)
     verdict = REJECT if failed > budget else ACCEPT
-    return PacOutcome(verdict, failed, budget, m, verdicts)
+    return PacOutcome(verdict, failed, budget, m, tuple(verdicts))
 
 
 def decide_pac_from_distribution(

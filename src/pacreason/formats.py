@@ -246,8 +246,8 @@ def _parse_canonical_pasgns(text):
     digits = body.removesuffix("\n")[::-1].translate(_PASGN_DIGITS).split("\n")
     if len(digits) != count or set(map(len, digits)) != {n}:
         return None
-    negate = negation(n)
-    out = [(true, negate(true)) for true in (int(line, 4) << 2 for line in digits)]
+    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n: each false mask is its true mask swapped
+    out = [(t := int(line, 4) << 2, (t & even) << 1 | t >> 1 & even) for line in digits]
     out.reverse()
     return n, out
 

@@ -146,6 +146,11 @@ def _layout(mask: int, n: int) -> int:
     return int(f"{mask:0{2 * n + 2}b}"[::-1], 2)
 
 
+def row_literals(r, n: int) -> int:
+    """The literal mask (`literal_bit`) of the indeterminates in the row r."""
+    return _layout(sum(1 << j for j in range(2 * n) if any(k >> j & 1 for k, _ in r)), n)
+
+
 def restrict_rows(rows, rho, n: int) -> tuple:
     """Each row restricted by the example rho, its literal-mask pair: a
     monomial meeting the false mask drops, one meeting the true mask loses

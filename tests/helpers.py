@@ -24,10 +24,12 @@ projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
 `resolution` must match exactly, with the CNF restriction run on a Cnf's
-masks and decoded back, a `pacreason prove` runner on file texts, and the
+masks and decoded back, a `pacreason prove` runner on file texts, the
 plain per-example loop, a search without a countermodel pass on every
-restricted instance, that `decide_pac` with its settled-query shortcut and
-its countermodel cache must match exactly."""
+restricted instance, that `decide_pac` with its settled-query shortcut,
+its query restriction per query-scope projection and its countermodel cache
+must match exactly, and `decide_one`, the verdict of a `decide_pac` run on
+one example."""
 
 import math
 import random
@@ -55,7 +57,7 @@ from pacreason.cutting_planes import (
     var_nonneg,
 )
 from pacreason.cli import main
-from pacreason.decide_pac import ACCEPT, REJECT, PacOutcome, failure_budget
+from pacreason.decide_pac import ACCEPT, REJECT, PacOutcome, PacParams, decide_pac, failure_budget
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -152,6 +154,16 @@ def reference_decide_pac(backend, query, hyps, params, examples) -> PacOutcome:
     budget = failure_budget(params.epsilon, len(examples))
     verdict = REJECT if failed > budget else ACCEPT
     return PacOutcome(verdict, failed, budget, len(examples), verdicts)
+
+
+ONE_EXAMPLE_PARAMS = PacParams(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+
+
+def decide_one(backend, query, hyps, rho) -> bool:
+    """The backend's verdict on the example rho alone, through the
+    production loop: `decide_pac` on the one-example stream [rho], which
+    starts with no cached countermodel."""
+    return decide_pac(backend, query, hyps, ONE_EXAMPLE_PARAMS, [rho]).per_example[0]
 
 
 def example(rho) -> tuple:
@@ -454,10 +466,14 @@ def random_cnf(rng, n, max_clauses=8, max_width=3):
 
 class EntailmentOracleBackend:
     """Brute-force classical entailment over threshold-basis formulas, which
-    restrict by the partial assignment of an example's true mask."""
+    restrict by the partial assignment of an example's true mask, so the
+    query scope is every literal bit."""
 
     def __init__(self, n: int):
         self.n = n
+
+    def query_scope(self, query):
+        return (1 << 2 * self.n + 2) - 4
 
     def decide(self, query, hyps) -> bool:
         return entails(list(hyps), query, self.n)

@@ -22,7 +22,6 @@ from pacreason.decide_pac import (
     ACCEPT,
     REJECT,
     PacParams,
-    decide_example,
     decide_pac_from_distribution,
     required_sample_size,
 )
@@ -64,6 +63,7 @@ from pacreason.sampling import (
 
 from helpers import (
     completions,
+    decide_one,
     decide_polynomials,
     example,
     holds_at,
@@ -168,10 +168,10 @@ def test_criterion_2_restriction_closure():
         for _ in range(20):
             # the backend's own restriction, at rho and at a refinement sigma
             rho = random_partial(rng, n)
-            assert decide_example(backend, query, rows, example(rho), [])
+            assert decide_one(backend, query, rows, example(rho))
             tau = {v: rng.randint(0, 1) for v in range(1, n + 1)
                    if rho[v - 1] is None and rng.random() < 0.5}
-            assert decide_example(backend, query, rows, example(refine(rho, tau)), [])
+            assert decide_one(backend, query, rows, example(refine(rho, tau)))
             checks += 1
 
     cp_accepted = 0
@@ -188,7 +188,7 @@ def test_criterion_2_restriction_closure():
         cp_accepted += 1
         for _ in range(20):
             rho = example(random_partial(rng, n))
-            assert decide_example(backend, target, hyps, rho, [])
+            assert decide_one(backend, target, hyps, rho)
             checks += 1
 
     report(2, True, f"same-budget acceptance preserved under {checks} restrictions")

@@ -5,7 +5,6 @@ import pytest
 
 from pacreason import backends
 from pacreason.backends import CuttingPlanesBackend
-from pacreason.decide_pac import decide_example
 from pacreason.errors import InputError, RuleError
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.cutting_planes import (
@@ -24,7 +23,7 @@ from pacreason.cutting_planes import (
 from pacreason.resolution import TAUTOLOGY, make_clause
 from pacreason.saturation import TraceStep
 
-from helpers import completions, example, holds_at, prove_exit_code
+from helpers import completions, decide_one, example, holds_at, prove_exit_code
 
 
 def ineq(coeffs, bound):
@@ -200,7 +199,7 @@ def test_restriction_closure_randomized():
             rho = PartialAssignment(
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
-            assert decide_example(backend, target, hyps, example(rho), [])
+            assert decide_one(backend, target, hyps, example(rho))
 
 
 def test_trace_checker_rejects_tampering():

@@ -61,7 +61,8 @@ class ScriptedBackend:
 
     Example i is `distinct_examples(...)[i]`; `restrict_query` hands the
     example itself to `decide`, which looks its verdict up, so the answer is
-    a pure function of the restricted instance, as decide_pac requires.
+    a pure function of the restricted instance, as decide_pac requires.  It
+    reads the whole example, so its query scope is every literal bit.
     """
 
     n = 4
@@ -71,6 +72,9 @@ class ScriptedBackend:
 
     def decide(self, query, hyps):
         return self.verdicts[query]
+
+    def query_scope(self, query):
+        return (1 << 2 * self.n + 2) - 4
 
     def restrict_query(self, query, rho):
         return rho
@@ -169,7 +173,7 @@ def test_a_malformed_example_is_an_input_error():
     # variable's two bits swapped; each pair below breaks one condition, with
     # false swapped from its true where the condition is on true alone, and
     # any position in the stream raises before a backend call
-    backend = ScriptedBackend([True])
+    backend = CountingBackend(ScriptedBackend([True]))
     good = distinct_examples(1)[0]  # 0000
     true, false = good
     swapped = negation(4)
@@ -185,12 +189,13 @@ def test_a_malformed_example_is_an_input_error():
         (true, false, 0),
         (float(true), false),
     ]
-    assert decide_pac(backend, None, None, params(), [good]).verdict == ACCEPT
+    assert decide_pac(ScriptedBackend([True]), None, None, params(), [good]).verdict == ACCEPT
     for rho in malformed:
         for examples in ([rho], [good, good, rho], [rho, good]):
             with pytest.raises(InputError) as caught:
                 decide_pac(backend, None, None, params(), examples)
             assert str(caught.value) == f"example {rho!r} is not a literal-mask pair over x1..x4"
+            assert backend.calls == dict.fromkeys(backend.calls, 0), (rho, backend.calls)
 
 
 def test_resolution_backend_accepts_revealed_antecedent():
@@ -301,15 +306,15 @@ def test_table_mask_scenario_statistics():
 
 
 class CountingBackend:
-    """Delegates to a backend and counts its `restrict_hyps`, `decide` and
-    `is_countermodel` calls.  `searched` holds, per `restrict_hyps` call in
+    """Delegates to a backend and counts its `restrict_query`,
+    `restrict_hyps`, `decide` and `is_countermodel` calls.  `searched` holds, per `restrict_hyps` call in
     call order, the example and the number of `is_countermodel` calls that
     followed it; `models` each x that `is_countermodel` passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
-        self.calls = {"restrict_hyps": 0, "decide": 0, "is_countermodel": 0}
+        self.calls = dict.fromkeys(("restrict_query", "restrict_hyps", "decide", "is_countermodel"), 0)
         self.searched = []
         self.models = []
 
@@ -317,7 +322,11 @@ class CountingBackend:
         self.calls["decide"] += 1
         return self.inner.decide(query, hyps)
 
+    def query_scope(self, query):
+        return self.inner.query_scope(query)
+
     def restrict_query(self, query, rho):
+        self.calls["restrict_query"] += 1
         return self.inner.restrict_query(query, rho)
 
     def restrict_hyps(self, hyps, rho):
@@ -359,7 +368,8 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
     # settle the query, 50 do not, 50 are rejected and 50 unsettled ones
     # skip the search; an example that settles the query must cost no
     # restrict_hyps and no decide call, and one consistent with a cached
-    # countermodel neither
+    # countermodel neither, and the query is restricted at most once per
+    # projection of the examples onto its scope
     rng = random.Random(f"query-first:{system}")
     seen = {"settled": 0, "unsettled": 0, "rejected": 0, "skipped": 0}
     for seed in range(500):
@@ -369,6 +379,9 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
         counting = CountingBackend(backend)
         outcome = decide_pac(counting, query, hyps, params(), examples)
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples)
+        scope = backend.query_scope(query)
+        scope |= negation(n)(scope)  # decide_pac's key: both literals of each scope variable
+        assert counting.calls["restrict_query"] <= len({true & scope for true, _ in examples})
         settled = sum(backend.restrict_query(query, rho) is TRUE for rho in examples)
         unsettled = len(examples) - settled
         searched = counting.calls["decide"]
@@ -380,6 +393,40 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
         if min(seen.values()) >= 50:
             break
     assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
+    # the scope holds literal bits only, and restricting the query by an
+    # example's projection onto it gives what the whole example gives, on
+    # 3600 examples of seeded instances under iid:1/2
+    rng = random.Random(f"scope:{system}")
+    checked = 0
+    for seed in range(300):
+        backend, query, hyps, n = random_instance(system, rng)
+        scope = backend.query_scope(query)
+        assert not scope & ~((1 << 2 * n + 2) - 4), (query, scope)
+        dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+        for true, false in draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 12, seed):
+            whole = backend.restrict_query(query, (true, false))
+            assert backend.restrict_query(query, (true & scope, false & scope)) == whole, (
+                query, assignment_of(true, n),
+            )
+            checked += 1
+    assert checked == 3600
+
+
+def test_res_k_query_scope_is_every_literal_bit():
+    # restrict_kdnf collapses the k-DNF of every masked literal, so the
+    # negated query of (x1) and (-x1) restricts to no k-DNF at *1, where x2
+    # is set, but stays whole at *1's projection onto x1's literals
+    backend = ResKWidthBackend(k=1, w=1, n=2)
+    query = (negate_query([frozenset({1}), frozenset({-1})], k=1),)
+    true, false = example("*1")
+    assert backend.restrict_query(query, (true, false)) == ()
+    assert backend.restrict_query(query, (true & 0b1100, false & 0b1100)) == (KDnf([(-1,), (1,)]),)
+    scope = backend.query_scope(query)
+    assert backend.restrict_query(query, (true & scope, false & scope)) == ()
 
 
 def test_plain_decide_accepts_what_a_settled_query_stands_for():

@@ -1,5 +1,5 @@
-"""Restriction closure of every backend, checked through
-`decide_pac.decide_example`, the reduction's own per-example path over the
+"""Restriction closure of every backend, checked through `decide_pac` on one
+example (`helpers.decide_one`), the reduction's own per-example loop over the
 backend's `restrict_query`/`restrict_hyps`: whatever a backend accepts it
 also accepts at every restriction, at the same budget, which is what makes
 `decide_pac` sound.  Cutting-planes hypotheses beyond the budget may feed
@@ -17,13 +17,20 @@ from pacreason.backends import (
     SpaceResolutionBackend,
 )
 from pacreason.cutting_planes import LinIneq, always_witnessed_true
-from pacreason.decide_pac import ACCEPT, PacParams, decide_example, decide_pac
+from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
 from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause
 
-from helpers import example, mul_indet, pc_instance, plain_restricted_query, random_clause
+from helpers import (
+    decide_one,
+    example,
+    mul_indet,
+    pc_instance,
+    plain_restricted_query,
+    random_clause,
+)
 from test_res_k import random_kdnf
 from test_polycalc import random_polynomial, with_rational_coefficients
 
@@ -78,12 +85,12 @@ def test_cp_accepts_every_restriction_of_what_it_accepts():
             kinds["accepted, over-budget hypothesis"] += any(
                 h.sparsity > w or h.l1_norm > L for h in hyps
             )
-            assert decide_example(backend, query, hyps, example("*" * n), [])
+            assert decide_one(backend, query, hyps, example("*" * n))
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, example(rho), []):
+        if decide_one(backend, query, hyps, example(rho)):
             kinds["accepted at rho"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, example(sigma), []), (hyps, query, rho, sigma)
+            assert decide_one(backend, query, hyps, example(sigma)), (hyps, query, rho, sigma)
     assert min(kinds.values()) >= 100, kinds
 
 
@@ -142,12 +149,12 @@ def test_pc_and_pcr_accept_every_restriction_of_what_they_accept():
         if backend.decide(query, hyps):
             kinds[f"accepted {mode}"] += 1
             kinds["accepted with duals"] += any(p.has_duals() for p in polys + [poly_query])
-            assert decide_example(backend, query, hyps, example("*" * n), [])
+            assert decide_one(backend, query, hyps, example("*" * n))
         rho = random_partial(rng, n)
-        if decide_example(backend, query, hyps, example(rho), []):
+        if decide_one(backend, query, hyps, example(rho)):
             kinds[f"accepted at rho {mode}"] += 1
             sigma = refine(rng, rho)
-            assert decide_example(backend, query, hyps, example(sigma), []), (
+            assert decide_one(backend, query, hyps, example(sigma)), (
                 mode, d, polys, poly_query, rho, sigma,
             )
     assert min(kinds.values()) >= 100 and len(kinds) == 6, kinds
@@ -166,7 +173,7 @@ def assert_closed(rng, backend, query, hyps, n, check, kinds):
     for name, at in (("all-masked", PartialAssignment.all_masked(n)), ("rho", rho), ("sigma", sigma)):
         at = example(at)
         check(plain_restricted_query(backend, query, at), backend.restrict_hyps(hyps, at))
-        accepts[name] = decide_example(backend, query, hyps, at, [])
+        accepts[name] = decide_one(backend, query, hyps, at)
     accepted = bool(backend.decide(query, hyps))
     if accepted:
         kinds["accepted"] += 1
