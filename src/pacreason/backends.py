@@ -22,7 +22,7 @@ restricting the hypotheses.  The clause and inequality restrictions collapse
 to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
 to BOTTOM, its refutation target, and PC/PCR when the query row restricts
 to the zero row ().  Each system's search accepts those forms too.
-`query_scope(query)`, the bits `restrict_query` reads of an example's masks,
+`query_scope(query)`, the literals whose variables `restrict_query` reads,
 is the query's literals, but every literal bit for RES(k), whose
 all-literals collapse (`res_k.restrict_kdnf`) counts every set variable.
 `decide(query, hyps)` runs the system's one search and returns what it
@@ -64,7 +64,7 @@ from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restri
 from .res_k import check_trace as check_resk_trace
 from .resolution import Cnf, check_proof, check_space_bound, clause_space, decode_clause
 from .resolution import encode_clause, literal_bit, proof_to_text, proof_tree, restrict_cnf
-from .resolution import TAUTOLOGY, restrict_mask, search_space
+from .resolution import TAUTOLOGY, negation, restrict_mask, search_space
 
 
 def _same_n(query_n: int, kb_n: int) -> None:
@@ -81,13 +81,15 @@ class SpaceResolutionBackend:
     """Clause-space-bounded treelike resolution; query is a single clause
     and hyps a tuple of clauses, each held as its literal mask
     (`resolution.encode_clause`), which `resolution.restrict_cnf`
-    restricts in one pass over the masks."""
+    restricts in one pass over the masks, each restriction with the example's
+    false-literal mask from a `resolution.negation` built once."""
 
     budgets = ("s",)
 
     def __init__(self, s: int, n: int):
         self.s = s
         self.n = n
+        self._negate = negation(n)
 
     @classmethod
     def load(cls, system, kb_text, query_text, s):
@@ -113,10 +115,10 @@ class SpaceResolutionBackend:
         return 0 if query is TAUTOLOGY else query
 
     def restrict_query(self, query, rho):
-        return restrict_mask(query, rho)
+        return restrict_mask(query, rho, self._negate(rho))
 
     def restrict_hyps(self, hyps, rho):
-        return restrict_cnf(hyps, rho)
+        return restrict_cnf(hyps, rho, self._negate(rho))
 
     def is_countermodel(self, query, hyps, x):
         return not query & x and all(bits & x for bits in hyps)

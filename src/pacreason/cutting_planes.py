@@ -305,23 +305,22 @@ def decide_cp(hyps, target: LinIneq, w: int, L: int, stats: dict | None = None):
     return True, derivation(target, table, outside, lambda line: LinIneq(*line))
 
 
-def residual_ineq(ineq: LinIneq, rho: tuple) -> LinIneq:
+def residual_ineq(ineq: LinIneq, rho: int) -> LinIneq:
     """Variables the example rho sets to 1 move into the bound, those set to
     0 vanish.  Neither norm grows, and addition, multiplication and division
     commute with it, so keeping every residual hypothesis keeps a derivation."""
-    true, false = rho
     fixed = 0
     kept = []
     for v, c in ineq.coeffs:
         bit = 1 << 2 * v  # the literal x_v
-        if bit & true:
+        if bit & rho:
             fixed += c
-        elif not bit & false:
+        elif not bit << 1 & rho:  # -x_v is not true either
             kept.append((v, c))
     return LinIneq(kept, ineq.bound - fixed)
 
 
-def restrict_ineq(ineq: LinIneq, rho: tuple) -> LinIneq | Const:
+def restrict_ineq(ineq: LinIneq, rho: int) -> LinIneq | Const:
     """The residual inequality, collapsed to TRUE when witnessed true."""
     residual = residual_ineq(ineq, rho)
     return TRUE if always_witnessed_true(residual) else residual

@@ -6,12 +6,13 @@ examples: restrict the query and hypotheses by each example, run the backend,
 and accept exactly when the number of rejections stays within the budget
 floor(eps * m).
 
-A backend, given each example rho as its literal-mask pair, is any object with
+A backend, given each example rho as one int, its true-literal mask (bit 2v
+for x_v = 1, bit 2v+1 for x_v = 0), is any object with
 
     n                               -- variable count of its instances
     decide(query, hyps)             -- pure, deterministic; the proof found,
                                        whose truthiness is the verdict
-    query_scope(query)              -- the literal bits of rho's masks that
+    query_scope(query)              -- the literals whose variables
                                        restrict_query reads (all, for RES(k))
     restrict_query(query, rho)      -- `formulas.TRUE` when rho settles the
                                        query: it is witnessed true, and
@@ -24,18 +25,19 @@ A backend, given each example rho as its literal-mask pair, is any object with
                                        restricted query
 
 Each example is decided query-first, the query restricted once per projection
-onto its scope: an example that settles it is accepted without restricting
-the hypotheses or calling `decide`.  A run keeps up to CACHED_MODELS
-countermodels, full assignments that satisfy the knowledge base and falsify
-the query, found by `is_countermodel` among the completions of searched
-rejects with at most ENUMERATED_FREE free coordinates; an unsettled example
-consistent with one is rejected without a search.  Every proof system here is
-sound over 0/1 points, so no search accepts such an example at any budget,
-and the verdicts are those of a search on every example.  Examples are
-decided one after another in sample order.  The verdict depends only on the
-multiset of per-example answers, so it does not depend on that order; every
-example is always evaluated (no early exit) to keep the reported failure
-count canonical.
+onto its scope's variables: an example that settles it is accepted without
+restricting the hypotheses or calling `decide`.  A run keeps up to
+CACHED_MODELS countermodels, full assignments that satisfy the knowledge base
+and falsify the query, found by `is_countermodel` among the completions of
+searched rejects with at most ENUMERATED_FREE free coordinates, each as its
+false-literal mask; an unsettled example that shares no bit with one is
+rejected without a search.  Every proof system here is sound over 0/1
+points, so no search accepts such an example at any budget, and the verdicts
+are those of a search on every example.  Examples are decided one after
+another in sample order.  The verdict depends only on the multiset of
+per-example answers, so it does not depend on that order; every example is
+always evaluated (no early exit) to keep the reported failure count
+canonical.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from math import ceil, log
 
 from .errors import InputError
 from .formulas import TRUE, Record
+from .resolution import check_examples, negation
 from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
@@ -108,13 +111,13 @@ def _search(backend, restricted, hyps, rho, models: list) -> bool:
     hyps = backend.restrict_hyps(hyps, rho)
     if backend.decide(restricted, hyps):
         return True
-    true, false = rho
-    if backend.n - true.bit_count() <= ENUMERATED_FREE:  # one true bit per set variable
-        free = [v for v in range(1, backend.n + 1) if not (true | false) >> 2 * v & 1]
+    n = backend.n
+    if n - rho.bit_count() <= ENUMERATED_FREE:  # one bit per set variable
+        free = [v for v in range(1, n + 1) if not rho >> 2 * v & 3]
         for choice in product(*((2 << 2 * v, 1 << 2 * v) for v in free)):
-            x = true | sum(choice)
+            x = rho | sum(choice)
             if backend.is_countermodel(restricted, hyps, x):
-                models.insert(0, x)
+                models.insert(0, x ^ (1 << 2 * n + 2) - 4)  # every literal x makes false
                 del models[CACHED_MODELS:]
                 break
     return False
@@ -125,41 +128,27 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     onto the query's scope and one list of countermodels; tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
-    An example that is not a literal-mask pair over x1..xn is an InputError.
+    An example that is not a true-literal mask over x1..xn is an InputError.
     """
     examples = list(examples)
     m = len(examples)
     if m < 1:
         raise InputError("need at least one example")
-    n = backend.n
-    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
-    outside = ~((1 << 2 * n + 2) - 4)  # bits 0, 1 and those above x_n's
-    for rho in examples:
-        try:
-            true, false = rho
-            # false is true swapped, so true & false marks both literals in true
-            ok = not (true & outside or true & false) and (
-                false == (true & even) << 1 | true >> 1 & even
-            )
-        except (TypeError, ValueError):  # not a pair of ints
-            ok = False
-        if not ok:
-            raise InputError(f"example {rho!r} is not a literal-mask pair over x1..x{n}")
+    check_examples(examples, backend.n)
 
     scope = backend.query_scope(query)
-    scope |= (scope & even) << 1 | scope >> 1 & even  # so true & scope fixes false & scope
-    restricted_by, models, verdicts = {}, [], []  # restricted_by: true & scope -> restricted query
+    scope |= negation(backend.n)(scope)  # both literals of each scope variable
+    restricted_by, models, verdicts = {}, [], []  # restricted_by: rho & scope -> restricted query
     for rho in examples:
-        true, false = rho
-        key = true & scope
+        key = rho & scope
         restricted = restricted_by.get(key)
         if restricted is None:
-            restricted = restricted_by[key] = backend.restrict_query(query, (key, false & scope))
+            restricted = restricted_by[key] = backend.restrict_query(query, key)
         if restricted is TRUE:
             verdicts.append(True)
             continue
-        for i, x in enumerate(models):
-            if not false & x:  # rho is consistent with a cached countermodel
+        for i, false in enumerate(models):
+            if not rho & false:  # rho is consistent with a cached countermodel
                 if i:
                     models.insert(0, models.pop(i))
                 verdicts.append(False)

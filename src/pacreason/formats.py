@@ -36,7 +36,7 @@ Grammar summary:
     p dist <n> <m>       m weighted points like `1/2 0110`
     p masktable <n> <m>  m rules `<assignment bits> <mask bits>` (1 = hidden)
 
-A pasgn line reads as its `PartialAssignment.masks` pair.  A pasgn file in
+A pasgn line reads as its `PartialAssignment.mask`, an int.  A pasgn file in
 the canonical form, a header line that `_header` accepts with n >= 1 and then
 exactly m lines of n characters over {0,1,*}, each ended by '\\n' (the last
 may lack it), and nothing else, is read in one bulk pass: one alphabet check
@@ -44,6 +44,8 @@ over the body, one length check per line and one base-4 translation of the
 whole body.  Any other text goes through the record loop, which raises every
 error: comments, blank lines, spaces, '\\r' or another line separator, a bad
 header or line, a count mismatch or n = 0.  Both paths give the same masks.
+`serialize_pasgns` writes only true-literal masks over x1..xn
+(`resolution.check_examples`), the masks that the readers give.
 Every other bit string, and every pasgn line the record loop reads, passes
 one check, `_is_string_over`.
 
@@ -65,7 +67,7 @@ from .errors import FormatError, InputError
 from .cutting_planes import LinIneq
 from .polycalc import Polynomial
 from .res_k import KDnf
-from .resolution import TAUTOLOGY, Cnf, literal_bit, literals_text, make_clause, negation
+from .resolution import TAUTOLOGY, Cnf, check_examples, literal_bit, literals_text, make_clause
 from .sampling import ExplicitDistribution, FixedMask, IndependentMask, TableMask
 
 # str() prints an int of at most 4300 digits (Python's default limit), so a
@@ -246,8 +248,7 @@ def _parse_canonical_pasgns(text):
     digits = body.removesuffix("\n")[::-1].translate(_PASGN_DIGITS).split("\n")
     if len(digits) != count or set(map(len, digits)) != {n}:
         return None
-    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n: each false mask is its true mask swapped
-    out = [(t := int(line, 4) << 2, (t & even) << 1 | t >> 1 & even) for line in digits]
+    out = [int(line, 4) << 2 for line in digits]
     out.reverse()
     return n, out
 
@@ -260,13 +261,10 @@ _PASGN_CHARS = {ord(f"{a + 4 * b:x}"): "*10"[a] + "*10"[b] for a in range(3) for
 
 
 def _pasgn_reader(n):
-    negate = negation(n)  # the false mask of a true mask
-
     def read(line):
         if not _is_string_over(line, n, "01*"):
             raise FormatError(f"expected {n} characters over 0/1/*")
-        true = int(line[::-1].translate(_PASGN_DIGITS), 4) << 2
-        return ((true, negate(true)),)
+        return (int(line[::-1].translate(_PASGN_DIGITS), 4) << 2,)
 
     return read
 
@@ -274,8 +272,10 @@ def _pasgn_reader(n):
 def serialize_pasgns(n: int, examples) -> str:
     if n < 1:  # an n = 0 line would be blank, which the reader skips
         raise FormatError(f"pasgn files need n >= 1, got n={n}")
+    examples = list(examples)
+    check_examples(examples, n)
     width = n // 2 + 1  # hex digits of bits 0..2n+1, lowest first: x0 (unset) and x1, ...
-    lines = (f"{true:0{width}x}"[::-1].translate(_PASGN_CHARS)[1:n + 1] for true, _ in examples)
+    lines = (f"{rho:0{width}x}"[::-1].translate(_PASGN_CHARS)[1:n + 1] for rho in examples)
     return _file_text("pasgn", [n], lines)
 
 

@@ -165,7 +165,7 @@ def _entry(value):
 class PartialAssignment(tuple):
     """A vector over {0, 1, *}: the tuple of its entries, each the int 0 or
     1, or None where masked.  It equals and hashes as that plain tuple; entry
-    i (1-based) is `value(i)`.  The proof systems restrict by its `masks`."""
+    i (1-based) is `value(i)`.  The proof systems restrict by its `mask`."""
 
     __slots__ = ()
 
@@ -193,15 +193,10 @@ class PartialAssignment(tuple):
         return tuple(i + 1 for i, e in enumerate(self) if e is None)
 
     @property
-    def masks(self) -> tuple:
-        """The example as the pair (true, false) of the literal masks
-        (`resolution.literal_bit`) of what it makes true and false."""
-        true = false = 0
-        for v, e in enumerate(self, 1):
-            if e is not None:
-                true |= 1 << 2 * v + 1 - e
-                false |= 1 << 2 * v + e
-        return true, false
+    def mask(self) -> int:
+        """The example as its true-literal mask (`resolution.literal_bit`):
+        bit 2v when x_v = 1, bit 2v+1 when x_v = 0, neither when masked."""
+        return sum(1 << 2 * v + 1 - e for v, e in enumerate(self, 1) if e is not None)
 
     def __str__(self):
         return "".join(map(_VALUE_CHARS.__getitem__, self))

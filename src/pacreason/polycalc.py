@@ -19,8 +19,8 @@ reversed, and its key is (degree << 2n) | mask.  Keys compare as their
 `monomial_key`s do: degree first, then the highest bit where two masks
 differ is the first indeterminate in literal order where they differ, and
 it is set in the larger monomial.  A tuple of rows is a hashable value.
-`restrict_rows` restricts rows by an example's literal masks (reversed into
-the layout) with int tests, `row_values` evaluates them at a full
+`restrict_rows` restricts rows by an example's true-literal mask (reversed
+into the layout) with int tests, `row_values` evaluates them at a full
 assignment, and rows scaled by positive factors span the same space, so
 clearing denominators changes no verdict.
 
@@ -42,7 +42,7 @@ from math import gcd, lcm
 
 from .errors import InputError
 from .formulas import Record
-from .resolution import TAUTOLOGY, literal_bit, literals_text
+from .resolution import TAUTOLOGY, literal_bit, literals_text, negation
 
 PC = "pc"
 PCR = "pcr"
@@ -151,12 +151,13 @@ def row_literals(r, n: int) -> int:
     return _layout(sum(1 << j for j in range(2 * n) if any(k >> j & 1 for k, _ in r)), n)
 
 
-def restrict_rows(rows, rho, n: int) -> tuple:
-    """Each row restricted by the example rho, its literal-mask pair: a
-    monomial meeting the false mask drops, one meeting the true mask loses
-    those indeterminates and as many degrees, and like monomials merge.  A
-    row whose terms all drop or cancel restricts to (), the zero row."""
-    true, false = _layout(rho[0], n), _layout(rho[1], n)
+def restrict_rows(rows, rho: int, n: int) -> tuple:
+    """Each row restricted by the example rho, its true-literal mask: a
+    monomial with a false literal drops, one meeting rho loses those
+    indeterminates and as many degrees, and like monomials merge.  A row
+    whose terms all drop or cancel restricts to (), the zero row."""
+    true = _layout(rho, n)
+    false = negation(n)(true)  # x_v and ~x_v are a bit pair in the layout too
     width = 2 * n
     out = []
     for r in rows:

@@ -85,7 +85,7 @@ def _checked(terms) -> KDnf:
     return frozenset.__new__(KDnf, iter(terms))
 
 
-def restrict_kdnf(phi: KDnf, rho: tuple, n: int) -> KDnf | Const:
+def restrict_kdnf(phi: KDnf, rho: int, n: int) -> KDnf | Const:
     """Drop the terms rho (an example over x1..xn) falsifies, strip satisfied
     literals; may collapse to true.
 
@@ -101,8 +101,8 @@ def restrict_kdnf(phi: KDnf, rho: tuple, n: int) -> KDnf | Const:
             return TRUE
         new_terms.add(frozenset(kept))
     # kept literals are masked, so 2 * |masked| one-literal terms are all of
-    # them; the true mask has one bit per set variable
-    if len(new_terms) == 2 * (n - rho[0].bit_count()) > 0 and all(len(t) == 1 for t in new_terms):
+    # them; rho has one bit per set variable
+    if len(new_terms) == 2 * (n - rho.bit_count()) > 0 and all(len(t) == 1 for t in new_terms):
         return TRUE
     return _checked(new_terms)
 

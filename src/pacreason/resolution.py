@@ -12,8 +12,9 @@ value of clauses, and its `masks` are the tuple of literal masks that
 `restrict_cnf` restricts, in one pass, into another such tuple, which
 `search_space` searches.
 
-An example rho is the pair (true, false) of the literal masks of what it
-makes true and false; every restriction reads it with int tests.
+An example rho is the literal mask of what it makes true, read with int
+tests by every restriction; the clause ones also take rho swapped by
+`negation`, the mask of what it makes false.
 
 Treelike proofs are trees of Leaf / Weaken / Cut nodes, each annotated with
 the clause it derives.  `search_space` returns its proof as mask steps, and
@@ -82,6 +83,16 @@ def negation(n: int):
     literals, which swaps each variable's two bits."""
     even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
     return lambda bits: (bits & even) << 1 | bits >> 1 & even
+
+
+def check_examples(examples, n: int) -> None:
+    """InputError unless every example is a true-literal mask over x1..xn: an
+    int, not a bool, with no bit outside their literals nor both of one."""
+    even = (1 << 2 * n + 2) // 3  # bits 0, 2, ..., 2n
+    outside = ~((1 << 2 * n + 2) - 4)  # bits 0, 1 and those above x_n's
+    for rho in examples:
+        if type(rho) is not int or rho & outside or rho & rho >> 1 & even:
+            raise InputError(f"example {rho!r} is not a true-literal mask over x1..x{n}")
 
 
 def literals_text(literals, sep: str, neg: str = "-") -> str:
@@ -357,37 +368,34 @@ def proof_tree(found: tuple | None) -> ProofNode | None:
     return build(goal, step)
 
 
-def restrict_mask(bits: int | Const, rho: tuple) -> int | Const:
-    """The literal mask of a clause restricted by the example rho:
-    TAUTOLOGY when rho makes one of its literals true, otherwise the mask
-    without the literals rho makes false.  TAUTOLOGY stays TAUTOLOGY."""
-    true, false = rho
-    if bits is TAUTOLOGY or bits & true:
+def restrict_mask(bits: int | Const, rho: int, false: int) -> int | Const:
+    """The literal mask of a clause restricted by the example rho, which
+    makes the literals of `false` false: TAUTOLOGY when rho makes one of its
+    literals true, otherwise the mask without `false`.  TAUTOLOGY stays."""
+    if bits is TAUTOLOGY or bits & rho:
         return TAUTOLOGY
     return bits & ~false
 
 
-def restrict_term(term, rho: tuple) -> list | None:
+def restrict_term(term, rho: int) -> list | None:
     """The literals of a conjunction that the example rho leaves masked, in
     term order, or None when rho makes one of them false."""
-    true, false = rho
     kept = []
     for lit in term:
         bit = 1 << (2 * lit if lit > 0 else 1 - 2 * lit)  # literal_bit(lit)
-        if bit & false:
+        if (bit << 1 if lit > 0 else bit >> 1) & rho:  # rho makes lit false
             return None
-        if not bit & true:
+        if not bit & rho:
             kept.append(lit)
     return kept
 
 
-def restrict_cnf(masks: tuple, rho: tuple) -> tuple:
+def restrict_cnf(masks: tuple, rho: int, false: int) -> tuple:
     """Restrict every literal mask by the example rho, in mask order: a mask
-    that meets the true mask is satisfied and dropped, every other loses the
-    literals of the false mask, and equal results keep the first.  The result
-    equals `restrict_mask` on each mask, with TAUTOLOGY dropped."""
-    true, false = rho
-    return tuple(dict.fromkeys([bits & ~false for bits in masks if not bits & true]))
+    that meets rho is satisfied and dropped, every other loses the literals
+    of `false` (rho's false literals), and equal results keep the first.  The
+    result equals `restrict_mask` on each mask, with TAUTOLOGY dropped."""
+    return tuple(dict.fromkeys([bits & ~false for bits in masks if not bits & rho]))
 
 
 def clause_to_text(clause: Clause) -> str:

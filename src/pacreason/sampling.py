@@ -12,11 +12,12 @@ Python versions.
 draw: the common denominator of the weights with its bit length and
 cumulative integer weights (an assignment is picked by bisection on them),
 the hide probability's numerator, denominator and bit length, and each
-support point's example (the pair of `PartialAssignment.masks`), whole or,
+support point's example (its `PartialAssignment.mask`, one int), whole or,
 for masks that need no draws (fixed, table, and iid with probability 0 or
 1), masked.  The tables change only the cost of a draw, not the stream
 layout above.  Because of them a table mask must have a rule for every
-support point, whatever the seed draws.
+support point, and every coordinate that a fixed or table mask hides must
+be one of x1..xn, whatever the seed draws.
 """
 
 from __future__ import annotations
@@ -113,18 +114,24 @@ class TableMask(Record):
         return f"TableMask({self.rule!r})"
 
 
-def _hide(example: tuple, hidden) -> tuple:
-    keep = ~sum(3 << 2 * v for v in hidden)  # both literals of each hidden variable
-    return example[0] & keep, example[1] & keep
+def _hide(example: int, hidden) -> int:
+    return example & ~sum(3 << 2 * v for v in hidden)  # both literals of each hidden variable
+
+
+def _check_hidden(hidden, n: int) -> None:
+    for v in hidden:
+        if not (isinstance(v, int) and 1 <= v <= n):
+            raise InputError(f"hidden coordinate {v!r} is not one of 1..{n}")
 
 
 def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
-    """Draw `m` masked examples, each the literal-mask pair of
-    `PartialAssignment.masks`; deterministic given `seed`.
+    """Draw `m` masked examples, each the true-literal mask of
+    `PartialAssignment.mask`; deterministic given `seed`.
 
     The per-run tables (see the module docstring) are built before the first
-    draw, so a table mask without a rule for some support point raises
-    `InputError` at every seed.
+    draw, so a table mask without a rule for some support point, or a fixed
+    or table mask hiding a coordinate outside 1..n, raises `InputError` at
+    every seed.
     """
     if m < 1:
         raise InputError(f"example count must be at least 1, got {m}")
@@ -136,7 +143,7 @@ def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
     cumulative = list(
         accumulate(w.numerator * (denom // w.denominator) for _, w in dist.support)
     )
-    revealed = [PartialAssignment(x).masks for x in points]
+    revealed = [PartialAssignment(x).mask for x in points]
     masked = None
     if isinstance(mask, IndependentMask):
         p = mask.hide_prob
@@ -148,11 +155,14 @@ def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
             hide_bits = (hide_den - 1).bit_length()
             both = [3 << 2 * v for v in range(1, dist.n + 1)]  # x_v and -x_v
     elif isinstance(mask, FixedMask):
+        _check_hidden(mask.hidden, dist.n)
         masked = [_hide(example, mask.hidden) for example in revealed]
     elif isinstance(mask, TableMask):
         for x in points:
             if x not in mask.rule:
                 raise InputError(f"mask table has no rule for support point {x}")
+        for hidden in mask.rule.values():
+            _check_hidden(hidden, dist.n)
         masked = [_hide(example, mask.rule[x]) for x, example in zip(points, revealed)]
     else:
         raise InputError(f"unknown mask spec: {mask!r}")
@@ -174,8 +184,7 @@ def draw_masked_examples(dist: ExplicitDistribution, mask, m: int, seed: int):
                 r = getrandbits(hide_bits)
             if r < hide_num:
                 hidden |= bits
-        true, false = revealed[j]
-        out.append((true & ~hidden, false & ~hidden))
+        out.append(revealed[j] & ~hidden)
     return out
 
 

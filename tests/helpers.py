@@ -1,7 +1,8 @@
 """Shared random generators for the test suite (seeded, deterministic), and
-test-only helpers built on the package: `example`, the literal-mask pair
+test-only helpers built on the package: `example`, the true-literal mask
 that the restriction kernels and `decide_pac` take, of a PartialAssignment
-or its string, and `assignment_of`, the PartialAssignment of a true mask;
+or its string, `false_mask`, its swap that the clause restrictions also
+take, and `assignment_of`, the PartialAssignment of a true mask;
 the per-literal restriction loops through `rho.value` (terms, residual
 inequalities, k-DNFs, polynomials) that the mask kernels must match; the
 two-recursion witnessing and restriction that `formulas.restrict` must match
@@ -103,6 +104,7 @@ from pacreason.resolution import (
     decode_clause,
     literal_bit,
     make_clause,
+    negation,
     restrict_cnf,
 )
 from pacreason.sampling import FixedMask, IndependentMask, TableMask
@@ -115,7 +117,7 @@ def plain_restricted_query(backend, query, rho):
     BOTTOM, PC/PCR a polynomial restricted to zero, and cutting planes the
     residual inequality, even when it is witnessed true.  A clause restricts
     to TAUTOLOGY, which the clause-space search takes as an axiom.  rho is
-    an example's literal-mask pair."""
+    an example's true-literal mask."""
     if isinstance(backend, ResKWidthBackend):
         restricted = (restrict_kdnf(phi, rho, backend.n) for phi in query)
         return tuple(phi for phi in restricted if phi is not TRUE)
@@ -166,12 +168,18 @@ def decide_one(backend, query, hyps, rho) -> bool:
     return decide_pac(backend, query, hyps, ONE_EXAMPLE_PARAMS, [rho]).per_example[0]
 
 
-def example(rho) -> tuple:
-    """The literal-mask pair (true, false) that the restriction kernels and
-    `decide_pac` take, of a PartialAssignment or of its {0, 1, *} string."""
+def example(rho) -> int:
+    """The true-literal mask that the restriction kernels and `decide_pac`
+    take, of a PartialAssignment or of its {0, 1, *} string."""
     if isinstance(rho, str):
         rho = PartialAssignment.from_string(rho)
-    return rho.masks
+    return rho.mask
+
+
+def false_mask(rho) -> int:
+    """The false-literal mask, `example(rho)` swapped, that the clause
+    restrictions also take, of a PartialAssignment or of its string."""
+    return negation(len(rho))(example(rho))
 
 
 def assignment_of(true: int, n: int) -> PartialAssignment:
@@ -246,9 +254,9 @@ def reference_search_space(phi: Cnf, s: int, target, variables=None) -> Optional
 
 
 def restrict_kb(phi: Cnf, rho: PartialAssignment) -> Cnf:
-    """`resolution.restrict_cnf` on the masks of phi and of rho, decoded
-    back into a Cnf over phi.n."""
-    return decoded(restrict_cnf(phi.masks, example(rho)), phi.n)
+    """`resolution.restrict_cnf` on the masks of phi and of rho, with rho's
+    false-literal mask, decoded back into a Cnf over phi.n."""
+    return decoded(restrict_cnf(phi.masks, example(rho), false_mask(rho)), phi.n)
 
 
 def decoded(masks: tuple, n: int) -> Cnf:
@@ -479,10 +487,10 @@ class EntailmentOracleBackend:
         return entails(list(hyps), query, self.n)
 
     def restrict_query(self, query, rho):
-        return restrict(query, assignment_of(rho[0], self.n))
+        return restrict(query, assignment_of(rho, self.n))
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict(phi, assignment_of(rho[0], self.n)) for phi in hyps)
+        restricted = (restrict(phi, assignment_of(rho, self.n)) for phi in hyps)
         return tuple(phi for phi in restricted if phi != TRUE)
 
     def is_countermodel(self, query, hyps, x):

@@ -28,7 +28,9 @@ from pacreason.errors import InputError
 from pacreason.formulas import PartialAssignment, TRUE, Var
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr, row
 from pacreason.res_k import BOTTOM, KDnf, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, decode_clause, encode_clause, make_clause, negation
+from pacreason.resolution import (
+    TAUTOLOGY, Cnf, check_examples, decode_clause, encode_clause, make_clause, negation,
+)
 from pacreason.sampling import (
     ExplicitDistribution,
     FixedMask,
@@ -169,32 +171,37 @@ def test_example_length_is_validated():
 
 
 def test_a_malformed_example_is_an_input_error():
-    # over n = 4 an example is (true, false), false being true with each
-    # variable's two bits swapped; each pair below breaks one condition, with
-    # false swapped from its true where the condition is on true alone, and
-    # any position in the stream raises before a backend call
+    # over n = 4 an example is the int true-literal mask of what it sets;
+    # each value below breaks one condition, and any position in the stream
+    # raises before a backend call.  A (true, false) pair is not an
+    # example, even with false its true swapped, and False, 0 as a bool,
+    # is not the all-masked example 0
     backend = CountingBackend(ScriptedBackend([True]))
     good = distinct_examples(1)[0]  # 0000
-    true, false = good
-    swapped = negation(4)
     malformed = [
-        (true | 1 << 10, swapped(true | 1 << 10)),  # a bit above x4's
-        (true | 1, swapped(true | 1)),  # bit 0
-        (true | 2, swapped(true | 2)),  # bit 1
-        (true | 1 << 4, swapped(true | 1 << 4)),  # both literals of x2
-        (true, false ^ 1 << 9),  # false is not true swapped
-        (true, 0),
-        (-4, swapped(-4)),
+        good | 1 << 10,  # a bit above x4's
+        good | 1,  # bit 0
+        good | 2,  # bit 1
+        good | 1 << 4,  # both literals of x2
+        -4,
+        (good, negation(4)(good)),
+        (good, negation(4)(good) ^ 1 << 9),
+        (good, 0),
+        (good,),
         PartialAssignment.from_string("0000"),
-        (true, false, 0),
-        (float(true), false),
+        False,
+        True,
+        float(good),
+        str(good),
+        None,
     ]
     assert decide_pac(ScriptedBackend([True]), None, None, params(), [good]).verdict == ACCEPT
+    check_examples([good, 0], 4)  # 0 masks every variable
     for rho in malformed:
         for examples in ([rho], [good, good, rho], [rho, good]):
             with pytest.raises(InputError) as caught:
                 decide_pac(backend, None, None, params(), examples)
-            assert str(caught.value) == f"example {rho!r} is not a literal-mask pair over x1..x4"
+            assert str(caught.value) == f"example {rho!r} is not a true-literal mask over x1..x4"
             assert backend.calls == dict.fromkeys(backend.calls, 0), (rho, backend.calls)
 
 
@@ -381,7 +388,7 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples)
         scope = backend.query_scope(query)
         scope |= negation(n)(scope)  # decide_pac's key: both literals of each scope variable
-        assert counting.calls["restrict_query"] <= len({true & scope for true, _ in examples})
+        assert counting.calls["restrict_query"] <= len({rho & scope for rho in examples})
         settled = sum(backend.restrict_query(query, rho) is TRUE for rho in examples)
         unsettled = len(examples) - settled
         searched = counting.calls["decide"]
@@ -398,19 +405,21 @@ def test_query_first_decide_pac_matches_the_plain_loop(system):
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
 def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
     # the scope holds literal bits only, and restricting the query by an
-    # example's projection onto it gives what the whole example gives, on
-    # 3600 examples of seeded instances under iid:1/2
+    # example's projection onto both literals of the scope's variables gives
+    # what the whole example gives, on 3600 examples of seeded instances
+    # under iid:1/2
     rng = random.Random(f"scope:{system}")
     checked = 0
     for seed in range(300):
         backend, query, hyps, n = random_instance(system, rng)
         scope = backend.query_scope(query)
         assert not scope & ~((1 << 2 * n + 2) - 4), (query, scope)
+        scope |= negation(n)(scope)
         dist = ExplicitDistribution.uniform(product((0, 1), repeat=n))
-        for true, false in draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 12, seed):
-            whole = backend.restrict_query(query, (true, false))
-            assert backend.restrict_query(query, (true & scope, false & scope)) == whole, (
-                query, assignment_of(true, n),
+        for rho in draw_masked_examples(dist, IndependentMask(Fraction(1, 2)), 12, seed):
+            whole = backend.restrict_query(query, rho)
+            assert backend.restrict_query(query, rho & scope) == whole, (
+                query, assignment_of(rho, n),
             )
             checked += 1
     assert checked == 3600
@@ -422,11 +431,11 @@ def test_res_k_query_scope_is_every_literal_bit():
     # is set, but stays whole at *1's projection onto x1's literals
     backend = ResKWidthBackend(k=1, w=1, n=2)
     query = (negate_query([frozenset({1}), frozenset({-1})], k=1),)
-    true, false = example("*1")
-    assert backend.restrict_query(query, (true, false)) == ()
-    assert backend.restrict_query(query, (true & 0b1100, false & 0b1100)) == (KDnf([(-1,), (1,)]),)
+    rho = example("*1")
+    assert backend.restrict_query(query, rho) == ()
+    assert backend.restrict_query(query, rho & 0b1100) == (KDnf([(-1,), (1,)]),)
     scope = backend.query_scope(query)
-    assert backend.restrict_query(query, (true & scope, false & scope)) == ()
+    assert backend.restrict_query(query, rho & scope) == ()
 
 
 def test_plain_decide_accepts_what_a_settled_query_stands_for():
@@ -488,7 +497,7 @@ def test_no_accepted_example_has_a_countermodel(system):
             if not accepted:
                 seen["rejected"] += 1
                 continue
-            sigma = assignment_of(rho[0], n)
+            sigma = assignment_of(rho, n)
             assert not any(refutes_at(system, query, hyps, x) for x in completions(sigma)), (
                 query, hyps, sigma,
             )
@@ -544,7 +553,7 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         for rho, accepted in zip(examples, outcome.per_example):
             if backend.restrict_query(query, rho) is TRUE:
                 continue
-            sigma = assignment_of(rho[0], n)
+            sigma = assignment_of(rho, n)
             if step is None or step[0] != rho:
                 assert any(refutes_at(system, query, hyps, x) for x in completions(sigma)), (
                     label, query, hyps, sigma,

@@ -121,6 +121,20 @@ def test_pasgn_text_survives_its_masks(n):
     assert serialize_pasgns(*parse_pasgns(text)) == text
 
 
+@pytest.mark.parametrize("rho", [1 << 10, 12, -4, 1, 2, (4, 8), True, 4.0, "4"])
+def test_serialize_pasgns_writes_only_true_literal_masks(rho):
+    # over n = 2: a bit above x2's, both literals of x1, a negative int, bit
+    # 0 or 1, a (true, false) pair, a bool, a float and a string are
+    # no example; unchecked, each would print as some line or raise another
+    # error, so the writer raises what decide_pac raises, wherever rho stands
+    good = example("1*")
+    assert serialize_pasgns(2, [good, 0]) == "p pasgn 2 2\n1*\n**\n"
+    for examples in ([rho], [good, rho], [rho, good]):
+        with pytest.raises(InputError) as caught:
+            serialize_pasgns(2, examples)
+        assert str(caught.value) == f"example {rho!r} is not a true-literal mask over x1..x2"
+
+
 def _pasgn_reader_of_assignments(n):
     """The pasgn reader that builds a PartialAssignment per line, whose error
     text the mask reader keeps."""
@@ -132,7 +146,7 @@ def _pasgn_reader_of_assignments(n):
             rho = None
         if rho is None or len(rho) != n:
             raise FormatError(f"expected {n} characters over 0/1/*")
-        return (rho.masks,)
+        return (rho.mask,)
 
     return read
 

@@ -1,7 +1,8 @@
-"""Every restriction kernel reads an example as its literal-mask pair (true,
-false); each must equal its per-literal reference loop over the
-PartialAssignment in helpers, in value and repr, at odd and even n up to 70,
-so that the literal masks (bit 2n+1 for -x_n) are wider than 64 bits."""
+"""Every restriction kernel reads an example as its true-literal mask, and
+the clause restrictions its false-literal mask too; each must equal its
+per-literal reference loop over the PartialAssignment in helpers, in value
+and repr, at odd and even n up to 70, so that the literal masks (bit 2n+1
+for -x_n) are wider than 64 bits."""
 
 import random
 from collections import Counter
@@ -26,6 +27,7 @@ from helpers import (
     decode_row,
     decoded,
     example,
+    false_mask,
     random_partial,
     reference_residual_ineq,
     reference_restrict_cnf,
@@ -101,42 +103,42 @@ def test_each_mask_restriction_matches_its_per_literal_loop():
         seen["n > 64"] += n > 64
         for _ in range(4):
             rho = random_partial(rng, n, rng.choice((0.0, 0.3, 0.7, 1.0)))
-            pair = example(rho)
-            assert assignment_of(pair[0], n) == rho
+            mask, false = example(rho), false_mask(rho)
+            assert assignment_of(mask, n) == rho
 
             clause = rng.choice((TAUTOLOGY, make_clause(random_literals(rng, n, 4))))
-            got, want = restrict_mask(encode_clause(clause), pair), restrict_clause(clause, rho)
+            got, want = restrict_mask(encode_clause(clause), mask, false), restrict_clause(clause, rho)
             assert got == encode_clause(want), (clause, rho)
             seen["clause satisfied"] += want is TAUTOLOGY
 
-            restricted, expected = restrict_cnf(masks, pair), reference_restrict_cnf(phi, rho)
+            restricted, expected = restrict_cnf(masks, mask, false), reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and restricted == expected.masks, (phi, rho)
             assert same(decoded(restricted, n), expected)
             seen["cnf shortened"] += 0 < len(restricted) < len(masks)
 
             term = random_literals(rng, n, 4)
             kept = reference_restrict_term(term, rho)
-            assert restrict_term(term, pair) == kept, (term, rho)
+            assert restrict_term(term, mask) == kept, (term, rho)
             seen["term falsified"] += kept is None
 
             kdnf = random_kdnf(rng, n, rho)
-            got, want = restrict_kdnf(kdnf, pair, n), reference_restrict_kdnf(kdnf, rho)
+            got, want = restrict_kdnf(kdnf, mask, n), reference_restrict_kdnf(kdnf, rho)
             assert same(got, want) and (got is TRUE) == (want is TRUE), (kdnf, rho)
             seen["kdnf true"] += want is TRUE
             seen["kdnf kept"] += want is not TRUE and len(want) > 0
 
             p = random_polynomial(rng, n)
             want = reference_restrict_polynomial(p, rho)
-            (got,) = restrict_rows((row(p, n),), pair, n)
+            (got,) = restrict_rows((row(p, n),), mask, n)
             assert got == reference_restricted_row(p, rho, n), (p, rho)
             assert decode_row(got, n).terms.keys() == want.terms.keys(), (p, rho)
             seen["polynomial shortened"] += len(want.terms) < len(p.terms)
 
             q = random_ineq(rng, n)
             residual = reference_residual_ineq(q, rho)
-            assert same(residual_ineq(q, pair), residual), (q, rho)
+            assert same(residual_ineq(q, mask), residual), (q, rho)
             want = TRUE if always_witnessed_true(residual) else residual
-            got = restrict_ineq(q, pair)
+            got = restrict_ineq(q, mask)
             assert same(got, want) and (got is TRUE) == (want is TRUE), (q, rho)
             seen["ineq true"] += want is TRUE
             seen["ineq kept"] += want is not TRUE

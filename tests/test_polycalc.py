@@ -537,11 +537,11 @@ def test_backend_rows_restrict_as_the_fraction_reference():
         mode, n, d, hyps, q = spread_instance(rng)
         backend, query, rows = pc_instance(d, n, mode, q, hyps)
         for rho in spread_examples(rng, n, 3):
-            pair = example(rho)
-            restricted = backend.restrict_query(query, pair)
+            mask = example(rho)
+            restricted = backend.restrict_query(query, mask)
             want = reference_restricted_row(q, rho, n)
             assert restricted == (want or TRUE), (q, rho)
-            got = backend.restrict_hyps(rows, pair)
+            got = backend.restrict_hyps(rows, mask)
             assert got == tuple(reference_restricted_row(h, rho, n) for h in hyps), (hyps, rho)
             for h, r in zip(hyps, got):
                 want = reference_restrict_polynomial(h, rho)
@@ -568,11 +568,11 @@ def test_row_basis_matches_the_reference_and_the_span_oracle():
             if rho is None:
                 ref_q, ref_hyps, r_q, r_rows = q, hyps, query, rows
             else:
-                pair = example(rho)
+                mask = example(rho)
                 ref_q = reference_restrict_polynomial(q, rho)
                 ref_hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
-                r_q = plain_restricted_query(backend, query, pair)
-                r_rows = backend.restrict_hyps(rows, pair)
+                r_q = plain_restricted_query(backend, query, mask)
+                r_rows = backend.restrict_hyps(rows, mask)
             ref_basis, ref_multipliers = reference_build_basis(ref_hyps, ref_q, d, mode)
             basis, multipliers = build_basis(r_rows, r_q, d, n, mode)
             accepted = bool(backend.decide(r_q, r_rows))
@@ -595,17 +595,17 @@ def test_is_countermodel_is_the_brute_force_evaluation():
         mode, n, d, hyps, q = spread_instance(rng)
         backend, query, rows = pc_instance(d, n, mode, q, hyps)
         for rho in spread_examples(rng, n, 3):
-            pair = example(rho)
-            restricted = backend.restrict_query(query, pair)
+            mask = example(rho)
+            restricted = backend.restrict_query(query, mask)
             if restricted is TRUE:
                 continue
-            r_rows = backend.restrict_hyps(rows, pair)
+            r_rows = backend.restrict_hyps(rows, mask)
             ref_q = reference_restrict_polynomial(q, rho)
             ref_hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
             for _ in range(8):
                 point = tuple(e if e is not None and rng.random() < 0.8 else rng.randint(0, 1)
                               for e in rho)
-                x = example(PartialAssignment(point))[0]
+                x = example(PartialAssignment(point))
                 want = ref_q.evaluate(point) != 0 and all(h.evaluate(point) == 0 for h in ref_hyps)
                 assert backend.is_countermodel(restricted, r_rows, x) == want, (q, hyps, rho, point)
                 seen[want] += 1
@@ -626,9 +626,9 @@ def test_equal_restricted_instances_are_equal_values():
         backend, query, rows = pc_instance(d, n, mode, q, hyps)
         by_reference = {}
         for rho in spread_examples(rng, n, 12):
-            pair = example(rho)
-            instance = (plain_restricted_query(backend, query, pair),
-                        backend.restrict_hyps(rows, pair))
+            mask = example(rho)
+            instance = (plain_restricted_query(backend, query, mask),
+                        backend.restrict_hyps(rows, mask))
             reference = tuple(frozenset(reference_restrict_polynomial(p, rho).terms.items())
                               for p in (q, *hyps))
             earlier = by_reference.setdefault(reference, instance)

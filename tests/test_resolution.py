@@ -41,6 +41,7 @@ from helpers import (
     assignment_of,
     decoded,
     example,
+    false_mask,
     proof_size,
     random_clause,
     random_cnf,
@@ -177,11 +178,10 @@ def test_search_space_empty_clause_hypothesis_derives_anything():
 
 
 def test_restrict_clause():
-    rho = example("*1*")
-    assert decode_clause(restrict_mask(encode_clause(cl(1, -2, 3)), rho)) == cl(1, 3)
-    rho2 = example("*0*")
-    assert restrict_mask(encode_clause(cl(1, -2, 3)), rho2) is TAUTOLOGY
-    assert restrict_mask(TAUTOLOGY, rho) is TAUTOLOGY
+    rho, false = example("*1*"), false_mask("*1*")
+    assert decode_clause(restrict_mask(encode_clause(cl(1, -2, 3)), rho, false)) == cl(1, 3)
+    assert restrict_mask(encode_clause(cl(1, -2, 3)), example("*0*"), false_mask("*0*")) is TAUTOLOGY
+    assert restrict_mask(TAUTOLOGY, rho, false) is TAUTOLOGY
 
 
 def test_restrict_mask_matches_the_frozenset_restriction():
@@ -193,7 +193,7 @@ def test_restrict_mask_matches_the_frozenset_restriction():
         n = rng.randint(1, 6)
         clause = rng.choice((TAUTOLOGY, BOT, random_clause(rng, n), random_clause(rng, n)))
         rho = random_partial(rng, n + rng.choice((0, 0, 1)), rng.choice((0.2, 0.5, 0.8)))
-        got = restrict_mask(encode_clause(clause), example(rho))
+        got = restrict_mask(encode_clause(clause), example(rho), false_mask(rho))
         want = restrict_clause(clause, rho)
         assert (got is TAUTOLOGY) == (want is TAUTOLOGY), (clause, rho)
         assert decode_clause(got) == want, (clause, rho)
@@ -437,7 +437,7 @@ def test_decide_pac_matches_reference_search_per_example():
     )
     expected = tuple(
         all_variables_search(restrict_kb(kb, rho), s, restrict_clause(query, rho)) is not None
-        for rho in (assignment_of(true, n) for true, _ in draw_masked_examples(dist, mask, 300, 9))
+        for rho in (assignment_of(true, n) for true in draw_masked_examples(dist, mask, 300, 9))
     )
     assert outcome.per_example == expected
     assert 0 < sum(expected) < len(expected)
@@ -479,7 +479,7 @@ def test_restrict_cnf_matches_clause_by_clause_restriction():
         masks = phi.masks
         for count in range(rng.randint(1, 4)):
             rho, kind = random_restriction(rng, phi.n)
-            restricted = restrict_cnf(masks, example(rho))
+            restricted = restrict_cnf(masks, example(rho), false_mask(rho))
             result, expected = decoded(restricted, phi.n), reference_restrict_cnf(phi, rho)
             assert type(restricted) is tuple and restricted == expected.masks
             assert result == expected  # same n, same clauses in the same order
@@ -754,7 +754,7 @@ def test_decide_pac_stream_matches_generalized_unit_propagation():
         seed=11, m=400,
     )
     seen = Counter()
-    for (true, _), verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
+    for true, verdict in zip(draw_masked_examples(dist, mask, 400, 11), outcome.per_example):
         rho = assignment_of(true, n)
         hyps, goal = restrict_kb(kb, rho).clauses, restrict_clause(query, rho)
         assert verdict == derives_in_space(hyps, s, goal), rho

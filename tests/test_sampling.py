@@ -63,6 +63,23 @@ def test_table_mask_must_cover_the_support_at_every_seed():
             draw_masked_examples(d, mask, 10, seed)
 
 
+@pytest.mark.parametrize("mask", [
+    FixedMask({-1}), FixedMask({0}), FixedMask({3}), FixedMask({5}), FixedMask({1, "2"}),
+    TableMask({(0, 0): {1}, (1, 1): {-2}}), TableMask({(0, 0): {3}, (1, 1): set()}),
+    TableMask({(0, 0): set(), (1, 1): set(), (1, 0): {7}}),
+])
+def test_a_hidden_coordinate_outside_the_variables_is_an_input_error(mask):
+    # every coordinate a fixed or table mask hides, the rules of points
+    # outside the support included, is one of x1..xn, checked before the
+    # first draw, so every seed raises the same error
+    d = ExplicitDistribution(
+        2, [((0, 0), Fraction(999, 1000)), ((1, 1), Fraction(1, 1000))]
+    )
+    for seed in range(20):
+        with pytest.raises(InputError, match=r"^hidden coordinate .* is not one of 1\.\.2$"):
+            draw_masked_examples(d, mask, 10, seed)
+
+
 def _random_distribution(rng):
     n = rng.randint(1, 6)
     size = 1 if rng.random() < 0.1 else rng.randint(2, min(2**n, 8))
@@ -135,7 +152,7 @@ def test_examples_consistent_with_sources():
         mask = IndependentMask(p)
         sources = reference_draw_examples(d, mask, 10, seed)
         for (x, _), rho in zip(sources, draw_masked_examples(d, mask, 10, seed)):
-            assert consistent_with(assignment_of(rho[0], len(x)), x)
+            assert consistent_with(assignment_of(rho, len(x)), x)
 
 
 def test_streams_are_deterministic():

@@ -195,9 +195,9 @@ def test_cli_knows_no_system_by_name():
 
 
 def test_only_the_example_sources_import_partial_assignment():
-    # an example reaches every kernel as its literal-mask pair; a kernel
-    # that imported PartialAssignment could read rho one variable at a time
-    # again.  The command line holds no tracked examples, so it needs no
+    # an example reaches every kernel as one int, its true-literal mask; a
+    # kernel that imported PartialAssignment could read rho one variable at
+    # a time again.  The command line holds no tracked examples, so it needs no
     # `gc.freeze` and imports no gc
     importers, gc_imports = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
