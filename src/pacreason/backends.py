@@ -50,6 +50,21 @@ every hypothesis zero, the query not) for PC and PCR, and the residual
 inequalities for cutting planes.  Every system is sound over 0/1 points, so
 such an x rules out a proof at any budget; `decide_pac` keeps it and rejects
 every later example consistent with it without a search.
+
+`support(query, hyps, proof, rho)` gives, for a proof that `decide` found on
+the instance that the example rho restricts, the mask of both literals of
+every variable the proof depends on, and `decide_pac` accepts without a
+search every later example that sets what rho sets there.  Clause-space
+resolution walks the `search_space` steps: its support is the query's
+variables and those of each leaf's original hypothesis, a clause c of
+`hyps` with `not c & rho` whose restriction is the leaf.  It must be the
+original clause, not the leaf, which lacks the literals rho makes false: an
+example that makes one of them true satisfies c and removes the leaf.  The
+other backends return None.  Every variable is a support of any accepting
+proof, by restriction closure alone, but it settles only repeats of rho, a
+memo on accepts whose memory no change has measured yet; a finer support
+needs the hypotheses a proof uses, which the RES(k) and cutting-planes
+traces name by index, and which PC and PCR record nowhere yet.
 """
 
 from __future__ import annotations
@@ -123,6 +138,18 @@ class SpaceResolutionBackend:
     def is_countermodel(self, query, hyps, x):
         return not query & x and all(bits & x for bits in hyps)
 
+    def support(self, query, hyps, proof, rho):
+        false = self._negate(rho)
+        original = {bits & ~false: bits for bits in hyps if not bits & rho}  # leaf -> a clause
+        used, steps = self.query_scope(query), [proof[1]]
+        while steps:
+            step = steps.pop()
+            if isinstance(step, int):
+                used |= original[step]
+            else:
+                steps += step[1:]  # a cut (pivot bit, step, step)
+        return used | self._negate(used)
+
 
 class ResKWidthBackend:
     """Width-bounded RES(k) refutation; the query arrives pre-negated as a
@@ -171,6 +198,9 @@ class ResKWidthBackend:
             any(all(literal_bit(lit) & x for lit in term) for term in phi) for phi in hyps + query
         )
 
+    def support(self, query, hyps, proof, rho):
+        return None
+
 
 class PolynomialCalculusBackend:
     """Degree-bounded polynomial calculus (or PCR); the query and every
@@ -212,6 +242,9 @@ class PolynomialCalculusBackend:
     def is_countermodel(self, query, hyps, x):
         values = row_values((query, *hyps), x, self.n)
         return next(values) != 0 and not any(values)
+
+    def support(self, query, hyps, proof, rho):
+        return None
 
 
 class CuttingPlanesBackend:
@@ -255,6 +288,9 @@ class CuttingPlanesBackend:
     def is_countermodel(self, query, hyps, x):
         holds = [sum(c for v, c in coeffs if x >> 2 * v & 1) >= b for coeffs, b in (query, *hyps)]
         return not holds[0] and all(holds[1:])
+
+    def support(self, query, hyps, proof, rho):
+        return None
 
 
 SYSTEMS = {

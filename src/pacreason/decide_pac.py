@@ -23,6 +23,10 @@ for x_v = 1, bit 2v+1 for x_v = 0), is any object with
                                        true-literal mask is x satisfies every
                                        restricted hypothesis and falsifies the
                                        restricted query
+    support(query, hyps, proof, rho) -- both literals of every variable that
+                                       the proof decide found for rho depends
+                                       on, as one mask, or None where the
+                                       system gives no support
 
 Each example is decided query-first, the query restricted once per projection
 onto its scope's variables: an example that settles it is accepted without
@@ -32,8 +36,21 @@ and falsify the query, found by `is_countermodel` among the completions of
 searched rejects with at most ENUMERATED_FREE free coordinates, each as its
 false-literal mask; an unsettled example that shares no bit with one is
 rejected without a search.  Every proof system here is sound over 0/1
-points, so no search accepts such an example at any budget, and the verdicts
-are those of a search on every example.  Examples are decided one after
+points, so no search accepts such an example at any budget.
+
+A run also keeps up to CACHED_MODELS keys of accepts: after a search accepts
+rho, rho & support, its projection onto the support of the proof found; an
+unsettled example sigma that no countermodel rejects and that holds every
+bit of a key (`key & sigma == key`) is accepted without restricting the
+hypotheses or a search.  That is exact.  The support holds the goal's
+variables and every variable that the original hypotheses behind the
+proof's inputs mention, so restricting by rho's projection onto it gives the
+same goal and keeps every one of those inputs: the proof is a proof there.
+sigma sets what that projection sets, so its instance is a restriction of
+that one, and restriction closure, with a search that is exact and
+monotone in its hypotheses, accepts it.  Both caches drop their least
+recently hit entry first, and the verdicts are those of a search on every
+example.  Examples are decided one after
 another in sample order.  The verdict depends only on the multiset of
 per-example answers, so it does not depend on that order; every example is
 always evaluated (no early exit) to keep the reported failure count
@@ -54,7 +71,7 @@ from .sampling import draw_masked_examples
 
 ACCEPT = "Accept"
 REJECT = "Reject"
-CACHED_MODELS = 64  # countermodels a run keeps, the least recently hit dropped first
+CACHED_MODELS = 64  # countermodels, and accept keys, a run keeps; least recently hit dropped first
 ENUMERATED_FREE = 8  # most free coordinates whose completions a searched reject tries
 
 
@@ -105,18 +122,25 @@ def failure_budget(epsilon, m: int) -> int:
     return product.numerator // product.denominator
 
 
-def _search(backend, restricted, hyps, rho, models: list) -> bool:
-    """The search's verdict on the unsettled example rho; a reject with at most
-    ENUMERATED_FREE free coordinates caches its first completion that is a countermodel."""
-    hyps = backend.restrict_hyps(hyps, rho)
-    if backend.decide(restricted, hyps):
+def _search(backend, query, restricted, hyps, rho, models: list, keys: list) -> bool:
+    """The search's verdict on the unsettled example rho.  An accept caches
+    rho's projection onto its proof's support, where the backend gives one;
+    a reject with at most ENUMERATED_FREE free coordinates caches its first
+    completion that is a countermodel."""
+    restricted_hyps = backend.restrict_hyps(hyps, rho)
+    proof = backend.decide(restricted, restricted_hyps)
+    if proof:
+        support = backend.support(query, hyps, proof, rho)
+        if support is not None:
+            keys.insert(0, rho & support)
+            del keys[CACHED_MODELS:]
         return True
     n = backend.n
     if n - rho.bit_count() <= ENUMERATED_FREE:  # one bit per set variable
         free = [v for v in range(1, n + 1) if not rho >> 2 * v & 3]
         for choice in product(*((2 << 2 * v, 1 << 2 * v) for v in free)):
             x = rho | sum(choice)
-            if backend.is_countermodel(restricted, hyps, x):
+            if backend.is_countermodel(restricted, restricted_hyps, x):
                 models.insert(0, x ^ (1 << 2 * n + 2) - 4)  # every literal x makes false
                 del models[CACHED_MODELS:]
                 break
@@ -125,7 +149,8 @@ def _search(backend, restricted, hyps, rho, models: list) -> bool:
 
 def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     """Decide every example, sharing one query restriction per projection
-    onto the query's scope and one list of countermodels; tally rejections.
+    onto the query's scope, one list of countermodels and one of accept
+    keys; tally rejections.
 
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
     An example that is not a true-literal mask over x1..xn is an InputError.
@@ -138,12 +163,13 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
 
     scope = backend.query_scope(query)
     scope |= negation(backend.n)(scope)  # both literals of each scope variable
-    restricted_by, models, verdicts = {}, [], []  # restricted_by: rho & scope -> restricted query
+    restricted_by, verdicts = {}, []  # restricted_by: rho & scope -> restricted query
+    models, keys = [], []  # false-literal masks of countermodels; keys of accepts
     for rho in examples:
-        key = rho & scope
-        restricted = restricted_by.get(key)
+        projection = rho & scope
+        restricted = restricted_by.get(projection)
         if restricted is None:
-            restricted = restricted_by[key] = backend.restrict_query(query, key)
+            restricted = restricted_by[projection] = backend.restrict_query(query, projection)
         if restricted is TRUE:
             verdicts.append(True)
             continue
@@ -154,7 +180,14 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
                 verdicts.append(False)
                 break
         else:
-            verdicts.append(_search(backend, restricted, hyps, rho, models))
+            for i, key in enumerate(keys):
+                if key & rho == key:  # rho extends an accepted example on its support
+                    if i:
+                        keys.insert(0, keys.pop(i))
+                    verdicts.append(True)
+                    break
+            else:
+                verdicts.append(_search(backend, query, restricted, hyps, rho, models, keys))
 
     failed = verdicts.count(False)
     budget = failure_budget(params.epsilon, m)

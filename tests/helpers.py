@@ -497,6 +497,9 @@ class EntailmentOracleBackend:
         point = [x >> 2 * v & 1 for v in range(1, self.n + 1)]
         return all(evaluate(phi, point) for phi in hyps) and not evaluate(query, point)
 
+    def support(self, query, hyps, proof, rho):
+        return None
+
 
 def multilinearize(raw_terms) -> Polynomial:
     """Collapse exponent vectors: (coeff, indeterminates-with-repeats) pairs

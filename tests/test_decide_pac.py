@@ -47,6 +47,7 @@ from helpers import (
     example,
     holds_at,
     pc_instance,
+    random_clause,
     reference_decide_pac,
 )
 from test_restriction_closure import (
@@ -86,6 +87,9 @@ class ScriptedBackend:
 
     def is_countermodel(self, query, hyps, x):
         return False  # keeps the script the verdict of every example
+
+    def support(self, query, hyps, proof, rho):
+        return None  # no accept settles another example
 
 
 def distinct_examples(count):
@@ -314,14 +318,17 @@ def test_table_mask_scenario_statistics():
 
 class CountingBackend:
     """Delegates to a backend and counts its `restrict_query`,
-    `restrict_hyps`, `decide` and `is_countermodel` calls.  `searched` holds, per `restrict_hyps` call in
-    call order, the example and the number of `is_countermodel` calls that
-    followed it; `models` each x that `is_countermodel` passed."""
+    `restrict_hyps`, `decide`, `is_countermodel` and `support` calls.
+    `searched` holds, per `restrict_hyps` call in call order, the example,
+    the number of `is_countermodel` calls that followed it and the support
+    that a `support` call returned for it (None without one); `models` each
+    x that `is_countermodel` passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
-        self.calls = dict.fromkeys(("restrict_query", "restrict_hyps", "decide", "is_countermodel"), 0)
+        names = ("restrict_query", "restrict_hyps", "decide", "is_countermodel", "support")
+        self.calls = dict.fromkeys(names, 0)
         self.searched = []
         self.models = []
 
@@ -338,7 +345,7 @@ class CountingBackend:
 
     def restrict_hyps(self, hyps, rho):
         self.calls["restrict_hyps"] += 1
-        self.searched.append([rho, 0])
+        self.searched.append([rho, 0, None])
         return self.inner.restrict_hyps(hyps, rho)
 
     def is_countermodel(self, query, hyps, x):
@@ -347,6 +354,11 @@ class CountingBackend:
         found = self.inner.is_countermodel(query, hyps, x)
         if found:
             self.models.append(x)
+        return found
+
+    def support(self, query, hyps, proof, rho):
+        self.calls["support"] += 1
+        self.searched[-1][2] = found = self.inner.support(query, hyps, proof, rho)
         return found
 
 
@@ -537,12 +549,13 @@ def cache_streams(system):
 
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
 def test_countermodel_cache_matches_the_plain_loop(system):
-    # decide_pac with its cache gives the plain loop's outcome.  An
+    # decide_pac with its caches gives the plain loop's outcome.  An
     # unsettled example that reaches no restrict_hyps call was settled by a
-    # cached model: it must have a completion that satisfies the knowledge
-    # base and falsifies the query, checked by brute force.  A searched
-    # reject tries its completions exactly when at most ENUMERATED_FREE
-    # coordinates are free, and a searched accept tries none
+    # cache: a reject must have a completion that satisfies the knowledge
+    # base and falsifies the query, checked by brute force, and an accept
+    # must extend an earlier searched accept on that accept's support.  A
+    # searched reject tries its completions exactly when at most
+    # ENUMERATED_FREE coordinates are free, and a searched accept tries none
     seen = Counter()
     for label, backend, query, hyps, n, examples in cache_streams(system):
         counting = CountingBackend(backend)
@@ -550,11 +563,16 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples), label
         searched = iter(counting.searched)
         step = next(searched, None)
+        keys = []  # rho & support of each searched accept so far
         for rho, accepted in zip(examples, outcome.per_example):
             if backend.restrict_query(query, rho) is TRUE:
                 continue
             sigma = assignment_of(rho, n)
             if step is None or step[0] != rho:
+                if accepted:
+                    assert any(key & rho == key for key in keys), (label, query, hyps, sigma)
+                    seen[f"{label} support hits"] += 1
+                    continue
                 assert any(refutes_at(system, query, hyps, x) for x in completions(sigma)), (
                     label, query, hyps, sigma,
                 )
@@ -563,11 +581,15 @@ def test_countermodel_cache_matches_the_plain_loop(system):
             free = sigma.count(None)
             if accepted:
                 assert step[1] == 0, (label, sigma)
-            elif free > ENUMERATED_FREE:
-                assert step[1] == 0, (label, sigma)
-                seen["searched rejects over the cap"] += 1
+                if step[2] is not None:
+                    keys.append(rho & step[2])
             else:
-                assert step[1] >= 1, (label, sigma)
+                assert step[2] is None, (label, sigma)
+                if free > ENUMERATED_FREE:
+                    assert step[1] == 0, (label, sigma)
+                    seen["searched rejects over the cap"] += 1
+                else:
+                    assert step[1] >= 1, (label, sigma)
             step = next(searched, None)
         assert step is None
         models = len(set(counting.models))
@@ -577,6 +599,59 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         floors["n=12 iid:3/4 hits"], floors["n=12 iid:1/8 hits"] = 200, 20
         floors["searched rejects over the cap"] = 10
         floors["most models found in a run"] = CACHED_MODELS + 1
+        floors["iid:1/2 support hits"] = floors["iid:3/4 support hits"] = 30
+        floors["n=12 iid:1/8 support hits"] = 100
+    else:
+        assert not any("support" in name for name in seen), seen  # support is None
+    assert all(seen[name] >= floor for name, floor in floors.items()), seen
+
+
+def support_streams():
+    """(label, backend, query, hyps, examples) of 1200 seeded res-space
+    streams of 40 examples, with many repeats and many extensions of
+    accepted examples: n 2..6 and s 1..3, each knowledge base drawn under a
+    table mask over at most four points, whose examples repeat, and under
+    iid:1/4 over all 2^n points, whose examples often set what an accepted
+    one sets and more."""
+    rng = random.Random("supports")
+    for case in range(600):
+        n, s = rng.randint(2, 6), rng.randint(1, 3)
+        kb = Cnf([random_clause(rng, n) for _ in range(rng.randint(1, 8))], n).masks
+        query = encode_clause(random_clause(rng, n, max_width=2))
+        backend = SpaceResolutionBackend(s, n)
+        points = {tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(4)}
+        table = TableMask({x: {v for v in range(1, n + 1) if rng.random() < 0.4} for x in points})
+        every = ExplicitDistribution.uniform(product((0, 1), repeat=n))
+        for label, dist, mask in (
+            ("table", ExplicitDistribution.uniform(points), table),
+            ("iid:1/4", every, IndependentMask(Fraction(1, 4))),
+        ):
+            yield label, backend, query, kb, draw_masked_examples(dist, mask, 40, case)
+
+
+def test_support_cache_matches_the_plain_loop():
+    # an accepting res-space search caches the example's projection onto its
+    # proof's support, and a later unsettled example that extends it is
+    # accepted without a search; decide_pac must still give the plain
+    # loop's outcome on every stream.  A support hit is an unsettled accept
+    # without a search, and an extension hit is one whose example was never
+    # searched at all, so it is not a repeat of a searched one
+    seen = Counter()
+    for label, backend, query, hyps, examples in support_streams():
+        counting = CountingBackend(backend)
+        outcome = decide_pac(counting, query, hyps, params(), examples)
+        assert outcome == reference_decide_pac(backend, query, hyps, params(), examples), (
+            label, query, hyps, examples,
+        )
+        searched = {rho for rho, *_ in counting.searched}
+        unsettled = [
+            rho for rho, accepted in zip(examples, outcome.per_example)
+            if accepted and backend.restrict_query(query, rho) is not TRUE
+        ]
+        seen[f"{label} support hits"] += len(unsettled) - counting.calls["support"]
+        seen[f"{label} extension hits"] += sum(rho not in searched for rho in unsettled)
+    floors = {"table support hits": 6000, "iid:1/4 support hits": 4500,
+              "table extension hits": 1200, "iid:1/4 extension hits": 3500}
     assert all(seen[name] >= floor for name, floor in floors.items()), seen
 
 
@@ -604,6 +679,6 @@ def test_backends_keep_no_state_over_a_run(system):
     counting = CountingBackend(backend)
     outcome = decide_pac(counting, query, hyps, params(), examples)
     assert vars(backend) == before, system
-    searched = {rho for rho, _ in counting.searched}
+    searched = {rho for rho, *_ in counting.searched}
     verdicts = Counter(ok for rho, ok in zip(examples, outcome.per_example) if rho in searched)
     assert verdicts[True] >= 5 and verdicts[False] >= 5, (system, verdicts)

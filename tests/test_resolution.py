@@ -28,6 +28,7 @@ from pacreason.resolution import (
     decode_clause,
     encode_clause,
     make_clause,
+    negation,
     proof_to_text,
     proof_tree,
     restrict_cnf,
@@ -343,6 +344,44 @@ def test_space_closure_holds_for_arbitrary_targets():
             restricted_target = restrict_clause(target, rho)
             goal = encode_clause(restricted_target)
             assert search_space(restrict_kb(phi, rho).masks, s, goal) is not None
+
+
+def test_an_accept_settles_every_extension_on_its_support():
+    # the lemma behind decide_pac's support cache, over all 3^n partial
+    # assignments of seeded CNFs: when search_space accepts the instance
+    # restricted by rho, it accepts the instance restricted by every sigma
+    # that sets what rho sets on the support, the variables of the query and
+    # of the original clauses behind the proof's leaves
+    rng = random.Random(919191)
+    seen = Counter()
+    for _ in range(120):
+        n, s = rng.randint(2, 5), rng.randint(1, 3)
+        kb = random_cnf(rng, n).masks
+        query = encode_clause(random_clause(rng, n, max_width=2))
+        backend = SpaceResolutionBackend(s, n)
+        negate = negation(n)
+        rhos = [sum(bits) for bits in itertools.product(*((0, 1 << 2 * v, 2 << 2 * v)
+                                                          for v in range(1, n + 1)))]
+        found = {
+            rho: search_space(restrict_cnf(kb, rho, negate(rho)), s,
+                              restrict_mask(query, rho, negate(rho)))
+            for rho in rhos
+        }
+        for rho, proof in found.items():
+            if proof is None or proof[0] is TAUTOLOGY:  # rho satisfies the query: no search
+                continue
+            support = backend.support(query, kb, proof, rho)
+            key = rho & support
+            for sigma in rhos:
+                if sigma & key == key:
+                    assert found[sigma] is not None, (
+                        kb, query, s, assignment_of(rho, n), assignment_of(sigma, n),
+                    )
+                    seen["extensions"] += sigma != rho
+                    seen["off the support"] += bool((sigma ^ rho) & ~support)
+            seen["searched accepts"] += 1
+    floors = {"extensions": 120000, "off the support": 120000, "searched accepts": 2500}
+    assert all(seen[name] >= floor for name, floor in floors.items()), seen
 
 
 def random_clause_local(rng, n):
