@@ -23,16 +23,20 @@ to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
 to BOTTOM, its refutation target, and PC/PCR when the query row restricts
 to the zero row ().  Each system's search accepts those forms too.
 `query_scope(query)`, the literals whose variables `restrict_query` reads,
-is the query's literals, but every literal bit for RES(k), whose
-all-literals collapse (`res_k.restrict_kdnf`) counts every set variable.
+is the query's literals, but every literal bit for a RES(k) query with a
+k-DNF that holds some variable in both signs: only there can the
+all-literals collapse (`res_k.restrict_kdnf`), which counts every set
+variable, fire.
 `decide(query, hyps)` runs the system's one search and returns what it
 found, a falsy value on reject: the `search_space` steps for clause-space
 resolution, the `saturation.TraceStep` trace for RES(k) and cutting planes,
-and True for PC and PCR.  `replay(proof, query, hyps)` checks that proof
-with the system's independent checker, budget included, and returns its text
-lines; a proof that fails its replay raises RuleError.  Clause-space
-resolution prints its proof tree on one line, RES(k) `rule: formula` per
-trace step, cutting planes `index: rule inequality`, and PC and PCR nothing.
+and for PC and PCR the one-tuple of the mask of the hypothesis indices
+behind the basis rows that reduce the query (`polycalc.decide_pc`).
+`replay(proof, query, hyps)` checks that proof with the system's
+independent checker, budget included, and returns its text lines; a proof
+that fails its replay raises RuleError.  Clause-space resolution prints its
+proof tree on one line, RES(k) `rule: formula` per trace step, cutting
+planes `index: rule inequality`, and PC and PCR nothing.
 
 Cutting planes' `decide` first tries a countermodel pass
 (`cutting_planes.countermodel`): a 0/1 point that satisfies every restricted
@@ -54,17 +58,22 @@ every later example consistent with it without a search.
 `support(query, hyps, proof, rho)` gives, for a proof that `decide` found on
 the instance that the example rho restricts, the mask of both literals of
 every variable the proof depends on, and `decide_pac` accepts without a
-search every later example that sets what rho sets there.  Clause-space
-resolution walks the `search_space` steps: its support is the query's
-variables and those of each leaf's original hypothesis, a clause c of
-`hyps` with `not c & rho` whose restriction is the leaf.  It must be the
-original clause, not the leaf, which lacks the literals rho makes false: an
-example that makes one of them true satisfies c and removes the leaf.  The
-other backends return None.  Every variable is a support of any accepting
-proof, by restriction closure alone, but it settles only repeats of rho, a
-memo on accepts whose memory no change has measured yet; a finer support
-needs the hypotheses a proof uses, which the RES(k) and cutting-planes
-traces name by index, and which PC and PCR record nowhere yet.
+search every later example that sets what rho sets there.  Each support is
+the query's variables and those of every original hypothesis the proof
+uses.  Clause-space resolution walks the `search_space` steps: each leaf's
+original hypothesis is a clause c of `hyps` with `not c & rho` whose
+restriction is the leaf.  It must be the original clause, not the leaf,
+which lacks the literals rho makes false: an example that makes one of them
+true satisfies c and removes the leaf.  Cutting planes reads the index that
+ends each `HypothesisStep`'s premises, and PC and PCR the hypothesis mask
+that `decide` returns (`polycalc.build_basis` ORs it along the one
+elimination); the restrictions keep one residual or row per hypothesis, in
+order, so an index names an original hypothesis.  At seed 1 the table-birds
+benchmark calls `decide` 5 times each for pc, pcr and cp, on 11 distinct
+examples (1628, 813 and 813 times without supports).  RES(k) returns None:
+its trace names hypotheses by index too, but a support settles repeats as
+an accept memo does, and the benchmark's memory metric grows with the
+rounds that a faster run fits in (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -183,7 +192,17 @@ class ResKWidthBackend:
         return tuple(f"{step.rule}: {step.formula!r}" for step in proof)
 
     def query_scope(self, query):
-        return (1 << 2 * self.n + 2) - 4  # every literal bit
+        # restrict_kdnf's all-literals collapse needs one-literal terms of
+        # both signs of every unset variable, so it reads every set variable
+        # only for a k-DNF that holds some variable in both signs
+        even = (1 << 2 * self.n + 2) // 3  # bits 0, 2, ..., 2n
+        scope = 0
+        for phi in query:
+            bits = sum({literal_bit(lit) for term in phi for lit in term})
+            if bits & bits >> 1 & even:
+                return (1 << 2 * self.n + 2) - 4  # every literal bit
+            scope |= bits
+        return scope
 
     def restrict_query(self, query, rho):
         restricted = self.restrict_hyps(query, rho)  # the negated query's k-DNFs
@@ -224,7 +243,8 @@ class PolynomialCalculusBackend:
         return cls(d, n, mode=system), row(queries[0], n), tuple(row(p, n) for p in hyps)
 
     def decide(self, query, hyps):
-        return decide_pc(hyps, query, self.d, self.n, self.mode)
+        accepted, used = decide_pc(hyps, query, self.d, self.n, self.mode)
+        return (used,) if accepted else None
 
     def replay(self, proof, query, hyps):
         return ()
@@ -244,7 +264,12 @@ class PolynomialCalculusBackend:
         return next(values) != 0 and not any(values)
 
     def support(self, query, hyps, proof, rho):
-        return None
+        (used,) = proof  # restrict_rows keeps one row per hypothesis, in order
+        literals = row_literals(query, self.n)
+        for i, r in enumerate(hyps):
+            if used >> i & 1:
+                literals |= row_literals(r, self.n)
+        return literals | negation(self.n)(literals)
 
 
 class CuttingPlanesBackend:
@@ -290,7 +315,11 @@ class CuttingPlanesBackend:
         return not holds[0] and all(holds[1:])
 
     def support(self, query, hyps, proof, rho):
-        return None
+        # a hypothesis step's premises end in its input's index, and
+        # restrict_hyps keeps one residual per hypothesis, in order
+        used = {step.premises[-1] for step in proof if step.rule == "HypothesisStep"}
+        variables = query.variables().union(*(hyps[i].variables() for i in used))
+        return sum(3 << 2 * v for v in variables)
 
 
 SYSTEMS = {

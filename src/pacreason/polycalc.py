@@ -31,7 +31,9 @@ fraction-free row operations (Bareiss 1968; one lookup per cancelled lead),
 survivors are divided by their content and join it, and survivors of degree
 below d spawn all their indeterminate multiples (multilinearized, which is
 where the Boolean axioms act).  The query is derivable exactly when its row
-reduces to zero against the finished basis.
+reduces to zero against the finished basis, and every row carries the mask
+of the hypotheses it comes from, so an accept also names the hypotheses its
+derivation uses.
 """
 
 from __future__ import annotations
@@ -186,18 +188,21 @@ def row_values(rows, x: int, n: int):
     return (sum(c for k, c in r if not k & false) for r in rows)
 
 
-def gaussian_reduce(p: dict, basis) -> dict:
+def gaussian_reduce(p: dict, basis, used: list | None = None) -> dict:
     """Reduce the integer row `p`, a dict from key to coefficient, against a
     basis keyed by leading key: while the lead of `p` is a key, cancel it
     fraction-free, p <- (cb/g)*p - (cp/g)*b with cp, cb the two lead
     coefficients and g = gcd(cb, cp).  The result is a nonzero integer
     multiple of what exact rational reduction leaves; `p` itself is not
-    changed."""
+    changed.  Given a list `used`, appends to it the lead of every basis row
+    the reduction subtracts."""
     while p:
         lead = max(p)
         b = basis.get(lead)
         if b is None:
             break
+        if used is not None:
+            used.append(lead)
         cp, cb = p[lead], b[lead]
         g = gcd(cp, cb)
         sp, sb = cb // g, cp // g
@@ -246,8 +251,28 @@ def build_basis(hyps, q, d: int, n: int, mode: str = PC):
     of the variables that `hyps` and the query row `q` mention, by variable:
     x_v alone in PC, x_v and then ~x_v in PCR, where the complementarity
     row x_v + ~x_v - 1 of each of those variables follows the hypotheses.
-    Returns (basis, multipliers), the multipliers as literals.  Takes rows
-    of inputs that `check_inputs` accepts."""
+    Returns (basis, multipliers, masks), the multipliers as literals and
+    `masks` a dict from each leading key to its row's hypothesis mask.
+    Takes rows of inputs that `check_inputs` accepts.
+
+    Every pending and basis row carries the mask of the hypotheses it comes
+    from: hypothesis i is 1 << i, a complementarity row 0, a multiple takes
+    its row's mask, and a reduction ORs into its row's mask the masks of
+    the basis rows it subtracts.  So each basis row lies in the degree-d
+    space derived from the hypotheses its mask names (and the
+    complementarity rows) alone.
+
+    The order in which pending rows are taken does not change the space the
+    finished basis spans.  A reduction changes a row only by basis rows, so
+    the span of basis and pending rows never shrinks and holds nothing
+    outside the derivable space; the basis is in echelon form under the
+    graded order, so the basis rows of degree below d span every row of
+    degree below d in that span; and each of those rows has its multiples
+    queued.  So the finished span holds the inputs and is closed under
+    multiplying a row of degree below d by a multiplier: it is the smallest
+    such space, the degree-d derivable space, whatever the order.  Given
+    more hypotheses, or more variables to multiply by, that smallest space
+    can only grow, so the search is monotone in its hypotheses."""
     used = 0
     for r in (*hyps, q):
         for k, _ in r:
@@ -255,7 +280,7 @@ def build_basis(hyps, q, d: int, n: int, mode: str = PC):
     variables = [v for v in range(1, n + 1) if used >> 2 * (n - v) & 3]
     width = 2 * n
     one = 1 << width
-    pending = deque(map(dict, hyps))
+    pending = deque((dict(r), 1 << i) for i, r in enumerate(hyps))
     multipliers, bits = [], []
     for v in variables:
         x, dual = 2 << 2 * (n - v), 1 << 2 * (n - v)  # the layout bits of x_v and ~x_v
@@ -264,33 +289,47 @@ def build_basis(hyps, q, d: int, n: int, mode: str = PC):
         if mode == PCR:
             multipliers.append(-v)
             bits.append(dual)
-            pending.append({one | x: 1, one | dual: 1, 0: -1})
+            pending.append(({one | x: 1, one | dual: 1, 0: -1}, 0))
 
     steps = [(bit, one + bit) for bit in bits]
-    basis = {}
+    basis, masks = {}, {}
     while pending:
-        p = gaussian_reduce(pending.popleft(), basis)
+        p, mask = pending.popleft()
+        reducers = []
+        p = gaussian_reduce(p, basis, reducers)
         if not p:
             continue
+        for lead in reducers:
+            mask |= masks[lead]
         content = gcd(*p.values())
         if content != 1:
             p = {k: c // content for k, c in p.items()}
         lead = max(p)
         basis[lead] = p
+        masks[lead] = mask
         if lead >> width < d:
             for bit, step in steps:
-                pending.append(_times(p, bit, step))
-    return basis, multipliers
+                pending.append((_times(p, bit, step), mask))
+    return basis, multipliers, masks
 
 
-def decide_pc(hyps, q, d: int, n: int, mode: str = PC) -> bool:
-    """Accept iff [q = 0] has a degree-d derivation from the hypothesis
+def decide_pc(hyps, q, d: int, n: int, mode: str = PC):
+    """Whether [q = 0] has a degree-d derivation from the hypothesis
     equations (linear combination and multiplication; Boolean axioms act
-    through multilinearization), all integer rows over x1..xn.  PCR
-    additionally seeds the complementarity row of every variable the
-    instance mentions.  Takes rows of inputs that `check_inputs` accepts."""
-    basis = build_basis(hyps, q, d, n, mode)[0]
-    return not gaussian_reduce(dict(q), basis)
+    through multilinearization), all integer rows over x1..xn, and from
+    which hypotheses.  PCR additionally seeds the complementarity row of
+    every variable the instance mentions.  Returns (accepted, used), `used`
+    the mask of the hypothesis indices behind the basis rows that reduce q
+    to zero (None on reject): q has a degree-d derivation from those
+    hypotheses alone.  Takes rows of inputs that `check_inputs` accepts."""
+    basis, _, masks = build_basis(hyps, q, d, n, mode)
+    reducers = []
+    if gaussian_reduce(dict(q), basis, reducers):
+        return False, None
+    used = 0
+    for lead in reducers:
+        used |= masks[lead]
+    return True, used
 
 
 def encode_clause_pcr(clause) -> Polynomial:

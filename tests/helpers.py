@@ -9,6 +9,8 @@ two-recursion witnessing and restriction that `formulas.restrict` must match
 exactly, small semantic
 helpers (completions of a partial assignment, proof size, k-DNFs as
 formulas, inequalities at a point), a brute-force entailment backend,
+`CountingBackend`, which counts and records the backend calls that
+`decide_pac` makes,
 polynomial constructions the decision procedures themselves do not need, the
 per-example sampler, which also gives the assignment each example was drawn
 from and whose examples `sampling.draw_masked_examples` must match exactly, the
@@ -20,7 +22,7 @@ monomial, scanned on every reduction, and the per-term restriction), which
 the integer rows of `polycalc` must match up to the scale of each row, with
 `decode_row` reading a row back into its polynomial, `pc_instance` building
 a PC/PCR backend's (backend, query, hyps) from polynomials and
-`decide_polynomials` running `decide_pc` on them, the
+`decide_polynomials` giving `decide_pc`'s verdict on them, the
 projection of a treelike resolution proof under a restriction (the closure
 argument for clause space, run), the clause-space search and the clause and
 CNF restrictions on frozenset clauses, which the literal-mask kernels in
@@ -472,6 +474,52 @@ def random_cnf(rng, n, max_clauses=8, max_width=3):
     return Cnf([random_clause(rng, n, max_width) for _ in range(m)], n)
 
 
+class CountingBackend:
+    """Delegates to a backend and counts its `restrict_query`,
+    `restrict_hyps`, `decide`, `is_countermodel` and `support` calls.
+    `searched` holds, per `restrict_hyps` call in call order, the example,
+    the number of `is_countermodel` calls that followed it and the support
+    that a `support` call returned for it (None without one); `models` each
+    x that `is_countermodel` passed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        names = ("restrict_query", "restrict_hyps", "decide", "is_countermodel", "support")
+        self.calls = dict.fromkeys(names, 0)
+        self.searched = []
+        self.models = []
+
+    def decide(self, query, hyps):
+        self.calls["decide"] += 1
+        return self.inner.decide(query, hyps)
+
+    def query_scope(self, query):
+        return self.inner.query_scope(query)
+
+    def restrict_query(self, query, rho):
+        self.calls["restrict_query"] += 1
+        return self.inner.restrict_query(query, rho)
+
+    def restrict_hyps(self, hyps, rho):
+        self.calls["restrict_hyps"] += 1
+        self.searched.append([rho, 0, None])
+        return self.inner.restrict_hyps(hyps, rho)
+
+    def is_countermodel(self, query, hyps, x):
+        self.calls["is_countermodel"] += 1
+        self.searched[-1][1] += 1
+        found = self.inner.is_countermodel(query, hyps, x)
+        if found:
+            self.models.append(x)
+        return found
+
+    def support(self, query, hyps, proof, rho):
+        self.calls["support"] += 1
+        self.searched[-1][2] = found = self.inner.support(query, hyps, proof, rho)
+        return found
+
+
 class EntailmentOracleBackend:
     """Brute-force classical entailment over threshold-basis formulas, which
     restrict by the partial assignment of an example's true mask, so the
@@ -878,11 +926,11 @@ def pc_instance(d: int, n: int, mode: str, query: Polynomial, hyps) -> tuple:
 
 
 def decide_polynomials(hyps, q: Polynomial, d: int, mode: str = PC, n: int = None) -> bool:
-    """`polycalc.decide_pc` on the rows of the polynomials over x1..xn, n the
-    largest variable they mention when not given."""
+    """`polycalc.decide_pc`'s verdict on the rows of the polynomials over
+    x1..xn, n the largest variable they mention when not given."""
     if n is None:
         n = max((v for p in [*hyps, q] for v in p.variables()), default=1)
-    return decide_pc([row(h, n) for h in hyps], row(q, n), d, n, mode)
+    return decide_pc([row(h, n) for h in hyps], row(q, n), d, n, mode)[0]
 
 
 def complementarity(var: int) -> Polynomial:

@@ -29,7 +29,8 @@ from pacreason.formulas import PartialAssignment, TRUE, Var
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr, row
 from pacreason.res_k import BOTTOM, KDnf, negate_query
 from pacreason.resolution import (
-    TAUTOLOGY, Cnf, check_examples, decode_clause, encode_clause, make_clause, negation,
+    TAUTOLOGY, Cnf, check_examples, decode_clause, encode_clause, literal_bit, make_clause,
+    negation,
 )
 from pacreason.sampling import (
     ExplicitDistribution,
@@ -40,6 +41,7 @@ from pacreason.sampling import (
 )
 
 from helpers import (
+    CountingBackend,
     EntailmentOracleBackend,
     assignment_of,
     completions,
@@ -316,52 +318,6 @@ def test_table_mask_scenario_statistics():
     assert wrong <= 3
 
 
-class CountingBackend:
-    """Delegates to a backend and counts its `restrict_query`,
-    `restrict_hyps`, `decide`, `is_countermodel` and `support` calls.
-    `searched` holds, per `restrict_hyps` call in call order, the example,
-    the number of `is_countermodel` calls that followed it and the support
-    that a `support` call returned for it (None without one); `models` each
-    x that `is_countermodel` passed."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n = inner.n
-        names = ("restrict_query", "restrict_hyps", "decide", "is_countermodel", "support")
-        self.calls = dict.fromkeys(names, 0)
-        self.searched = []
-        self.models = []
-
-    def decide(self, query, hyps):
-        self.calls["decide"] += 1
-        return self.inner.decide(query, hyps)
-
-    def query_scope(self, query):
-        return self.inner.query_scope(query)
-
-    def restrict_query(self, query, rho):
-        self.calls["restrict_query"] += 1
-        return self.inner.restrict_query(query, rho)
-
-    def restrict_hyps(self, hyps, rho):
-        self.calls["restrict_hyps"] += 1
-        self.searched.append([rho, 0, None])
-        return self.inner.restrict_hyps(hyps, rho)
-
-    def is_countermodel(self, query, hyps, x):
-        self.calls["is_countermodel"] += 1
-        self.searched[-1][1] += 1
-        found = self.inner.is_countermodel(query, hyps, x)
-        if found:
-            self.models.append(x)
-        return found
-
-    def support(self, query, hyps, proof, rho):
-        self.calls["support"] += 1
-        self.searched[-1][2] = found = self.inner.support(query, hyps, proof, rho)
-        return found
-
-
 def random_instance(system, rng):
     """(backend, query, hyps, n) for `system`, drawn as the restriction
     closure tests draw them: n <= 4, small budgets."""
@@ -419,11 +375,25 @@ def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
     # the scope holds literal bits only, and restricting the query by an
     # example's projection onto both literals of the scope's variables gives
     # what the whole example gives, on 3600 examples of seeded instances
-    # under iid:1/2
+    # under iid:1/2.  Every other RES(k) query negates several clauses, and
+    # so often holds a variable in both signs, where the scope is every
+    # literal bit; otherwise it is the query's literals
     rng = random.Random(f"scope:{system}")
-    checked = 0
+    checked, kinds = 0, Counter()
     for seed in range(300):
         backend, query, hyps, n = random_instance(system, rng)
+        if system == "res-k-width":
+            if seed % 2:
+                clauses = [random_clause(rng, n, backend.k) for _ in range(rng.randint(2, 4))]
+                negated = negate_query(clauses, backend.k)
+                query = () if negated is TRUE else (negated,)
+            literals = {lit for phi in query for term in phi for lit in term}
+            both = any(-lit in literals for lit in literals)
+            kinds["both signs" if both else "one sign"] += 1
+            every = (1 << 2 * n + 2) - 4
+            assert backend.query_scope(query) == (
+                every if both else sum(map(literal_bit, literals))
+            ), query
         scope = backend.query_scope(query)
         assert not scope & ~((1 << 2 * n + 2) - 4), (query, scope)
         scope |= negation(n)(scope)
@@ -435,6 +405,7 @@ def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
             )
             checked += 1
     assert checked == 3600
+    assert system != "res-k-width" or min(kinds["both signs"], kinds["one sign"]) >= 50, kinds
 
 
 def test_res_k_query_scope_is_every_literal_bit():
@@ -448,6 +419,18 @@ def test_res_k_query_scope_is_every_literal_bit():
     assert backend.restrict_query(query, rho & 0b1100) == (KDnf([(-1,), (1,)]),)
     scope = backend.query_scope(query)
     assert backend.restrict_query(query, rho & scope) == ()
+
+
+def test_res_k_query_scope_of_one_clause_is_its_literals():
+    # the negated query of the one clause (x1 | -x2) is the k-DNF of one
+    # term, which holds no variable in both signs, so the all-literals
+    # collapse never fires and restrict_query reads x1's and x2's literals
+    # only
+    backend = ResKWidthBackend(k=2, w=2, n=3)
+    query = (negate_query([frozenset({1, -2})], k=2),)
+    assert backend.query_scope(query) == literal_bit(-1) | literal_bit(2)
+    for rho in map(example, ("1**", "0**", "*1*", "*01", "11*", "001")):
+        assert backend.restrict_query(query, rho & 0b111100) == backend.restrict_query(query, rho)
 
 
 def test_plain_decide_accepts_what_a_settled_query_stands_for():
@@ -601,24 +584,32 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         floors["most models found in a run"] = CACHED_MODELS + 1
         floors["iid:1/2 support hits"] = floors["iid:3/4 support hits"] = 30
         floors["n=12 iid:1/8 support hits"] = 100
-    else:
+    elif system == "res-k-width":
         assert not any("support" in name for name in seen), seen  # support is None
+    else:  # the hypotheses behind each pc, pcr or cp proof
+        floors["iid:1/2 support hits"], floors["iid:3/4 support hits"] = {
+            PC: (800, 850), PCR: (900, 1000), "cp": (250, 150),
+        }[system]
     assert all(seen[name] >= floor for name, floor in floors.items()), seen
 
 
-def support_streams():
-    """(label, backend, query, hyps, examples) of 1200 seeded res-space
-    streams of 40 examples, with many repeats and many extensions of
-    accepted examples: n 2..6 and s 1..3, each knowledge base drawn under a
-    table mask over at most four points, whose examples repeat, and under
-    iid:1/4 over all 2^n points, whose examples often set what an accepted
-    one sets and more."""
-    rng = random.Random("supports")
-    for case in range(600):
-        n, s = rng.randint(2, 6), rng.randint(1, 3)
-        kb = Cnf([random_clause(rng, n) for _ in range(rng.randint(1, 8))], n).masks
-        query = encode_clause(random_clause(rng, n, max_width=2))
-        backend = SpaceResolutionBackend(s, n)
+def support_streams(system, cases):
+    """(label, backend, query, hyps, examples) of 2 * `cases` seeded streams
+    of 40 examples, with many repeats and many extensions of accepted
+    examples: each instance drawn under a table mask over at most four
+    points, whose examples repeat, and under iid:1/4 over all 2^n points,
+    whose examples often set what an accepted one sets and more.
+    Clause-space instances have n 2..6 and s 1..3, the others are drawn as
+    `random_instance` draws them."""
+    rng = random.Random("supports" if system == "res-space" else f"supports:{system}")
+    for case in range(cases):
+        if system == "res-space":
+            n, s = rng.randint(2, 6), rng.randint(1, 3)
+            kb = Cnf([random_clause(rng, n) for _ in range(rng.randint(1, 8))], n).masks
+            query = encode_clause(random_clause(rng, n, max_width=2))
+            backend = SpaceResolutionBackend(s, n)
+        else:
+            backend, query, kb, n = random_instance(system, rng)
         points = {tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(4)}
         table = TableMask({x: {v for v in range(1, n + 1) if rng.random() < 0.4} for x in points})
         every = ExplicitDistribution.uniform(product((0, 1), repeat=n))
@@ -629,15 +620,14 @@ def support_streams():
             yield label, backend, query, kb, draw_masked_examples(dist, mask, 40, case)
 
 
-def test_support_cache_matches_the_plain_loop():
-    # an accepting res-space search caches the example's projection onto its
-    # proof's support, and a later unsettled example that extends it is
-    # accepted without a search; decide_pac must still give the plain
-    # loop's outcome on every stream.  A support hit is an unsettled accept
-    # without a search, and an extension hit is one whose example was never
-    # searched at all, so it is not a repeat of a searched one
+def check_support_cache(system, cases, floors):
+    """decide_pac gives the plain loop's outcome on every stream of
+    `support_streams(system, cases)`, and the hit counts reach `floors`.  A
+    support hit is an unsettled accept without a search, and an extension
+    hit is one whose example was never searched at all, so it is not a
+    repeat of a searched one."""
     seen = Counter()
-    for label, backend, query, hyps, examples in support_streams():
+    for label, backend, query, hyps, examples in support_streams(system, cases):
         counting = CountingBackend(backend)
         outcome = decide_pac(counting, query, hyps, params(), examples)
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples), (
@@ -650,9 +640,33 @@ def test_support_cache_matches_the_plain_loop():
         ]
         seen[f"{label} support hits"] += len(unsettled) - counting.calls["support"]
         seen[f"{label} extension hits"] += sum(rho not in searched for rho in unsettled)
-    floors = {"table support hits": 6000, "iid:1/4 support hits": 4500,
-              "table extension hits": 1200, "iid:1/4 extension hits": 3500}
     assert all(seen[name] >= floor for name, floor in floors.items()), seen
+
+
+def test_support_cache_matches_the_plain_loop():
+    # an accepting res-space search caches the example's projection onto its
+    # proof's support, and a later unsettled example that extends it is
+    # accepted without a search; decide_pac must still give the plain
+    # loop's outcome on 1200 streams
+    check_support_cache("res-space", 600, {
+        "table support hits": 6000, "iid:1/4 support hits": 4500,
+        "table extension hits": 1200, "iid:1/4 extension hits": 3500,
+    })
+
+
+@pytest.mark.parametrize("system", [PC, PCR, "cp"])
+def test_pc_pcr_and_cp_supports_match_the_plain_loop(system):
+    # the same for the supports that pc and pcr read off their hypothesis
+    # masks and cp off its trace, on 600 streams for pc and pcr and 400 for
+    # cp, whose plain loop searches slowest
+    cases, *floors = {
+        PC: (300, 7000, 6500, 1300, 4000),
+        PCR: (300, 7500, 7000, 1300, 3800),
+        "cp": (200, 1700, 1800, 350, 1200),
+    }[system]
+    names = ("table support hits", "iid:1/4 support hits",
+             "table extension hits", "iid:1/4 extension hits")
+    check_support_cache(system, cases, dict(zip(names, floors)))
 
 
 STATELESS_CASES = {

@@ -383,7 +383,7 @@ def test_restriction_closure_randomized():
                 None if rng.random() < 0.5 else rng.randint(0, 1) for _ in range(n)
             )
             r_q, *r_hyps = restrict_rows(rows, example(rho), n)
-            assert decide_pc(r_hyps, r_q, d, n, mode)
+            assert decide_pc(r_hyps, r_q, d, n, mode)[0]
 
 
 def test_basis_property_randomized():
@@ -394,8 +394,8 @@ def test_basis_property_randomized():
         d = rng.randint(1, 3)
         hyps = [random_polynomial(rng, n, d, mode) for _ in range(rng.randint(1, 3))]
         q = random_polynomial(rng, n, d, mode)
-        basis, multipliers = build_basis([row(h, n) for h in hyps], row(q, n), d, n,
-                                         mode)
+        basis, multipliers, _ = build_basis([row(h, n) for h in hyps], row(q, n), d, n,
+                                            mode)
         for lead, b in basis.items():
             assert lead == max(b)
             assert gcd(*b.values()) == 1
@@ -406,6 +406,21 @@ def test_basis_property_randomized():
             if b.degree <= d - 1:
                 for alpha in multipliers:
                     assert not gaussian_reduce(dict(row(mul_indet(b, alpha), n)), basis)
+
+
+def test_a_row_carries_the_masks_of_the_rows_that_reduce_it():
+    # x1 + x2 joins the basis under mask 1; x1 reduces against it to -x2,
+    # which carries both hypotheses, and so does the query x2, which that
+    # row reduces: x2 = (x1 + x2) - x1 needs both
+    h0, h1, q = poly((1, [x(1)]), (1, [x(2)])), poly((1, [x(1)])), poly((1, [x(2)]))
+    hyps = [row(h0, 2), row(h1, 2)]
+    basis, _, masks = build_basis(hyps, row(q, 2), 1, 2)
+    assert {lead: decode_row(basis[lead], 2) for lead in basis} == {
+        max(row(h1, 2))[0]: h0, max(row(q, 2))[0]: poly((-1, [x(2)])),
+    }
+    assert masks == {max(row(h1, 2))[0]: 0b01, max(row(q, 2))[0]: 0b11}
+    assert decide_pc(hyps, row(q, 2), 1, 2) == (True, 0b11)
+    assert decide_pc(hyps[:1], row(q, 2), 1, 2) == (False, None)
 
 
 def test_decide_pc_goes_through_the_module_level_build_basis(monkeypatch):
@@ -485,14 +500,14 @@ def test_dict_basis_matches_list_reference_randomized():
     for (hyps, q, d, mode), (ref_basis, ref_multipliers) in zip(instances, references):
         n = instance_n(*hyps, q)
         hyp_rows, q_row = [row(h, n) for h in hyps], row(q, n)
-        basis, multipliers = build_basis(hyp_rows, q_row, d, n, mode)
+        basis, multipliers, _ = build_basis(hyp_rows, q_row, d, n, mode)
         by_lead = [decode_row(basis[lead], n) for lead in sorted(basis, reverse=True)]
         assert list(map(monic, by_lead)) == list(map(monic, ref_basis)), (hyps, q, d, mode)
         assert multipliers == ref_multipliers
         ref_remainder = reference_gaussian_reduce(q, ref_basis)
         remainder = decode_row(gaussian_reduce(dict(q_row), basis), n)
         assert monic(remainder) == monic(ref_remainder), (hyps, q, d, mode)
-        assert decide_pc(hyp_rows, q_row, d, n, mode) == ref_remainder.is_zero
+        assert decide_pc(hyp_rows, q_row, d, n, mode)[0] == ref_remainder.is_zero
 
 
 def spread_instance(rng):
@@ -574,7 +589,7 @@ def test_row_basis_matches_the_reference_and_the_span_oracle():
                 r_q = plain_restricted_query(backend, query, mask)
                 r_rows = backend.restrict_hyps(rows, mask)
             ref_basis, ref_multipliers = reference_build_basis(ref_hyps, ref_q, d, mode)
-            basis, multipliers = build_basis(r_rows, r_q, d, n, mode)
+            basis, multipliers, _ = build_basis(r_rows, r_q, d, n, mode)
             accepted = bool(backend.decide(r_q, r_rows))
             assert (len(basis), multipliers) == (len(ref_basis), ref_multipliers), (ref_hyps, ref_q)
             assert accepted == reference_gaussian_reduce(ref_q, ref_basis).is_zero

@@ -5,11 +5,18 @@ also accepts at every restriction, at the same budget, which is what makes
 `decide_pac` sound.  Cutting-planes hypotheses beyond the budget may feed
 addition steps, so a restriction that makes one witnessed true must not drop
 it.  A restricted instance also passes the budget check its unrestricted
-instance passed, which is why the CLI checks the budget only once per run."""
+instance passed, which is why the CLI checks the budget only once per run.
+For cp, pc and pcr, closure's consequence behind `decide_pac`'s accept keys
+is checked over every example of small instances: an accept settles every
+example that extends it on its proof's support.  So is what that rests on,
+that adding a hypothesis never turns an accept into a reject."""
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from pacreason.backends import (
     CuttingPlanesBackend,
@@ -21,9 +28,11 @@ from pacreason.decide_pac import ACCEPT, PacParams, decide_pac
 from pacreason.formulas import PartialAssignment, TRUE
 from pacreason.polycalc import PC, PCR, Indet, Polynomial, encode_clause_pcr
 from pacreason.res_k import BOTTOM, KDnf, check_budget, negate_query
-from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause
+from pacreason.resolution import TAUTOLOGY, Cnf, check_space_bound, encode_clause, negation
 
 from helpers import (
+    CountingBackend,
+    assignment_of,
     decide_one,
     example,
     mul_indet,
@@ -242,3 +251,164 @@ def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
         kinds["accepted, over-width hypothesis"] += accepted and any(h.width > w for h in hyps)
         kinds["accepted, tautological hypothesis"] += accepted and tautological
     assert min(kinds.values()) >= 100, kinds
+
+
+def random_support_instance(system, rng):
+    """(backend, query, hyps, n) of a cp, pc or pcr instance over n 2..4
+    variables (2..3 for pcr), drawn as the closure tests above draw them."""
+    if system == "cp":
+        n, w, L = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 3)
+        hyps = tuple(random_kb_ineq(rng, n) for _ in range(rng.randint(1, 3)))
+        return CuttingPlanesBackend(w, L, n), random_target(rng, n, w, L), hyps, n
+    while True:
+        mode, n, d, polys, poly_query = random_pc_instance(rng)
+        if mode == system and n >= 2:
+            return (*pc_instance(d, n, mode, poly_query, polys), n)
+
+
+def every_example(n):
+    """The true-literal masks of all 3^n partial assignments over x1..xn."""
+    choices = ((0, 1 << 2 * v, 2 << 2 * v) for v in range(1, n + 1))
+    return [sum(bits) for bits in product(*choices)]
+
+
+def assert_supports_settle_extensions(backend, query, hyps, n, seen):
+    """The lemma behind decide_pac's accept keys, over every example: when
+    decide accepts the instance that rho restricts, every sigma that sets
+    what rho sets on the proof's support is accepted, by its query or by
+    decide.  Counts into `seen`."""
+    examples = every_example(n)
+    settled = {rho for rho in examples if backend.restrict_query(query, rho) is TRUE}
+    found = {
+        rho: rho in settled or backend.decide(
+            backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho)
+        )
+        for rho in examples
+    }
+    every = (1 << 2 * n + 2) - 4
+    for rho in examples:
+        if rho in settled or not found[rho]:
+            continue
+        support = backend.support(query, hyps, found[rho], rho)
+        assert not support & ~every and support == negation(n)(support), support  # both literals
+        key = rho & support
+        for sigma in examples:
+            if sigma & key == key:
+                assert found[sigma], (query, hyps, assignment_of(rho, n), assignment_of(sigma, n))
+                seen["extensions"] += sigma != rho
+                seen["off the support"] += bool((sigma ^ rho) & ~support)
+        seen["searched accepts"] += 1
+        seen["supports short of every variable"] += support != every
+
+
+@pytest.mark.parametrize("system", [PC, PCR, "cp"])
+def test_an_accept_settles_every_extension_on_its_support(system):
+    # exhaustively over all 3^n examples of seeded instances: the support of
+    # a pc or pcr proof (the query's variables and those of the hypotheses
+    # in its mask) or of a cp trace (and those of its hypothesis steps)
+    # settles every example that extends the accepted one on it
+    rng = random.Random(f"support lemma:{system}")
+    seen = Counter()
+    for _ in range(200):
+        backend, query, hyps, n = random_support_instance(system, rng)
+        assert_supports_settle_extensions(backend, query, hyps, n, seen)
+    names = ("extensions", "off the support", "searched accepts",
+             "supports short of every variable")
+    floors = {
+        PC: (95000, 78000, 5600, 3900),
+        PCR: (16000, 11000, 2400, 1300),
+        "cp": (34000, 32000, 2300, 1800),
+    }[system]
+    assert all(seen[name] >= floor for name, floor in zip(names, floors)), seen
+
+
+@pytest.mark.parametrize("system", [PC, PCR, "cp"])
+def test_adding_a_hypothesis_never_turns_an_accept_into_a_reject(system):
+    # the supports rest on it: an instance restricted by an accepted
+    # example's projection onto a support holds the hypotheses its proof
+    # used and more.  On seeded instances, unrestricted and under a few
+    # examples, dropping any one hypothesis never turns a reject into an
+    # accept
+    rng = random.Random(f"monotone:{system}")
+    seen = Counter()
+    for _ in range(300):
+        backend, query, hyps, n = random_support_instance(system, rng)
+        if len(hyps) < 2:
+            continue
+        for rho in [0, *rng.sample(every_example(n), 4)]:
+            restricted = plain_restricted_query(backend, query, rho)
+            kb = backend.restrict_hyps(hyps, rho)
+            accepted = bool(backend.decide(restricted, kb))
+            for i in range(len(kb)):
+                if backend.decide(restricted, kb[:i] + kb[i + 1:]):
+                    assert accepted, (query, hyps, assignment_of(rho, n), i)
+                    seen["accepted without one hypothesis"] += 1
+                elif accepted:
+                    seen["accepted only with it"] += 1
+    without, only_with = {PC: (1800, 340), PCR: (2600, 450), "cp": (700, 290)}[system]
+    assert seen["accepted without one hypothesis"] >= without, seen
+    assert seen["accepted only with it"] >= only_with, seen
+
+
+def test_a_pcr_accept_from_complementarity_rows_alone_has_an_empty_mask():
+    # x1 + ~x1 - 1 is a complementarity row, derived from no hypothesis:
+    # the proof is the one-tuple of the empty mask, still truthy, and the
+    # support is x1's literals; every example that leaves x1 masked is then
+    # accepted after one search
+    def p(*terms):
+        return Polynomial([(frozenset(m), c) for c, m in terms])
+
+    x1, nx1, x2 = Indet(1), Indet(1, dual=True), Indet(2)
+    query, hyps = p((1, [x1]), (1, [nx1]), (-1, [])), [p((1, [x2]))]
+    backend, query, hyps = pc_instance(1, 2, PCR, query, hyps)
+    proof = backend.decide(query, hyps)
+    assert proof == (0,) and proof
+    assert backend.support(query, hyps, proof, example("**")) == 0b1100
+    counting = CountingBackend(backend)
+    examples = list(map(example, ("**", "*1", "*0", "**", "*1")))
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
+    assert decide_pac(counting, query, hyps, params, examples).per_example == (True,) * 5
+    assert counting.calls["decide"] == 1
+    seen = Counter()
+    assert_supports_settle_extensions(backend, query, hyps, 2, seen)
+    assert seen["searched accepts"] == 3
+
+
+def test_cp_support_names_the_first_of_two_coinciding_residuals():
+    # under x2 = x3 = 0 both hypotheses restrict to x1 >= 1, the query; the
+    # trace's hypothesis step names index 0, the first, so the support is
+    # x1 and x2, and an example that also sets x3 = 1, which makes the
+    # second hypothesis witnessed true, is accepted without a search
+    hyps = (LinIneq({1: 1, 2: 1}, 1), LinIneq({1: 1, 3: 1}, 1))
+    query = LinIneq({1: 1}, 1)
+    backend = CuttingPlanesBackend(w=1, L=2, n=3)
+    rho = example("*00")
+    proof = backend.decide(backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho))
+    assert [step.premises for step in proof if step.rule == "HypothesisStep"] == [(0,)]
+    assert backend.support(query, hyps, proof, rho) == 0b111100
+    counting = CountingBackend(backend)
+    params = PacParams(Fraction(1, 5), Fraction(1, 10), Fraction(1, 10))
+    examples = [rho, example("*01"), example("*00")]
+    assert decide_pac(counting, query, hyps, params, examples).per_example == (True,) * 3
+    assert counting.calls["decide"] == 1
+    assert_supports_settle_extensions(backend, query, hyps, 3, Counter())
+
+
+def test_cp_support_names_an_over_budget_hypothesis():
+    # the accepting trace adds H3 (sparsity 3, l1-norm 5), an input outside
+    # the w=2, L=3 table: its hypothesis step still names index 2, so the
+    # support holds all three variables
+    hyps = (
+        LinIneq({1: -2, 2: -1, 3: 1}, 3),
+        LinIneq({2: 3}, 3),
+        LinIneq({1: 2, 2: 1, 3: -2}, -2),
+    )
+    query = LinIneq({1: -3}, 0)
+    backend = CuttingPlanesBackend(w=2, L=3, n=3)
+    proof = backend.decide(query, hyps)
+    assert 2 in {step.premises[-1] for step in proof if step.rule == "HypothesisStep"}
+    assert hyps[2].sparsity > backend.w
+    assert backend.support(query, hyps, proof, 0) == 0b11111100
+    seen = Counter()
+    assert_supports_settle_extensions(backend, query, hyps, 3, seen)
+    assert seen["searched accepts"] >= 1

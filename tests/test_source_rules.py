@@ -250,7 +250,7 @@ def test_the_per_example_pc_path_names_no_fraction_or_polynomial():
     functions = {f.name: f for f in parse("polycalc.py").body if isinstance(f, ast.FunctionDef)}
     (backend,) = [node for node in parse("backends.py").body
                   if isinstance(node, ast.ClassDef) and node.name == "PolynomialCalculusBackend"]
-    methods = {"restrict_query", "restrict_hyps", "is_countermodel", "decide"}
+    methods = {"restrict_query", "restrict_hyps", "is_countermodel", "decide", "support"}
     pending = [f for f in backend.body if isinstance(f, ast.FunctionDef) and f.name in methods]
     assert {f.name for f in pending} == methods
     reached, offenders = set(), []
@@ -266,5 +266,5 @@ def test_the_per_example_pc_path_names_no_fraction_or_polynomial():
                     reached.add(callee)
                     pending.append(functions[callee])
     assert reached == {"restrict_rows", "row_values", "decide_pc", "build_basis", "gaussian_reduce",
-                       "_times", "_layout"}
+                       "_times", "_layout", "row_literals"}
     assert offenders == []
