@@ -23,10 +23,8 @@ to TRUE themselves; RES(k) returns TRUE when a negated-query k-DNF restricts
 to BOTTOM, its refutation target, and PC/PCR when the query row restricts
 to the zero row ().  Each system's search accepts those forms too.
 `query_scope(query)`, the literals whose variables `restrict_query` reads,
-is the query's literals, but every literal bit for a RES(k) query with a
-k-DNF that holds some variable in both signs: only there can the
-all-literals collapse (`res_k.restrict_kdnf`), which counts every set
-variable, fire.
+is the query's literals: each restriction reads an example's bits on its
+formula's own variables only.
 `decide(query, hyps)` runs the system's one search and returns what it
 found, a falsy value on reject: the `search_space` steps for clause-space
 resolution, the `saturation.TraceStep` trace for RES(k) and cutting planes,
@@ -192,24 +190,14 @@ class ResKWidthBackend:
         return tuple(f"{step.rule}: {step.formula!r}" for step in proof)
 
     def query_scope(self, query):
-        # restrict_kdnf's all-literals collapse needs one-literal terms of
-        # both signs of every unset variable, so it reads every set variable
-        # only for a k-DNF that holds some variable in both signs
-        even = (1 << 2 * self.n + 2) // 3  # bits 0, 2, ..., 2n
-        scope = 0
-        for phi in query:
-            bits = sum({literal_bit(lit) for term in phi for lit in term})
-            if bits & bits >> 1 & even:
-                return (1 << 2 * self.n + 2) - 4  # every literal bit
-            scope |= bits
-        return scope
+        return sum({literal_bit(lit) for phi in query for term in phi for lit in term})
 
     def restrict_query(self, query, rho):
         restricted = self.restrict_hyps(query, rho)  # the negated query's k-DNFs
         return TRUE if BOTTOM in restricted else restricted
 
     def restrict_hyps(self, hyps, rho):
-        restricted = (restrict_kdnf(phi, rho, self.n) for phi in hyps)
+        restricted = (restrict_kdnf(phi, rho) for phi in hyps)
         return tuple(phi for phi in restricted if phi is not TRUE)
 
     def is_countermodel(self, query, hyps, x):

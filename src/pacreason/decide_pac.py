@@ -13,7 +13,7 @@ for x_v = 1, bit 2v+1 for x_v = 0), is any object with
     decide(query, hyps)             -- pure, deterministic; the proof found,
                                        whose truthiness is the verdict
     query_scope(query)              -- the literals whose variables
-                                       restrict_query reads (all, for RES(k))
+                                       restrict_query reads
     restrict_query(query, rho)      -- `formulas.TRUE` when rho settles the
                                        query: it is witnessed true, and
                                        decide would accept it from any

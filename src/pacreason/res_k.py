@@ -85,13 +85,10 @@ def _checked(terms) -> KDnf:
     return frozenset.__new__(KDnf, iter(terms))
 
 
-def restrict_kdnf(phi: KDnf, rho: int, n: int) -> KDnf | Const:
-    """Drop the terms rho (an example over x1..xn) falsifies, strip satisfied
-    literals; may collapse to true.
-
-    A fully satisfied term makes the whole disjunction TRUE.  The all-literals
-    encoding of the constant 1 also collapses to TRUE.
-    """
+def restrict_kdnf(phi: KDnf, rho: int) -> KDnf | Const:
+    """Drop the terms rho (an example's true-literal mask) falsifies, strip
+    satisfied literals; a fully satisfied term makes the whole disjunction
+    TRUE."""
     new_terms = set()
     for term in phi:
         kept = restrict_term(term, rho)
@@ -100,10 +97,6 @@ def restrict_kdnf(phi: KDnf, rho: int, n: int) -> KDnf | Const:
         if not kept:
             return TRUE
         new_terms.add(frozenset(kept))
-    # kept literals are masked, so 2 * |masked| one-literal terms are all of
-    # them; rho has one bit per set variable
-    if len(new_terms) == 2 * (n - rho.bit_count()) > 0 and all(len(t) == 1 for t in new_terms):
-        return TRUE
     return _checked(new_terms)
 
 

@@ -121,7 +121,7 @@ def plain_restricted_query(backend, query, rho):
     to TAUTOLOGY, which the clause-space search takes as an axiom.  rho is
     an example's true-literal mask."""
     if isinstance(backend, ResKWidthBackend):
-        restricted = (restrict_kdnf(phi, rho, backend.n) for phi in query)
+        restricted = (restrict_kdnf(phi, rho) for phi in query)
         return tuple(phi for phi in restricted if phi is not TRUE)
     if isinstance(backend, PolynomialCalculusBackend):
         return restrict_rows((query,), rho, backend.n)[0]
@@ -998,8 +998,7 @@ def reference_residual_ineq(ineq, rho: PartialAssignment):
 
 def reference_restrict_kdnf(phi: KDnf, rho: PartialAssignment):
     """Restriction term by term through `rho.value`: falsified terms drop,
-    satisfied literals go, a satisfied term or the all-literals encoding of
-    the constant 1 collapses to TRUE."""
+    satisfied literals go, and a satisfied term collapses to TRUE."""
     new_terms = set()
     for term in phi:
         kept = reference_restrict_term(term, rho)
@@ -1008,9 +1007,6 @@ def reference_restrict_kdnf(phi: KDnf, rho: PartialAssignment):
         if not kept:
             return TRUE
         new_terms.add(frozenset(kept))
-    masked = rho.masked_vars()
-    if masked and new_terms == {frozenset({s * v}) for v in masked for s in (1, -1)}:
-        return TRUE
     return KDnf(new_terms)
 
 

@@ -148,7 +148,7 @@ def test_criterion_2_restriction_closure():
         for _ in range(20):
             rho = example(random_partial(rng, n))
             restricted = [
-                r for r in (restrict_kdnf(h, rho, n) for h in hyps) if r != TRUE
+                r for r in (restrict_kdnf(h, rho) for h in hyps) if r != TRUE
             ]
             again, _ = decide_resk_width(restricted, BOTTOM, 2, 2)
             assert again

@@ -53,6 +53,7 @@ from helpers import (
     reference_decide_pac,
 )
 from test_restriction_closure import (
+    every_example,
     random_kb_ineq,
     random_pc_instance,
     random_resk_instance,
@@ -376,8 +377,8 @@ def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
     # example's projection onto both literals of the scope's variables gives
     # what the whole example gives, on 3600 examples of seeded instances
     # under iid:1/2.  Every other RES(k) query negates several clauses, and
-    # so often holds a variable in both signs, where the scope is every
-    # literal bit; otherwise it is the query's literals
+    # so often holds a variable in both signs; either way the scope is the
+    # query's literals
     rng = random.Random(f"scope:{system}")
     checked, kinds = 0, Counter()
     for seed in range(300):
@@ -390,10 +391,7 @@ def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
             literals = {lit for phi in query for term in phi for lit in term}
             both = any(-lit in literals for lit in literals)
             kinds["both signs" if both else "one sign"] += 1
-            every = (1 << 2 * n + 2) - 4
-            assert backend.query_scope(query) == (
-                every if both else sum(map(literal_bit, literals))
-            ), query
+            assert backend.query_scope(query) == sum(map(literal_bit, literals)), query
         scope = backend.query_scope(query)
         assert not scope & ~((1 << 2 * n + 2) - 4), (query, scope)
         scope |= negation(n)(scope)
@@ -408,29 +406,70 @@ def test_query_scope_holds_every_bit_that_restrict_query_reads(system):
     assert system != "res-k-width" or min(kinds["both signs"], kinds["one sign"]) >= 50, kinds
 
 
-def test_res_k_query_scope_is_every_literal_bit():
-    # restrict_kdnf collapses the k-DNF of every masked literal, so the
-    # negated query of (x1) and (-x1) restricts to no k-DNF at *1, where x2
-    # is set, but stays whole at *1's projection onto x1's literals
+def test_res_k_query_scope_of_a_both_signs_query_is_its_literals():
+    # the negated query of (x1) and (-x1) holds x1 in both signs; it stays
+    # whole at *1, where only x2 is set, as at *1's projection onto x1's
+    # literals, which are its scope
     backend = ResKWidthBackend(k=1, w=1, n=2)
     query = (negate_query([frozenset({1}), frozenset({-1})], k=1),)
-    rho = example("*1")
-    assert backend.restrict_query(query, rho) == ()
-    assert backend.restrict_query(query, rho & 0b1100) == (KDnf([(-1,), (1,)]),)
     scope = backend.query_scope(query)
-    assert backend.restrict_query(query, rho & scope) == ()
+    assert scope == literal_bit(1) | literal_bit(-1) == 0b1100
+    for rho in map(example, ("*1", "*0", "**")):
+        assert backend.restrict_query(query, rho) == (KDnf([(-1,), (1,)]),)
+        assert backend.restrict_query(query, rho & scope) == (KDnf([(-1,), (1,)]),)
+    for rho in map(example, ("1*", "01")):
+        assert backend.restrict_query(query, rho) == backend.restrict_query(query, rho & scope)
 
 
 def test_res_k_query_scope_of_one_clause_is_its_literals():
     # the negated query of the one clause (x1 | -x2) is the k-DNF of one
-    # term, which holds no variable in both signs, so the all-literals
-    # collapse never fires and restrict_query reads x1's and x2's literals
-    # only
+    # term, so restrict_query reads x1's and x2's literals only
     backend = ResKWidthBackend(k=2, w=2, n=3)
     query = (negate_query([frozenset({1, -2})], k=2),)
     assert backend.query_scope(query) == literal_bit(-1) | literal_bit(2)
     for rho in map(example, ("1**", "0**", "*1*", "*01", "11*", "001")):
         assert backend.restrict_query(query, rho & 0b111100) == backend.restrict_query(query, rho)
+
+
+def own_literals(backend, formula, n) -> int:
+    """Both literal bits of every variable of one hypothesis or of the
+    query, read off the formula's own form; a RES(k) formula is a tuple of
+    k-DNFs."""
+    if isinstance(backend, SpaceResolutionBackend):
+        clause = () if formula is TAUTOLOGY else decode_clause(formula)
+        variables = {abs(lit) for lit in clause}
+    elif isinstance(backend, ResKWidthBackend):
+        variables = {abs(lit) for phi in formula for term in phi for lit in term}
+    elif isinstance(backend, CuttingPlanesBackend):
+        variables = formula.variables()
+    else:
+        variables = {abs(lit) for m in decode_row(formula, n).terms for lit in m}
+    return sum(3 << 2 * v for v in variables)
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_every_restriction_reads_its_own_variables_only(system):
+    # the paper's restriction substitutes into each formula on its own: on
+    # every example of 150 seeded instances, each hypothesis and the query
+    # restrict by an example as by its projection onto both literals of the
+    # formula's own variables, also where the example sets others
+    rng = random.Random(f"local:{system}")
+    seen = Counter()
+    for _ in range(150):
+        backend, query, hyps, n = random_instance(system, rng)
+        resk = system == "res-k-width"
+        query_key = own_literals(backend, query, n)
+        keys = [own_literals(backend, (h,) if resk else h, n) for h in hyps]
+        for rho in every_example(n):
+            assert backend.restrict_query(query, rho) == backend.restrict_query(
+                query, rho & query_key
+            ), (query, assignment_of(rho, n))
+            for h, key in zip(hyps, keys):
+                assert backend.restrict_hyps((h,), rho) == backend.restrict_hyps(
+                    (h,), rho & key
+                ), (h, assignment_of(rho, n))
+                seen["set elsewhere"] += bool(rho & ~key)
+    assert seen["set elsewhere"] >= 2400, seen
 
 
 def test_plain_decide_accepts_what_a_settled_query_stands_for():

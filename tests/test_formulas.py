@@ -243,7 +243,7 @@ def test_witnessed_items_restrict_to_the_one_true():
     assert TAUTOLOGY is TRUE
     assert restrict(clause_x1_notx2_x3(), rho) is TRUE
     assert restrict_mask(encode_clause(make_clause([-1, -2, 3])), example(rho), false_mask(rho)) is TRUE
-    assert restrict_kdnf(KDnf([[1, -2], [3]]), example(rho), 3) is TRUE
+    assert restrict_kdnf(KDnf([[1, -2], [3]]), example(rho)) is TRUE
     assert restrict_ineq(LinIneq([(1, 1), (3, -1)], 0), example(rho)) is TRUE
     assert Cnf([TAUTOLOGY, TAUTOLOGY], 3).clauses == (TAUTOLOGY,)
     assert Cnf([make_clause([1, -1]), [2], TAUTOLOGY], 3).clauses == (TAUTOLOGY, frozenset({2}))

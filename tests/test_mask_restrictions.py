@@ -53,9 +53,9 @@ def random_literals(rng, n, most):
 
 
 def random_kdnf(rng, n, rho):
-    """A k-DNF of up to five terms, or one time in five the all-literals
-    encoding of the constant 1 over rho's masked variables, with terms that
-    rho falsifies added."""
+    """A k-DNF of up to five terms, or one time in five every one-literal
+    term over rho's masked variables, with terms that rho falsifies added,
+    which restricts to those one-literal terms."""
     if rng.random() < 0.2 and rho.masked_vars():
         terms = [[s * v] for v in rho.masked_vars() for s in (1, -1)]
         for v in random_variables(rng, n, 2):
@@ -122,7 +122,7 @@ def test_each_mask_restriction_matches_its_per_literal_loop():
             seen["term falsified"] += kept is None
 
             kdnf = random_kdnf(rng, n, rho)
-            got, want = restrict_kdnf(kdnf, mask, n), reference_restrict_kdnf(kdnf, rho)
+            got, want = restrict_kdnf(kdnf, mask), reference_restrict_kdnf(kdnf, rho)
             assert same(got, want) and (got is TRUE) == (want is TRUE), (kdnf, rho)
             seen["kdnf true"] += want is TRUE
             seen["kdnf kept"] += want is not TRUE and len(want) > 0

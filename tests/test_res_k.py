@@ -42,29 +42,32 @@ def test_term_validation():
 
 def test_restrict_drops_falsified_term():
     phi = kd((1, 2), (3,))
-    assert restrict_kdnf(phi, example("0**"), 3) == kd((3,))
+    assert restrict_kdnf(phi, example("0**")) == kd((3,))
 
 
 def test_restrict_strips_satisfied_literal():
-    assert restrict_kdnf(kd((1, 2)), example("1*"), 2) == kd((2,))
+    assert restrict_kdnf(kd((1, 2)), example("1*")) == kd((2,))
 
 
 def test_restrict_satisfied_term_gives_true():
-    assert restrict_kdnf(kd((1,), (2,)), example("1*"), 2) == TRUE
+    assert restrict_kdnf(kd((1,), (2,)), example("1*")) == TRUE
 
 
-def test_restrict_all_literals_collapses_to_true():
+def test_restrict_all_literals_keeps_the_literals_of_its_masked_variables():
+    # a k-DNF restricts on its own variables only: every literal over the
+    # masked variables stays a one-literal term, however many variables rho
+    # sets elsewhere
     one = kd((1,), (-1,), (2,), (-2,))
-    assert restrict_kdnf(one, example("**"), 2) == TRUE
+    assert restrict_kdnf(one, example("**")) == one
+    assert restrict_kdnf(kd((1,), (-1,), (-2,)), example("*1")) == kd((1,), (-1,))
+    assert restrict_kdnf(kd((1,), (-1,)), example("*1*")) == kd((1,), (-1,))
 
 
 def test_restrict_kdnf_matches_the_reference_on_one_literal_terms():
-    # the all-literals test counts the masked variables of rho, n less the
-    # bits of its true mask, instead of building the set of all literals,
-    # and the result is built without re-checking its terms: on every set
-    # of one-literal terms over x1..x3, with and without a longer term,
-    # under every rho over n = 3 and 4, value, repr and term order match the
-    # reference
+    # the result is built without re-checking its terms: on every set of
+    # one-literal terms over x1..x3, with and without a longer term, under
+    # every rho over n = 3 and 4 (x4 in no term), value, repr and term order
+    # match the reference
     literals = (1, -1, 2, -2, 3, -3)
     seen = Counter()
     for length in (3, 4):
@@ -74,7 +77,7 @@ def test_restrict_kdnf_matches_the_reference_on_one_literal_terms():
                 terms = [[lit] for i, lit in enumerate(literals) if bits >> i & 1]
                 for extra in ([], [[1, -2]]):
                     phi = KDnf(terms + extra)
-                    got = restrict_kdnf(phi, example(rho), length)
+                    got = restrict_kdnf(phi, example(rho))
                     want = reference_restrict_kdnf(phi, rho)
                     assert repr(got) == repr(want), (phi, rho)
                     if want is TRUE:
@@ -302,7 +305,7 @@ def test_refutation_restriction_closure_randomized():
             rho = random_partial(rng, n)
             restricted = []
             for h in hyps:
-                r = restrict_kdnf(h, example(rho), n)
+                r = restrict_kdnf(h, example(rho))
                 if r != TRUE:
                     restricted.append(r)
             again, _ = decide_resk_width(restricted, BOTTOM, k, w)

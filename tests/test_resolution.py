@@ -251,7 +251,7 @@ def test_term_restrictions_match_the_references():
             widened = frozenset(lits) | {rng.choice((1, -1)) * rng.randint(1, n)}
             monomials.append((widened, -c if rng.random() < 0.6 else c))
         p = Polynomial(monomials)
-        restricted_phi = restrict_kdnf(phi, example(rho), n)
+        restricted_phi = restrict_kdnf(phi, example(rho))
         (restricted_p,) = restrict_rows((row(p, n),), example(rho), n)
         for got, want in (
             (restricted_phi, reference_restrict_kdnf(phi, rho)),

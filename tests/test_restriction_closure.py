@@ -254,8 +254,14 @@ def test_res_k_width_accepts_every_restriction_of_what_it_accepts():
 
 
 def random_support_instance(system, rng):
-    """(backend, query, hyps, n) of a cp, pc or pcr instance over n 2..4
-    variables (2..3 for pcr), drawn as the closure tests above draw them."""
+    """(backend, query, hyps, n) of an instance over n 2..4 variables (2..3
+    for pcr and res-k-width), drawn as the closure tests above draw them."""
+    if system == "res-space":
+        n, s, query, hyps, _ = random_space_instance(rng)
+        return SpaceResolutionBackend(s, n), query, hyps, n
+    if system == "res-k-width":
+        n, k, w, query, hyps, _ = random_resk_instance(rng)
+        return ResKWidthBackend(k, w, n), query, hyps, n
     if system == "cp":
         n, w, L = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 3)
         hyps = tuple(random_kb_ineq(rng, n) for _ in range(rng.randint(1, 3)))
@@ -322,13 +328,14 @@ def test_an_accept_settles_every_extension_on_its_support(system):
     assert all(seen[name] >= floor for name, floor in zip(names, floors)), seen
 
 
-@pytest.mark.parametrize("system", [PC, PCR, "cp"])
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
 def test_adding_a_hypothesis_never_turns_an_accept_into_a_reject(system):
     # the supports rest on it: an instance restricted by an accepted
     # example's projection onto a support holds the hypotheses its proof
-    # used and more.  On seeded instances, unrestricted and under a few
-    # examples, dropping any one hypothesis never turns a reject into an
-    # accept
+    # used and more.  So does RES(k)'s restriction, which keeps a tautology
+    # such as x | -x that random_resk_instance adds half the time.  On
+    # seeded instances, unrestricted and under a few examples, dropping any
+    # one hypothesis never turns a reject into an accept
     rng = random.Random(f"monotone:{system}")
     seen = Counter()
     for _ in range(300):
@@ -345,7 +352,10 @@ def test_adding_a_hypothesis_never_turns_an_accept_into_a_reject(system):
                     seen["accepted without one hypothesis"] += 1
                 elif accepted:
                     seen["accepted only with it"] += 1
-    without, only_with = {PC: (1800, 340), PCR: (2600, 450), "cp": (700, 290)}[system]
+    without, only_with = {
+        "res-space": (1080, 330), "res-k-width": (820, 330),
+        PC: (1800, 340), PCR: (2600, 450), "cp": (700, 290),
+    }[system]
     assert seen["accepted without one hypothesis"] >= without, seen
     assert seen["accepted only with it"] >= only_with, seen
 
