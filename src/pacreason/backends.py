@@ -50,8 +50,27 @@ masks for clause-space resolution, the terms of every k-DNF with the negated
 query's for RES(k), the values of the integer rows (`polycalc.row_values`:
 every hypothesis zero, the query not) for PC and PCR, and the residual
 inequalities for cutting planes.  Every system is sound over 0/1 points, so
-such an x rules out a proof at any budget; `decide_pac` keeps it and rejects
-every later example consistent with it without a search.
+such an x rules out a proof at any budget.
+
+`countermodel_support(query, hyps, x)` gives, for such an x on the instance
+that an example restricts, the mask of both literals of every variable whose
+value in x alone keeps each original hypothesis true and the original query
+false at every completion; `decide_pac` keeps x's projection onto it and
+rejects without a search every later example consistent with that
+projection.  Such an example has a completion that agrees with x there, a
+countermodel of the instance it restricts, so soundness alone makes the
+reject exact, and no such example settles the query.  Clause-space
+resolution takes the query's variables, which x makes false, then, in
+hypothesis order, the variable of the lowest true literal of each clause
+that no literal taken so far makes true.  RES(k) takes, in the same way,
+for each k-DNF of the hypotheses and the negated query that no term of
+literals taken so far makes true, the variables of its true term with the
+smallest `literal_bit` mask: a true term makes its k-DNF true, and every
+negated-query k-DNF true is the query false.  PC/PCR and cutting planes give
+every literal, so x itself: no one literal makes a row zero or an
+inequality true the way it makes a clause true, so a smaller support would
+take a restriction of every row or inequality per variable tried
+(`restrict_rows`, `residual_ineq`).
 
 `support(query, hyps, proof, rho)` gives, for a proof that `decide` found on
 the instance that the example rho restricts, the mask of both literals of
@@ -145,6 +164,14 @@ class SpaceResolutionBackend:
     def is_countermodel(self, query, hyps, x):
         return not query & x and all(bits & x for bits in hyps)
 
+    def countermodel_support(self, query, hyps, x):
+        used = self._negate(self.query_scope(query))  # x makes the query's literals false
+        for bits in hyps:
+            if not bits & used:  # no chosen literal makes the clause true yet
+                true = bits & x
+                used |= true & -true  # its lowest true literal
+        return used | self._negate(used)
+
     def support(self, query, hyps, proof, rho):
         false = self._negate(rho)
         original = {bits & ~false: bits for bits in hyps if not bits & rho}  # leaf -> a clause
@@ -205,6 +232,14 @@ class ResKWidthBackend:
             any(all(literal_bit(lit) & x for lit in term) for term in phi) for phi in hyps + query
         )
 
+    def countermodel_support(self, query, hyps, x):
+        used = 0  # the chosen literals, each true in x
+        for phi in hyps + query:
+            true = [m for m in (sum(map(literal_bit, term)) for term in phi) if m & x == m]
+            if not any(m & used == m for m in true):  # no chosen term makes phi true yet
+                used |= min(true)
+        return used | negation(self.n)(used)
+
     def support(self, query, hyps, proof, rho):
         return None
 
@@ -250,6 +285,9 @@ class PolynomialCalculusBackend:
     def is_countermodel(self, query, hyps, x):
         values = row_values((query, *hyps), x, self.n)
         return next(values) != 0 and not any(values)
+
+    def countermodel_support(self, query, hyps, x):
+        return (1 << 2 * self.n + 2) - 4  # every literal: x itself
 
     def support(self, query, hyps, proof, rho):
         (used,) = proof  # restrict_rows keeps one row per hypothesis, in order
@@ -301,6 +339,9 @@ class CuttingPlanesBackend:
     def is_countermodel(self, query, hyps, x):
         holds = [sum(c for v, c in coeffs if x >> 2 * v & 1) >= b for coeffs, b in (query, *hyps)]
         return not holds[0] and all(holds[1:])
+
+    def countermodel_support(self, query, hyps, x):
+        return (1 << 2 * self.n + 2) - 4  # every literal: x itself
 
     def support(self, query, hyps, proof, rho):
         # a hypothesis step's premises end in its input's index, and

@@ -23,6 +23,12 @@ for x_v = 1, bit 2v+1 for x_v = 0), is any object with
                                        true-literal mask is x satisfies every
                                        restricted hypothesis and falsifies the
                                        restricted query
+    countermodel_support(query, hyps, x)
+                                    -- both literals of every variable whose
+                                       value in the countermodel x alone keeps
+                                       every original hypothesis true and the
+                                       query false at every completion, as
+                                       one mask
     support(query, hyps, proof, rho) -- both literals of every variable that
                                        the proof decide found for rho depends
                                        on, as one mask, or None where the
@@ -31,12 +37,17 @@ for x_v = 1, bit 2v+1 for x_v = 0), is any object with
 Each example is decided query-first, the query restricted once per projection
 onto its scope's variables: an example that settles it is accepted without
 restricting the hypotheses or calling `decide`.  A run keeps up to
-CACHED_MODELS countermodels, full assignments that satisfy the knowledge base
-and falsify the query, found by `is_countermodel` among the completions of
-searched rejects with at most ENUMERATED_FREE free coordinates, each as its
+CACHED_MODELS partial countermodels.  A searched reject with at most
+ENUMERATED_FREE free coordinates tries its completions, and the first full
+assignment x that `is_countermodel` passes, which satisfies the knowledge
+base and falsifies the query, is kept as x & countermodel_support(query,
+hyps, x), its projection onto that support, held as the projection's
 false-literal mask; an unsettled example that shares no bit with one is
-rejected without a search.  Every proof system here is sound over 0/1
-points, so no search accepts such an example at any budget.
+rejected without a search.  That is exact.  Every completion of the
+projection keeps every original hypothesis true and the query false, so an
+example consistent with it has a completion that satisfies the knowledge
+base and falsifies the query restricted by it, and every proof system here
+is sound over 0/1 points: no search accepts such an example at any budget.
 
 A run also keeps up to CACHED_MODELS keys of accepts: after a search accepts
 rho, rho & support, its projection onto the support of the proof found; an
@@ -126,7 +137,8 @@ def _search(backend, query, restricted, hyps, rho, models: list, keys: list) -> 
     """The search's verdict on the unsettled example rho.  An accept caches
     rho's projection onto its proof's support, where the backend gives one;
     a reject with at most ENUMERATED_FREE free coordinates caches its first
-    completion that is a countermodel."""
+    completion that is a countermodel, projected onto that countermodel's
+    support."""
     restricted_hyps = backend.restrict_hyps(hyps, rho)
     proof = backend.decide(restricted, restricted_hyps)
     if proof:
@@ -141,7 +153,8 @@ def _search(backend, query, restricted, hyps, rho, models: list, keys: list) -> 
         for choice in product(*((2 << 2 * v, 1 << 2 * v) for v in free)):
             x = rho | sum(choice)
             if backend.is_countermodel(restricted, restricted_hyps, x):
-                models.insert(0, x ^ (1 << 2 * n + 2) - 4)  # every literal x makes false
+                support = backend.countermodel_support(query, hyps, x)
+                models.insert(0, negation(n)(x & support))  # the literals x & support makes false
                 del models[CACHED_MODELS:]
                 break
     return False
@@ -164,7 +177,7 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     scope = backend.query_scope(query)
     scope |= negation(backend.n)(scope)  # both literals of each scope variable
     restricted_by, verdicts = {}, []  # restricted_by: rho & scope -> restricted query
-    models, keys = [], []  # false-literal masks of countermodels; keys of accepts
+    models, keys = [], []  # false-literal masks of partial countermodels; keys of accepts
     for rho in examples:
         projection = rho & scope
         restricted = restricted_by.get(projection)

@@ -476,16 +476,18 @@ def random_cnf(rng, n, max_clauses=8, max_width=3):
 
 class CountingBackend:
     """Delegates to a backend and counts its `restrict_query`,
-    `restrict_hyps`, `decide`, `is_countermodel` and `support` calls.
-    `searched` holds, per `restrict_hyps` call in call order, the example,
-    the number of `is_countermodel` calls that followed it and the support
-    that a `support` call returned for it (None without one); `models` each
-    x that `is_countermodel` passed."""
+    `restrict_hyps`, `decide`, `is_countermodel`, `countermodel_support` and
+    `support` calls.  `searched` holds, per `restrict_hyps` call in call
+    order, the example, the number of `is_countermodel` calls that followed
+    it, the support that a `support` call returned for it and the
+    countermodel x that a `countermodel_support` call was given for it (each
+    None without one); `models` each x that `is_countermodel` passed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
-        names = ("restrict_query", "restrict_hyps", "decide", "is_countermodel", "support")
+        names = ("restrict_query", "restrict_hyps", "decide", "is_countermodel",
+                 "countermodel_support", "support")
         self.calls = dict.fromkeys(names, 0)
         self.searched = []
         self.models = []
@@ -503,7 +505,7 @@ class CountingBackend:
 
     def restrict_hyps(self, hyps, rho):
         self.calls["restrict_hyps"] += 1
-        self.searched.append([rho, 0, None])
+        self.searched.append([rho, 0, None, None])
         return self.inner.restrict_hyps(hyps, rho)
 
     def is_countermodel(self, query, hyps, x):
@@ -513,6 +515,11 @@ class CountingBackend:
         if found:
             self.models.append(x)
         return found
+
+    def countermodel_support(self, query, hyps, x):
+        self.calls["countermodel_support"] += 1
+        self.searched[-1][3] = x
+        return self.inner.countermodel_support(query, hyps, x)
 
     def support(self, query, hyps, proof, rho):
         self.calls["support"] += 1
@@ -544,6 +551,9 @@ class EntailmentOracleBackend:
     def is_countermodel(self, query, hyps, x):
         point = [x >> 2 * v & 1 for v in range(1, self.n + 1)]
         return all(evaluate(phi, point) for phi in hyps) and not evaluate(query, point)
+
+    def countermodel_support(self, query, hyps, x):
+        return (1 << 2 * self.n + 2) - 4  # every literal: x itself
 
     def support(self, query, hyps, proof, rho):
         return None

@@ -546,10 +546,13 @@ def test_no_accepted_example_has_a_countermodel(system):
 def cache_streams(system):
     """(label, backend, query, hyps, n, examples) of the seeded streams that
     the countermodel cache is checked on: small-n instances under iid:1/2
-    and iid:3/4 masks and, for clause-space resolution, two streams at n=12,
-    one under iid:3/4, whose examples often leave more free coordinates
-    than a reject enumerates, and one under iid:1/8 that finds more models
-    than the cache keeps."""
+    and iid:3/4 masks and, for clause-space resolution, two streams at n=12
+    under iid:3/4 and iid:1/8, and two at n=24 over a knowledge base of
+    twelve two-literal clauses on disjoint variables, whose examples are
+    drawn from its models: one under iid:3/4, whose examples all leave more
+    free coordinates than a reject enumerates, and one under iid:1/8 that
+    finds more models than the cache keeps: the clauses share no variable,
+    so each countermodel's support fixes a variable of nearly every one."""
     rng = random.Random(f"cache:{system}")
     for seed in range(60):
         for hidden in (Fraction(1, 2), Fraction(3, 4)):
@@ -567,6 +570,20 @@ def cache_streams(system):
         for hidden, m in ((Fraction(3, 4), 400), (Fraction(1, 8), 600)):
             examples = draw_masked_examples(dist, IndependentMask(hidden), m, 12)
             yield f"n=12 iid:{hidden}", SpaceResolutionBackend(2, n), query, kb, n, examples
+        n = 24
+        signs = [(rng.choice((1, -1)), rng.choice((1, -1))) for _ in range(n // 2)]
+        kb = Cnf([make_clause((a * (2 * i + 1), b * (2 * i + 2))) for i, (a, b) in enumerate(signs)],
+                 n).masks
+        query = encode_clause(make_clause([rng.choice((1, -1)) * rng.randint(1, n)]))
+        pairs = list(product((0, 1), repeat=2))
+        points = {  # each pair of variables off the one value its clause rules out
+            sum((rng.choice([p for p in pairs if p != (a < 0, b < 0)]) for a, b in signs), ())
+            for _ in range(2000)
+        }
+        dist = ExplicitDistribution.uniform(points)
+        for hidden, m in ((Fraction(3, 4), 100), (Fraction(1, 8), 600)):
+            examples = draw_masked_examples(dist, IndependentMask(hidden), m, 24)
+            yield f"n=24 iid:{hidden}", SpaceResolutionBackend(2, n), query, kb, n, examples
 
 
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
@@ -577,15 +594,22 @@ def test_countermodel_cache_matches_the_plain_loop(system):
     # base and falsifies the query, checked by brute force, and an accept
     # must extend an earlier searched accept on that accept's support.  A
     # searched reject tries its completions exactly when at most
-    # ENUMERATED_FREE coordinates are free, and a searched accept tries none
+    # ENUMERATED_FREE coordinates are free, a searched accept tries none,
+    # and each countermodel found is cached through one countermodel_support
+    # call.  Res-space and RES(k) cache a countermodel on its support, so
+    # some of their rejects are consistent with no full countermodel found
+    # before them
     seen = Counter()
     for label, backend, query, hyps, n, examples in cache_streams(system):
         counting = CountingBackend(backend)
         outcome = decide_pac(counting, query, hyps, params(), examples)
         assert outcome == reference_decide_pac(backend, query, hyps, params(), examples), label
+        assert counting.calls["countermodel_support"] == len(counting.models), label
+        negate = negation(n)
         searched = iter(counting.searched)
         step = next(searched, None)
         keys = []  # rho & support of each searched accept so far
+        full = []  # false-literal masks of the countermodels found so far
         for rho, accepted in zip(examples, outcome.per_example):
             if backend.restrict_query(query, rho) is TRUE:
                 continue
@@ -599,14 +623,17 @@ def test_countermodel_cache_matches_the_plain_loop(system):
                     label, query, hyps, sigma,
                 )
                 seen[f"{label} hits"] += 1
+                seen[f"{label} hits off every full countermodel"] += all(rho & f for f in full)
                 continue
             free = sigma.count(None)
             if accepted:
-                assert step[1] == 0, (label, sigma)
+                assert step[1] == 0 and step[3] is None, (label, sigma)
                 if step[2] is not None:
                     keys.append(rho & step[2])
             else:
                 assert step[2] is None, (label, sigma)
+                if step[3] is not None:
+                    full.append(negate(step[3]))
                 if free > ENUMERATED_FREE:
                     assert step[1] == 0, (label, sigma)
                     seen["searched rejects over the cap"] += 1
@@ -623,9 +650,15 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         floors["most models found in a run"] = CACHED_MODELS + 1
         floors["iid:1/2 support hits"] = floors["iid:3/4 support hits"] = 30
         floors["n=12 iid:1/8 support hits"] = 100
+        floors["iid:1/2 hits off every full countermodel"] = 80
+        floors["n=12 iid:3/4 hits off every full countermodel"] = 50
+        floors["n=24 iid:1/8 hits off every full countermodel"] = 160
     elif system == "res-k-width":
-        assert not any("support" in name for name in seen), seen  # support is None
-    else:  # the hypotheses behind each pc, pcr or cp proof
+        floors["iid:1/2 hits off every full countermodel"] = 30
+        floors["iid:3/4 hits off every full countermodel"] = 14
+        assert not any(name.endswith(" support hits") for name in seen), seen  # no accept support
+    else:  # the hypotheses behind each pc, pcr or cp proof; a countermodel's support is x
+        assert not any(seen[name] for name in seen if name.endswith("full countermodel")), seen
         floors["iid:1/2 support hits"], floors["iid:3/4 support hits"] = {
             PC: (800, 850), PCR: (900, 1000), "cp": (250, 150),
         }[system]

@@ -9,7 +9,9 @@ instance passed, which is why the CLI checks the budget only once per run.
 For cp, pc and pcr, closure's consequence behind `decide_pac`'s accept keys
 is checked over every example of small instances: an accept settles every
 example that extends it on its proof's support.  So is what that rests on,
-that adding a hypothesis never turns an accept into a reject."""
+that adding a hypothesis never turns an accept into a reject, and, for all
+five systems, the reject-side twin behind the countermodel cache: a
+countermodel's support settles every example consistent with it there."""
 
 import random
 from collections import Counter
@@ -305,6 +307,69 @@ def assert_supports_settle_extensions(backend, query, hyps, n, seen):
                 seen["off the support"] += bool((sigma ^ rho) & ~support)
         seen["searched accepts"] += 1
         seen["supports short of every variable"] += support != every
+
+
+def assert_countermodel_supports_reject(backend, query, hyps, n, seen):
+    """The lemma behind decide_pac's countermodel cache, over every example:
+    when decide rejects the instance that rho restricts and the search
+    caches a countermodel x of it, every sigma consistent with x on its
+    `countermodel_support` (`not sigma & negation(x & support)`) leaves the
+    query unsettled and is rejected by decide.  Counts into `seen`."""
+    examples = every_example(n)
+    settled = {rho for rho in examples if backend.restrict_query(query, rho) is TRUE}
+    found = {
+        rho: rho in settled or bool(backend.decide(
+            backend.restrict_query(query, rho), backend.restrict_hyps(hyps, rho)
+        ))
+        for rho in examples
+    }
+    negate, every = negation(n), (1 << 2 * n + 2) - 4
+    for rho in examples:
+        if found[rho]:
+            continue
+        counting = CountingBackend(backend)
+        assert not decide_one(counting, query, hyps, rho)
+        ((_, _, _, x),) = counting.searched  # the countermodel that decide_pac caches
+        if x is None:
+            continue
+        support = backend.countermodel_support(query, hyps, x)
+        assert not support & ~every and support == negate(support), support  # both literals
+        false = negate(x & support)
+        for sigma in examples:
+            if not sigma & false:
+                assert sigma not in settled and not found[sigma], (
+                    query, hyps, assignment_of(x, n), assignment_of(sigma, n),
+                )
+                seen["off the full countermodel"] += bool(sigma & negate(x))
+        seen["searched rejects with a countermodel"] += 1
+        seen["supports short of every variable"] += support != every
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_a_countermodel_rejects_every_example_consistent_with_its_support(system):
+    # exhaustively over all 3^n examples of seeded instances: res-space's
+    # support (the query's variables and one true literal's variable per
+    # clause that none chosen before makes true) and RES(k)'s (one true
+    # term's variables per k-DNF and negated-query k-DNF that none chosen
+    # before makes true) settle examples that disagree with the full
+    # countermodel elsewhere; pc, pcr and cp keep every variable
+    rng = random.Random(f"countermodel lemma:{system}")
+    seen = Counter()
+    for _ in range(200):
+        backend, query, hyps, n = random_support_instance(system, rng)
+        assert_countermodel_supports_reject(backend, query, hyps, n, seen)
+    names = ("searched rejects with a countermodel", "supports short of every variable",
+             "off the full countermodel")
+    floors = {
+        "res-space": (1800, 1700, 30000),
+        "res-k-width": (850, 380, 1700),
+        PC: (580, 0, 0),
+        PCR: (170, 0, 0),
+        "cp": (2800, 0, 0),
+    }[system]
+    assert all(seen[name] >= floor for name, floor in zip(names, floors)), seen
+    if system in (PC, PCR, "cp"):
+        assert seen["supports short of every variable"] == 0, seen
 
 
 @pytest.mark.parametrize("system", [PC, PCR, "cp"])
