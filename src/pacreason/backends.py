@@ -66,11 +66,14 @@ that no literal taken so far makes true.  RES(k) takes, in the same way,
 for each k-DNF of the hypotheses and the negated query that no term of
 literals taken so far makes true, the variables of its true term with the
 smallest `literal_bit` mask: a true term makes its k-DNF true, and every
-negated-query k-DNF true is the query false.  PC/PCR and cutting planes give
-every literal, so x itself: no one literal makes a row zero or an
-inequality true the way it makes a clause true, so a smaller support would
-take a restriction of every row or inequality per variable tried
-(`restrict_rows`, `residual_ineq`).
+negated-query k-DNF true is the query false.  PC/PCR start from every
+variable and drop each in turn, x1 first, keeping a drop while
+`restrict_rows` by x's projection onto the variables left leaves every
+hypothesis row zero and the query row a nonzero constant: a zero row is
+zero, and a constant row that value, at every completion.  Cutting planes
+gives every literal, so x itself: no one literal makes an inequality true
+the way it makes a clause true, and a smaller support would take a
+restriction of every inequality per variable tried (`residual_ineq`).
 
 `support(query, hyps, proof, rho)` gives, for a proof that `decide` found on
 the instance that the example rho restricts, the mask of both literals of
@@ -86,11 +89,11 @@ ends each `HypothesisStep`'s premises, and PC and PCR the hypothesis mask
 that `decide` returns (`polycalc.build_basis` ORs it along the one
 elimination); the restrictions keep one residual or row per hypothesis, in
 order, so an index names an original hypothesis.  At seed 1 the table-birds
-benchmark calls `decide` 5 times each for pc, pcr and cp, on 11 distinct
-examples (1628, 813 and 813 times without supports).  RES(k) returns None:
-its trace names hypotheses by index too, but a support settles repeats as
-an accept memo does, and the benchmark's memory metric grows with the
-rounds that a faster run fits in (ROADMAP item 1).
+benchmark calls `decide` 3 times each for pc and pcr and 5 times for cp, on
+11 distinct examples (1626, 811 and 813 times without supports).  RES(k)
+returns None: its trace names hypotheses by index too, but a support
+settles repeats as an accept memo does, and the benchmark's memory metric
+grows with the rounds that a faster run fits in (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -287,7 +290,13 @@ class PolynomialCalculusBackend:
         return next(values) != 0 and not any(values)
 
     def countermodel_support(self, query, hyps, x):
-        return (1 << 2 * self.n + 2) - 4  # every literal: x itself
+        keep, rows = (1 << 2 * self.n + 2) - 4, (query, *hyps)
+        for v in range(1, self.n + 1):
+            trial = keep & ~(3 << 2 * v)  # keep without x_v
+            restricted, *rest = restrict_rows(rows, x & trial, self.n)
+            if len(restricted) == 1 and not restricted[0][0] and not any(rest):
+                keep = trial  # the query a nonzero constant, every hypothesis zero
+        return keep
 
     def support(self, query, hyps, proof, rho):
         (used,) = proof  # restrict_rows keeps one row per hypothesis, in order

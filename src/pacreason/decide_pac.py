@@ -165,6 +165,11 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     onto the query's scope, one list of countermodels and one of accept
     keys; tally rejections.
 
+    An unsettled example meets the countermodels first, then the keys, each
+    list most recently hit first.  That scan order decides which examples
+    reach a search, never a verdict: every cached entry is exact.  The
+    plain two-list loop `cached_search_order` in tests/helpers.py pins it.
+
     Rejects exactly when strictly more than floor(epsilon * m) examples fail.
     An example that is not a true-literal mask over x1..xn is an InputError.
     """
@@ -178,29 +183,32 @@ def decide_pac(backend, query, hyps, params: PacParams, examples) -> PacOutcome:
     scope |= negation(backend.n)(scope)  # both literals of each scope variable
     restricted_by, verdicts = {}, []  # restricted_by: rho & scope -> restricted query
     models, keys = [], []  # false-literal masks of partial countermodels; keys of accepts
+    append = verdicts.append
     for rho in examples:
-        projection = rho & scope
-        restricted = restricted_by.get(projection)
+        restricted = restricted_by.get(rho & scope)
         if restricted is None:
+            projection = rho & scope
             restricted = restricted_by[projection] = backend.restrict_query(query, projection)
         if restricted is TRUE:
-            verdicts.append(True)
+            append(True)
             continue
-        for i, false in enumerate(models):
+        for false in models:
             if not rho & false:  # rho is consistent with a cached countermodel
-                if i:
-                    models.insert(0, models.pop(i))
-                verdicts.append(False)
+                if false is not models[0]:
+                    models.remove(false)  # the first entry equal to it is the hit
+                    models.insert(0, false)
+                append(False)
                 break
         else:
-            for i, key in enumerate(keys):
+            for key in keys:
                 if key & rho == key:  # rho extends an accepted example on its support
-                    if i:
-                        keys.insert(0, keys.pop(i))
-                    verdicts.append(True)
+                    if key is not keys[0]:
+                        keys.remove(key)
+                        keys.insert(0, key)
+                    append(True)
                     break
             else:
-                verdicts.append(_search(backend, query, restricted, hyps, rho, models, keys))
+                append(_search(backend, query, restricted, hyps, rho, models, keys))
 
     failed = verdicts.count(False)
     budget = failure_budget(params.epsilon, m)

@@ -31,8 +31,9 @@ masks and decoded back, a `pacreason prove` runner on file texts, the
 plain per-example loop, a search without a countermodel pass on every
 restricted instance, that `decide_pac` with its settled-query shortcut,
 its query restriction per query-scope projection and its countermodel cache
-must match exactly, and `decide_one`, the verdict of a `decide_pac` run on
-one example."""
+must match exactly, `decide_one`, the verdict of a `decide_pac` run on
+one example, and `cached_search_order`, the plain two-list loop whose
+backend calls `decide_pac` with its caches must match in order."""
 
 import math
 import random
@@ -61,6 +62,7 @@ from pacreason.cutting_planes import (
 )
 from pacreason.cli import main
 from pacreason.decide_pac import ACCEPT, REJECT, PacOutcome, PacParams, decide_pac, failure_budget
+from pacreason.decide_pac import CACHED_MODELS, ENUMERATED_FREE
 from pacreason.errors import InputError
 from pacreason.formulas import (
     Const,
@@ -168,6 +170,48 @@ def decide_one(backend, query, hyps, rho) -> bool:
     production loop: `decide_pac` on the one-example stream [rho], which
     starts with no cached countermodel."""
     return decide_pac(backend, query, hyps, ONE_EXAMPLE_PARAMS, [rho]).per_example[0]
+
+
+def cached_search_order(backend, query, hyps, examples) -> None:
+    """The plain loop behind `decide_pac`'s two caches, run for the backend
+    calls it makes: a list of partial countermodels and one of accept keys,
+    each most recently hit first and cut to its first CACHED_MODELS entries.
+    An example that settles the query is skipped; an unsettled one that is
+    consistent with a model moves that model to the front, else one that
+    holds every bit of a key moves that key to the front, else it is
+    searched.  A searched accept puts rho & support in front of the keys,
+    and a searched reject with at most ENUMERATED_FREE masked coordinates
+    puts its first completion that `is_countermodel` passes, projected onto
+    `countermodel_support`, in front of the models."""
+    n = backend.n
+    models, keys = [], []  # partial assignments' true-literal masks; keys of accepts
+    for rho in examples:
+        restricted = backend.restrict_query(query, rho)
+        if restricted is TRUE:
+            continue
+        hit = [i for i, model in enumerate(models) if not rho & negation(n)(model)]
+        if hit:
+            models.insert(0, models.pop(hit[0]))
+            continue
+        hit = [i for i, key in enumerate(keys) if key & rho == key]
+        if hit:
+            keys.insert(0, keys.pop(hit[0]))
+            continue
+        kb = backend.restrict_hyps(hyps, rho)
+        proof = backend.decide(restricted, kb)
+        if proof:
+            support = backend.support(query, hyps, proof, rho)
+            if support is not None:
+                keys = [rho & support, *keys][:CACHED_MODELS]
+            continue
+        sigma = assignment_of(rho, n)
+        if sigma.count(None) > ENUMERATED_FREE:
+            continue
+        for x in map(example, map(PartialAssignment, completions(sigma))):
+            if backend.is_countermodel(restricted, kb, x):
+                support = backend.countermodel_support(query, hyps, x)
+                models = [x & support, *models][:CACHED_MODELS]
+                break
 
 
 def example(rho) -> int:

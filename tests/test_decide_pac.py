@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -44,6 +44,7 @@ from helpers import (
     CountingBackend,
     EntailmentOracleBackend,
     assignment_of,
+    cached_search_order,
     completions,
     decode_row,
     example,
@@ -552,7 +553,10 @@ def cache_streams(system):
     drawn from its models: one under iid:3/4, whose examples all leave more
     free coordinates than a reject enumerates, and one under iid:1/8 that
     finds more models than the cache keeps: the clauses share no variable,
-    so each countermodel's support fixes a variable of nearly every one."""
+    so each countermodel's support fixes a variable of nearly every one.
+    Last, one at n=16 whose query x1 follows from every pair of x2..x16
+    (a clause -xi | -xj | x1 per pair), under iid:1/2, whose accepts leave
+    more keys than the cache keeps: each key is the pair its proof used."""
     rng = random.Random(f"cache:{system}")
     for seed in range(60):
         for hidden in (Fraction(1, 2), Fraction(3, 4)):
@@ -584,6 +588,17 @@ def cache_streams(system):
         for hidden, m in ((Fraction(3, 4), 100), (Fraction(1, 8), 600)):
             examples = draw_masked_examples(dist, IndependentMask(hidden), m, 24)
             yield f"n=24 iid:{hidden}", SpaceResolutionBackend(2, n), query, kb, n, examples
+        n = 16
+        kb = Cnf([make_clause((-i, -j, 1)) for i, j in combinations(range(2, n + 1), 2)], n).masks
+        points = set()
+        for _ in range(2000):
+            y = [int(rng.random() < 0.25) for _ in range(n - 1)]
+            points.add((1 if sum(y) >= 2 else rng.getrandbits(1), *y))
+        examples = draw_masked_examples(
+            ExplicitDistribution.uniform(points), IndependentMask(Fraction(1, 2)), 1000, 16
+        )
+        query = encode_clause(make_clause([1]))
+        yield "n=16 pairs", SpaceResolutionBackend(2, n), query, kb, n, examples
 
 
 @pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
@@ -596,9 +611,9 @@ def test_countermodel_cache_matches_the_plain_loop(system):
     # searched reject tries its completions exactly when at most
     # ENUMERATED_FREE coordinates are free, a searched accept tries none,
     # and each countermodel found is cached through one countermodel_support
-    # call.  Res-space and RES(k) cache a countermodel on its support, so
-    # some of their rejects are consistent with no full countermodel found
-    # before them
+    # call.  Res-space, RES(k), pc and pcr cache a countermodel on its
+    # support, so some of their rejects are consistent with no full
+    # countermodel found before them
     seen = Counter()
     for label, backend, query, hyps, n, examples in cache_streams(system):
         counting = CountingBackend(backend)
@@ -657,8 +672,13 @@ def test_countermodel_cache_matches_the_plain_loop(system):
         floors["iid:1/2 hits off every full countermodel"] = 30
         floors["iid:3/4 hits off every full countermodel"] = 14
         assert not any(name.endswith(" support hits") for name in seen), seen  # no accept support
-    else:  # the hypotheses behind each pc, pcr or cp proof; a countermodel's support is x
-        assert not any(seen[name] for name in seen if name.endswith("full countermodel")), seen
+    else:  # the hypotheses behind each pc, pcr or cp proof
+        if system == "cp":  # a countermodel's support is x
+            assert not any(seen[name] for name in seen if name.endswith("full countermodel")), seen
+        else:  # a countermodel's support drops every variable it can
+            floors["iid:1/2 hits off every full countermodel"] = {PC: 35, PCR: 8}[system]
+            if system == PC:
+                floors["iid:3/4 hits off every full countermodel"] = 18
         floors["iid:1/2 support hits"], floors["iid:3/4 support hits"] = {
             PC: (800, 850), PCR: (900, 1000), "cp": (250, 150),
         }[system]
@@ -739,6 +759,36 @@ def test_pc_pcr_and_cp_supports_match_the_plain_loop(system):
     names = ("table support hits", "iid:1/4 support hits",
              "table extension hits", "iid:1/4 extension hits")
     check_support_cache(system, cases, dict(zip(names, floors)))
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_cache_order_matches_the_plain_two_list_loop(system):
+    # decide_pac scans its countermodels, then its keys, each most recently
+    # hit first, and drops the least recently hit entry past CACHED_MODELS:
+    # on every cache_streams and support_streams stream it makes the
+    # backend calls of cached_search_order in the same order, with the same
+    # countermodels and supports.  The res-space n=24 iid:1/8 stream finds
+    # more models than the cache keeps, and the n=16 stream makes more keys,
+    # so an eviction from the wrong end or a missed move to the front shows
+    # there
+    streams = [(label, backend, query, hyps, examples)
+               for label, backend, query, hyps, _, examples in cache_streams(system)]
+    streams += support_streams(system, 100)
+    seen = Counter()
+    for label, backend, query, hyps, examples in streams:
+        counting, reference = CountingBackend(backend), CountingBackend(backend)
+        decide_pac(counting, query, hyps, params(), examples)
+        cached_search_order(reference, query, hyps, examples)
+        assert counting.searched == reference.searched, label
+        seen["most models found in a run"] = max(
+            seen["most models found in a run"], len(set(reference.models)))
+        seen["most keys made in a run"] = max(seen["most keys made in a run"], len(
+            {rho & support for rho, _, support, _ in reference.searched if support is not None}))
+        seen["searched"] += len(counting.searched)
+    assert seen["searched"] >= 500, seen
+    if system == "res-space":
+        assert seen["most models found in a run"] > CACHED_MODELS, seen
+        assert seen["most keys made in a run"] > CACHED_MODELS, seen
 
 
 STATELESS_CASES = {
