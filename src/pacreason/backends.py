@@ -45,12 +45,15 @@ runs as it would without it.
 
 `is_countermodel(query, hyps, x)` says whether the full assignment whose
 true-literal mask is x satisfies every restricted hypothesis and falsifies
-the restricted query, each on the system's own restricted forms: clause
-masks for clause-space resolution, the terms of every k-DNF with the negated
-query's for RES(k), the values of the integer rows (`polycalc.row_values`:
-every hypothesis zero, the query not) for PC and PCR, and the residual
-inequalities for cutting planes.  Every system is sound over 0/1 points, so
-such an x rules out a proof at any budget.
+the restricted query: whether the system's restriction kernel, called
+directly and not through `restrict_query` or `restrict_hyps` (which a trace
+times), restricts by x every hypothesis to TRUE and the query not
+(`restrict_mask`'s test `bits & x`, `restrict_ineq`; for RES(k), every
+negated-query k-DNF to TRUE too, `restrict_kdnf`), or for PC and PCR every
+hypothesis row to zero and the query row to a nonzero constant
+(`restrict_rows`, `polycalc.countermodel_rows`).  So the check is sound
+exactly when the restrictions are, and every system is sound over 0/1
+points, so such an x rules out a proof at any budget.
 
 `countermodel_support(query, hyps, x)` gives, for such an x on the instance
 that an example restricts, the mask of both literals of every variable whose
@@ -63,17 +66,17 @@ reject exact, and no such example settles the query.  Clause-space
 resolution takes the query's variables, which x makes false, then, in
 hypothesis order, the variable of the lowest true literal of each clause
 that no literal taken so far makes true.  RES(k) takes, in the same way,
-for each k-DNF of the hypotheses and the negated query that no term of
-literals taken so far makes true, the variables of its true term with the
-smallest `literal_bit` mask: a true term makes its k-DNF true, and every
+for each k-DNF of the hypotheses and the negated query that the literals
+taken so far do not restrict to TRUE, the variables of its true term with
+the smallest `literal_bit` mask: a true term makes its k-DNF true, and every
 negated-query k-DNF true is the query false.  PC/PCR start from every
 variable and drop each in turn, x1 first, keeping a drop while
-`restrict_rows` by x's projection onto the variables left leaves every
-hypothesis row zero and the query row a nonzero constant: a zero row is
-zero, and a constant row that value, at every completion.  Cutting planes
-gives every literal, so x itself: no one literal makes an inequality true
-the way it makes a clause true, and a smaller support would take a
-restriction of every inequality per variable tried (`residual_ineq`).
+`countermodel_rows` passes the rows restricted by x's projection onto the
+variables left: a zero row is zero, and a constant row that value, at every
+completion.  Cutting planes gives every literal, so x itself: no one literal
+makes an inequality true the way it makes a clause true, and a smaller
+support would take a restriction of every inequality per variable tried
+(`residual_ineq`).
 
 `support(query, hyps, proof, rho)` gives, for a proof that `decide` found on
 the instance that the example rho restricts, the mask of both literals of
@@ -88,12 +91,10 @@ true satisfies c and removes the leaf.  Cutting planes reads the index that
 ends each `HypothesisStep`'s premises, and PC and PCR the hypothesis mask
 that `decide` returns (`polycalc.build_basis` ORs it along the one
 elimination); the restrictions keep one residual or row per hypothesis, in
-order, so an index names an original hypothesis.  At seed 1 the table-birds
-benchmark calls `decide` 3 times each for pc and pcr and 5 times for cp, on
-11 distinct examples (1626, 811 and 813 times without supports).  RES(k)
-returns None: its trace names hypotheses by index too, but a support
-settles repeats as an accept memo does, and the benchmark's memory metric
-grows with the rounds that a faster run fits in (ROADMAP item 1).
+order, so an index names an original hypothesis.  RES(k) returns None: its
+trace names hypotheses by index too, but a support settles repeats as an
+accept memo does, and the benchmark's memory metric grows with the rounds
+that a faster run fits in (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ from __future__ import annotations
 from . import formats
 from .errors import InputError, RuleError
 from .formulas import TRUE
-from .polycalc import PC, PCR, check_inputs, decide_pc, restrict_rows, row, row_literals, row_values
+from .polycalc import PC, PCR, check_inputs, countermodel_rows, decide_pc, restrict_rows, row
+from .polycalc import row_literals
 from .cutting_planes import check_target, countermodel, decide_cp, residual_ineq, restrict_ineq
 from .cutting_planes import check_trace as check_cp_trace
 from .res_k import BOTTOM, check_budget, decide_resk_width, negate_query, restrict_kdnf
@@ -231,16 +233,13 @@ class ResKWidthBackend:
         return tuple(phi for phi in restricted if phi is not TRUE)
 
     def is_countermodel(self, query, hyps, x):
-        return all(
-            any(all(literal_bit(lit) & x for lit in term) for term in phi) for phi in hyps + query
-        )
+        return all(restrict_kdnf(phi, x) is TRUE for phi in hyps + query)
 
     def countermodel_support(self, query, hyps, x):
         used = 0  # the chosen literals, each true in x
         for phi in hyps + query:
-            true = [m for m in (sum(map(literal_bit, term)) for term in phi) if m & x == m]
-            if not any(m & used == m for m in true):  # no chosen term makes phi true yet
-                used |= min(true)
+            if restrict_kdnf(phi, used) is not TRUE:  # no chosen term makes phi true yet
+                used |= min(m for m in (sum(map(literal_bit, term)) for term in phi) if m & x == m)
         return used | negation(self.n)(used)
 
     def support(self, query, hyps, proof, rho):
@@ -286,16 +285,14 @@ class PolynomialCalculusBackend:
         return restrict_rows(hyps, rho, self.n)
 
     def is_countermodel(self, query, hyps, x):
-        values = row_values((query, *hyps), x, self.n)
-        return next(values) != 0 and not any(values)
+        return countermodel_rows(restrict_rows((query, *hyps), x, self.n))
 
     def countermodel_support(self, query, hyps, x):
         keep, rows = (1 << 2 * self.n + 2) - 4, (query, *hyps)
         for v in range(1, self.n + 1):
             trial = keep & ~(3 << 2 * v)  # keep without x_v
-            restricted, *rest = restrict_rows(rows, x & trial, self.n)
-            if len(restricted) == 1 and not restricted[0][0] and not any(rest):
-                keep = trial  # the query a nonzero constant, every hypothesis zero
+            if countermodel_rows(restrict_rows(rows, x & trial, self.n)):
+                keep = trial
         return keep
 
     def support(self, query, hyps, proof, rho):
@@ -346,8 +343,7 @@ class CuttingPlanesBackend:
         return tuple(residual_ineq(h, rho) for h in hyps)
 
     def is_countermodel(self, query, hyps, x):
-        holds = [sum(c for v, c in coeffs if x >> 2 * v & 1) >= b for coeffs, b in (query, *hyps)]
-        return not holds[0] and all(holds[1:])
+        return restrict_ineq(query, x) is not TRUE and all(restrict_ineq(h, x) is TRUE for h in hyps)
 
     def countermodel_support(self, query, hyps, x):
         return (1 << 2 * self.n + 2) - 4  # every literal: x itself

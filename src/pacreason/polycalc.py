@@ -20,9 +20,10 @@ reversed, and its key is (degree << 2n) | mask.  Keys compare as their
 differ is the first indeterminate in literal order where they differ, and
 it is set in the larger monomial.  A tuple of rows is a hashable value.
 `restrict_rows` restricts rows by an example's true-literal mask (reversed
-into the layout) with int tests, `row_values` evaluates them at a full
-assignment, and rows scaled by positive factors span the same space, so
-clearing denominators changes no verdict.
+into the layout) with int tests; by a full assignment, to constant rows,
+each its row's value there, which `countermodel_rows` reads.  Rows scaled
+by positive factors span the same space, so clearing denominators changes
+no verdict.
 
 The degree-d decision procedure is row echelon form over Q (Clegg, Edmonds &
 Impagliazzo, STOC 1996), run on integers.  The basis is a dict from leading
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InputError
@@ -150,7 +152,10 @@ def _layout(mask: int, n: int) -> int:
 
 def row_literals(r, n: int) -> int:
     """The literal mask (`literal_bit`) of the indeterminates in the row r."""
-    return _layout(sum(1 << j for j in range(2 * n) if any(k >> j & 1 for k, _ in r)), n)
+    used = 0
+    for k, _ in r:
+        used |= k
+    return _layout(used & (1 << 2 * n) - 1, n)  # the monomial bits, without the degree
 
 
 def restrict_rows(rows, rho: int, n: int) -> tuple:
@@ -181,11 +186,11 @@ def restrict_rows(rows, rho: int, n: int) -> tuple:
     return tuple(out)
 
 
-def row_values(rows, x: int, n: int):
-    """Each row's value, lazily, at the full assignment whose true-literal
-    mask is x: the sum of the coefficients of the monomials x makes true."""
-    false = (1 << 2 * n) - 1 ^ _layout(x, n)
-    return (sum(c for k, c in r if not k & false) for r in rows)
+def countermodel_rows(rows) -> bool:
+    """Whether restricted rows, the query's first, leave the query a nonzero
+    constant and every hypothesis zero, at every completion of the restriction."""
+    query, *hyps = rows
+    return len(query) == 1 and not query[0][0] and not any(hyps)
 
 
 def gaussian_reduce(p: dict, basis, used: list | None = None) -> dict:
@@ -273,11 +278,8 @@ def build_basis(hyps, q, d: int, n: int, mode: str = PC):
     such space, the degree-d derivable space, whatever the order.  Given
     more hypotheses, or more variables to multiply by, that smallest space
     can only grow, so the search is monotone in its hypotheses."""
-    used = 0
-    for r in (*hyps, q):
-        for k, _ in r:
-            used |= k
-    variables = [v for v in range(1, n + 1) if used >> 2 * (n - v) & 3]
+    used = row_literals(chain(q, *hyps), n)
+    variables = [v for v in range(1, n + 1) if used >> 2 * v & 3]
     width = 2 * n
     one = 1 << width
     pending = deque((dict(r), 1 << i) for i, r in enumerate(hyps))

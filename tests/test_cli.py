@@ -801,6 +801,44 @@ def test_non_ascii_digit_in_a_variable_is_a_format_error(
     assert (code, out, err) == (2, "", f"error: line 2: {error.format(token)}\n")
 
 
+DIST = "p dist 2 1\n1/1 11\n"
+SAMPLE = ["sample", "--dist", "obs.dist", "--m", "2"]
+
+
+# each malformed input or option exits 2 with its one error line; argv names
+# the files by their keys
+@pytest.mark.parametrize(
+    "files, argv, error",
+    [
+        ({"kb.poly": "p poly 2 1\n1 x1;\n", "query.poly": "p poly 2 1\n1 x2; -1\n"},
+         ["prove", "--system", "pc", "--d", "2", "--kb", "kb.poly", "--query", "query.poly"],
+         "line 2: empty term"),
+        ({"kb.cp": "p cp 1 1\nx1 >= 1\n", "query.cp": "p cp 1 1\n>= 1\n"},
+         ["prove", "--system", "cp", "--w", "1", "--L", "2", "--kb", "kb.cp", "--query", "query.cp"],
+         "line 2: bad coefficient token 'x1'"),
+        ({"obs.dist": "p dist 2 1\n1/1 11 01\n"}, [*SAMPLE, "--mask", "fixed:01", "--seed", "1"],
+         "line 2: expected '<weight> <bits>'"),
+        ({"obs.dist": "p dist 2 2\n0 11\n1/1 01\n"}, [*SAMPLE, "--mask", "fixed:01", "--seed", "1"],
+         "invalid distribution: weight 0 of (1, 1) is not positive"),
+        ({"obs.dist": DIST}, [*SAMPLE, "--mask", "iid", "--seed", "1"],
+         "bad mask spec 'iid'; expected fixed:, iid: or table:"),
+        ({"obs.dist": DIST}, [*SAMPLE, "--mask", "iid:3/2", "--seed", "1"],
+         "hide probability 3/2 must lie in [0,1]"),
+        ({"obs.dist": DIST}, [*SAMPLE, "--mask", "fixed:01", "--seed", "-1"],
+         "seed must be a 64-bit unsigned integer"),
+        ({"obs.dist": DIST}, [*SAMPLE, "--mask", "fixed:01", "--seed", str(2 ** 64)],
+         "seed must be a 64-bit unsigned integer"),
+    ],
+    ids=["poly-empty-term", "cp-token-without-colon", "dist-three-fields", "dist-zero-weight",
+         "mask-iid-without-colon", "mask-iid-above-one", "seed-negative", "seed-2-to-the-64"],
+)
+def test_a_malformed_input_exits_2_with_its_message(files, argv, error, tmp_path, capsys):
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
 # a number option is ASCII: a non-ASCII digit or an underscore is a usage
 # error, not the number it would read as
 @pytest.mark.parametrize(

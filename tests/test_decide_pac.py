@@ -53,12 +53,14 @@ from helpers import (
     random_clause,
     reference_decide_pac,
 )
+from test_polycalc import spread_examples, spread_instance
 from test_restriction_closure import (
     every_example,
     random_kb_ineq,
     random_pc_instance,
     random_resk_instance,
     random_space_instance,
+    random_support_instance,
     random_target,
 )
 
@@ -542,6 +544,54 @@ def test_no_accepted_example_has_a_countermodel(system):
         if min(seen.values()) >= 100:
             break
     assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("system", ["res-space", "res-k-width", PC, PCR, "cp"])
+def test_is_countermodel_is_the_brute_force_evaluation(system):
+    # at every completion x of each example that leaves the query unsettled,
+    # is_countermodel on the restricted instance is refutes_at on the
+    # original: the restriction kernels' verdict at a full assignment is the
+    # formulas' value there.  pc and pcr also meet spread_instance's
+    # instances (wide n, rational coefficients, merging terms) at random
+    # completions of its examples
+    rng = random.Random(f"is_countermodel:{system}")
+    seen = Counter()
+
+    def check(backend, query, hyps, rho, points, label):
+        restricted = backend.restrict_query(query, rho)
+        if restricted is TRUE:
+            return
+        restricted_hyps = backend.restrict_hyps(hyps, rho)
+        for point in points:
+            want = refutes_at(system, query, hyps, point)
+            x = example(PartialAssignment(point))
+            got = backend.is_countermodel(restricted, restricted_hyps, x)
+            assert got == want, (query, hyps, assignment_of(rho, len(point)), point)
+            seen[label, want] += 1
+
+    for _ in range(150):
+        backend, query, hyps, n = random_support_instance(system, rng)
+        for rho in every_example(n):
+            check(backend, query, hyps, rho, completions(assignment_of(rho, n)), "support")
+    if system in (PC, PCR):
+        for _ in range(300):
+            mode, n, d, polys, poly_query = spread_instance(rng)
+            if mode != system:
+                continue
+            backend, query, hyps = pc_instance(d, n, mode, poly_query, polys)
+            for sigma in spread_examples(rng, n, 3):
+                points = [tuple(rng.randint(0, 1) if e is None else e for e in sigma)
+                          for _ in range(8)]
+                check(backend, query, hyps, sigma.mask, points, "spread")
+    floors = {  # (countermodels, other points) per source of instances
+        "res-space": {"support": (2900, 5300)},
+        "res-k-width": {"support": (850, 2200)},
+        PC: {"support": (650, 10000), "spread": (600, 1500)},
+        PCR: {"support": (45, 4300), "spread": (680, 1800)},
+        "cp": {"support": (6100, 7000)},
+    }[system]
+    for label, (true, false) in floors.items():
+        assert seen[label, True] >= true and seen[label, False] >= false, seen
 
 
 def cache_streams(system):

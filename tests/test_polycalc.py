@@ -600,33 +600,6 @@ def test_row_basis_matches_the_reference_and_the_span_oracle():
     assert min(seen.values()) >= 50, seen
 
 
-def test_is_countermodel_is_the_brute_force_evaluation():
-    # at full assignments, random ones and completions of rho: every
-    # restricted hypothesis evaluates to zero and the restricted query not,
-    # by `Polynomial.evaluate` on the Fraction reference restrictions
-    rng = random.Random(2812)
-    seen = Counter()
-    for _ in range(600):
-        mode, n, d, hyps, q = spread_instance(rng)
-        backend, query, rows = pc_instance(d, n, mode, q, hyps)
-        for rho in spread_examples(rng, n, 3):
-            mask = example(rho)
-            restricted = backend.restrict_query(query, mask)
-            if restricted is TRUE:
-                continue
-            r_rows = backend.restrict_hyps(rows, mask)
-            ref_q = reference_restrict_polynomial(q, rho)
-            ref_hyps = [reference_restrict_polynomial(h, rho) for h in hyps]
-            for _ in range(8):
-                point = tuple(e if e is not None and rng.random() < 0.8 else rng.randint(0, 1)
-                              for e in rho)
-                x = example(PartialAssignment(point))
-                want = ref_q.evaluate(point) != 0 and all(h.evaluate(point) == 0 for h in ref_hyps)
-                assert backend.is_countermodel(restricted, r_rows, x) == want, (q, hyps, rho, point)
-                seen[want] += 1
-    assert min(seen[True], seen[False]) >= 200, seen
-
-
 def test_equal_restricted_instances_are_equal_values():
     # a restricted instance is a tuple of rows: two examples give equal
     # values, with equal hashes, exactly when the Fraction references agree

@@ -266,6 +266,6 @@ def test_the_per_example_pc_path_names_no_fraction_or_polynomial():
                 if callee not in reached:
                     reached.add(callee)
                     pending.append(functions[callee])
-    assert reached == {"restrict_rows", "row_values", "decide_pc", "build_basis", "gaussian_reduce",
-                       "_times", "_layout", "row_literals"}
+    assert reached == {"restrict_rows", "countermodel_rows", "decide_pc", "build_basis",
+                       "gaussian_reduce", "_times", "_layout", "row_literals"}
     assert offenders == []
